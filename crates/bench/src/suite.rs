@@ -10,7 +10,7 @@
 //! columns are machine-dependent and only warn.
 
 use ftm_certify::certificate::Certificate;
-use ftm_certify::{verify_envelopes_batched, Core, Envelope, MessageCore, SignedCore, ValueVector};
+use ftm_certify::{Core, Envelope, MessageCore, SignedCore, ValueVector};
 use ftm_core::byzantine::log::Retention;
 use ftm_crypto::keydir::KeyDirectory;
 use ftm_crypto::rsa::KeyPair;
@@ -77,9 +77,9 @@ fn retention_benches() {
 }
 
 /// A fixed-seed round burst: `n` CURRENT envelopes whose certificates all
-/// carry the same `n` signed INITs (the overlap batching exploits).
-/// Shared with experiment E12, which reports the amortization counts the
-/// suite times.
+/// carry the same `n` signed INITs (the overlap the verdict memo
+/// exploits). Shared with experiment E12, which reports the amortization
+/// counts the suite times.
 pub fn round_burst(n: usize) -> (Vec<KeyPair>, Vec<Envelope>) {
     let mut rng = ftm_crypto::rng_from_seed(SEED);
     let (_, keys) = KeyDirectory::generate(&mut rng, n, 128);
@@ -130,39 +130,19 @@ fn signature_benches() {
     let _ = sc.verify(&warm);
     g.bench("verify-cached", || sc.verify(&warm).is_ok());
 
-    // Whole-round batches, cold directory each call, at one and at eight
-    // work-stealing threads; bytes-per-op is the round's wire volume.
+    // The "before" row: every signed core of a whole round verified
+    // through the raw public key, once per appearance — the cost the
+    // stack paid before the verdict memo existed. bytes-per-op is the
+    // round's wire volume.
     let round_bytes: u64 = envs.iter().map(|e| e.size_bytes() as u64).sum();
-
-    // The "before" row: every signed core of the round verified through
-    // the raw public key, once per appearance — the cost the stack paid
-    // before the verdict memo and the batch existed.
-    {
-        let pubs = pubs.clone();
-        let envs = envs.clone();
-        g.bench_bytes("naive-verify-round", round_bytes, move || {
-            envs.iter()
-                .flat_map(|env| std::iter::once(&env.signed).chain(env.cert.iter()))
-                .all(|sc| {
-                    let sig = ftm_crypto::rsa::Signature::from_bytes(&sc.signature_bytes());
-                    pubs[sc.sender().0 as usize].verify_digest(&sc.digest(), &sig)
-                })
-        });
-    }
-    for threads in [1usize, 8] {
-        let pubs = pubs.clone();
-        let envs = envs.clone();
-        g.bench_bytes(
-            &format!("batch-verify-round-{threads}t"),
-            round_bytes,
-            move || {
-                let dir = KeyDirectory::new(pubs.clone());
-                verify_envelopes_batched(&dir, &envs, threads)
-                    .iter()
-                    .all(Result::is_ok)
-            },
-        );
-    }
+    g.bench_bytes("naive-verify-round", round_bytes, move || {
+        envs.iter()
+            .flat_map(|env| std::iter::once(&env.signed).chain(env.cert.iter()))
+            .all(|sc| {
+                let sig = ftm_crypto::rsa::Signature::from_bytes(&sc.signature_bytes());
+                pubs[sc.sender().0 as usize].verify_digest(&sc.digest(), &sig)
+            })
+    });
 }
 
 #[cfg(test)]
@@ -179,14 +159,5 @@ mod tests {
             flat < full_a,
             "checkpointing must undercut full retention ({flat} vs {full_a})"
         );
-    }
-
-    #[test]
-    fn round_burst_batch_verifies_clean() {
-        let (keys, envs) = round_burst(N);
-        let dir = KeyDirectory::new(keys.iter().map(|kp| kp.public().clone()).collect());
-        assert!(verify_envelopes_batched(&dir, &envs, 2)
-            .iter()
-            .all(Result::is_ok));
     }
 }

@@ -29,6 +29,7 @@ use ftm_crypto::keydir::KeyDirectory;
 use ftm_sim::ProcessId;
 
 use crate::certificate::Certificate;
+use crate::certified::Certified;
 use crate::error::{CertifyError, FaultClass};
 use crate::message::{Core, MessageKind, ProtocolId, Round, ValueVector};
 use crate::signed::Envelope;
@@ -139,8 +140,9 @@ impl CertChecker {
         ProcessId(u32::try_from((round - 1) % self.n as u64).unwrap_or(u32::MAX))
     }
 
-    /// Full validation entry point: signature syntax and certificate rules
-    /// for any envelope.
+    /// Full validation entry point: head signature, syntax, then the
+    /// certification module ([`CertChecker::certify`]) — an envelope that
+    /// clears all three comes back as a [`Certified`].
     ///
     /// # Errors
     ///
@@ -148,21 +150,10 @@ impl CertChecker {
     /// culprit is always the envelope's claimed sender (inner signatures
     /// identify tampering *by the sender*, since honest processes never
     /// forward unverifiable items).
-    pub fn check_envelope(&self, env: &Envelope) -> Result<(), CertifyError> {
+    pub fn check_envelope<'a>(&self, env: &'a Envelope) -> Result<Certified<'a>, CertifyError> {
         env.signed.verify(&self.dir)?;
         self.check_syntax(env)?;
-        self.check_cert_signatures(env)?;
-        match env.core() {
-            Core::Init { .. } => self.check_init(env),
-            Core::Current { .. } => self.check_current(env),
-            Core::Next { .. } => self.check_next(env).map(|_| ()),
-            Core::Decide { .. } => self.check_decide(env),
-            Core::Estimate { .. } => self.check_estimate(env),
-            Core::Propose { .. } => self.check_propose(env),
-            Core::Ack { .. } => self.check_ack(env),
-            Core::Nack { .. } => self.check_nack(env),
-            Core::Checkpoint { .. } => self.check_checkpoint(env),
-        }
+        self.certify(env, true)
     }
 
     /// Syntactic validity: vector widths match `n`, rounds are ≥ 1 where a

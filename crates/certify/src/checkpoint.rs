@@ -35,6 +35,7 @@ use ftm_crypto::wire::Encoder;
 use ftm_sim::ProcessId;
 
 use crate::certificate::Certificate;
+use crate::certified::Certified;
 use crate::message::{Core, MessageKind, ProtocolId, ValueVector};
 use crate::signed::Envelope;
 
@@ -88,15 +89,13 @@ pub fn make_checkpoint(
 /// replica catching up from a peer's checkpoint extracts the slot content
 /// from the quorum itself rather than trusting any unsigned field.
 /// Returns `None` for non-checkpoint envelopes or when no matching quorum
-/// exists; callers must still run the full
-/// [`check_envelope`](crate::CertChecker::check_envelope) admission first
-/// (this helper does not verify signatures).
+/// exists.
 ///
 /// [`CertChecker::check_checkpoint`]: crate::CertChecker::check_checkpoint
 pub fn checkpoint_vector(
     protocol: ProtocolId,
     quorum: usize,
-    env: &Envelope,
+    env: &Certified<'_>,
 ) -> Option<ValueVector> {
     let Core::Checkpoint { slot, digest } = env.core() else {
         return None;

@@ -32,8 +32,8 @@
 //! round numbers and send conditions.
 
 pub mod analyzer;
-pub mod batch;
 pub mod certificate;
+pub mod certified;
 pub mod checkpoint;
 pub mod error;
 pub mod message;
@@ -42,8 +42,8 @@ pub mod signed;
 pub mod vector;
 
 pub use analyzer::CertChecker;
-pub use batch::verify_envelopes_batched;
 pub use certificate::Certificate;
+pub use certified::Certified;
 pub use checkpoint::{checkpoint_digest, checkpoint_vector, decide_vote_kind, make_checkpoint};
 pub use error::{CertifyError, FaultClass};
 pub use message::{Core, MessageCore, MessageKind, ProtocolId, Round, Value, ValueVector};

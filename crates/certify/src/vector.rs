@@ -18,9 +18,9 @@
 use ftm_sim::ProcessId;
 
 use crate::certificate::Certificate;
+use crate::certified::Certified;
 use crate::error::{CertifyError, FaultClass};
 use crate::message::{Core, MessageKind, ValueVector};
-use crate::signed::Envelope;
 
 /// Accumulates INIT messages into a certified initial vector.
 ///
@@ -28,17 +28,18 @@ use crate::signed::Envelope;
 ///
 /// ```
 /// use ftm_certify::vector::VectorBuilder;
-/// use ftm_certify::{Certificate, Core, Envelope};
+/// use ftm_certify::{CertChecker, Certificate, Core, Envelope};
 /// use ftm_crypto::keydir::KeyDirectory;
 /// use ftm_sim::ProcessId;
 ///
 /// let mut rng = ftm_crypto::rng_from_seed(3);
-/// let (_dir, keys) = KeyDirectory::generate(&mut rng, 3, 128);
+/// let (dir, keys) = KeyDirectory::generate(&mut rng, 3, 128);
+/// let checker = CertChecker::new(3, 1, dir);
 /// let mut b = VectorBuilder::new(3, 1);
 /// for s in 0..2u32 {
 ///     let env = Envelope::make(ProcessId(s), Core::Init { value: s as u64 },
 ///                              Certificate::new(), &keys[s as usize]);
-///     b.absorb(&env);
+///     b.absorb(&checker.check_envelope(&env).expect("honest INIT"));
 /// }
 /// assert!(b.complete()); // n − F = 2 INITs collected
 /// let (vect, cert) = b.finish();
@@ -70,10 +71,10 @@ impl VectorBuilder {
         }
     }
 
-    /// Absorbs a (previously validated) INIT envelope. The first INIT per
-    /// sender wins; anything beyond the `n − F` target or from an already
-    /// seen sender is ignored. Returns `true` when the envelope was used.
-    pub fn absorb(&mut self, env: &Envelope) -> bool {
+    /// Absorbs an INIT envelope. The first INIT per sender wins; anything
+    /// beyond the `n − F` target or from an already seen sender is
+    /// ignored. Returns `true` when the envelope was used.
+    pub fn absorb(&mut self, env: &Certified<'_>) -> bool {
         if self.complete() {
             return false;
         }
@@ -169,12 +170,15 @@ pub fn check_vector_validity(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analyzer::CertChecker;
+    use crate::signed::Envelope;
     use ftm_crypto::keydir::KeyDirectory;
     use ftm_crypto::rsa::KeyPair;
 
-    fn keys(n: usize) -> Vec<KeyPair> {
+    fn fixture(n: usize, f: usize) -> (CertChecker, Vec<KeyPair>) {
         let mut rng = ftm_crypto::rng_from_seed(51);
-        KeyDirectory::generate(&mut rng, n, 128).1
+        let (dir, keys) = KeyDirectory::generate(&mut rng, n, 128);
+        (CertChecker::new(n, f, dir), keys)
     }
 
     fn init_env(sender: u32, value: u64, keys: &[KeyPair]) -> Envelope {
@@ -186,18 +190,30 @@ mod tests {
         )
     }
 
+    /// Certifies and absorbs `INIT(value)` from `sender`.
+    fn absorb(
+        b: &mut VectorBuilder,
+        checker: &CertChecker,
+        sender: u32,
+        value: u64,
+        keys: &[KeyPair],
+    ) -> bool {
+        let env = init_env(sender, value, keys);
+        b.absorb(&checker.check_envelope(&env).expect("honest INIT"))
+    }
+
     #[test]
     fn builder_collects_exactly_quorum() {
-        let ks = keys(4);
+        let (checker, ks) = fixture(4, 1);
         let mut b = VectorBuilder::new(4, 1);
         assert_eq!(b.missing(), 3);
-        assert!(b.absorb(&init_env(0, 10, &ks)));
-        assert!(b.absorb(&init_env(1, 11, &ks)));
+        assert!(absorb(&mut b, &checker, 0, 10, &ks));
+        assert!(absorb(&mut b, &checker, 1, 11, &ks));
         assert!(!b.complete());
-        assert!(b.absorb(&init_env(2, 12, &ks)));
+        assert!(absorb(&mut b, &checker, 2, 12, &ks));
         assert!(b.complete());
         // A fourth INIT is ignored: the phase waits for exactly n − F.
-        assert!(!b.absorb(&init_env(3, 13, &ks)));
+        assert!(!absorb(&mut b, &checker, 3, 13, &ks));
         let (vect, cert) = b.finish();
         assert_eq!(vect.non_null_count(), 3);
         assert_eq!(vect.get(3), None);
@@ -206,13 +222,13 @@ mod tests {
 
     #[test]
     fn duplicate_sender_ignored() {
-        let ks = keys(3);
+        let (checker, ks) = fixture(3, 1);
         let mut b = VectorBuilder::new(3, 1);
-        assert!(b.absorb(&init_env(0, 1, &ks)));
+        assert!(absorb(&mut b, &checker, 0, 1, &ks));
         // Equivocation attempt: second value from the same sender.
-        assert!(!b.absorb(&init_env(0, 2, &ks)));
+        assert!(!absorb(&mut b, &checker, 0, 2, &ks));
         let mut b2 = b.clone();
-        assert!(b2.absorb(&init_env(1, 3, &ks)));
+        assert!(absorb(&mut b2, &checker, 1, 3, &ks));
         let (vect, _) = b2.finish();
         assert_eq!(vect.get(0), Some(1));
     }
@@ -227,15 +243,12 @@ mod tests {
     fn proposition1_shape_vector_matches_cert() {
         // The built vector's non-null entries are exactly the INIT senders
         // and the certificate witnesses each of them.
-        let ks = keys(5);
+        let (checker, ks) = fixture(5, 2);
         let mut b = VectorBuilder::new(5, 2);
         for s in [4u32, 2, 0] {
-            b.absorb(&init_env(s, 100 + s as u64, &ks));
+            absorb(&mut b, &checker, s, 100 + s as u64, &ks);
         }
         let (vect, cert) = b.finish();
-        let mut rng = ftm_crypto::rng_from_seed(51);
-        let (dir, _) = KeyDirectory::generate(&mut rng, 5, 128);
-        let checker = crate::analyzer::CertChecker::new(5, 2, dir);
         assert!(checker
             .init_portion_well_formed(&cert, &vect, ProcessId(0))
             .is_ok());

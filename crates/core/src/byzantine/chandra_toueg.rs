@@ -30,14 +30,15 @@ use std::collections::BTreeSet;
 
 use ftm_certify::vector::VectorBuilder;
 use ftm_certify::{
-    Certificate, Core, Envelope, MessageKind, ProtocolId, Round, SignedCore, Value, ValueVector,
+    Certificate, Certified, Core, Envelope, MessageKind, ProtocolId, Round, SignedCore, Value,
+    ValueVector,
 };
 use ftm_crypto::rsa::KeyPair;
 use ftm_sim::{Actor, Context, Duration, ProcessId, TimerTag};
 
 use crate::config::ProtocolSetup;
 use crate::spec::Resilience;
-use crate::transform::{Admit, ModuleStack};
+use crate::transform::ModuleStack;
 
 const POLL_TIMER: TimerTag = 1;
 
@@ -88,7 +89,7 @@ pub struct ByzantineChandraToueg {
     /// — carried by every later ESTIMATE so the timestamp is auditable.
     ts_backing: Option<SignedCore>,
     /// Round-`r` ESTIMATE envelopes, one per sender (coordinator input).
-    estimates: Vec<Envelope>,
+    estimates: Vec<Certified<'static>>,
     /// Round-`r` signed ACK/NACK items (the round's vote record; a quorum
     /// of distinct voters ends the round and certifies entry into `r+1`).
     vote_cert: Certificate,
@@ -99,7 +100,7 @@ pub struct ByzantineChandraToueg {
     sent_propose: bool,
     sent_ack: bool,
     sent_nack: bool,
-    buffered: Vec<(ProcessId, Envelope)>,
+    buffered: Vec<(ProcessId, Certified<'static>)>,
     decided: bool,
     /// The decide-vote quorum (ACK items) this decision rests on, kept
     /// after halting so the log layer can compact it into a checkpoint
@@ -371,7 +372,7 @@ impl ByzantineChandraToueg {
     fn handle_admitted(
         &mut self,
         from: ProcessId,
-        env: Envelope,
+        env: Certified<'_>,
         ctx: &mut Context<'_, Envelope, ValueVector>,
     ) {
         match env.core().clone() {
@@ -397,7 +398,7 @@ impl ByzantineChandraToueg {
             }
             Core::Estimate { round, .. } => {
                 if self.phase != Phase::Rounds || round > self.r {
-                    self.buffered.push((from, env));
+                    self.buffered.push((from, env.into_owned()));
                     return;
                 }
                 if round < self.r {
@@ -406,7 +407,7 @@ impl ByzantineChandraToueg {
                 if self.estimates.iter().any(|e| e.sender() == from) {
                     return; // the stack already convicts duplicates
                 }
-                self.estimates.push(env);
+                self.estimates.push(env.into_owned());
                 if self.me == self.coordinator()
                     && !self.sent_propose
                     && self.estimates.len() >= self.quorum()
@@ -416,7 +417,7 @@ impl ByzantineChandraToueg {
             }
             Core::Propose { round, .. } => {
                 if self.phase != Phase::Rounds || round > self.r {
-                    self.buffered.push((from, env));
+                    self.buffered.push((from, env.into_owned()));
                     return;
                 }
                 if round < self.r {
@@ -440,7 +441,7 @@ impl ByzantineChandraToueg {
             }
             Core::Ack { round, .. } | Core::Nack { round } => {
                 if self.phase != Phase::Rounds || round > self.r {
-                    self.buffered.push((from, env));
+                    self.buffered.push((from, env.into_owned()));
                     return;
                 }
                 if round < self.r {
@@ -486,21 +487,8 @@ impl Actor for ByzantineChandraToueg {
         if self.decided {
             return;
         }
-        let was_faulty = self.stack.is_faulty(env.sender());
-        match self.stack.admit(from, env, ctx.now()) {
-            Admit::Accepted(_trigger) => self.handle_admitted(from, env.clone(), ctx),
-            Admit::Discarded(e) => {
-                // Quarantine drops (peer already convicted) are not fresh
-                // detections — see `ByzantineConsensus::on_message`.
-                if !was_faulty {
-                    ctx.note(format!(
-                        "detected={} class={} reason={}",
-                        e.culprit, e.class, e.reason
-                    ));
-                } else {
-                    self.stack.record_quarantine();
-                }
-            }
+        if let Some(env) = self.stack.receive(from, env, ctx) {
+            self.handle_admitted(from, env, ctx);
         }
     }
 

@@ -16,7 +16,8 @@
 
 use ftm_certify::analyzer::CertChecker;
 use ftm_certify::{
-    checkpoint_vector, make_checkpoint, Certificate, Envelope, MessageKind, Value, ValueVector,
+    checkpoint_vector, make_checkpoint, Certificate, Certified, Envelope, MessageKind, Value,
+    ValueVector,
 };
 use ftm_crypto::wire::{CanonicalDecode, CanonicalEncode, DecodeError, Decoder, Encoder};
 use ftm_sim::{Actor, Context, Payload, ProcessId, StagedSend, TimerTag};
@@ -125,7 +126,7 @@ pub struct ReplicatedLog<P: TransformedProtocol = ByzantineConsensus> {
     /// Per-slot decide-vote certificates ([`Retention::Full`] only).
     evidence: Vec<(u64, Certificate)>,
     /// The latest checkpoint envelope ([`Retention::Checkpoint`] only).
-    checkpoint: Option<Envelope>,
+    checkpoint: Option<Certified<'static>>,
     /// Audits locally formed checkpoints before they replace evidence,
     /// and admits peers' catch-up checkpoints before they reach the log.
     checker: CertChecker,
@@ -283,14 +284,14 @@ impl<P: TransformedProtocol> ReplicatedLog<P> {
                 .iter()
                 .map(|(_, cert)| cert.size_bytes())
                 .sum(),
-            Retention::Checkpoint => self.checkpoint.as_ref().map_or(0, Envelope::size_bytes),
+            Retention::Checkpoint => self.checkpoint().map_or(0, Envelope::size_bytes),
         }
     }
 
     /// The latest retained checkpoint envelope, if compaction is on and a
     /// slot has sealed.
     pub fn checkpoint(&self) -> Option<&Envelope> {
-        self.checkpoint.as_ref()
+        self.checkpoint.as_deref()
     }
 
     /// Seals `slot`'s decide evidence per the retention mode. Compaction
@@ -329,8 +330,8 @@ impl<P: TransformedProtocol> ReplicatedLog<P> {
                 // pipeline peers would apply; a checkpoint we could not
                 // defend must never replace the evidence it summarizes.
                 match self.checker.check_envelope(&env) {
-                    Ok(()) => {
-                        self.checkpoint = Some(env);
+                    Ok(audited) => {
+                        self.checkpoint = Some(audited.into_owned());
                         ctx.note(format!(
                             "checkpoint slot={slot} bytes={}",
                             self.retained_bytes()
@@ -532,14 +533,13 @@ impl<P: TransformedProtocol> ReplicatedLog<P> {
         ctx: &mut Context<'_, SlotMsg, Vec<ValueVector>>,
     ) {
         match self.checker.check_envelope(&msg.env) {
-            Ok(()) => {
+            Ok(checkpoint) => {
                 let res = &self.setup.resilience;
                 let quorum = res.n() - res.f();
-                match checkpoint_vector(P::ID, quorum, &msg.env) {
+                match checkpoint_vector(P::ID, quorum, &checkpoint) {
                     Some(vector) => {
                         ctx.note(format!("catchup-applied slot={} from={from}", msg.slot));
-                        let cert = msg.env.cert.clone();
-                        self.advance_with(vector, Some(&cert), ctx);
+                        self.advance_with(vector, Some(&checkpoint.cert), ctx);
                     }
                     None => ctx.note(format!(
                         "catchup-rejected slot={} reason=no-quorum-vector",

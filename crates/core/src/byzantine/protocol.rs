@@ -7,7 +7,7 @@
 
 use ftm_certify::vector::VectorBuilder;
 use ftm_certify::{
-    Certificate, Core, Envelope, MessageKind, Round, SignedCore, Value, ValueVector,
+    Certificate, Certified, Core, Envelope, MessageKind, Round, SignedCore, Value, ValueVector,
 };
 use ftm_crypto::rsa::KeyPair;
 use ftm_sim::{Actor, Context, Duration, ProcessId, TimerTag};
@@ -15,7 +15,7 @@ use ftm_sim::{Actor, Context, Duration, ProcessId, TimerTag};
 use crate::config::ProtocolSetup;
 use crate::spec::Resilience;
 use crate::transform::rules::{change_mind_from_certificates, state_from_certificates, PaperState};
-use crate::transform::{Admit, ModuleStack};
+use crate::transform::ModuleStack;
 
 const POLL_TIMER: TimerTag = 1;
 
@@ -68,7 +68,7 @@ pub struct ByzantineConsensus {
     /// (needed to certify relays, line 19).
     coord_core: Option<SignedCore>,
     sent_next: bool,
-    buffered: Vec<(ProcessId, Envelope)>,
+    buffered: Vec<(ProcessId, Certified<'static>)>,
     decided: bool,
     /// The decide-vote quorum (CURRENT items) this decision rests on,
     /// kept after halting so the log layer can compact it into a
@@ -250,7 +250,7 @@ impl ByzantineConsensus {
     fn handle_admitted(
         &mut self,
         from: ProcessId,
-        env: Envelope,
+        env: Certified<'_>,
         ctx: &mut Context<'_, Envelope, ValueVector>,
     ) {
         match env.core().clone() {
@@ -277,7 +277,7 @@ impl ByzantineConsensus {
             }
             Core::Current { round, vector } => {
                 if self.phase != Phase::Rounds || round > self.r {
-                    self.buffered.push((from, env));
+                    self.buffered.push((from, env.into_owned()));
                     return;
                 }
                 if round < self.r {
@@ -325,7 +325,7 @@ impl ByzantineConsensus {
             }
             Core::Next { round } => {
                 if self.phase != Phase::Rounds || round > self.r {
-                    self.buffered.push((from, env));
+                    self.buffered.push((from, env.into_owned()));
                     return;
                 }
                 if round < self.r {
@@ -406,23 +406,8 @@ impl Actor for ByzantineConsensus {
             return;
         }
         // The receive path of Fig. 1: signature → muteness → non-muteness.
-        let was_faulty = self.stack.is_faulty(env.sender());
-        match self.stack.admit(from, env, ctx.now()) {
-            Admit::Accepted(_trigger) => self.handle_admitted(from, env.clone(), ctx),
-            Admit::Discarded(e) => {
-                // Messages from an already convicted peer are quarantined
-                // silently — the detection already happened; re-noting every
-                // dropped straggler would inflate the detection metrics with
-                // protocol-dependent traffic-volume artifacts.
-                if !was_faulty {
-                    ctx.note(format!(
-                        "detected={} class={} reason={}",
-                        e.culprit, e.class, e.reason
-                    ));
-                } else {
-                    self.stack.record_quarantine();
-                }
-            }
+        if let Some(env) = self.stack.receive(from, env, ctx) {
+            self.handle_admitted(from, env, ctx);
         }
     }
 

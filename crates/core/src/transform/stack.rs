@@ -1,56 +1,15 @@
 //! The receive-side module stack (paper Fig. 1): signature module,
 //! muteness failure detection, non-muteness failure detection.
 
-use ftm_certify::analyzer::{CertChecker, NextTrigger};
-use ftm_certify::{CertifyError, Envelope, FaultClass, ProtocolId};
+use ftm_certify::analyzer::CertChecker;
+use ftm_certify::{Certified, CertifyError, Envelope, FaultClass, ProtocolId, ValueVector};
 use ftm_detect::observer::Checks;
 use ftm_detect::Observer;
 use ftm_fd::{FailureDetector, MutenessDetector, TimeoutDetector};
-use ftm_sim::{Duration, ProcessId, VirtualTime};
+use ftm_sim::{Context, Duration, ProcessId, VirtualTime};
 
 use crate::config::{MutenessMode, ProtocolSetup};
 
-/// Outcome of pushing one incoming envelope through the stack.
-#[derive(Debug)]
-pub enum Admit {
-    /// All modules passed; the protocol module may consume the message.
-    /// For NEXT messages the analyzer's trigger classification is included.
-    Accepted(Option<NextTrigger>),
-    /// Some module rejected the message; it must be dropped. The sender
-    /// has been convicted and recorded.
-    Discarded(CertifyError),
-}
-
-/// Modules 1–3 of the paper's process structure, as one pipeline.
-///
-/// * The **signature module** checks that the claimed sender matches the
-///   channel and that the core signature verifies.
-/// * The **muteness detection module** (◇M) is fed *only with messages the
-///   other modules accept*: a process spewing garbage is as mute as one
-///   saying nothing — exactly why muteness detection cannot be
-///   context-free (Doudou et al., cited in §1).
-/// * The **non-muteness detection module** runs the per-peer state machine
-///   and the certificate analyzer.
-///
-/// The protocol module reads two outputs: `suspected` (muteness) and
-/// `faulty` (everything else), mirroring the paper's `suspected_i ∪
-/// faulty_i` guard at Fig. 3 line 22.
-///
-/// # Example
-///
-/// ```
-/// use ftm_certify::analyzer::CertChecker;
-/// use ftm_certify::{Certificate, Core, Envelope};
-/// use ftm_core::transform::{Admit, ModuleStack};
-/// use ftm_sim::{Duration, ProcessId, VirtualTime};
-///
-/// let mut rng = ftm_crypto::rng_from_seed(8);
-/// let (dir, keys) = ftm_crypto::keydir::KeyDirectory::generate(&mut rng, 3, 128);
-/// let mut stack = ModuleStack::new(CertChecker::new(3, 1, dir), Duration::of(100));
-/// let env = Envelope::make(ProcessId(1), Core::Init { value: 4 },
-///                          Certificate::new(), &keys[1]);
-/// assert!(matches!(stack.admit(ProcessId(1), &env, VirtualTime::ZERO), Admit::Accepted(_)));
-/// ```
 /// The pluggable muteness detection module: either the generic adaptive
 /// timeout detector or the round-aware ◇M variant.
 #[derive(Debug, Clone)]
@@ -129,9 +88,9 @@ pub struct StackStats {
     /// [`admitted`]: StackStats::admitted
     /// [`certificate_rejects`]: StackStats::certificate_rejects
     pub checkpoints: u64,
-    /// Envelopes dropped without inspection because the sender was
-    /// already convicted (quarantine). Not counted in [`total`]: the
-    /// stack never sees them.
+    /// Rejected envelopes whose sender was already convicted
+    /// (quarantine): dropped without a fresh `detected=` note. A subset
+    /// of the reject counters above, not an addition to [`total`].
     ///
     /// [`total`]: StackStats::total
     pub quarantined: u64,
@@ -157,9 +116,39 @@ impl StackStats {
     }
 }
 
-/// The receive-side module stack of the transformation (Fig. 1): syntax,
-/// signature, certificate, and automaton checks feeding the muteness
-/// detector, with per-class rejection statistics.
+/// Modules 1–3 of the paper's process structure (Fig. 1), as one
+/// pipeline with per-class rejection statistics.
+///
+/// * The **signature module** checks that the claimed sender matches the
+///   channel and that the core signature verifies.
+/// * The **muteness detection module** (◇M) is fed *only with messages the
+///   other modules accept*: a process spewing garbage is as mute as one
+///   saying nothing — exactly why muteness detection cannot be
+///   context-free (Doudou et al., cited in §1).
+/// * The **non-muteness detection module** runs the per-peer state machine
+///   and the certificate analyzer.
+///
+/// The protocol module reads two outputs: `suspected` (muteness) and
+/// `faulty` (everything else), mirroring the paper's `suspected_i ∪
+/// faulty_i` guard at Fig. 3 line 22. What it *consumes* is a
+/// [`Certified`] envelope, which only [`admit`](Self::admit) (and
+/// [`receive`](Self::receive) on top of it) hands out.
+///
+/// # Example
+///
+/// ```
+/// use ftm_certify::analyzer::CertChecker;
+/// use ftm_certify::{Certificate, Core, Envelope};
+/// use ftm_core::transform::ModuleStack;
+/// use ftm_sim::{Duration, ProcessId, VirtualTime};
+///
+/// let mut rng = ftm_crypto::rng_from_seed(8);
+/// let (dir, keys) = ftm_crypto::keydir::KeyDirectory::generate(&mut rng, 3, 128);
+/// let mut stack = ModuleStack::new(CertChecker::new(3, 1, dir), Duration::of(100));
+/// let env = Envelope::make(ProcessId(1), Core::Init { value: 4 },
+///                          Certificate::new(), &keys[1]);
+/// assert!(stack.admit(ProcessId(1), &env, VirtualTime::ZERO).is_ok());
+/// ```
 #[derive(Debug, Clone)]
 pub struct ModuleStack {
     observer: Observer,
@@ -218,20 +207,99 @@ impl ModuleStack {
     }
 
     /// Pushes one incoming envelope through modules 1–3.
-    pub fn admit(&mut self, from: ProcessId, env: &Envelope, now: VirtualTime) -> Admit {
+    ///
+    /// # Errors
+    ///
+    /// Some module rejected the message; it must be dropped. The sender
+    /// has been convicted and recorded.
+    pub fn admit<'a>(
+        &mut self,
+        from: ProcessId,
+        env: &'a Envelope,
+        now: VirtualTime,
+    ) -> Result<Certified<'a>, CertifyError> {
         match self.observer.observe(from, env, now) {
-            Ok(trigger) => {
+            Ok(certified) => {
                 // Only *accepted* protocol messages count against muteness.
                 self.muteness.observe_message(from, now);
                 self.stats.admitted += 1;
                 if env.kind() == ftm_certify::MessageKind::Checkpoint {
                     self.stats.checkpoints += 1;
                 }
-                Admit::Accepted(trigger)
+                Ok(certified)
             }
             Err(e) => {
                 self.stats.on_reject(e.class);
-                Admit::Discarded(e)
+                Err(e)
+            }
+        }
+    }
+
+    /// The receive path of Fig. 1 as an actor sees it: signature →
+    /// muteness → non-muteness, with the conviction noted on `ctx`.
+    /// `None` means the envelope was dropped.
+    ///
+    /// An actor's admitted-message handler takes the [`Certified`] this
+    /// returns, so skipping the stack does not type-check:
+    ///
+    /// ```
+    /// use ftm_certify::{Certified, Envelope, ValueVector};
+    /// use ftm_core::transform::ModuleStack;
+    /// use ftm_sim::{Context, ProcessId};
+    ///
+    /// struct MiniActor { stack: ModuleStack, admitted: u32 }
+    ///
+    /// impl MiniActor {
+    ///     fn handle_admitted(&mut self, _env: Certified<'_>) { self.admitted += 1; }
+    ///
+    ///     fn on_message(&mut self, from: ProcessId, env: &Envelope,
+    ///                   ctx: &mut Context<'_, Envelope, ValueVector>) {
+    ///         if let Some(env) = self.stack.receive(from, env, ctx) {
+    ///             self.handle_admitted(env);
+    ///         }
+    ///     }
+    /// }
+    /// ```
+    ///
+    /// The same actor with the `receive` call dropped (everything else,
+    /// hidden here, is unchanged) is rejected by rustc:
+    ///
+    /// ```compile_fail
+    /// # use ftm_certify::{Certified, Envelope, ValueVector};
+    /// # use ftm_core::transform::ModuleStack;
+    /// # use ftm_sim::{Context, ProcessId};
+    /// # struct MiniActor { stack: ModuleStack, admitted: u32 }
+    /// # impl MiniActor {
+    /// #     fn handle_admitted(&mut self, _env: Certified<'_>) { self.admitted += 1; }
+    ///     fn on_message(&mut self, from: ProcessId, env: &Envelope,
+    ///                   ctx: &mut Context<'_, Envelope, ValueVector>) {
+    ///         self.handle_admitted(env);
+    ///     }
+    /// # }
+    /// ```
+    pub fn receive<'a>(
+        &mut self,
+        from: ProcessId,
+        env: &'a Envelope,
+        ctx: &mut Context<'_, Envelope, ValueVector>,
+    ) -> Option<Certified<'a>> {
+        let was_faulty = self.is_faulty(env.sender());
+        match self.admit(from, env, ctx.now()) {
+            Ok(certified) => Some(certified),
+            Err(e) => {
+                // Messages from an already convicted peer are quarantined
+                // silently — the detection already happened; re-noting every
+                // dropped straggler would inflate the detection metrics with
+                // protocol-dependent traffic-volume artifacts.
+                if was_faulty {
+                    self.stats.quarantined += 1;
+                } else {
+                    ctx.note(format!(
+                        "detected={} class={} reason={}",
+                        e.culprit, e.class, e.reason
+                    ));
+                }
+                None
             }
         }
     }
@@ -269,14 +337,6 @@ impl ModuleStack {
     /// Per-layer admit/reject counters accumulated so far.
     pub fn stats(&self) -> StackStats {
         self.stats
-    }
-
-    /// Records one envelope dropped because its sender was already
-    /// convicted. Quarantine bookkeeping lives with the protocol module
-    /// (the drop happens before [`admit`](Self::admit) is reached), but
-    /// the counter belongs here with the other per-layer statistics.
-    pub fn record_quarantine(&mut self) {
-        self.stats.quarantined += 1;
     }
 
     /// Renders the stack's counters as a `stack-stats` trace note, the
@@ -336,10 +396,9 @@ mod tests {
     #[test]
     fn accepted_messages_feed_the_muteness_detector() {
         let (mut stack, keys) = fixture();
-        assert!(matches!(
-            stack.admit(ProcessId(1), &init(&keys, 1), VirtualTime::at(60)),
-            Admit::Accepted(None)
-        ));
+        assert!(stack
+            .admit(ProcessId(1), &init(&keys, 1), VirtualTime::at(60))
+            .is_ok());
         // p1 spoke at t=60: not suspected shortly after.
         assert!(!stack.suspects(ProcessId(1), VirtualTime::at(100)));
         // p2 never spoke: suspected once the timeout elapses.
@@ -356,10 +415,9 @@ mod tests {
             Certificate::new(),
             &keys[2],
         );
-        assert!(matches!(
-            stack.admit(ProcessId(1), &bad, VirtualTime::at(60)),
-            Admit::Discarded(_)
-        ));
+        assert!(stack
+            .admit(ProcessId(1), &bad, VirtualTime::at(60))
+            .is_err());
         // Garbage is not a sign of protocol life: p1 is both faulty and,
         // once the timeout passes, suspected.
         assert!(stack.is_faulty(ProcessId(1)));
@@ -403,25 +461,40 @@ mod tests {
     fn stats_note_reports_all_counters_in_harness_format() {
         let (mut stack, keys) = fixture();
         let _ = stack.admit(ProcessId(1), &init(&keys, 1), VirtualTime::ZERO);
-        stack.record_quarantine();
-        stack.record_quarantine();
+        // p2 forges a signature: the first drop is the detection, the two
+        // stragglers after it are quarantined without a second note.
+        let bad = Envelope::make(
+            ProcessId(2),
+            Core::Init { value: 0 },
+            Certificate::new(),
+            &keys[0],
+        );
+        let mut draw = || 0u64;
+        let mut ctx = Context::new(VirtualTime::at(1), ProcessId(0), 3, &mut draw);
+        for _ in 0..3 {
+            assert!(stack.receive(ProcessId(2), &bad, &mut ctx).is_none());
+        }
+        assert_eq!(
+            ctx.into_effects().notes,
+            ["detected=p2 class=bad-signature reason=core signature does not verify for claimed sender"]
+        );
         assert_eq!(stack.stats().quarantined, 2);
-        // Quarantined envelopes never reach the stack, so total() is
-        // unaffected.
-        assert_eq!(stack.stats().total(), 1);
+        // Quarantined envelopes are a subset of the rejects, not an
+        // extra term of total().
+        assert_eq!(stack.stats().total(), 4);
         assert_eq!(
             stack.stats_note(),
-            "stack-stats admitted=1 sig-rejects=0 cert-rejects=0 \
+            "stack-stats admitted=1 sig-rejects=3 cert-rejects=0 \
              auto-rejects=0 syntax-rejects=0 fd-mistakes=0 \
              fd-honest-mistakes=0 quarantined=2 checkpoints=0"
         );
     }
 
-    #[test]
-    fn checkpoints_are_admitted_and_counted_and_forgeries_convicted() {
+    /// A quorum-backed slot-4 checkpoint from p1, and p2's forgery of it:
+    /// same quorum, digest over a vector the quorum does not certify.
+    fn good_and_forged_checkpoint(keys: &[KeyPair]) -> (Envelope, Envelope) {
         use ftm_certify::{make_checkpoint, ProtocolId, SignedCore, ValueVector};
 
-        let (mut stack, keys) = fixture();
         let vect = ValueVector::from_entries(vec![Some(7), Some(8), None]);
         let quorum = Certificate::from_items((0..2u32).map(|s| {
             SignedCore::sign(
@@ -435,41 +508,57 @@ mod tests {
                 &keys[s as usize],
             )
         }));
+        let mut other = vect.clone();
+        other.set(2, 99);
+        let hr = ProtocolId::HurfinRaynal;
+        (
+            make_checkpoint(hr, 4, &vect, quorum.clone(), ProcessId(1), &keys[1]),
+            make_checkpoint(hr, 4, &other, quorum, ProcessId(2), &keys[2]),
+        )
+    }
+
+    #[test]
+    fn checkpoints_are_admitted_and_counted_and_forgeries_convicted() {
+        let (mut stack, keys) = fixture();
+        let (good, forged) = good_and_forged_checkpoint(&keys);
         // A quorum-backed checkpoint clears the stack and is counted.
-        let good = make_checkpoint(
-            ProtocolId::HurfinRaynal,
-            4,
-            &vect,
-            quorum.clone(),
-            ProcessId(1),
-            &keys[1],
-        );
-        assert!(matches!(
-            stack.admit(ProcessId(1), &good, VirtualTime::ZERO),
-            Admit::Accepted(None)
-        ));
+        assert!(stack.admit(ProcessId(1), &good, VirtualTime::ZERO).is_ok());
         assert_eq!(stack.stats().checkpoints, 1);
         assert_eq!(stack.stats().admitted, 1);
         // A forged digest (quorum certifies a different vector) is a
         // bad-certificate conviction, not a counted checkpoint.
-        let mut other = vect.clone();
-        other.set(2, 99);
-        let forged = make_checkpoint(
-            ProtocolId::HurfinRaynal,
-            4,
-            &other,
-            quorum,
-            ProcessId(2),
-            &keys[2],
-        );
-        assert!(matches!(
-            stack.admit(ProcessId(2), &forged, VirtualTime::at(1)),
-            Admit::Discarded(_)
-        ));
+        assert!(stack
+            .admit(ProcessId(2), &forged, VirtualTime::at(1))
+            .is_err());
         assert_eq!(stack.stats().checkpoints, 1);
         assert_eq!(stack.stats().certificate_rejects, 1);
         assert!(stack.is_faulty(ProcessId(2)));
         assert!(stack.stats_note().contains("checkpoints=1"));
+    }
+
+    /// E8 ablation: with the certification module off, the stack admits
+    /// the forgery the default stack convicts above — and what it hands
+    /// back is still a `Certified`, minted by the same
+    /// `CertChecker::certify` every gate ends in (no second constructor).
+    #[test]
+    fn ablated_certification_still_admits_through_the_one_mint() {
+        let (full, keys) = fixture();
+        let (_good, forged) = good_and_forged_checkpoint(&keys);
+        let mut ablated = ModuleStack::with_checks(
+            full.checker().clone(),
+            Duration::of(50),
+            Checks {
+                certificates: false,
+                ..Checks::default()
+            },
+        );
+        let admitted: Certified<'_> = ablated
+            .admit(ProcessId(2), &forged, VirtualTime::ZERO)
+            .expect("certification ablated");
+        assert_eq!(admitted.sender(), ProcessId(2));
+        assert_eq!(ablated.stats().admitted, 1);
+        assert_eq!(ablated.stats().certificate_rejects, 0);
+        assert!(!ablated.is_faulty(ProcessId(2)));
     }
 
     #[test]

@@ -14,8 +14,8 @@
 
 use std::collections::BTreeSet;
 
-use ftm_certify::analyzer::{CertChecker, NextTrigger};
-use ftm_certify::{CertifyError, Envelope, FaultClass, MessageKind};
+use ftm_certify::analyzer::CertChecker;
+use ftm_certify::{Certified, CertifyError, Envelope, FaultClass, MessageKind};
 use ftm_sim::{ProcessId, VirtualTime};
 
 use crate::automaton::{PeerAutomaton, PeerPhase, ProtocolTable, Requirement};
@@ -114,22 +114,19 @@ impl Observer {
     }
 
     /// Runs the full receive pipeline on an envelope arriving over the
-    /// channel from `from`.
-    ///
-    /// Returns the NEXT trigger classification for NEXT messages (`None`
-    /// for other kinds) so the embedding protocol knows *why* the peer
-    /// votes NEXT.
+    /// channel from `from`; an envelope that clears it comes back
+    /// [`Certified`].
     ///
     /// # Errors
     ///
     /// Any failed check: the sender is convicted, the evidence logged, and
     /// the message must be discarded by the caller.
-    pub fn observe(
+    pub fn observe<'a>(
         &mut self,
         from: ProcessId,
-        env: &Envelope,
+        env: &'a Envelope,
         now: VirtualTime,
-    ) -> Result<Option<NextTrigger>, CertifyError> {
+    ) -> Result<Certified<'a>, CertifyError> {
         // 1. Identity: the claimed sender must be the channel source
         //    (channels are point-to-point; claiming another identity is the
         //    paper's "falsified identity" fault, pinned on the source).
@@ -173,75 +170,20 @@ impl Observer {
         } else {
             Requirement::Standard
         };
-        if !self.checks.certificates {
-            return Ok(None);
-        }
-        // 5. Certificate item signatures.
-        if let Err(e) = self.checker.check_cert_signatures(env) {
-            return Err(self.convict(e, now));
-        }
-        // 6. Per-kind certificate predicates (the PF family).
-        let trigger = match env.kind() {
-            MessageKind::Init => {
-                if let Err(e) = self.checker.check_init(env) {
-                    return Err(self.convict(e, now));
-                }
-                None
-            }
-            MessageKind::Current => {
-                if let Err(e) = self.checker.check_current(env) {
-                    return Err(self.convict(e, now));
-                }
-                None
-            }
-            MessageKind::Next => match self.checker.check_next(env) {
-                Ok(t) => Some(t),
-                Err(e) => return Err(self.convict(e, now)),
-            },
-            MessageKind::Decide => {
-                if let Err(e) = self.checker.check_decide(env) {
-                    return Err(self.convict(e, now));
-                }
-                None
-            }
-            MessageKind::Estimate => {
-                if let Err(e) = self.checker.check_estimate(env) {
-                    return Err(self.convict(e, now));
-                }
-                None
-            }
-            MessageKind::Propose => {
-                if let Err(e) = self.checker.check_propose(env) {
-                    return Err(self.convict(e, now));
-                }
-                None
-            }
-            MessageKind::Ack => {
-                if let Err(e) = self.checker.check_ack(env) {
-                    return Err(self.convict(e, now));
-                }
-                None
-            }
-            MessageKind::Nack => {
-                if let Err(e) = self.checker.check_nack(env) {
-                    return Err(self.convict(e, now));
-                }
-                None
-            }
-            MessageKind::Checkpoint => {
-                if let Err(e) = self.checker.check_checkpoint(env) {
-                    return Err(self.convict(e, now));
-                }
-                None
-            }
+        // 5–6. Certificate item signatures and per-kind predicates (the
+        // PF family) — the certification module, skipped as a whole when
+        // ablated.
+        let certified = match self.checker.certify(env, self.checks.certificates) {
+            Ok(certified) => certified,
+            Err(e) => return Err(self.convict(e, now)),
         };
         // 7. Round-entry evidence when the automaton asked for it.
-        if let Requirement::RoundEntry(r) = requirement {
+        if let (true, Requirement::RoundEntry(r)) = (self.checks.certificates, requirement) {
             if let Err(e) = round_entry_justified(&self.checker, env, r) {
                 return Err(self.convict(e, now));
             }
         }
-        Ok(trigger)
+        Ok(certified)
     }
 
     fn convict(&mut self, e: CertifyError, now: VirtualTime) -> CertifyError {
@@ -402,7 +344,7 @@ mod tests {
     }
 
     #[test]
-    fn next_trigger_is_surfaced() {
+    fn admitted_next_advances_the_peer_automaton() {
         let (mut obs, keys) = fixture();
         obs.observe(ProcessId(1), &init(&keys, 1, 1), VirtualTime::ZERO)
             .unwrap();
@@ -412,8 +354,8 @@ mod tests {
             Certificate::new(),
             &keys[1],
         );
-        let trigger = obs.observe(ProcessId(1), &env, VirtualTime::at(1)).unwrap();
-        assert_eq!(trigger, Some(NextTrigger::Suspicion));
+        let admitted = obs.observe(ProcessId(1), &env, VirtualTime::at(1)).unwrap();
+        assert_eq!(admitted.kind(), MessageKind::Next);
         assert_eq!(obs.phase_of(ProcessId(1)), PeerPhase::Q2);
     }
 

@@ -1,8 +1,8 @@
 // Clean fixture: a miniature HR actor that discharges all seven
-// transformed-spec obligations and certifies every ingress before use.
-// Analyzed at the virtual path `crates/core/src/byzantine/protocol.rs`,
-// it must produce zero findings; each `m_*.rs` mutant differs from this
-// file by exactly one edit and must be caught by exactly one pass.
+// transformed-spec obligations. Analyzed at the virtual path
+// `crates/core/src/byzantine/protocol.rs`, it must produce zero
+// findings; each `m_*.rs` mutant differs from this file by exactly one
+// edit and must be caught.
 
 impl ByzantineConsensus {
     fn send_all(&mut self, core: Core, cert: Certificate, ctx: &mut Context<'_, Envelope, ValueVector>) {
@@ -44,7 +44,7 @@ impl ByzantineConsensus {
         ctx.decide(vector);
     }
 
-    fn handle_admitted(&mut self, from: ProcessId, env: Envelope, ctx: &mut Context<'_, Envelope, ValueVector>) {
+    fn handle_admitted(&mut self, from: ProcessId, env: Certified<'_>, ctx: &mut Context<'_, Envelope, ValueVector>) {
         match env.core().clone() {
             Core::Current { round, vector } => {
                 self.current_cert.insert(env.signed.clone());
@@ -106,11 +106,8 @@ impl Actor for ByzantineConsensus {
     }
 
     fn on_message(&mut self, from: ProcessId, env: &Envelope, ctx: &mut Context<'_, Envelope, ValueVector>) {
-        match self.stack.admit(from, env, ctx.now()) {
-            Admit::Accepted(_trigger) => self.handle_admitted(from, env.clone(), ctx),
-            Admit::Discarded(e) => {
-                ctx.note(format!("detected={}", e.culprit));
-            }
+        if let Some(env) = self.stack.receive(from, env, ctx) {
+            self.handle_admitted(from, env, ctx);
         }
     }
 

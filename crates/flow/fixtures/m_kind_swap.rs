@@ -1,7 +1,6 @@
 // F2 mutant: the coordinator announces the round with a NEXT instead
 // of a CURRENT, so the current-coordinator obligation is never
-// discharged and NEXT gains an undeclared extra site. Caught by pass F2
-// only: no taint path changes, so F1 must stay clean.
+// discharged and NEXT gains an undeclared extra site.
 
 impl ByzantineConsensus {
     fn send_all(&mut self, core: Core, cert: Certificate, ctx: &mut Context<'_, Envelope, ValueVector>) {
@@ -40,7 +39,7 @@ impl ByzantineConsensus {
         ctx.decide(vector);
     }
 
-    fn handle_admitted(&mut self, from: ProcessId, env: Envelope, ctx: &mut Context<'_, Envelope, ValueVector>) {
+    fn handle_admitted(&mut self, from: ProcessId, env: Certified<'_>, ctx: &mut Context<'_, Envelope, ValueVector>) {
         match env.core().clone() {
             Core::Current { round, vector } => {
                 self.current_cert.insert(env.signed.clone());
@@ -102,11 +101,8 @@ impl Actor for ByzantineConsensus {
     }
 
     fn on_message(&mut self, from: ProcessId, env: &Envelope, ctx: &mut Context<'_, Envelope, ValueVector>) {
-        match self.stack.admit(from, env, ctx.now()) {
-            Admit::Accepted(_trigger) => self.handle_admitted(from, env.clone(), ctx),
-            Admit::Discarded(e) => {
-                ctx.note(format!("detected={}", e.culprit));
-            }
+        if let Some(env) = self.stack.receive(from, env, ctx) {
+            self.handle_admitted(from, env, ctx);
         }
     }
 

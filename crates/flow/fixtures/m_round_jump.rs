@@ -1,6 +1,6 @@
 // F2 mutant: the relay re-broadcasts the coordinator vote into a
 // future round (self.r + 1), violating the round discipline the spec
-// imposes on CURRENT. Caught by pass F2 only.
+// imposes on CURRENT. Caught by pass F2.
 
 impl ByzantineConsensus {
     fn send_all(&mut self, core: Core, cert: Certificate, ctx: &mut Context<'_, Envelope, ValueVector>) {
@@ -42,7 +42,7 @@ impl ByzantineConsensus {
         ctx.decide(vector);
     }
 
-    fn handle_admitted(&mut self, from: ProcessId, env: Envelope, ctx: &mut Context<'_, Envelope, ValueVector>) {
+    fn handle_admitted(&mut self, from: ProcessId, env: Certified<'_>, ctx: &mut Context<'_, Envelope, ValueVector>) {
         match env.core().clone() {
             Core::Current { round, vector } => {
                 self.current_cert.insert(env.signed.clone());
@@ -104,11 +104,8 @@ impl Actor for ByzantineConsensus {
     }
 
     fn on_message(&mut self, from: ProcessId, env: &Envelope, ctx: &mut Context<'_, Envelope, ValueVector>) {
-        match self.stack.admit(from, env, ctx.now()) {
-            Admit::Accepted(_trigger) => self.handle_admitted(from, env.clone(), ctx),
-            Admit::Discarded(e) => {
-                ctx.note(format!("detected={}", e.culprit));
-            }
+        if let Some(env) = self.stack.receive(from, env, ctx) {
+            self.handle_admitted(from, env, ctx);
         }
     }
 

@@ -195,32 +195,13 @@ fn flatten_into(trees: &[Tree], out: &mut Vec<String>) {
     }
 }
 
-/// One function parameter (the `self` receiver is recorded separately).
-#[derive(Debug, Clone)]
-pub struct Param {
-    /// Names bound by the parameter pattern.
-    pub binds: Vec<String>,
-    /// Flattened type text (e.g. `& Envelope`, `& mut Context < … >`).
-    pub ty: String,
-}
-
 /// A parsed function definition.
 #[derive(Debug, Clone)]
 pub struct FnDef {
-    /// Repo-relative path of the defining file (set by the engine).
-    pub file: String,
     /// The function name.
     pub name: String,
-    /// The `impl`/`trait` type the function belongs to, if any.
-    pub owner: Option<String>,
-    /// Whether the function takes a `self` receiver.
-    pub has_self: bool,
-    /// Non-`self` parameters, in order.
-    pub params: Vec<Param>,
     /// The function body.
     pub body: Block,
-    /// Line of the `fn` keyword.
-    pub line: u32,
     /// Whether the function sits inside a `#[cfg(test)]` region.
     pub in_test: bool,
 }
@@ -238,8 +219,6 @@ pub struct Block {
 /// One match arm.
 #[derive(Debug, Clone)]
 pub struct Arm {
-    /// Names bound by the arm pattern.
-    pub binds: Vec<String>,
     /// Flattened pattern text.
     pub pat_text: String,
     /// The arm guard (`if …`), if any.
@@ -257,26 +236,16 @@ pub enum Stmt {
         binds: Vec<String>,
         /// The initializer, if present.
         init: Option<Expr>,
-        /// Line of the `let`.
-        line: u32,
     },
     /// `place = value;` or a compound assignment.
     Assign {
-        /// Flattened place text (e.g. `self . est_vect`).
-        place: String,
         /// The assigned value.
         value: Expr,
-        /// `true` for `+=`-style compound assignment.
-        compound: bool,
-        /// Line of the assignment.
-        line: u32,
     },
     /// `if`/`if let` with optional `else`.
     If {
         /// The condition (for `if let`, the matched expression).
         cond: Expr,
-        /// Names bound by an `if let` pattern.
-        binds: Vec<String>,
         /// The `then` block.
         then_b: Block,
         /// The `else` block (an `else if` chain nests here).
@@ -293,8 +262,6 @@ pub enum Stmt {
     While {
         /// The loop condition.
         cond: Expr,
-        /// Names bound by a `while let` pattern.
-        binds: Vec<String>,
         /// The loop body.
         body: Block,
     },
@@ -305,8 +272,6 @@ pub enum Stmt {
     },
     /// `for pat in iter { … }`.
     For {
-        /// Names bound by the loop pattern.
-        binds: Vec<String>,
         /// The iterated expression.
         iter: Expr,
         /// The loop body.
@@ -345,8 +310,6 @@ pub enum ExprKind {
     Field {
         /// The accessed base.
         base: Box<Expr>,
-        /// The field name.
-        name: String,
     },
     /// Method call `recv . name ( args )`.
     Method {
@@ -378,8 +341,6 @@ pub enum ExprKind {
     },
     /// Closure `| params | body`.
     Closure {
-        /// The parameter names.
-        params: Vec<String>,
         /// The body expression.
         body: Box<Expr>,
     },
@@ -387,8 +348,6 @@ pub enum ExprKind {
     IfExpr {
         /// The condition.
         cond: Box<Expr>,
-        /// Names bound by an `if let` pattern.
-        binds: Vec<String>,
         /// The `then` block.
         then_b: Block,
         /// The `else` block.
@@ -403,7 +362,7 @@ pub enum ExprKind {
     },
     /// A bare `{ … }` block in expression position.
     BlockExpr(Block),
-    /// Tuple or array literal (taint-equivalent: union of elements).
+    /// Tuple or array literal.
     Tuple(Vec<Expr>),
     /// Indexing `base [ index ]`.
     Index {
@@ -424,31 +383,19 @@ pub fn parse_file(source: &str) -> Vec<FnDef> {
     let toks = fuse(&lexed);
     let trees = build_trees(&toks);
     let mut fns = Vec::new();
-    parse_items(&trees, None, &mut fns);
+    parse_items(&trees, &mut fns);
     fns
 }
 
-fn parse_items(trees: &[Tree], owner: Option<&str>, out: &mut Vec<FnDef>) {
+fn parse_items(trees: &[Tree], out: &mut Vec<FnDef>) {
     let mut i = 0;
     while i < trees.len() {
         match trees[i].word_text() {
             Some("fn") => {
-                i = parse_fn(trees, i, owner, out);
+                i = parse_fn(trees, i, out);
             }
-            Some("impl") => {
-                let (name, body_at) = parse_impl_header(trees, i + 1);
-                if let Some(Tree::Group {
-                    delim: '{',
-                    trees: body,
-                    ..
-                }) = trees.get(body_at)
-                {
-                    parse_items(body, name.as_deref(), out);
-                }
-                i = body_at + 1;
-            }
-            Some("trait") => {
-                let name = trees.get(i + 1).and_then(Tree::word_text).map(String::from);
+            Some("impl" | "trait" | "mod") => {
+                // Descend into the item's `{…}` body, whatever its header.
                 let mut j = i + 1;
                 while j < trees.len()
                     && !trees[j].is_group('{')
@@ -457,20 +404,7 @@ fn parse_items(trees: &[Tree], owner: Option<&str>, out: &mut Vec<FnDef>) {
                     j += 1;
                 }
                 if let Some(Tree::Group { trees: body, .. }) = trees.get(j) {
-                    parse_items(body, name.as_deref(), out);
-                }
-                i = j + 1;
-            }
-            Some("mod") => {
-                let mut j = i + 1;
-                while j < trees.len()
-                    && !trees[j].is_group('{')
-                    && trees[j].leaf_text() != Some(";")
-                {
-                    j += 1;
-                }
-                if let Some(Tree::Group { trees: body, .. }) = trees.get(j) {
-                    parse_items(body, owner, out);
+                    parse_items(body, out);
                 }
                 i = j + 1;
             }
@@ -528,46 +462,8 @@ fn skip_angles(trees: &[Tree], mut i: usize) -> usize {
     i
 }
 
-fn parse_impl_header(trees: &[Tree], mut i: usize) -> (Option<String>, usize) {
-    if trees.get(i).and_then(Tree::leaf_text) == Some("<") {
-        i = skip_angles(trees, i);
-    }
-    let (mut name, mut j) = parse_type_path(trees, i);
-    if trees.get(j).and_then(Tree::word_text) == Some("for") {
-        let (n2, j2) = parse_type_path(trees, j + 1);
-        name = n2;
-        j = j2;
-    }
-    while j < trees.len() && !trees[j].is_group('{') && trees[j].leaf_text() != Some(";") {
-        j += 1;
-    }
-    (name, j)
-}
-
-/// Parses a type path, returning its last word segment.
-fn parse_type_path(trees: &[Tree], mut i: usize) -> (Option<String>, usize) {
-    let mut last = None;
-    while i < trees.len() {
-        match trees[i].leaf_text() {
-            Some("<") => i = skip_angles(trees, i),
-            Some("::") => i += 1,
-            _ => match trees[i].word_text() {
-                Some("for" | "where") | None => break,
-                Some(w) => {
-                    last = Some(w.to_string());
-                    i += 1;
-                }
-            },
-        }
-    }
-    (last, i)
-}
-
-fn parse_fn(trees: &[Tree], at: usize, owner: Option<&str>, out: &mut Vec<FnDef>) -> usize {
-    let (line, in_test) = match &trees[at] {
-        Tree::Leaf(t) => (t.line, t.in_test),
-        Tree::Group { line, .. } => (*line, false),
-    };
+fn parse_fn(trees: &[Tree], at: usize, out: &mut Vec<FnDef>) -> usize {
+    let in_test = matches!(&trees[at], Tree::Leaf(t) if t.in_test);
     let Some(name) = trees.get(at + 1).and_then(Tree::word_text) else {
         return at + 1;
     };
@@ -575,15 +471,9 @@ fn parse_fn(trees: &[Tree], at: usize, owner: Option<&str>, out: &mut Vec<FnDef>
     if trees.get(j).and_then(Tree::leaf_text) == Some("<") {
         j = skip_angles(trees, j);
     }
-    let Some(Tree::Group {
-        delim: '(',
-        trees: param_trees,
-        ..
-    }) = trees.get(j)
-    else {
+    if !trees.get(j).is_some_and(|t| t.is_group('(')) {
         return at + 1;
-    };
-    let (has_self, params) = parse_params(param_trees);
+    }
     j += 1;
     // Skip return type and where clause up to the body.
     while j < trees.len() {
@@ -592,13 +482,8 @@ fn parse_fn(trees: &[Tree], at: usize, owner: Option<&str>, out: &mut Vec<FnDef>
                 unreachable!()
             };
             out.push(FnDef {
-                file: String::new(),
                 name: name.to_string(),
-                owner: owner.map(String::from),
-                has_self,
-                params,
                 body: parse_block(body),
-                line,
                 in_test,
             });
             return j + 1;
@@ -609,29 +494,6 @@ fn parse_fn(trees: &[Tree], at: usize, owner: Option<&str>, out: &mut Vec<FnDef>
         j += 1;
     }
     j
-}
-
-fn parse_params(trees: &[Tree]) -> (bool, Vec<Param>) {
-    let mut has_self = false;
-    let mut params = Vec::new();
-    for slice in split_top_level(trees, ",") {
-        if slice.is_empty() {
-            continue;
-        }
-        if slice.iter().any(|t| t.word_text() == Some("self")) {
-            has_self = true;
-            continue;
-        }
-        let colon = find_top_level(slice, &[":"]);
-        let (pat, ty) = match colon {
-            Some(c) => (&slice[..c], flatten(&slice[c + 1..])),
-            None => (slice, String::new()),
-        };
-        let mut binds = Vec::new();
-        collect_binds(pat, &mut binds);
-        params.push(Param { binds, ty });
-    }
-    (has_self, params)
 }
 
 /// Splits trees on a top-level separator leaf, tracking angle depth and
@@ -681,7 +543,7 @@ const BIND_KEYWORDS: [&str; 9] = [
 /// Collects pattern-bound names: lowercase/underscore-initial words that
 /// are neither path segments (preceded by `::`) nor struct-pattern field
 /// names (followed by `:`).
-pub fn collect_binds(trees: &[Tree], out: &mut Vec<String>) {
+fn collect_binds(trees: &[Tree], out: &mut Vec<String>) {
     for (i, t) in trees.iter().enumerate() {
         match t {
             Tree::Leaf(tok) if tok.word => {
@@ -783,12 +645,8 @@ pub fn parse_block(trees: &[Tree]) -> Block {
                 let end = stmt_end(trees, i);
                 let slice = &trees[i..end];
                 if let Some(k) = find_assign_op(slice) {
-                    let op = slice[k].leaf_text().unwrap_or("=");
                     stmts.push(Stmt::Assign {
-                        place: flatten(&slice[..k]),
                         value: parse_expr_all(&slice[k + 1..]),
-                        compound: op != "=",
-                        line: slice[0].line(),
                     });
                 } else if !slice.is_empty() {
                     let e = parse_expr_all(slice);
@@ -830,7 +688,6 @@ fn find_assign_op(slice: &[Tree]) -> Option<usize> {
 }
 
 fn parse_let(trees: &[Tree], at: usize, stmts: &mut Vec<Stmt>) -> usize {
-    let line = trees[at].line();
     let end = stmt_end(trees, at);
     let slice = &trees[at + 1..end];
     let eq = find_top_level(slice, &["="]);
@@ -856,22 +713,19 @@ fn parse_let(trees: &[Tree], at: usize, stmts: &mut Vec<Stmt>) -> usize {
     } else {
         Some(parse_expr_all(init_slice))
     };
-    stmts.push(Stmt::Let { binds, init, line });
+    stmts.push(Stmt::Let { binds, init });
     end + 1
 }
 
 /// Parses an `if`/`if let` header starting at the `if` keyword; returns
-/// condition, pattern binds, then-block, else-block and the next index.
-fn parse_if_parts(trees: &[Tree], at: usize) -> (Expr, Vec<String>, Block, Option<Block>, usize) {
+/// condition, then-block, else-block and the next index.
+fn parse_if_parts(trees: &[Tree], at: usize) -> (Expr, Block, Option<Block>, usize) {
     let mut i = at + 1;
-    let mut binds = Vec::new();
     if trees.get(i).and_then(Tree::word_text) == Some("let") {
         i += 1;
         // Pattern runs to the top-level `=` (comparison operators are
         // fused, so a bare `=` is unambiguous).
-        let rest = &trees[i..];
-        if let Some(eq) = find_top_level(rest, &["="]) {
-            collect_binds(&rest[..eq], &mut binds);
+        if let Some(eq) = find_top_level(&trees[i..], &["="]) {
             i += eq + 1;
         }
     }
@@ -902,15 +756,14 @@ fn parse_if_parts(trees: &[Tree], at: usize) -> (Expr, Vec<String>, Block, Optio
             i += 1;
         }
     }
-    (cond, binds, then_b, else_b, i)
+    (cond, then_b, else_b, i)
 }
 
 fn parse_if(trees: &[Tree], at: usize) -> (Stmt, usize) {
-    let (cond, binds, then_b, else_b, i) = parse_if_parts(trees, at);
+    let (cond, then_b, else_b, i) = parse_if_parts(trees, at);
     (
         Stmt::If {
             cond,
-            binds,
             then_b,
             else_b,
         },
@@ -957,8 +810,6 @@ fn parse_arms(trees: &[Tree]) -> Vec<Arm> {
             Some(g) => (&pat_slice[..g], Some(parse_expr_all(&pat_slice[g + 1..]))),
             None => (pat_slice, None),
         };
-        let mut binds = Vec::new();
-        collect_binds(pat, &mut binds);
         // Body: a `{…}` block, or an expression up to the top-level `,`.
         let body = if trees.get(i).is_some_and(|t| t.is_group('{')) {
             let Some(Tree::Group { trees: b, .. }) = trees.get(i) else {
@@ -981,7 +832,6 @@ fn parse_arms(trees: &[Tree]) -> Vec<Arm> {
             parse_block(&trees[body_start..i])
         };
         arms.push(Arm {
-            binds,
             pat_text: flatten(pat),
             guard,
             body,
@@ -991,18 +841,15 @@ fn parse_arms(trees: &[Tree]) -> Vec<Arm> {
 }
 
 fn parse_while(trees: &[Tree], at: usize) -> (Stmt, usize) {
-    let (cond, binds, body, _, i) = parse_if_parts(trees, at);
-    (Stmt::While { cond, binds, body }, i)
+    let (cond, body, _, i) = parse_if_parts(trees, at);
+    (Stmt::While { cond, body }, i)
 }
 
 fn parse_for(trees: &[Tree], at: usize) -> (Stmt, usize) {
     let mut i = at + 1;
-    let pat_start = i;
     while i < trees.len() && trees[i].word_text() != Some("in") {
         i += 1;
     }
-    let mut binds = Vec::new();
-    collect_binds(&trees[pat_start..i.min(trees.len())], &mut binds);
     i = (i + 1).min(trees.len()); // past `in`
     let iter_start = i;
     while i < trees.len() && !trees[i].is_group('{') {
@@ -1016,7 +863,7 @@ fn parse_for(trees: &[Tree], at: usize) -> (Stmt, usize) {
         }
         _ => Block::default(),
     };
-    (Stmt::For { binds, iter, body }, i)
+    (Stmt::For { iter, body }, i)
 }
 
 /// Parses a complete tree slice as one expression, wrapping any
@@ -1120,12 +967,11 @@ fn parse_operand(slice: &[Tree], pos: &mut usize) -> Option<Expr> {
     let base = match t {
         Tree::Leaf(tok) if tok.word => match tok.text.as_str() {
             "if" => {
-                let (cond, binds, then_b, else_b, ni) = parse_if_parts(slice, *pos);
+                let (cond, then_b, else_b, ni) = parse_if_parts(slice, *pos);
                 *pos = ni;
                 Expr {
                     kind: ExprKind::IfExpr {
                         cond: Box::new(cond),
-                        binds,
                         then_b,
                         else_b,
                     },
@@ -1183,18 +1029,12 @@ fn parse_operand(slice: &[Tree], pos: &mut usize) -> Option<Expr> {
             }
         },
         Tree::Leaf(tok) if tok.text == "|" || tok.text == "||" => {
-            // Closure.
-            let mut params = Vec::new();
+            // Closure: skip the parameter list.
             if tok.text == "|" {
                 *pos += 1;
-                let p_start = *pos;
                 while *pos < slice.len() && slice[*pos].leaf_text() != Some("|") {
                     *pos += 1;
                 }
-                collect_binds(
-                    &slice[p_start..*pos.min(&mut slice.len().clone())],
-                    &mut params,
-                );
                 *pos = (*pos + 1).min(slice.len());
             } else {
                 *pos += 1;
@@ -1218,7 +1058,6 @@ fn parse_operand(slice: &[Tree], pos: &mut usize) -> Option<Expr> {
             };
             return Some(Expr {
                 kind: ExprKind::Closure {
-                    params,
                     body: Box::new(body),
                 },
                 text: flatten(&slice[start..*pos]),
@@ -1326,10 +1165,7 @@ fn parse_postfix(mut e: Expr, slice: &[Tree], pos: &mut usize, start: usize) -> 
                 } else {
                     *pos += 2;
                     e = Expr {
-                        kind: ExprKind::Field {
-                            base: Box::new(e),
-                            name,
-                        },
+                        kind: ExprKind::Field { base: Box::new(e) },
                         text: flatten(&slice[start..*pos]),
                         line,
                     };
@@ -1471,21 +1307,14 @@ mod tests {
     }
 
     #[test]
-    fn parses_impl_methods_with_owner() {
+    fn methods_are_found_inside_generic_and_trait_impls() {
         let f = parse_one(
             "impl<P: Proto> ReplicatedLog<P> { fn advance(&mut self, decided: Vec<u64>) { self.log.push(decided); } }",
         );
         assert_eq!(f.name, "advance");
-        assert_eq!(f.owner.as_deref(), Some("ReplicatedLog"));
-        assert!(f.has_self);
-        assert_eq!(f.params.len(), 1);
-        assert_eq!(f.params[0].binds, vec!["decided"]);
-    }
-
-    #[test]
-    fn trait_impls_take_the_implementing_type() {
+        assert_eq!(f.body.stmts.len(), 1);
         let f = parse_one("impl Actor<Core, V> for HrActor { fn on_start(&mut self) {} }");
-        assert_eq!(f.owner.as_deref(), Some("HrActor"));
+        assert_eq!(f.name, "on_start");
     }
 
     #[test]
@@ -1499,7 +1328,7 @@ mod tests {
     }
 
     #[test]
-    fn match_arms_carry_binds_and_guards() {
+    fn match_arms_carry_patterns_and_guards() {
         let f = parse_one(
             "fn f(e: E) { match e.core() { Core::Current { round, vector } => go(vector), Core::Next { round } if round > 0 => {} , _ => {} } }",
         );
@@ -1507,7 +1336,6 @@ mod tests {
             panic!("expected match");
         };
         assert_eq!(arms.len(), 3);
-        assert_eq!(arms[0].binds, vec!["round", "vector"]);
         assert!(arms[1].guard.is_some());
         assert!(arms[0].pat_text.contains("Core :: Current"));
     }
@@ -1531,12 +1359,13 @@ mod tests {
     }
 
     #[test]
-    fn if_let_binds_from_condition() {
+    fn if_let_condition_is_the_matched_expression() {
         let f = parse_one("fn f() { if let Some(b) = self.builder.as_mut() { b.absorb(); } }");
-        let Stmt::If { binds, .. } = &f.body.stmts[0] else {
+        let Stmt::If { cond, then_b, .. } = &f.body.stmts[0] else {
             panic!("expected if");
         };
-        assert_eq!(binds, &["b"]);
+        assert_eq!(cond.text, "self . builder . as_mut ( )");
+        assert_eq!(then_b.stmts.len(), 1);
     }
 
     #[test]
@@ -1551,27 +1380,21 @@ mod tests {
         };
         assert_eq!(name, "drive");
         assert_eq!(args.len(), 2, "closure comma must not split args");
-        let ExprKind::Closure { params, .. } = &args[1].kind else {
-            panic!("expected closure: {:?}", args[1]);
-        };
-        assert_eq!(params, &["inner", "ictx"]);
+        assert!(
+            matches!(args[1].kind, ExprKind::Closure { .. }),
+            "expected closure: {:?}",
+            args[1]
+        );
     }
 
     #[test]
     fn assignment_statements_are_detected() {
         let f = parse_one("fn f(v: V) { self.est_vect = v.clone(); self.r += 1; }");
-        let Stmt::Assign {
-            place, compound, ..
-        } = &f.body.stmts[0]
-        else {
+        let Stmt::Assign { value } = &f.body.stmts[0] else {
             panic!("expected assign");
         };
-        assert_eq!(place, "self . est_vect");
-        assert!(!compound);
-        let Stmt::Assign { compound, .. } = &f.body.stmts[1] else {
-            panic!("expected compound assign");
-        };
-        assert!(compound);
+        assert_eq!(value.text, "v . clone ( )");
+        assert!(matches!(f.body.stmts[1], Stmt::Assign { .. }));
     }
 
     #[test]
@@ -1588,13 +1411,15 @@ mod tests {
         let Stmt::Let { init, .. } = &f.body.stmts[0] else {
             panic!("expected let");
         };
-        let Some(Expr {
-            kind: ExprKind::Closure { params, .. },
-            ..
-        }) = init
-        else {
-            panic!("expected closure: {init:?}");
-        };
-        assert!(params.is_empty());
+        assert!(
+            matches!(
+                init,
+                Some(Expr {
+                    kind: ExprKind::Closure { .. },
+                    ..
+                })
+            ),
+            "expected closure: {init:?}"
+        );
     }
 }

@@ -1,29 +1,19 @@
 //! The analysis driver: file discovery, pass orchestration, scoping.
 //!
-//! The gating (`scoped`) analysis covers exactly the code whose behavior
-//! the paper's transformation constrains: the Byzantine actors, the
-//! crash→Byzantine transform tables, and the certification layer. The
-//! non-gating `--deep` mode widens to the whole workspace; its extra
-//! findings (e.g. the crash actors trusting their transport, which they
-//! do *by design*) are informative, so CI runs deep mode weekly without
-//! failing on it.
+//! The analysis covers the code whose send behavior the transformed
+//! specs constrain: the Byzantine actors.
 
-use crate::ast::{parse_file, FnDef};
+use crate::ast::parse_file;
 use crate::report::FlowFinding;
 use crate::sends::{conform, extract, SendSite};
-use crate::taint;
 use ftm_core::spec::ProtocolSpec;
 use std::collections::BTreeSet;
 use std::fs;
 use std::io;
 use std::path::Path;
 
-/// Path prefixes covered by the gating analysis.
-pub const SCOPE: [&str; 3] = [
-    "crates/core/src/byzantine/",
-    "crates/core/src/transform/",
-    "crates/certify/src/",
-];
+/// Path prefixes covered by the analysis.
+pub const SCOPE: [&str; 1] = ["crates/core/src/byzantine/"];
 
 /// Directory names never descended into.
 const SKIP_DIRS: [&str; 2] = ["target", "fixtures"];
@@ -37,7 +27,7 @@ pub struct ActorTable {
     pub sites: Vec<SendSite>,
 }
 
-/// The combined result of both passes over one file set.
+/// The result of the conformance pass over one file set.
 #[derive(Debug)]
 pub struct Analysis {
     /// Number of files analyzed.
@@ -59,29 +49,23 @@ fn conformance_target(path: &str) -> Option<(ProtocolSpec, bool)> {
     }
 }
 
-/// Runs both passes over `(path, source)` pairs.
+/// Runs the pass over `(path, source)` pairs.
 ///
 /// Paths are virtual: fixtures use the real actor paths so scoping and
 /// conformance-target selection behave identically in tests.
-pub fn analyze_sources(files: &[(String, String)], deep: bool) -> Analysis {
-    let mut all_fns: Vec<FnDef> = Vec::new();
+pub fn analyze_sources(files: &[(String, String)]) -> Analysis {
     let mut sends = Vec::new();
     let mut findings = Vec::new();
     for (path, source) in files {
-        let mut fns = parse_file(source);
-        for f in &mut fns {
-            f.file.clone_from(path);
-        }
         // Pass F2: spec conformance of the actor's send behavior.
         if let Some((spec, hr_sigs)) = conformance_target(path) {
-            let table = extract(&fns);
+            let table = extract(&parse_file(source));
             for sf in conform(&table, &spec, hr_sigs) {
                 findings.push(FlowFinding {
                     pass: "F2",
                     file: path.clone(),
                     line: sf.line,
                     message: sf.message,
-                    path: Vec::new(),
                 });
             }
             sends.push(ActorTable {
@@ -89,20 +73,6 @@ pub fn analyze_sources(files: &[(String, String)], deep: bool) -> Analysis {
                 sites: table.sites,
             });
         }
-        all_fns.extend(fns);
-    }
-    // Pass F1: interprocedural certification taint over the whole set.
-    for hit in taint::analyze(&all_fns, deep).hits {
-        findings.push(FlowFinding {
-            pass: "F1",
-            file: hit.file,
-            line: hit.line,
-            message: format!(
-                "adversary-controlled data ({}) reaches replicated state `{}` without passing a certification API",
-                hit.origin, hit.sink
-            ),
-            path: hit.path,
-        });
     }
     Analysis {
         files_scanned: files.len() as u64,
@@ -111,23 +81,22 @@ pub fn analyze_sources(files: &[(String, String)], deep: bool) -> Analysis {
     }
 }
 
-/// Scans the workspace rooted at `root` and runs both passes.
+/// Scans the workspace rooted at `root` and runs the pass.
 ///
 /// The walk is deterministic (sorted), skips `target/`, `fixtures/` and
-/// hidden directories, and — unless `deep` — restricts analysis to the
-/// [`SCOPE`] prefixes.
-pub fn scan_workspace(root: &Path, deep: bool) -> io::Result<Analysis> {
+/// hidden directories, and restricts analysis to the [`SCOPE`] prefixes.
+pub fn scan_workspace(root: &Path) -> io::Result<Analysis> {
     let mut paths = BTreeSet::new();
     collect_rs_files(root, root, &mut paths)?;
     let mut files = Vec::new();
     for rel in paths {
-        if !deep && !SCOPE.iter().any(|p| rel.starts_with(p)) {
+        if !SCOPE.iter().any(|p| rel.starts_with(p)) {
             continue;
         }
         let source = fs::read_to_string(root.join(&rel))?;
         files.push((rel, source));
     }
-    Ok(analyze_sources(&files, deep))
+    Ok(analyze_sources(&files))
 }
 
 fn collect_rs_files(root: &Path, dir: &Path, out: &mut BTreeSet<String>) -> io::Result<()> {
@@ -168,11 +137,10 @@ mod tests {
     }
 
     #[test]
-    fn scope_prefixes_cover_the_transformation_layers() {
+    fn scope_prefixes_cover_the_conformance_targets() {
         for p in [
             "crates/core/src/byzantine/protocol.rs",
-            "crates/core/src/transform/mod.rs",
-            "crates/certify/src/analyzer.rs",
+            "crates/core/src/byzantine/chandra_toueg.rs",
         ] {
             assert!(
                 SCOPE.iter().any(|s| p.starts_with(s)),

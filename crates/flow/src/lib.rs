@@ -1,20 +1,9 @@
-//! `ftm-flow`: AST-level dataflow analysis of the actor code.
+//! `ftm-flow`: spec conformance of the actor code's send sites.
 //!
 //! Where `ftm-lint` enforces *determinism hygiene* token-by-token and
 //! `ftm-verify` model-checks the *abstract protocol*, this crate closes
-//! the gap between them: it statically proves two properties of the
-//! **implementation source** that the paper's transformation obligates
-//! but nothing else in the workspace checks mechanically.
+//! one gap between them on the **implementation source**:
 //!
-//! - **F1 — certification before use.** Every value that an arbitrary-
-//!   faulty process can influence (message parameters of `on_message`,
-//!   `make_checkpoint` results) must pass a certification API (`admit`,
-//!   `check_envelope`, the per-kind `check_*` family) on *every* control-
-//!   flow path before it is written into replicated state (certificate
-//!   stores, estimate vectors, decision evidence). A forward may-taint
-//!   dataflow over per-function CFGs, composed by interprocedural
-//!   summaries, finds any unsanitized source-to-sink path and renders it
-//!   step by step.
 //! - **F2 — spec conformance of sends.** Every send site of the HR and
 //!   CT Byzantine actors (which `Core` kind, broadcast vs unicast, which
 //!   round) is extracted and diffed against the obligation tables of
@@ -23,6 +12,10 @@
 //!   a send the spec does not declare, an obligation never discharged,
 //!   or a round/route mismatch is a finding.
 //!
+//! The transformation's other source-level obligation — certification
+//! before use — needs no pass here: it is a type
+//! (`ftm_certify::Certified`), so rustc enforces it on every path.
+//!
 //! The analyzer is zero-dependency: it parses a *simplified* Rust AST
 //! with a tolerant recursive-descent parser built on the `ftm-lint`
 //! lexer (one lexer for the whole workspace), so it needs neither
@@ -30,14 +23,11 @@
 //! to conservative opaque expressions rather than being skipped.
 //!
 //! Findings gate CI via the `ftm-flow` binary (exit 1), with the same
-//! justified-allowlist escape hatch as `ftm-lint` (shared grammar, `F1`/
-//! `F2` vocabulary). `--deep` widens from the transformation layers to
-//! the whole workspace and is informative only.
+//! justified-allowlist escape hatch as `ftm-lint` (shared grammar, `F2`
+//! vocabulary).
 
 mod ast;
-mod cfg;
 mod sends;
-mod taint;
 
 pub mod engine;
 pub mod report;

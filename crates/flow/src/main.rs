@@ -1,15 +1,14 @@
 //! Command-line front end for `ftm-flow`.
 //!
 //! ```text
-//! ftm-flow [--root DIR] [--allowlist FILE] [--json] [--deep]
+//! ftm-flow [--root DIR] [--allowlist FILE] [--json]
 //! ```
 //!
-//! Exit codes: `0` clean, `1` active findings or stale allowlist entries,
-//! `2` usage or I/O error. `--json` prints the byte-stable report to
-//! stdout (the human summary goes to stderr so the JSON stays clean).
-//! `--deep` widens from the transformation layers to the whole workspace
-//! and additionally treats the crash actors' message parameters as
-//! ingress — informative, not gating.
+//! Runs pass F2 (send sites ↔ `ProtocolSpec` obligations) over the
+//! Byzantine actors. Exit codes: `0` clean, `1` active findings or stale
+//! allowlist entries, `2` usage or I/O error. `--json` prints the
+//! byte-stable report to stdout (the human summary goes to stderr so the
+//! JSON stays clean).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -20,19 +19,16 @@ struct Args {
     root: PathBuf,
     allowlist: Option<PathBuf>,
     json: bool,
-    deep: bool,
 }
 
 fn parse_args() -> Result<Args, String> {
     let mut root = PathBuf::from(".");
     let mut allowlist = None;
     let mut json = false;
-    let mut deep = false;
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--json" => json = true,
-            "--deep" => deep = true,
             "--root" => {
                 root = PathBuf::from(it.next().ok_or("--root needs a directory")?);
             }
@@ -40,9 +36,7 @@ fn parse_args() -> Result<Args, String> {
                 allowlist = Some(PathBuf::from(it.next().ok_or("--allowlist needs a file")?));
             }
             "--help" | "-h" => {
-                return Err(
-                    "usage: ftm-flow [--root DIR] [--allowlist FILE] [--json] [--deep]".to_string(),
-                );
+                return Err("usage: ftm-flow [--root DIR] [--allowlist FILE] [--json]".to_string());
             }
             other => return Err(format!("unknown argument `{other}`")),
         }
@@ -51,7 +45,6 @@ fn parse_args() -> Result<Args, String> {
         root,
         allowlist,
         json,
-        deep,
     })
 }
 
@@ -65,9 +58,9 @@ fn run() -> Result<bool, String> {
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
         Err(e) => return Err(format!("{}: {e}", allowlist_path.display())),
     };
-    let analysis = ftm_flow::scan_workspace(&args.root, args.deep)
+    let analysis = ftm_flow::scan_workspace(&args.root)
         .map_err(|e| format!("scanning {}: {e}", args.root.display()))?;
-    let report = FlowReport::new(analysis, &entries, args.deep);
+    let report = FlowReport::new(analysis, &entries);
     if args.json {
         print!("{}", report.to_json().render());
         eprint!("{}", report.to_text());

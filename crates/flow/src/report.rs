@@ -2,7 +2,7 @@
 //!
 //! The report machinery mirrors `ftm-lint`'s: findings are split into
 //! active and waived by the shared allowlist grammar
-//! ([`ftm_lint::parse_allowlist_with`] with the `F1`/`F2` vocabulary),
+//! ([`ftm_lint::parse_allowlist_with`] with the `F2` vocabulary),
 //! stale waivers gate, and the `--json` document is rendered on
 //! [`ftm_sim::report::Json`] so it is byte-stable across platforms and
 //! runs — CI diffs it, so no floats, no hash-map order, no timestamps.
@@ -14,12 +14,12 @@ use ftm_sim::report::Json;
 use std::collections::BTreeMap;
 
 /// The finding vocabulary of this analyzer.
-pub const PASS_IDS: [&str; 2] = ["F1", "F2"];
+pub const PASS_IDS: [&str; 1] = ["F2"];
 
-/// One flow finding (either pass).
+/// One flow finding.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct FlowFinding {
-    /// `"F1"` (certification taint) or `"F2"` (spec conformance).
+    /// `"F2"` (spec conformance).
     pub pass: &'static str,
     /// Repo-relative file path.
     pub file: String,
@@ -27,16 +27,12 @@ pub struct FlowFinding {
     pub line: u32,
     /// Human-readable description.
     pub message: String,
-    /// For F1: the source-to-sink propagation path.
-    pub path: Vec<String>,
 }
 
 /// A complete flow report: findings split by the allowlist plus the
 /// extracted send tables.
 #[derive(Debug)]
 pub struct FlowReport {
-    /// `"scoped"` or `"deep"`.
-    pub mode: &'static str,
     /// Number of files analyzed.
     pub files_scanned: u64,
     /// Findings not waived — these gate.
@@ -51,7 +47,7 @@ pub struct FlowReport {
 
 impl FlowReport {
     /// Builds a report from an analysis and parsed allowlist entries.
-    pub fn new(analysis: Analysis, entries: &[Entry], deep: bool) -> Self {
+    pub fn new(analysis: Analysis, entries: &[Entry]) -> Self {
         let mut findings = analysis.findings;
         findings.sort();
         findings.dedup();
@@ -86,7 +82,6 @@ impl FlowReport {
             .map(|(e, _)| e.clone())
             .collect();
         FlowReport {
-            mode: if deep { "deep" } else { "scoped" },
             files_scanned: analysis.files_scanned,
             active,
             waived,
@@ -118,10 +113,6 @@ impl FlowReport {
                 ("file".to_string(), Json::Str(f.file.clone())),
                 ("line".to_string(), Json::U64(u64::from(f.line))),
                 ("message".to_string(), Json::Str(f.message.clone())),
-                (
-                    "path".to_string(),
-                    Json::Arr(f.path.iter().map(|s| Json::Str(s.clone())).collect()),
-                ),
                 ("waived".to_string(), Json::Bool(waived)),
             ])
         };
@@ -175,7 +166,6 @@ impl FlowReport {
         );
         Json::Obj(vec![
             ("version".to_string(), Json::U64(1)),
-            ("mode".to_string(), Json::Str(self.mode.to_string())),
             ("files_scanned".to_string(), Json::U64(self.files_scanned)),
             (
                 "counts".to_string(),
@@ -196,7 +186,7 @@ impl FlowReport {
         ])
     }
 
-    /// The human-readable rendering (one line per finding plus paths).
+    /// The human-readable rendering (one line per finding).
     pub fn to_text(&self) -> String {
         let mut out = String::new();
         for f in &self.active {
@@ -204,9 +194,6 @@ impl FlowReport {
                 "{}: {}:{}: {}\n",
                 f.pass, f.file, f.line, f.message
             ));
-            for step in &f.path {
-                out.push_str(&format!("    -> {step}\n"));
-            }
         }
         for f in &self.waived {
             out.push_str(&format!(
@@ -218,8 +205,7 @@ impl FlowReport {
             out.push_str(&format!("stale allowlist entry: {}\n", e.render()));
         }
         out.push_str(&format!(
-            "ftm-flow [{}]: {} files, {} active finding(s), {} waived, {} stale waiver(s): {}\n",
-            self.mode,
+            "ftm-flow: {} files, {} active finding(s), {} waived, {} stale waiver(s): {}\n",
             self.files_scanned,
             self.active.len(),
             self.waived.len(),
@@ -241,7 +227,6 @@ mod tests {
             file: file.to_string(),
             line,
             message: "m".to_string(),
-            path: vec!["a".to_string()],
         }
     }
 
@@ -256,11 +241,10 @@ mod tests {
     #[test]
     fn allowlist_waives_and_tracks_stale_entries() {
         let entries =
-            parse_allowlist_with("F1 a.rs 5 # audited\nF2 b.rs # never\n", &PASS_IDS).unwrap();
+            parse_allowlist_with("F2 a.rs 5 # audited\nF2 b.rs # never\n", &PASS_IDS).unwrap();
         let report = FlowReport::new(
-            analysis(vec![finding("F1", "a.rs", 5), finding("F1", "a.rs", 6)]),
+            analysis(vec![finding("F2", "a.rs", 5), finding("F2", "a.rs", 6)]),
             &entries,
-            false,
         );
         assert_eq!(report.waived.len(), 1);
         assert_eq!(report.active.len(), 1);
@@ -269,21 +253,19 @@ mod tests {
     }
 
     #[test]
-    fn counts_always_contain_both_passes() {
-        let report = FlowReport::new(analysis(Vec::new()), &[], false);
+    fn counts_always_contain_the_pass() {
+        let report = FlowReport::new(analysis(Vec::new()), &[]);
         let counts = report.counts();
-        assert_eq!(counts.get("F1"), Some(&0));
         assert_eq!(counts.get("F2"), Some(&0));
         assert!(report.ok());
     }
 
     #[test]
     fn json_is_byte_stable() {
-        let report = FlowReport::new(analysis(vec![finding("F2", "x.rs", 9)]), &[], true);
+        let report = FlowReport::new(analysis(vec![finding("F2", "x.rs", 9)]), &[]);
         let a = report.to_json().render();
         let b = report.to_json().render();
         assert_eq!(a, b);
-        assert!(a.contains("\"mode\": \"deep\""));
         assert!(a.contains("\"ok\": false"));
     }
 }

@@ -53,7 +53,7 @@ pub fn parse(text: &str) -> Result<Vec<Entry>, String> {
 /// Parses allowlist text, validating lint ids against `valid_ids`.
 ///
 /// The allowlist grammar is shared analysis infrastructure: `ftm-flow`
-/// reuses it with its own finding vocabulary (`F1`/`F2`) by calling this
+/// reuses it with its own finding vocabulary (`F2`) by calling this
 /// entry point directly, so both analyzers get mandatory justifications
 /// and stale-entry failure from one implementation.
 pub fn parse_with(text: &str, valid_ids: &[&str]) -> Result<Vec<Entry>, String> {
@@ -179,10 +179,10 @@ mod tests {
 
     #[test]
     fn parse_with_accepts_a_custom_vocabulary() {
-        let entries = parse_with("F1 crates/x.rs 9 # audited path\n", &["F1", "F2"]).unwrap();
-        assert_eq!(entries[0].lint, "F1");
-        assert!(parse_with("D1 crates/x.rs # wrong vocab\n", &["F1", "F2"]).is_err());
-        assert!(parse("F1 crates/x.rs # wrong vocab\n").is_err());
+        let entries = parse_with("F2 crates/x.rs 9 # audited path\n", &["F2"]).unwrap();
+        assert_eq!(entries[0].lint, "F2");
+        assert!(parse_with("D1 crates/x.rs # wrong vocab\n", &["F2"]).is_err());
+        assert!(parse("F2 crates/x.rs # wrong vocab\n").is_err());
     }
 
     #[test]

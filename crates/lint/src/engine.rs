@@ -5,6 +5,8 @@
 //! depends on filesystem enumeration order. `target/`, hidden directories
 //! and the lint fixture corpus are skipped: fixtures violate the rules on
 //! purpose and are exercised through [`check_source`] with virtual paths.
+//! So is `benchmark/`, a standalone package outside this workspace whose
+//! job is wall-clock measurement (floats, `Instant` and threads by design).
 
 use std::fs;
 use std::io;
@@ -14,7 +16,7 @@ use crate::lexer::lex;
 use crate::rules::{check_file, Finding};
 
 /// Directories never descended into (by component name).
-const SKIP_DIRS: [&str; 2] = ["target", "fixtures"];
+const SKIP_DIRS: [&str; 3] = ["target", "fixtures", "benchmark"];
 
 /// Lints one source text under a repo-relative virtual path.
 ///

@@ -72,6 +72,61 @@
 //! );
 //! assert!(verdict.ok(), "{:?}", verdict.violations);
 //! ```
+//!
+//! # Certification before use is a type
+//!
+//! Everything that writes replicated state takes a
+//! [`certify::Certified`] envelope, which only the certification stack
+//! mints. A replica catching up from a peer's checkpoint must run the
+//! analyzer before it may read the decided vector out of it:
+//!
+//! ```
+//! use ft_modular::certify::{
+//!     checkpoint_vector, make_checkpoint, CertChecker, Certificate, Core, MessageCore,
+//!     ProtocolId, SignedCore, ValueVector,
+//! };
+//! use ft_modular::core::byzantine::log::SlotMsg;
+//! use ft_modular::crypto::keydir::KeyDirectory;
+//! use ft_modular::sim::ProcessId;
+//!
+//! let mut rng = ft_modular::crypto::rng_from_seed(7);
+//! let (dir, keys) = KeyDirectory::generate(&mut rng, 3, 128);
+//! let checker = CertChecker::new(3, 1, dir);
+//! let vect = ValueVector::from_entries(vec![Some(7), Some(8), None]);
+//! let quorum = Certificate::from_items((0..2u32).map(|s| {
+//!     let vote = Core::Current { round: 1, vector: vect.clone() };
+//!     SignedCore::sign(MessageCore::new(ProcessId(s), vote), &keys[s as usize])
+//! }));
+//! let hr = ProtocolId::HurfinRaynal;
+//! let msg = SlotMsg { slot: 4, env: make_checkpoint(hr, 4, &vect, quorum, ProcessId(1), &keys[1]) };
+//!
+//! let env = checker.check_envelope(&msg.env).expect("quorum-backed checkpoint");
+//! assert_eq!(checkpoint_vector(hr, 2, &env), Some(vect));
+//! ```
+//!
+//! Skip the `check_envelope` call and the same program is rejected by
+//! rustc (only the last two lines differ; the prelude is hidden):
+//!
+//! ```compile_fail
+//! # use ft_modular::certify::{
+//! #     checkpoint_vector, make_checkpoint, CertChecker, Certificate, Core, MessageCore,
+//! #     ProtocolId, SignedCore, ValueVector,
+//! # };
+//! # use ft_modular::core::byzantine::log::SlotMsg;
+//! # use ft_modular::crypto::keydir::KeyDirectory;
+//! # use ft_modular::sim::ProcessId;
+//! # let mut rng = ft_modular::crypto::rng_from_seed(7);
+//! # let (dir, keys) = KeyDirectory::generate(&mut rng, 3, 128);
+//! # let checker = CertChecker::new(3, 1, dir);
+//! # let vect = ValueVector::from_entries(vec![Some(7), Some(8), None]);
+//! # let quorum = Certificate::from_items((0..2u32).map(|s| {
+//! #     let vote = Core::Current { round: 1, vector: vect.clone() };
+//! #     SignedCore::sign(MessageCore::new(ProcessId(s), vote), &keys[s as usize])
+//! # }));
+//! # let hr = ProtocolId::HurfinRaynal;
+//! # let msg = SlotMsg { slot: 4, env: make_checkpoint(hr, 4, &vect, quorum, ProcessId(1), &keys[1]) };
+//! assert_eq!(checkpoint_vector(hr, 2, &msg.env), Some(vect));
+//! ```
 
 pub use ftm_certify as certify;
 pub use ftm_core as core;
