@@ -17,17 +17,23 @@
 //!   `state`) are replaced by certificate expressions, which the
 //!   implementation asserts against its explicit state at every step.
 //!
-//! The transformation is protocol-generic: the same module stack hosts the
-//! Hurfin–Raynal instance ([`ByzantineConsensus`]) and the Chandra–Toueg
-//! instance ([`ByzantineChandraToueg`]); the [`TransformedProtocol`] trait
-//! is the seam layers above (the replicated log, the fault harness) build
-//! against. Both tolerate `F ≤ min(⌊(n−1)/2⌋, C)` arbitrary faults and
-//! decide a vector with at least `ψ = n − 2F ≥ 1` entries from correct
-//! processes.
+//! The module layout mirrors paper Fig. 1. The four generic modules and
+//! everything Fig. 3 shades gray are one actor, [`Transformed`], written
+//! once in [`shell`]; the protocol-specific round module is a [`Rounds`]
+//! implementation — [`HurfinRaynal`] in [`hr`], [`ChandraToueg`] in [`ct`] —
+//! holding only its round's vote record and its certificate design (§5).
+//! A round module cannot send on its own: it discharges one of its
+//! protocol's [`SendId`] obligations through [`Shell::emit`], so send
+//! conformance with `ProtocolSpec::sends` is a typing fact. The
+//! [`TransformedProtocol`] trait is the seam layers above (the replicated
+//! log, the fault harness) build against. Both instances tolerate
+//! `F ≤ min(⌊(n−1)/2⌋, C)` arbitrary faults and decide a vector with at
+//! least `ψ = n − 2F ≥ 1` entries from correct processes.
 
-pub mod chandra_toueg;
+pub mod ct;
+pub mod hr;
 pub mod log;
-pub mod protocol;
+pub mod shell;
 
 use ftm_certify::{Certificate, Envelope, ProtocolId, Value, ValueVector};
 use ftm_sim::{Actor, ProcessId};
@@ -36,9 +42,15 @@ use crate::config::ProtocolSetup;
 use crate::spec::ProtocolSpec;
 use crate::transform::ModuleStack;
 
-pub use chandra_toueg::ByzantineChandraToueg;
+pub use ct::{ChandraToueg, CtSend};
+pub use hr::{HrSend, HurfinRaynal};
 pub use log::ReplicatedLog;
-pub use protocol::ByzantineConsensus;
+pub use shell::{Rounds, SendId, Shell, Step, Transformed, Vote};
+
+/// The transformed Hurfin–Raynal protocol (paper Fig. 3).
+pub type ByzantineConsensus = Transformed<HurfinRaynal>;
+/// The transformed Chandra–Toueg protocol.
+pub type ByzantineChandraToueg = Transformed<ChandraToueg>;
 
 /// A protocol produced by the crash→arbitrary transformation: an actor
 /// speaking signed [`Envelope`]s and deciding a certified [`ValueVector`],
@@ -77,35 +89,19 @@ pub trait TransformedProtocol: Actor<Msg = Envelope, Decision = ValueVector> {
     fn decide_evidence(&self) -> Option<&Certificate>;
 }
 
-impl TransformedProtocol for ByzantineConsensus {
-    const ID: ProtocolId = ProtocolId::HurfinRaynal;
+impl<R: Rounds> TransformedProtocol for Transformed<R> {
+    const ID: ProtocolId = R::ID;
 
     fn build(setup: &ProtocolSetup, me: ProcessId, value: Value) -> Self {
-        ByzantineConsensus::new(setup, me, value)
+        Transformed::new(setup, me, value)
     }
 
     fn stack(&self) -> &ModuleStack {
-        ByzantineConsensus::stack(self)
+        Transformed::stack(self)
     }
 
     fn decide_evidence(&self) -> Option<&Certificate> {
-        ByzantineConsensus::decide_evidence(self)
-    }
-}
-
-impl TransformedProtocol for ByzantineChandraToueg {
-    const ID: ProtocolId = ProtocolId::ChandraToueg;
-
-    fn build(setup: &ProtocolSetup, me: ProcessId, value: Value) -> Self {
-        ByzantineChandraToueg::new(setup, me, value)
-    }
-
-    fn stack(&self) -> &ModuleStack {
-        ByzantineChandraToueg::stack(self)
-    }
-
-    fn decide_evidence(&self) -> Option<&Certificate> {
-        ByzantineChandraToueg::decide_evidence(self)
+        Transformed::decide_evidence(self)
     }
 }
 

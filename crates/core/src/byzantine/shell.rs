@@ -1,0 +1,890 @@
+//! The transformed-protocol shell: everything the crash→arbitrary
+//! transformation adds *mechanically*, written once.
+//!
+//! Paper Fig. 1 stacks four generic modules under a protocol-specific
+//! round module. [`Transformed`] is the generic part as an actor: the
+//! INIT / vector-certification phase (Fig. 3 lines 4–9), the receive
+//! pipeline ([`ModuleStack::receive`]), footnote 5's buffering of votes
+//! for rounds not yet entered, the round counter and the certified
+//! estimate `(est_vect, est_cert)`, round-entry evidence, `decide` and its
+//! relay (lines 2–3, 20–21), the `suspected ∪ faulty` poll (line 22) and
+//! the single send path. A [`Rounds`] implementation supplies what is left:
+//! its per-round vote record and how it reacts to a round opening, an
+//! admitted vote and a suspicion of the coordinator — which is exactly
+//! the certificate design §5 leaves to the protocol.
+//!
+//! A round module never holds the runtime's effect handle. It speaks
+//! through [`Shell::emit`], which takes a [`SendId`] — one row of the
+//! protocol's `ProtocolSpec::sends` table — and derives everything else:
+//! the kind from the id, the round from the shell's counter, the vector
+//! from the certified estimate; it signs, broadcasts and counts the
+//! discharge. A unicast, a send for another round, a kind the row does
+//! not name and a kind the spec does not declare cannot be written.
+
+use std::fmt;
+use std::marker::PhantomData;
+
+use ftm_certify::vector::VectorBuilder;
+use ftm_certify::{
+    Certificate, Certified, Core, Envelope, MessageCore, ProtocolId, Round, SignedCore, Value,
+    ValueVector,
+};
+use ftm_crypto::rsa::KeyPair;
+use ftm_sim::{Actor, Context, Duration, ProcessId, TimerTag};
+
+use crate::config::ProtocolSetup;
+use crate::spec::Resilience;
+use crate::transform::ModuleStack;
+
+const POLL_TIMER: TimerTag = 1;
+
+/// Spec id of the shell's own opening send (Fig. 3 line 5).
+const INIT_BROADCAST: &str = "init-broadcast";
+/// Spec id of the shell's own terminal send (Fig. 3 lines 3 and 21).
+const DECIDE_ANNOUNCE: &str = "decide-announce";
+
+/// The kinds a round module can put on the wire: `MessageKind` without the
+/// shell's own `INIT` / `DECIDE` and the log layer's `CHECKPOINT`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Vote {
+    /// `CURRENT(r, est_vect)` (HR).
+    Current,
+    /// `NEXT(r)` (HR).
+    Next,
+    /// `ESTIMATE(r, est_vect, ts)` (CT).
+    Estimate,
+    /// `PROPOSE(r, est_vect)` (CT).
+    Propose,
+    /// `ACK(r, est_vect)` (CT).
+    Ack,
+    /// `NACK(r)` (CT).
+    Nack,
+}
+
+impl Vote {
+    /// The message of this kind for round `round`: value-carrying kinds
+    /// carry the certified estimate, `ESTIMATE` also its adoption round.
+    fn core(self, round: Round, est_vect: &ValueVector, adopted_in: Round) -> Core {
+        let vector = || est_vect.clone();
+        match self {
+            Vote::Current => Core::Current {
+                round,
+                vector: vector(),
+            },
+            Vote::Next => Core::Next { round },
+            Vote::Estimate => Core::Estimate {
+                round,
+                vector: vector(),
+                ts: adopted_in,
+            },
+            Vote::Propose => Core::Propose {
+                round,
+                vector: vector(),
+            },
+            Vote::Ack => Core::Ack {
+                round,
+                vector: vector(),
+            },
+            Vote::Nack => Core::Nack { round },
+        }
+    }
+}
+
+/// A protocol's round-module send obligations as a closed type: one value
+/// per `ProtocolSpec::sends` row other than the shell's own
+/// `init-broadcast` and `decide-announce`.
+pub trait SendId: Copy + fmt::Debug + 'static {
+    /// Every id, in `ProtocolSpec::sends` order.
+    const ALL: &'static [Self];
+
+    /// The `ConditionalSend::id` of the row this value discharges.
+    fn id(self) -> &'static str;
+
+    /// The one kind that row puts on the wire.
+    fn kind(self) -> Vote;
+}
+
+/// What a round module tells the shell after reacting to an event.
+#[derive(Debug)]
+#[must_use]
+pub enum Step {
+    /// The round goes on.
+    Stay,
+    /// The round is over. The carried quorum of round-ending votes (`NEXT`
+    /// under HR, `ACK`/`NACK` under CT) becomes the next round's entry
+    /// evidence.
+    NextRound(Certificate),
+    /// A decide-vote quorum (the certificate) endorses the vector.
+    Decide(ValueVector, Certificate),
+}
+
+/// The protocol-specific round module of paper Fig. 1.
+///
+/// Implementations hold only the state of the round in progress (plus
+/// whatever certificate backing they carry across rounds) and speak only
+/// through the [`Shell`] they are handed.
+pub trait Rounds: fmt::Debug + Default {
+    /// The base protocol: selects the observer automaton and the §5 rule
+    /// table of the module stack underneath.
+    const ID: ProtocolId;
+
+    /// The sends this module may emit.
+    type Send: SendId;
+
+    /// The shell entered a new round: reset the per-round record and make
+    /// the round-opening send, if this process owes one.
+    fn open_round(&mut self, sh: &mut Shell<'_, '_, Self::Send>);
+
+    /// An admitted vote for the round in progress (never `INIT`, `DECIDE`
+    /// or `CHECKPOINT`, never another round's).
+    fn on_vote(
+        &mut self,
+        from: ProcessId,
+        env: Certified<'_>,
+        sh: &mut Shell<'_, '_, Self::Send>,
+    ) -> Step;
+
+    /// Whether this process still waits on the round coordinator, i.e.
+    /// whether `p_c ∈ (suspected ∪ faulty)` would make it give up.
+    fn awaits_coordinator(&self, sh: &Shell<'_, '_, Self::Send>) -> bool;
+
+    /// The coordinator is suspected or convicted while awaited.
+    fn on_suspicion(&mut self, sh: &mut Shell<'_, '_, Self::Send>) -> Step;
+}
+
+/// The shell state a round module reads and, through [`Shell`], updates.
+#[derive(Debug)]
+struct RoundState {
+    res: Resilience,
+    me: ProcessId,
+    keys: KeyPair,
+    r: Round,
+    est_vect: ValueVector,
+    /// INIT backing of `est_vect`.
+    est_cert: Certificate,
+    /// Round in which `est_vect` was last adopted (0 = the INIT-certified
+    /// original). Only CT's `ESTIMATE` puts it on the wire.
+    adopted_in: Round,
+    /// The vote quorum that ended round `r − 1`, carried by this round's
+    /// sends as round-entry evidence.
+    entry_cert: Certificate,
+    /// Sends made so far per spec id, in `ProtocolSpec::sends` order.
+    discharged: Vec<(&'static str, u32)>,
+}
+
+impl RoundState {
+    fn coordinator(&self) -> ProcessId {
+        ProcessId(self.res.coordinator(self.r) as u32)
+    }
+
+    /// The send path of Fig. 1 and the only place a transformed process
+    /// speaks: the signature module signs, the certification module
+    /// appends `cert`, and the message goes to everyone.
+    fn broadcast(
+        &mut self,
+        id: &'static str,
+        core: Core,
+        cert: Certificate,
+        ctx: &mut Context<'_, Envelope, ValueVector>,
+    ) -> SignedCore {
+        if let Some((_, count)) = self.discharged.iter_mut().find(|(d, _)| *d == id) {
+            *count += 1;
+        }
+        let signed = SignedCore::sign(MessageCore::new(self.me, core), &self.keys);
+        ctx.broadcast(Envelope {
+            signed: signed.clone(),
+            cert,
+        });
+        signed
+    }
+}
+
+/// A round module's view of the shell for the duration of one callback.
+#[derive(Debug)]
+pub struct Shell<'a, 'c, S> {
+    state: &'a mut RoundState,
+    ctx: &'a mut Context<'c, Envelope, ValueVector>,
+    sends: PhantomData<S>,
+}
+
+impl<'a, 'c, S: SendId> Shell<'a, 'c, S> {
+    fn new(state: &'a mut RoundState, ctx: &'a mut Context<'c, Envelope, ValueVector>) -> Self {
+        Shell {
+            state,
+            ctx,
+            sends: PhantomData,
+        }
+    }
+
+    /// This process.
+    pub fn me(&self) -> ProcessId {
+        self.state.me
+    }
+
+    /// The round in progress.
+    pub fn round(&self) -> Round {
+        self.state.r
+    }
+
+    /// The coordinator of the round in progress.
+    pub fn coordinator(&self) -> ProcessId {
+        self.state.coordinator()
+    }
+
+    /// The certificate quorum `n − F`.
+    pub fn quorum(&self) -> usize {
+        self.state.res.quorum()
+    }
+
+    /// The current estimate vector.
+    pub fn est_vect(&self) -> &ValueVector {
+        &self.state.est_vect
+    }
+
+    /// The INIT items backing [`Shell::est_vect`].
+    pub fn est_cert(&self) -> &Certificate {
+        &self.state.est_cert
+    }
+
+    /// The vote quorum that justified entering this round.
+    pub fn entry_cert(&self) -> &Certificate {
+        &self.state.entry_cert
+    }
+
+    /// Adopts `vector` as the estimate, taking its INIT backing from
+    /// `backing` (the certificate of the message that carried it) and
+    /// stamping the adoption with the round in progress.
+    pub fn adopt(&mut self, vector: ValueVector, backing: &Certificate) {
+        self.state.est_vect = vector;
+        self.state.est_cert = backing.init_portion();
+        self.state.adopted_in = self.state.r;
+    }
+
+    /// Records a trace note.
+    pub fn note(&mut self, text: String) {
+        self.ctx.note(text);
+    }
+
+    /// Discharges the send obligation `ob` with `cert` as justification
+    /// and returns the signed message, so the sender can enter its own
+    /// vote in its record (signatures are deterministic: the broadcast
+    /// copy that self-delivers later is byte-identical and deduplicates).
+    ///
+    /// This is a round module's only way to send. The kind comes from
+    /// `ob`, the round is the shell's, value-carrying kinds carry the
+    /// adopted estimate, and the message goes to every process:
+    ///
+    /// ```
+    /// use ftm_certify::{Certified, ProtocolId};
+    /// use ftm_core::byzantine::{HrSend, Rounds, Shell, Step, Vote};
+    /// use ftm_sim::ProcessId;
+    ///
+    /// #[derive(Debug, Default)]
+    /// struct Impatient;
+    ///
+    /// impl Rounds for Impatient {
+    ///     const ID: ProtocolId = ProtocolId::HurfinRaynal;
+    ///     type Send = HrSend;
+    ///
+    ///     fn open_round(&mut self, sh: &mut Shell<'_, '_, HrSend>) {
+    ///         let cert = sh.entry_cert().clone();
+    ///         sh.emit(HrSend::NextSuspicion, cert);
+    ///     }
+    ///     fn on_vote(&mut self, _: ProcessId, _: Certified<'_>, _: &mut Shell<'_, '_, HrSend>) -> Step {
+    ///         Step::Stay
+    ///     }
+    ///     fn awaits_coordinator(&self, _: &Shell<'_, '_, HrSend>) -> bool {
+    ///         false
+    ///     }
+    ///     fn on_suspicion(&mut self, _: &mut Shell<'_, '_, HrSend>) -> Step {
+    ///         Step::Stay
+    ///     }
+    /// }
+    /// ```
+    ///
+    /// The same module voting `NEXT` for a round of its own choosing is
+    /// rejected (only the `emit` line differs; the rest is hidden):
+    ///
+    /// ```compile_fail
+    /// # use ftm_certify::{Certified, ProtocolId};
+    /// # use ftm_core::byzantine::{HrSend, Rounds, Shell, Step, Vote};
+    /// # use ftm_sim::ProcessId;
+    /// # #[derive(Debug, Default)]
+    /// # struct Impatient;
+    /// # impl Rounds for Impatient {
+    /// #     const ID: ProtocolId = ProtocolId::HurfinRaynal;
+    /// #     type Send = HrSend;
+    ///     fn open_round(&mut self, sh: &mut Shell<'_, '_, HrSend>) {
+    ///         let cert = sh.entry_cert().clone();
+    ///         sh.emit(HrSend::NextSuspicion, sh.round() + 1, cert);
+    ///     }
+    /// #     fn on_vote(&mut self, _: ProcessId, _: Certified<'_>, _: &mut Shell<'_, '_, HrSend>) -> Step {
+    /// #         Step::Stay
+    /// #     }
+    /// #     fn awaits_coordinator(&self, _: &Shell<'_, '_, HrSend>) -> bool {
+    /// #         false
+    /// #     }
+    /// #     fn on_suspicion(&mut self, _: &mut Shell<'_, '_, HrSend>) -> Step {
+    /// #         Step::Stay
+    /// #     }
+    /// # }
+    /// ```
+    ///
+    /// So is emitting a kind instead of an obligation — here a `CURRENT`
+    /// where the suspicion row says `NEXT`:
+    ///
+    /// ```compile_fail
+    /// # use ftm_certify::{Certified, ProtocolId};
+    /// # use ftm_core::byzantine::{HrSend, Rounds, Shell, Step, Vote};
+    /// # use ftm_sim::ProcessId;
+    /// # #[derive(Debug, Default)]
+    /// # struct Impatient;
+    /// # impl Rounds for Impatient {
+    /// #     const ID: ProtocolId = ProtocolId::HurfinRaynal;
+    /// #     type Send = HrSend;
+    ///     fn open_round(&mut self, sh: &mut Shell<'_, '_, HrSend>) {
+    ///         let cert = sh.entry_cert().clone();
+    ///         sh.emit(Vote::Current, cert);
+    ///     }
+    /// #     fn on_vote(&mut self, _: ProcessId, _: Certified<'_>, _: &mut Shell<'_, '_, HrSend>) -> Step {
+    /// #         Step::Stay
+    /// #     }
+    /// #     fn awaits_coordinator(&self, _: &Shell<'_, '_, HrSend>) -> bool {
+    /// #         false
+    /// #     }
+    /// #     fn on_suspicion(&mut self, _: &mut Shell<'_, '_, HrSend>) -> Step {
+    /// #         Step::Stay
+    /// #     }
+    /// # }
+    /// ```
+    pub fn emit(&mut self, ob: S, cert: Certificate) -> SignedCore {
+        let st = &mut *self.state;
+        let core = ob.kind().core(st.r, &st.est_vect, st.adopted_in);
+        st.broadcast(ob.id(), core, cert, self.ctx)
+    }
+}
+
+/// One process of a transformed protocol: the shell around the round
+/// module `R`.
+///
+/// # Example
+///
+/// ```
+/// use ftm_core::byzantine::{ByzantineChandraToueg, ByzantineConsensus};
+/// use ftm_core::config::ProtocolConfig;
+/// use ftm_sim::{SimConfig, Simulation};
+///
+/// let setup = ProtocolConfig::new(4, 1).setup();
+/// let hr = Simulation::build_boxed(SimConfig::new(4).seed(3), |id| {
+///     Box::new(ByzantineConsensus::new(&setup, id, id.0 as u64))
+/// })
+/// .run();
+/// assert!(hr.all_decided());
+/// let ct = Simulation::build_boxed(SimConfig::new(4).seed(3), |id| {
+///     Box::new(ByzantineChandraToueg::new(&setup, id, id.0 as u64))
+/// })
+/// .run();
+/// assert!(ct.all_decided());
+/// ```
+#[derive(Debug)]
+pub struct Transformed<R: Rounds> {
+    state: RoundState,
+    rounds: R,
+    value: Value,
+    stack: ModuleStack,
+    poll_interval: Duration,
+    /// Lines 4–9: collects `n − F` INITs. `None` once the round loop
+    /// (lines 10–32) runs.
+    init_phase: Option<VectorBuilder>,
+    /// Admitted votes for rounds not yet entered (footnote 5).
+    buffered: Vec<(ProcessId, Certified<'static>)>,
+    decided: bool,
+    /// The decide-vote quorum this decision rests on, kept after halting
+    /// so the log layer can compact it into a checkpoint
+    /// (see `ftm_certify::checkpoint`).
+    decide_evidence: Option<Certificate>,
+}
+
+impl<R: Rounds> Transformed<R> {
+    /// Creates a process proposing `value`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `me` has no key pair in `setup`.
+    pub fn new(setup: &ProtocolSetup, me: ProcessId, value: Value) -> Self {
+        let res = setup.resilience;
+        let ids = R::Send::ALL.iter().map(|s| s.id());
+        Transformed {
+            state: RoundState {
+                res,
+                me,
+                keys: setup.keys[me.index()].clone(),
+                r: 0,
+                est_vect: ValueVector::empty(res.n()),
+                est_cert: Certificate::new(),
+                adopted_in: 0,
+                entry_cert: Certificate::new(),
+                discharged: std::iter::once(INIT_BROADCAST)
+                    .chain(ids)
+                    .chain([DECIDE_ANNOUNCE])
+                    .map(|id| (id, 0))
+                    .collect(),
+            },
+            rounds: R::default(),
+            value,
+            stack: ModuleStack::for_setup(R::ID, setup),
+            poll_interval: setup.config.poll_interval,
+            init_phase: Some(VectorBuilder::new(res.n(), res.f())),
+            buffered: Vec::new(),
+            decided: false,
+            decide_evidence: None,
+        }
+    }
+
+    /// Read access to the module stack (evidence logs, detector state).
+    pub fn stack(&self) -> &ModuleStack {
+        &self.stack
+    }
+
+    /// The decide-vote quorum backing this process's decision, once
+    /// decided.
+    pub fn decide_evidence(&self) -> Option<&Certificate> {
+        self.decide_evidence.as_ref()
+    }
+
+    /// How many sends this process has made per send obligation, keyed by
+    /// spec id in `ProtocolSpec::sends` order. Every send is counted:
+    /// there is one send path.
+    pub fn discharged(&self) -> &[(&'static str, u32)] {
+        &self.state.discharged
+    }
+
+    fn follow(&mut self, step: Step, ctx: &mut Context<'_, Envelope, ValueVector>) {
+        match step {
+            Step::Stay => {}
+            Step::NextRound(quorum) => self.begin_round(quorum, ctx),
+            Step::Decide(vector, cert) => self.decide(self.state.r, vector, cert, ctx),
+        }
+    }
+
+    /// Lines 11–13: open round `r + 1`, entered on the evidence `entry`.
+    fn begin_round(&mut self, entry: Certificate, ctx: &mut Context<'_, Envelope, ValueVector>) {
+        self.state.entry_cert = entry;
+        self.state.r += 1;
+        self.stack.enter_round(self.state.r, ctx.now());
+        ctx.note(format!("round={}", self.state.r));
+        // Per-round stack snapshot: the harness keeps the *last* note per
+        // process, so churn under adverse networks is visible even when
+        // the run never decides.
+        ctx.note(self.stack.stats_note());
+        self.rounds
+            .open_round(&mut Shell::new(&mut self.state, ctx));
+        self.drain_buffer(ctx);
+    }
+
+    fn drain_buffer(&mut self, ctx: &mut Context<'_, Envelope, ValueVector>) {
+        while !self.decided {
+            let r = self.state.r;
+            let Some(pos) = self.buffered.iter().position(|(_, env)| env.round() == r) else {
+                return;
+            };
+            let (from, env) = self.buffered.remove(pos);
+            self.handle_admitted(from, env, ctx);
+        }
+    }
+
+    /// Lines 20–21 and 2–3: decide, announce, stop.
+    fn decide(
+        &mut self,
+        round: Round,
+        vector: ValueVector,
+        cert: Certificate,
+        ctx: &mut Context<'_, Envelope, ValueVector>,
+    ) {
+        self.decided = true;
+        self.decide_evidence = Some(cert.clone());
+        let core = Core::Decide {
+            round,
+            vector: vector.clone(),
+        };
+        self.state.broadcast(DECIDE_ANNOUNCE, core, cert, ctx);
+        // Final per-layer receive-side tally, in note form so trace
+        // consumers (the sweep harness) can collect it without reaching
+        // into actor state.
+        ctx.note(self.stack.stats_note());
+        ctx.decide(vector);
+        ctx.halt();
+    }
+
+    fn handle_admitted(
+        &mut self,
+        from: ProcessId,
+        env: Certified<'_>,
+        ctx: &mut Context<'_, Envelope, ValueVector>,
+    ) {
+        match env.core() {
+            Core::Init { .. } => {
+                let Some(mut builder) = self.init_phase.take() else {
+                    return; // late INIT beyond the n − F we waited for
+                };
+                builder.absorb(&env);
+                if !builder.complete() {
+                    self.init_phase = Some(builder);
+                    return;
+                }
+                // Lines 6–9 exit: the certified vector is ready.
+                (self.state.est_vect, self.state.est_cert) = builder.finish();
+                ctx.note(format!("vector-certified vect={:?}", self.state.est_vect));
+                self.begin_round(Certificate::new(), ctx);
+            }
+            Core::Decide { round, vector } => {
+                // Lines 2–3: relay with the same certificate and decide.
+                self.decide(*round, vector.clone(), env.cert.clone(), ctx);
+            }
+            Core::Checkpoint { .. } => {
+                // Log-layer compaction metadata: valid (the analyzer
+                // audited its quorum), but a single consensus instance has
+                // nothing to do with it — slot retention is the
+                // `ReplicatedLog`'s business.
+            }
+            vote => {
+                let round = vote.round();
+                if self.init_phase.is_some() || round > self.state.r {
+                    self.buffered.push((from, env.into_owned()));
+                } else if round == self.state.r {
+                    let step =
+                        self.rounds
+                            .on_vote(from, env, &mut Shell::new(&mut self.state, ctx));
+                    self.follow(step, ctx);
+                } // else: a stale vote, discarded (footnote 5)
+            }
+        }
+    }
+}
+
+impl<R: Rounds> Actor for Transformed<R> {
+    type Msg = Envelope;
+    type Decision = ValueVector;
+
+    fn on_start(&mut self, ctx: &mut Context<'_, Envelope, ValueVector>) {
+        // Line 5: broadcast the signed proposal with an empty certificate.
+        let core = Core::Init { value: self.value };
+        self.state
+            .broadcast(INIT_BROADCAST, core, Certificate::new(), ctx);
+        ctx.set_timer(self.poll_interval, POLL_TIMER);
+    }
+
+    fn on_message(
+        &mut self,
+        from: ProcessId,
+        env: &Envelope,
+        ctx: &mut Context<'_, Envelope, ValueVector>,
+    ) {
+        if self.decided {
+            return;
+        }
+        // The receive path of Fig. 1: signature → muteness → non-muteness.
+        if let Some(env) = self.stack.receive(from, env, ctx) {
+            self.handle_admitted(from, env, ctx);
+        }
+    }
+
+    fn on_timer(&mut self, _tag: TimerTag, ctx: &mut Context<'_, Envelope, ValueVector>) {
+        if self.decided {
+            return;
+        }
+        // Lines 22–25: upon p_c ∈ (suspected ∪ faulty) while waiting on it.
+        if self.init_phase.is_none()
+            && self
+                .rounds
+                .awaits_coordinator(&Shell::new(&mut self.state, ctx))
+        {
+            let coord = self.state.coordinator();
+            if self.stack.suspected_or_faulty(coord, ctx.now()) {
+                ctx.note(format!("suspect={} r={}", coord, self.state.r));
+                let step = self
+                    .rounds
+                    .on_suspicion(&mut Shell::new(&mut self.state, ctx));
+                self.follow(step, ctx);
+            }
+        }
+        ctx.set_timer(self.poll_interval, POLL_TIMER);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    use super::*;
+    use crate::byzantine::{ChandraToueg, HurfinRaynal};
+    use crate::config::ProtocolConfig;
+    use crate::spec::{obligations_for, ProtocolSpec};
+    use ftm_sim::{RunReport, SimConfig, Simulation, VirtualTime};
+
+    /// Per-process discharge counts, in `Transformed::discharged` order.
+    type Tally = Rc<RefCell<Vec<Vec<u32>>>>;
+
+    /// Forwards to the wrapped process and publishes its discharge counts
+    /// after every callback (the simulator owns the actors for the run).
+    struct Probe<R: Rounds> {
+        inner: Transformed<R>,
+        tally: Tally,
+    }
+
+    impl<R: Rounds> Probe<R> {
+        fn publish(&self) {
+            self.tally.borrow_mut()[self.inner.state.me.index()] =
+                self.inner.discharged().iter().map(|(_, c)| *c).collect();
+        }
+    }
+
+    impl<R: Rounds> Actor for Probe<R> {
+        type Msg = Envelope;
+        type Decision = ValueVector;
+
+        fn on_start(&mut self, ctx: &mut Context<'_, Envelope, ValueVector>) {
+            self.inner.on_start(ctx);
+            self.publish();
+        }
+
+        fn on_message(
+            &mut self,
+            from: ProcessId,
+            env: &Envelope,
+            ctx: &mut Context<'_, Envelope, ValueVector>,
+        ) {
+            self.inner.on_message(from, env, ctx);
+            self.publish();
+        }
+
+        fn on_timer(&mut self, tag: TimerTag, ctx: &mut Context<'_, Envelope, ValueVector>) {
+            self.inner.on_timer(tag, ctx);
+            self.publish();
+        }
+    }
+
+    /// One run of protocol `R`; returns the report and the discharges per
+    /// spec id summed over all processes.
+    fn run_with<R: Rounds + 'static>(
+        protocol: ProtocolConfig,
+        cfg: SimConfig,
+    ) -> (RunReport<ValueVector>, Vec<u32>) {
+        let setup = protocol.setup();
+        let tally: Tally = Rc::new(RefCell::new(vec![Vec::new(); cfg.n]));
+        let report = Simulation::build_boxed(cfg, |id| {
+            Box::new(Probe {
+                inner: Transformed::<R>::new(&setup, id, 100 + id.0 as u64),
+                tally: Rc::clone(&tally),
+            })
+        })
+        .run();
+        let rows = tally.borrow();
+        let width = R::Send::ALL.len() + 2;
+        let sums = (0..width)
+            .map(|k| rows.iter().filter_map(|row| row.get(k)).sum())
+            .collect();
+        (report, sums)
+    }
+
+    /// `n` processes with default timing, `crashes` as `(process, time)`.
+    fn run<R: Rounds + 'static>(
+        n: usize,
+        f: usize,
+        seed: u64,
+        crashes: &[(usize, u64)],
+    ) -> (RunReport<ValueVector>, Vec<u32>) {
+        let mut cfg = SimConfig::new(n).seed(seed);
+        for &(p, t) in crashes {
+            cfg = cfg.crash(p, VirtualTime::at(t));
+        }
+        run_with::<R>(ProtocolConfig::new(n, f).seed(seed), cfg)
+    }
+
+    type Run = fn(usize, usize, u64, &[(usize, u64)]) -> (RunReport<ValueVector>, Vec<u32>);
+    const BOTH: [Run; 2] = [run::<HurfinRaynal>, run::<ChandraToueg>];
+
+    #[test]
+    fn all_honest_processes_decide_the_same_vector() {
+        for run in BOTH {
+            let (report, _) = run(4, 1, 1, &[]);
+            assert!(report.all_decided(), "stop={:?}", report.stop);
+            let vect = report.unanimous().expect("agreement");
+            assert!(vect.non_null_count() >= 3);
+            // Every entry present matches the proposer's value.
+            for (k, v) in vect.iter_set() {
+                assert_eq!(v, 100 + k as u64);
+            }
+        }
+    }
+
+    #[test]
+    fn agreement_across_seeds() {
+        for run in BOTH {
+            for seed in 0..15 {
+                let (report, _) = run(4, 1, seed, &[]);
+                assert!(report.all_decided(), "seed {seed} stop={:?}", report.stop);
+                assert!(report.unanimous().is_some(), "seed {seed}");
+                assert!(report.contradictions.is_empty(), "seed {seed}");
+            }
+        }
+    }
+
+    #[test]
+    fn crash_of_coordinator_is_survived() {
+        // A crash is one legal arbitrary behavior; p0 coordinates round 1,
+        // so its muteness forces a NEXT (HR) / NACK (CT) round.
+        for run in BOTH {
+            let (report, _) = run(4, 1, 7, &[(0, 0)]);
+            assert!(report.all_decided(), "stop={:?}", report.stop);
+            let vect = report.unanimous().expect("agreement among survivors");
+            // p0 proposed nothing (crashed at start): its entry must be null
+            // in any vector the survivors certified.
+            assert_eq!(vect.get(0), None);
+            assert!(vect.non_null_count() >= 3);
+        }
+    }
+
+    #[test]
+    fn crash_mid_protocol_is_survived() {
+        for run in BOTH {
+            for seed in 0..10 {
+                let (report, _) = run(5, 2, seed, &[(1, 60)]);
+                assert!(report.all_decided(), "seed {seed} stop={:?}", report.stop);
+                assert!(report.unanimous().is_some(), "seed {seed}");
+            }
+        }
+    }
+
+    #[test]
+    fn larger_system_still_decides() {
+        for run in BOTH {
+            let (report, _) = run(7, 3, 2, &[]);
+            assert!(report.all_decided(), "stop={:?}", report.stop);
+            let vect = report.unanimous().expect("agreement");
+            assert!(vect.non_null_count() >= 4); // n − F
+        }
+    }
+
+    #[test]
+    fn no_honest_process_is_ever_convicted() {
+        for run in BOTH {
+            let (report, _) = run(5, 2, 3, &[]);
+            assert!(report.all_decided());
+            // No "detected=" notes: the non-muteness module stayed silent.
+            for p in 0..5u32 {
+                let notes = report.trace.notes_of(ProcessId(p));
+                assert!(
+                    notes.iter().all(|n| !n.starts_with("detected=")),
+                    "p{p} convicted someone in an all-honest run: {notes:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn three_processes_one_fault_works() {
+        // Minimal configuration: n = 3, F = 1, ψ = 1.
+        for run in BOTH {
+            let (report, _) = run(3, 1, 4, &[(2, 0)]);
+            assert!(report.all_decided(), "stop={:?}", report.stop);
+            let vect = report.unanimous().expect("agreement");
+            assert!(vect.non_null_count() >= 2);
+        }
+    }
+
+    /// The spec ids `Transformed<R>` counts discharges under.
+    fn ids<R: Rounds>() -> Vec<&'static str> {
+        let setup = ProtocolConfig::new(3, 1).setup();
+        let p = Transformed::<R>::new(&setup, ProcessId(0), 0);
+        p.discharged().iter().map(|(id, _)| *id).collect()
+    }
+
+    /// The send-id type, `spec.sends` and the §5 obligation table name the
+    /// same sends, in the same order, with the same kinds.
+    fn send_ids_are_the_spec_table<R: Rounds>() {
+        let spec = ProtocolSpec::transformed_for(R::ID);
+        let ids = ids::<R>();
+        let spec_ids: Vec<&str> = spec.sends.iter().map(|s| s.id).collect();
+        assert_eq!(ids, spec_ids);
+        let obligations: Vec<&str> = std::iter::once(INIT_BROADCAST)
+            .chain(obligations_for(R::ID).iter().map(|(id, _)| *id))
+            .collect();
+        assert_eq!(ids, obligations);
+
+        let kind_of = |id: &str| spec.send(id).map(|row| row.kind);
+        assert_eq!(kind_of(INIT_BROADCAST), spec.opening);
+        assert_eq!(kind_of(DECIDE_ANNOUNCE), Some(spec.terminal));
+        for ob in R::Send::ALL {
+            let kind = ob.kind().core(1, &ValueVector::empty(3), 0).kind();
+            assert_eq!(Some(kind), kind_of(ob.id()), "{ob:?}");
+            assert!(spec.slot_of(kind).is_some(), "{ob:?} is not a round vote");
+        }
+    }
+
+    #[test]
+    fn send_ids_are_the_spec_table_for_both_protocols() {
+        send_ids_are_the_spec_table::<HurfinRaynal>();
+        send_ids_are_the_spec_table::<ChandraToueg>();
+    }
+
+    /// Over a fixed input set — the runs above (all honest, crashed
+    /// round-1 coordinator, mid-protocol crash) plus a muteness timeout
+    /// inside the network's delay range, which splits rounds between
+    /// processes that saw the coordinator's vote and processes that gave
+    /// up on it (HR's change-mind and end-of-round only fire then) — every
+    /// send obligation of the spec is discharged at least once, and every
+    /// message on the wire was counted against one: there is no other
+    /// send path.
+    fn every_obligation_is_discharged<R: Rounds + 'static>() {
+        let mut total = vec![0u32; R::Send::ALL.len() + 2];
+        let mut tally = |(report, sums): (RunReport<ValueVector>, Vec<u32>)| {
+            let sent: u32 = sums.iter().sum();
+            let n = report.decisions.len() as u64;
+            assert_eq!(
+                u64::from(sent) * n,
+                report.metrics.messages_sent,
+                "a send bypassed the emit path"
+            );
+            for (t, s) in total.iter_mut().zip(sums) {
+                *t += s;
+            }
+        };
+        for seed in 0..15 {
+            tally(run::<R>(4, 1, seed, &[]));
+        }
+        tally(run::<R>(4, 1, 7, &[(0, 0)]));
+        tally(run::<R>(3, 1, 4, &[(2, 0)]));
+        for seed in 0..10 {
+            tally(run::<R>(5, 2, seed, &[(1, 60)]));
+        }
+        for seed in 0..4 {
+            let hasty = ProtocolConfig::new(4, 1)
+                .seed(seed)
+                .muteness_timeout(Duration::of(60));
+            let slow = SimConfig::new(4)
+                .seed(seed)
+                .delay_range(Duration::of(5), Duration::of(90))
+                .gst(VirtualTime::at(4_000), Duration::of(15));
+            tally(run_with::<R>(hasty, slow));
+        }
+        let never: Vec<&str> = ids::<R>()
+            .into_iter()
+            .zip(&total)
+            .filter(|(_, count)| **count == 0)
+            .map(|(id, _)| id)
+            .collect();
+        assert!(never.is_empty(), "never discharged: {never:?} of {total:?}");
+    }
+
+    #[test]
+    fn every_hurfin_raynal_obligation_is_discharged() {
+        every_obligation_is_discharged::<HurfinRaynal>();
+    }
+
+    #[test]
+    fn every_chandra_toueg_obligation_is_discharged() {
+        every_obligation_is_discharged::<ChandraToueg>();
+    }
+}

@@ -47,16 +47,6 @@ impl Entry {
 
 /// Parses allowlist text against the D1–D7 lint vocabulary.
 pub fn parse(text: &str) -> Result<Vec<Entry>, String> {
-    parse_with(text, &LINT_IDS)
-}
-
-/// Parses allowlist text, validating lint ids against `valid_ids`.
-///
-/// The allowlist grammar is shared analysis infrastructure: `ftm-flow`
-/// reuses it with its own finding vocabulary (`F2`) by calling this
-/// entry point directly, so both analyzers get mandatory justifications
-/// and stale-entry failure from one implementation.
-pub fn parse_with(text: &str, valid_ids: &[&str]) -> Result<Vec<Entry>, String> {
     let mut entries = Vec::new();
     for (idx, raw) in text.lines().enumerate() {
         let lineno = idx + 1;
@@ -75,7 +65,7 @@ pub fn parse_with(text: &str, valid_ids: &[&str]) -> Result<Vec<Entry>, String> 
         let lint = parts
             .next()
             .ok_or_else(|| format!("allowlist line {lineno}: missing lint id"))?;
-        if !valid_ids.contains(&lint) {
+        if !LINT_IDS.contains(&lint) {
             return Err(format!("allowlist line {lineno}: unknown lint `{lint}`"));
         }
         let file = parts
@@ -175,14 +165,6 @@ mod tests {
         assert!(parse("D6 crates/x.rs 1\n").is_err());
         assert!(parse("D6 crates/x.rs 1 #   \n").is_err());
         assert!(parse("D9 crates/x.rs # nope\n").is_err());
-    }
-
-    #[test]
-    fn parse_with_accepts_a_custom_vocabulary() {
-        let entries = parse_with("F2 crates/x.rs 9 # audited path\n", &["F2"]).unwrap();
-        assert_eq!(entries[0].lint, "F2");
-        assert!(parse_with("D1 crates/x.rs # wrong vocab\n", &["F2"]).is_err());
-        assert!(parse("F2 crates/x.rs # wrong vocab\n").is_err());
     }
 
     #[test]

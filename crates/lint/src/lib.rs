@@ -9,8 +9,8 @@
 //! - **D1** — no `f32`/`f64` (types or literals) outside the bench timing
 //!   module. Report arithmetic is integer tenths/ratios.
 //! - **D2** — no `HashMap`/`HashSet` in report-feeding crates (`sim`,
-//!   `faults`, `certify`, `detect`, `verify`, `flow`); use B-tree
-//!   collections so iteration order is defined.
+//!   `faults`, `certify`, `detect`, `verify`); use B-tree collections so
+//!   iteration order is defined.
 //! - **D3** — no `Instant`/`SystemTime` outside bench timing; simulation
 //!   time is `VirtualTime`.
 //! - **D4** — no raw `std::thread` spawning outside `ftm_sim::harness`;
@@ -31,12 +31,6 @@
 //! dependencies beyond the workspace's own JSON document model. Findings
 //! can be waived through a justified [`allowlist`]; stale waivers fail the
 //! run. `ftm-lint --json` emits a byte-stable report ([`report`]).
-//!
-//! The [`lexer`] and [`allowlist`] modules double as shared analysis
-//! infrastructure: `ftm-flow` (the AST-level dataflow analyzer) builds its
-//! parser on this crate's token stream and reuses the allowlist grammar
-//! via [`allowlist::parse_with`], so the workspace compiles exactly one
-//! lexer and one waiver format.
 
 pub mod allowlist;
 pub mod engine;
@@ -44,9 +38,7 @@ pub mod lexer;
 pub mod report;
 pub mod rules;
 
-pub use allowlist::{
-    apply, parse as parse_allowlist, parse_with as parse_allowlist_with, Applied, Entry,
-};
+pub use allowlist::{apply, parse as parse_allowlist, Applied, Entry};
 pub use engine::{check_source, scan_workspace, Scan};
 pub use report::LintReport;
 pub use rules::{Finding, LINT_IDS};

@@ -51,13 +51,12 @@ const NET_CLOCK: &str = "crates/net/src/clock.rs";
 /// `spawn_node` handles.
 const NET_HARNESS: &str = "crates/net/src/cluster.rs";
 /// Crates whose data feeds byte-stable reports (D2 scope).
-const REPORT_FEEDING: [&str; 8] = [
+const REPORT_FEEDING: [&str; 7] = [
     "crates/sim/",
     "crates/faults/",
     "crates/certify/",
     "crates/detect/",
     "crates/verify/",
-    "crates/flow/",
     "crates/net/",
     "crates/serve/",
 ];

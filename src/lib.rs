@@ -127,6 +127,68 @@
 //! # let msg = SlotMsg { slot: 4, env: make_checkpoint(hr, 4, &vect, quorum, ProcessId(1), &keys[1]) };
 //! assert_eq!(checkpoint_vector(hr, 2, &msg.env), Some(vect));
 //! ```
+//!
+//! # Send conformance is a type
+//!
+//! The transformed protocols are one generic shell,
+//! [`core::byzantine::Transformed`], around a protocol-specific
+//! [`core::byzantine::Rounds`] module. The shell owns the runtime's
+//! effect handle; a round module speaks only through
+//! [`core::byzantine::Shell::emit`], which takes one of its protocol's
+//! declared send obligations and derives kind, round and routing itself:
+//!
+//! ```
+//! use ft_modular::certify::{Certified, Envelope, ProtocolId};
+//! use ft_modular::core::byzantine::{HrSend, Rounds, Shell, Step};
+//! use ft_modular::sim::ProcessId;
+//!
+//! #[derive(Debug, Default)]
+//! struct Parrot;
+//!
+//! impl Rounds for Parrot {
+//!     const ID: ProtocolId = ProtocolId::HurfinRaynal;
+//!     type Send = HrSend;
+//!
+//!     fn open_round(&mut self, _: &mut Shell<'_, '_, HrSend>) {}
+//!     fn on_vote(&mut self, _: ProcessId, env: Certified<'_>, sh: &mut Shell<'_, '_, HrSend>) -> Step {
+//!         sh.emit(HrSend::CurrentRelay, env.cert.clone());
+//!         Step::Stay
+//!     }
+//!     fn awaits_coordinator(&self, _: &Shell<'_, '_, HrSend>) -> bool {
+//!         false
+//!     }
+//!     fn on_suspicion(&mut self, _: &mut Shell<'_, '_, HrSend>) -> Step {
+//!         Step::Stay
+//!     }
+//! }
+//! ```
+//!
+//! Reach past `emit` for the effect handle — to echo the received
+//! envelope as is, or to one process only — and the same module is
+//! rejected by rustc (only the first line of `on_vote` differs):
+//!
+//! ```compile_fail
+//! # use ft_modular::certify::{Certified, Envelope, ProtocolId};
+//! # use ft_modular::core::byzantine::{HrSend, Rounds, Shell, Step};
+//! # use ft_modular::sim::ProcessId;
+//! # #[derive(Debug, Default)]
+//! # struct Parrot;
+//! # impl Rounds for Parrot {
+//! #     const ID: ProtocolId = ProtocolId::HurfinRaynal;
+//! #     type Send = HrSend;
+//! #     fn open_round(&mut self, _: &mut Shell<'_, '_, HrSend>) {}
+//!     fn on_vote(&mut self, _: ProcessId, env: Certified<'_>, sh: &mut Shell<'_, '_, HrSend>) -> Step {
+//!         sh.ctx.broadcast(Envelope::clone(&env));
+//!         Step::Stay
+//!     }
+//! #     fn awaits_coordinator(&self, _: &Shell<'_, '_, HrSend>) -> bool {
+//! #         false
+//! #     }
+//! #     fn on_suspicion(&mut self, _: &mut Shell<'_, '_, HrSend>) -> Step {
+//! #         Step::Stay
+//! #     }
+//! # }
+//! ```
 
 pub use ftm_certify as certify;
 pub use ftm_core as core;
