@@ -178,13 +178,13 @@ pub fn first_detection(report: &RunReport<ValueVector>) -> Option<u64> {
 
 /// Number of distinct correct observers that convicted `culprit`.
 pub fn observers_convicting(report: &RunReport<ValueVector>, culprit: u32) -> usize {
-    use std::collections::HashSet;
+    use std::collections::BTreeSet;
     let name = format!("p{culprit}");
     ftm_core::validator::detections(&report.trace)
         .iter()
         .filter(|d| d.culprit == name && d.observer != ProcessId(culprit))
         .map(|d| d.observer)
-        .collect::<HashSet<_>>()
+        .collect::<BTreeSet<_>>()
         .len()
 }
 

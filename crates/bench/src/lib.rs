@@ -19,3 +19,5 @@ pub mod timing;
 pub mod transport;
 
 pub use report::Table;
+
+include!("../../../clippy_canaries.rs"); // D1–D4 ban canaries, DESIGN.md §13

@@ -25,6 +25,9 @@
 //! this is what makes the certification module *reliable* — no process can
 //! fabricate or tamper with certificate contents without being detected.
 
+// D7 (DESIGN.md §13): a truncated count is silently a wrong threshold.
+#![deny(clippy::cast_possible_truncation)]
+
 use ftm_crypto::keydir::KeyDirectory;
 use ftm_sim::ProcessId;
 

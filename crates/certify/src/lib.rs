@@ -31,6 +31,9 @@
 //! rules (paper §5.1) turn those statements into evidence for values,
 //! round numbers and send conditions.
 
+// D6 (DESIGN.md §13): a Byzantine sender must not be able to crash a replica.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod analyzer;
 pub mod certificate;
 pub mod certified;
@@ -48,3 +51,5 @@ pub use checkpoint::{checkpoint_digest, checkpoint_vector, decide_vote_kind, mak
 pub use error::{CertifyError, FaultClass};
 pub use message::{Core, MessageCore, MessageKind, ProtocolId, Round, Value, ValueVector};
 pub use signed::{Envelope, SignedCore};
+
+include!("../../../clippy_canaries.rs"); // D1–D4 ban canaries, DESIGN.md §13

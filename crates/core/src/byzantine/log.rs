@@ -125,6 +125,9 @@ pub struct ReplicatedLog<P: TransformedProtocol = ByzantineConsensus> {
     retention: Retention,
     /// Per-slot decide-vote certificates ([`Retention::Full`] only).
     evidence: Vec<(u64, Certificate)>,
+    /// Running `size_bytes` total of `evidence`, kept by `retain` so the
+    /// per-slot note does not re-sum every retained slot.
+    evidence_bytes: usize,
     /// The latest checkpoint envelope ([`Retention::Checkpoint`] only).
     checkpoint: Option<Certified<'static>>,
     /// Audits locally formed checkpoints before they replace evidence,
@@ -215,6 +218,7 @@ impl<P: TransformedProtocol> ReplicatedLog<P> {
             done: false,
             retention: Retention::Full,
             evidence: Vec::new(),
+            evidence_bytes: 0,
             checkpoint: None,
             checker: CertChecker::new_for(P::ID, res.n(), res.f(), setup.dir.clone()),
             slot_hook: None,
@@ -279,11 +283,7 @@ impl<P: TransformedProtocol> ReplicatedLog<P> {
     /// latest checkpoint envelope under [`Retention::Checkpoint`].
     pub fn retained_bytes(&self) -> usize {
         match self.retention {
-            Retention::Full => self
-                .evidence
-                .iter()
-                .map(|(_, cert)| cert.size_bytes())
-                .sum(),
+            Retention::Full => self.evidence_bytes,
             Retention::Checkpoint => self.checkpoint().map_or(0, Envelope::size_bytes),
         }
     }
@@ -311,6 +311,7 @@ impl<P: TransformedProtocol> ReplicatedLog<P> {
         };
         match self.retention {
             Retention::Full => {
+                self.evidence_bytes += cert.size_bytes();
                 self.evidence.push((slot, cert.clone()));
                 ctx.note(format!(
                     "evidence slot={slot} bytes={}",
@@ -807,6 +808,63 @@ mod tests {
             spread * 4 < *flat.iter().max().unwrap(),
             "compacted bytes should be slot-independent: {flat:?}"
         );
+    }
+
+    /// Delegates to a full-retention log and, after every callback,
+    /// recomputes the evidence sum the running total stands in for.
+    struct AuditedBytes<P: TransformedProtocol>(ReplicatedLog<P>);
+
+    impl<P: TransformedProtocol> AuditedBytes<P> {
+        fn audit(&self) {
+            let recomputed: usize = self.0.evidence.iter().map(|(_, c)| c.size_bytes()).sum();
+            assert_eq!(self.0.retained_bytes(), recomputed);
+        }
+    }
+
+    impl<P: TransformedProtocol> Actor for AuditedBytes<P> {
+        type Msg = SlotMsg;
+        type Decision = Vec<ValueVector>;
+
+        fn on_start(&mut self, ctx: &mut Context<'_, SlotMsg, Vec<ValueVector>>) {
+            self.0.on_start(ctx);
+            self.audit();
+        }
+
+        fn on_message(
+            &mut self,
+            from: ProcessId,
+            msg: &SlotMsg,
+            ctx: &mut Context<'_, SlotMsg, Vec<ValueVector>>,
+        ) {
+            self.0.on_message(from, msg, ctx);
+            self.audit();
+        }
+
+        fn on_timer(&mut self, tag: TimerTag, ctx: &mut Context<'_, SlotMsg, Vec<ValueVector>>) {
+            self.0.on_timer(tag, ctx);
+            self.audit();
+        }
+    }
+
+    #[test]
+    fn running_evidence_total_equals_the_recomputed_sum_after_every_slot() {
+        fn run<P: TransformedProtocol + 'static>() {
+            let slots = 4;
+            let setup = ProtocolConfig::new(4, 1).seed(11).setup();
+            let report = Simulation::build_boxed(SimConfig::new(4).seed(11), |id| {
+                Box::new(AuditedBytes(ReplicatedLog::<P>::new(
+                    &setup, id, slots, cmd,
+                )))
+            })
+            .run();
+            check_log_consistency(&report.decisions, &report.crashed, 3).expect("consistent log");
+            assert_eq!(
+                retained_series(&report, "evidence slot=").len() as u64,
+                slots
+            );
+        }
+        run::<ByzantineConsensus>();
+        run::<crate::byzantine::ByzantineChandraToueg>();
     }
 
     #[test]

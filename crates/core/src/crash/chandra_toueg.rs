@@ -19,7 +19,7 @@
 //!    broadcasts DECIDE; everyone relays and decides (the relay is the
 //!    reliable-broadcast echo that keeps Agreement across crashes).
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 use ftm_certify::{Round, Value};
 use ftm_fd::FailureDetector;
@@ -140,8 +140,8 @@ pub struct ChandraToueg<FD> {
     phase: Phase,
     // Coordinator bookkeeping.
     estimates: Vec<(ProcessId, Value, Round)>,
-    acks: HashSet<ProcessId>,
-    nacks: HashSet<ProcessId>,
+    acks: BTreeSet<ProcessId>,
+    nacks: BTreeSet<ProcessId>,
     fd: FD,
     poll_interval: ftm_sim::Duration,
     heartbeat_interval: Option<ftm_sim::Duration>,
@@ -167,8 +167,8 @@ impl<FD: FailureDetector> ChandraToueg<FD> {
             ts: 0,
             phase: Phase::Start,
             estimates: Vec::new(),
-            acks: HashSet::new(),
-            nacks: HashSet::new(),
+            acks: BTreeSet::new(),
+            nacks: BTreeSet::new(),
             fd,
             poll_interval,
             heartbeat_interval,

@@ -12,7 +12,7 @@
 //!
 //! Line-number comments reference Fig. 2.
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 use ftm_certify::{Round, Value};
 use ftm_fd::FailureDetector;
@@ -74,7 +74,7 @@ pub struct CrashConsensus<FD> {
     state: State,
     nb_current: usize,
     nb_next: usize,
-    rec_from: HashSet<ProcessId>,
+    rec_from: BTreeSet<ProcessId>,
     // Module plumbing.
     fd: FD,
     poll_interval: ftm_sim::Duration,
@@ -101,7 +101,7 @@ impl<FD: FailureDetector> CrashConsensus<FD> {
             state: State::Q0,
             nb_current: 0,
             nb_next: 0,
-            rec_from: HashSet::new(),
+            rec_from: BTreeSet::new(),
             fd,
             poll_interval,
             heartbeat_interval,

@@ -41,6 +41,9 @@
 //! assert!(vect.non_null_count() >= 3); // at least n − F entries
 //! ```
 
+// D6 (DESIGN.md §13): a Byzantine sender must not be able to crash a replica.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod byzantine;
 pub mod config;
 pub mod crash;
@@ -52,3 +55,5 @@ pub mod validator;
 pub use byzantine::{ByzantineChandraToueg, ByzantineConsensus, TransformedProtocol};
 pub use config::{ProtocolConfig, ProtocolSetup};
 pub use crash::CrashConsensus;
+
+include!("../../../clippy_canaries.rs"); // D1–D4 ban canaries, DESIGN.md §13

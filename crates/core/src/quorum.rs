@@ -5,9 +5,10 @@
 //! crate (the workspace layering puts `ftm-core` above `rbcast` and
 //! `certify`, which also need them) and re-exported here verbatim: this
 //! path is the one the documentation, `ftm-verify`'s exhaustive `quorum`
-//! intersection check, and the `ftm-lint` D5 rule all reference. No other
-//! module in the workspace is allowed to hand-roll `n - f`, `2*f + 1` or
-//! their relatives — D5 flags any that reappear.
+//! intersection check, and rule D5 all reference. No other module in the
+//! protocol crates is allowed to hand-roll `n - f`, `2*f + 1` or their
+//! relatives — D5 (`crates/quorum/tests/discipline.rs`) flags any
+//! that reappear.
 //!
 //! ```
 //! use ftm_core::quorum;
@@ -16,6 +17,9 @@
 //! assert_eq!(quorum::intersection_margin(31, 10), 11);
 //! assert_eq!(quorum::resilience_bound(31, 10), 10);
 //! ```
+
+// D7 (DESIGN.md §13): a truncated count is silently a wrong threshold.
+#![deny(clippy::cast_possible_truncation)]
 
 pub use ftm_quorum::{
     bracha_echo_quorum, bracha_min_n, bracha_ready_quorum, certification_quorum,

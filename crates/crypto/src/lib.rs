@@ -75,3 +75,5 @@ pub use prng::{derive_seed, Rng64, SplitMix64, Xoshiro256PlusPlus};
 pub fn rng_from_seed(seed: u64) -> Xoshiro256PlusPlus {
     Xoshiro256PlusPlus::from_seed(seed)
 }
+
+include!("../../../clippy_canaries.rs"); // D1–D4 ban canaries, DESIGN.md §13

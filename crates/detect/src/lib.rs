@@ -19,9 +19,14 @@
 //! * [`observer`] — the module that owns one automaton per peer plus the
 //!   evidence log; this is what the transformed protocol embeds.
 
+// D6 (DESIGN.md §13): a Byzantine sender must not be able to crash a replica.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 pub mod automaton;
 pub mod observer;
 pub mod predicates;
 
 pub use automaton::{PeerAutomaton, PeerPhase, ProtocolTable, Requirement};
 pub use observer::{FaultRecord, Observer};
+
+include!("../../../clippy_canaries.rs"); // D1–D4 ban canaries, DESIGN.md §13

@@ -35,3 +35,5 @@ pub use scenario::{
 // Re-exported so scenario builders can name network profiles without
 // depending on ftm-sim directly.
 pub use ftm_sim::NetworkProfile;
+
+include!("../../../clippy_canaries.rs"); // D1–D4 ban canaries, DESIGN.md §13

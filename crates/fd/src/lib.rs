@@ -43,3 +43,5 @@ pub use oracle::OracleDetector;
 pub use quiet::QuietDetector;
 pub use suspicion::{FailureDetector, SuspicionChange};
 pub use timeout::TimeoutDetector;
+
+include!("../../../clippy_canaries.rs"); // D1–D4 ban canaries, DESIGN.md §13

@@ -17,7 +17,6 @@ use crate::codec::{read_frame, write_frame, Hello, DEFAULT_MAX_FRAME};
 #[derive(Debug)]
 pub struct ClientConn {
     stream: TcpStream,
-    max_frame: usize,
 }
 
 impl ClientConn {
@@ -30,10 +29,7 @@ impl ClientConn {
         let mut stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         write_frame(&mut stream, &Hello::Client { cluster }.canonical_bytes())?;
-        Ok(ClientConn {
-            stream,
-            max_frame: DEFAULT_MAX_FRAME,
-        })
+        Ok(ClientConn { stream })
     }
 
     /// Sends one request frame and blocks for the reply frame.
@@ -43,6 +39,6 @@ impl ClientConn {
     /// Propagates I/O failures; an oversized reply is `InvalidData`.
     pub fn request(&mut self, payload: &[u8]) -> io::Result<Vec<u8>> {
         write_frame(&mut self.stream, payload)?;
-        read_frame(&mut self.stream, self.max_frame)
+        read_frame(&mut self.stream, DEFAULT_MAX_FRAME)
     }
 }

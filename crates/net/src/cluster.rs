@@ -16,7 +16,7 @@ use std::thread;
 use ftm_crypto::wire::{CanonicalDecode, CanonicalEncode};
 use ftm_runtime::{Payload, ProcessId, SendBoxedActor};
 
-use crate::node::{run_node, run_node_controlled, NetReport, NodeConfig, NodeView, ServiceReply};
+use crate::node::{run_node_controlled, NetReport, NodeConfig, NodeView, ServiceReply};
 
 /// Shape of a loopback cluster run.
 #[derive(Debug, Clone)]
@@ -147,7 +147,7 @@ impl<D> NodeHandle<D> {
 /// The node runs `actor` over `listener` with `service` answering client
 /// frames, until it halts (with [`NodeConfig::exit_on_halt`]), its run
 /// bound trips, or [`NodeHandle::stop`] is called. This is the sanctioned
-/// thread-spawn site for transport tests (`ftm-lint` D4): integration
+/// thread-spawn site for transport tests (rule D4, DESIGN.md §13): integration
 /// tests build kill/restart scenarios from these handles instead of
 /// spawning threads themselves.
 pub fn spawn_node<M, D, S>(
@@ -163,6 +163,10 @@ where
 {
     let stop = Arc::new(AtomicBool::new(false));
     let flag = Arc::clone(&stop);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "D4 sanctioned home: one thread per replica is what a loopback cluster is"
+    )]
     let thread = thread::spawn(move || {
         run_node_controlled(&cfg, listener, actor, service, &flag).map(|(report, _actor)| report)
     });
@@ -199,20 +203,9 @@ where
         node_cfg.exit_on_halt = true;
         node_cfg.run_timeout_ms = cfg.run_timeout_ms;
         node_cfg.delivery_delay_ms = cfg.delivery_delay_ms;
-        let actor = factory(me);
-        handles.push(thread::spawn(move || {
-            run_node(&node_cfg, listener, actor, |_, _, _| {
-                ServiceReply::reply(Vec::new())
-            })
+        handles.push(spawn_node(node_cfg, listener, factory(me), |_, _, _| {
+            ServiceReply::reply(Vec::new())
         }));
     }
-
-    let mut reports = Vec::with_capacity(cfg.n);
-    for handle in handles {
-        let report = handle
-            .join()
-            .map_err(|_| io::Error::other("node thread panicked"))??;
-        reports.push(report);
-    }
-    Ok(reports)
+    handles.into_iter().map(NodeHandle::join).collect()
 }

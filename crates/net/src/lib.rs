@@ -46,10 +46,11 @@
 //! times) vary run to run — see `DESIGN.md` §15 for the precise split,
 //! and the sim/net cross-check test for the properties that must agree.
 //!
-//! This crate is the sanctioned home for wall-clock time (`ftm-lint` D3,
+//! This crate is the sanctioned home for wall-clock time (rule D3,
 //! confined to `clock.rs`) and test-harness thread spawning (D4, confined
-//! to `cluster.rs`) on the transport side; confining both keeps every
-//! other crate simulator-pure.
+//! to `cluster.rs`) on the transport side — each an `#[expect]` against
+//! the workspace ban in `clippy.toml` (DESIGN.md §13); confining both
+//! keeps every other crate simulator-pure.
 
 pub mod backoff;
 pub mod client;
@@ -73,3 +74,5 @@ pub use node::{
     parse_convictions, run_node, run_node_controlled, NetReport, NodeConfig, NodeView, ServiceReply,
 };
 pub use ring::RingBuf;
+
+include!("../../../clippy_canaries.rs"); // D1–D4 ban canaries, DESIGN.md §13

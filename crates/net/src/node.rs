@@ -37,7 +37,7 @@ use ftm_runtime::{
 
 use crate::backoff::Backoff;
 use crate::clock::WallClock;
-use crate::codec::{frame_into, Hello};
+use crate::codec::{frame_into, Hello, DEFAULT_MAX_FRAME};
 use crate::poll::{poll, PollFd, POLLIN};
 use crate::ring::RingBuf;
 
@@ -57,6 +57,11 @@ const PEER_WRITE_CAP: usize = 4 << 20;
 /// oldest queued frames are dropped — the link behaves crash-lossy, which
 /// the protocol already tolerates.
 const PEER_QUEUE_CAP: usize = 16 << 20;
+
+/// Start-barrier deadline (mesh formation). Peer links themselves are
+/// redialed forever (with backoff); this only bounds how long startup
+/// waits for a full mesh.
+const START_BARRIER_DEADLINE_MS: u64 = 10_000;
 
 /// Per-attempt bound on a blocking dial (the loop stalls at most this
 /// long when a peer is dialable but slow to answer).
@@ -80,12 +85,6 @@ pub struct NodeConfig {
     pub seed: u64,
     /// Dial addresses of all `n` replicas, indexed by process id.
     pub peers: Vec<String>,
-    /// Cap on a single inbound frame's payload bytes.
-    pub max_frame: usize,
-    /// Start-barrier deadline in ms (mesh formation). Peer links
-    /// themselves are redialed forever (with backoff); this only bounds
-    /// how long startup waits for a full mesh.
-    pub connect_timeout_ms: u64,
     /// Hard wall-clock bound on the whole run, in ms (safety net; the
     /// node reports `halted: false` if it trips).
     pub run_timeout_ms: u64,
@@ -101,21 +100,21 @@ pub struct NodeConfig {
     /// network).
     pub delivery_delay_ms: u64,
     /// Hold `on_start` until the cluster is fully meshed and every peer
-    /// has confirmed its own mesh (two-phase barrier, bounded by
-    /// [`connect_timeout_ms`](NodeConfig::connect_timeout_ms)). Without
-    /// it, fast replicas can decide early slots before a slow peer's
-    /// connection is even accepted — which is harmless for safety but
-    /// makes first-contact behavior (e.g. detection of a faulty peer's
-    /// very first message) a startup race. On timeout the node starts
-    /// anyway: a crashed peer must not block the cluster forever. A
-    /// replica *rejoining* a running cluster disables this: its peers are
-    /// already past their own barriers.
+    /// has confirmed its own mesh (two-phase barrier, bounded at 10 s).
+    /// Without it, fast replicas can decide early slots before a slow
+    /// peer's connection is even accepted — which is harmless for safety
+    /// but makes first-contact behavior (e.g. detection of a faulty
+    /// peer's very first message) a startup race. On timeout the node
+    /// starts anyway: a crashed peer must not block the cluster forever.
+    /// A replica *rejoining* a running cluster disables this: its peers
+    /// are already past their own barriers.
     pub start_barrier: bool,
 }
 
 impl NodeConfig {
-    /// A config with default tunables: 1 MiB frame cap, 10 s barrier
-    /// deadline, 120 s run bound, keep serving after halt.
+    /// A config with default tunables: 120 s run bound, keep serving
+    /// after halt. The frame cap ([`DEFAULT_MAX_FRAME`]) and the 10 s
+    /// start-barrier deadline are constants, not tunables.
     pub fn new(me: ProcessId, peers: Vec<String>, cluster: u64, seed: u64) -> Self {
         NodeConfig {
             me,
@@ -123,8 +122,6 @@ impl NodeConfig {
             cluster,
             seed,
             peers,
-            max_frame: crate::codec::DEFAULT_MAX_FRAME,
-            connect_timeout_ms: 10_000,
             run_timeout_ms: 120_000,
             exit_on_halt: false,
             delivery_delay_ms: 0,
@@ -409,14 +406,14 @@ struct Conn {
 }
 
 impl Conn {
-    fn new(stream: TcpStream, kind: ConnKind, max_frame: usize, now_ms: u64) -> Self {
+    fn new(stream: TcpStream, kind: ConnKind, now_ms: u64) -> Self {
         let write_cap = match kind {
             ConnKind::PeerOut(_) => PEER_WRITE_CAP,
             _ => CLIENT_WRITE_CAP,
         };
         Conn {
             stream,
-            rb: RingBuf::with_max(max_frame + 4),
+            rb: RingBuf::with_max(DEFAULT_MAX_FRAME + 4),
             wb: RingBuf::with_max(write_cap),
             kind,
             opened_ms: now_ms,
@@ -569,8 +566,7 @@ where
                         continue;
                     }
                     let _ = stream.set_nodelay(true);
-                    let conn =
-                        Conn::new(stream, ConnKind::Pending, self.cfg.max_frame, self.now_ms());
+                    let conn = Conn::new(stream, ConnKind::Pending, self.now_ms());
                     let slot = self.conns.iter().position(Option::is_none);
                     match slot {
                         Some(i) => self.conns[i] = Some(conn),
@@ -627,12 +623,7 @@ where
                         link.next_dial_ms = now + link.backoff.next_delay_ms();
                         continue;
                     }
-                    let mut conn = Conn::new(
-                        stream,
-                        ConnKind::PeerOut(id as u32),
-                        self.cfg.max_frame,
-                        now,
-                    );
+                    let mut conn = Conn::new(stream, ConnKind::PeerOut(id as u32), now);
                     let hello = Hello::Peer {
                         id: self.cfg.me.0,
                         cluster: self.cfg.cluster,
@@ -672,41 +663,31 @@ where
             // to `me` never reach the outbox, so a missing link ends the
             // drain immediately.
             while let Some(link) = self.links[id].as_mut() {
-                let conn_idx = link.conn;
-                let from_queue = !link.queue.is_empty();
-                let frame = if from_queue {
-                    link.queue.front().cloned()
+                let wb = link
+                    .conn
+                    .and_then(|i| self.conns[i].as_mut())
+                    .map(|conn| &mut conn.wb);
+                if let Some(frame) = link.queue.front() {
+                    if !wb.is_some_and(|wb| frame_into(wb, frame)) {
+                        break; // no live connection, or ring full
+                    }
+                    link.queued_bytes -= frame.len() + 4;
+                    link.queue.pop_front();
+                } else if let Some(frame) = self.driver.outbox[id].pop_front() {
+                    if !wb.is_some_and(|wb| frame_into(wb, &frame)) {
+                        // Spill the fresh frame to the bounded queue; the
+                        // next turn finds it at the queue's front, fails
+                        // the same push and stops for this peer.
+                        if link.enqueue(frame) && !link.dropped_note {
+                            link.dropped_note = true;
+                            self.driver.notes.push(format!("peer-queue-overflow p{id}"));
+                        }
+                        continue;
+                    }
                 } else {
-                    self.driver.outbox[id].front().cloned()
-                };
-                let Some(frame) = frame else {
                     break;
-                };
-                let pushed = match conn_idx.and_then(|i| self.conns[i].as_mut()) {
-                    Some(conn) => frame_into(&mut conn.wb, &frame),
-                    None => false,
-                };
-                if pushed {
-                    if from_queue {
-                        link.queued_bytes -= frame.len() + 4;
-                        link.queue.pop_front();
-                    } else {
-                        self.driver.outbox[id].pop_front();
-                    }
-                    self.busy = true;
-                    continue;
                 }
-                // No live connection (or ring full): spill the fresh
-                // frame to the bounded queue and stop for this peer.
-                if !from_queue {
-                    self.driver.outbox[id].pop_front();
-                    if link.enqueue(frame) && !link.dropped_note {
-                        link.dropped_note = true;
-                        self.driver.notes.push(format!("peer-queue-overflow p{id}"));
-                    }
-                    continue;
-                }
-                break;
+                self.busy = true;
             }
         }
         // Flush every write ring; errors close the connection.
@@ -831,27 +812,24 @@ where
     /// Polls every live socket for readability (sleeping up to `wait`
     /// when idle), reads ready ones into their rings, then parses frames.
     fn read_and_parse(&mut self, wait: std::time::Duration) {
-        let live: Vec<usize> = (0..self.conns.len())
-            .filter(|&i| self.conns[i].is_some())
-            .collect();
-        let ready: Vec<usize> = {
-            let mut fds: Vec<PollFd<'_>> = live
+        // Read readiness per slab slot (`false` for free slots).
+        let ready: Vec<bool> = {
+            let mut fds: Vec<PollFd<'_>> = self
+                .conns
                 .iter()
-                .map(|&i| PollFd::new(&self.conns[i].as_ref().expect("live index").stream, POLLIN))
+                .flatten()
+                .map(|conn| PollFd::new(&conn.stream, POLLIN))
                 .collect();
-            if poll(&mut fds, wait) == 0 {
-                Vec::new()
-            } else {
-                live.iter()
-                    .zip(&fds)
-                    .filter(|(_, fd)| fd.revents & POLLIN != 0)
-                    .map(|(&i, _)| i)
-                    .collect()
-            }
+            poll(&mut fds, wait);
+            let mut fds = fds.iter();
+            self.conns
+                .iter()
+                .map(|slot| slot.is_some() && fds.next().is_some_and(|fd| fd.revents & POLLIN != 0))
+                .collect()
         };
-        for &i in &ready {
+        for (i, ready) in ready.into_iter().enumerate() {
             let mut close = false;
-            if let Some(conn) = self.conns[i].as_mut() {
+            if let Some(conn) = self.conns[i].as_mut().filter(|_| ready) {
                 loop {
                     if conn.rb.free() == 0 {
                         break; // inbound backpressure: parse first
@@ -873,18 +851,13 @@ where
                 }
             }
             // Parse what we have even when the socket just closed: frames
-            // already buffered must not be lost with the connection.
+            // already buffered must not be lost with the connection. Parse
+            // without fresh readiness too: a ring left full last round
+            // (inbound backpressure), or parsing deferred during the
+            // barrier, leaves parseable bytes behind.
             self.parse_conn(i);
             if close {
                 self.close_conn(i);
-            }
-        }
-        // Connections whose rings were left full last round (inbound
-        // backpressure) or whose parsing was deferred during the barrier
-        // may have parseable bytes without fresh readiness.
-        for &i in &live {
-            if !ready.contains(&i) {
-                self.parse_conn(i);
             }
         }
     }
@@ -909,7 +882,7 @@ where
                 return;
             }
             let len = u32::from_be_bytes(len_buf) as usize;
-            if len > self.cfg.max_frame {
+            if len > DEFAULT_MAX_FRAME {
                 self.close_conn(i);
                 return;
             }
@@ -1201,7 +1174,7 @@ where
         .collect();
     let barrier = if cfg.start_barrier && cfg.n > 1 {
         BarrierState::Meshing {
-            deadline_ms: cfg.connect_timeout_ms,
+            deadline_ms: START_BARRIER_DEADLINE_MS,
         }
     } else {
         BarrierState::Done

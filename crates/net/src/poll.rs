@@ -19,9 +19,9 @@
 //!
 //! When no entry is ready the probe sleeps in ~1 ms slices up to the
 //! caller's timeout, so an idle node burns negligible CPU while a busy
-//! one never sleeps at all. Deadlines are read through
-//! [`WallClock`] — `ftm-lint` D3 confines the
-//! raw clock to `clock.rs`, and this module stays on the sanctioned API.
+//! one never sleeps at all. Deadlines are read through [`WallClock`] —
+//! rule D3 (the `Instant` ban in `clippy.toml`) confines the raw clock
+//! to `clock.rs`, and this module stays on the sanctioned API.
 
 use std::io;
 use std::net::TcpStream;

@@ -6,8 +6,9 @@
 //! removes equivocation, so two `n − F` quorums only need to intersect in
 //! **one** process, not one *correct* process. Before this module existed
 //! that arithmetic was hand-rolled in six crates (`rbcast`, `certify`,
-//! `detect`, `faults`, `core`, `bench`); the `ftm-lint` D5 rule now rejects
-//! ad-hoc `n - f` / `2*f + 1` expressions outside this file, and
+//! `detect`, `faults`, `core`, `bench`); rule D5 (this crate's
+//! `tests/discipline.rs`) now rejects ad-hoc `n - f` / `2*f + 1`
+//! expressions in the protocol crates, and
 //! `ftm-verify`'s `quorum` section re-proves the intersection algebra
 //! exhaustively for every `(n, F)` up to `n = 64`.
 //!
@@ -43,6 +44,9 @@
 //!     assert!(2 * quorum_size(n, f) <= n || n < 2);
 //! }
 //! ```
+
+// D7 (DESIGN.md §13): a truncated count is silently a wrong threshold.
+#![deny(clippy::cast_possible_truncation)]
 
 /// The round/certification quorum `n − F`: the number of distinct signed
 /// votes (INIT, CURRENT/NEXT, ESTIMATE, ACK/NACK, decide votes behind a
@@ -181,6 +185,8 @@ pub const fn bracha_ready_quorum(f: usize) -> usize {
 pub const fn bracha_min_n(f: usize) -> usize {
     3 * f + 1
 }
+
+include!("../../../clippy_canaries.rs"); // D1–D4 ban canaries, DESIGN.md §13
 
 #[cfg(test)]
 mod tests {

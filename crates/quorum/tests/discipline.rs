@@ -1,0 +1,170 @@
+//! The two parts of the determinism discipline (DESIGN.md §13) that no
+//! toolchain lint can state about itself.
+//!
+//! **Rule D5**: no ad-hoc quorum arithmetic — `n - f`, `n + f`, `2 * f`,
+//! `3 * f` — in the protocol crates; every threshold routes through
+//! `ftm_quorum` so the paper's bound `F ≤ min(⌊(n−1)/2⌋, C)` has one audited
+//! derivation. That is a spelling convention, not a name-resolution fact, so
+//! unlike D1–D4/D6/D7 Clippy cannot check it; this test does, on source lines.
+//!
+//! **Lint levels**: the `clippy.toml` bans are kept live by `#[expect]`
+//! canaries (`clippy_canaries.rs`), but an `#[expect]` sets its lint's level
+//! itself and so stays fulfilled when the surrounding `deny` is deleted. The
+//! levels the rules rest on are therefore pinned here, as text.
+
+#![deny(clippy::cast_possible_truncation)] // D7 covers all of `crates/quorum`
+
+use std::fs;
+use std::path::{Path, PathBuf};
+
+/// Crates whose protocol logic must not spell thresholds out.
+const SCOPE: [&str; 5] = ["core", "certify", "rbcast", "detect", "faults"];
+/// The algebra's re-export facade may quote the formulas it re-exports.
+const EXEMPT: &str = "core/src/quorum.rs";
+/// The classic threshold shapes, as whitespace-free token triples.
+const SHAPES: [&str; 4] = ["n-f", "n+f", "2*f", "3*f"];
+
+/// What `crates/lint/fixtures/d5.rs` was: the violation the rule must catch.
+const MUST_FIRE: &str = "\
+pub struct Thresholds {
+    n: usize,
+    f: usize,
+}
+
+impl Thresholds {
+    pub fn quorum(&self) -> usize {
+        self.n - self.f
+    }
+}
+";
+
+/// Identifier/number runs and single punctuation characters of one line,
+/// with `self.` dropped so method bodies read like free code.
+fn tokens(code: &str) -> Vec<&str> {
+    let word = |c: char| c.is_alphanumeric() || c == '_';
+    let mut out = Vec::new();
+    let mut rest = code;
+    while let Some(c) = rest.chars().next() {
+        let len = if word(c) {
+            rest.find(|c| !word(c)).unwrap_or(rest.len())
+        } else {
+            c.len_utf8()
+        };
+        if !c.is_whitespace() {
+            out.push(&rest[..len]);
+        }
+        rest = &rest[len..];
+    }
+    while let Some(i) = out.windows(2).position(|w| w == ["self", "."]) {
+        out.drain(i..i + 2);
+    }
+    out
+}
+
+/// 1-indexed lines of `source` that spell a threshold shape, outside
+/// comments and `#[cfg(test)]` items.
+fn ad_hoc_thresholds(source: &str) -> Vec<usize> {
+    let mut hits = Vec::new();
+    // Brace depth inside a `#[cfg(test)]` item; `Some(0)` until it opens.
+    let mut test_item: Option<usize> = None;
+    for (i, line) in source.lines().enumerate() {
+        let code = line.split("//").next().unwrap_or("");
+        if code.trim() == "#[cfg(test)]" {
+            test_item = Some(0);
+        } else if let Some(depth) = test_item {
+            let depth = depth + code.matches('{').count() - code.matches('}').count();
+            test_item = (depth > 0 || !code.contains('}')).then_some(depth);
+        } else if tokens(code)
+            .windows(3)
+            .any(|w| SHAPES.contains(&w.concat().as_str()))
+        {
+            hits.push(i + 1);
+        }
+    }
+    assert_eq!(test_item, None, "unbalanced #[cfg(test)] item");
+    hits
+}
+
+fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in fs::read_dir(dir).expect("readable crate directory") {
+        let path = entry.expect("directory entry").path();
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|ext| ext == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+#[test]
+fn the_rule_fires_on_its_sample() {
+    assert_eq!(ad_hoc_thresholds(MUST_FIRE), [8]);
+    assert_eq!(ad_hoc_thresholds("let ready = 2*f + 1;"), [1]);
+    assert!(ad_hoc_thresholds("let span = len - first; // n - f").is_empty());
+    let in_test = "#[cfg(test)]\nmod tests {\n    fn q() { n - f }\n}\nfn p() { 3 * f }\n";
+    assert_eq!(ad_hoc_thresholds(in_test), [5]);
+}
+
+#[test]
+fn protocol_crates_route_every_threshold_through_ftm_quorum() {
+    let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+    let mut files = Vec::new();
+    for name in SCOPE {
+        rust_files(&crates.join(name), &mut files);
+    }
+    files.sort();
+    let mut findings = Vec::new();
+    for file in files.iter().filter(|f| !f.ends_with(EXEMPT)) {
+        let source = fs::read_to_string(file).expect("readable source file");
+        for line in ad_hoc_thresholds(&source) {
+            findings.push(format!("{}:{line}", file.display()));
+        }
+    }
+    assert!(
+        findings.is_empty(),
+        "ad-hoc quorum arithmetic; use `ftm_quorum::{{quorum_size, bracha_echo_quorum, \
+         bracha_ready_quorum, intersection_margin, bracha_min_n}}`: {findings:#?}"
+    );
+}
+
+#[test]
+fn lint_levels_are_where_the_rules_need_them() {
+    const D6: &str = "#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]";
+    const D7: &str = "#![deny(clippy::cast_possible_truncation)]";
+    let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+    let has_line = |file: &Path, line: &str| {
+        let text = fs::read_to_string(file).expect("readable file");
+        assert!(
+            text.lines().any(|l| l.trim_end() == line),
+            "{} lost `{line}`",
+            file.display()
+        );
+    };
+    // D1–D4: the workspace levels, and every package inheriting them.
+    let root = crates.join("../Cargo.toml");
+    for level in ["disallowed_types", "disallowed_methods", "float_arithmetic"] {
+        has_line(&root, &format!("{level} = \"deny\""));
+    }
+    let packages = fs::read_dir(&crates).expect("readable crates directory");
+    let manifests = packages.map(|p| p.expect("directory entry").path().join("Cargo.toml"));
+    for manifest in manifests.chain([root]) {
+        let text = fs::read_to_string(&manifest).expect("readable manifest");
+        assert!(
+            text.contains("[lints]\nworkspace = true"),
+            "{} no longer inherits the workspace lints",
+            manifest.display()
+        );
+    }
+    // D6 at the three message-handling crate roots, D7 at the three
+    // threshold modules.
+    for name in ["core", "certify", "detect"] {
+        has_line(&crates.join(name).join("src/lib.rs"), D6);
+    }
+    for file in [
+        "quorum/src/lib.rs",
+        "core/src/quorum.rs",
+        "certify/src/analyzer.rs",
+    ] {
+        has_line(&crates.join(file), D7);
+    }
+}

@@ -15,7 +15,7 @@
 //! processes to deliver different values; the `F+1`-READY amplification
 //! gives Totality (if any correct process delivers, all do).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 use ftm_sim::{Actor, Context, Payload, ProcessId};
 
@@ -70,8 +70,8 @@ pub enum BrachaOutput {
 pub struct BrachaState {
     n: usize,
     f: usize,
-    echoes: HashMap<u64, HashSet<ProcessId>>,
-    readies: HashMap<u64, HashSet<ProcessId>>,
+    echoes: BTreeMap<u64, BTreeSet<ProcessId>>,
+    readies: BTreeMap<u64, BTreeSet<ProcessId>>,
     sent_echo: bool,
     sent_ready: bool,
     delivered: bool,
@@ -92,8 +92,8 @@ impl BrachaState {
         BrachaState {
             n,
             f,
-            echoes: HashMap::new(),
-            readies: HashMap::new(),
+            echoes: BTreeMap::new(),
+            readies: BTreeMap::new(),
             sent_echo: false,
             sent_ready: false,
             delivered: false,

@@ -6,7 +6,7 @@
 //! correct process eventually delivers — a crashed relayer cannot
 //! un-send the copies already handed to reliable channels.
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 use ftm_sim::{Actor, Context, Payload, ProcessId};
 
@@ -50,7 +50,7 @@ impl Payload for EagerMsg {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct EagerState {
-    seen: HashSet<(ProcessId, u64)>,
+    seen: BTreeSet<(ProcessId, u64)>,
 }
 
 impl EagerState {

@@ -28,3 +28,5 @@ pub mod properties;
 
 pub use bracha::{BrachaActor, BrachaMsg, BrachaState};
 pub use eager::{EagerActor, EagerMsg, EagerState};
+
+include!("../../../clippy_canaries.rs"); // D1–D4 ban canaries, DESIGN.md §13

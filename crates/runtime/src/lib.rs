@@ -30,3 +30,5 @@ pub mod time;
 pub use driver::{step, Runtime, SendBoxedActor};
 pub use process::{Actor, Context, Effects, LayerSplit, Payload, ProcessId, StagedSend, TimerTag};
 pub use time::{Duration, VirtualTime};
+
+include!("../../../clippy_canaries.rs"); // D1–D4 ban canaries, DESIGN.md §13

@@ -8,9 +8,10 @@
 //! JSON report.
 //!
 //! Everything here is deliberately socket-free and clock-free: sockets
-//! and wall time belong to `ftm-net` (the `ftm-lint` D3/D4 carve-out does
-//! not extend to this crate), so the binaries consume [`ftm_net::ClientConn`]
-//! and replica-reported milliseconds instead.
+//! and wall time belong to `ftm-net` (its D3/D4 `#[expect]`s against the
+//! `clippy.toml` bans do not extend to this crate), so the binaries
+//! consume [`ftm_net::ClientConn`] and replica-reported milliseconds
+//! instead.
 
 pub mod api;
 pub mod args;
@@ -41,6 +42,8 @@ pub fn hex(bytes: &[u8]) -> String {
     }
     out
 }
+
+include!("../../../clippy_canaries.rs"); // D1–D4 ban canaries, DESIGN.md §13
 
 #[cfg(test)]
 mod tests {

@@ -85,3 +85,5 @@ pub use ftm_runtime::time::{Duration, VirtualTime};
 pub use harness::{sweep, RunRecord, SweepReport};
 pub use report::Json;
 pub use runner::{RunReport, Simulation};
+
+include!("../../../clippy_canaries.rs"); // D1–D4 ban canaries, DESIGN.md §13

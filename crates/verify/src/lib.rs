@@ -248,6 +248,8 @@ pub fn verify_all(bounds: &Bounds) -> VerifyReport {
     verify_selected(&SpecSelect::all(), bounds)
 }
 
+include!("../../../clippy_canaries.rs"); // D1–D4 ban canaries, DESIGN.md §13
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -201,3 +201,5 @@ pub use ftm_rbcast as rbcast;
 pub use ftm_runtime as runtime;
 pub use ftm_sim as sim;
 pub use ftm_verify as verify;
+
+include!("../clippy_canaries.rs"); // D1–D4 ban canaries, DESIGN.md §13
