@@ -3,8 +3,8 @@
 //!
 //! Two optimizations landed together and this experiment quantifies both
 //! with deterministic integers (every number below reproduces bit-for-bit
-//! on any machine; the machine-dependent wall-clock medians live in the
-//! committed `BENCH_<n>.json` baseline that `ftm-bench --compare` gates).
+//! on any machine; the machine-dependent wall-clock figures are the repo
+//! benchmark's, `benchmark/README.md`).
 //!
 //! * **Certificate checkpointing** (`Retention::Checkpoint`): once a log
 //!   slot decides, the replica compacts the slot's decide-vote quorum
@@ -20,15 +20,21 @@
 //!   appearance — the same INIT in every peer's certificate — is a memo
 //!   answer. The second table counts RSA computations saved.
 
+use ftm_certify::certificate::Certificate;
+use ftm_certify::{Core, Envelope, MessageCore, SignedCore, ValueVector};
 use ftm_core::byzantine::log::Retention;
 use ftm_crypto::keydir::KeyDirectory;
+use ftm_crypto::rsa::KeyPair;
 use ftm_faults::AttackRun;
 use ftm_sim::trace::TraceEvent;
+use ftm_sim::ProcessId;
 
 use crate::report::Table;
-use crate::suite::round_burst;
 
 const SEED: u64 = 0xE12;
+
+/// Key-material seed of [`round_burst`]; the pinned wire volume depends on it.
+const BURST_SEED: u64 = 11;
 
 /// Replica 0's retained-evidence byte series under `retention` for an
 /// honest fixed-seed `(4, 1)` log run of `slots` slots.
@@ -83,6 +89,39 @@ fn retention_table() -> Table {
         ]);
     }
     t
+}
+
+/// A fixed-seed round burst: `n` CURRENT envelopes whose certificates all
+/// carry the same `n` signed INITs (the overlap the verdict memo exploits).
+fn round_burst(n: usize) -> (Vec<KeyPair>, Vec<Envelope>) {
+    let mut rng = ftm_crypto::rng_from_seed(BURST_SEED);
+    let (_, keys) = KeyDirectory::generate(&mut rng, n, 128);
+    let inits: Vec<SignedCore> = keys
+        .iter()
+        .enumerate()
+        .map(|(i, kp)| {
+            SignedCore::sign(
+                MessageCore::new(ProcessId(i as u32), Core::Init { value: i as u64 }),
+                kp,
+            )
+        })
+        .collect();
+    let envs = keys
+        .iter()
+        .enumerate()
+        .map(|(i, kp)| {
+            Envelope::make(
+                ProcessId(i as u32),
+                Core::Current {
+                    round: 1,
+                    vector: ValueVector::from_entries(vec![Some(1); n]),
+                },
+                Certificate::from_items(inits.clone()),
+                kp,
+            )
+        })
+        .collect();
+    (keys, envs)
 }
 
 fn amortization_table() -> Table {
@@ -154,13 +193,15 @@ pub fn run() -> String {
     );
     s.push_str(&amortization.to_string());
     s.push_str(
-        "\nWall-clock medians for the same workloads are machine-dependent \
-         and therefore live outside this file, in the committed \
-         `BENCH_<n>.json` baseline (generated by `FTM_BENCH_JSON=1 \
-         ftm-bench`, gated by `ftm-bench --compare` in CI — bytes-per-op \
-         hard, wall-clock warn-only at +25%). Representative figures from \
-         the baseline machine: a cold signature verification ~4.3 µs, a \
-         memo answer ~65 ns (~66x less).\n\n",
+        "\nThe byte figures are pinned as exact integers by tests \
+         (retained evidence in tier-1's `tests/long_log.rs`, a round \
+         burst's wire volume in `e12.rs`). Wall-clock figures for the \
+         same paths are machine-dependent and therefore live outside \
+         this file, in the repo benchmark (`benchmark/README.md`, \
+         `BENCHMARK.json`): `crypto.verify_miss_ns` is the cold signature \
+         verification, `crypto.verify_hit_ns` the memo answer, \
+         `crypto.memo_hit_pct` the share of checks the memo absorbs under \
+         a whole replicated-log run.\n\n",
     );
     s
 }
@@ -168,6 +209,16 @@ pub fn run() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ftm_sim::Payload;
+
+    /// The burst's wire volume is a deterministic integer; any growth of
+    /// the canonical envelope encoding shows up here.
+    #[test]
+    fn round_burst_wire_volume_is_pinned() {
+        let (_, envs) = round_burst(4);
+        let bytes: usize = envs.iter().map(Envelope::size_bytes).sum();
+        assert_eq!(bytes, 740);
+    }
 
     #[test]
     fn e12_renders_with_flat_checkpoint_column() {

@@ -9,14 +9,11 @@
 //!
 //! All experiments are deterministic: fixed seed ranges, fixed
 //! configurations — rerunning the binary reproduces `EXPERIMENTS.md`
-//! exactly.
+//! exactly. Nothing here reads a clock: wall-clock measurement lives in
+//! the repo-root `benchmark/` package (`BENCHMARK.json`).
 
-pub mod compare;
 pub mod experiments;
 pub mod report;
-pub mod suite;
-pub mod timing;
-pub mod transport;
 
 pub use report::Table;
 

@@ -20,7 +20,7 @@ use ftm_certify::{
     ValueVector,
 };
 use ftm_crypto::wire::{CanonicalDecode, CanonicalEncode, DecodeError, Decoder, Encoder};
-use ftm_sim::{Actor, Context, Payload, ProcessId, StagedSend, TimerTag};
+use ftm_sim::{Actor, Context, LayerSplit, Payload, ProcessId, StagedSend, TimerTag};
 
 use crate::byzantine::{ByzantineConsensus, TransformedProtocol};
 use crate::config::ProtocolSetup;
@@ -60,6 +60,13 @@ impl Payload for SlotMsg {
 
     fn label(&self) -> String {
         format!("s{}:{}", self.slot, self.env.label())
+    }
+
+    fn layer_split(&self) -> LayerSplit {
+        // The slot tag is protocol-level framing; the rest is the envelope's.
+        let mut split = self.env.layer_split();
+        split.protocol_bytes += 8;
+        split
     }
 }
 
@@ -706,6 +713,13 @@ mod tests {
         let log =
             check_log_consistency(&report.decisions, &report.crashed, 3).expect("consistent log");
         assert_eq!(log.len(), 3);
+        // The per-layer price of the transformation is visible on log runs.
+        let m = &report.metrics;
+        assert!(m.certificate_bytes > 0 && m.signature_bytes > 0);
+        assert_eq!(
+            m.certificate_bytes + m.signature_bytes + m.protocol_bytes,
+            m.bytes_sent
+        );
         // Slot k's entries are slot-k commands.
         for (slot, vect) in log.iter().enumerate() {
             for (p, v) in vect.iter_set() {
@@ -954,6 +968,33 @@ mod tests {
             &setup.keys[sender.index()],
         );
         SlotMsg { slot, env }
+    }
+
+    #[test]
+    fn slot_message_layer_split_decomposes_its_wire_bytes() {
+        let setup = ProtocolConfig::new(4, 1).seed(9).setup();
+        let init = SignedCore::sign(
+            MessageCore::new(ProcessId(1), Core::Init { value: 7 }),
+            &setup.keys[1],
+        );
+        let env = Envelope::make(
+            ProcessId(0),
+            Core::Current {
+                round: 1,
+                vector: ValueVector::from_entries(vec![Some(7); 4]),
+            },
+            Certificate::from_items([init]),
+            &setup.keys[0],
+        );
+        let msg = SlotMsg { slot: 3, env };
+        let split = msg.layer_split();
+        assert_eq!(split.total(), msg.size_bytes());
+        assert_eq!(split.certificate_bytes, msg.env.cert.size_bytes());
+        assert!(split.certificate_bytes > 0 && split.signature_bytes > 0);
+        assert_eq!(
+            split.protocol_bytes,
+            8 + msg.env.layer_split().protocol_bytes
+        );
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! unforgeable against the simulation's protocol-level adversary.
 //!
 //! Key widths default to 256 bits (see the crate-level security
-//! disclaimer); the `rsa` bench measures sign/verify cost per
-//! width so the transformation-overhead experiment (E6) can report it.
+//! disclaimer); the repo benchmark's `crypto.sign_ns` /
+//! `crypto.verify_miss_ns` probes measure sign/verify cost.
 
 use crate::prng::Rng64;
 

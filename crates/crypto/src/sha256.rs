@@ -3,7 +3,7 @@
 //! Used for message digests (the value actually signed by [`crate::rsa`])
 //! and for content-addressing certificates. The implementation is the
 //! straightforward single-block compression loop; throughput is measured by
-//! the `sha256` bench.
+//! the repo benchmark's `crypto.sha256_ns_per_kib` probe.
 
 use std::fmt;
 

@@ -6,12 +6,11 @@
 //! 150 ms / 40 ms on the wire — comfortably above loopback latency, so
 //! the failure-detector behavior carries over qualitatively.
 //!
-//! This module is THE sanctioned wall-clock call site outside
-//! `crates/bench/src/timing.rs` (rule D3, DESIGN.md §13): a real
-//! transport *is* a timing boundary, but every other file in this crate —
-//! the node loop, the poll probe, the load generator — reads time through
-//! [`WallClock`] rather than touching `Instant` itself, so the raw clock
-//! stays in one audited place.
+//! This module is THE sanctioned wall-clock call site of the workspace
+//! (rule D3, DESIGN.md §13): a real transport *is* a timing boundary, but
+//! every other file in this crate — the node loop, the poll probe, the
+//! load generator — reads time through [`WallClock`] rather than touching
+//! `Instant` itself, so the raw clock stays in one audited place.
 
 // Module-wide because `derive(Clone)` re-names the field's type outside the
 // struct item, where a narrower `#[expect]` does not reach.

@@ -34,7 +34,7 @@
 //!
 //! A connection costs two ring buffers instead of two OS threads, which
 //! is what lets one node serve thousands of concurrent clients (see
-//! [`loadgen`] and the many-client rows in the bench suite).
+//! [`loadgen`] and `ftm-serve`'s 1000-client test).
 //!
 //! # What survives of the determinism contract
 //!

@@ -11,8 +11,8 @@
 //!
 //! The caller supplies two closures: one building the request frame for
 //! `(client, seq)` and one vetting a reply frame. This keeps the module
-//! protocol-agnostic — `ftm-load` feeds it `Submit` frames, the bench
-//! suite feeds it whatever it measures.
+//! protocol-agnostic — `ftm-load` and `ftm-serve`'s many-client test
+//! feed it `Submit` frames.
 
 use std::collections::VecDeque;
 use std::io;

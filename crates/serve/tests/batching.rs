@@ -7,6 +7,10 @@
 //! batch size and of which slots the commands rode in. The conservation
 //! law `submitted == queued + inflight + committed` is asserted on every
 //! poll along the way.
+//!
+//! The same helpers carry the many-client functional gate: 1000
+//! concurrent client connections against four replicas, every submission
+//! completing and committing.
 
 use std::net::TcpListener;
 use std::process::{Child, Command, Stdio};
@@ -14,7 +18,7 @@ use std::thread;
 use std::time::Duration;
 
 use ftm_crypto::wire::{CanonicalDecode, CanonicalEncode};
-use ftm_net::ClientConn;
+use ftm_net::{run_load, ClientConn, LoadConfig};
 use ftm_serve::api::{Reply, Request, Status};
 
 const N: usize = 4;
@@ -51,7 +55,7 @@ fn free_addrs(n: usize) -> Vec<String> {
         .collect()
 }
 
-fn spawn_cluster(protocol: &str, batch: u64, cluster_id: u64) -> Cluster {
+fn spawn_cluster(protocol: &str, batch: u64, cluster_id: u64, slots: u64) -> Cluster {
     let addrs = free_addrs(N);
     let peers = addrs.join(",");
     let children = (0..N)
@@ -67,7 +71,7 @@ fn spawn_cluster(protocol: &str, batch: u64, cluster_id: u64) -> Cluster {
                     "--f",
                     "1",
                     "--slots",
-                    &SLOTS.to_string(),
+                    &slots.to_string(),
                     "--seed",
                     &SEED.to_string(),
                     "--cluster",
@@ -106,11 +110,30 @@ fn status(conn: &mut ClientConn) -> Status {
     }
 }
 
+/// Polls replica `i` until nothing is queued or in flight — everything
+/// submitted so far committed — asserting conservation on every poll.
+fn drained(conn: &mut ClientConn, i: usize) -> Status {
+    for _ in 0..6000 {
+        let s = status(conn);
+        assert_eq!(
+            s.submitted,
+            s.queued + s.inflight + s.committed,
+            "conservation violated on replica {i}"
+        );
+        assert!(!s.contradicted, "replica {i} contradicted itself");
+        if s.queued == 0 && s.inflight == 0 {
+            return s;
+        }
+        thread::sleep(Duration::from_millis(20));
+    }
+    panic!("replica {i} never drained its queue");
+}
+
 /// Runs one 4-replica cluster, submits the fixed workload, waits until
 /// every replica committed all of its commands and returns the
 /// per-replica committed digests.
 fn committed_digests(protocol: &str, batch: u64, cluster_id: u64) -> Vec<Vec<u8>> {
-    let cluster = spawn_cluster(protocol, batch, cluster_id);
+    let cluster = spawn_cluster(protocol, batch, cluster_id, SLOTS);
     let mut conns: Vec<ClientConn> = cluster
         .addrs
         .iter()
@@ -135,31 +158,18 @@ fn committed_digests(protocol: &str, batch: u64, cluster_id: u64) -> Vec<Vec<u8>
         }
     }
 
-    // Wait for every replica to drain: everything submitted committed,
-    // nothing queued or in flight, conservation intact on every poll.
-    let mut digests = vec![Vec::new(); N];
-    for (i, conn) in conns.iter_mut().enumerate() {
-        let mut done = false;
-        for _ in 0..6000 {
-            let s = status(conn);
+    let digests = conns
+        .iter_mut()
+        .enumerate()
+        .map(|(i, conn)| {
+            let s = drained(conn, i);
             assert_eq!(
-                s.submitted,
-                s.queued + s.inflight + s.committed,
-                "conservation violated on replica {i}"
+                s.committed, COMMANDS_PER_REPLICA,
+                "replica {i} lost commands"
             );
-            assert!(!s.contradicted, "replica {i} contradicted itself");
-            if s.submitted == COMMANDS_PER_REPLICA && s.committed == COMMANDS_PER_REPLICA {
-                digests[i] = s.committed_digest.clone();
-                done = true;
-                break;
-            }
-            thread::sleep(Duration::from_millis(20));
-        }
-        assert!(
-            done,
-            "replica {i} never committed its {COMMANDS_PER_REPLICA} commands"
-        );
-    }
+            s.committed_digest
+        })
+        .collect();
 
     // Polite teardown; the Drop guard reaps whatever survives.
     for conn in &mut conns {
@@ -182,4 +192,77 @@ fn batch_1_and_batch_16_commit_the_same_multiset_under_ct() {
     let large = committed_digests("ct", 16, 0xC2);
     assert!(small.iter().all(|d| !d.is_empty()), "empty digest");
     assert_eq!(small, large, "CT: --batch 1 and --batch 16 diverged");
+}
+
+/// 1000 concurrent client connections × 6 submits against four replicas
+/// (`--batch 8`): every submission completes and every command commits.
+#[test]
+fn a_thousand_concurrent_clients_commit_every_command() {
+    const CLIENTS: usize = 1000;
+    const REQUESTS_PER_CLIENT: u64 = 6;
+    const TOTAL: u64 = CLIENTS as u64 * REQUESTS_PER_CLIENT;
+    const CLUSTER: u64 = 0xBEC1;
+
+    // This process holds every client socket at once; fail in
+    // milliseconds, naming the fix, instead of timing out in backoff.
+    // (Files, not sockets: probing with ephemeral ports would race the
+    // other tests' `free_addrs`.)
+    let exe = std::env::current_exe().expect("test binary path");
+    let probe: Vec<std::fs::File> = (0..CLIENTS + 64)
+        .map(|i| {
+            std::fs::File::open(&exe).unwrap_or_else(|e| {
+                panic!("cannot hold descriptor {i}: {e} — raise `ulimit -n` (CI uses 4096)")
+            })
+        })
+        .collect();
+    drop(probe);
+
+    // The log is free-running — slots that open on an empty queue carry
+    // filler — so no fixed length can promise capacity for the workload:
+    // the budget is effectively unbounded and the run ends on `Shutdown`.
+    let cluster = spawn_cluster("hr", 8, CLUSTER, 1_000_000);
+    let mut conns: Vec<ClientConn> = cluster
+        .addrs
+        .iter()
+        .map(|a| connect_with_retry(a, CLUSTER))
+        .collect();
+
+    let load = LoadConfig {
+        clients: CLIENTS,
+        targets: cluster.addrs.clone(),
+        cluster: CLUSTER,
+        requests_per_client: REQUESTS_PER_CLIENT,
+        seed: SEED,
+        timeout_ms: 120_000,
+    };
+    let outcome = run_load(
+        &load,
+        |i, k| {
+            let value = 0xBE_0000_0000 + (i as u64) * REQUESTS_PER_CLIENT + k;
+            Request::Submit { value }.canonical_bytes()
+        },
+        |_, frame| {
+            matches!(
+                Reply::from_canonical_bytes(frame),
+                Ok(Reply::Submitted { .. })
+            )
+        },
+    )
+    .expect("targets resolve");
+    assert_eq!(
+        outcome.completed, TOTAL,
+        "load loop finished {} of {TOTAL} submissions ({} rejected, {} reconnects)",
+        outcome.completed, outcome.rejected, outcome.reconnects
+    );
+
+    let committed: u64 = conns
+        .iter_mut()
+        .enumerate()
+        .map(|(i, conn)| drained(conn, i).committed)
+        .sum();
+    assert_eq!(committed, TOTAL, "cluster lost commands");
+
+    for conn in &mut conns {
+        let _ = conn.request(&Request::Shutdown.canonical_bytes());
+    }
 }
