@@ -129,11 +129,15 @@ mod tests {
     #[test]
     fn trait_spec_matches_the_protocol_id() {
         assert_eq!(
-            <ByzantineConsensus as TransformedProtocol>::spec().protocol,
+            <ByzantineConsensus as TransformedProtocol>::spec()
+                .table
+                .protocol,
             ProtocolId::HurfinRaynal
         );
         assert_eq!(
-            <ByzantineChandraToueg as TransformedProtocol>::spec().protocol,
+            <ByzantineChandraToueg as TransformedProtocol>::spec()
+                .table
+                .protocol,
             ProtocolId::ChandraToueg
         );
     }

@@ -814,12 +814,15 @@ mod tests {
         assert_eq!(ids, obligations);
 
         let kind_of = |id: &str| spec.send(id).map(|row| row.kind);
-        assert_eq!(kind_of(INIT_BROADCAST), spec.opening);
-        assert_eq!(kind_of(DECIDE_ANNOUNCE), Some(spec.terminal));
+        assert_eq!(kind_of(INIT_BROADCAST), spec.table.opening);
+        assert_eq!(kind_of(DECIDE_ANNOUNCE), Some(spec.table.terminal));
         for ob in R::Send::ALL {
             let kind = ob.kind().core(1, &ValueVector::empty(3), 0).kind();
             assert_eq!(Some(kind), kind_of(ob.id()), "{ob:?}");
-            assert!(spec.slot_of(kind).is_some(), "{ob:?} is not a round vote");
+            assert!(
+                spec.table.slot_of(kind).is_some(),
+                "{ob:?} is not a round vote"
+            );
         }
     }
 

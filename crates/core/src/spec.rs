@@ -19,26 +19,14 @@
 //!
 //! This module also holds both ends of the transformation *as data*:
 //! [`ProtocolSpec::crash_hr`] describes the un-transformed Hurfin–Raynal
-//! send discipline (Fig. 2), [`ProtocolSpec::transformed`] the Fig. 3
-//! discipline, and [`transform`] turns the former into the latter
-//! mechanically by applying the paper's module stack at the spec level —
-//! so the hand-written transformed spec can be *checked* against its
-//! derivation instead of being trusted.
+//! protocol (Fig. 2), [`ProtocolSpec::transformed`] the Fig. 3 one, and
+//! [`transform`] turns the former into the latter mechanically by applying
+//! the paper's module stack at the spec level — so the hand-written
+//! transformed send table can be *checked* against its derivation instead
+//! of being trusted.
 
 use ftm_certify::{MessageKind, ProtocolId, Round};
-
-/// One per-round send slot of the protocol's send discipline.
-///
-/// A correct process works through the slots of a round *in order*, sending
-/// each slot's kind at most once; `mandatory` slots must be sent before the
-/// process may leave the round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SendSlot {
-    /// The message kind this slot emits.
-    pub kind: MessageKind,
-    /// Whether a correct process must send this before advancing rounds.
-    pub mandatory: bool,
-}
+use ftm_detect::ProtocolTable;
 
 /// How a conditional send is audited by the certification module.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -170,15 +158,15 @@ pub struct ConditionalSend {
     pub justified_by: Vec<Justification>,
 }
 
-/// Declarative description of a protocol's *send discipline*: which kind
-/// (if any) opens a peer's lifetime, what a round's legal vote sequence is,
-/// how rounds advance, and which conditional sends exist.
+/// Declarative description of a protocol: its *send discipline* — which
+/// kind (if any) opens a peer's lifetime, what a round's legal vote
+/// sequence is, how rounds advance — and which conditional sends exist.
 ///
-/// This is the artifact the paper's non-muteness module is built "from the
-/// program text" (§4): `ftm-verify` *derives* the per-peer observer
-/// automaton (Fig. 4) from this description and cross-checks it against
-/// the hand-written [`ftm_detect::PeerAutomaton`] — so the spec below is
-/// deliberately independent of that implementation.
+/// The discipline half is the protocol's [`ProtocolTable`], the very value
+/// the per-peer observer automaton (Fig. 4) runs on: the paper builds the
+/// non-muteness module "from the program text" (§4), so the observer is a
+/// function of this description, not a second artifact to reconcile with
+/// it.
 ///
 /// # Example
 ///
@@ -186,32 +174,21 @@ pub struct ConditionalSend {
 /// use ftm_core::spec::ProtocolSpec;
 /// use ftm_certify::MessageKind;
 /// let spec = ProtocolSpec::transformed();
-/// assert_eq!(spec.opening, Some(MessageKind::Init));
-/// assert_eq!(spec.round_slots.len(), 2);
-/// assert!(spec.round_slots[1].mandatory); // NEXT before leaving a round
+/// assert_eq!(spec.table.opening, Some(MessageKind::Init));
+/// // NEXT is mandatory before leaving a round.
+/// assert_eq!(spec.table.slots[1], (MessageKind::Next, true));
 ///
 /// // The crash-model spec has no opening: nothing certifies round 0.
 /// let crash = ProtocolSpec::crash_hr();
-/// assert_eq!(crash.opening, None);
+/// assert_eq!(crash.table.opening, None);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProtocolSpec {
-    /// Which base protocol this spec describes. The transformation is
-    /// protocol-generic; everything protocol-specific (the automaton
-    /// table, the §5 obligation table, the decision predicate) is keyed
-    /// off this id.
-    pub protocol: ProtocolId,
-    /// The kind that opens a peer's lifetime: sent first, exactly once.
-    /// `None` for un-transformed crash-model protocols — the round-0
-    /// vector-certification phase is what *adds* an opening.
-    pub opening: Option<MessageKind>,
-    /// The per-round vote sequence, in send order.
-    pub round_slots: Vec<SendSlot>,
-    /// The kind that closes a peer's lifetime: legal at any time after the
-    /// opening (decisions are relayed), after which the peer is silent.
-    pub terminal: MessageKind,
-    /// How many rounds a correct process advances at a time.
-    pub round_advance: Round,
+    /// The send discipline: protocol id, opening, per-round vote sequence,
+    /// terminal and round advance. Everything protocol-specific (the §5
+    /// obligation table, the decision predicate) is keyed off its
+    /// `protocol`.
+    pub table: ProtocolTable,
     /// The conditional-send table (§5 obligation table once transformed).
     pub sends: Vec<ConditionalSend>,
 }
@@ -224,23 +201,10 @@ impl ProtocolSpec {
     ///
     /// The conditional-send table is hand-written from the figure; the CI
     /// gate checks it equals [`transform`]`(`[`ProtocolSpec::crash_hr`]`)`
-    /// edge-by-edge, so it is *derived*, not trusted.
+    /// send by send, so it is *derived*, not trusted.
     pub fn transformed() -> Self {
         ProtocolSpec {
-            protocol: ProtocolId::HurfinRaynal,
-            opening: Some(MessageKind::Init),
-            round_slots: vec![
-                SendSlot {
-                    kind: MessageKind::Current,
-                    mandatory: false,
-                },
-                SendSlot {
-                    kind: MessageKind::Next,
-                    mandatory: true,
-                },
-            ],
-            terminal: MessageKind::Decide,
-            round_advance: 1,
+            table: *ProtocolTable::for_protocol(ProtocolId::HurfinRaynal),
             sends: vec![
                 ConditionalSend {
                     id: "init-broadcast",
@@ -329,20 +293,10 @@ impl ProtocolSpec {
     /// classical Validity is vacuous once failures become arbitrary.
     pub fn crash_hr() -> Self {
         ProtocolSpec {
-            protocol: ProtocolId::HurfinRaynal,
-            opening: None,
-            round_slots: vec![
-                SendSlot {
-                    kind: MessageKind::Current,
-                    mandatory: false,
-                },
-                SendSlot {
-                    kind: MessageKind::Next,
-                    mandatory: true,
-                },
-            ],
-            terminal: MessageKind::Decide,
-            round_advance: 1,
+            table: ProtocolTable {
+                opening: None,
+                ..*ProtocolTable::for_protocol(ProtocolId::HurfinRaynal)
+            },
             sends: vec![
                 ConditionalSend {
                     id: "current-coordinator",
@@ -423,28 +377,7 @@ impl ProtocolSpec {
     /// checked equal to [`transform`]`(`[`ProtocolSpec::crash_ct`]`)`.
     pub fn transformed_ct() -> Self {
         ProtocolSpec {
-            protocol: ProtocolId::ChandraToueg,
-            opening: Some(MessageKind::Init),
-            round_slots: vec![
-                SendSlot {
-                    kind: MessageKind::Estimate,
-                    mandatory: true,
-                },
-                SendSlot {
-                    kind: MessageKind::Propose,
-                    mandatory: false,
-                },
-                SendSlot {
-                    kind: MessageKind::Ack,
-                    mandatory: false,
-                },
-                SendSlot {
-                    kind: MessageKind::Nack,
-                    mandatory: false,
-                },
-            ],
-            terminal: MessageKind::Decide,
-            round_advance: 1,
+            table: *ProtocolTable::for_protocol(ProtocolId::ChandraToueg),
             sends: vec![
                 ConditionalSend {
                     id: "init-broadcast",
@@ -524,28 +457,10 @@ impl ProtocolSpec {
     /// exactly as in [`ProtocolSpec::crash_hr`].
     pub fn crash_ct() -> Self {
         ProtocolSpec {
-            protocol: ProtocolId::ChandraToueg,
-            opening: None,
-            round_slots: vec![
-                SendSlot {
-                    kind: MessageKind::Estimate,
-                    mandatory: true,
-                },
-                SendSlot {
-                    kind: MessageKind::Propose,
-                    mandatory: false,
-                },
-                SendSlot {
-                    kind: MessageKind::Ack,
-                    mandatory: false,
-                },
-                SendSlot {
-                    kind: MessageKind::Nack,
-                    mandatory: false,
-                },
-            ],
-            terminal: MessageKind::Decide,
-            round_advance: 1,
+            table: ProtocolTable {
+                opening: None,
+                ..*ProtocolTable::for_protocol(ProtocolId::ChandraToueg)
+            },
             sends: vec![
                 ConditionalSend {
                     id: "estimate-roundstart",
@@ -632,7 +547,7 @@ impl ProtocolSpec {
     /// (see [`CertRoute::CheckpointRoot`]).
     pub fn checkpointed_for(protocol: ProtocolId) -> Self {
         let mut spec = ProtocolSpec::transformed_for(protocol);
-        spec.terminal = MessageKind::Checkpoint;
+        spec.table.terminal = MessageKind::Checkpoint;
         spec.sends.push(ConditionalSend {
             id: "checkpoint-quorum",
             kind: MessageKind::Checkpoint,
@@ -644,16 +559,6 @@ impl ProtocolSpec {
             justified_by: vec![Justification::same("decide-announce")],
         });
         spec
-    }
-
-    /// The slot index of `kind` in the round vote sequence, if any.
-    pub fn slot_of(&self, kind: MessageKind) -> Option<usize> {
-        self.round_slots.iter().position(|s| s.kind == kind)
-    }
-
-    /// `true` when `kind` appears anywhere in this spec's wire alphabet.
-    pub fn knows_kind(&self, kind: MessageKind) -> bool {
-        self.opening == Some(kind) || kind == self.terminal || self.slot_of(kind).is_some()
     }
 
     /// Every conditional send with its certification route.
@@ -745,9 +650,9 @@ pub const VOCABULARY: &[(&str, &str)] = &[
 /// configuration errors, not runtime conditions.
 pub fn transform(spec: &ProtocolSpec) -> ProtocolSpec {
     assert!(
-        spec.opening.is_none(),
+        spec.table.opening.is_none(),
         "transform() takes an un-transformed spec; this one already opens with {:?}",
-        spec.opening
+        spec.table.opening
     );
 
     let reword = |condition: &str| -> String {
@@ -767,7 +672,7 @@ pub fn transform(spec: &ProtocolSpec) -> ProtocolSpec {
         justified_by: vec![],
     }];
 
-    let obligations = obligations_for(spec.protocol);
+    let obligations = obligations_for(spec.table.protocol);
     for send in &spec.sends {
         #[expect(
             clippy::panic,
@@ -780,7 +685,7 @@ pub fn transform(spec: &ProtocolSpec) -> ProtocolSpec {
             .find(|(id, _)| *id == send.id)
             .unwrap_or_else(|| panic!("send `{}` has no certification obligation", send.id));
         let mut justified_by = Vec::new();
-        if send.carries_value && spec.slot_of(send.kind).is_some() {
+        if send.carries_value && spec.table.slot_of(send.kind).is_some() {
             justified_by.push(Justification::initial("init-broadcast"));
         }
         justified_by.extend(send.justified_by.iter().copied());
@@ -795,11 +700,10 @@ pub fn transform(spec: &ProtocolSpec) -> ProtocolSpec {
     }
 
     ProtocolSpec {
-        protocol: spec.protocol,
-        opening: Some(MessageKind::Init),
-        round_slots: spec.round_slots.clone(),
-        terminal: spec.terminal,
-        round_advance: spec.round_advance,
+        table: ProtocolTable {
+            opening: Some(MessageKind::Init),
+            ..spec.table
+        },
         sends,
     }
 }
@@ -924,19 +828,19 @@ mod tests {
 
     #[test]
     fn transformed_spec_names_every_wire_kind_once() {
-        let spec = ProtocolSpec::transformed();
-        assert_eq!(spec.opening, Some(MessageKind::Init));
-        assert_eq!(spec.terminal, MessageKind::Decide);
-        assert_eq!(spec.slot_of(MessageKind::Current), Some(0));
-        assert_eq!(spec.slot_of(MessageKind::Next), Some(1));
-        assert_eq!(spec.slot_of(MessageKind::Init), None);
+        let table = ProtocolSpec::transformed().table;
+        assert_eq!(table.opening, Some(MessageKind::Init));
+        assert_eq!(table.terminal, MessageKind::Decide);
+        assert_eq!(table.slot_of(MessageKind::Current), Some(0));
+        assert_eq!(table.slot_of(MessageKind::Next), Some(1));
+        assert_eq!(table.slot_of(MessageKind::Init), None);
         // The opening and terminal kinds never appear as round slots.
-        assert!(spec
-            .round_slots
+        assert!(table
+            .slots
             .iter()
-            .all(|s| Some(s.kind) != spec.opening && s.kind != spec.terminal));
+            .all(|(kind, _)| Some(*kind) != table.opening && *kind != table.terminal));
         // The last slot is the mandatory one: leaving a round is witnessed.
-        assert!(spec.round_slots.last().unwrap().mandatory);
+        assert!(table.slots.last().unwrap().1);
     }
 
     #[test]
@@ -952,7 +856,7 @@ mod tests {
             if !s.route.condition_certifiable() {
                 assert_eq!(
                     Some(s.kind),
-                    spec.opening,
+                    spec.table.opening,
                     "only initial values are uncertifiable"
                 );
             }
@@ -963,10 +867,15 @@ mod tests {
     fn crash_spec_is_the_transformed_spec_minus_auditability() {
         let crash = ProtocolSpec::crash_hr();
         let trans = ProtocolSpec::transformed();
-        assert_eq!(crash.opening, None);
-        assert_eq!(crash.round_slots, trans.round_slots);
-        assert_eq!(crash.terminal, trans.terminal);
-        assert_eq!(crash.round_advance, trans.round_advance);
+        // The discipline differs in the opening alone.
+        assert_eq!(crash.table.opening, None);
+        assert_eq!(
+            ProtocolTable {
+                opening: trans.table.opening,
+                ..crash.table
+            },
+            trans.table
+        );
         assert!(crash.sends.iter().all(|s| s.route == CertRoute::Trusted));
         assert_eq!(crash.sends.len() + 1, trans.sends.len());
     }
@@ -975,10 +884,7 @@ mod tests {
     fn transform_reproduces_the_hand_written_transformed_spec() {
         let derived = transform(&ProtocolSpec::crash_hr());
         let hand = ProtocolSpec::transformed();
-        assert_eq!(derived.opening, hand.opening);
-        assert_eq!(derived.round_slots, hand.round_slots);
-        assert_eq!(derived.terminal, hand.terminal);
-        assert_eq!(derived.round_advance, hand.round_advance);
+        assert_eq!(derived.table, hand.table);
         for (d, h) in derived.sends.iter().zip(hand.sends.iter()) {
             assert_eq!(d, h, "send `{}` diverges from the hand-written table", h.id);
         }
@@ -993,22 +899,22 @@ mod tests {
 
     #[test]
     fn ct_transformed_spec_names_every_wire_kind_once() {
-        let spec = ProtocolSpec::transformed_ct();
-        assert_eq!(spec.protocol, ProtocolId::ChandraToueg);
-        assert_eq!(spec.opening, Some(MessageKind::Init));
-        assert_eq!(spec.terminal, MessageKind::Decide);
-        assert_eq!(spec.slot_of(MessageKind::Estimate), Some(0));
-        assert_eq!(spec.slot_of(MessageKind::Propose), Some(1));
-        assert_eq!(spec.slot_of(MessageKind::Ack), Some(2));
-        assert_eq!(spec.slot_of(MessageKind::Nack), Some(3));
-        assert!(spec
-            .round_slots
+        let table = ProtocolSpec::transformed_ct().table;
+        assert_eq!(table.protocol, ProtocolId::ChandraToueg);
+        assert_eq!(table.opening, Some(MessageKind::Init));
+        assert_eq!(table.terminal, MessageKind::Decide);
+        assert_eq!(table.slot_of(MessageKind::Estimate), Some(0));
+        assert_eq!(table.slot_of(MessageKind::Propose), Some(1));
+        assert_eq!(table.slot_of(MessageKind::Ack), Some(2));
+        assert_eq!(table.slot_of(MessageKind::Nack), Some(3));
+        assert!(table
+            .slots
             .iter()
-            .all(|s| Some(s.kind) != spec.opening && s.kind != spec.terminal));
+            .all(|(kind, _)| Some(*kind) != table.opening && *kind != table.terminal));
         // CT's mandatory slot is the *first* one: every round opens with
         // an ESTIMATE re-broadcast, the coordinator-echo tail is optional.
-        assert!(spec.round_slots[0].mandatory);
-        assert!(spec.round_slots[1..].iter().all(|s| !s.mandatory));
+        assert!(table.slots[0].1);
+        assert!(table.slots[1..].iter().all(|(_, mandatory)| !mandatory));
     }
 
     #[test]
@@ -1024,7 +930,7 @@ mod tests {
             if !s.route.condition_certifiable() {
                 assert_eq!(
                     Some(s.kind),
-                    spec.opening,
+                    spec.table.opening,
                     "only initial values are uncertifiable"
                 );
             }
@@ -1035,10 +941,15 @@ mod tests {
     fn ct_crash_spec_is_the_transformed_spec_minus_auditability() {
         let crash = ProtocolSpec::crash_ct();
         let trans = ProtocolSpec::transformed_ct();
-        assert_eq!(crash.opening, None);
-        assert_eq!(crash.round_slots, trans.round_slots);
-        assert_eq!(crash.terminal, trans.terminal);
-        assert_eq!(crash.round_advance, trans.round_advance);
+        // The discipline differs in the opening alone.
+        assert_eq!(crash.table.opening, None);
+        assert_eq!(
+            ProtocolTable {
+                opening: trans.table.opening,
+                ..crash.table
+            },
+            trans.table
+        );
         assert!(crash.sends.iter().all(|s| s.route == CertRoute::Trusted));
         assert_eq!(crash.sends.len() + 1, trans.sends.len());
     }
@@ -1056,8 +967,8 @@ mod tests {
     #[test]
     fn protocol_selectors_agree_with_the_named_constructors() {
         for p in ProtocolId::all() {
-            assert_eq!(ProtocolSpec::transformed_for(p).protocol, p);
-            assert_eq!(ProtocolSpec::crash_for(p).protocol, p);
+            assert_eq!(ProtocolSpec::transformed_for(p).table.protocol, p);
+            assert_eq!(ProtocolSpec::crash_for(p).table.protocol, p);
             assert_eq!(
                 transform(&ProtocolSpec::crash_for(p)),
                 ProtocolSpec::transformed_for(p)

@@ -2,11 +2,17 @@
 //!
 //! `SM_p(q)` tracks what a correct `q` may send next over the FIFO channel
 //! `q → p`. The *shape* of the automaton is per-protocol data — a
-//! [`ProtocolTable`] names the opening kind, the ordered per-round send
-//! slots (each mandatory or optional) and the terminal kind — while the
-//! transition logic is generic: slots fire in order at most once per
-//! round, a round may only be left once every remaining mandatory slot was
-//! sent, and rounds advance one at a time.
+//! [`ProtocolTable`] names the opening kind (if any), the ordered per-round
+//! send slots (each mandatory or optional), the terminal kind and the round
+//! advance — while the transition logic ([`ProtocolTable::transition`]) is
+//! generic: slots fire in order at most once per round, a round may only be
+//! left once every remaining mandatory slot was sent, and rounds advance
+//! `round_advance` at a time.
+//!
+//! The table is the single statement of a protocol's send discipline:
+//! `ftm_core::spec::ProtocolSpec` holds one, and `ftm-verify` squeezes the
+//! transition between an independent compliant-trace generator and every
+//! single-divergence neighbour of those traces.
 //!
 //! For Hurfin–Raynal (slots `[CURRENT?, NEXT!]`) this instantiates to the
 //! paper's Fig. 4:
@@ -33,36 +39,39 @@ use std::fmt;
 use ftm_certify::{CertifyError, Envelope, FaultClass, MessageKind, ProtocolId, Round};
 use ftm_sim::ProcessId;
 
-/// The per-protocol shape of the observer automaton: which kind opens a
-/// peer's lifetime, which kinds it may send per round and in what order
-/// (each at most once; `true` marks a mandatory slot), and which kind
-/// terminates it.
-///
-/// The table is static data maintained next to the automaton, mirrored by
-/// `ftm_core::spec::ProtocolSpec`'s `round_slots`; `ftm-verify` diffs the
-/// two artifacts edge-by-edge.
+/// A protocol's send discipline, and thereby the shape of its observer
+/// automaton: which kind (if any) opens a peer's lifetime, which kinds it
+/// may send per round and in what order (each at most once; `true` marks a
+/// mandatory slot), which kind terminates it, and how far a round advance
+/// goes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProtocolTable {
     /// The protocol this table describes.
     pub protocol: ProtocolId,
-    /// The kind that opens a peer's lifetime (sent exactly once).
-    pub opening: MessageKind,
+    /// The kind that opens a peer's lifetime (sent first, exactly once).
+    /// `None` for un-transformed crash-model protocols — the round-0
+    /// vector-certification phase is what *adds* an opening — whose peers
+    /// are observed from `q0` of round 1.
+    pub opening: Option<MessageKind>,
     /// Ordered per-round send slots as `(kind, mandatory)`.
     pub slots: &'static [(MessageKind, bool)],
     /// The kind that terminates a peer's lifetime (relayable any time).
     pub terminal: MessageKind,
+    /// How many rounds a correct process advances at a time.
+    pub round_advance: Round,
 }
 
 static HR_TABLE: ProtocolTable = ProtocolTable {
     protocol: ProtocolId::HurfinRaynal,
-    opening: MessageKind::Init,
+    opening: Some(MessageKind::Init),
     slots: &[(MessageKind::Current, false), (MessageKind::Next, true)],
     terminal: MessageKind::Decide,
+    round_advance: 1,
 };
 
 static CT_TABLE: ProtocolTable = ProtocolTable {
     protocol: ProtocolId::ChandraToueg,
-    opening: MessageKind::Init,
+    opening: Some(MessageKind::Init),
     slots: &[
         (MessageKind::Estimate, true),
         (MessageKind::Propose, false),
@@ -70,25 +79,36 @@ static CT_TABLE: ProtocolTable = ProtocolTable {
         (MessageKind::Nack, false),
     ],
     terminal: MessageKind::Decide,
+    round_advance: 1,
 };
 
 impl ProtocolTable {
-    /// The transformed Hurfin–Raynal table (paper Fig. 4).
-    pub fn hurfin_raynal() -> &'static ProtocolTable {
-        &HR_TABLE
-    }
-
-    /// The transformed Chandra–Toueg table (coordinator-echo rounds).
-    pub fn chandra_toueg() -> &'static ProtocolTable {
-        &CT_TABLE
-    }
-
-    /// The table of the given protocol.
+    /// The transformed table of the given protocol (Fig. 4 for
+    /// Hurfin–Raynal, coordinator-echo rounds for Chandra–Toueg).
     pub fn for_protocol(protocol: ProtocolId) -> &'static ProtocolTable {
         match protocol {
             ProtocolId::HurfinRaynal => &HR_TABLE,
             ProtocolId::ChandraToueg => &CT_TABLE,
         }
+    }
+
+    /// The `(phase, round)` a peer is observed from: `start` before the
+    /// opening, or — nothing marks a crash peer's lifetime start — `q0` of
+    /// round 1 for opening-less tables.
+    pub fn initial(&self) -> (PeerPhase, Round) {
+        match self.opening {
+            Some(_) => (PeerPhase::Start, 0),
+            None => (PeerPhase::InRound(0), 1),
+        }
+    }
+
+    /// The wire alphabet: opening (if any), slot kinds in order, terminal.
+    pub fn alphabet(&self) -> Vec<MessageKind> {
+        self.opening
+            .into_iter()
+            .chain(self.slots.iter().map(|(k, _)| *k))
+            .chain([self.terminal])
+            .collect()
     }
 
     /// The slot index of `kind`, or `None` for non-slot kinds.
@@ -126,7 +146,7 @@ impl ProtocolTable {
 /// `InRound(i)` means the peer is believed in-round with the first `i`
 /// send slots passed; the paper's `q0`/`q1`/`q2` for Hurfin–Raynal are
 /// [`PeerPhase::Q0`]/[`PeerPhase::Q1`]/[`PeerPhase::Q2`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum PeerPhase {
     /// Nothing received yet; the opening kind is expected.
     Start,
@@ -230,14 +250,120 @@ fn entry_past_mandatory_reason(owed: MessageKind) -> &'static str {
     }
 }
 
-/// The timing automaton for one peer.
+impl ProtocolTable {
+    /// The transition function of the observer automaton — the tree's only
+    /// statement of Fig. 4. Classifies the receipt of a message of `kind`
+    /// carrying round `r` by a peer believed in `(phase, round)`: an enabled
+    /// receipt yields the next phase, the next believed round and the extra
+    /// verification the observer must run before committing it.
+    ///
+    /// Pure in its five arguments, so `ftm-verify` can walk it over whole
+    /// trace spaces without fabricating signed envelopes;
+    /// [`PeerAutomaton::step`] is the stateful wrapper the runtime drives.
+    ///
+    /// # Errors
+    ///
+    /// The violated clause of the send discipline when the receipt is not
+    /// enabled; the peer's next phase is then [`PeerPhase::Faulty`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when `phase` is `InRound(i)` with `i` beyond the table's slot
+    /// count — a phase this table's own transitions never produce.
+    pub fn transition(
+        &self,
+        phase: PeerPhase,
+        round: Round,
+        kind: MessageKind,
+        r: Round,
+    ) -> Result<(PeerPhase, Round, Requirement), &'static str> {
+        match phase {
+            PeerPhase::Faulty => Err("message from an already convicted peer"),
+            PeerPhase::Final => Err("message after DECIDE (halted process spoke)"),
+            PeerPhase::Start => {
+                if Some(kind) == self.opening {
+                    Ok((PeerPhase::InRound(0), 1, Requirement::Standard))
+                } else {
+                    // A process that decides before sending the opening
+                    // never ran the vector-certification phase — relayed
+                    // DECIDEs are possible only after INIT, since the
+                    // protocol starts with the INIT broadcast.
+                    Err("first message is not INIT")
+                }
+            }
+            PeerPhase::InRound(pos) => {
+                if kind == self.terminal {
+                    // The terminal kind is enabled from any in-round phase
+                    // at any round (a process may relay a DECIDE it
+                    // received any time, carrying the decider's round).
+                    return Ok((PeerPhase::Final, round, Requirement::Standard));
+                }
+                if Some(kind) == self.opening {
+                    return Err(duplicate_reason(kind));
+                }
+                let Some(j) = self.slot_of(kind) else {
+                    // A kind the protocol's program text never produces.
+                    return Err("message kind outside the protocol's alphabet");
+                };
+                if r < round {
+                    return Err("message for a past round (replay or duplication)");
+                }
+                if r > round {
+                    // FIFO: the peer left its round without our seeing
+                    // every mandatory slot, or skipped ahead — correct
+                    // processes advance `round_advance` at a time.
+                    if !self.advance_ready(pos) {
+                        // Not advance-ready implies an owed mandatory slot;
+                        // if the table disagrees, the round exit itself is
+                        // the violation.
+                        let Some(owed) = self.first_mandatory_from(pos) else {
+                            return Err("left the round against the slot table");
+                        };
+                        return Err(left_round_reason(owed));
+                    }
+                    if r != round + self.round_advance {
+                        return Err("skipped a round");
+                    }
+                    if !self.entry_legal(0, j) {
+                        let Some(owed) = self.first_mandatory_from(0) else {
+                            return Err("entered the round against the slot table");
+                        };
+                        return Err(entry_past_mandatory_reason(owed));
+                    }
+                    // Round advance: re-enter the new round at slot j.
+                    return Ok((PeerPhase::InRound(j + 1), r, Requirement::RoundEntry(r)));
+                }
+                // Same round: slots fire in order, at most once.
+                if j < pos {
+                    if j + 1 == pos {
+                        return Err(duplicate_reason(kind));
+                    }
+                    let (last, _) = self.slots[pos - 1];
+                    return Err(order_reason(kind, last));
+                }
+                if !self.entry_legal(pos, j) {
+                    let Some(owed) = self.first_mandatory_from(pos) else {
+                        return Err("skipped ahead against the slot table");
+                    };
+                    return Err(skip_mandatory_reason(owed));
+                }
+                Ok((PeerPhase::InRound(j + 1), round, Requirement::Standard))
+            }
+        }
+    }
+}
+
+/// The timing automaton for one peer: [`ProtocolTable::transition`] plus
+/// the `(phase, round)` it has reached.
 ///
 /// # Example
 ///
 /// ```
-/// use ftm_detect::{PeerAutomaton, PeerPhase};
+/// use ftm_certify::ProtocolId;
+/// use ftm_detect::{PeerAutomaton, PeerPhase, ProtocolTable};
 /// use ftm_sim::ProcessId;
-/// let a = PeerAutomaton::new(ProcessId(1));
+/// let table = ProtocolTable::for_protocol(ProtocolId::HurfinRaynal);
+/// let a = PeerAutomaton::new_for(table, ProcessId(1));
 /// assert_eq!(a.phase(), PeerPhase::Start);
 /// assert_eq!(a.round(), 0);
 /// ```
@@ -250,40 +376,10 @@ pub struct PeerAutomaton {
 }
 
 impl PeerAutomaton {
-    /// Creates the automaton in `start`, before any receipt, with the
-    /// Hurfin–Raynal table (see [`PeerAutomaton::new_for`]).
-    pub fn new(peer: ProcessId) -> Self {
-        PeerAutomaton::new_for(ProtocolTable::hurfin_raynal(), peer)
-    }
-
-    /// Creates the automaton in `start` with an explicit protocol table.
+    /// Creates the automaton in `table`'s initial state, before any
+    /// receipt.
     pub fn new_for(table: &'static ProtocolTable, peer: ProcessId) -> Self {
-        PeerAutomaton {
-            peer,
-            phase: PeerPhase::Start,
-            round: 0,
-            table,
-        }
-    }
-
-    /// Creates a Hurfin–Raynal automaton in an arbitrary `(phase, round)`
-    /// state.
-    ///
-    /// This exists for *static analysis*: `ftm-verify` enumerates the
-    /// transition function state by state, which requires placing the
-    /// automaton in each state directly instead of replaying a history
-    /// that reaches it. Protocol code should use [`PeerAutomaton::new`].
-    pub fn at(peer: ProcessId, phase: PeerPhase, round: Round) -> Self {
-        PeerAutomaton::at_for(ProtocolTable::hurfin_raynal(), peer, phase, round)
-    }
-
-    /// [`PeerAutomaton::at`] with an explicit protocol table.
-    pub fn at_for(
-        table: &'static ProtocolTable,
-        peer: ProcessId,
-        phase: PeerPhase,
-        round: Round,
-    ) -> Self {
+        let (phase, round) = table.initial();
         PeerAutomaton {
             peer,
             phase,
@@ -318,11 +414,6 @@ impl PeerAutomaton {
         self.phase == PeerPhase::Faulty
     }
 
-    fn fault(&mut self, reason: &'static str) -> Result<Requirement, CertifyError> {
-        self.phase = PeerPhase::Faulty;
-        Err(CertifyError::new(self.peer, FaultClass::OutOfOrder, reason))
-    }
-
     /// Checks whether `env`'s receipt event is enabled, and advances the
     /// phase if so. Returns the extra verification the observer must run
     /// (certificate predicates) — the observer calls this *after* the
@@ -340,98 +431,22 @@ impl PeerAutomaton {
         self.step(env.kind(), env.round())
     }
 
-    /// The bare transition function: classifies the receipt of a message
-    /// of `kind` carrying round `r` and advances the phase.
-    ///
-    /// [`PeerAutomaton::on_message`] is a thin wrapper over this; the
-    /// symbol-level entry point exists so `ftm-verify` can model-check the
-    /// automaton over its whole alphabet without fabricating signed
-    /// envelopes.
+    /// Applies [`ProtocolTable::transition`] to the receipt of a message of
+    /// `kind` carrying round `r`.
     ///
     /// # Errors
     ///
     /// Same contract as [`PeerAutomaton::on_message`].
     pub fn step(&mut self, kind: MessageKind, r: Round) -> Result<Requirement, CertifyError> {
-        match self.phase {
-            PeerPhase::Faulty => Err(CertifyError::new(
-                self.peer,
-                FaultClass::OutOfOrder,
-                "message from an already convicted peer",
-            )),
-            PeerPhase::Final => self.fault("message after DECIDE (halted process spoke)"),
-            PeerPhase::Start => {
-                if kind == self.table.opening {
-                    self.phase = PeerPhase::InRound(0);
-                    self.round = 1;
-                    Ok(Requirement::Standard)
-                } else {
-                    // A process that decides before sending the opening
-                    // never ran the vector-certification phase — relayed
-                    // DECIDEs are possible only after INIT, since the
-                    // protocol starts with the INIT broadcast.
-                    self.fault("first message is not INIT")
-                }
+        match self.table.transition(self.phase, self.round, kind, r) {
+            Ok((phase, round, requirement)) => {
+                self.phase = phase;
+                self.round = round;
+                Ok(requirement)
             }
-            PeerPhase::InRound(pos) => {
-                if kind == self.table.terminal {
-                    // The terminal kind is enabled from any in-round phase
-                    // (a process may relay a DECIDE it received any time).
-                    self.phase = PeerPhase::Final;
-                    return Ok(Requirement::Standard);
-                }
-                if kind == self.table.opening {
-                    return self.fault(duplicate_reason(self.table.opening));
-                }
-                let Some(j) = self.table.slot_of(kind) else {
-                    // A kind the protocol's program text never produces.
-                    return self.fault("message kind outside the protocol's alphabet");
-                };
-                if r < self.round {
-                    return self.fault("message for a past round (replay or duplication)");
-                }
-                if r > self.round {
-                    // FIFO: the peer left its round without our seeing
-                    // every mandatory slot, or skipped ahead — correct
-                    // processes advance one round at a time.
-                    if !self.table.advance_ready(pos) {
-                        // Not advance-ready implies an owed mandatory slot;
-                        // if the table disagrees, the round exit itself is
-                        // the violation.
-                        let Some(owed) = self.table.first_mandatory_from(pos) else {
-                            return self.fault("left the round against the slot table");
-                        };
-                        return self.fault(left_round_reason(owed));
-                    }
-                    if r != self.round + 1 {
-                        return self.fault("skipped a round");
-                    }
-                    if !self.table.entry_legal(0, j) {
-                        let Some(owed) = self.table.first_mandatory_from(0) else {
-                            return self.fault("entered the round against the slot table");
-                        };
-                        return self.fault(entry_past_mandatory_reason(owed));
-                    }
-                    // Round advance: re-enter the new round at slot j.
-                    self.round = r;
-                    self.phase = PeerPhase::InRound(j + 1);
-                    return Ok(Requirement::RoundEntry(r));
-                }
-                // Same round: slots fire in order, at most once.
-                if j < pos {
-                    if j + 1 == pos {
-                        return self.fault(duplicate_reason(kind));
-                    }
-                    let (last, _) = self.table.slots[pos - 1];
-                    return self.fault(order_reason(kind, last));
-                }
-                if !self.table.entry_legal(pos, j) {
-                    let Some(owed) = self.table.first_mandatory_from(pos) else {
-                        return self.fault("skipped ahead against the slot table");
-                    };
-                    return self.fault(skip_mandatory_reason(owed));
-                }
-                self.phase = PeerPhase::InRound(j + 1);
-                Ok(Requirement::Standard)
+            Err(reason) => {
+                self.phase = PeerPhase::Faulty;
+                Err(CertifyError::new(self.peer, FaultClass::OutOfOrder, reason))
             }
         }
     }
@@ -468,10 +483,22 @@ mod tests {
         ValueVector::empty(4)
     }
 
+    fn hr() -> &'static ProtocolTable {
+        ProtocolTable::for_protocol(ProtocolId::HurfinRaynal)
+    }
+
+    fn ct() -> &'static ProtocolTable {
+        ProtocolTable::for_protocol(ProtocolId::ChandraToueg)
+    }
+
+    fn hr_peer() -> PeerAutomaton {
+        PeerAutomaton::new_for(hr(), ProcessId(1))
+    }
+
     #[test]
     fn honest_round_sequence_is_accepted() {
         let ks = keys();
-        let mut a = PeerAutomaton::new(ProcessId(1));
+        let mut a = hr_peer();
         assert!(a.on_message(&env(&ks, 1, Core::Init { value: 1 })).is_ok());
         assert_eq!(a.phase(), PeerPhase::Q0);
         assert!(a
@@ -518,7 +545,7 @@ mod tests {
     #[test]
     fn skipping_the_mandatory_next_is_caught() {
         let ks = keys();
-        let mut a = PeerAutomaton::new(ProcessId(1));
+        let mut a = hr_peer();
         a.on_message(&env(&ks, 1, Core::Init { value: 1 })).unwrap();
         a.on_message(&env(
             &ks,
@@ -547,7 +574,7 @@ mod tests {
     #[test]
     fn duplicate_votes_are_caught() {
         let ks = keys();
-        let mut a = PeerAutomaton::new(ProcessId(1));
+        let mut a = hr_peer();
         a.on_message(&env(&ks, 1, Core::Init { value: 1 })).unwrap();
         a.on_message(&env(
             &ks,
@@ -575,7 +602,7 @@ mod tests {
     #[test]
     fn duplicate_next_is_caught() {
         let ks = keys();
-        let mut a = PeerAutomaton::new(ProcessId(1));
+        let mut a = hr_peer();
         a.on_message(&env(&ks, 1, Core::Init { value: 1 })).unwrap();
         a.on_message(&env(&ks, 1, Core::Next { round: 1 })).unwrap();
         assert!(a.on_message(&env(&ks, 1, Core::Next { round: 1 })).is_err());
@@ -585,7 +612,7 @@ mod tests {
     #[test]
     fn past_round_replay_is_caught() {
         let ks = keys();
-        let mut a = PeerAutomaton::new(ProcessId(1));
+        let mut a = hr_peer();
         a.on_message(&env(&ks, 1, Core::Init { value: 1 })).unwrap();
         a.on_message(&env(&ks, 1, Core::Next { round: 1 })).unwrap();
         a.on_message(&env(&ks, 1, Core::Next { round: 2 })).unwrap();
@@ -598,7 +625,7 @@ mod tests {
     #[test]
     fn round_skip_is_caught() {
         let ks = keys();
-        let mut a = PeerAutomaton::new(ProcessId(1));
+        let mut a = hr_peer();
         a.on_message(&env(&ks, 1, Core::Init { value: 1 })).unwrap();
         a.on_message(&env(&ks, 1, Core::Next { round: 1 })).unwrap();
         let err = a
@@ -610,7 +637,7 @@ mod tests {
     #[test]
     fn missing_init_is_caught() {
         let ks = keys();
-        let mut a = PeerAutomaton::new(ProcessId(1));
+        let mut a = hr_peer();
         let err = a
             .on_message(&env(&ks, 1, Core::Next { round: 1 }))
             .unwrap_err();
@@ -620,7 +647,7 @@ mod tests {
     #[test]
     fn duplicate_init_is_caught() {
         let ks = keys();
-        let mut a = PeerAutomaton::new(ProcessId(1));
+        let mut a = hr_peer();
         a.on_message(&env(&ks, 1, Core::Init { value: 1 })).unwrap();
         assert!(a.on_message(&env(&ks, 1, Core::Init { value: 1 })).is_err());
     }
@@ -628,7 +655,7 @@ mod tests {
     #[test]
     fn speaking_after_decide_is_caught() {
         let ks = keys();
-        let mut a = PeerAutomaton::new(ProcessId(1));
+        let mut a = hr_peer();
         a.on_message(&env(&ks, 1, Core::Init { value: 1 })).unwrap();
         a.on_message(&env(
             &ks,
@@ -648,7 +675,7 @@ mod tests {
     #[test]
     fn current_after_next_same_round_is_caught() {
         let ks = keys();
-        let mut a = PeerAutomaton::new(ProcessId(1));
+        let mut a = hr_peer();
         a.on_message(&env(&ks, 1, Core::Init { value: 1 })).unwrap();
         a.on_message(&env(&ks, 1, Core::Next { round: 1 })).unwrap();
         let err = a
@@ -669,10 +696,16 @@ mod tests {
         // A second DECIDE after the first: the halted process spoke again.
         // Regression guard — DECIDE is enabled from every in-round phase,
         // so it is easy to accidentally enable it from Final too.
-        let mut a = PeerAutomaton::at(ProcessId(1), PeerPhase::Final, 2);
-        let err = a.step(MessageKind::Decide, 2).unwrap_err();
+        let err = hr()
+            .transition(PeerPhase::Final, 2, MessageKind::Decide, 2)
+            .unwrap_err();
+        assert!(err.contains("after DECIDE"));
+        // The stateful wrapper turns the rejection into a conviction.
+        let mut a = hr_peer();
+        a.step(MessageKind::Init, 0).unwrap();
+        a.step(MessageKind::Decide, 1).unwrap();
+        let err = a.step(MessageKind::Decide, 1).unwrap_err();
         assert_eq!(err.class, FaultClass::OutOfOrder);
-        assert!(err.reason.contains("after DECIDE"));
         assert!(a.is_faulty());
     }
 
@@ -681,35 +714,28 @@ mod tests {
         // At q2(r), NEXT(r+1) is the round-advance path: the message must
         // be re-dispatched into the NEW round (landing in q2 again) and the
         // observer must be asked for round-entry evidence — not Standard.
-        let mut a = PeerAutomaton::at(ProcessId(1), PeerPhase::Q2, 3);
-        let req = a.step(MessageKind::Next, 4).unwrap();
-        assert_eq!(req, Requirement::RoundEntry(4));
-        assert_eq!(a.phase(), PeerPhase::Q2);
-        assert_eq!(a.round(), 4);
+        let next = hr().transition(PeerPhase::Q2, 3, MessageKind::Next, 4);
+        assert_eq!(next, Ok((PeerPhase::Q2, 4, Requirement::RoundEntry(4))));
         // The advanced automaton keeps advancing: NEXT(5) is legal again.
-        assert_eq!(
-            a.step(MessageKind::Next, 5).unwrap(),
-            Requirement::RoundEntry(5)
-        );
-        assert_eq!(a.round(), 5);
+        let next = hr().transition(PeerPhase::Q2, 4, MessageKind::Next, 5);
+        assert_eq!(next, Ok((PeerPhase::Q2, 5, Requirement::RoundEntry(5))));
     }
 
     #[test]
-    fn duplicate_current_in_q1_is_caught_at_the_step_level() {
+    fn duplicate_current_in_q1_is_caught_at_the_transition_level() {
         // Same divergence as `duplicate_votes_are_caught`, but pinned at
         // the bare transition function: q1(r) + CURRENT(r) must convict
         // regardless of envelope plumbing.
-        let mut a = PeerAutomaton::at(ProcessId(1), PeerPhase::Q1, 2);
-        let err = a.step(MessageKind::Current, 2).unwrap_err();
-        assert_eq!(err.class, FaultClass::OutOfOrder);
-        assert!(err.reason.contains("duplicate CURRENT"));
-        assert!(a.is_faulty());
+        let err = hr()
+            .transition(PeerPhase::Q1, 2, MessageKind::Current, 2)
+            .unwrap_err();
+        assert!(err.contains("duplicate CURRENT"));
     }
 
     #[test]
     fn convicted_peer_stays_convicted() {
         let ks = keys();
-        let mut a = PeerAutomaton::new(ProcessId(1));
+        let mut a = hr_peer();
         a.convict();
         assert!(a.is_faulty());
         assert!(a.on_message(&env(&ks, 1, Core::Init { value: 1 })).is_err());
@@ -719,14 +745,54 @@ mod tests {
     fn foreign_kind_convicts() {
         // An HR observer receiving a CT vote: the program text of HR never
         // produces an ESTIMATE, so the sender is convicted on timing.
-        let mut a = PeerAutomaton::at(ProcessId(1), PeerPhase::Q0, 1);
-        let err = a.step(MessageKind::Estimate, 1).unwrap_err();
-        assert!(err.reason.contains("outside the protocol's alphabet"));
-        assert!(a.is_faulty());
+        let err = hr()
+            .transition(PeerPhase::Q0, 1, MessageKind::Estimate, 1)
+            .unwrap_err();
+        assert!(err.contains("outside the protocol's alphabet"));
     }
 
-    fn ct() -> &'static ProtocolTable {
-        ProtocolTable::chandra_toueg()
+    #[test]
+    fn a_crash_table_is_observed_from_q0_of_round_one() {
+        // No opening: nothing marks a crash peer's lifetime start, so the
+        // observer begins mid-protocol and an honest round is clean.
+        let crash = ProtocolTable {
+            opening: None,
+            ..*hr()
+        };
+        assert_eq!(crash.initial(), (PeerPhase::Q0, 1));
+        assert!(!crash.alphabet().contains(&MessageKind::Init));
+        let (mut phase, mut round) = crash.initial();
+        for (kind, r) in [
+            (MessageKind::Current, 1),
+            (MessageKind::Next, 1),
+            (MessageKind::Current, 2),
+            (MessageKind::Decide, 2),
+        ] {
+            (phase, round, _) = crash
+                .transition(phase, round, kind, r)
+                .unwrap_or_else(|why| panic!("{kind}({r}) rejected in {phase}@{round}: {why}"));
+        }
+        assert_eq!((phase, round), (PeerPhase::Final, 2));
+    }
+
+    #[test]
+    fn the_round_advance_is_the_tables() {
+        let by_two = ProtocolTable {
+            round_advance: 2,
+            ..*hr()
+        };
+        let after_next_1 = by_two
+            .transition(PeerPhase::Q0, 1, MessageKind::Next, 1)
+            .unwrap();
+        assert_eq!(after_next_1, (PeerPhase::Q2, 1, Requirement::Standard));
+        assert_eq!(
+            by_two.transition(PeerPhase::Q2, 1, MessageKind::Next, 3),
+            Ok((PeerPhase::Q2, 3, Requirement::RoundEntry(3)))
+        );
+        assert_eq!(
+            by_two.transition(PeerPhase::Q2, 1, MessageKind::Next, 2),
+            Err("skipped a round")
+        );
     }
 
     #[test]
@@ -750,73 +816,71 @@ mod tests {
         assert_eq!(a.phase(), PeerPhase::Final);
     }
 
+    /// Walks `ct()` from `q0` of round 1 over `votes`, returning the last
+    /// verdict.
+    fn ct_walk(
+        votes: &[(MessageKind, Round)],
+    ) -> Result<(PeerPhase, Round, Requirement), &'static str> {
+        let (mut phase, mut round) = (PeerPhase::InRound(0), 1);
+        let mut last = Err("empty walk");
+        for &(kind, r) in votes {
+            last = ct().transition(phase, round, kind, r);
+            (phase, round, _) = last?;
+        }
+        last
+    }
+
     #[test]
     fn ct_non_coordinator_skips_propose() {
         // A replica: ESTIMATE then ACK (slot 2) directly — PROPOSE is an
         // optional slot, so skipping it is legal.
-        let mut a = PeerAutomaton::at_for(ct(), ProcessId(1), PeerPhase::InRound(0), 1);
-        assert!(a.step(MessageKind::Estimate, 1).is_ok());
-        assert!(a.step(MessageKind::Ack, 1).is_ok());
-        assert_eq!(a.phase(), PeerPhase::InRound(3));
+        let (phase, ..) = ct_walk(&[(MessageKind::Estimate, 1), (MessageKind::Ack, 1)]).unwrap();
+        assert_eq!(phase, PeerPhase::InRound(3));
     }
 
     #[test]
     fn ct_propose_before_estimate_convicts() {
         // The coordinator-echo discipline: even the coordinator opens with
         // its own ESTIMATE; a PROPOSE first skips the mandatory slot.
-        let mut a = PeerAutomaton::at_for(ct(), ProcessId(0), PeerPhase::InRound(0), 1);
-        let err = a.step(MessageKind::Propose, 1).unwrap_err();
-        assert!(err.reason.contains("mandatory ESTIMATE"), "{}", err.reason);
-        assert!(a.is_faulty());
+        let err = ct_walk(&[(MessageKind::Propose, 1)]).unwrap_err();
+        assert!(err.contains("mandatory ESTIMATE"), "{err}");
     }
 
     #[test]
     fn ct_ack_after_nack_convicts() {
-        let mut a = PeerAutomaton::at_for(ct(), ProcessId(1), PeerPhase::InRound(0), 1);
-        a.step(MessageKind::Estimate, 1).unwrap();
-        a.step(MessageKind::Nack, 1).unwrap();
-        assert_eq!(a.phase(), PeerPhase::InRound(4));
-        let err = a.step(MessageKind::Ack, 1).unwrap_err();
-        assert!(err.reason.contains("ACK after NACK"), "{}", err.reason);
+        let (phase, ..) = ct_walk(&[(MessageKind::Estimate, 1), (MessageKind::Nack, 1)]).unwrap();
+        assert_eq!(phase, PeerPhase::InRound(4));
+        let err = ct().transition(phase, 1, MessageKind::Ack, 1).unwrap_err();
+        assert!(err.contains("ACK after NACK"), "{err}");
     }
 
     #[test]
     fn ct_round_left_without_estimate_convicts() {
         // A peer in q0 of round 1 jumping to round 2 never sent its
         // mandatory ESTIMATE(1).
-        let mut a = PeerAutomaton::at_for(ct(), ProcessId(1), PeerPhase::InRound(0), 1);
-        let err = a.step(MessageKind::Estimate, 2).unwrap_err();
-        assert!(
-            err.reason.contains("without sending ESTIMATE"),
-            "{}",
-            err.reason
-        );
+        let err = ct_walk(&[(MessageKind::Estimate, 2)]).unwrap_err();
+        assert!(err.contains("without sending ESTIMATE"), "{err}");
     }
 
     #[test]
     fn ct_round_entered_past_estimate_convicts() {
         // Advance-ready in round 1, but the first message of round 2 is an
         // ACK — the peer's own ESTIMATE(2) must come first (FIFO).
-        let mut a = PeerAutomaton::at_for(ct(), ProcessId(1), PeerPhase::InRound(4), 1);
-        let err = a.step(MessageKind::Ack, 2).unwrap_err();
-        assert!(
-            err.reason.contains("without its mandatory ESTIMATE"),
-            "{}",
-            err.reason
-        );
+        let err = ct()
+            .transition(PeerPhase::InRound(4), 1, MessageKind::Ack, 2)
+            .unwrap_err();
+        assert!(err.contains("without its mandatory ESTIMATE"), "{err}");
     }
 
     #[test]
     fn ct_duplicate_estimate_convicts() {
-        let mut a = PeerAutomaton::at_for(ct(), ProcessId(1), PeerPhase::InRound(0), 1);
-        a.step(MessageKind::Estimate, 1).unwrap();
-        let err = a.step(MessageKind::Estimate, 1).unwrap_err();
-        assert!(err.reason.contains("duplicate ESTIMATE"), "{}", err.reason);
+        let err = ct_walk(&[(MessageKind::Estimate, 1), (MessageKind::Estimate, 1)]).unwrap_err();
+        assert!(err.contains("duplicate ESTIMATE"), "{err}");
     }
 
     #[test]
     fn table_helpers_expose_slot_structure() {
-        let t = ProtocolTable::chandra_toueg();
+        let t = ct();
         assert_eq!(t.slot_of(MessageKind::Estimate), Some(0));
         assert_eq!(t.slot_of(MessageKind::Nack), Some(3));
         assert_eq!(t.slot_of(MessageKind::Current), None);
@@ -826,11 +890,16 @@ mod tests {
         assert!(!t.entry_legal(0, 1));
         assert_eq!(t.first_mandatory_from(0), Some(MessageKind::Estimate));
         assert_eq!(t.first_mandatory_from(1), None);
+        assert_eq!(hr().slots.len(), 2);
+        assert_eq!(t.initial(), (PeerPhase::Start, 0));
         assert_eq!(
-            ProtocolTable::for_protocol(ProtocolId::HurfinRaynal)
-                .slots
-                .len(),
-            2
+            hr().alphabet(),
+            [
+                MessageKind::Init,
+                MessageKind::Current,
+                MessageKind::Next,
+                MessageKind::Decide
+            ]
         );
     }
 }

@@ -158,12 +158,12 @@ impl Observer {
         } else {
             env.sender()
         };
-        let subject_idx = subject.index().min(self.automata.len() - 1);
         // Checkpoints are slot-compaction metadata, not round votes: they
         // sit outside the per-round automaton alphabet (a decided peer may
         // legitimately emit one), so the timing check does not apply.
         let requirement = if self.checks.timing && env.kind() != MessageKind::Checkpoint {
-            match self.automata[subject_idx].on_message(env) {
+            // `check_syntax` already bounded the claimed sender id by `n`.
+            match self.automata[subject.index()].on_message(env) {
                 Ok(req) => req,
                 Err(e) => return Err(self.record(e, now)),
             }
@@ -187,8 +187,11 @@ impl Observer {
     }
 
     fn convict(&mut self, e: CertifyError, now: VirtualTime) -> CertifyError {
-        let idx = e.culprit.index().min(self.automata.len() - 1);
-        self.automata[idx].convict();
+        // A culprit id outside the system (only reachable with signatures
+        // ablated) has no automaton: the fault is logged, nobody is framed.
+        if let Some(automaton) = self.automata.get_mut(e.culprit.index()) {
+            automaton.convict();
+        }
         self.record(e, now)
     }
 
@@ -219,14 +222,16 @@ impl Observer {
         &self.faults
     }
 
-    /// Phase the observer believes `p` is in.
-    pub fn phase_of(&self, p: ProcessId) -> PeerPhase {
-        self.automata[p.index()].phase()
+    /// Phase the observer believes `p` is in (`None` for an id outside
+    /// the system).
+    pub fn phase_of(&self, p: ProcessId) -> Option<PeerPhase> {
+        self.automata.get(p.index()).map(PeerAutomaton::phase)
     }
 
-    /// Round the observer believes `p` is in.
-    pub fn round_of(&self, p: ProcessId) -> u64 {
-        self.automata[p.index()].round()
+    /// Round the observer believes `p` is in (`None` for an id outside the
+    /// system).
+    pub fn round_of(&self, p: ProcessId) -> Option<u64> {
+        self.automata.get(p.index()).map(PeerAutomaton::round)
     }
 }
 
@@ -263,7 +268,7 @@ mod tests {
                 .is_ok());
         }
         assert!(obs.faulty_set().is_empty());
-        assert_eq!(obs.phase_of(ProcessId(0)), PeerPhase::Q0);
+        assert_eq!(obs.phase_of(ProcessId(0)), Some(PeerPhase::Q0));
     }
 
     #[test]
@@ -281,6 +286,35 @@ mod tests {
         assert!(!obs.is_faulty(ProcessId(1)));
         assert_eq!(obs.faults().len(), 1);
         assert_eq!(obs.faults()[0].at, VirtualTime::at(4));
+    }
+
+    #[test]
+    fn an_out_of_range_claimed_sender_frames_nobody() {
+        // With the signature module ablated (E8) the claimed sender id is
+        // all the observer has; one outside the system must be logged as
+        // the culprit it claims to be, not pinned on the last honest peer.
+        let mut rng = ftm_crypto::rng_from_seed(81);
+        let (dir, keys) = KeyDirectory::generate(&mut rng, N, 128);
+        let checks = Checks {
+            signatures: false,
+            ..Checks::default()
+        };
+        let mut obs = Observer::with_checks(CertChecker::new(N, 1, dir), checks);
+        let env = Envelope::make(
+            ProcessId(9),
+            Core::Init { value: 5 },
+            Certificate::new(),
+            &keys[2],
+        );
+        let err = obs
+            .observe(ProcessId(2), &env, VirtualTime::ZERO)
+            .unwrap_err();
+        assert_eq!(err.culprit, ProcessId(9));
+        assert!(!obs.is_faulty(ProcessId(3)));
+        assert_eq!(obs.phase_of(ProcessId(3)), Some(PeerPhase::Start));
+        assert_eq!(obs.phase_of(ProcessId(9)), None);
+        assert_eq!(obs.faults().len(), 1);
+        assert_eq!(obs.faults()[0].class, FaultClass::WrongSyntax);
     }
 
     #[test]
@@ -356,7 +390,7 @@ mod tests {
         );
         let admitted = obs.observe(ProcessId(1), &env, VirtualTime::at(1)).unwrap();
         assert_eq!(admitted.kind(), MessageKind::Next);
-        assert_eq!(obs.phase_of(ProcessId(1)), PeerPhase::Q2);
+        assert_eq!(obs.phase_of(ProcessId(1)), Some(PeerPhase::Q2));
     }
 
     #[test]

@@ -69,9 +69,9 @@ pub fn check_coverage(spec: &ProtocolSpec) -> CoverageReport {
     // specs keep the base table, so the transform's bijection over
     // single-shot consensus is unaffected.
     let rules: Vec<RuleInfo> = if sends.iter().any(|s| s.kind == MessageKind::Checkpoint) {
-        certification_rules_with_checkpoint(spec.protocol)
+        certification_rules_with_checkpoint(spec.table.protocol)
     } else {
-        certification_rules_for(spec.protocol).to_vec()
+        certification_rules_for(spec.table.protocol).to_vec()
     };
     let mut report = CoverageReport {
         sends: sends.len() as u64,
@@ -112,7 +112,7 @@ pub fn check_coverage(spec: &ProtocolSpec) -> CoverageReport {
                 }
             }
         }
-        if !send.route.condition_certifiable() && Some(send.kind) != spec.opening {
+        if !send.route.condition_certifiable() && Some(send.kind) != spec.table.opening {
             report.uncertified_noninitial.push(format!(
                 "send `{}` ({}) is uncertifiable but not an initial value",
                 send.id, send.kind

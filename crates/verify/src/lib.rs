@@ -2,25 +2,23 @@
 //!
 //! The paper's non-muteness module (§4, Fig. 4) is built "from the program
 //! text": the per-peer observer automaton is a *static* artifact of the
-//! protocol, not of any execution. Until now the repo validated it only
-//! dynamically — simulation sweeps over fault scenarios. This crate checks
-//! the static artifact statically, over the *whole* bounded behavior
-//! space instead of the sampled one — and, since the paper's whole point
-//! is a *transformation*, it checks the transformation too, not just its
-//! output:
+//! protocol, not of any execution. Simulation sweeps validate it
+//! dynamically, over sampled fault scenarios; this crate checks the static
+//! artifact statically, over the *whole* bounded behavior space — and,
+//! since the paper's whole point is a *transformation*, it checks the
+//! transformation too, not just its output:
 //!
-//! 1. **Spec-derived extraction** ([`derived`]) — the observer automaton
-//!    is derived mechanically from the declarative send discipline in
-//!    [`ftm_core::spec::ProtocolSpec`], and [`diff`] cross-checks it
-//!    against the hand-written [`ftm_detect::PeerAutomaton`] state by
-//!    state, edge by edge (for specs of the hand-written Fig. 3 shape).
-//! 2. **Bounded model checking** — [`checks`] proves the derived relation
-//!    deterministic and total over the receipt alphabet; [`soundness`]
-//!    enumerates every compliant sender trace up to a round bound and
-//!    proves none is convicted; [`mutation`] generates every
-//!    single-divergence mutant (kind swap, phase skip, duplicate send,
-//!    round jump, send-after-decide) and proves each is convicted,
-//!    reporting the kill matrix.
+//! 1. **Bounded soundness** — the observer automaton is
+//!    [`ftm_detect::ProtocolTable::transition`] run on the table a
+//!    [`ftm_core::spec::ProtocolSpec`] holds; there is no second encoding
+//!    to reconcile it with. The independent reference is a *generator*:
+//!    [`soundness`] enumerates every compliant sender trace up to a round
+//!    bound and proves none is convicted (acceptor ⊇ generator).
+//! 2. **Mutation analysis** — [`mutation`] generates every
+//!    single-divergence mutant of those traces (kind swap, phase skip,
+//!    duplicate send, round jump, send-after-decide), sets aside the ones
+//!    the generator also emits, and proves every other one is convicted
+//!    (acceptor ∌ any divergent neighbour), reporting the kill matrix.
 //! 3. **Certificate-rule coverage** ([`coverage`]) — §5's obligation
 //!    table: every conditional send in the spec is audited by a matching
 //!    rule in `ftm-certify`, no rule is dead, and the only uncertifiable
@@ -38,7 +36,7 @@
 //!    with counterexample witnesses recorded past each bound.
 //! 6. **Transformation refinement** ([`refinement`]) — the crash→Byzantine
 //!    step itself: [`ftm_core::spec::transform`] applied to the crash spec
-//!    must reproduce the hand-written transformed spec edge by edge; every
+//!    must reproduce the hand-written transformed spec send by send; every
 //!    compliant crash trace must lift to a compliant transformed trace
 //!    (completeness); and a product walk of the two observers must show
 //!    the transformed one convicts *strictly more*, never less
@@ -58,10 +56,7 @@
 //! assert!(report.ok(), "{}", report.to_json().render());
 //! ```
 
-pub mod checks;
 pub mod coverage;
-pub mod derived;
-pub mod diff;
 pub mod lineage;
 pub mod mutation;
 pub mod perturb;
@@ -69,13 +64,12 @@ pub mod quorum;
 pub mod refinement;
 pub mod report;
 pub mod soundness;
-pub mod symbol;
 
-pub use derived::DerivedAutomaton;
 pub use report::{SpecReport, VerifyReport};
 
 use ftm_certify::ProtocolId;
 use ftm_core::spec::{transform, ProtocolSpec};
+use ftm_detect::ProtocolTable;
 
 /// Trace budget governing the *effective* soundness bound per spec (see
 /// [`Bounds::soundness_rounds_for`]): the round bound is lowered until the
@@ -104,7 +98,7 @@ impl Default for Bounds {
 }
 
 impl Bounds {
-    /// The effective soundness round bound for `spec`: the configured
+    /// The effective soundness round bound for `table`: the configured
     /// [`Bounds::soundness_rounds`], lowered (never below 1) until the
     /// compliant-trace count stays within [`SOUNDNESS_TRACE_CAP`].
     ///
@@ -117,10 +111,10 @@ impl Bounds {
     /// only re-walk the same structure, so trading depth for tractability
     /// on wide protocols loses no state coverage. The report records the
     /// bound actually used.
-    pub fn soundness_rounds_for(&self, spec: &ProtocolSpec) -> u64 {
+    pub fn soundness_rounds_for(&self, table: &ProtocolTable) -> u64 {
         let mut bound = 1;
         while bound < self.soundness_rounds
-            && soundness::compliant_traces(spec, bound + 1).len() <= SOUNDNESS_TRACE_CAP
+            && soundness::compliant_traces(table, bound + 1).len() <= SOUNDNESS_TRACE_CAP
         {
             bound += 1;
         }
@@ -191,20 +185,16 @@ impl SpecSelect {
 
 /// Runs every applicable check against one `spec`.
 ///
-/// The hand-written-reference checks (automaton diff and mutation
-/// analysis, which uses the hand-written automaton as the killer) only run
-/// when the spec projects onto the Fig. 3 shape
-/// ([`diff::hand_reference_applies`]); for other specs those sections are
-/// `None` and the derived automaton is the sole oracle.
+/// Mutation analysis runs only for specs with an opening kind; for the
+/// opening-less crash specs that section is `None`.
 pub fn verify_spec(spec: &ProtocolSpec, bounds: &Bounds) -> SpecReport {
-    let auto = DerivedAutomaton::from_spec(spec);
-    let hand = diff::hand_reference_applies(spec);
+    let table = &spec.table;
     SpecReport {
-        determinism: checks::check_determinism(&auto),
-        totality: checks::check_totality(&auto),
-        diff: hand.then(|| diff::diff_against_detect(&auto)),
-        soundness: soundness::check_soundness(&auto, bounds.soundness_rounds_for(spec)),
-        mutation: hand.then(|| mutation::check_mutations(&auto, bounds.mutation_rounds)),
+        soundness: soundness::check_soundness(table, bounds.soundness_rounds_for(table)),
+        mutation: table
+            .opening
+            .is_some()
+            .then(|| mutation::check_mutations(table, bounds.mutation_rounds)),
         coverage: coverage::check_coverage(spec),
         lineage: lineage::check_lineage(spec),
     }
@@ -215,7 +205,7 @@ pub fn verify_spec(spec: &ProtocolSpec, bounds: &Bounds) -> SpecReport {
 pub fn refine_protocol(protocol: ProtocolId, bounds: &Bounds) -> refinement::RefinementReport {
     let crash = ProtocolSpec::crash_for(protocol);
     let transformed = ProtocolSpec::transformed_for(protocol);
-    let bound = bounds.soundness_rounds_for(&crash);
+    let bound = bounds.soundness_rounds_for(&crash.table);
     refinement::check_refinement(&crash, &transformed, bound)
 }
 
@@ -263,33 +253,19 @@ mod tests {
     }
 
     #[test]
-    fn hand_reference_checks_run_only_where_they_apply() {
+    fn mutation_runs_only_on_specs_with_an_opening() {
         let report = verify_all(&Bounds {
             soundness_rounds: 3,
             mutation_rounds: 2,
         });
-        let transformed = report.spec("transformed").unwrap();
-        assert!(transformed.diff.is_some());
-        assert!(transformed.mutation.is_some());
-        assert!(transformed.soundness.hand_checked);
-        let crash = report.spec("crash").unwrap();
-        assert!(crash.diff.is_none());
-        assert!(crash.mutation.is_none());
-        assert!(!crash.soundness.hand_checked);
-        // The derived spec reproduces the Fig. 3 shape, so the hand
-        // reference applies to it too — the strongest form of the
-        // derivation check.
-        let derived = report.spec("derived").unwrap();
-        assert!(derived.diff.is_some());
-        assert!(derived.mutation.is_some());
-        // The same split holds for the Chandra–Toueg triple.
-        let ct = report.spec("ct").unwrap();
-        assert!(ct.diff.is_some());
-        assert!(ct.mutation.is_some());
-        assert!(ct.soundness.hand_checked);
-        let crash_ct = report.spec("crash-ct").unwrap();
-        assert!(crash_ct.diff.is_none());
-        assert!(report.spec("derived-ct").unwrap().diff.is_some());
+        for label in ["transformed", "derived", "ct", "derived-ct"] {
+            assert!(report.spec(label).unwrap().mutation.is_some(), "{label}");
+        }
+        for label in ["crash", "crash-ct"] {
+            let spec = report.spec(label).unwrap();
+            assert!(spec.mutation.is_none(), "{label}");
+            assert!(spec.soundness.traces > 0, "{label}");
+        }
     }
 
     #[test]
@@ -299,16 +275,14 @@ mod tests {
         // eight vote chains per round would enumerate ~8^6 traces, so the
         // effective bound shrinks until the cap holds.
         assert_eq!(
-            bounds.soundness_rounds_for(&ProtocolSpec::transformed()),
+            bounds.soundness_rounds_for(&ProtocolSpec::transformed().table),
             bounds.soundness_rounds
         );
-        let ct = bounds.soundness_rounds_for(&ProtocolSpec::transformed_ct());
+        let ct_table = ProtocolSpec::transformed_ct().table;
+        let ct = bounds.soundness_rounds_for(&ct_table);
         assert!(ct >= 3, "CT bound over-shrunk: {ct}");
         assert!(ct < bounds.soundness_rounds, "CT bound did not scale: {ct}");
-        assert!(
-            soundness::compliant_traces(&ProtocolSpec::transformed_ct(), ct).len()
-                <= SOUNDNESS_TRACE_CAP
-        );
+        assert!(soundness::compliant_traces(&ct_table, ct).len() <= SOUNDNESS_TRACE_CAP);
     }
 
     #[test]
@@ -329,11 +303,8 @@ mod tests {
             "\"crash-ct\"",
             "\"derived-ct\"",
             "\"hr\"",
-            "determinism",
-            "totality",
-            "automaton-diff",
             "soundness",
-            "hand-checked",
+            "false-convictions",
             "mutation",
             "certificate-coverage",
             "lineage",

@@ -141,7 +141,7 @@ pub fn check_lineage(spec: &ProtocolSpec) -> LineageReport {
 
     // Dead routes: non-terminal evidence nobody cites.
     for send in &sends {
-        if send.kind != spec.terminal && cited[send.id] == 0 {
+        if send.kind != spec.table.terminal && cited[send.id] == 0 {
             report.dead_routes.push(format!(
                 "send `{}` ({}) justifies no downstream certificate (dead route)",
                 send.id, send.kind

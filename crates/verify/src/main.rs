@@ -9,9 +9,9 @@
 //! the Hurfin–Raynal and Chandra–Toueg triples). The per-protocol
 //! refinement sections are always present — the crash→Byzantine
 //! refinement is what the tool exists to check. Exit
-//! status 0 when every check passed, 1 when any finding exists (conflict,
-//! gap, diff mismatch, false conviction, surviving mutant, coverage hole,
-//! lineage break, or refinement violation), 2 on usage errors. `--json`
+//! status 0 when every check passed, 1 when any finding exists (false
+//! conviction, surviving mutant, coverage hole, lineage break, quorum
+//! mismatch or refinement violation), 2 on usage errors. `--json`
 //! prints only the byte-stable JSON document; the default adds a human
 //! summary to stderr.
 
@@ -73,10 +73,6 @@ fn main() -> ExitCode {
 
     if !json_only {
         for (label, spec) in &report.specs {
-            let diffed = spec.diff.as_ref().map_or_else(
-                || "no hand reference".to_string(),
-                |d| format!("{} edges diffed ({} probes)", d.edges, d.probes),
-            );
             let mutated = spec.mutation.as_ref().map_or_else(
                 || "mutation skipped".to_string(),
                 |m| {
@@ -88,8 +84,8 @@ fn main() -> ExitCode {
                 },
             );
             eprintln!(
-                "ftm-verify[{label}]: {diffed}, {} compliant traces sound to round {}, \
-                 {mutated}, {} sends vs {} rules, lineage {} edges from {} roots",
+                "ftm-verify[{label}]: {} compliant traces sound to round {}, {mutated}, \
+                 {} sends vs {} rules, lineage {} edges from {} roots",
                 spec.soundness.traces,
                 spec.soundness.max_rounds,
                 spec.coverage.sends,
@@ -100,10 +96,9 @@ fn main() -> ExitCode {
         }
         for (label, r) in &report.refinements {
             eprintln!(
-                "ftm-verify[refinement:{label}]: derivation {} sends / {} edges, {} crash \
-                 traces lifted over {} steps, {} product states, gain {} ({} witnesses)",
+                "ftm-verify[refinement:{label}]: derivation {} sends, {} crash traces lifted \
+                 over {} steps, {} product states, gain {} ({} witnesses)",
                 r.derivation_sends,
-                r.derivation_edges,
                 r.crash_traces,
                 r.lifted_steps,
                 r.product_states,

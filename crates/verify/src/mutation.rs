@@ -4,12 +4,17 @@
 //! convicted; this module attacks the other direction. Every compliant
 //! trace up to a bound is mutated with one *single-divergence* operator —
 //! kind swap, phase skip (message deletion), duplicate send, round jump,
-//! send-after-decide — and the mutant is replayed against the hand-written
-//! automaton. A mutant that is still spec-compliant (e.g. deleting an
-//! optional CURRENT, or a swap that lands on another legal vote) is
-//! *equivalent* and filtered out by the derived automaton; every genuinely
-//! divergent mutant must be convicted — a surviving mutant is a concrete
-//! cheating trace the detector would let through.
+//! send-after-decide — and the mutant is replayed through
+//! [`ProtocolTable::transition`]. A mutant that is still spec-compliant
+//! (e.g. deleting an optional CURRENT, or a swap that lands on another
+//! legal vote) is *equivalent*: it is a member of the compliant-trace
+//! *generator's* output ([`compliant_traces`], the independent reference —
+//! never "the automaton accepts it"). Every genuinely divergent mutant must
+//! be convicted — a surviving mutant is a concrete cheating trace the
+//! detector would let through. Soundness says acceptor ⊇ generator; this
+//! says the acceptor contains no single-divergence neighbour of the
+//! generator's traces: together they squeeze the one automaton from both
+//! sides.
 //!
 //! The muteness caveat applies by construction: deletion mutants whose
 //! remainder is a compliant prefix are equivalent here, because silence is
@@ -18,12 +23,9 @@
 use std::collections::BTreeSet;
 
 use ftm_certify::{MessageKind, Round};
-use ftm_core::spec::ProtocolSpec;
-use ftm_detect::PeerAutomaton;
-use ftm_sim::ProcessId;
+use ftm_detect::ProtocolTable;
 
-use crate::derived::{DerivedAutomaton, Outcome};
-use crate::soundness::{compliant_traces, trace_label, Trace};
+use crate::soundness::{compliant_traces, first_conviction, trace_label, Trace};
 
 /// The single-divergence mutation operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -64,8 +66,8 @@ impl Operator {
     }
 
     /// Generates every mutant this operator derives from `base`.
-    fn mutants(&self, spec: &ProtocolSpec, base: &Trace, kinds: &[MessageKind]) -> Vec<Trace> {
-        let opening = spec.opening;
+    fn mutants(&self, table: &ProtocolTable, base: &Trace, kinds: &[MessageKind]) -> Vec<Trace> {
+        let opening = table.opening;
         let mut out = Vec::new();
         match self {
             Operator::KindSwap => {
@@ -116,7 +118,7 @@ impl Operator {
             }
             Operator::SendAfterDecide => {
                 if let Some(&(last, r)) = base.last() {
-                    if last == spec.terminal {
+                    if last == table.terminal {
                         for &k in kinds {
                             let mut t = base.clone();
                             t.push((k, if Some(k) == opening { 0 } else { r }));
@@ -172,45 +174,43 @@ impl MutationReport {
     }
 }
 
-/// `true` when the derived automaton accepts the whole trace — the mutant
-/// is equivalent to compliant behavior and carries nothing to detect.
-fn spec_compliant(auto: &DerivedAutomaton, trace: &Trace) -> bool {
-    let (mut st, mut round) = auto.initial();
-    for &(kind, r) in trace {
-        let (outcome, next_state, next_round) = auto.classify(st, round, kind, r);
-        if matches!(outcome, Outcome::Convict { .. }) {
-            return false;
-        }
-        st = next_state;
-        round = next_round;
-    }
-    true
-}
-
-/// `true` when the hand-written automaton of `spec`'s protocol convicts
-/// somewhere in the trace.
-fn hand_kills(spec: &ProtocolSpec, trace: &Trace) -> bool {
-    let table = ftm_detect::ProtocolTable::for_protocol(spec.protocol);
-    let mut hand = PeerAutomaton::new_for(table, ProcessId(0));
-    for &(kind, r) in trace {
-        if hand.step(kind, r).is_err() {
-            return true;
+/// `trace` with the round of every terminal erased. The observer is
+/// deliberately round-blind to the terminal — a relayed DECIDE carries the
+/// *decider's* round, not the relayer's — so compliance is judged modulo
+/// that round.
+fn erase_terminal_round(table: &ProtocolTable, mut trace: Trace) -> Trace {
+    for (kind, r) in &mut trace {
+        if *kind == table.terminal {
+            *r = 0;
         }
     }
-    false
+    trace
 }
 
-/// Runs the full mutation analysis: every operator over every compliant
-/// base trace up to `max_rounds`, deduplicated per operator.
-pub fn check_mutations(auto: &DerivedAutomaton, max_rounds: Round) -> MutationReport {
-    let spec = auto.spec();
-    let mut kinds: Vec<MessageKind> = Vec::new();
-    if let Some(k) = spec.opening {
-        kinds.push(k);
-    }
-    kinds.extend(spec.round_slots.iter().map(|s| s.kind));
-    kinds.push(spec.terminal);
-    let bases = compliant_traces(spec, max_rounds);
+/// Runs the full mutation analysis on `table`: every operator over every
+/// compliant base trace up to `max_rounds`, deduplicated per operator.
+pub fn check_mutations(table: &ProtocolTable, max_rounds: Round) -> MutationReport {
+    kill_matrix(table, table, max_rounds)
+}
+
+/// [`check_mutations`] with the two roles of the table split: bases and
+/// the equivalence filter come from `reference`'s generator, `killer` is
+/// the table whose transition must convict the rest. They differ only in
+/// the non-vacuity test.
+fn kill_matrix(
+    reference: &ProtocolTable,
+    killer: &ProtocolTable,
+    max_rounds: Round,
+) -> MutationReport {
+    let kinds = reference.alphabet();
+    let bases = compliant_traces(reference, max_rounds);
+    // A single round jump can lift a compliant mutant one advance past the
+    // bases' bound, no further.
+    let compliant: BTreeSet<Trace> =
+        compliant_traces(reference, max_rounds + reference.round_advance)
+            .into_iter()
+            .map(|t| erase_terminal_round(reference, t))
+            .collect();
     let mut report = MutationReport {
         max_rounds,
         bases: bases.len() as u64,
@@ -221,14 +221,14 @@ pub fn check_mutations(auto: &DerivedAutomaton, max_rounds: Round) -> MutationRe
         let mut stats = OperatorStats::default();
         let mut seen: BTreeSet<String> = BTreeSet::new();
         for base in &bases {
-            for mutant in op.mutants(spec, base, &kinds) {
+            for mutant in op.mutants(reference, base, &kinds) {
                 if !seen.insert(trace_label(&mutant)) {
                     continue; // the same mutant arises from several bases
                 }
                 stats.generated += 1;
-                if spec_compliant(auto, &mutant) {
+                if compliant.contains(&erase_terminal_round(reference, mutant.clone())) {
                     stats.equivalent += 1;
-                } else if hand_kills(spec, &mutant) {
+                } else if first_conviction(killer, &mutant).is_some() {
                     stats.killed += 1;
                 } else {
                     stats.survived += 1;
@@ -246,11 +246,19 @@ pub fn check_mutations(auto: &DerivedAutomaton, max_rounds: Round) -> MutationRe
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ftm_core::spec::ProtocolSpec;
+
+    fn hr() -> ProtocolTable {
+        ProtocolSpec::transformed().table
+    }
+
+    fn compliant(table: &ProtocolTable, bound: Round, trace: &Trace) -> bool {
+        compliant_traces(table, bound).contains(trace)
+    }
 
     #[test]
     fn every_divergent_mutant_is_killed() {
-        let auto = DerivedAutomaton::from_spec(&ProtocolSpec::transformed());
-        let report = check_mutations(&auto, 3);
+        let report = check_mutations(&hr(), 3);
         assert!(
             report.survivors.is_empty(),
             "surviving mutants:\n{}",
@@ -269,14 +277,28 @@ mod tests {
     }
 
     #[test]
+    fn a_lax_killer_lets_divergent_mutants_survive() {
+        // Non-vacuity: bases and the equivalence filter come from the
+        // generator, not from the killer. Make NEXT optional in the killer
+        // alone and rounds left without it — divergent by the reference —
+        // escape conviction.
+        let lax = ProtocolTable {
+            slots: &[(MessageKind::Current, false), (MessageKind::Next, false)],
+            ..hr()
+        };
+        let report = kill_matrix(&hr(), &lax, 3);
+        assert!(!report.survivors.is_empty());
+        assert!(!report.all_killed());
+    }
+
+    #[test]
     fn deleting_an_optional_current_is_equivalent_not_survived() {
         // INIT C(1) N(1) with the CURRENT deleted is a legal NEXT-only
         // round: the equivalence filter must classify it, not count it as
         // a surviving mutant.
-        let auto = DerivedAutomaton::from_spec(&ProtocolSpec::transformed());
         let mutant = vec![(MessageKind::Init, 0), (MessageKind::Next, 1)];
-        assert!(spec_compliant(&auto, &mutant));
-        assert!(!hand_kills(auto.spec(), &mutant));
+        assert!(compliant(&hr(), 1, &mutant));
+        assert!(first_conviction(&hr(), &mutant).is_none());
     }
 
     #[test]
@@ -303,11 +325,10 @@ mod tests {
             // Opening skipped.
             vec![(MessageKind::Current, 1)],
         ];
-        let auto = DerivedAutomaton::from_spec(&ProtocolSpec::transformed());
         for t in cases {
-            assert!(!spec_compliant(&auto, &t), "{}", trace_label(&t));
+            assert!(!compliant(&hr(), 2, &t), "{}", trace_label(&t));
             assert!(
-                hand_kills(auto.spec(), &t),
+                first_conviction(&hr(), &t).is_some(),
                 "not killed: {}",
                 trace_label(&t)
             );
@@ -316,8 +337,8 @@ mod tests {
 
     #[test]
     fn chandra_toueg_divergent_mutants_are_killed() {
-        let auto = DerivedAutomaton::from_spec(&ProtocolSpec::transformed_ct());
-        let report = check_mutations(&auto, 2);
+        let ct = ProtocolSpec::transformed_ct().table;
+        let report = check_mutations(&ct, 2);
         assert!(
             report.survivors.is_empty(),
             "surviving CT mutants:\n{}",
@@ -330,7 +351,7 @@ mod tests {
             (MessageKind::Ack, 1),
             (MessageKind::Estimate, 1),
         ];
-        assert!(!spec_compliant(&auto, &t));
-        assert!(hand_kills(auto.spec(), &t));
+        assert!(!compliant(&ct, 1, &t));
+        assert!(first_conviction(&ct, &t).is_some());
     }
 }

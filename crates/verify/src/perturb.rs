@@ -145,8 +145,8 @@ impl SpecPerturbation {
                 format!("re-routed `{}` to a missing rule", spec.sends[i].id)
             }
             SpecPerturbation::RoundSkip => {
-                spec.round_advance *= 2;
-                format!("round advance doubled to {}", spec.round_advance)
+                spec.table.round_advance *= 2;
+                format!("round advance doubled to {}", spec.table.round_advance)
             }
         }
     }

@@ -6,10 +6,10 @@
 //! ways:
 //!
 //! 1. **Derivation** — [`ftm_core::spec::transform`] applied to the crash
-//!    spec must reproduce the hand-written transformed spec field by
-//!    field, send by send, and the automata derived from both must agree
-//!    edge by edge. The hand-written Fig. 3 spec is thereby *derived*,
-//!    not trusted.
+//!    spec must reproduce the hand-written transformed spec: the same
+//!    send discipline and the same conditional-send table, send by send.
+//!    The hand-written Fig. 3 send table is thereby *derived*, not
+//!    trusted.
 //! 2. **Completeness** (no new false positives) — every compliant trace
 //!    of the crash spec, *lifted* into the transformed alphabet by
 //!    prepending the round-0 opening, must be accepted by the transformed
@@ -30,10 +30,9 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use ftm_certify::{MessageKind, Round};
 use ftm_core::spec::{transform, ProtocolSpec};
+use ftm_detect::{PeerPhase, ProtocolTable};
 
-use crate::derived::{DerivedAutomaton, Outcome, State};
-use crate::soundness::{compliant_traces, trace_label, Trace};
-use crate::symbol::Symbol;
+use crate::soundness::{compliant_traces, first_conviction, trace_label, Trace};
 
 /// How many gain / violation witnesses are rendered in full (all are
 /// counted; rendering every one would drown the report).
@@ -47,8 +46,6 @@ pub struct RefinementReport {
     /// Conditional sends compared between `transform(crash)` and the
     /// hand-written transformed spec.
     pub derivation_sends: u64,
-    /// Automaton edges compared between the two derivations.
-    pub derivation_edges: u64,
     /// Differences between the mechanical derivation and the hand-written
     /// spec (must be empty).
     pub derivation_mismatches: Vec<String>,
@@ -81,7 +78,6 @@ impl RefinementReport {
     pub fn ok(&self) -> bool {
         self.derivation_mismatches.is_empty()
             && self.derivation_sends > 0
-            && self.derivation_edges > 0
             && self.completeness_violations.is_empty()
             && self.crash_traces > 0
             && self.containment_breaks.is_empty()
@@ -102,37 +98,19 @@ pub fn check_refinement(
         ..RefinementReport::default()
     };
     check_derivation(crash, transformed, &mut report);
-    check_completeness(crash, transformed, bound, &mut report);
-    check_product(crash, transformed, bound, &mut report);
+    check_completeness(&crash.table, &transformed.table, bound, &mut report);
+    check_product(&crash.table, &transformed.table, bound, &mut report);
     report
 }
 
-/// `transform(crash) ≡ transformed`, field by field and edge by edge.
+/// `transform(crash) ≡ transformed`: same discipline, same send table.
 fn check_derivation(crash: &ProtocolSpec, hand: &ProtocolSpec, report: &mut RefinementReport) {
     let derived = transform(crash);
 
-    if derived.opening != hand.opening {
+    if derived.table != hand.table {
         report.derivation_mismatches.push(format!(
-            "opening: derived {:?}, hand-written {:?}",
-            derived.opening, hand.opening
-        ));
-    }
-    if derived.terminal != hand.terminal {
-        report.derivation_mismatches.push(format!(
-            "terminal: derived {}, hand-written {}",
-            derived.terminal, hand.terminal
-        ));
-    }
-    if derived.round_advance != hand.round_advance {
-        report.derivation_mismatches.push(format!(
-            "round-advance: derived {}, hand-written {}",
-            derived.round_advance, hand.round_advance
-        ));
-    }
-    if derived.round_slots != hand.round_slots {
-        report.derivation_mismatches.push(format!(
-            "round slots: derived {:?}, hand-written {:?}",
-            derived.round_slots, hand.round_slots
+            "send discipline: derived {:?}, hand-written {:?}",
+            derived.table, hand.table
         ));
     }
 
@@ -152,36 +130,12 @@ fn check_derivation(crash: &ProtocolSpec, hand: &ProtocolSpec, report: &mut Refi
             ));
         }
     }
-
-    // Edge-by-edge automaton diff — only meaningful once the alphabets
-    // agree, which the scalar comparison above establishes.
-    if derived.opening == hand.opening
-        && derived.round_slots == hand.round_slots
-        && derived.terminal == hand.terminal
-    {
-        let auto_d = DerivedAutomaton::from_spec(&derived);
-        let auto_h = DerivedAutomaton::from_spec(hand);
-        for &state in auto_h.states() {
-            for symbol in Symbol::alphabet(hand) {
-                report.derivation_edges += 1;
-                let ed = auto_d.edges_for(state, symbol);
-                let eh = auto_h.edges_for(state, symbol);
-                if ed.len() != eh.len() || ed.iter().zip(eh.iter()).any(|(a, b)| a != b) {
-                    report.derivation_mismatches.push(format!(
-                        "edge {} × {}: derived and hand-written automata disagree",
-                        state.label(),
-                        symbol.label(hand)
-                    ));
-                }
-            }
-        }
-    }
 }
 
 /// Lifts a crash trace into the transformed alphabet: the round-0 opening
 /// is prepended (the vector-certification phase every transformed process
 /// runs before round 1).
-pub fn lift(transformed: &ProtocolSpec, crash_trace: &Trace) -> Trace {
+pub fn lift(transformed: &ProtocolTable, crash_trace: &Trace) -> Trace {
     let mut out: Trace = transformed
         .opening
         .map(|k| vec![(k, 0)])
@@ -192,49 +146,41 @@ pub fn lift(transformed: &ProtocolSpec, crash_trace: &Trace) -> Trace {
 
 /// Every compliant crash trace, lifted, must be transformed-compliant.
 fn check_completeness(
-    crash: &ProtocolSpec,
-    hand: &ProtocolSpec,
+    crash: &ProtocolTable,
+    hand: &ProtocolTable,
     bound: Round,
     report: &mut RefinementReport,
 ) {
-    let trans_auto = DerivedAutomaton::from_spec(hand);
     for trace in compliant_traces(crash, bound) {
         report.crash_traces += 1;
         let lifted = lift(hand, &trace);
-        let (mut st, mut round) = trans_auto.initial();
-        for (idx, &(kind, r)) in lifted.iter().enumerate() {
-            report.lifted_steps += 1;
-            let (outcome, ns, nr) = trans_auto.classify(st, round, kind, r);
-            if let Outcome::Convict { why } = outcome {
+        match first_conviction(hand, &lifted) {
+            None => report.lifted_steps += lifted.len() as u64,
+            Some((step, phase, round, why)) => {
+                report.lifted_steps += step as u64 + 1;
+                let (kind, r) = lifted[step];
                 report.completeness_violations.push(format!(
-                    "crash [{}] lifts to [{}]: step {idx} {kind}({r}) convicted in {}@{round}: \
-                     {why}",
+                    "crash [{}] lifts to [{}]: step {step} {kind}({r}) convicted in \
+                     {phase}@{round}: {why}",
                     trace_label(&trace),
                     trace_label(&lifted),
-                    st.label(),
                 ));
-                break;
             }
-            st = ns;
-            round = nr;
         }
     }
 }
 
-/// One product state: the crash observer's `(state, round)` paired with
+/// One product state: the crash observer's `(phase, round)` paired with
 /// the transformed observer's.
-type ProductKey = ((State, Round), (State, Round));
+type ProductKey = ((PeerPhase, Round), (PeerPhase, Round));
 
 /// Product-automaton exploration: containment breaks, regressions, gain.
 fn check_product(
-    crash: &ProtocolSpec,
-    hand: &ProtocolSpec,
+    crash: &ProtocolTable,
+    hand: &ProtocolTable,
     bound: Round,
     report: &mut RefinementReport,
 ) {
-    let crash_auto = DerivedAutomaton::from_spec(crash);
-    let trans_auto = DerivedAutomaton::from_spec(hand);
-
     // Pre-round gain: votes and decisions before the opening. These sit
     // outside the lift image (the product below pairs states *after* the
     // opening), so they are checked directly: the transformed observer
@@ -242,18 +188,18 @@ fn check_product(
     // while the crash observer — which has no notion of "unopened" —
     // accepts the same receipt from its initial state.
     if hand.opening.is_some() {
-        let (ts, tr) = trans_auto.initial();
-        let (cs, cr) = crash_auto.initial();
-        for slot in &hand.round_slots {
-            let (t_out, _, _) = trans_auto.classify(ts, tr, slot.kind, 1);
-            let (c_out, _, _) = crash_auto.classify(cs, cr, slot.kind, 1);
-            if let (Outcome::Convict { why }, Outcome::Accept { .. }) = (&t_out, &c_out) {
+        let (tp, tr) = hand.initial();
+        let (cp, cr) = crash.initial();
+        for &(kind, _) in hand.slots {
+            if let (Err(why), Ok(_)) = (
+                hand.transition(tp, tr, kind, 1),
+                crash.transition(cp, cr, kind, 1),
+            ) {
                 report.gain += 1;
                 if report.gain_witnesses.len() < WITNESS_CAP {
                     report.gain_witnesses.push(format!(
-                        "[{}(1)] before the opening: transformed convicts ({why}), crash \
-                         accepts",
-                        slot.kind
+                        "[{kind}(1)] before the opening: transformed convicts ({why}), crash \
+                         accepts"
                     ));
                 }
             }
@@ -261,24 +207,19 @@ fn check_product(
     }
 
     // The transformed side consumes the lifted opening before lockstep.
-    let mut trans_state = trans_auto.initial();
+    let mut trans_state = hand.initial();
     if let Some(k) = hand.opening {
-        let (out, ns, nr) = trans_auto.classify(trans_state.0, trans_state.1, k, 0);
-        assert!(
-            matches!(out, Outcome::Accept { .. }),
-            "the transformed observer rejects its own opening"
-        );
-        trans_state = (ns, nr);
+        let (phase, round, _) = hand
+            .transition(trans_state.0, trans_state.1, k, 0)
+            .expect("the transformed observer accepts its own opening");
+        trans_state = (phase, round);
     }
-    let start: ProductKey = (crash_auto.initial(), trans_state);
+    let start: ProductKey = (crash.initial(), trans_state);
 
-    // The receipt kinds of the *transformed* alphabet (the superset).
-    let mut kinds: Vec<MessageKind> = Vec::new();
-    if let Some(k) = hand.opening {
-        kinds.push(k);
-    }
-    kinds.extend(hand.round_slots.iter().map(|s| s.kind));
-    kinds.push(hand.terminal);
+    // The receipt kinds of the *transformed* alphabet (the superset);
+    // those foreign to the crash alphabet are projected away on its side.
+    let kinds = hand.alphabet();
+    let crash_kinds = crash.alphabet();
 
     let mut visited: BTreeSet<ProductKey> = BTreeSet::new();
     let mut parent: BTreeMap<ProductKey, (ProductKey, (MessageKind, Round))> = BTreeMap::new();
@@ -288,20 +229,17 @@ fn check_product(
 
     while let Some(key) = queue.pop_front() {
         report.product_states += 1;
-        let ((cs, cr), (ts, tr)) = key;
+        let ((cp, cr), (tp, tr)) = key;
         for &kind in &kinds {
             for r in receipt_rounds(cr, tr, bound, Some(kind) == hand.opening) {
-                let (t_out, tns, tnr) = trans_auto.classify(ts, tr, kind, r);
-                let crash_sees = crash.knows_kind(kind);
-                let c_step = if crash_sees {
-                    Some(crash_auto.classify(cs, cr, kind, r))
-                } else {
-                    None
-                };
-                match (&c_step, &t_out) {
+                let t_step = hand.transition(tp, tr, kind, r);
+                let c_step = crash_kinds
+                    .contains(&kind)
+                    .then(|| crash.transition(cp, cr, kind, r));
+                match (c_step, t_step) {
                     // Foreign receipt convicted by the transformed
                     // observer alone: pure gain.
-                    (None, Outcome::Convict { why }) => {
+                    (None, Err(why)) => {
                         report.gain += 1;
                         if report.gain_witnesses.len() < WITNESS_CAP {
                             report.gain_witnesses.push(render_witness(
@@ -315,47 +253,45 @@ fn check_product(
                     }
                     // Foreign receipt accepted: only the transformed side
                     // moves.
-                    (None, Outcome::Accept { .. }) => {
-                        let next = ((cs, cr), (tns, tnr));
+                    (None, Ok((tnp, tnr, _))) => {
+                        let next = ((cp, cr), (tnp, tnr));
                         if tnr <= bound && visited.insert(next) {
                             parent.insert(next, (key, (kind, r)));
                             queue.push_back(next);
                         }
                     }
-                    (Some((Outcome::Accept { .. }, cns, cnr)), Outcome::Convict { why }) => {
+                    (Some(Ok((cnp, cnr, _))), Err(why)) => {
                         report.containment_breaks.push(render_witness(
                             &parent,
                             key,
                             kind,
                             r,
                             &format!(
-                                "crash accepts into {}@{cnr}, transformed convicts ({why})",
-                                cns.label()
+                                "crash accepts into {cnp}@{cnr}, transformed convicts ({why})"
                             ),
                         ));
                     }
-                    (Some((Outcome::Convict { why }, _, _)), Outcome::Accept { .. }) => {
+                    (Some(Err(why)), Ok((tnp, tnr, _))) => {
                         report.detection_regressions.push(render_witness(
                             &parent,
                             key,
                             kind,
                             r,
                             &format!(
-                                "crash convicts ({why}), transformed accepts into {}@{tnr}",
-                                tns.label()
+                                "crash convicts ({why}), transformed accepts into {tnp}@{tnr}"
                             ),
                         ));
                     }
-                    (Some((Outcome::Accept { .. }, cns, cnr)), Outcome::Accept { .. }) => {
-                        let next = ((*cns, *cnr), (tns, tnr));
-                        if *cnr <= bound && tnr <= bound && visited.insert(next) {
+                    (Some(Ok((cnp, cnr, _))), Ok((tnp, tnr, _))) => {
+                        let next = ((cnp, cnr), (tnp, tnr));
+                        if cnr <= bound && tnr <= bound && visited.insert(next) {
                             parent.insert(next, (key, (kind, r)));
                             queue.push_back(next);
                         }
                     }
                     // Both convict: the observers agree the receipt is
                     // faulty — no refinement information.
-                    (Some((Outcome::Convict { .. }, _, _)), Outcome::Convict { .. }) => {}
+                    (Some(Err(_)), Err(_)) => {}
                 }
             }
         }
@@ -402,12 +338,10 @@ fn render_witness(
         cur = *prev;
     }
     path.reverse();
-    let ((cs, cr), (ts, tr)) = key;
+    let ((cp, cr), (tp, tr)) = key;
     format!(
-        "after [{}] (crash {}@{cr}, transformed {}@{tr}): {kind}({r}) — {verdict}",
+        "after [{}] (crash {cp}@{cr}, transformed {tp}@{tr}): {kind}({r}) — {verdict}",
         trace_label(&path),
-        cs.label(),
-        ts.label(),
     )
 }
 
@@ -477,7 +411,7 @@ mod tests {
         // compliant traces the transformed observer convicts as round
         // skips — refinement must fail with a lifted witness trace.
         let mut crash = ProtocolSpec::crash_hr();
-        crash.round_advance = 2;
+        crash.table.round_advance = 2;
         let report = check_refinement(&crash, &ProtocolSpec::transformed(), 4);
         assert!(!report.ok());
         assert!(

@@ -12,9 +12,7 @@
 
 use ftm_sim::report::Json;
 
-use crate::checks::{DeterminismReport, TotalityReport};
 use crate::coverage::CoverageReport;
-use crate::diff::DiffReport;
 use crate::lineage::LineageReport;
 use crate::mutation::MutationReport;
 use crate::quorum::QuorumReport;
@@ -28,17 +26,10 @@ fn strings(v: &[String]) -> Json {
 /// Everything `ftm-verify` proved (or failed to prove) about one spec.
 #[derive(Debug, Clone)]
 pub struct SpecReport {
-    /// Determinism of the derived transition relation.
-    pub determinism: DeterminismReport,
-    /// Totality of the derived transition relation.
-    pub totality: TotalityReport,
-    /// Derived vs. hand-written automaton diff — only for specs that
-    /// project onto the hand-written Fig. 4 shape.
-    pub diff: Option<DiffReport>,
     /// Bounded soundness over compliant traces.
     pub soundness: SoundnessReport,
-    /// Static mutation analysis (detection completeness) — needs the
-    /// hand-written reference as the killer, so only for Fig. 4 specs.
+    /// Static mutation analysis (detection completeness) — only for specs
+    /// with an opening kind.
     pub mutation: Option<MutationReport>,
     /// Certificate-rule coverage.
     pub coverage: CoverageReport,
@@ -49,16 +40,7 @@ pub struct SpecReport {
 impl SpecReport {
     /// `true` when every check that ran passed with nothing vacuous.
     pub fn ok(&self) -> bool {
-        self.determinism.conflicts.is_empty()
-            && self.determinism.pairs > 0
-            && self.totality.gaps.is_empty()
-            && self.totality.pairs > 0
-            && self
-                .diff
-                .as_ref()
-                .is_none_or(|d| d.mismatches.is_empty() && d.probes > 0)
-            && self.soundness.false_convictions.is_empty()
-            && self.soundness.requirement_mismatches.is_empty()
+        self.soundness.false_convictions.is_empty()
             && self.soundness.traces > 0
             && self
                 .mutation
@@ -70,14 +52,6 @@ impl SpecReport {
 
     /// Renders this spec's section of the JSON document.
     pub fn to_json(&self) -> Json {
-        let diff = match &self.diff {
-            None => Json::Null,
-            Some(d) => Json::Obj(vec![
-                ("edges".into(), Json::U64(d.edges)),
-                ("probes".into(), Json::U64(d.probes)),
-                ("mismatches".into(), strings(&d.mismatches)),
-            ]),
-        };
         let mutation = match &self.mutation {
             None => Json::Null,
             Some(m) => {
@@ -109,37 +83,14 @@ impl SpecReport {
 
         Json::Obj(vec![
             (
-                "determinism".into(),
-                Json::Obj(vec![
-                    ("pairs".into(), Json::U64(self.determinism.pairs)),
-                    ("conflicts".into(), strings(&self.determinism.conflicts)),
-                ]),
-            ),
-            (
-                "totality".into(),
-                Json::Obj(vec![
-                    ("pairs".into(), Json::U64(self.totality.pairs)),
-                    ("gaps".into(), strings(&self.totality.gaps)),
-                ]),
-            ),
-            ("automaton-diff".into(), diff),
-            (
                 "soundness".into(),
                 Json::Obj(vec![
                     ("round-bound".into(), Json::U64(self.soundness.max_rounds)),
                     ("traces".into(), Json::U64(self.soundness.traces)),
                     ("steps".into(), Json::U64(self.soundness.steps)),
                     (
-                        "hand-checked".into(),
-                        Json::Bool(self.soundness.hand_checked),
-                    ),
-                    (
                         "false-convictions".into(),
                         strings(&self.soundness.false_convictions),
-                    ),
-                    (
-                        "requirement-mismatches".into(),
-                        strings(&self.soundness.requirement_mismatches),
                     ),
                 ]),
             ),
@@ -227,7 +178,6 @@ impl VerifyReport {
                 "derivation".into(),
                 Json::Obj(vec![
                     ("sends".into(), Json::U64(r.derivation_sends)),
-                    ("edges".into(), Json::U64(r.derivation_edges)),
                     ("mismatches".into(), strings(&r.derivation_mismatches)),
                 ]),
             ),

@@ -7,17 +7,19 @@
 //! trace up to a round bound — every interleaving of optional and
 //! mandatory slots, every round-advance, every decide point, and every
 //! stop point (prefixes are compliant: a silent peer is the muteness
-//! detector's business, never this automaton's) — and replays each against
-//! both the hand-written automaton and the derived one. A conviction is a
-//! false positive; a requirement disagreement means the certificate
-//! predicates would be consulted differently by the two artifacts.
+//! detector's business, never this automaton's) — and replays each through
+//! [`ProtocolTable::transition`]. A conviction is a false positive.
+//!
+//! [`compliant_traces`] is the analyzer's independent reference. It is a
+//! *generator* — a recursive enumeration of what a sender may emit next —
+//! and must stay one: rewriting it as "enumerate candidate traces and keep
+//! those the automaton accepts" would turn this check, and the mutation
+//! matrix's equivalence filter built on it, into the automaton checked
+//! against itself. Generator and acceptor share the table and its two
+//! slot predicates, nothing else.
 
 use ftm_certify::{MessageKind, Round};
-use ftm_core::spec::ProtocolSpec;
-use ftm_detect::{PeerAutomaton, Requirement};
-use ftm_sim::ProcessId;
-
-use crate::derived::{DerivedAutomaton, Outcome, ReqKind};
+use ftm_detect::{PeerPhase, ProtocolTable};
 
 /// A send trace: the sequence of `(kind, round)` receipts one peer's
 /// channel delivers (FIFO, so receipt order is send order).
@@ -32,28 +34,20 @@ pub fn trace_label(trace: &Trace) -> String {
         .join(" ")
 }
 
-fn entry_legal(spec: &ProtocolSpec, from: usize, j: usize) -> bool {
-    spec.round_slots[from..j].iter().all(|s| !s.mandatory)
-}
-
-fn advance_ready(spec: &ProtocolSpec, i: usize) -> bool {
-    spec.round_slots[i..].iter().all(|s| !s.mandatory)
-}
-
 /// Enumerates every compliant trace with at most `max_rounds` rounds.
 ///
 /// Each recursion point contributes the trace-so-far (stopping is
 /// compliant) and its decide-terminated variant; branches extend with
 /// every legal same-round vote and every legal round entry.
-pub fn compliant_traces(spec: &ProtocolSpec, max_rounds: Round) -> Vec<Trace> {
+pub fn compliant_traces(table: &ProtocolTable, max_rounds: Round) -> Vec<Trace> {
     let mut out = Vec::new();
-    let opening: Trace = spec.opening.map(|k| vec![(k, 0)]).unwrap_or_default();
-    rec(spec, 1, 0, &opening, max_rounds, &mut out);
+    let opening: Trace = table.opening.map(|k| vec![(k, 0)]).unwrap_or_default();
+    rec(table, 1, 0, &opening, max_rounds, &mut out);
     out
 }
 
 fn rec(
-    spec: &ProtocolSpec,
+    table: &ProtocolTable,
     round: Round,
     progress: usize,
     trace: &Trace,
@@ -64,31 +58,49 @@ fn rec(
     out.push(trace.clone());
     // …and so is deciding here.
     let mut decided = trace.clone();
-    decided.push((spec.terminal, round));
+    decided.push((table.terminal, round));
     out.push(decided);
 
     // Same-round votes: any not-yet-passed slot reachable over optional
     // slots only.
-    for j in progress..spec.round_slots.len() {
-        if entry_legal(spec, progress, j) {
+    for j in progress..table.slots.len() {
+        if table.entry_legal(progress, j) {
             let mut t = trace.clone();
-            t.push((spec.round_slots[j].kind, round));
-            rec(spec, round, j + 1, &t, max_rounds, out);
+            t.push((table.slots[j].0, round));
+            rec(table, round, j + 1, &t, max_rounds, out);
         }
     }
 
     // Round advance: only once every mandatory slot is done, and only to
     // the immediate successor round.
-    if advance_ready(spec, progress) && round < max_rounds {
-        let next = round + spec.round_advance;
-        for j in 0..spec.round_slots.len() {
-            if entry_legal(spec, 0, j) {
+    if table.advance_ready(progress) && round < max_rounds {
+        let next = round + table.round_advance;
+        for j in 0..table.slots.len() {
+            if table.entry_legal(0, j) {
                 let mut t = trace.clone();
-                t.push((spec.round_slots[j].kind, next));
-                rec(spec, next, j + 1, &t, max_rounds, out);
+                t.push((table.slots[j].0, next));
+                rec(table, next, j + 1, &t, max_rounds, out);
             }
         }
     }
+}
+
+/// Replays `trace` through `table`'s transition from its initial state and
+/// returns the first rejected receipt as `(step, phase, round, reason)` —
+/// the believed `(phase, round)` it was rejected in — or `None` when the
+/// whole trace is accepted.
+pub fn first_conviction(
+    table: &ProtocolTable,
+    trace: &Trace,
+) -> Option<(usize, PeerPhase, Round, &'static str)> {
+    let (mut phase, mut round) = table.initial();
+    for (step, &(kind, r)) in trace.iter().enumerate() {
+        match table.transition(phase, round, kind, r) {
+            Ok((next_phase, next_round, _)) => (phase, round) = (next_phase, next_round),
+            Err(why) => return Some((step, phase, round, why)),
+        }
+    }
+    None
 }
 
 /// Result of the bounded soundness check.
@@ -98,77 +110,32 @@ pub struct SoundnessReport {
     pub max_rounds: u64,
     /// Compliant traces replayed.
     pub traces: u64,
-    /// Individual receipts stepped through the automata.
+    /// Individual receipts stepped through the automaton.
     pub steps: u64,
-    /// Whether the hand-written Fig. 4 automaton was replayed alongside
-    /// the derived one (only specs projecting onto the Fig. 4 shape have
-    /// a hand-written reference).
-    pub hand_checked: bool,
-    /// Compliant traces an automaton convicted (must be empty: each is a
+    /// Compliant traces the automaton convicted (must be empty: each is a
     /// false positive).
     pub false_convictions: Vec<String>,
-    /// Steps where the two automata demanded different certificate
-    /// requirements (must be empty).
-    pub requirement_mismatches: Vec<String>,
 }
 
-/// Replays every compliant trace (up to `max_rounds`) against the derived
-/// automaton — and, for specs with a hand-written Fig. 4 reference
-/// ([`crate::diff::hand_reference_applies`]), against that automaton too.
-pub fn check_soundness(auto: &DerivedAutomaton, max_rounds: Round) -> SoundnessReport {
-    let spec = auto.spec();
-    let hand_checked = crate::diff::hand_reference_applies(spec);
+/// Replays every compliant trace of `table` (up to `max_rounds`) through
+/// its own transition.
+pub fn check_soundness(table: &ProtocolTable, max_rounds: Round) -> SoundnessReport {
     let mut report = SoundnessReport {
         max_rounds,
-        hand_checked,
         ..SoundnessReport::default()
     };
-    let table = ftm_detect::ProtocolTable::for_protocol(spec.protocol);
-    for trace in compliant_traces(spec, max_rounds) {
+    for trace in compliant_traces(table, max_rounds) {
         report.traces += 1;
-        let mut hand = PeerAutomaton::new_for(table, ProcessId(0));
-        let (mut st, mut round) = auto.initial();
-        for (idx, &(kind, r)) in trace.iter().enumerate() {
-            report.steps += 1;
-            let (outcome, next_state, next_round) = auto.classify(st, round, kind, r);
-            let derived_req = match &outcome {
-                Outcome::Accept { req, .. } => *req,
-                Outcome::Convict { why } => {
-                    report.false_convictions.push(format!(
-                        "step {idx} of [{}]: derived automaton convicted a \
-                         compliant trace: {why}",
-                        trace_label(&trace)
-                    ));
-                    break;
-                }
-            };
-            if hand_checked {
-                match hand.step(kind, r) {
-                    Err(e) => {
-                        report.false_convictions.push(format!(
-                            "step {idx} of [{}]: compliant {kind}({r}) convicted: {}",
-                            trace_label(&trace),
-                            e.reason
-                        ));
-                        break;
-                    }
-                    Ok(hand_req) => {
-                        let agree = match derived_req {
-                            ReqKind::Standard => hand_req == Requirement::Standard,
-                            ReqKind::RoundEntry => hand_req == Requirement::RoundEntry(next_round),
-                        };
-                        if !agree {
-                            report.requirement_mismatches.push(format!(
-                                "step {idx} of [{}]: derived {derived_req:?} vs hand-written \
-                                 {hand_req:?}",
-                                trace_label(&trace)
-                            ));
-                        }
-                    }
-                }
+        match first_conviction(table, &trace) {
+            None => report.steps += trace.len() as u64,
+            Some((step, _, _, why)) => {
+                report.steps += step as u64 + 1;
+                let (kind, r) = trace[step];
+                report.false_convictions.push(format!(
+                    "step {step} of [{}]: compliant {kind}({r}) convicted: {why}",
+                    trace_label(&trace)
+                ));
             }
-            st = next_state;
-            round = next_round;
         }
     }
     report
@@ -177,20 +144,15 @@ pub fn check_soundness(auto: &DerivedAutomaton, max_rounds: Round) -> SoundnessR
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ftm_core::spec::ProtocolSpec;
 
     #[test]
     fn every_compliant_trace_up_to_six_rounds_is_accepted() {
-        let auto = DerivedAutomaton::from_spec(&ProtocolSpec::transformed());
-        let report = check_soundness(&auto, 6);
+        let report = check_soundness(&ProtocolSpec::transformed().table, 6);
         assert!(
             report.false_convictions.is_empty(),
             "{:?}",
             report.false_convictions
-        );
-        assert!(
-            report.requirement_mismatches.is_empty(),
-            "{:?}",
-            report.requirement_mismatches
         );
         assert!(
             report.traces > 300,
@@ -200,10 +162,8 @@ mod tests {
     }
 
     #[test]
-    fn crash_spec_traces_are_sound_against_the_derived_automaton_only() {
-        let auto = DerivedAutomaton::from_spec(&ProtocolSpec::crash_hr());
-        let report = check_soundness(&auto, 5);
-        assert!(!report.hand_checked, "crash spec has no Fig. 4 reference");
+    fn crash_spec_traces_are_sound_from_the_opening_less_initial_state() {
+        let report = check_soundness(&ProtocolSpec::crash_hr().table, 5);
         assert!(
             report.false_convictions.is_empty(),
             "{:?}",
@@ -213,17 +173,32 @@ mod tests {
     }
 
     #[test]
+    fn a_stricter_acceptor_convicts_generated_traces() {
+        // Non-vacuity: the generator does not consult the transition. Run
+        // the HR traces through a table demanding CURRENT before leaving a
+        // round and the NEXT-only rounds show up as false convictions.
+        let hr = ProtocolSpec::transformed().table;
+        let strict = ProtocolTable {
+            slots: &[(MessageKind::Current, true), (MessageKind::Next, true)],
+            ..hr
+        };
+        let convicted = compliant_traces(&hr, 3)
+            .iter()
+            .filter(|t| first_conviction(&strict, t).is_some())
+            .count();
+        assert!(convicted > 0);
+    }
+
+    #[test]
     fn trace_enumeration_is_duplicate_free() {
-        let spec = ProtocolSpec::transformed();
-        let traces = compliant_traces(&spec, 3);
+        let traces = compliant_traces(&ProtocolSpec::transformed().table, 3);
         let set: std::collections::BTreeSet<String> = traces.iter().map(trace_label).collect();
         assert_eq!(set.len(), traces.len(), "duplicate compliant traces");
     }
 
     #[test]
     fn compliant_traces_respect_the_round_bound() {
-        let spec = ProtocolSpec::transformed();
-        for t in compliant_traces(&spec, 2) {
+        for t in compliant_traces(&ProtocolSpec::transformed().table, 2) {
             assert!(t.iter().all(|&(_, r)| r <= 2), "{}", trace_label(&t));
         }
     }
