@@ -9,7 +9,7 @@ use ftm_core::validator::{check_crash_consensus, check_vector_consensus, max_rou
 use ftm_faults::{ByzantineWrapper, Tamper};
 use ftm_fd::TimeoutDetector;
 use ftm_sim::runner::BoxedActor;
-use ftm_sim::{Duration, ProcessId, RunReport, SimConfig, Simulation, VirtualTime};
+use ftm_sim::{Duration, RunReport, SimConfig, Simulation, VirtualTime};
 
 /// Standard proposal vector: `p_i` proposes `100 + i`.
 pub fn proposals(n: usize) -> Vec<Value> {
@@ -166,26 +166,6 @@ pub fn crash_verdict_with_faulty(report: &RunReport<Value>, n: usize, faulty: &[
 /// Convenience: all-honest byzantine run.
 pub fn run_byz_honest(n: usize, f: usize, seed: u64) -> (RunReport<ValueVector>, Outcome) {
     run_byz(n, f, seed, &[], None)
-}
-
-/// First detection note time, if any conviction happened.
-pub fn first_detection(report: &RunReport<ValueVector>) -> Option<u64> {
-    ftm_core::validator::detections(&report.trace)
-        .iter()
-        .map(|d| d.at.ticks())
-        .min()
-}
-
-/// Number of distinct correct observers that convicted `culprit`.
-pub fn observers_convicting(report: &RunReport<ValueVector>, culprit: u32) -> usize {
-    use std::collections::BTreeSet;
-    let name = format!("p{culprit}");
-    ftm_core::validator::detections(&report.trace)
-        .iter()
-        .filter(|d| d.culprit == name && d.observer != ProcessId(culprit))
-        .map(|d| d.observer)
-        .collect::<BTreeSet<_>>()
-        .len()
 }
 
 #[cfg(test)]

@@ -114,11 +114,6 @@ impl CertChecker {
         self.n
     }
 
-    /// Fault tolerance parameter `F`.
-    pub fn f(&self) -> usize {
-        self.f
-    }
-
     /// Quorum size `n − F` used by every cardinality test.
     pub fn quorum(&self) -> usize {
         ftm_quorum::quorum_size(self.n, self.f)

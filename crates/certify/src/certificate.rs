@@ -15,7 +15,7 @@ use std::fmt;
 use ftm_crypto::sha256::Digest;
 use ftm_sim::ProcessId;
 
-use crate::message::{MessageKind, Round, Value, ValueVector};
+use crate::message::{MessageKind, Round, ValueVector};
 use crate::signed::SignedCore;
 
 /// An insertion-ordered, deduplicated set of signed cores.
@@ -114,21 +114,6 @@ impl Certificate {
     /// `|next_cert|`).
     pub fn count(&self, kind: MessageKind, round: Round) -> usize {
         self.senders_of(kind, round).len()
-    }
-
-    /// All INIT items as `(sender, value)` pairs, first occurrence per
-    /// sender (the est-portion of a certificate).
-    pub fn init_entries(&self) -> Vec<(ProcessId, Value)> {
-        let mut seen = BTreeSet::new();
-        let mut out = Vec::new();
-        for item in &self.items {
-            if let crate::message::Core::Init { value } = &item.core().core {
-                if seen.insert(item.sender()) {
-                    out.push((item.sender(), *value));
-                }
-            }
-        }
-        out
     }
 
     /// The INIT-only sub-certificate (`est_cert` extracted from a received
@@ -261,18 +246,15 @@ mod tests {
     }
 
     #[test]
-    fn init_entries_first_occurrence_per_sender() {
+    fn init_portion_keeps_raw_items() {
         let ks = keys();
         let cert = Certificate::from_items([
             signed(0, Core::Init { value: 5 }, &ks),
-            signed(0, Core::Init { value: 6 }, &ks), // equivocation: second kept out
+            signed(0, Core::Init { value: 6 }, &ks), // equivocation stays visible
             signed(2, Core::Init { value: 7 }, &ks),
+            signed(1, Core::Next { round: 1 }, &ks),
         ]);
-        assert_eq!(
-            cert.init_entries(),
-            vec![(ProcessId(0), 5), (ProcessId(2), 7)]
-        );
-        assert_eq!(cert.init_portion().len(), 3); // portion keeps raw items
+        assert_eq!(cert.init_portion().len(), 3);
     }
 
     #[test]

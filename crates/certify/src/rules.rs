@@ -17,8 +17,9 @@
 //! send through the rule named here, and `ftm-verify` checks both the
 //! local bijection (coverage) and the global evidence chains the rules
 //! induce (certificate lineage).
+//!
+//! [`CertChecker`]: crate::analyzer::CertChecker
 
-use crate::analyzer::CertChecker;
 use crate::message::{MessageKind, ProtocolId};
 
 /// One certification rule of the analyzer, as checkable data.
@@ -33,31 +34,27 @@ pub struct RuleInfo {
     pub checks: &'static str,
 }
 
-/// Every certification rule [`CertChecker`] implements for the
-/// Hurfin–Raynal instance, in the order the analyzer's dispatch tries
-/// them. Shorthand for
-/// [`certification_rules_for`]`(ProtocolId::HurfinRaynal)`.
+/// The certification-rule table of the given transformed protocol: every
+/// rule [`CertChecker`] implements for it, in the order the analyzer's
+/// dispatch tries them.
+///
+/// Each table is maintained by hand next to the analyzer code that
+/// enforces it; `ftm-verify` diffs it against the matching
+/// `ProtocolSpec`'s conditional-send table per protocol.
 ///
 /// # Example
 ///
 /// ```
-/// use ftm_certify::rules::certification_rules;
-/// use ftm_certify::MessageKind;
-/// let next_rules: Vec<_> = certification_rules()
+/// use ftm_certify::rules::certification_rules_for;
+/// use ftm_certify::{MessageKind, ProtocolId};
+/// let next_rules: Vec<_> = certification_rules_for(ProtocolId::HurfinRaynal)
 ///     .iter()
 ///     .filter(|r| r.kind == MessageKind::Next)
 ///     .collect();
 /// assert_eq!(next_rules.len(), 3); // suspicion, change-mind, end-of-round
 /// ```
-pub fn certification_rules() -> &'static [RuleInfo] {
-    certification_rules_for(ProtocolId::HurfinRaynal)
-}
-
-/// The certification-rule table of the given transformed protocol.
 ///
-/// Each table is maintained by hand next to the analyzer code that
-/// enforces it; `ftm-verify` diffs it against the matching
-/// `ProtocolSpec`'s conditional-send table per protocol.
+/// [`CertChecker`]: crate::analyzer::CertChecker
 pub fn certification_rules_for(protocol: ProtocolId) -> &'static [RuleInfo] {
     match protocol {
         ProtocolId::HurfinRaynal => HR_RULES,
@@ -174,23 +171,6 @@ pub fn certification_rules_with_checkpoint(protocol: ProtocolId) -> Vec<RuleInfo
     rules
 }
 
-/// The rules auditing messages of `kind` (HR table).
-pub fn rules_for_kind(kind: MessageKind) -> Vec<&'static RuleInfo> {
-    certification_rules()
-        .iter()
-        .filter(|r| r.kind == kind)
-        .collect()
-}
-
-impl CertChecker {
-    /// The rule table this analyzer enforces (see
-    /// [`certification_rules_for`]): the table of the protocol the checker
-    /// was constructed for.
-    pub fn rules(&self) -> &'static [RuleInfo] {
-        certification_rules_for(self.protocol())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,7 +204,8 @@ mod tests {
     }
 
     #[test]
-    fn every_wire_kind_has_at_least_one_rule() {
+    fn hr_table_covers_its_wire_kinds() {
+        let rules = certification_rules_for(ProtocolId::HurfinRaynal);
         for kind in [
             MessageKind::Init,
             MessageKind::Current,
@@ -232,10 +213,14 @@ mod tests {
             MessageKind::Decide,
         ] {
             assert!(
-                !rules_for_kind(kind).is_empty(),
-                "{kind} has no certification rule"
+                rules.iter().any(|r| r.kind == kind),
+                "{kind} has no HR certification rule"
             );
         }
+        // One NEXT rule per `NextTrigger` variant: the analyzer's
+        // classification and the rule table must not drift apart.
+        let next = rules.iter().filter(|r| r.kind == MessageKind::Next);
+        assert_eq!(next.count(), 3);
     }
 
     #[test]
@@ -249,12 +234,5 @@ mod tests {
             let ids: std::collections::BTreeSet<&str> = extended.iter().map(|r| r.id).collect();
             assert_eq!(ids.len(), extended.len(), "{protocol}");
         }
-    }
-
-    #[test]
-    fn next_rules_mirror_the_three_triggers() {
-        // One rule per `NextTrigger` variant: the analyzer's classification
-        // and the rule table must not drift apart.
-        assert_eq!(rules_for_kind(MessageKind::Next).len(), 3);
     }
 }

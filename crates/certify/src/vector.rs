@@ -96,11 +96,6 @@ impl VectorBuilder {
         self.cert.count_init_senders() >= ftm_quorum::quorum_size(self.n, self.f)
     }
 
-    /// Number of INITs still needed.
-    pub fn missing(&self) -> usize {
-        ftm_quorum::quorum_size(self.n, self.f).saturating_sub(self.cert.count_init_senders())
-    }
-
     /// Consumes the builder, returning `(est_vect, est_cert)`.
     ///
     /// # Panics
@@ -206,7 +201,6 @@ mod tests {
     fn builder_collects_exactly_quorum() {
         let (checker, ks) = fixture(4, 1);
         let mut b = VectorBuilder::new(4, 1);
-        assert_eq!(b.missing(), 3);
         assert!(absorb(&mut b, &checker, 0, 10, &ks));
         assert!(absorb(&mut b, &checker, 1, 11, &ks));
         assert!(!b.complete());

@@ -168,7 +168,9 @@ struct RoundState {
     /// The vote quorum that ended round `r − 1`, carried by this round's
     /// sends as round-entry evidence.
     entry_cert: Certificate,
-    /// Sends made so far per spec id, in `ProtocolSpec::sends` order.
+    /// Sends made so far per spec id, in `ProtocolSpec::sends` order. Every
+    /// send is counted (there is one send path); the coverage test reads
+    /// the tally.
     discharged: Vec<(&'static str, u32)>,
 }
 
@@ -452,13 +454,6 @@ impl<R: Rounds> Transformed<R> {
         self.decide_evidence.as_ref()
     }
 
-    /// How many sends this process has made per send obligation, keyed by
-    /// spec id in `ProtocolSpec::sends` order. Every send is counted:
-    /// there is one send path.
-    pub fn discharged(&self) -> &[(&'static str, u32)] {
-        &self.state.discharged
-    }
-
     fn follow(&mut self, step: Step, ctx: &mut Context<'_, Envelope, ValueVector>) {
         match step {
             Step::Stay => {}
@@ -623,7 +618,7 @@ mod tests {
     use crate::spec::{obligations_for, ProtocolSpec};
     use ftm_sim::{RunReport, SimConfig, Simulation, VirtualTime};
 
-    /// Per-process discharge counts, in `Transformed::discharged` order.
+    /// Per-process discharge counts, in `RoundState::discharged` order.
     type Tally = Rc<RefCell<Vec<Vec<u32>>>>;
 
     /// Forwards to the wrapped process and publishes its discharge counts
@@ -635,8 +630,13 @@ mod tests {
 
     impl<R: Rounds> Probe<R> {
         fn publish(&self) {
-            self.tally.borrow_mut()[self.inner.state.me.index()] =
-                self.inner.discharged().iter().map(|(_, c)| *c).collect();
+            self.tally.borrow_mut()[self.inner.state.me.index()] = self
+                .inner
+                .state
+                .discharged
+                .iter()
+                .map(|(_, c)| *c)
+                .collect();
         }
     }
 
@@ -798,7 +798,7 @@ mod tests {
     fn ids<R: Rounds>() -> Vec<&'static str> {
         let setup = ProtocolConfig::new(3, 1).setup();
         let p = Transformed::<R>::new(&setup, ProcessId(0), 0);
-        p.discharged().iter().map(|(id, _)| *id).collect()
+        p.state.discharged.iter().map(|(id, _)| *id).collect()
     }
 
     /// The send-id type, `spec.sends` and the §5 obligation table name the

@@ -117,21 +117,9 @@ impl ProtocolConfig {
         self
     }
 
-    /// Sets the ◇S initial timeout.
-    pub fn crash_fd_timeout(mut self, t: Duration) -> Self {
-        self.crash_fd_timeout = t;
-        self
-    }
-
     /// Sets the suspicion poll interval.
     pub fn poll_interval(mut self, t: Duration) -> Self {
         self.poll_interval = t;
-        self
-    }
-
-    /// Enables/disables heartbeats for the crash protocol's detector.
-    pub fn heartbeats(mut self, interval: Option<Duration>) -> Self {
-        self.heartbeat_interval = interval;
         self
     }
 
@@ -184,14 +172,10 @@ mod tests {
         let cfg = ProtocolConfig::new(4, 1)
             .modulus_bits(64)
             .muteness_timeout(Duration::of(9))
-            .crash_fd_timeout(Duration::of(8))
-            .poll_interval(Duration::of(7))
-            .heartbeats(None);
+            .poll_interval(Duration::of(7));
         assert_eq!(cfg.modulus_bits, 64);
         assert_eq!(cfg.muteness_timeout, Duration::of(9));
-        assert_eq!(cfg.crash_fd_timeout, Duration::of(8));
         assert_eq!(cfg.poll_interval, Duration::of(7));
-        assert!(cfg.heartbeat_interval.is_none());
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! and every cardinality threshold derived from it.
 //!
 //! The functions are implemented in the dependency-free [`ftm_quorum`]
-//! crate (the workspace layering puts `ftm-core` above `rbcast` and
-//! `certify`, which also need them) and re-exported here verbatim: this
+//! crate (`ftm-certify` needs them too and sits below `ftm-core`) and
+//! re-exported here verbatim: this
 //! path is the one the documentation, `ftm-verify`'s exhaustive `quorum`
 //! intersection check, and rule D5 all reference. No other module in the
 //! protocol crates is allowed to hand-roll `n - f`, `2*f + 1` or their
@@ -22,7 +22,6 @@
 #![deny(clippy::cast_possible_truncation)]
 
 pub use ftm_quorum::{
-    bracha_echo_quorum, bracha_min_n, bracha_ready_quorum, certification_quorum,
-    default_cert_capacity, intersection_margin, max_faults, quorum_size, resilience_bound,
-    vector_validity_floor,
+    certification_quorum, default_cert_capacity, intersection_margin, max_faults, quorum_size,
+    resilience_bound, vector_validity_floor,
 };

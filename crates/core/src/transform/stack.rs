@@ -319,24 +319,9 @@ impl ModuleStack {
         self.is_faulty(p) || self.suspects(p, now)
     }
 
-    /// Read access to the non-muteness module (evidence, peer phases).
-    pub fn observer(&self) -> &Observer {
-        &self.observer
-    }
-
-    /// Read access to the muteness detector (mistake counts).
-    pub fn muteness(&self) -> &MutenessFd {
-        &self.muteness
-    }
-
     /// The underlying analyzer (quorum sizes, coordinator rule).
     pub fn checker(&self) -> &CertChecker {
         self.observer.checker()
-    }
-
-    /// Per-layer admit/reject counters accumulated so far.
-    pub fn stats(&self) -> StackStats {
-        self.stats
     }
 
     /// Renders the stack's counters as a `stack-stats` trace note, the
@@ -429,8 +414,8 @@ mod tests {
     fn accessors_expose_modules() {
         let (mut stack, keys) = fixture();
         let _ = stack.admit(ProcessId(0), &init(&keys, 0), VirtualTime::ZERO);
-        assert_eq!(stack.observer().faults().len(), 0);
-        assert_eq!(stack.muteness().mistakes(), 0);
+        assert_eq!(stack.observer.faults().len(), 0);
+        assert_eq!(stack.muteness.mistakes(), 0);
         assert_eq!(stack.checker().quorum(), 2);
     }
 
@@ -449,7 +434,7 @@ mod tests {
             &keys[0],
         );
         let _ = stack.admit(ProcessId(2), &bad_sig, VirtualTime::at(2));
-        let stats = stack.stats();
+        let stats = stack.stats;
         assert_eq!(stats.admitted, 1);
         assert_eq!(stats.automaton_rejects, 1);
         assert_eq!(stats.signature_rejects, 1);
@@ -478,10 +463,10 @@ mod tests {
             ctx.into_effects().notes,
             ["detected=p2 class=bad-signature reason=core signature does not verify for claimed sender"]
         );
-        assert_eq!(stack.stats().quarantined, 2);
+        assert_eq!(stack.stats.quarantined, 2);
         // Quarantined envelopes are a subset of the rejects, not an
         // extra term of total().
-        assert_eq!(stack.stats().total(), 4);
+        assert_eq!(stack.stats.total(), 4);
         assert_eq!(
             stack.stats_note(),
             "stack-stats admitted=1 sig-rejects=3 cert-rejects=0 \
@@ -523,15 +508,15 @@ mod tests {
         let (good, forged) = good_and_forged_checkpoint(&keys);
         // A quorum-backed checkpoint clears the stack and is counted.
         assert!(stack.admit(ProcessId(1), &good, VirtualTime::ZERO).is_ok());
-        assert_eq!(stack.stats().checkpoints, 1);
-        assert_eq!(stack.stats().admitted, 1);
+        assert_eq!(stack.stats.checkpoints, 1);
+        assert_eq!(stack.stats.admitted, 1);
         // A forged digest (quorum certifies a different vector) is a
         // bad-certificate conviction, not a counted checkpoint.
         assert!(stack
             .admit(ProcessId(2), &forged, VirtualTime::at(1))
             .is_err());
-        assert_eq!(stack.stats().checkpoints, 1);
-        assert_eq!(stack.stats().certificate_rejects, 1);
+        assert_eq!(stack.stats.checkpoints, 1);
+        assert_eq!(stack.stats.certificate_rejects, 1);
         assert!(stack.is_faulty(ProcessId(2)));
         assert!(stack.stats_note().contains("checkpoints=1"));
     }
@@ -556,8 +541,8 @@ mod tests {
             .admit(ProcessId(2), &forged, VirtualTime::ZERO)
             .expect("certification ablated");
         assert_eq!(admitted.sender(), ProcessId(2));
-        assert_eq!(ablated.stats().admitted, 1);
-        assert_eq!(ablated.stats().certificate_rejects, 0);
+        assert_eq!(ablated.stats.admitted, 1);
+        assert_eq!(ablated.stats.certificate_rejects, 0);
         assert!(!ablated.is_faulty(ProcessId(2)));
     }
 
@@ -567,7 +552,7 @@ mod tests {
         // Force a muteness mistake on p1: suspect, then rehabilitate.
         assert!(stack.suspects(ProcessId(1), VirtualTime::at(60)));
         let _ = stack.admit(ProcessId(1), &init(&keys, 1), VirtualTime::at(61));
-        assert_eq!(stack.muteness().mistakes(), 1);
+        assert_eq!(stack.muteness.mistakes(), 1);
         assert!(stack.stats_note().contains("fd-honest-mistakes=1"));
         // Convict p1 via a forged signature: its past mistake no longer
         // counts as a mistake about an honest peer.

@@ -48,14 +48,6 @@ impl Signature {
     pub fn from_bytes(bytes: &[u8]) -> Signature {
         Signature(BigUint::from_bytes_be(bytes))
     }
-
-    /// A structurally valid but cryptographically garbage signature.
-    ///
-    /// Used by fault injectors that model a process signing with a broken
-    /// key: it verifies against nothing (except with negligible probability).
-    pub fn forged(filler: u64) -> Signature {
-        Signature(BigUint::from(filler).add(&BigUint::from(2u64)))
-    }
 }
 
 impl PublicKey {
@@ -222,7 +214,8 @@ mod tests {
     fn verify_rejects_forged_signature() {
         let kp = keys(5);
         for filler in 0..32u64 {
-            assert!(!kp.public().verify(b"msg", &Signature::forged(filler)));
+            let garbage = Signature(BigUint::from(filler + 2));
+            assert!(!kp.public().verify(b"msg", &garbage));
         }
     }
 

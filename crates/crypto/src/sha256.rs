@@ -27,14 +27,6 @@ impl Digest {
     pub fn as_bytes(&self) -> &[u8] {
         &self.0
     }
-
-    /// Interprets the first 8 bytes of the digest as a big-endian `u64`.
-    ///
-    /// Handy for cheap fingerprints in logs and hash-based sharding; not a
-    /// substitute for comparing full digests.
-    pub fn prefix_u64(&self) -> u64 {
-        u64::from_be_bytes(self.0[..8].try_into().expect("digest has 32 bytes"))
-    }
 }
 
 impl fmt::Display for Digest {
@@ -266,12 +258,6 @@ mod tests {
             h.update(&data[split..]);
             assert_eq!(h.finalize(), oneshot, "split at {split}");
         }
-    }
-
-    #[test]
-    fn prefix_u64_is_big_endian_prefix() {
-        let d = Sha256::digest(b"abc");
-        assert_eq!(d.prefix_u64(), 0xba7816bf8f01cfea);
     }
 
     #[test]

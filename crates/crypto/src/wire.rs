@@ -122,17 +122,6 @@ impl Encoder {
         }
     }
 
-    /// Writes an `Option` as a presence tag followed by the value.
-    pub fn option<T: CanonicalEncode>(&mut self, value: &Option<T>) {
-        match value {
-            None => self.tag(0),
-            Some(v) => {
-                self.tag(1);
-                v.encode(self);
-            }
-        }
-    }
-
     /// Writes a nested encodable value (no framing; use when the field is
     /// fixed-position).
     pub fn nested<T: CanonicalEncode>(&mut self, value: &T) {
@@ -202,16 +191,6 @@ mod tests {
         e2.bytes(b"ab");
         e2.bytes(b"c");
         assert_ne!(e1.into_bytes(), e2.into_bytes());
-    }
-
-    #[test]
-    fn option_encodes_presence() {
-        let mut some = Encoder::new();
-        some.option(&Some(7u64));
-        let mut none = Encoder::new();
-        none.option::<u64>(&None);
-        assert_eq!(some.len(), 9);
-        assert_eq!(none.into_bytes(), vec![0]);
     }
 
     #[test]
@@ -357,15 +336,6 @@ impl<'a> Decoder<'a> {
         }
         (0..len).map(|_| T::decode(self)).collect()
     }
-
-    /// Reads an `Option` (presence tag then value).
-    pub fn option<T: CanonicalDecode>(&mut self) -> Result<Option<T>, DecodeError> {
-        if self.bool()? {
-            Ok(Some(T::decode(self)?))
-        } else {
-            Ok(None)
-        }
-    }
 }
 
 impl CanonicalDecode for u64 {
@@ -422,14 +392,7 @@ mod decode_tests {
     }
 
     #[test]
-    fn option_roundtrip_and_bad_tag() {
-        let mut e = Encoder::new();
-        e.option(&Some(5u64));
-        e.option::<u64>(&None);
-        let buf = e.into_bytes();
-        let mut d = Decoder::new(&buf);
-        assert_eq!(d.option::<u64>(), Ok(Some(5)));
-        assert_eq!(d.option::<u64>(), Ok(None));
+    fn bad_bool_tag_is_rejected() {
         let mut d = Decoder::new(&[7u8]);
         assert_eq!(d.bool(), Err(DecodeError::BadTag(7)));
     }

@@ -145,7 +145,7 @@ impl ProtocolTable {
 ///
 /// `InRound(i)` means the peer is believed in-round with the first `i`
 /// send slots passed; the paper's `q0`/`q1`/`q2` for Hurfin–Raynal are
-/// [`PeerPhase::Q0`]/[`PeerPhase::Q1`]/[`PeerPhase::Q2`].
+/// `InRound(0)`/`InRound(1)`/`InRound(2)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum PeerPhase {
     /// Nothing received yet; the opening kind is expected.
@@ -158,13 +158,14 @@ pub enum PeerPhase {
     Faulty,
 }
 
+#[cfg(test)]
 impl PeerPhase {
     /// The paper's `q0`: in-round, no vote seen yet.
-    pub const Q0: PeerPhase = PeerPhase::InRound(0);
+    pub(crate) const Q0: PeerPhase = PeerPhase::InRound(0);
     /// The paper's `q1` (HR): voted CURRENT in this round.
-    pub const Q1: PeerPhase = PeerPhase::InRound(1);
+    pub(crate) const Q1: PeerPhase = PeerPhase::InRound(1);
     /// The paper's `q2` (HR): voted NEXT in this round.
-    pub const Q2: PeerPhase = PeerPhase::InRound(2);
+    pub(crate) const Q2: PeerPhase = PeerPhase::InRound(2);
 }
 
 impl fmt::Display for PeerPhase {
@@ -360,11 +361,11 @@ impl ProtocolTable {
 ///
 /// ```
 /// use ftm_certify::ProtocolId;
-/// use ftm_detect::{PeerAutomaton, PeerPhase, ProtocolTable};
+/// use ftm_detect::{PeerAutomaton, ProtocolTable};
 /// use ftm_sim::ProcessId;
 /// let table = ProtocolTable::for_protocol(ProtocolId::HurfinRaynal);
 /// let a = PeerAutomaton::new_for(table, ProcessId(1));
-/// assert_eq!(a.phase(), PeerPhase::Start);
+/// assert!(!a.is_faulty());
 /// assert_eq!(a.round(), 0);
 /// ```
 #[derive(Debug, Clone)]
@@ -388,18 +389,9 @@ impl PeerAutomaton {
         }
     }
 
-    /// The observed peer.
-    pub fn peer(&self) -> ProcessId {
-        self.peer
-    }
-
-    /// The protocol table driving this automaton.
-    pub fn table(&self) -> &'static ProtocolTable {
-        self.table
-    }
-
     /// Current phase.
-    pub fn phase(&self) -> PeerPhase {
+    #[cfg(test)]
+    pub(crate) fn phase(&self) -> PeerPhase {
         self.phase
     }
 

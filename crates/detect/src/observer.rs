@@ -12,13 +12,11 @@
 //! declares `q` faulty, `q` did exhibit an incorrect behavior — every
 //! conviction is backed by a [`FaultRecord`] holding the failed check.
 
-use std::collections::BTreeSet;
-
 use ftm_certify::analyzer::CertChecker;
 use ftm_certify::{Certified, CertifyError, Envelope, FaultClass, MessageKind};
 use ftm_sim::{ProcessId, VirtualTime};
 
-use crate::automaton::{PeerAutomaton, PeerPhase, ProtocolTable, Requirement};
+use crate::automaton::{PeerAutomaton, ProtocolTable, Requirement};
 use crate::predicates::round_entry_justified;
 
 /// One conviction with its evidence.
@@ -75,7 +73,7 @@ impl Default for Checks {
 /// let env = Envelope::make(ProcessId(2), Core::Init { value: 7 },
 ///                          Certificate::new(), &keys[2]);
 /// assert!(obs.observe(ProcessId(2), &env, VirtualTime::ZERO).is_ok());
-/// assert!(obs.faulty_set().is_empty());
+/// assert!(obs.faults().is_empty());
 /// ```
 #[derive(Debug, Clone)]
 pub struct Observer {
@@ -205,12 +203,7 @@ impl Observer {
         e
     }
 
-    /// The convicted processes (the paper's `faulty_i` set).
-    pub fn faulty_set(&self) -> BTreeSet<ProcessId> {
-        self.faults.iter().map(|f| f.culprit).collect()
-    }
-
-    /// Whether `p` is convicted.
+    /// Whether `p` is convicted (membership in the paper's `faulty_i`).
     pub fn is_faulty(&self, p: ProcessId) -> bool {
         self.automata
             .get(p.index())
@@ -221,28 +214,24 @@ impl Observer {
     pub fn faults(&self) -> &[FaultRecord] {
         &self.faults
     }
-
-    /// Phase the observer believes `p` is in (`None` for an id outside
-    /// the system).
-    pub fn phase_of(&self, p: ProcessId) -> Option<PeerPhase> {
-        self.automata.get(p.index()).map(PeerAutomaton::phase)
-    }
-
-    /// Round the observer believes `p` is in (`None` for an id outside the
-    /// system).
-    pub fn round_of(&self, p: ProcessId) -> Option<u64> {
-        self.automata.get(p.index()).map(PeerAutomaton::round)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::automaton::PeerPhase;
     use ftm_certify::{Certificate, Core, ValueVector};
     use ftm_crypto::keydir::KeyDirectory;
     use ftm_crypto::rsa::KeyPair;
+    use std::collections::BTreeSet;
 
     const N: usize = 4;
+
+    /// Phase the observer believes `p` is in (`None` for an id outside
+    /// the system).
+    fn phase_of(obs: &Observer, p: ProcessId) -> Option<PeerPhase> {
+        obs.automata.get(p.index()).map(PeerAutomaton::phase)
+    }
 
     fn fixture() -> (Observer, Vec<KeyPair>) {
         let mut rng = ftm_crypto::rng_from_seed(81);
@@ -267,8 +256,8 @@ mod tests {
                 .observe(ProcessId(s), &init(&keys, s, s as u64), VirtualTime::ZERO)
                 .is_ok());
         }
-        assert!(obs.faulty_set().is_empty());
-        assert_eq!(obs.phase_of(ProcessId(0)), Some(PeerPhase::Q0));
+        assert!(obs.faults().is_empty());
+        assert_eq!(phase_of(&obs, ProcessId(0)), Some(PeerPhase::Q0));
     }
 
     #[test]
@@ -311,8 +300,8 @@ mod tests {
             .unwrap_err();
         assert_eq!(err.culprit, ProcessId(9));
         assert!(!obs.is_faulty(ProcessId(3)));
-        assert_eq!(obs.phase_of(ProcessId(3)), Some(PeerPhase::Start));
-        assert_eq!(obs.phase_of(ProcessId(9)), None);
+        assert_eq!(phase_of(&obs, ProcessId(3)), Some(PeerPhase::Start));
+        assert_eq!(phase_of(&obs, ProcessId(9)), None);
         assert_eq!(obs.faults().len(), 1);
         assert_eq!(obs.faults()[0].class, FaultClass::WrongSyntax);
     }
@@ -390,11 +379,11 @@ mod tests {
         );
         let admitted = obs.observe(ProcessId(1), &env, VirtualTime::at(1)).unwrap();
         assert_eq!(admitted.kind(), MessageKind::Next);
-        assert_eq!(obs.phase_of(ProcessId(1)), Some(PeerPhase::Q2));
+        assert_eq!(phase_of(&obs, ProcessId(1)), Some(PeerPhase::Q2));
     }
 
     #[test]
-    fn faulty_set_accumulates_distinct_culprits() {
+    fn faults_accumulate_distinct_culprits() {
         let (mut obs, keys) = fixture();
         for s in [1u32, 2] {
             let env = Envelope::make(
@@ -405,7 +394,7 @@ mod tests {
             );
             let _ = obs.observe(ProcessId(s), &env, VirtualTime::ZERO);
         }
-        let set = obs.faulty_set();
+        let set: BTreeSet<ProcessId> = obs.faults().iter().map(|f| f.culprit).collect();
         assert_eq!(set.len(), 2);
         assert!(set.contains(&ProcessId(1)) && set.contains(&ProcessId(2)));
     }

@@ -6,12 +6,13 @@
 //! collapse. The attacks mirror [`crate::attacks`] but need no signing,
 //! because there is nothing to sign.
 
+use std::fmt;
+
 use ftm_certify::Value;
 use ftm_core::crash::CrashMsg;
-use ftm_sim::{Actor, Context, Duration, ProcessId, TimerTag, VirtualTime};
+use ftm_sim::{Actor, Context, Duration, ProcessId, VirtualTime};
 
-/// Timer tag reserved for injection (the inner protocol uses low tags).
-pub const INJECT_TIMER: TimerTag = 0xFA18;
+use crate::behavior::{Deviation, Faulty};
 
 /// What a crash-protocol saboteur does.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -31,90 +32,143 @@ pub enum CrashAttack {
     },
 }
 
-/// The honest crash protocol wrapped by a [`CrashAttack`].
+/// A [`CrashAttack`] in progress (the forged DECIDE fires once).
 #[derive(Debug)]
-pub struct CrashSaboteur<A> {
-    inner: A,
+pub struct Sabotage {
     attack: CrashAttack,
     fired: bool,
 }
 
-impl<A> CrashSaboteur<A>
-where
-    A: Actor<Msg = CrashMsg, Decision = Value>,
-{
-    /// Wraps `inner` with `attack`.
-    pub fn new(inner: A, attack: CrashAttack) -> Self {
-        CrashSaboteur {
-            inner,
-            attack,
-            fired: false,
-        }
+impl Deviation<CrashMsg> for Sabotage {
+    fn first_inject(&self) -> Duration {
+        Duration::of(1)
     }
 
-    fn post(&mut self, ctx: &mut Context<'_, CrashMsg, Value>) {
+    fn rewrite(&mut self, _: ProcessId, _: VirtualTime, staged: &mut Vec<(ProcessId, CrashMsg)>) {
         if let CrashAttack::CorruptEstimate { poison } = self.attack {
-            let mut flat = ctx.take_staged_sends();
-            for (_, msg) in &mut flat {
+            for (_, msg) in staged {
                 match msg {
                     CrashMsg::Current { est, .. } | CrashMsg::Decide { est } => *est = poison,
                     _ => {}
                 }
             }
-            ctx.restore_staged_sends(flat);
+        }
+    }
+
+    fn inject<D>(&mut self, ctx: &mut Context<'_, CrashMsg, D>) -> Option<Duration>
+    where
+        D: Clone + fmt::Debug + PartialEq,
+    {
+        let CrashAttack::ForgeDecide { at, poison } = self.attack else {
+            return None;
+        };
+        if self.fired {
+            None
+        } else if ctx.now() >= at {
+            self.fired = true;
+            ctx.broadcast(CrashMsg::Decide { est: poison });
+            None
+        } else {
+            Some(Duration::of(5))
         }
     }
 }
 
-impl<A> Actor for CrashSaboteur<A>
-where
-    A: Actor<Msg = CrashMsg, Decision = Value>,
-{
-    type Msg = CrashMsg;
-    type Decision = Value;
+/// The honest crash protocol wrapped by a [`CrashAttack`].
+pub type CrashSaboteur<A> = Faulty<A, Sabotage>;
 
-    fn on_start(&mut self, ctx: &mut Context<'_, CrashMsg, Value>) {
-        self.inner.on_start(ctx);
-        ctx.set_timer(Duration::of(1), INJECT_TIMER);
-        self.post(ctx);
-    }
-
-    fn on_message(
-        &mut self,
-        from: ProcessId,
-        msg: &CrashMsg,
-        ctx: &mut Context<'_, CrashMsg, Value>,
-    ) {
-        self.inner.on_message(from, msg, ctx);
-        self.post(ctx);
-    }
-
-    fn on_timer(&mut self, tag: TimerTag, ctx: &mut Context<'_, CrashMsg, Value>) {
-        if tag == INJECT_TIMER {
-            if let CrashAttack::ForgeDecide { at, poison } = self.attack {
-                if !self.fired && ctx.now() >= at {
-                    self.fired = true;
-                    ctx.broadcast(CrashMsg::Decide { est: poison });
-                } else if !self.fired {
-                    ctx.set_timer(Duration::of(5), INJECT_TIMER);
-                }
-            }
-            return;
+impl<A: Actor<Msg = CrashMsg>> CrashSaboteur<A> {
+    /// Wraps `inner` with `attack`.
+    pub fn new(inner: A, attack: CrashAttack) -> Self {
+        Faulty {
+            inner,
+            deviation: Sabotage {
+                attack,
+                fired: false,
+            },
         }
-        self.inner.on_timer(tag, ctx);
-        self.post(ctx);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::behavior::INJECT_TIMER;
     use ftm_core::crash::CrashConsensus;
     use ftm_core::spec::Resilience;
     use ftm_core::validator::check_crash_consensus;
     use ftm_fd::TimeoutDetector;
     use ftm_sim::runner::BoxedActor;
-    use ftm_sim::{SimConfig, Simulation};
+    use ftm_sim::{SimConfig, Simulation, StagedSend, TimerTag};
+
+    /// Minimal inner actor: broadcasts one CURRENT and one NEXT.
+    #[derive(Debug)]
+    struct Voter;
+    impl Actor for Voter {
+        type Msg = CrashMsg;
+        type Decision = Value;
+        fn on_start(&mut self, ctx: &mut Context<'_, CrashMsg, Value>) {
+            ctx.broadcast(CrashMsg::Current { round: 1, est: 7 });
+            ctx.send(ProcessId(1), CrashMsg::Next { round: 1 });
+        }
+        fn on_message(&mut self, _: ProcessId, _: &CrashMsg, _: &mut Context<'_, CrashMsg, Value>) {
+        }
+    }
+
+    /// The sends and timers one callback stages at p0 of 3, at time `now`.
+    fn staged(
+        now: u64,
+        call: impl FnOnce(&mut Context<'_, CrashMsg, Value>),
+    ) -> (Vec<StagedSend<CrashMsg>>, Vec<(Duration, TimerTag)>) {
+        let mut draw = || 0u64;
+        let mut ctx = Context::new(VirtualTime::at(now), ProcessId(0), 3, &mut draw);
+        call(&mut ctx);
+        let fx = ctx.into_effects();
+        (fx.sends, fx.timers)
+    }
+
+    #[test]
+    fn corrupt_estimate_rewrites_staged_votes_and_never_injects() {
+        let mut saboteur = CrashSaboteur::new(Voter, CrashAttack::CorruptEstimate { poison: 666 });
+        let (sends, timers) = staged(0, |ctx| saboteur.on_start(ctx));
+        let to = |p, msg| StagedSend::To(ProcessId(p), msg);
+        let poisoned = CrashMsg::Current { round: 1, est: 666 };
+        assert_eq!(
+            sends,
+            [
+                to(0, poisoned.clone()),
+                to(1, poisoned.clone()),
+                to(2, poisoned),
+                to(1, CrashMsg::Next { round: 1 }),
+            ],
+            "every copy of the vote is poisoned, in staging order; NEXT is untouched"
+        );
+        assert_eq!(timers, [(Duration::of(1), INJECT_TIMER)]);
+        let (sends, timers) = staged(1, |ctx| saboteur.on_timer(INJECT_TIMER, ctx));
+        assert!(sends.is_empty() && timers.is_empty());
+    }
+
+    #[test]
+    fn forge_decide_polls_until_its_time_then_fires_once() {
+        let attack = CrashAttack::ForgeDecide {
+            at: VirtualTime::at(6),
+            poison: 999,
+        };
+        let mut saboteur = CrashSaboteur::new(Voter, attack);
+        let (sends, _) = staged(0, |ctx| saboteur.on_start(ctx));
+        assert_eq!(sends.len(), 4, "honest output passes through");
+        assert!(sends.contains(&StagedSend::To(
+            ProcessId(2),
+            CrashMsg::Current { round: 1, est: 7 }
+        )));
+        let (sends, timers) = staged(1, |ctx| saboteur.on_timer(INJECT_TIMER, ctx));
+        assert!(sends.is_empty());
+        assert_eq!(timers, [(Duration::of(5), INJECT_TIMER)]);
+        let (sends, timers) = staged(6, |ctx| saboteur.on_timer(INJECT_TIMER, ctx));
+        assert_eq!(sends, [StagedSend::ToAll(CrashMsg::Decide { est: 999 })]);
+        assert!(timers.is_empty(), "one shot: the timer is not re-armed");
+        assert!(saboteur.deviation.fired);
+    }
 
     fn honest(n: usize, id: ProcessId) -> CrashConsensus<TimeoutDetector> {
         CrashConsensus::new(

@@ -23,8 +23,6 @@
 //! * [`MutenessDetector`] — the round-aware ◇M variant (Doudou et al.):
 //!   a peer is suspected only when it is both silent *and* falling rounds
 //!   behind the observer — muteness with respect to the algorithm;
-//! * [`QuietDetector`] — the fixed-timeout "quiet process" detector of
-//!   Malkhi–Reiter (◇S(bz)), kept as a comparison baseline;
 //! * [`OracleDetector`] — a test harness detector with scripted accuracy,
 //!   used to isolate protocol correctness from detector quality;
 //! * [`properties`] — trace-replay checkers measuring Strong Completeness,
@@ -34,13 +32,11 @@
 pub mod muteness;
 pub mod oracle;
 pub mod properties;
-pub mod quiet;
 pub mod suspicion;
 pub mod timeout;
 
 pub use muteness::MutenessDetector;
 pub use oracle::OracleDetector;
-pub use quiet::QuietDetector;
 pub use suspicion::{FailureDetector, SuspicionChange};
 pub use timeout::TimeoutDetector;
 

@@ -5,68 +5,39 @@
 //! terminates with eventual weak accuracy even if the detector lies wildly
 //! first" — we need a detector whose accuracy schedule is chosen by the
 //! test, not by network timing. [`OracleDetector`] is that instrument: it
-//! knows the ground-truth fault schedule (perfect completeness with a
-//! configurable detection lag) and wrongly suspects scripted peers until a
-//! scripted time (imperfect accuracy, eventually weak).
+//! wrongly suspects scripted peers until a scripted time (imperfect
+//! accuracy, eventually weak) and is otherwise silent.
 
-use ftm_sim::{Duration, ProcessId, VirtualTime};
+use ftm_sim::{ProcessId, VirtualTime};
 
 use crate::suspicion::FailureDetector;
 
-/// Ground-truth-driven detector with scripted mistakes.
+/// A detector with scripted mistakes.
 ///
 /// # Example
 ///
 /// ```
 /// use ftm_fd::{FailureDetector, OracleDetector};
-/// use ftm_sim::{Duration, ProcessId, VirtualTime};
+/// use ftm_sim::{ProcessId, VirtualTime};
 ///
-/// let mut fd = OracleDetector::new(3)
-///     .faulty_from(ProcessId(0), VirtualTime::at(100))
-///     .detection_lag(Duration::of(10))
-///     .wrongly_suspect_until(ProcessId(1), VirtualTime::at(50));
+/// let mut fd = OracleDetector::new(3).wrongly_suspect_until(ProcessId(1), VirtualTime::at(50));
 ///
 /// assert!(fd.suspects(ProcessId(1), VirtualTime::at(40)));  // scripted lie
 /// assert!(!fd.suspects(ProcessId(1), VirtualTime::at(60))); // lie expired
-/// assert!(!fd.suspects(ProcessId(0), VirtualTime::at(105))); // within lag
-/// assert!(fd.suspects(ProcessId(0), VirtualTime::at(111)));  // completeness
+/// assert!(!fd.suspects(ProcessId(0), VirtualTime::at(40))); // never scripted
 /// ```
 #[derive(Debug, Clone)]
 pub struct OracleDetector {
-    n: usize,
-    faulty_from: Vec<Option<VirtualTime>>,
     wrong_until: Vec<Option<VirtualTime>>,
-    lag: Duration,
 }
 
 impl OracleDetector {
-    /// Creates an initially truthful oracle over `n` peers: no peer is
-    /// faulty, no lies are scripted, detection lag is zero.
+    /// Creates a truthful oracle over `n` peers: no lies are scripted, so
+    /// nobody is ever suspected.
     pub fn new(n: usize) -> Self {
         OracleDetector {
-            n,
-            faulty_from: vec![None; n],
             wrong_until: vec![None; n],
-            lag: Duration::ZERO,
         }
-    }
-
-    /// Declares `peer` actually faulty (crashed/mute) from `at` on.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `peer` is out of range.
-    pub fn faulty_from(mut self, peer: ProcessId, at: VirtualTime) -> Self {
-        assert!(peer.index() < self.n, "peer out of range");
-        self.faulty_from[peer.index()] = Some(at);
-        self
-    }
-
-    /// Sets how long after the real fault the oracle starts suspecting
-    /// (models detection latency; completeness still holds).
-    pub fn detection_lag(mut self, lag: Duration) -> Self {
-        self.lag = lag;
-        self
     }
 
     /// Scripts a lie: suspect the (correct) `peer` at every query strictly
@@ -78,7 +49,7 @@ impl OracleDetector {
     ///
     /// Panics if `peer` is out of range.
     pub fn wrongly_suspect_until(mut self, peer: ProcessId, until: VirtualTime) -> Self {
-        assert!(peer.index() < self.n, "peer out of range");
+        assert!(peer.index() < self.wrong_until.len(), "peer out of range");
         self.wrong_until[peer.index()] = Some(until);
         self
     }
@@ -86,22 +57,11 @@ impl OracleDetector {
 
 impl FailureDetector for OracleDetector {
     fn observe_message(&mut self, _peer: ProcessId, _now: VirtualTime) {
-        // The oracle consults ground truth, not message flow.
+        // The oracle follows its script, not message flow.
     }
 
     fn suspects(&mut self, peer: ProcessId, now: VirtualTime) -> bool {
-        let idx = peer.index();
-        if let Some(at) = self.faulty_from[idx] {
-            if now >= at + self.lag {
-                return true;
-            }
-        }
-        if let Some(until) = self.wrong_until[idx] {
-            if now < until {
-                return true;
-            }
-        }
-        false
+        self.wrong_until[peer.index()].is_some_and(|until| now < until)
     }
 }
 
@@ -115,15 +75,6 @@ mod tests {
         for t in [0u64, 10, 1_000_000] {
             assert!(!d.suspects(ProcessId(0), VirtualTime::at(t)));
         }
-    }
-
-    #[test]
-    fn completeness_with_lag() {
-        let mut d = OracleDetector::new(2)
-            .faulty_from(ProcessId(1), VirtualTime::at(100))
-            .detection_lag(Duration::of(20));
-        assert!(!d.suspects(ProcessId(1), VirtualTime::at(119)));
-        assert!(d.suspects(ProcessId(1), VirtualTime::at(120)));
     }
 
     #[test]
@@ -143,6 +94,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn out_of_range_peer_rejected() {
-        let _ = OracleDetector::new(1).faulty_from(ProcessId(1), VirtualTime::ZERO);
+        let _ = OracleDetector::new(1).wrongly_suspect_until(ProcessId(1), VirtualTime::ZERO);
     }
 }

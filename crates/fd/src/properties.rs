@@ -4,11 +4,10 @@
 //! *completeness* — real faults get suspected, and how fast — and
 //! *accuracy* — correct processes do not stay suspected, and how often they
 //! are wrongly suspected. These functions replay a message-arrival timeline
-//! (taken from a simulation [`ftm_sim::trace::Trace`] or synthesized) into
+//! (synthesized, or read off a simulation trace) into
 //! any [`FailureDetector`] and report both axes. Experiment E7 sweeps the
 //! timeout parameter with exactly this instrument.
 
-use ftm_sim::trace::{Trace, TraceEvent};
 use ftm_sim::{Duration, ProcessId, VirtualTime};
 
 use crate::suspicion::FailureDetector;
@@ -32,18 +31,6 @@ impl DetectorQuality {
     pub fn complete(&self) -> bool {
         self.detection_time.is_some() && self.suspected_at_horizon
     }
-}
-
-/// Extracts the times at which `dst` received a message from `src`.
-pub fn delivery_times(trace: &Trace, src: ProcessId, dst: ProcessId) -> Vec<VirtualTime> {
-    trace
-        .entries()
-        .iter()
-        .filter_map(|e| match &e.event {
-            TraceEvent::Deliver { src: s, dst: d, .. } if *s == src && *d == dst => Some(e.at),
-            _ => None,
-        })
-        .collect()
 }
 
 /// Replays `deliveries` (times the observer heard from the peer, ascending)
@@ -181,31 +168,6 @@ mod tests {
         );
         assert!(!q.complete());
         assert_eq!(q.mistakes, 0);
-    }
-
-    #[test]
-    fn delivery_times_filters_by_channel() {
-        let mut trace = Trace::new();
-        trace.record(
-            VirtualTime::at(3),
-            TraceEvent::Deliver {
-                src: ProcessId(0),
-                dst: ProcessId(1),
-                label: "x".into(),
-            },
-        );
-        trace.record(
-            VirtualTime::at(4),
-            TraceEvent::Deliver {
-                src: ProcessId(1),
-                dst: ProcessId(0),
-                label: "y".into(),
-            },
-        );
-        assert_eq!(
-            delivery_times(&trace, ProcessId(0), ProcessId(1)),
-            times(&[3])
-        );
     }
 
     #[test]

@@ -85,16 +85,9 @@ impl TimeoutDetector {
     }
 
     /// Current timeout of `peer` (grows by doubling on each mistake).
-    pub fn timeout_of(&self, peer: ProcessId) -> Duration {
+    #[cfg(test)]
+    fn timeout_of(&self, peer: ProcessId) -> Duration {
         self.peers[peer.index()].timeout
-    }
-
-    /// All peers suspected at `now`, updating histories.
-    pub fn suspected_set(&mut self, now: VirtualTime) -> Vec<ProcessId> {
-        (0..self.peers.len() as u32)
-            .map(ProcessId)
-            .filter(|&p| self.suspects(p, now))
-            .collect()
     }
 }
 
@@ -217,14 +210,6 @@ mod tests {
         assert_eq!(h.len(), 2);
         assert!(h[0].suspected && !h[1].suspected);
         assert_eq!(h[0].peer, ProcessId(2));
-    }
-
-    #[test]
-    fn suspected_set_lists_all_silent_peers() {
-        let mut d = fd();
-        d.observe_message(ProcessId(0), VirtualTime::at(95));
-        let set = d.suspected_set(VirtualTime::at(100));
-        assert_eq!(set, vec![ProcessId(1), ProcessId(2)]);
     }
 
     #[test]

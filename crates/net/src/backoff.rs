@@ -34,11 +34,6 @@ impl Backoff {
         }
     }
 
-    /// Consecutive failures recorded since the last [`reset`](Self::reset).
-    pub fn failures(&self) -> u32 {
-        self.failures
-    }
-
     /// Records a failure and returns the delay to wait before the next
     /// attempt: `min(BASE << failures, CAP)` plus jitter in
     /// `[0, delay/2]` drawn from the deterministic stream.
@@ -111,9 +106,9 @@ mod tests {
         for _ in 0..10 {
             b.next_delay_ms();
         }
-        assert_eq!(b.failures(), 10);
+        assert_eq!(b.failures, 10);
         b.reset();
-        assert_eq!(b.failures(), 0);
+        assert_eq!(b.failures, 0);
         let d = b.next_delay_ms();
         assert!(d <= Backoff::BASE_MS + Backoff::BASE_MS / 2);
     }

@@ -114,11 +114,6 @@ impl<D> NodeHandle<D> {
         self.stop.store(true, Ordering::Relaxed);
     }
 
-    /// Whether the node thread has exited (halt, stop, or timeout).
-    pub fn is_finished(&self) -> bool {
-        self.thread.is_finished()
-    }
-
     /// Waits for the node to exit and returns its report.
     ///
     /// # Errors

@@ -47,11 +47,6 @@ impl RingBuf {
         self.len == 0
     }
 
-    /// The hard capacity cap (backpressure boundary).
-    pub fn max(&self) -> usize {
-        self.max
-    }
-
     /// Bytes that can still be pushed before hitting the cap.
     pub fn free(&self) -> usize {
         self.max - self.len

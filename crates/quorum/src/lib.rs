@@ -4,17 +4,15 @@
 //! The paper's resilience claim is `F ≤ min(⌊(n−1)/2⌋, C)` — agreement
 //! survives up to `⌊(n−1)/2⌋` arbitrary failures *because* certification
 //! removes equivocation, so two `n − F` quorums only need to intersect in
-//! **one** process, not one *correct* process. Before this module existed
-//! that arithmetic was hand-rolled in six crates (`rbcast`, `certify`,
-//! `detect`, `faults`, `core`, `bench`); rule D5 (this crate's
-//! `tests/discipline.rs`) now rejects ad-hoc `n - f` / `2*f + 1`
+//! **one** process, not one *correct* process. Rule D5 (this crate's
+//! `tests/discipline.rs`) rejects ad-hoc `n - f` / `2*f + 1`
 //! expressions in the protocol crates, and
 //! `ftm-verify`'s `quorum` section re-proves the intersection algebra
 //! exhaustively for every `(n, F)` up to `n = 64`.
 //!
 //! The canonical import path is `ftm_core::quorum`, which re-exports
-//! this crate: the workspace layering puts `ftm-core` *above* `rbcast`
-//! and `certify`, so the implementation lives here, below them all.
+//! this crate: `ftm-certify` needs the thresholds too and sits *below*
+//! `ftm-core`, so the implementation lives here, below them both.
 //!
 //! # The algebra, in one place
 //!
@@ -151,41 +149,6 @@ pub const fn resilience_bound(n: usize, c: usize) -> usize {
     }
 }
 
-/// Bracha double-echo broadcast: the echo quorum `⌈(n+F+1)/2⌉` (a
-/// majority of correct processes plus the Byzantine budget).
-///
-/// ```
-/// assert_eq!(ftm_quorum::bracha_echo_quorum(4, 1), 3);
-/// assert_eq!(ftm_quorum::bracha_echo_quorum(7, 2), 5);
-/// ```
-#[must_use]
-pub const fn bracha_echo_quorum(n: usize, f: usize) -> usize {
-    (n + f + 2) / 2
-}
-
-/// Bracha double-echo broadcast: the delivery (READY) quorum `2F + 1`.
-///
-/// ```
-/// assert_eq!(ftm_quorum::bracha_ready_quorum(1), 3);
-/// assert_eq!(ftm_quorum::bracha_ready_quorum(2), 5);
-/// ```
-#[must_use]
-pub const fn bracha_ready_quorum(f: usize) -> usize {
-    2 * f + 1
-}
-
-/// Minimum system size for signature-free Bracha broadcast, `3F + 1`:
-/// below it two echo quorums of different values can be disjoint.
-///
-/// ```
-/// assert_eq!(ftm_quorum::bracha_min_n(1), 4);
-/// assert!(ftm_quorum::bracha_min_n(2) > 3 * 2);
-/// ```
-#[must_use]
-pub const fn bracha_min_n(f: usize) -> usize {
-    3 * f + 1
-}
-
 include!("../../../clippy_canaries.rs"); // D1–D4 ban canaries, DESIGN.md §13
 
 #[cfg(test)]
@@ -248,20 +211,6 @@ mod tests {
                     assert_eq!(vector_validity_floor(n, f), n - 2 * f);
                 }
             }
-        }
-    }
-
-    #[test]
-    fn bracha_thresholds_match_the_classic_values() {
-        assert_eq!(bracha_echo_quorum(4, 1), 3);
-        assert_eq!(bracha_ready_quorum(1), 3);
-        assert_eq!(bracha_echo_quorum(7, 2), 5);
-        assert_eq!(bracha_ready_quorum(2), 5);
-        for f in 0..20 {
-            let n = bracha_min_n(f);
-            // At the minimum size, echo quorums of two different values
-            // must overlap in a correct process: 2·quorum − n > F.
-            assert!(2 * bracha_echo_quorum(n, f) - n > f);
         }
     }
 

@@ -1,5 +1,5 @@
 //! The two parts of the determinism discipline (DESIGN.md §13) that no
-//! toolchain lint can state about itself.
+//! toolchain lint can state about itself, and the workspace inventory.
 //!
 //! **Rule D5**: no ad-hoc quorum arithmetic — `n - f`, `n + f`, `2 * f`,
 //! `3 * f` — in the protocol crates; every threshold routes through
@@ -11,6 +11,9 @@
 //! canaries (`clippy_canaries.rs`), but an `#[expect]` sets its lint's level
 //! itself and so stays fulfilled when the surrounding `deny` is deleted. The
 //! levels the rules rest on are therefore pinned here, as text.
+//!
+//! **Inventory**: DESIGN.md §2 and the facade's re-exports are written by
+//! hand; the last test holds both to the `crates/*` directory listing.
 
 #![deny(clippy::cast_possible_truncation)] // D7 covers all of `crates/quorum`
 
@@ -18,7 +21,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 /// Crates whose protocol logic must not spell thresholds out.
-const SCOPE: [&str; 5] = ["core", "certify", "rbcast", "detect", "faults"];
+const SCOPE: [&str; 4] = ["core", "certify", "detect", "faults"];
 /// The algebra's re-export facade may quote the formulas it re-exports.
 const EXEMPT: &str = "core/src/quorum.rs";
 /// The classic threshold shapes, as whitespace-free token triples.
@@ -122,8 +125,8 @@ fn protocol_crates_route_every_threshold_through_ftm_quorum() {
     }
     assert!(
         findings.is_empty(),
-        "ad-hoc quorum arithmetic; use `ftm_quorum::{{quorum_size, bracha_echo_quorum, \
-         bracha_ready_quorum, intersection_margin, bracha_min_n}}`: {findings:#?}"
+        "ad-hoc quorum arithmetic; use `ftm_quorum::{{quorum_size, intersection_margin, \
+         vector_validity_floor}}`: {findings:#?}"
     );
 }
 
@@ -167,4 +170,41 @@ fn lint_levels_are_where_the_rules_need_them() {
     ] {
         has_line(&crates.join(file), D7);
     }
+}
+
+#[test]
+fn design_inventory_and_facade_name_every_crate() {
+    let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+    let design = fs::read_to_string(crates.join("../DESIGN.md")).expect("readable DESIGN.md");
+    let inventory = design
+        .split("\n## ")
+        .find(|section| section.starts_with("2. "))
+        .expect("DESIGN.md has a section 2");
+    let facade = fs::read_to_string(crates.join("../src/lib.rs")).expect("readable facade");
+
+    let mut names = vec!["ft-modular".to_string()];
+    for dir in fs::read_dir(&crates).expect("readable crates directory") {
+        let dir = dir.expect("directory entry").path();
+        let manifest = fs::read_to_string(dir.join("Cargo.toml")).expect("readable manifest");
+        let name = manifest
+            .lines()
+            .find_map(|l| l.strip_prefix("name = \"")?.strip_suffix('"'))
+            .expect("package name");
+        // A library crate ships no binary of its own; those are what the
+        // facade exists to gather.
+        let library = dir.join("src/lib.rs").exists()
+            && !dir.join("src/main.rs").exists()
+            && !dir.join("src/bin").exists();
+        let reexport = format!("pub use {} as ", name.replace('-', "_"));
+        assert!(
+            !library || facade.contains(&reexport),
+            "src/lib.rs does not re-export library crate `{name}`"
+        );
+        names.push(name.to_string());
+    }
+    let missing: Vec<&String> = names
+        .iter()
+        .filter(|name| !inventory.contains(&format!("`{name}`")))
+        .collect();
+    assert!(missing.is_empty(), "DESIGN.md §2 omits {missing:?}");
 }

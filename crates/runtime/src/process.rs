@@ -281,11 +281,6 @@ impl<'a, M: Payload, D: Clone + fmt::Debug + PartialEq> Context<'a, M, D> {
         self.n
     }
 
-    /// Iterates over all process identities `p_0 … p_{n-1}`.
-    pub fn all_processes(&self) -> impl Iterator<Item = ProcessId> {
-        (0..self.n as u32).map(ProcessId)
-    }
-
     /// Stages a message to `to` (self-sends are delivered like any other).
     pub fn send(&mut self, to: ProcessId, msg: M) {
         self.staged_sends.push(StagedSend::To(to, msg));

@@ -65,16 +65,6 @@ impl Duration {
     pub fn saturating_mul(self, k: u64) -> Duration {
         Duration(self.0.saturating_mul(k))
     }
-
-    /// Integer division by a scalar.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0`.
-    #[allow(clippy::should_implement_trait)] // scalar division, not Div<Duration>
-    pub fn div(self, k: u64) -> Duration {
-        Duration(self.0 / k)
-    }
 }
 
 impl Add<Duration> for VirtualTime {
@@ -158,6 +148,5 @@ mod tests {
     #[test]
     fn scalar_helpers() {
         assert_eq!(Duration::of(6).saturating_mul(2), Duration::of(12));
-        assert_eq!(Duration::of(7).div(2), Duration::of(3));
     }
 }

@@ -161,12 +161,6 @@ impl SimConfig {
         self
     }
 
-    /// Sets the processed-event budget.
-    pub fn max_events(mut self, n: u64) -> Self {
-        self.max_events = n;
-        self
-    }
-
     /// Caps protocol rounds: the run stops once any process notes entry
     /// into round `cap + 1` (see [`SimConfig::max_rounds`]).
     pub fn max_rounds(mut self, cap: u64) -> Self {
@@ -308,13 +302,12 @@ mod tests {
             .delay_range(Duration::of(2), Duration::of(4))
             .no_gst()
             .crash(1, VirtualTime::at(100))
-            .max_time(VirtualTime::at(10))
-            .max_events(99);
+            .max_time(VirtualTime::at(10));
         assert_eq!(cfg.rng_seed, 9);
         assert_eq!(cfg.min_delay, Duration::of(2));
         assert!(cfg.gst.is_none());
         assert_eq!(cfg.crashes, vec![(1, VirtualTime::at(100))]);
-        assert_eq!(cfg.max_events, 99);
+        assert_eq!(cfg.max_time, VirtualTime::at(10));
     }
 
     #[test]

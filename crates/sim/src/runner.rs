@@ -105,14 +105,6 @@ impl<D: Clone + PartialEq + fmt::Debug> RunReport<D> {
             None
         }
     }
-
-    /// Decisions of the given processes (crashed or not), in order.
-    pub fn decisions_of(&self, processes: &[usize]) -> Vec<Option<D>> {
-        processes
-            .iter()
-            .map(|&i| self.decisions.get(i).cloned().flatten())
-            .collect()
-    }
 }
 
 /// A configured simulation ready to [`run`](Simulation::run).
@@ -528,7 +520,8 @@ mod tests {
 
     #[test]
     fn event_budget_stops_runaway_protocols() {
-        let cfg = SimConfig::new(1).seed(0).max_events(100);
+        let mut cfg = SimConfig::new(1).seed(0);
+        cfg.max_events = 100;
         let report = Simulation::build(cfg, |_| Chatter).run();
         assert_eq!(report.stop, StopReason::EventLimit);
         assert!(report.metrics.events_processed <= 100);

@@ -96,22 +96,6 @@ impl Trace {
         &self.entries
     }
 
-    /// Iterates over entries matching a predicate.
-    pub fn filter<'a, F>(&'a self, pred: F) -> impl Iterator<Item = &'a TraceEntry>
-    where
-        F: Fn(&TraceEvent) -> bool + 'a,
-    {
-        self.entries.iter().filter(move |e| pred(&e.event))
-    }
-
-    /// Time of the first entry satisfying `pred`, if any.
-    pub fn first_time<F>(&self, pred: F) -> Option<VirtualTime>
-    where
-        F: Fn(&TraceEvent) -> bool,
-    {
-        self.entries.iter().find(|e| pred(&e.event)).map(|e| e.at)
-    }
-
     /// All `Note` texts emitted by `process`, in order.
     pub fn notes_of(&self, process: ProcessId) -> Vec<&str> {
         self.entries
@@ -172,7 +156,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn records_in_order_and_filters() {
+    fn records_in_order() {
         let mut t = Trace::new();
         t.record(
             VirtualTime::at(1),
@@ -188,14 +172,8 @@ mod tests {
             },
         );
         assert_eq!(t.len(), 2);
-        let decides: Vec<_> = t
-            .filter(|e| matches!(e, TraceEvent::Decide { .. }))
-            .collect();
-        assert_eq!(decides.len(), 1);
-        assert_eq!(
-            t.first_time(|e| matches!(e, TraceEvent::Decide { .. })),
-            Some(VirtualTime::at(2))
-        );
+        assert_eq!(t.entries()[0].at, VirtualTime::at(1));
+        assert!(matches!(t.entries()[1].event, TraceEvent::Decide { .. }));
     }
 
     #[test]

@@ -51,8 +51,8 @@
 //! # Example
 //!
 //! ```
-//! use ftm_verify::{verify_all, Bounds};
-//! let report = verify_all(&Bounds::default());
+//! use ftm_verify::{verify_selected, Bounds, SpecSelect};
+//! let report = verify_selected(&SpecSelect::all(), &Bounds::default());
 //! assert!(report.ok(), "{}", report.to_json().render());
 //! ```
 
@@ -232,17 +232,24 @@ pub fn verify_selected(selected: &[SpecSelect], bounds: &Bounds) -> VerifyReport
     }
 }
 
-/// Runs every check against every spec — the configuration the CI gate
-/// uses.
-pub fn verify_all(bounds: &Bounds) -> VerifyReport {
-    verify_selected(&SpecSelect::all(), bounds)
-}
-
 include!("../../../clippy_canaries.rs"); // D1–D4 ban canaries, DESIGN.md §13
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Every check against every spec — the configuration the CI gate uses.
+    fn verify_all(bounds: &Bounds) -> VerifyReport {
+        verify_selected(&SpecSelect::all(), bounds)
+    }
+
+    fn spec<'a>(report: &'a VerifyReport, label: &str) -> Option<&'a SpecReport> {
+        report
+            .specs
+            .iter()
+            .find(|(l, _)| *l == label)
+            .map(|(_, s)| s)
+    }
 
     #[test]
     fn every_spec_verifies_clean() {
@@ -259,10 +266,10 @@ mod tests {
             mutation_rounds: 2,
         });
         for label in ["transformed", "derived", "ct", "derived-ct"] {
-            assert!(report.spec(label).unwrap().mutation.is_some(), "{label}");
+            assert!(spec(&report, label).unwrap().mutation.is_some(), "{label}");
         }
         for label in ["crash", "crash-ct"] {
-            let spec = report.spec(label).unwrap();
+            let spec = spec(&report, label).unwrap();
             assert!(spec.mutation.is_none(), "{label}");
             assert!(spec.soundness.traces > 0, "{label}");
         }
@@ -334,10 +341,10 @@ mod tests {
             },
         );
         assert_eq!(report.specs.len(), 1);
-        assert!(report.spec("transformed").is_none());
-        assert_eq!(report.refinements.len(), 2);
-        assert!(report.refinement("hr").unwrap().ok());
-        assert!(report.refinement("ct").unwrap().ok());
+        assert!(spec(&report, "transformed").is_none());
+        let refined: Vec<&str> = report.refinements.iter().map(|(l, _)| *l).collect();
+        assert_eq!(refined, ["hr", "ct"]);
+        assert!(report.refinements.iter().all(|(_, r)| r.ok()));
         assert!(report.ok());
     }
 

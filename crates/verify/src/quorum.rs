@@ -23,20 +23,13 @@
 //! 3. **Zone equivalences.** Each grid point is classified by its margin
 //!    (`certified` / `degraded` / `broken`) and the classification must
 //!    match the `f`-bound predicates exactly, both directions.
-//! 4. **Bracha thresholds.** For `n >= bracha_min_n(f)`, two echo quorums
-//!    of size `bracha_echo_quorum(n, f)` must overlap in `>= f + 1`
-//!    processes, and `bracha_ready_quorum(f)` must exceed `f` yet fit in
-//!    the correct-process count `n - f`.
 //!
 //! Points past a bound are *expected* to fail the stronger property; the
 //! report keeps a capped, deterministic list of those counterexample
 //! witnesses — they document the bounds' tightness. Any mismatch between
 //! prediction and enumeration, in either direction, is a finding.
 
-use ftm_core::quorum::{
-    bracha_echo_quorum, bracha_min_n, bracha_ready_quorum, default_cert_capacity,
-    intersection_margin, max_faults, quorum_size,
-};
+use ftm_core::quorum::{default_cert_capacity, intersection_margin, max_faults, quorum_size};
 
 /// Largest `n` for which every pair of quorums is enumerated exhaustively
 /// (stage 2). `C(10, 5)^2 = 63_504` pairs at the widest point — cheap.
@@ -174,23 +167,6 @@ pub fn check_quorums(max_n: usize) -> QuorumReport {
                         &mut report.disjoint_witnesses,
                         format!("n={n} f={f}: quorums of {q} can be disjoint"),
                     );
-                }
-            }
-
-            // Stage 4: the Bracha thresholds used by ftm-rbcast.
-            if n >= bracha_min_n(f) {
-                let echo = bracha_echo_quorum(n, f);
-                let echo_overlap = (2 * echo).saturating_sub(n);
-                if echo_overlap < f + 1 {
-                    report.mismatches.push(format!(
-                        "n={n} f={f}: echo quorums of {echo} overlap only {echo_overlap}"
-                    ));
-                }
-                let ready = bracha_ready_quorum(f);
-                if ready <= f || ready > n - f {
-                    report.mismatches.push(format!(
-                        "n={n} f={f}: ready quorum {ready} outside (f, n-f]"
-                    ));
                 }
             }
         }

@@ -157,20 +157,6 @@ impl VerifyReport {
             && self.quorum.ok()
     }
 
-    /// The report for the spec labelled `label`, if it was verified.
-    pub fn spec(&self, label: &str) -> Option<&SpecReport> {
-        self.specs.iter().find(|(l, _)| *l == label).map(|(_, s)| s)
-    }
-
-    /// The refinement report for the protocol labelled `label` (`"hr"`,
-    /// `"ct"`), if present.
-    pub fn refinement(&self, label: &str) -> Option<&RefinementReport> {
-        self.refinements
-            .iter()
-            .find(|(l, _)| *l == label)
-            .map(|(_, r)| r)
-    }
-
     fn refinement_json(r: &RefinementReport) -> Json {
         Json::Obj(vec![
             ("bound".into(), Json::U64(r.bound)),

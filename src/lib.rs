@@ -11,6 +11,8 @@
 //!
 //! * [`crypto`] — from-scratch SHA-256, bignum, RSA signatures, key
 //!   directory, canonical encoding;
+//! * [`quorum`] — the `n − F` threshold algebra (also reachable as
+//!   [`core::quorum`], its canonical path);
 //! * [`runtime`] — the runtime-agnostic actor boundary: [`runtime::Actor`],
 //!   staged effects, virtual time, and the [`runtime::Runtime`] trait both
 //!   runtimes implement;
@@ -18,8 +20,8 @@
 //!   channels, partial synchrony, crash scheduling);
 //! * [`net`] — threaded TCP transport: the same actors over real sockets
 //!   (`ftm-serve` / `ftm-load` binaries live in the `ftm-serve` crate);
-//! * [`fd`] — failure detectors: ◇S (crash), ◇M (muteness), quiet-process
-//!   baseline, oracles, and quality measurement;
+//! * [`fd`] — failure detectors: ◇S (crash), ◇M (muteness), oracles, and
+//!   quality measurement;
 //! * [`certify`] — signed envelopes, certificates, the certificate
 //!   analyzer, vector certification;
 //! * [`detect`] — non-muteness failure detection (per-peer state
@@ -28,8 +30,6 @@
 //!   stack (Fig. 1), the transformed vector consensus (Fig. 3), and run
 //!   validators;
 //! * [`faults`] — the Byzantine fault-injection library;
-//! * [`rbcast`] — reliable broadcast substrates (eager relay for the
-//!   crash model, Bracha's double echo for the arbitrary-fault model);
 //! * [`verify`] — static protocol analyzer: model-checks the observer
 //!   automaton (determinism, totality, bounded soundness, mutation kill
 //!   matrix) and the certificate-rule coverage table.
@@ -197,7 +197,7 @@ pub use ftm_detect as detect;
 pub use ftm_faults as faults;
 pub use ftm_fd as fd;
 pub use ftm_net as net;
-pub use ftm_rbcast as rbcast;
+pub use ftm_quorum as quorum;
 pub use ftm_runtime as runtime;
 pub use ftm_sim as sim;
 pub use ftm_verify as verify;
