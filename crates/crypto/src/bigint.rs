@@ -1,11 +1,21 @@
 //! Arbitrary-precision unsigned integers.
 //!
-//! Exactly the operations RSA needs — comparison, addition, subtraction,
-//! schoolbook multiplication, Knuth Algorithm D division, modular
-//! exponentiation and modular inverse — implemented over little-endian
-//! `u64` limbs with `u128` intermediates. Values are kept *normalized*
-//! (no trailing zero limbs; zero is the empty limb vector), which makes
-//! structural equality coincide with numeric equality.
+//! Exactly the operations RSA needs, implemented over little-endian `u64`
+//! limbs with `u128` intermediates:
+//!
+//! * [`BigUint`] — comparison, addition, subtraction, schoolbook
+//!   multiplication, shifts, Knuth Algorithm D division (plus the
+//!   single-limb [`BigUint::rem_u64`] trial division uses), gcd/lcm,
+//!   modular inverse, byte conversion and random draws. Values are kept
+//!   *normalized* (no trailing zero limbs; zero is the empty limb vector),
+//!   which makes structural equality coincide with numeric equality.
+//! * [`Montgomery`] — arithmetic modulo one fixed **odd** modulus:
+//!   [`Montgomery::pow`] (fixed 4-bit window over CIOS Montgomery
+//!   multiplication) and [`Montgomery::mul`]. Every modulus this crate
+//!   exponentiates under is odd (an RSA modulus, its prime factors, a
+//!   Miller–Rabin candidate past trial division), so this is the only
+//!   modular exponentiation outside the tests, which keep the textbook
+//!   square-and-multiply loop as the oracle it is fuzzed against.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -123,14 +133,6 @@ impl BigUint {
             None => 0,
             Some(top) => self.limbs.len() * 64 - top.leading_zeros() as usize,
         }
-    }
-
-    /// Returns bit `i` (little-endian position), `false` beyond the width.
-    pub fn bit(&self, i: usize) -> bool {
-        let limb = i / 64;
-        self.limbs
-            .get(limb)
-            .is_some_and(|l| (l >> (i % 64)) & 1 == 1)
     }
 
     /// Builds a value from big-endian bytes (leading zeros allowed).
@@ -409,12 +411,27 @@ impl BigUint {
         self.divrem(m).1
     }
 
-    /// Modular exponentiation: `self^exp mod m` via square-and-multiply.
+    /// Returns `self mod d` for a single-limb divisor, without allocating.
     ///
     /// # Panics
     ///
-    /// Panics if `m` is zero.
-    pub fn modpow(&self, exp: &BigUint, m: &BigUint) -> BigUint {
+    /// Panics if `d` is zero.
+    pub fn rem_u64(&self, d: u64) -> u64 {
+        assert!(d != 0, "division by zero");
+        let d = u128::from(d);
+        let rem = self
+            .limbs
+            .iter()
+            .rev()
+            .fold(0u128, |rem, &l| ((rem << 64) | u128::from(l)) % d);
+        rem as u64
+    }
+
+    /// Textbook `self^exp mod m`, one bit and one full division per step:
+    /// the reference oracle [`Montgomery::pow`] is tested against, and the
+    /// only exponentiation that takes an even modulus.
+    #[cfg(test)]
+    pub(crate) fn modpow(&self, exp: &BigUint, m: &BigUint) -> BigUint {
         assert!(!m.is_zero(), "modpow with zero modulus");
         if m == &BigUint::one() {
             return BigUint::zero();
@@ -422,7 +439,7 @@ impl BigUint {
         let mut result = BigUint::one();
         let mut base = self.rem(m);
         for i in 0..exp.bits() {
-            if exp.bit(i) {
+            if (exp.limbs[i / 64] >> (i % 64)) & 1 == 1 {
                 result = result.mul(&base).rem(m);
             }
             base = base.mul(&base).rem(m);
@@ -529,6 +546,209 @@ impl BigUint {
             }
         }
     }
+}
+
+/// Exponent bits consumed per step of [`Montgomery::pow`]; divides 64, so
+/// no window straddles a limb.
+const WINDOW_BITS: usize = 4;
+
+/// Montgomery arithmetic modulo one fixed odd modulus `n` of `k` limbs,
+/// with `R = 2^(64k)`.
+///
+/// A residue `x` is held as `x·R mod n`; the product of two such forms
+/// needs only multiplications and shifts (no division by `n`), which is
+/// what makes a long chain of modular multiplications — an
+/// exponentiation — cheap. Building the context costs two divisions;
+/// callers that exponentiate under the same modulus repeatedly (a
+/// verification key, the two prime factors of a signing key, a
+/// Miller–Rabin candidate) build it once.
+///
+/// # Example
+///
+/// ```
+/// use ftm_crypto::bigint::{BigUint, Montgomery};
+/// let ctx = Montgomery::new(&BigUint::from(497u64));
+/// assert_eq!(ctx.pow(&BigUint::from(4u64), &BigUint::from(13u64)), BigUint::from(445u64));
+/// assert_eq!(ctx.mul(&BigUint::from(400u64), &BigUint::from(300u64)), BigUint::from(223u64));
+/// ```
+#[derive(Clone, PartialEq, Eq, Hash)]
+pub struct Montgomery {
+    n: BigUint,
+    /// `−n⁻¹ mod 2⁶⁴`.
+    n0_neg_inv: u64,
+    /// `R mod n`, the Montgomery form of one (`k` limbs).
+    r1: Vec<u64>,
+    /// `R² mod n`; multiplying by it converts into Montgomery form (`k` limbs).
+    r2: Vec<u64>,
+}
+
+impl fmt::Debug for Montgomery {
+    /// Shows the modulus only: the other fields are functions of it.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "Montgomery({})", self.n)
+    }
+}
+
+impl Montgomery {
+    /// Builds the context for `n`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is even (zero included): `n` must be invertible
+    /// modulo `2⁶⁴`.
+    pub fn new(n: &BigUint) -> Montgomery {
+        assert!(n.is_odd(), "Montgomery modulus must be odd");
+        let k = n.limbs.len();
+        // Newton iteration on the inverse of n mod 2⁶⁴: an odd n0 is its
+        // own inverse mod 8, and each step doubles the correct low bits.
+        let n0 = n.limbs[0];
+        let mut inv = n0;
+        for _ in 0..5 {
+            inv = inv.wrapping_mul(2u64.wrapping_sub(n0.wrapping_mul(inv)));
+        }
+        let r1 = BigUint::one().shl(64 * k).rem(n);
+        let r2 = r1.mul(&r1).rem(n);
+        Montgomery {
+            n0_neg_inv: inv.wrapping_neg(),
+            r1: padded(r1, k),
+            r2: padded(r2, k),
+            n: n.clone(),
+        }
+    }
+
+    /// The modulus this context reduces by.
+    pub fn modulus(&self) -> &BigUint {
+        &self.n
+    }
+
+    /// Returns `a · b mod n`.
+    pub fn mul(&self, a: &BigUint, b: &BigUint) -> BigUint {
+        let k = self.n.limbs.len();
+        let mut t = vec![0u64; k + 1];
+        let a = self.to_mont(a, &mut t);
+        // mont(aR, b) = a·b·R·R⁻¹: one operand in Montgomery form is enough.
+        self.mont_mul(&a, &self.residue(b), &mut t);
+        from_limbs(&t[..k])
+    }
+
+    /// Returns `base^exp mod n` (so `0` when `n` is one, `1` when only
+    /// `exp` is zero).
+    ///
+    /// Left-to-right fixed-window exponentiation: four squarings and at
+    /// most one table multiplication per exponent nibble, each a CIOS
+    /// Montgomery multiplication into one scratch buffer allocated up
+    /// front. The table of powers is filled only up to the largest nibble
+    /// the exponent contains, so the public exponent `65537` (nibbles 1, 0,
+    /// 0, 0, 1) costs no table set-up at all.
+    pub fn pow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
+        let k = self.n.limbs.len();
+        // Most significant first.
+        let mut nibbles = (0..exp.bits().div_ceil(WINDOW_BITS)).rev().map(|i| {
+            let per_limb = 64 / WINDOW_BITS;
+            (exp.limbs[i / per_limb] >> (WINDOW_BITS * (i % per_limb))) as usize
+                & ((1 << WINDOW_BITS) - 1)
+        });
+        let mut t = vec![0u64; k + 1];
+
+        // table[d·k..][..k] = base^d in Montgomery form, d = 0..=largest.
+        let largest = nibbles.clone().max().unwrap_or(0);
+        let mut table = Vec::with_capacity((largest + 1).max(2) * k);
+        table.extend_from_slice(&self.r1);
+        table.extend_from_slice(&self.to_mont(base, &mut t));
+        for d in 2..=largest {
+            self.mont_mul(&table[(d - 1) * k..d * k], &table[k..2 * k], &mut t);
+            table.extend_from_slice(&t[..k]);
+        }
+        let power = |d: usize| &table[d * k..(d + 1) * k];
+
+        let mut acc = power(nibbles.next().unwrap_or(0)).to_vec();
+        for d in nibbles {
+            for _ in 0..WINDOW_BITS {
+                self.mont_mul(&acc, &acc, &mut t);
+                acc.copy_from_slice(&t[..k]);
+            }
+            if d != 0 {
+                self.mont_mul(&acc, power(d), &mut t);
+                acc.copy_from_slice(&t[..k]);
+            }
+        }
+
+        // mont(x·R, 1) = x.
+        let mut one = vec![0u64; k];
+        one[0] = 1;
+        self.mont_mul(&acc, &one, &mut t);
+        from_limbs(&t[..k])
+    }
+
+    /// `x mod n` as exactly `k` limbs.
+    fn residue(&self, x: &BigUint) -> Vec<u64> {
+        padded(x.rem(&self.n), self.n.limbs.len())
+    }
+
+    /// `x·R mod n` as exactly `k` limbs; `t` is `k + 1` limbs of scratch.
+    fn to_mont(&self, x: &BigUint, t: &mut [u64]) -> Vec<u64> {
+        self.mont_mul(&self.residue(x), &self.r2, t);
+        t[..self.n.limbs.len()].to_vec()
+    }
+
+    /// Word-serial (CIOS) Montgomery multiplication, Koç–Acar–Kaliski:
+    /// leaves `a·b·R⁻¹ mod n` in `t[..k]`, for `k`-limb `a`, `b` with
+    /// `a·b < n·R` (either operand below `n` is enough) and `k + 1` limbs
+    /// of scratch `t`.
+    ///
+    /// Each outer step adds `a·bᵢ` and the multiple `m·n` that zeroes the
+    /// low limb, shifting one limb down, so the running value stays below
+    /// `2n`; one conditional subtraction finishes. The two additions share
+    /// one pass with a carry each (`c1`, `c2`): two short dependency
+    /// chains the processor overlaps, 16 % off a 512-bit signature against
+    /// one pass per addition.
+    fn mont_mul(&self, a: &[u64], b: &[u64], t: &mut [u64]) {
+        let n = &self.n.limbs[..];
+        let k = n.len();
+        let (a, b, t) = (&a[..k], &b[..k], &mut t[..k + 1]);
+        t.fill(0);
+        for &bi in b {
+            let s = u128::from(t[0]) + u128::from(a[0]) * u128::from(bi);
+            let mut c1 = s >> 64;
+            let m = (s as u64).wrapping_mul(self.n0_neg_inv);
+            let mut c2 = (u128::from(s as u64) + u128::from(m) * u128::from(n[0])) >> 64;
+            for j in 1..k {
+                let s = u128::from(t[j]) + u128::from(a[j]) * u128::from(bi) + c1;
+                c1 = s >> 64;
+                let s = u128::from(s as u64) + u128::from(m) * u128::from(n[j]) + c2;
+                t[j - 1] = s as u64;
+                c2 = s >> 64;
+            }
+            let s = u128::from(t[k]) + c1 + c2;
+            t[k - 1] = s as u64;
+            t[k] = (s >> 64) as u64;
+        }
+        if t[k] != 0 || t[..k].iter().rev().ge(n.iter().rev()) {
+            let mut borrow = false;
+            for (tj, &nj) in t[..k].iter_mut().zip(n) {
+                let (d, b1) = tj.overflowing_sub(nj);
+                let (d, b2) = d.overflowing_sub(u64::from(borrow));
+                *tj = d;
+                borrow = b1 || b2;
+            }
+        }
+    }
+}
+
+/// The limbs of `x`, zero-extended to `k`.
+fn padded(x: BigUint, k: usize) -> Vec<u64> {
+    let mut limbs = x.limbs;
+    limbs.resize(k, 0);
+    limbs
+}
+
+/// Normalizes a limb slice into a value.
+fn from_limbs(limbs: &[u64]) -> BigUint {
+    let mut n = BigUint {
+        limbs: limbs.to_vec(),
+    };
+    n.normalize();
+    n
 }
 
 type Signed = (BigUint, bool);
@@ -650,6 +870,16 @@ mod tests {
     }
 
     #[test]
+    fn rem_u64_matches_divrem() {
+        let a = BigUint::one().shl(192).add(&big(12345));
+        for d in [1u64, 2, 3, 97, 1 << 32, u64::MAX] {
+            assert_eq!(BigUint::from(a.rem_u64(d)), a.rem(&BigUint::from(d)), "{d}");
+        }
+        assert_eq!(BigUint::zero().rem_u64(7), 0);
+    }
+
+    /// The oracle itself, including the even moduli [`Montgomery`] refuses.
+    #[test]
     fn modpow_small_cases() {
         assert_eq!(big(4).modpow(&big(13), &big(497)), big(445));
         assert_eq!(big(2).modpow(&big(10), &big(1000)), big(24));
@@ -663,7 +893,31 @@ mod tests {
         let p = big(1_000_000_007);
         for a in [2u128, 3, 999_999_999] {
             assert_eq!(big(a).modpow(&p.sub(&BigUint::one()), &p), BigUint::one());
+            assert_eq!(
+                Montgomery::new(&p).pow(&big(a), &p.sub(&BigUint::one())),
+                BigUint::one()
+            );
         }
+    }
+
+    #[test]
+    fn montgomery_small_cases() {
+        let ctx = Montgomery::new(&big(497));
+        assert_eq!(ctx.pow(&big(4), &big(13)), big(445));
+        assert_eq!(ctx.pow(&big(7), &BigUint::zero()), BigUint::one());
+        assert_eq!(ctx.pow(&BigUint::zero(), &BigUint::zero()), BigUint::one());
+        assert_eq!(ctx.pow(&BigUint::zero(), &big(5)), BigUint::zero());
+        assert_eq!(ctx.mul(&big(496), &big(496)), BigUint::one());
+        assert_eq!(ctx.mul(&big(1000), &big(3)), big(3000 % 497));
+        let unit = Montgomery::new(&BigUint::one());
+        assert_eq!(unit.pow(&big(7), &big(5)), BigUint::zero());
+        assert_eq!(unit.pow(&big(7), &BigUint::zero()), BigUint::zero());
+    }
+
+    #[test]
+    #[should_panic(expected = "must be odd")]
+    fn montgomery_rejects_even_modulus() {
+        let _ = Montgomery::new(&big(1000));
     }
 
     #[test]
@@ -711,6 +965,10 @@ mod tests {
     mod fuzz {
         use super::*;
         use crate::prng::{Rng64, SplitMix64};
+
+        fn limbs_of(rng: &mut SplitMix64, len: usize) -> Vec<u64> {
+            (0..len).map(|_| rng.next_u64()).collect()
+        }
 
         fn u128_of(rng: &mut SplitMix64) -> u128 {
             ((rng.next_u64() as u128) << 64) | rng.next_u64() as u128
@@ -824,6 +1082,71 @@ mod tests {
                 };
                 let got = BigUint::from(a).modpow(&BigUint::from(e as u64), &BigUint::from(m));
                 assert_eq!(got, BigUint::from(expected), "case {i}: a={a} e={e} m={m}");
+            }
+        }
+
+        /// `Montgomery::{pow, mul}` against the reference loop, over odd
+        /// moduli of 1–16 limbs. Rotating through the shapes below puts
+        /// every (modulus, base, exponent) edge in many limb counts.
+        #[test]
+        fn montgomery_matches_reference() {
+            let mut rng = SplitMix64::from_seed(0xB168);
+            let cases = if cfg!(miri) { 24 } else { 640 };
+            for i in 0..cases {
+                let k = 1 + i % 16;
+                let mut n = limbs_of(&mut rng, k);
+                match (i / 16) % 4 {
+                    // Top limb all ones: n is just below R, so Montgomery
+                    // sums overflow k limbs (the `t[k]` carry).
+                    0 => n[k - 1] = u64::MAX,
+                    // Top limb tiny: R mod n and intermediate values sit
+                    // far above n's top limb.
+                    1 => n[k - 1] = 1 + (n[k - 1] & 3),
+                    // All limbs ones: n = R − 1, the largest k-limb modulus.
+                    2 => n.fill(u64::MAX),
+                    _ => n[k - 1] |= 1,
+                }
+                n[0] |= 1;
+                let n = from_limbs(&n);
+                if n == BigUint::one() {
+                    continue;
+                }
+                let n_minus_1 = n.sub(&BigUint::one());
+                let base = match i % 5 {
+                    0 => BigUint::zero(),
+                    1 => BigUint::one(),
+                    // n − 1 ≡ −1: squares to one, and every product with
+                    // it needs the final conditional subtraction.
+                    2 => n_minus_1.clone(),
+                    3 => from_limbs(&limbs_of(&mut rng, k + 1 + i % 3)), // ≥ n: reduced on entry
+                    _ => BigUint::random_below(&mut rng, &n),
+                };
+                let exp = match i % 7 {
+                    0 => BigUint::zero(),
+                    1 => BigUint::one(),
+                    2 => BigUint::from(65537u64),
+                    3 => n_minus_1.clone(),              // full width
+                    4 => from_limbs(&vec![u64::MAX; k]), // every window 0xF
+                    _ => from_limbs(&limbs_of(&mut rng, 1 + i % (k + 1))),
+                };
+                let ctx = Montgomery::new(&n);
+                assert_eq!(ctx.modulus(), &n);
+                assert_eq!(
+                    ctx.pow(&base, &exp),
+                    base.modpow(&exp, &n),
+                    "case {i}: {base}^{exp} mod {n}"
+                );
+                let other = BigUint::random_below(&mut rng, &n);
+                assert_eq!(
+                    ctx.mul(&base, &other),
+                    base.mul(&other).rem(&n),
+                    "case {i}: {base}·{other} mod {n}"
+                );
+                assert_eq!(
+                    ctx.mul(&n_minus_1, &n_minus_1),
+                    BigUint::one(),
+                    "case {i}: (−1)² mod {n}"
+                );
             }
         }
     }

@@ -8,7 +8,8 @@
 //!
 //! * [`sha256`] — the SHA-256 compression function and streaming hasher;
 //! * [`bigint`] — arbitrary-precision unsigned integers (the minimal set of
-//!   operations RSA needs: add/sub/mul/divrem/modpow/modinv);
+//!   operations RSA needs: add/sub/mul/divrem/modinv) and Montgomery
+//!   exponentiation modulo a fixed odd modulus;
 //! * [`prime`] — Miller–Rabin probabilistic primality testing and random
 //!   prime generation;
 //! * [`prng`] — in-tree deterministic generators (SplitMix64,
@@ -24,11 +25,13 @@
 //!
 //! # Security disclaimer
 //!
-//! Key sizes default to 256-bit moduli so that simulations involving tens of
-//! thousands of signatures stay fast. That is **not** cryptographically
-//! strong against a real attacker; it is unforgeable *within the simulation*,
-//! where the adversary is a protocol-level Byzantine process that does not
-//! factor integers. Do not reuse this crate outside the simulator.
+//! Key sizes are a set-up parameter; `ProtocolConfig` defaults to 128-bit
+//! moduli (the repo benchmark also runs 512) so that simulations involving
+//! tens of thousands of signatures stay fast. That is **not**
+//! cryptographically strong against a real attacker; it is unforgeable
+//! *within the simulation*, where the adversary is a protocol-level
+//! Byzantine process that does not factor integers. Do not reuse this crate
+//! outside the simulator.
 //!
 //! # Example
 //!

@@ -6,7 +6,7 @@
 
 use crate::prng::Rng64;
 
-use crate::bigint::BigUint;
+use crate::bigint::{BigUint, Montgomery};
 
 /// Small primes used for fast trial division before Miller–Rabin.
 const SMALL_PRIMES: [u64; 25] = [
@@ -35,12 +35,8 @@ pub fn is_probable_prime<R: Rng64 + ?Sized>(n: &BigUint, rounds: u32, rng: &mut 
         return false;
     }
     for &p in &SMALL_PRIMES {
-        let p = BigUint::from(p);
-        if n == &p {
-            return true;
-        }
-        if n.rem(&p).is_zero() {
-            return false;
+        if n.rem_u64(p) == 0 {
+            return n == &BigUint::from(p);
         }
     }
 
@@ -54,17 +50,19 @@ pub fn is_probable_prime<R: Rng64 + ?Sized>(n: &BigUint, rounds: u32, rng: &mut 
         s += 1;
     }
 
+    // n is odd (2 is a small prime): one context serves every witness.
+    let ctx = Montgomery::new(n);
     let two = BigUint::from(2u64);
     let n_minus_2 = n.sub(&two);
     'witness: for _ in 0..rounds {
         // a uniform in [2, n-2]
         let a = BigUint::random_below(rng, &n_minus_2.sub(&one)).add(&two);
-        let mut x = a.modpow(&d, n);
+        let mut x = ctx.pow(&a, &d);
         if x == one || x == n_minus_1 {
             continue 'witness;
         }
         for _ in 0..s - 1 {
-            x = x.mul(&x).rem(n);
+            x = ctx.mul(&x, &x);
             if x == n_minus_1 {
                 continue 'witness;
             }

@@ -6,13 +6,17 @@
 //! digest embedded via a deterministic full-domain-style pad, which is
 //! unforgeable against the simulation's protocol-level adversary.
 //!
-//! Key widths default to 256 bits (see the crate-level security
-//! disclaimer); the repo benchmark's `crypto.sign_ns` /
-//! `crypto.verify_miss_ns` probes measure sign/verify cost.
+//! Protocol set-ups default to 128-bit moduli (see the crate-level
+//! security disclaimer); the repo benchmark's `crypto.sign_ns` /
+//! `crypto.verify_miss_ns` probes measure sign/verify cost. Every
+//! exponentiation runs in a [`Montgomery`] context built once per key, and
+//! signing splits its exponentiation over the two prime factors (CRT).
+
+use std::fmt;
 
 use crate::prng::Rng64;
 
-use crate::bigint::BigUint;
+use crate::bigint::{BigUint, Montgomery};
 use crate::error::CryptoError;
 use crate::prime::random_prime;
 use crate::sha256::{Digest, Sha256};
@@ -23,7 +27,7 @@ pub const PUBLIC_EXPONENT: u64 = 65537;
 /// An RSA public (verification) key.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct PublicKey {
-    n: BigUint,
+    n: Montgomery,
     e: BigUint,
 }
 
@@ -34,7 +38,7 @@ pub struct Signature(BigUint);
 impl Signature {
     /// Size of the signature in bytes (for the byte-accounting metrics).
     pub fn size_bytes(&self) -> usize {
-        self.0.to_bytes_be().len()
+        self.0.bits().div_ceil(8)
     }
 
     /// Serializes the signature to big-endian bytes (for canonical
@@ -53,7 +57,7 @@ impl Signature {
 impl PublicKey {
     /// The modulus bit width.
     pub fn modulus_bits(&self) -> usize {
-        self.n.bits()
+        self.n.modulus().bits()
     }
 
     /// Verifies `sig` against `digest`.
@@ -61,11 +65,10 @@ impl PublicKey {
     /// Returns `true` iff `sig^e mod n` equals the canonical padding of
     /// `digest` for this modulus.
     pub fn verify_digest(&self, digest: &Digest, sig: &Signature) -> bool {
-        if sig.0 >= self.n {
+        if &sig.0 >= self.n.modulus() {
             return false;
         }
-        let recovered = sig.0.modpow(&self.e, &self.n);
-        recovered == pad_digest(digest, &self.n)
+        self.n.pow(&sig.0, &self.e) == pad_digest(digest, self.n.modulus())
     }
 
     /// Verifies `sig` over raw message bytes (hashes first).
@@ -86,10 +89,27 @@ impl PublicKey {
 /// assert!(kp.public().verify(b"NEXT r=2", &sig));
 /// assert!(!kp.public().verify(b"NEXT r=3", &sig));
 /// ```
-#[derive(Clone, Debug)]
+#[derive(Clone)]
 pub struct KeyPair {
     public: PublicKey,
-    d: BigUint,
+    /// The prime factors of the modulus, `p ≠ q`.
+    p: Montgomery,
+    q: Montgomery,
+    /// The private exponent `d = e⁻¹ mod lcm(p − 1, q − 1)`, reduced mod
+    /// `p − 1` and mod `q − 1`.
+    dp: BigUint,
+    dq: BigUint,
+    /// `q⁻¹ mod p`.
+    qinv: BigUint,
+}
+
+impl fmt::Debug for KeyPair {
+    /// Shows the public half only, so no `{:?}` can leak a private key.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("KeyPair")
+            .field("public", &self.public)
+            .finish_non_exhaustive()
+    }
 }
 
 impl KeyPair {
@@ -127,13 +147,20 @@ impl KeyPair {
             if n.bits() != modulus_bits {
                 continue;
             }
-            let lambda = p.sub(&BigUint::one()).lcm(&q.sub(&BigUint::one()));
-            let Some(d) = e.modinv(&lambda) else {
+            let (p1, q1) = (p.sub(&BigUint::one()), q.sub(&BigUint::one()));
+            let Some(d) = e.modinv(&p1.lcm(&q1)) else {
                 continue; // gcd(e, λ) ≠ 1; redraw primes
             };
             return Ok(KeyPair {
-                public: PublicKey { n, e },
-                d,
+                public: PublicKey {
+                    n: Montgomery::new(&n),
+                    e,
+                },
+                dp: d.rem(&p1),
+                dq: d.rem(&q1),
+                qinv: q.modinv(&p).expect("distinct primes are coprime"),
+                p: Montgomery::new(&p),
+                q: Montgomery::new(&q),
             });
         }
         Err(CryptoError::KeyGeneration(
@@ -146,10 +173,22 @@ impl KeyPair {
         &self.public
     }
 
-    /// Signs a precomputed digest.
+    /// Signs a precomputed digest: the padded digest raised to the private
+    /// exponent `d` modulo `n = p·q`.
+    ///
+    /// Computed by the Chinese remainder theorem — `m^d` modulo each prime
+    /// (half-width modulus, half-width exponent since `m^d ≡ m^(d mod
+    /// (p−1)) mod p`), then Garner's recombination of the two residues into
+    /// the one value below `n` that has both.
     pub fn sign_digest(&self, digest: &Digest) -> Signature {
-        let m = pad_digest(digest, &self.public.n);
-        Signature(m.modpow(&self.d, &self.public.n))
+        let m = pad_digest(digest, self.public.n.modulus());
+        let (p, q) = (self.p.modulus(), self.q.modulus());
+        let m1 = self.p.pow(&m, &self.dp);
+        let m2 = self.q.pow(&m, &self.dq);
+        // h = qinv · (m1 − m2) mod p, with the difference kept non-negative.
+        let diff = m1.add(p).sub(&m2.rem(p));
+        let h = self.p.mul(&self.qinv, &diff);
+        Signature(m2.add(&h.mul(q)))
     }
 
     /// Hashes `message` with SHA-256 and signs the digest.
@@ -253,5 +292,85 @@ mod tests {
         let kp = keys(10);
         let sig = kp.sign(b"size");
         assert!(sig.size_bytes() <= 256 / 8);
+    }
+
+    #[test]
+    fn size_bytes_is_the_encoded_length() {
+        let multi_limb = BigUint::one().shl(64);
+        for v in [
+            BigUint::zero(),
+            BigUint::one(),
+            BigUint::from(0x1_00u64),
+            BigUint::from(u64::MAX),
+            multi_limb.sub(&BigUint::one()).add(&multi_limb.shl(3)),
+            multi_limb.shl(64),
+            keys(10).sign(b"size").0,
+        ] {
+            let sig = Signature(v);
+            assert_eq!(sig.size_bytes(), sig.to_bytes().len(), "{sig:?}");
+        }
+    }
+
+    #[test]
+    fn debug_shows_only_the_public_half() {
+        let kp = keys(11);
+        let shown = format!("{kp:?}");
+        assert_eq!(shown, format!("KeyPair {{ public: {:?}, .. }}", kp.public));
+        for secret in [kp.p.modulus(), kp.q.modulus(), &kp.dp, &kp.dq, &kp.qinv] {
+            assert!(!shown.contains(&format!("{secret}")[2..]), "{shown}");
+        }
+    }
+
+    /// CRT signing is `pad^d mod n`, by the reference loop and the full
+    /// private exponent. Odd widths give `p` one more bit than `q` (at 129,
+    /// one more limb); even widths let either prime be the larger, so
+    /// `m₂ ≥ p` occurs.
+    #[test]
+    fn crt_signature_is_pad_to_the_d_mod_n() {
+        let mut m2_reduced = false;
+        for bits in [33usize, 64, 65, 128, 129, 256, 512, 1024] {
+            let kp = KeyPair::generate(&mut crate::rng_from_seed(bits as u64), bits);
+            let (n, p, q) = (kp.public.n.modulus(), kp.p.modulus(), kp.q.modulus());
+            assert_eq!(&p.mul(q), n);
+            let lambda = p.sub(&BigUint::one()).lcm(&q.sub(&BigUint::one()));
+            let d = kp.public.e.modinv(&lambda).expect("generate checked it");
+            for msg in [&b""[..], b"a", b"vote CURRENT r=3", b"NEXT r=2"] {
+                let digest = Sha256::digest(msg);
+                let pad = pad_digest(&digest, n);
+                let sig = kp.sign_digest(&digest);
+                assert_eq!(sig.0, pad.modpow(&d, n), "{bits} bits, {msg:?}");
+                assert_eq!(sig.0.modpow(&kp.public.e, n), pad, "{bits} bits, {msg:?}");
+                assert!(
+                    kp.public.verify_digest(&digest, &sig),
+                    "{bits} bits, {msg:?}"
+                );
+                m2_reduced |= &pad.modpow(&kp.dq, q) >= p;
+            }
+        }
+        assert!(m2_reduced, "no case had m2 >= p");
+    }
+
+    /// Keys and signatures are bit-identical to the ones the bit-at-a-time
+    /// `modpow` produced: same primes from the same draws, same private
+    /// exponent, deterministic pad. The hash was computed on the commit
+    /// before `Montgomery` existed; every golden above this crate rests on
+    /// it.
+    #[test]
+    fn keys_and_signatures_match_the_square_and_multiply_golden() {
+        let mut h = Sha256::new();
+        for bits in [128usize, 512] {
+            for seed in 1..=4u64 {
+                let kp = KeyPair::generate(&mut crate::rng_from_seed(seed), bits);
+                h.update(&kp.public.n.modulus().to_bytes_be());
+                h.update(&kp.public.e.to_bytes_be());
+                for msg in [&b""[..], b"vote CURRENT r=3", b"NEXT r=2"] {
+                    h.update(&kp.sign(msg).to_bytes());
+                }
+            }
+        }
+        assert_eq!(
+            h.finalize().to_string(),
+            "508714201eb47a0a2ad0bd0a8f0a892eb90722309371aee8d96d1faa503b38c4"
+        );
     }
 }

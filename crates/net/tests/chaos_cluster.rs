@@ -299,34 +299,37 @@ fn slow_client_is_cut_by_backpressure_not_the_peers() {
                 watch.store(slot + 1, Ordering::Relaxed);
             });
         }
-        handles.push(spawn_node(
-            chaos_cfg(me, &addrs, SEED),
-            listener,
-            Box::new(actor),
-            |_, _, _| ServiceReply::reply(vec![0u8; REPLY_BYTES]),
-        ));
+        // Replica 0 outlives its log and is stopped below, after the cut:
+        // how fast twelve slots decide must not decide whether the
+        // backlog got to cross the cap.
+        let mut cfg = chaos_cfg(me, &addrs, SEED);
+        cfg.exit_on_halt = i != 0;
+        handles.push(spawn_node(cfg, listener, Box::new(actor), |_, _, _| {
+            ServiceReply::reply(vec![0u8; REPLY_BYTES])
+        }));
     }
 
     wait_until("the cluster to go live", || {
         progress.load(Ordering::Relaxed) >= 1
     });
 
-    // Flood requests without ever reading a reply. 40 replies is 2.5 MiB
-    // of backlog against a 256 KiB cap, far beyond what kernel socket
-    // buffers can hide; the write loop ends early once the server cuts
-    // the connection.
+    // Flood requests without ever reading a reply, until the server cuts
+    // the connection and a write fails: every request adds 64 KiB of
+    // backlog against a 256 KiB cap, so kernel socket buffers can hide
+    // only so many.
     let mut slow = TcpStream::connect(&addrs[0]).expect("connect slow client");
     write_frame(
         &mut slow,
         &Hello::Client { cluster: CLUSTER }.canonical_bytes(),
     )
     .expect("hello");
-    for _ in 0..40 {
-        if write_frame(&mut slow, b"feed-me").is_err() {
-            break;
-        }
-        thread::sleep(Duration::from_millis(5));
-    }
+    wait_until("the server to cut the slow client", || {
+        write_frame(&mut slow, b"feed-me").is_err()
+    });
+    wait_until("replica 0 to finish its log", || {
+        progress.load(Ordering::Relaxed) >= SLOTS
+    });
+    handles[0].stop();
 
     let reports: Vec<_> = handles
         .into_iter()
