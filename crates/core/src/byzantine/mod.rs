@@ -69,8 +69,8 @@ pub trait TransformedProtocol: Actor<Msg = Envelope, Decision = ValueVector> {
     where
         Self: Sized;
 
-    /// The hand-written transformed spec this runtime implements (checked
-    /// against its derivation by `ftm-verify`).
+    /// The transformed spec this runtime implements: `transform` of the
+    /// protocol's crash spec.
     fn spec() -> ProtocolSpec
     where
         Self: Sized,

@@ -17,13 +17,12 @@
 //! * at least `ψ ≥ 1` entries of `vect` are initial values of correct
 //!   processes, with `ψ = n − 2F` under the paper's resilience bound.
 //!
-//! This module also holds both ends of the transformation *as data*:
-//! [`ProtocolSpec::crash_hr`] describes the un-transformed Hurfin–Raynal
-//! protocol (Fig. 2), [`ProtocolSpec::transformed`] the Fig. 3 one, and
-//! [`transform`] turns the former into the latter mechanically by applying
-//! the paper's module stack at the spec level — so the hand-written
-//! transformed send table can be *checked* against its derivation instead
-//! of being trusted.
+//! This module also holds the transformation *as data*:
+//! [`ProtocolSpec::crash_for`] describes an un-transformed protocol
+//! (Fig. 2 for Hurfin–Raynal), [`transform`] applies the paper's module
+//! stack to it at the spec level, and [`ProtocolSpec::transformed_for`]
+//! *is* that application — Fig. 3's send table is computed from the crash
+//! rows, [`OBLIGATIONS`] and [`VOCABULARY`], never written a second time.
 
 use ftm_certify::{MessageKind, ProtocolId, Round};
 use ftm_detect::ProtocolTable;
@@ -189,7 +188,11 @@ pub struct ProtocolSpec {
     /// obligation table, the decision predicate) is keyed off its
     /// `protocol`.
     pub table: ProtocolTable,
-    /// The conditional-send table (§5 obligation table once transformed).
+    /// The conditional-send table. Once transformed this is the §5
+    /// obligation table: `ftm-verify` checks that each route's rule exists
+    /// in `ftm-certify` (same kind, no dead rules) and that the *only* send
+    /// whose condition is uncertifiable is the initial-value broadcast,
+    /// routed through vector certification.
     pub sends: Vec<ConditionalSend>,
 }
 
@@ -198,91 +201,8 @@ impl ProtocolSpec {
     /// each round sends at most one `CURRENT` then at most one `NEXT`
     /// (the `NEXT` is mandatory before leaving the round, Fig. 3 line 31),
     /// `DECIDE` terminates, rounds advance one at a time.
-    ///
-    /// The conditional-send table is hand-written from the figure; the CI
-    /// gate checks it equals [`transform`]`(`[`ProtocolSpec::crash_hr`]`)`
-    /// send by send, so it is *derived*, not trusted.
     pub fn transformed() -> Self {
-        ProtocolSpec {
-            table: *ProtocolTable::for_protocol(ProtocolId::HurfinRaynal),
-            sends: vec![
-                ConditionalSend {
-                    id: "init-broadcast",
-                    kind: MessageKind::Init,
-                    condition: "protocol start: broadcast the signed initial value".into(),
-                    route: CertRoute::VectorCertification("init-empty"),
-                    carries_value: true,
-                    justified_by: vec![],
-                },
-                ConditionalSend {
-                    id: "current-coordinator",
-                    kind: MessageKind::Current,
-                    condition: "round-r coordinator entered r with a witnessed estimate vector"
-                        .into(),
-                    route: CertRoute::Rule("current-coordinator"),
-                    carries_value: true,
-                    justified_by: vec![
-                        Justification::initial("init-broadcast"),
-                        Justification::prev("next-suspicion"),
-                        Justification::prev("next-change-mind"),
-                        Justification::prev("next-end-of-round"),
-                    ],
-                },
-                ConditionalSend {
-                    id: "current-relay",
-                    kind: MessageKind::Current,
-                    condition: "received the round-r coordinator's CURRENT and adopted it".into(),
-                    route: CertRoute::Rule("current-relay"),
-                    carries_value: true,
-                    justified_by: vec![
-                        Justification::initial("init-broadcast"),
-                        Justification::same("current-coordinator"),
-                    ],
-                },
-                ConditionalSend {
-                    id: "next-suspicion",
-                    kind: MessageKind::Next,
-                    condition: "in q0, the muteness detector suspects the round coordinator".into(),
-                    route: CertRoute::Rule("next-suspicion"),
-                    carries_value: false,
-                    justified_by: vec![],
-                },
-                ConditionalSend {
-                    id: "next-change-mind",
-                    kind: MessageKind::Next,
-                    condition: "in q1, a quorum of votes arrived but no decisive quorum".into(),
-                    route: CertRoute::Rule("next-change-mind"),
-                    carries_value: false,
-                    justified_by: vec![
-                        Justification::same("current-coordinator"),
-                        Justification::same("current-relay"),
-                        Justification::same("next-suspicion"),
-                    ],
-                },
-                ConditionalSend {
-                    id: "next-end-of-round",
-                    kind: MessageKind::Next,
-                    condition: "a full NEXT quorum for the round was observed".into(),
-                    route: CertRoute::Rule("next-end-of-round"),
-                    carries_value: false,
-                    justified_by: vec![
-                        Justification::same("next-suspicion"),
-                        Justification::same("next-change-mind"),
-                    ],
-                },
-                ConditionalSend {
-                    id: "decide-announce",
-                    kind: MessageKind::Decide,
-                    condition: "a quorum of CURRENT votes for one vector were collected".into(),
-                    route: CertRoute::Rule("decide-current-quorum"),
-                    carries_value: true,
-                    justified_by: vec![
-                        Justification::same("current-coordinator"),
-                        Justification::same("current-relay"),
-                    ],
-                },
-            ],
-        }
+        ProtocolSpec::transformed_for(ProtocolId::HurfinRaynal)
     }
 
     /// The un-transformed Hurfin–Raynal crash protocol (Fig. 2): no
@@ -373,81 +293,9 @@ impl ProtocolSpec {
     /// way: the value-carrying echo (`ACK`) is justified by the round
     /// coordinator's *own signed* `PROPOSE` — a coordinator-echo
     /// discipline — where HR's `CURRENT` relay chain re-certifies the
-    /// vector at every hop. As with HR, this table is hand-written and
-    /// checked equal to [`transform`]`(`[`ProtocolSpec::crash_ct`]`)`.
+    /// vector at every hop.
     pub fn transformed_ct() -> Self {
-        ProtocolSpec {
-            table: *ProtocolTable::for_protocol(ProtocolId::ChandraToueg),
-            sends: vec![
-                ConditionalSend {
-                    id: "init-broadcast",
-                    kind: MessageKind::Init,
-                    condition: "protocol start: broadcast the signed initial value".into(),
-                    route: CertRoute::VectorCertification("init-empty"),
-                    carries_value: true,
-                    justified_by: vec![],
-                },
-                ConditionalSend {
-                    id: "estimate-roundstart",
-                    kind: MessageKind::Estimate,
-                    condition:
-                        "entered round r and re-broadcast a witnessed estimate vector with its \
-                         adoption timestamp"
-                            .into(),
-                    route: CertRoute::Rule("estimate-roundstart"),
-                    carries_value: true,
-                    justified_by: vec![
-                        Justification::initial("init-broadcast"),
-                        Justification::prev("ack-echo"),
-                        Justification::prev("nack-suspicion"),
-                        Justification::prev("propose-coordinator"),
-                    ],
-                },
-                ConditionalSend {
-                    id: "propose-coordinator",
-                    kind: MessageKind::Propose,
-                    condition:
-                        "round-r coordinator collected a quorum of ESTIMATE votes and adopted a \
-                         maximum-timestamp estimate"
-                            .into(),
-                    route: CertRoute::Rule("propose-coordinator"),
-                    carries_value: true,
-                    justified_by: vec![
-                        Justification::initial("init-broadcast"),
-                        Justification::same("estimate-roundstart"),
-                    ],
-                },
-                ConditionalSend {
-                    id: "ack-echo",
-                    kind: MessageKind::Ack,
-                    condition: "received the round-r coordinator's PROPOSE and echoed it".into(),
-                    route: CertRoute::Rule("ack-echo"),
-                    carries_value: true,
-                    justified_by: vec![
-                        Justification::initial("init-broadcast"),
-                        Justification::same("propose-coordinator"),
-                    ],
-                },
-                ConditionalSend {
-                    id: "nack-suspicion",
-                    kind: MessageKind::Nack,
-                    condition: "waiting on the proposal, the muteness detector suspects the \
-                                round coordinator"
-                        .into(),
-                    route: CertRoute::Rule("nack-suspicion"),
-                    carries_value: false,
-                    justified_by: vec![],
-                },
-                ConditionalSend {
-                    id: "decide-announce",
-                    kind: MessageKind::Decide,
-                    condition: "a quorum of ACK votes for one vector were collected".into(),
-                    route: CertRoute::Rule("decide-ack-quorum"),
-                    carries_value: true,
-                    justified_by: vec![Justification::same("ack-echo")],
-                },
-            ],
-        }
+        ProtocolSpec::transformed_for(ProtocolId::ChandraToueg)
     }
 
     /// The un-transformed Chandra–Toueg crash protocol (the ◇S rotating
@@ -516,12 +364,11 @@ impl ProtocolSpec {
         }
     }
 
-    /// The hand-written transformed spec for `protocol`.
+    /// The transformed spec for `protocol`: [`transform`] applied to
+    /// [`ProtocolSpec::crash_for`]. Its table is
+    /// [`ProtocolTable::for_protocol`] — the one the runtime observer runs.
     pub fn transformed_for(protocol: ProtocolId) -> Self {
-        match protocol {
-            ProtocolId::HurfinRaynal => ProtocolSpec::transformed(),
-            ProtocolId::ChandraToueg => ProtocolSpec::transformed_ct(),
-        }
+        transform(&ProtocolSpec::crash_for(protocol))
     }
 
     /// The un-transformed crash-model spec for `protocol`.
@@ -559,17 +406,6 @@ impl ProtocolSpec {
             justified_by: vec![Justification::same("decide-announce")],
         });
         spec
-    }
-
-    /// Every conditional send with its certification route.
-    ///
-    /// For the transformed spec this is the §5 obligation table:
-    /// `ftm-verify` checks that each route's rule exists in `ftm-certify`
-    /// (same kind, no dead rules) and that the *only* send whose condition
-    /// is uncertifiable is the initial-value broadcast, routed through
-    /// vector certification.
-    pub fn conditional_sends(&self) -> Vec<ConditionalSend> {
-        self.sends.clone()
     }
 
     /// The send with the given id, if any.
@@ -640,8 +476,10 @@ pub const VOCABULARY: &[(&str, &str)] = &[
 ///    values → certified vectors).
 ///
 /// The round discipline itself (slots, mandatory flags, advance) is
-/// untouched: the transformation adds auditability, not new protocol
-/// structure — which is precisely what the refinement check then verifies.
+/// untouched (`..spec.table`): the transformation adds auditability, not
+/// new protocol structure, and the opening it adds is inert outside the
+/// observer's `start` phase — so every compliant crash trace, with `INIT`
+/// prepended, is a compliant transformed trace by construction.
 ///
 /// # Panics
 ///
@@ -845,50 +683,24 @@ mod tests {
 
     #[test]
     fn conditional_sends_are_distinct_and_init_is_the_only_uncertifiable() {
-        let spec = ProtocolSpec::transformed();
-        let sends = spec.conditional_sends();
-        let ids: std::collections::BTreeSet<&str> = sends.iter().map(|s| s.id).collect();
-        assert_eq!(ids.len(), sends.len(), "send ids collide");
-        let rules: std::collections::BTreeSet<&str> =
-            sends.iter().filter_map(|s| s.route.rule_id()).collect();
-        assert_eq!(rules.len(), sends.len(), "rule references collide");
-        for s in &sends {
-            if !s.route.condition_certifiable() {
-                assert_eq!(
-                    Some(s.kind),
-                    spec.table.opening,
-                    "only initial values are uncertifiable"
-                );
+        for p in ProtocolId::all() {
+            let spec = ProtocolSpec::transformed_for(p);
+            let sends = &spec.sends;
+            let ids: std::collections::BTreeSet<&str> = sends.iter().map(|s| s.id).collect();
+            assert_eq!(ids.len(), sends.len(), "{p}: send ids collide");
+            let rules: std::collections::BTreeSet<&str> =
+                sends.iter().filter_map(|s| s.route.rule_id()).collect();
+            assert_eq!(rules.len(), sends.len(), "{p}: rule references collide");
+            for s in sends {
+                if !s.route.condition_certifiable() {
+                    assert_eq!(
+                        Some(s.kind),
+                        spec.table.opening,
+                        "{p}: only initial values are uncertifiable"
+                    );
+                }
             }
         }
-    }
-
-    #[test]
-    fn crash_spec_is_the_transformed_spec_minus_auditability() {
-        let crash = ProtocolSpec::crash_hr();
-        let trans = ProtocolSpec::transformed();
-        // The discipline differs in the opening alone.
-        assert_eq!(crash.table.opening, None);
-        assert_eq!(
-            ProtocolTable {
-                opening: trans.table.opening,
-                ..crash.table
-            },
-            trans.table
-        );
-        assert!(crash.sends.iter().all(|s| s.route == CertRoute::Trusted));
-        assert_eq!(crash.sends.len() + 1, trans.sends.len());
-    }
-
-    #[test]
-    fn transform_reproduces_the_hand_written_transformed_spec() {
-        let derived = transform(&ProtocolSpec::crash_hr());
-        let hand = ProtocolSpec::transformed();
-        assert_eq!(derived.table, hand.table);
-        for (d, h) in derived.sends.iter().zip(hand.sends.iter()) {
-            assert_eq!(d, h, "send `{}` diverges from the hand-written table", h.id);
-        }
-        assert_eq!(derived, hand);
     }
 
     #[test]
@@ -918,61 +730,94 @@ mod tests {
     }
 
     #[test]
-    fn ct_conditional_sends_are_distinct_and_init_is_the_only_uncertifiable() {
-        let spec = ProtocolSpec::transformed_ct();
-        let sends = spec.conditional_sends();
-        let ids: std::collections::BTreeSet<&str> = sends.iter().map(|s| s.id).collect();
-        assert_eq!(ids.len(), sends.len(), "send ids collide");
-        let rules: std::collections::BTreeSet<&str> =
-            sends.iter().filter_map(|s| s.route.rule_id()).collect();
-        assert_eq!(rules.len(), sends.len(), "rule references collide");
-        for s in &sends {
-            if !s.route.condition_certifiable() {
-                assert_eq!(
-                    Some(s.kind),
-                    spec.table.opening,
-                    "only initial values are uncertifiable"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn ct_crash_spec_is_the_transformed_spec_minus_auditability() {
-        let crash = ProtocolSpec::crash_ct();
-        let trans = ProtocolSpec::transformed_ct();
-        // The discipline differs in the opening alone.
-        assert_eq!(crash.table.opening, None);
-        assert_eq!(
-            ProtocolTable {
-                opening: trans.table.opening,
-                ..crash.table
-            },
-            trans.table
-        );
-        assert!(crash.sends.iter().all(|s| s.route == CertRoute::Trusted));
-        assert_eq!(crash.sends.len() + 1, trans.sends.len());
-    }
-
-    #[test]
-    fn transform_reproduces_the_hand_written_ct_spec() {
-        let derived = transform(&ProtocolSpec::crash_ct());
-        let hand = ProtocolSpec::transformed_ct();
-        for (d, h) in derived.sends.iter().zip(hand.sends.iter()) {
-            assert_eq!(d, h, "send `{}` diverges from the hand-written table", h.id);
-        }
-        assert_eq!(derived, hand);
-    }
-
-    #[test]
     fn protocol_selectors_agree_with_the_named_constructors() {
+        assert_eq!(
+            ProtocolSpec::transformed_for(ProtocolId::HurfinRaynal),
+            ProtocolSpec::transformed()
+        );
+        assert_eq!(
+            ProtocolSpec::transformed_for(ProtocolId::ChandraToueg),
+            ProtocolSpec::transformed_ct()
+        );
         for p in ProtocolId::all() {
-            assert_eq!(ProtocolSpec::transformed_for(p).table.protocol, p);
             assert_eq!(ProtocolSpec::crash_for(p).table.protocol, p);
-            assert_eq!(
-                transform(&ProtocolSpec::crash_for(p)),
-                ProtocolSpec::transformed_for(p)
-            );
         }
+    }
+
+    #[test]
+    fn the_transformed_table_is_the_one_the_runtime_observer_runs() {
+        for p in ProtocolId::all() {
+            let crash = ProtocolSpec::crash_for(p);
+            let spec = ProtocolSpec::transformed_for(p);
+            assert_eq!(spec.table, *ProtocolTable::for_protocol(p));
+            // `transform` touches the opening and nothing else of the table…
+            assert_eq!(crash.table.opening, None);
+            assert_eq!(
+                ProtocolTable {
+                    opening: None,
+                    ..spec.table
+                },
+                crash.table
+            );
+            // …adds the one opening send, and leaves nothing trusted.
+            assert!(crash.sends.iter().all(|s| s.route == CertRoute::Trusted));
+            assert!(spec.sends.iter().all(|s| s.route != CertRoute::Trusted));
+            assert_eq!(crash.sends.len() + 1, spec.sends.len());
+        }
+    }
+
+    /// `id kind rule [phase:by …]` per send: the structure `transform`
+    /// derives, without the prose conditions.
+    fn rows(spec: &ProtocolSpec) -> Vec<String> {
+        spec.sends
+            .iter()
+            .map(|s| {
+                let by: Vec<String> = s
+                    .justified_by
+                    .iter()
+                    .map(|j| format!("{}:{}", j.phase.label(), j.by))
+                    .collect();
+                let rule = s.route.rule_id().unwrap_or("-");
+                format!("{} {} {rule} [{}]", s.id, s.kind, by.join(" "))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_derived_rows_of_both_protocols_are_pinned() {
+        // Fig. 3's send table as `transform` computes it: a change to
+        // `transform`, an obligation or a crash row fails here with the row
+        // it moved.
+        assert_eq!(
+            rows(&ProtocolSpec::transformed()),
+            [
+                "init-broadcast INIT init-empty []",
+                "current-coordinator CURRENT current-coordinator [initial:init-broadcast \
+                 prev-round:next-suspicion prev-round:next-change-mind \
+                 prev-round:next-end-of-round]",
+                "current-relay CURRENT current-relay [initial:init-broadcast \
+                 same-round:current-coordinator]",
+                "next-suspicion NEXT next-suspicion []",
+                "next-change-mind NEXT next-change-mind [same-round:current-coordinator \
+                 same-round:current-relay same-round:next-suspicion]",
+                "next-end-of-round NEXT next-end-of-round [same-round:next-suspicion \
+                 same-round:next-change-mind]",
+                "decide-announce DECIDE decide-current-quorum [same-round:current-coordinator \
+                 same-round:current-relay]",
+            ]
+        );
+        assert_eq!(
+            rows(&ProtocolSpec::transformed_ct()),
+            [
+                "init-broadcast INIT init-empty []",
+                "estimate-roundstart ESTIMATE estimate-roundstart [initial:init-broadcast \
+                 prev-round:ack-echo prev-round:nack-suspicion prev-round:propose-coordinator]",
+                "propose-coordinator PROPOSE propose-coordinator [initial:init-broadcast \
+                 same-round:estimate-roundstart]",
+                "ack-echo ACK ack-echo [initial:init-broadcast same-round:propose-coordinator]",
+                "nack-suspicion NACK nack-suspicion []",
+                "decide-announce DECIDE decide-ack-quorum [same-round:ack-echo]",
+            ]
+        );
     }
 }

@@ -768,6 +768,51 @@ mod tests {
     }
 
     #[test]
+    fn the_opening_is_inert_outside_start() {
+        // Why the crash→Byzantine step needs no refinement walk: past
+        // `start`, a table and its opening-less twin are one function, and
+        // both reject the opening kind. Exhaustive over the bounded grid.
+        const KINDS: [MessageKind; 9] = [
+            MessageKind::Init,
+            MessageKind::Current,
+            MessageKind::Next,
+            MessageKind::Decide,
+            MessageKind::Estimate,
+            MessageKind::Propose,
+            MessageKind::Ack,
+            MessageKind::Nack,
+            MessageKind::Checkpoint,
+        ];
+        for t in [hr(), ct()] {
+            let c = ProtocolTable {
+                opening: None,
+                ..*t
+            };
+            let phases = (0..=t.slots.len())
+                .map(PeerPhase::InRound)
+                .chain([PeerPhase::Final, PeerPhase::Faulty]);
+            for phase in phases {
+                for round in 1..=3 {
+                    for kind in KINDS {
+                        for r in 0..=round + 2 {
+                            let with = t.transition(phase, round, kind, r);
+                            let without = c.transition(phase, round, kind, r);
+                            if Some(kind) == t.opening {
+                                assert!(
+                                    with.is_err() && without.is_err(),
+                                    "{kind}({r}) in {phase}@{round}"
+                                );
+                            } else {
+                                assert_eq!(with, without, "{kind}({r}) in {phase}@{round}");
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn the_round_advance_is_the_tables() {
         let by_two = ProtocolTable {
             round_advance: 2,

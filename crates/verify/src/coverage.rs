@@ -63,7 +63,7 @@ impl CoverageReport {
 /// Diffs the spec's conditional-send table against the analyzer's rule
 /// table for the spec's protocol.
 pub fn check_coverage(spec: &ProtocolSpec) -> CoverageReport {
-    let sends = spec.conditional_sends();
+    let sends = &spec.sends;
     // A spec with a checkpoint-compaction send is audited against the
     // rule table extended with the shared `checkpoint-quorum` rule; base
     // specs keep the base table, so the transform's bijection over
@@ -87,7 +87,7 @@ pub fn check_coverage(spec: &ProtocolSpec) -> CoverageReport {
     let rule_by_id: BTreeMap<&str, _> = rules.iter().map(|r| (r.id, r)).collect();
     let mut referenced: BTreeMap<&str, u64> = rules.iter().map(|r| (r.id, 0)).collect();
 
-    for send in &sends {
+    for send in sends {
         let Some(rule_id) = send.route.rule_id() else {
             if !fully_trusted {
                 report.uncovered_sends.push(format!(

@@ -1,12 +1,12 @@
-//! # ftm-verify — static analyzer of the transformation itself
+//! # ftm-verify — static analyzer of the transformation's specs
 //!
 //! The paper's non-muteness module (§4, Fig. 4) is built "from the program
 //! text": the per-peer observer automaton is a *static* artifact of the
 //! protocol, not of any execution. Simulation sweeps validate it
 //! dynamically, over sampled fault scenarios; this crate checks the static
-//! artifact statically, over the *whole* bounded behavior space — and,
-//! since the paper's whole point is a *transformation*, it checks the
-//! transformation too, not just its output:
+//! artifact statically, over the *whole* bounded behavior space, for both
+//! ends of the transformation — each protocol's crash spec and
+//! [`ftm_core::spec::transform`] of it:
 //!
 //! 1. **Bounded soundness** — the observer automaton is
 //!    [`ftm_detect::ProtocolTable::transition`] run on the table a
@@ -34,25 +34,29 @@
 //!    `F <= floor((n-1)/2)` — proven by exhaustive subset-pair
 //!    enumeration for small `n` and by the extremal construction beyond,
 //!    with counterexample witnesses recorded past each bound.
-//! 6. **Transformation refinement** ([`refinement`]) — the crash→Byzantine
-//!    step itself: [`ftm_core::spec::transform`] applied to the crash spec
-//!    must reproduce the hand-written transformed spec send by send; every
-//!    compliant crash trace must lift to a compliant transformed trace
-//!    (completeness); and a product walk of the two observers must show
-//!    the transformed one convicts *strictly more*, never less
-//!    (soundness gain), with machine-diffed witness traces.
 //!
-//! The `ftm-verify` binary runs everything over both protocols'
-//! transformed, crash, and derived (`transform(crash)`) specs — six in
-//! total, Hurfin–Raynal and Chandra–Toueg — plus one refinement section
-//! per protocol, and emits the same no-float, byte-stable JSON as
-//! `ftm_sim::report`; CI treats a non-`ok` report as a hard gate failure.
+//! There is no crash→Byzantine *refinement* check, because there is
+//! nothing to relate: the transformed spec is `transform(crash)`, both
+//! run the one transition on tables that differ in `opening` alone, and
+//! the opening is inert outside the `start` phase — so the transformed
+//! spec's compliant traces are the crash spec's with `INIT` prepended,
+//! and bounded soundness of the former *is* completeness of the step.
+//! Three tests hold those facts where they live:
+//! `the_opening_is_inert_outside_start` (`ftm-detect`),
+//! `transformed_traces_are_the_crash_traces_behind_the_opening`
+//! ([`soundness`]) and `the_transformed_table_is_the_one_the_runtime_observer_runs`
+//! (`ftm_core::spec`).
+//!
+//! The `ftm-verify` binary runs everything over both protocols' transformed
+//! and crash specs — four in total, Hurfin–Raynal and Chandra–Toueg — and
+//! emits the same no-float, byte-stable JSON as `ftm_sim::report`; CI
+//! treats a non-`ok` report as a hard gate failure.
 //!
 //! # Example
 //!
 //! ```
-//! use ftm_verify::{verify_selected, Bounds, SpecSelect};
-//! let report = verify_selected(&SpecSelect::all(), &Bounds::default());
+//! use ftm_verify::{verify_all, Bounds};
+//! let report = verify_all(&Bounds::default());
 //! assert!(report.ok(), "{}", report.to_json().render());
 //! ```
 
@@ -61,14 +65,13 @@ pub mod lineage;
 pub mod mutation;
 pub mod perturb;
 pub mod quorum;
-pub mod refinement;
 pub mod report;
 pub mod soundness;
 
 pub use report::{SpecReport, VerifyReport};
 
 use ftm_certify::ProtocolId;
-use ftm_core::spec::{transform, ProtocolSpec};
+use ftm_core::spec::ProtocolSpec;
 use ftm_detect::ProtocolTable;
 
 /// Trace budget governing the *effective* soundness bound per spec (see
@@ -79,8 +82,7 @@ pub const SOUNDNESS_TRACE_CAP: usize = 150_000;
 /// Bounds for the exhaustive checks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Bounds {
-    /// Round bound for the compliant-trace enumerations (soundness and
-    /// refinement).
+    /// Round bound for the compliant-trace enumeration.
     pub soundness_rounds: u64,
     /// Round bound for mutation bases (mutants multiply fast; a smaller
     /// bound keeps the matrix readable while still covering every operator
@@ -122,67 +124,6 @@ impl Bounds {
     }
 }
 
-/// The specs the driver knows how to build.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SpecSelect {
-    /// The hand-written transformed Hurfin–Raynal protocol (paper Fig. 3).
-    Transformed,
-    /// The un-transformed crash-model Hurfin–Raynal protocol (Fig. 1
-    /// shape).
-    Crash,
-    /// `transform(crash_hr)` — the mechanically derived transformed spec.
-    Derived,
-    /// The hand-written transformed Chandra–Toueg protocol.
-    TransformedCt,
-    /// The un-transformed crash-model Chandra–Toueg protocol.
-    CrashCt,
-    /// `transform(crash_ct)` — the derived transformed CT spec.
-    DerivedCt,
-}
-
-impl SpecSelect {
-    /// Every spec, in report order.
-    pub fn all() -> [SpecSelect; 6] {
-        [
-            SpecSelect::Transformed,
-            SpecSelect::Crash,
-            SpecSelect::Derived,
-            SpecSelect::TransformedCt,
-            SpecSelect::CrashCt,
-            SpecSelect::DerivedCt,
-        ]
-    }
-
-    /// Stable label, used as the JSON key and the CLI argument.
-    pub fn label(&self) -> &'static str {
-        match self {
-            SpecSelect::Transformed => "transformed",
-            SpecSelect::Crash => "crash",
-            SpecSelect::Derived => "derived",
-            SpecSelect::TransformedCt => "ct",
-            SpecSelect::CrashCt => "crash-ct",
-            SpecSelect::DerivedCt => "derived-ct",
-        }
-    }
-
-    /// Parses a CLI `--spec` argument.
-    pub fn parse(s: &str) -> Option<SpecSelect> {
-        SpecSelect::all().into_iter().find(|x| x.label() == s)
-    }
-
-    /// Builds the selected spec.
-    pub fn spec(&self) -> ProtocolSpec {
-        match self {
-            SpecSelect::Transformed => ProtocolSpec::transformed(),
-            SpecSelect::Crash => ProtocolSpec::crash_hr(),
-            SpecSelect::Derived => transform(&ProtocolSpec::crash_hr()),
-            SpecSelect::TransformedCt => ProtocolSpec::transformed_ct(),
-            SpecSelect::CrashCt => ProtocolSpec::crash_ct(),
-            SpecSelect::DerivedCt => transform(&ProtocolSpec::crash_ct()),
-        }
-    }
-}
-
 /// Runs every applicable check against one `spec`.
 ///
 /// Mutation analysis runs only for specs with an opening kind; for the
@@ -200,34 +141,28 @@ pub fn verify_spec(spec: &ProtocolSpec, bounds: &Bounds) -> SpecReport {
     }
 }
 
-/// Runs the crash→Byzantine refinement check for one protocol's spec
-/// pair, at the effective bound of its crash spec.
-pub fn refine_protocol(protocol: ProtocolId, bounds: &Bounds) -> refinement::RefinementReport {
-    let crash = ProtocolSpec::crash_for(protocol);
-    let transformed = ProtocolSpec::transformed_for(protocol);
-    let bound = bounds.soundness_rounds_for(&crash.table);
-    refinement::check_refinement(&crash, &transformed, bound)
-}
-
 /// Grid ceiling for the exhaustive quorum-algebra check: every `(n, F)`
 /// with `n <=` this and `0 <= F < n` is verified.
 pub const QUORUM_GRID_N: usize = 64;
 
-/// Runs the per-spec checks for `selected` plus the cross-spec refinement
-/// checks (which always compare every protocol's crash spec against its
-/// transformed one, regardless of selection — the refinement is the point
-/// of the tool) and the quorum-algebra grid check (also always present:
-/// every threshold in the workspace routes through the algebra it proves).
-pub fn verify_selected(selected: &[SpecSelect], bounds: &Bounds) -> VerifyReport {
+/// Runs the per-spec checks over every protocol's transformed and crash
+/// spec — labelled `transformed`, `crash`, `ct`, `crash-ct` — plus the
+/// quorum-algebra grid check (every threshold in the workspace routes
+/// through the algebra it proves): the configuration the CI gate uses.
+pub fn verify_all(bounds: &Bounds) -> VerifyReport {
+    let mut specs = Vec::new();
+    for protocol in ProtocolId::all() {
+        let (transformed, crash) = match protocol {
+            ProtocolId::HurfinRaynal => ("transformed", "crash"),
+            ProtocolId::ChandraToueg => ("ct", "crash-ct"),
+        };
+        let spec = ProtocolSpec::transformed_for(protocol);
+        specs.push((transformed, verify_spec(&spec, bounds)));
+        let spec = ProtocolSpec::crash_for(protocol);
+        specs.push((crash, verify_spec(&spec, bounds)));
+    }
     VerifyReport {
-        specs: selected
-            .iter()
-            .map(|sel| (sel.label(), verify_spec(&sel.spec(), bounds)))
-            .collect(),
-        refinements: ProtocolId::all()
-            .into_iter()
-            .map(|p| (p.label(), refine_protocol(p, bounds)))
-            .collect(),
+        specs,
         quorum: quorum::check_quorums(QUORUM_GRID_N),
     }
 }
@@ -237,11 +172,6 @@ include!("../../../clippy_canaries.rs"); // D1–D4 ban canaries, DESIGN.md §13
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Every check against every spec — the configuration the CI gate uses.
-    fn verify_all(bounds: &Bounds) -> VerifyReport {
-        verify_selected(&SpecSelect::all(), bounds)
-    }
 
     fn spec<'a>(report: &'a VerifyReport, label: &str) -> Option<&'a SpecReport> {
         report
@@ -255,8 +185,8 @@ mod tests {
     fn every_spec_verifies_clean() {
         let report = verify_all(&Bounds::default());
         assert!(report.ok(), "{}", report.to_json().render());
-        assert_eq!(report.specs.len(), 6);
-        assert_eq!(report.refinements.len(), 2);
+        let labels: Vec<&str> = report.specs.iter().map(|(l, _)| *l).collect();
+        assert_eq!(labels, ["transformed", "crash", "ct", "crash-ct"]);
     }
 
     #[test]
@@ -265,7 +195,7 @@ mod tests {
             soundness_rounds: 3,
             mutation_rounds: 2,
         });
-        for label in ["transformed", "derived", "ct", "derived-ct"] {
+        for label in ["transformed", "ct"] {
             assert!(spec(&report, label).unwrap().mutation.is_some(), "{label}");
         }
         for label in ["crash", "crash-ct"] {
@@ -305,22 +235,14 @@ mod tests {
             "\"specs\"",
             "\"transformed\"",
             "\"crash\"",
-            "\"derived\"",
             "\"ct\"",
             "\"crash-ct\"",
-            "\"derived-ct\"",
-            "\"hr\"",
             "soundness",
             "false-convictions",
             "mutation",
             "certificate-coverage",
             "lineage",
             "kind-swap",
-            "\"refinement\"",
-            "derivation",
-            "completeness",
-            "soundness-gain",
-            "gain-witnesses",
             "\"quorum\"",
             "exhaustive-pairs",
             "cert-witnesses",
@@ -329,30 +251,16 @@ mod tests {
         ] {
             assert!(a.contains(key), "report lost section {key}:\n{a}");
         }
-    }
-
-    #[test]
-    fn spec_selection_narrows_the_report_but_keeps_the_refinement() {
-        let report = verify_selected(
-            &[SpecSelect::Crash],
-            &Bounds {
-                soundness_rounds: 3,
-                mutation_rounds: 2,
-            },
-        );
-        assert_eq!(report.specs.len(), 1);
-        assert!(spec(&report, "transformed").is_none());
-        let refined: Vec<&str> = report.refinements.iter().map(|(l, _)| *l).collect();
-        assert_eq!(refined, ["hr", "ct"]);
-        assert!(report.refinements.iter().all(|(_, r)| r.ok()));
-        assert!(report.ok());
-    }
-
-    #[test]
-    fn spec_select_parses_its_own_labels() {
-        for sel in SpecSelect::all() {
-            assert_eq!(SpecSelect::parse(sel.label()), Some(sel));
+        // One transformed spec per protocol, and no refinement section.
+        for key in [
+            "derived",
+            "refinement",
+            "derivation",
+            "completeness",
+            "soundness-gain",
+            "gain-witnesses",
+        ] {
+            assert!(!a.contains(key), "report still carries {key}:\n{a}");
         }
-        assert_eq!(SpecSelect::parse("bogus"), None);
     }
 }

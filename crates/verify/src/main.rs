@@ -2,35 +2,27 @@
 //!
 //! ```text
 //! ftm-verify [--json] [--rounds N] [--mutation-rounds N]
-//!            [--spec {transformed|crash|derived|ct|crash-ct|derived-ct}]...
 //! ```
 //!
-//! `--spec` narrows the per-spec sections (repeatable; default: all six —
-//! the Hurfin–Raynal and Chandra–Toueg triples). The per-protocol
-//! refinement sections are always present — the crash→Byzantine
-//! refinement is what the tool exists to check. Exit
+//! Always runs all four specs — the Hurfin–Raynal and Chandra–Toueg
+//! transformed / crash pairs — and the quorum grid (about a second). Exit
 //! status 0 when every check passed, 1 when any finding exists (false
-//! conviction, surviving mutant, coverage hole, lineage break, quorum
-//! mismatch or refinement violation), 2 on usage errors. `--json`
-//! prints only the byte-stable JSON document; the default adds a human
-//! summary to stderr.
+//! conviction, surviving mutant, coverage hole, lineage break or quorum
+//! mismatch), 2 on usage errors. `--json` prints only the byte-stable JSON
+//! document; the default adds a human summary to stderr.
 
 use std::process::ExitCode;
 
-use ftm_verify::{verify_selected, Bounds, SpecSelect};
+use ftm_verify::{verify_all, Bounds};
 
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage: ftm-verify [--json] [--rounds N] [--mutation-rounds N] \
-         [--spec {{transformed|crash|derived|ct|crash-ct|derived-ct}}]..."
-    );
+    eprintln!("usage: ftm-verify [--json] [--rounds N] [--mutation-rounds N]");
     ExitCode::from(2)
 }
 
 fn main() -> ExitCode {
     let mut json_only = false;
     let mut bounds = Bounds::default();
-    let mut selected: Vec<SpecSelect> = Vec::new();
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -44,17 +36,9 @@ fn main() -> ExitCode {
                 Some(n) => bounds.mutation_rounds = n,
                 None => return usage(),
             },
-            "--spec" => match args.next().as_deref().and_then(SpecSelect::parse) {
-                Some(sel) => {
-                    if !selected.contains(&sel) {
-                        selected.push(sel);
-                    }
-                }
-                None => return usage(),
-            },
             "--help" | "-h" => {
-                eprintln!("ftm-verify: static analysis of the observer automaton and the");
-                eprintln!("crash->Byzantine transformation that produces it");
+                eprintln!("ftm-verify: static analysis of the observer automaton and of both");
+                eprintln!("ends of the crash->Byzantine transformation");
                 return usage();
             }
             _ => return usage(),
@@ -64,11 +48,8 @@ fn main() -> ExitCode {
         eprintln!("ftm-verify: round bounds must be at least 1");
         return usage();
     }
-    if selected.is_empty() {
-        selected.extend(SpecSelect::all());
-    }
 
-    let report = verify_selected(&selected, &bounds);
+    let report = verify_all(&bounds);
     print!("{}", report.to_json().render());
 
     if !json_only {
@@ -92,18 +73,6 @@ fn main() -> ExitCode {
                 spec.coverage.rules,
                 spec.lineage.edges,
                 spec.lineage.roots,
-            );
-        }
-        for (label, r) in &report.refinements {
-            eprintln!(
-                "ftm-verify[refinement:{label}]: derivation {} sends, {} crash traces lifted \
-                 over {} steps, {} product states, gain {} ({} witnesses)",
-                r.derivation_sends,
-                r.crash_traces,
-                r.lifted_steps,
-                r.product_states,
-                r.gain,
-                r.gain_witnesses.len(),
             );
         }
         let q = &report.quorum;

@@ -26,21 +26,16 @@ pub enum SpecPerturbation {
     /// Re-route a certified send to a rule the analyzer does not have —
     /// [`crate::coverage`] must report the uncovered send.
     MissingRule,
-    /// Double the crash spec's round advance: its compliant traces skip
-    /// rounds the transformed observer convicts —
-    /// [`crate::refinement`] must report completeness violations.
-    RoundSkip,
 }
 
 impl SpecPerturbation {
     /// All perturbations, in report order.
-    pub fn all() -> [SpecPerturbation; 5] {
+    pub fn all() -> [SpecPerturbation; 4] {
         [
             SpecPerturbation::DropRoute,
             SpecPerturbation::OrphanSend,
             SpecPerturbation::CyclicRoute,
             SpecPerturbation::MissingRule,
-            SpecPerturbation::RoundSkip,
         ]
     }
 
@@ -51,13 +46,12 @@ impl SpecPerturbation {
             SpecPerturbation::OrphanSend => "orphan-send",
             SpecPerturbation::CyclicRoute => "cyclic-route",
             SpecPerturbation::MissingRule => "missing-rule",
-            SpecPerturbation::RoundSkip => "round-skip",
         }
     }
 
     /// Applies the perturbation to `spec` in place, choosing the target
     /// with the stream seeded by `seed`. Returns a description of what was
-    /// changed (the id of the touched send, or the touched field).
+    /// changed (the id of the touched send).
     ///
     /// # Panics
     ///
@@ -144,10 +138,6 @@ impl SpecPerturbation {
                 spec.sends[i].route = CertRoute::Rule("no-such-rule");
                 format!("re-routed `{}` to a missing rule", spec.sends[i].id)
             }
-            SpecPerturbation::RoundSkip => {
-                spec.table.round_advance *= 2;
-                format!("round advance doubled to {}", spec.table.round_advance)
-            }
         }
     }
 }
@@ -160,11 +150,7 @@ mod tests {
     fn every_perturbation_changes_the_spec() {
         for p in SpecPerturbation::all() {
             for seed in 0..5 {
-                let mut spec = if p == SpecPerturbation::RoundSkip {
-                    ProtocolSpec::crash_hr()
-                } else {
-                    ProtocolSpec::transformed()
-                };
+                let mut spec = ProtocolSpec::transformed();
                 let clean = spec.clone();
                 let what = p.apply(&mut spec, seed);
                 assert_ne!(

@@ -3,11 +3,11 @@
 //! The document is built with [`ftm_sim::report::Json`], the same
 //! byte-stable integer-only model the sweep harness emits — CI treats the
 //! two uniformly and can diff reports across commits. The top level holds
-//! one section per verified spec plus the cross-spec refinement section:
+//! one section per verified spec plus the quorum-algebra section:
 //!
 //! ```text
-//! { "specs": { "transformed": {…}, "crash": {…}, "derived": {…} },
-//!   "refinement": {…}, "ok": true }
+//! { "specs": { "transformed": {…}, "crash": {…}, "ct": {…}, "crash-ct": {…} },
+//!   "quorum": {…}, "ok": true }
 //! ```
 
 use ftm_sim::report::Json;
@@ -16,7 +16,6 @@ use crate::coverage::CoverageReport;
 use crate::lineage::LineageReport;
 use crate::mutation::MutationReport;
 use crate::quorum::QuorumReport;
-use crate::refinement::RefinementReport;
 use crate::soundness::SoundnessReport;
 
 fn strings(v: &[String]) -> Json {
@@ -133,63 +132,20 @@ impl SpecReport {
     }
 }
 
-/// The full multi-spec run: one section per spec plus one refinement
-/// section per protocol.
+/// The full multi-spec run: one section per spec plus the quorum algebra.
 #[derive(Debug, Clone)]
 pub struct VerifyReport {
-    /// Per-spec reports, keyed by spec label, in CLI order.
+    /// Per-spec reports, keyed by spec label, in driver order.
     pub specs: Vec<(&'static str, SpecReport)>,
-    /// The cross-spec refinement checks, keyed by protocol label
-    /// (`"hr"`, `"ct"`), in [`ftm_certify::ProtocolId::all`] order.
-    pub refinements: Vec<(&'static str, RefinementReport)>,
     /// The exhaustive quorum-algebra check (grid `n <= 64`).
     pub quorum: QuorumReport,
 }
 
 impl VerifyReport {
-    /// `true` when every per-spec check and every refinement passed: the
-    /// CI gate.
+    /// `true` when every per-spec check and the quorum grid passed: the CI
+    /// gate.
     pub fn ok(&self) -> bool {
-        !self.specs.is_empty()
-            && self.specs.iter().all(|(_, s)| s.ok())
-            && !self.refinements.is_empty()
-            && self.refinements.iter().all(|(_, r)| r.ok())
-            && self.quorum.ok()
-    }
-
-    fn refinement_json(r: &RefinementReport) -> Json {
-        Json::Obj(vec![
-            ("bound".into(), Json::U64(r.bound)),
-            (
-                "derivation".into(),
-                Json::Obj(vec![
-                    ("sends".into(), Json::U64(r.derivation_sends)),
-                    ("mismatches".into(), strings(&r.derivation_mismatches)),
-                ]),
-            ),
-            (
-                "completeness".into(),
-                Json::Obj(vec![
-                    ("crash-traces".into(), Json::U64(r.crash_traces)),
-                    ("lifted-steps".into(), Json::U64(r.lifted_steps)),
-                    ("violations".into(), strings(&r.completeness_violations)),
-                ]),
-            ),
-            (
-                "soundness-gain".into(),
-                Json::Obj(vec![
-                    ("product-states".into(), Json::U64(r.product_states)),
-                    ("containment-breaks".into(), strings(&r.containment_breaks)),
-                    (
-                        "detection-regressions".into(),
-                        strings(&r.detection_regressions),
-                    ),
-                    ("gain".into(), Json::U64(r.gain)),
-                    ("gain-witnesses".into(), strings(&r.gain_witnesses)),
-                ]),
-            ),
-            ("ok".into(), Json::Bool(r.ok())),
-        ])
+        !self.specs.is_empty() && self.specs.iter().all(|(_, s)| s.ok()) && self.quorum.ok()
     }
 
     fn quorum_json(q: &QuorumReport) -> Json {
@@ -219,15 +175,8 @@ impl VerifyReport {
                 .map(|(label, s)| ((*label).to_string(), s.to_json()))
                 .collect(),
         );
-        let refinement = Json::Obj(
-            self.refinements
-                .iter()
-                .map(|(label, r)| ((*label).to_string(), Self::refinement_json(r)))
-                .collect(),
-        );
         Json::Obj(vec![
             ("specs".into(), specs),
-            ("refinement".into(), refinement),
             ("quorum".into(), Self::quorum_json(&self.quorum)),
             ("ok".into(), Json::Bool(self.ok())),
         ])

@@ -173,6 +173,28 @@ mod tests {
     }
 
     #[test]
+    fn transformed_traces_are_the_crash_traces_behind_the_opening() {
+        // Completeness of the crash→Byzantine step, by construction: the
+        // generator emits for `T` exactly what it emits for `T` without its
+        // opening, with the opening prepended — so bounded soundness of the
+        // transformed spec already replays every lifted crash trace.
+        let bounds = crate::Bounds::default();
+        for p in ftm_certify::ProtocolId::all() {
+            let t = ProtocolSpec::transformed_for(p).table;
+            let c = ProtocolSpec::crash_for(p).table;
+            let bound = bounds.soundness_rounds_for(&t);
+            assert_eq!(bound, bounds.soundness_rounds_for(&c), "{p}");
+            let opening = (t.opening.expect("transformed specs open"), 0);
+            let lifted: Vec<Trace> = compliant_traces(&c, bound)
+                .into_iter()
+                .map(|crash| [vec![opening], crash].concat())
+                .collect();
+            // Not `assert_eq!`: a failure would print 75k traces twice.
+            assert!(compliant_traces(&t, bound) == lifted, "{p}");
+        }
+    }
+
+    #[test]
     fn a_stricter_acceptor_convicts_generated_traces() {
         // Non-vacuity: the generator does not consult the transition. Run
         // the HR traces through a table demanding CURRENT before leaving a

@@ -2,207 +2,63 @@
 //! rejected by the full driver with the diagnostic its checker owns.
 //!
 //! The unit tests inside each analysis module perturb specs by hand;
-//! here the [`ftm_verify::perturb`] operators drive the *whole* pipeline
-//! ([`ftm_verify::verify_spec`] / [`ftm_verify::refinement`]) the same way
-//! CI does, across a seed range, so the gate demonstrably fails — with a
-//! witness, not just a flag — on every class of broken transformation.
+//! here the [`ftm_verify::perturb`] operators drive the *whole* per-spec
+//! pipeline ([`ftm_verify::verify_spec`]) the same way CI does, across a
+//! seed range and over both protocols — the operators pick their targets
+//! from the spec's own send table — so the gate demonstrably fails, with a
+//! witness, not just a flag, on every class of broken transformation.
 
+use ftm_certify::ProtocolId;
 use ftm_core::spec::ProtocolSpec;
 use ftm_verify::perturb::SpecPerturbation;
-use ftm_verify::refinement::check_refinement;
-use ftm_verify::{verify_spec, Bounds};
+use ftm_verify::{verify_spec, Bounds, SpecReport};
 
 const SEEDS: [u64; 4] = [1, 7, 23, 90];
 
-fn small() -> Bounds {
-    Bounds {
+/// `true` when the checker that owns `p` reported its diagnostic.
+fn caught(p: SpecPerturbation, report: &SpecReport) -> bool {
+    let any = |findings: &[String], needle: &str| findings.iter().any(|d| d.contains(needle));
+    let lineage = &report.lineage;
+    match p {
+        SpecPerturbation::DropRoute => {
+            any(
+                &lineage.unjustified,
+                "no lineage back to a vector-certified root",
+            ) || !lineage.dead_routes.is_empty()
+        }
+        SpecPerturbation::OrphanSend => any(&lineage.dangling, "does not exist"),
+        SpecPerturbation::CyclicRoute => lineage
+            .cycles
+            .iter()
+            .any(|c| c.contains("same-round justification cycle:") && c.contains(" -> ")),
+        SpecPerturbation::MissingRule => any(
+            &report.coverage.uncovered_sends,
+            "names missing rule `no-such-rule`",
+        ),
+    }
+}
+
+#[test]
+fn every_perturbation_is_rejected_by_its_owning_checker_for_both_protocols() {
+    let small = Bounds {
         soundness_rounds: 3,
         mutation_rounds: 2,
-    }
-}
-
-#[test]
-fn dropped_routes_are_rejected_as_unjustified() {
-    for seed in SEEDS {
-        let mut spec = ProtocolSpec::transformed();
-        let what = SpecPerturbation::DropRoute.apply(&mut spec, seed);
-        let report = verify_spec(&spec, &small());
-        assert!(!report.ok(), "seed {seed}: {what} passed the gate");
-        assert!(
-            report
-                .lineage
-                .unjustified
-                .iter()
-                .any(|d| d.contains("no lineage back to a vector-certified root"))
-                || !report.lineage.dead_routes.is_empty(),
-            "seed {seed}: {what} not caught by lineage: {:?}",
-            report.lineage
-        );
-    }
-}
-
-#[test]
-fn orphaned_sends_are_rejected_as_dangling() {
-    for seed in SEEDS {
-        let mut spec = ProtocolSpec::transformed();
-        let what = SpecPerturbation::OrphanSend.apply(&mut spec, seed);
-        let report = verify_spec(&spec, &small());
-        assert!(!report.ok(), "seed {seed}: {what} passed the gate");
-        assert!(
-            report
-                .lineage
-                .dangling
-                .iter()
-                .any(|d| d.contains("does not exist")),
-            "seed {seed}: {what} not caught as dangling: {:?}",
-            report.lineage.dangling
-        );
-    }
-}
-
-#[test]
-fn cyclic_routes_are_rejected_with_the_cycle_path() {
-    for seed in SEEDS {
-        let mut spec = ProtocolSpec::transformed();
-        let what = SpecPerturbation::CyclicRoute.apply(&mut spec, seed);
-        let report = verify_spec(&spec, &small());
-        assert!(!report.ok(), "seed {seed}: {what} passed the gate");
-        assert!(
-            report
-                .lineage
-                .cycles
-                .iter()
-                .any(|c| c.contains("same-round justification cycle:") && c.contains(" -> ")),
-            "seed {seed}: {what} not caught as a cycle: {:?}",
-            report.lineage.cycles
-        );
-    }
-}
-
-#[test]
-fn missing_rules_are_rejected_as_uncovered() {
-    for seed in SEEDS {
-        let mut spec = ProtocolSpec::transformed();
-        let what = SpecPerturbation::MissingRule.apply(&mut spec, seed);
-        let report = verify_spec(&spec, &small());
-        assert!(!report.ok(), "seed {seed}: {what} passed the gate");
-        assert!(
-            report
-                .coverage
-                .uncovered_sends
-                .iter()
-                .any(|d| d.contains("names missing rule `no-such-rule`")),
-            "seed {seed}: {what} not caught by coverage: {:?}",
-            report.coverage.uncovered_sends
-        );
-    }
-}
-
-#[test]
-fn round_skips_break_refinement_completeness_with_a_witness() {
-    for seed in SEEDS {
-        let mut crash = ProtocolSpec::crash_hr();
-        let what = SpecPerturbation::RoundSkip.apply(&mut crash, seed);
-        let report = check_refinement(&crash, &ProtocolSpec::transformed(), 4);
-        assert!(!report.ok(), "seed {seed}: {what} passed refinement");
-        assert!(
-            report
-                .completeness_violations
-                .iter()
-                .any(|v| v.contains("lifts to") && v.contains("convicted")),
-            "seed {seed}: {what} produced no lift witness: {:?}",
-            report.completeness_violations
-        );
-    }
-}
-
-#[test]
-fn chandra_toueg_perturbations_are_rejected_by_the_same_checkers() {
-    // The perturbation operators pick their targets from the spec's own
-    // send table, so the same negative suite must hold over the second
-    // protocol: a broken CT transformation may not pass the gate either.
-    for p in [
-        SpecPerturbation::DropRoute,
-        SpecPerturbation::OrphanSend,
-        SpecPerturbation::CyclicRoute,
-        SpecPerturbation::MissingRule,
-    ] {
-        for seed in SEEDS {
-            let mut spec = ProtocolSpec::transformed_ct();
-            let what = p.apply(&mut spec, seed);
-            let report = verify_spec(&spec, &small());
-            assert!(
-                !report.ok(),
-                "{} seed {seed}: {what} passed the CT gate",
-                p.label()
-            );
-            let caught = match p {
-                SpecPerturbation::DropRoute => {
-                    report
-                        .lineage
-                        .unjustified
-                        .iter()
-                        .any(|d| d.contains("no lineage back to a vector-certified root"))
-                        || !report.lineage.dead_routes.is_empty()
-                }
-                SpecPerturbation::OrphanSend => report
-                    .lineage
-                    .dangling
-                    .iter()
-                    .any(|d| d.contains("does not exist")),
-                SpecPerturbation::CyclicRoute => report
-                    .lineage
-                    .cycles
-                    .iter()
-                    .any(|c| c.contains("same-round justification cycle:")),
-                SpecPerturbation::MissingRule => report
-                    .coverage
-                    .uncovered_sends
-                    .iter()
-                    .any(|d| d.contains("names missing rule `no-such-rule`")),
-                SpecPerturbation::RoundSkip => unreachable!(),
-            };
-            assert!(
-                caught,
-                "{} seed {seed}: {what} not caught by its owning checker",
-                p.label()
-            );
+    };
+    for protocol in ProtocolId::all() {
+        for p in SpecPerturbation::all() {
+            for seed in SEEDS {
+                let mut spec = ProtocolSpec::transformed_for(protocol);
+                let what = p.apply(&mut spec, seed);
+                let report = verify_spec(&spec, &small);
+                let at = format!("{protocol} {} seed {seed}: {what}", p.label());
+                assert!(!report.ok(), "{at} passed the gate");
+                assert!(
+                    caught(p, &report),
+                    "{at} not caught by its owning checker: {:?} / {:?}",
+                    report.lineage,
+                    report.coverage
+                );
+            }
         }
     }
-}
-
-#[test]
-fn chandra_toueg_round_skips_break_refinement_completeness() {
-    for seed in SEEDS {
-        let mut crash = ProtocolSpec::crash_ct();
-        let what = SpecPerturbation::RoundSkip.apply(&mut crash, seed);
-        let report = check_refinement(&crash, &ProtocolSpec::transformed_ct(), 3);
-        assert!(!report.ok(), "seed {seed}: {what} passed CT refinement");
-        assert!(
-            report
-                .completeness_violations
-                .iter()
-                .any(|v| v.contains("lifts to") && v.contains("convicted")),
-            "seed {seed}: {what} produced no lift witness: {:?}",
-            report.completeness_violations
-        );
-    }
-}
-
-#[test]
-fn refinement_witnesses_render_byte_stable() {
-    let a = check_refinement(&ProtocolSpec::crash_hr(), &ProtocolSpec::transformed(), 4);
-    let b = check_refinement(&ProtocolSpec::crash_hr(), &ProtocolSpec::transformed(), 4);
-    assert_eq!(a.gain_witnesses, b.gain_witnesses);
-    assert!(a.gain > 0);
-
-    // Same stability through the perturbed (failing) path.
-    let mut c1 = ProtocolSpec::crash_hr();
-    let mut c2 = ProtocolSpec::crash_hr();
-    SpecPerturbation::RoundSkip.apply(&mut c1, 5);
-    SpecPerturbation::RoundSkip.apply(&mut c2, 5);
-    let r1 = check_refinement(&c1, &ProtocolSpec::transformed(), 3);
-    let r2 = check_refinement(&c2, &ProtocolSpec::transformed(), 3);
-    assert_eq!(r1.completeness_violations, r2.completeness_violations);
-    assert!(!r1.completeness_violations.is_empty());
 }
