@@ -466,7 +466,7 @@ impl<R: Rounds> Transformed<R> {
     fn begin_round(&mut self, entry: Certificate, ctx: &mut Context<'_, Envelope, ValueVector>) {
         self.state.entry_cert = entry;
         self.state.r += 1;
-        self.stack.enter_round(self.state.r, ctx.now());
+        self.stack.enter_round(self.state.r);
         ctx.note(format!("round={}", self.state.r));
         // Per-round stack snapshot: the harness keeps the *last* note per
         // process, so churn under adverse networks is visible even when

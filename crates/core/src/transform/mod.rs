@@ -40,4 +40,4 @@
 pub mod rules;
 pub mod stack;
 
-pub use stack::{ModuleStack, MutenessFd, StackStats};
+pub use stack::{ModuleStack, StackStats};

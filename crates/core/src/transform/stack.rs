@@ -3,62 +3,11 @@
 
 use ftm_certify::analyzer::CertChecker;
 use ftm_certify::{Certified, CertifyError, Envelope, FaultClass, ProtocolId, ValueVector};
-use ftm_detect::observer::Checks;
 use ftm_detect::Observer;
-use ftm_fd::{FailureDetector, MutenessDetector, TimeoutDetector};
+use ftm_fd::{FailureDetector, TimeoutDetector};
 use ftm_sim::{Context, Duration, ProcessId, VirtualTime};
 
 use crate::config::{MutenessMode, ProtocolSetup};
-
-/// The pluggable muteness detection module: either the generic adaptive
-/// timeout detector or the round-aware ◇M variant.
-#[derive(Debug, Clone)]
-pub enum MutenessFd {
-    /// [`TimeoutDetector`]: doubles a peer's timeout on each mistake.
-    Adaptive(TimeoutDetector),
-    /// [`MutenessDetector`]: allowance additionally grows with the round.
-    RoundAware(MutenessDetector),
-}
-
-impl MutenessFd {
-    fn observe_message(&mut self, peer: ProcessId, now: VirtualTime) {
-        match self {
-            MutenessFd::Adaptive(d) => d.observe_message(peer, now),
-            MutenessFd::RoundAware(d) => d.observe_message(peer, now),
-        }
-    }
-
-    fn suspects(&mut self, peer: ProcessId, now: VirtualTime) -> bool {
-        match self {
-            MutenessFd::Adaptive(d) => d.suspects(peer, now),
-            MutenessFd::RoundAware(d) => d.suspects(peer, now),
-        }
-    }
-
-    /// Round progression hook (no-op for the adaptive detector).
-    pub fn enter_round(&mut self, round: u64, now: VirtualTime) {
-        if let MutenessFd::RoundAware(d) = self {
-            d.enter_round(round, now);
-        }
-    }
-
-    /// Wrongful suspicions corrected so far.
-    pub fn mistakes(&self) -> u64 {
-        match self {
-            MutenessFd::Adaptive(d) => d.mistakes(),
-            MutenessFd::RoundAware(d) => d.mistakes(),
-        }
-    }
-
-    /// Wrongful suspicions of `peer` corrected so far (per-peer breakdown
-    /// of [`mistakes`](Self::mistakes)).
-    pub fn mistakes_for(&self, peer: ProcessId) -> u64 {
-        match self {
-            MutenessFd::Adaptive(d) => d.mistakes_for(peer),
-            MutenessFd::RoundAware(d) => d.mistakes_for(peer),
-        }
-    }
-}
 
 /// Per-layer activity counters for one process's receive-side stack.
 ///
@@ -137,73 +86,50 @@ impl StackStats {
 /// # Example
 ///
 /// ```
-/// use ftm_certify::analyzer::CertChecker;
-/// use ftm_certify::{Certificate, Core, Envelope};
+/// use ftm_certify::{Certificate, Core, Envelope, ProtocolId};
+/// use ftm_core::config::ProtocolConfig;
 /// use ftm_core::transform::ModuleStack;
-/// use ftm_sim::{Duration, ProcessId, VirtualTime};
+/// use ftm_sim::{ProcessId, VirtualTime};
 ///
-/// let mut rng = ftm_crypto::rng_from_seed(8);
-/// let (dir, keys) = ftm_crypto::keydir::KeyDirectory::generate(&mut rng, 3, 128);
-/// let mut stack = ModuleStack::new(CertChecker::new(3, 1, dir), Duration::of(100));
+/// let setup = ProtocolConfig::new(3, 1).seed(8).setup();
+/// let mut stack = ModuleStack::for_setup(ProtocolId::HurfinRaynal, &setup);
 /// let env = Envelope::make(ProcessId(1), Core::Init { value: 4 },
-///                          Certificate::new(), &keys[1]);
+///                          Certificate::new(), &setup.keys[1]);
 /// assert!(stack.admit(ProcessId(1), &env, VirtualTime::ZERO).is_ok());
 /// ```
 #[derive(Debug, Clone)]
 pub struct ModuleStack {
     observer: Observer,
-    muteness: MutenessFd,
+    muteness: TimeoutDetector,
     stats: StackStats,
 }
 
 impl ModuleStack {
-    /// Builds the stack for the system described by `checker`, with the
-    /// given initial muteness timeout.
-    pub fn new(checker: CertChecker, muteness_timeout: Duration) -> Self {
-        Self::with_checks(checker, muteness_timeout, Checks::default())
-    }
-
-    /// Builds the stack with some checks disabled (ablation experiment E8).
-    pub fn with_checks(checker: CertChecker, muteness_timeout: Duration, checks: Checks) -> Self {
-        let n = checker.n();
-        Self::with_options(
-            checker,
-            checks,
-            MutenessFd::Adaptive(TimeoutDetector::new(n, muteness_timeout)),
-        )
-    }
-
     /// Builds the stack a transformed-protocol process embeds: the
     /// analyzer keyed to `protocol`'s rule table, the checks and ◇M
-    /// implementation selected by the setup's configuration.
+    /// allowance schedule selected by the setup's configuration.
     pub fn for_setup(protocol: ProtocolId, setup: &ProtocolSetup) -> Self {
         let res = setup.resilience;
         let checker = CertChecker::new_for(protocol, res.n(), res.f(), setup.dir.clone());
-        let muteness = match setup.config.muteness_mode {
-            MutenessMode::Adaptive => {
-                MutenessFd::Adaptive(TimeoutDetector::new(res.n(), setup.config.muteness_timeout))
-            }
-            MutenessMode::RoundAware { per_round } => MutenessFd::RoundAware(
-                MutenessDetector::new(res.n(), setup.config.muteness_timeout, per_round),
-            ),
+        let per_round = match setup.config.muteness_mode {
+            MutenessMode::Adaptive => Duration::ZERO,
+            MutenessMode::RoundAware { per_round } => per_round,
         };
-        Self::with_options(checker, setup.config.checks, muteness)
-    }
-
-    /// Fully explicit constructor: check configuration plus the muteness
-    /// detection module to embed.
-    pub fn with_options(checker: CertChecker, checks: Checks, muteness: MutenessFd) -> Self {
         ModuleStack {
-            observer: Observer::with_checks(checker, checks),
-            muteness,
+            observer: Observer::with_checks(checker, setup.config.checks),
+            muteness: TimeoutDetector::round_aware(
+                res.n(),
+                setup.config.muteness_timeout,
+                per_round,
+            ),
             stats: StackStats::default(),
         }
     }
 
     /// Forwards the observer's round progression to the muteness module
-    /// (meaningful for the round-aware ◇M variant).
-    pub fn enter_round(&mut self, round: u64, now: VirtualTime) {
-        self.muteness.enter_round(round, now);
+    /// (meaningful for the round-aware ◇M schedule).
+    pub fn enter_round(&mut self, round: u64) {
+        self.muteness.enter_round(round);
     }
 
     /// Pushes one incoming envelope through modules 1–3.
@@ -357,16 +283,25 @@ impl ModuleStack {
 mod tests {
     use super::*;
     use ftm_certify::{Certificate, Core};
-    use ftm_crypto::keydir::KeyDirectory;
     use ftm_crypto::rsa::KeyPair;
+    use ftm_detect::observer::Checks;
+
+    use crate::config::ProtocolConfig;
+
+    /// A (3, 1) Hurfin–Raynal stack with a 50-tick ◇M timeout, built the
+    /// one way stacks are built.
+    fn fixture_with(checks: Checks) -> (ModuleStack, Vec<KeyPair>) {
+        let setup = ProtocolConfig::new(3, 1)
+            .seed(91)
+            .muteness_timeout(Duration::of(50))
+            .checks(checks)
+            .setup();
+        let stack = ModuleStack::for_setup(ProtocolId::HurfinRaynal, &setup);
+        (stack, setup.keys)
+    }
 
     fn fixture() -> (ModuleStack, Vec<KeyPair>) {
-        let mut rng = ftm_crypto::rng_from_seed(91);
-        let (dir, keys) = KeyDirectory::generate(&mut rng, 3, 128);
-        (
-            ModuleStack::new(CertChecker::new(3, 1, dir), Duration::of(50)),
-            keys,
-        )
+        fixture_with(Checks::default())
     }
 
     fn init(keys: &[KeyPair], s: u32) -> Envelope {
@@ -478,7 +413,7 @@ mod tests {
     /// A quorum-backed slot-4 checkpoint from p1, and p2's forgery of it:
     /// same quorum, digest over a vector the quorum does not certify.
     fn good_and_forged_checkpoint(keys: &[KeyPair]) -> (Envelope, Envelope) {
-        use ftm_certify::{make_checkpoint, ProtocolId, SignedCore, ValueVector};
+        use ftm_certify::{make_checkpoint, SignedCore};
 
         let vect = ValueVector::from_entries(vec![Some(7), Some(8), None]);
         let quorum = Certificate::from_items((0..2u32).map(|s| {
@@ -527,16 +462,11 @@ mod tests {
     /// `CertChecker::certify` every gate ends in (no second constructor).
     #[test]
     fn ablated_certification_still_admits_through_the_one_mint() {
-        let (full, keys) = fixture();
+        let (mut ablated, keys) = fixture_with(Checks {
+            certificates: false,
+            ..Checks::default()
+        });
         let (_good, forged) = good_and_forged_checkpoint(&keys);
-        let mut ablated = ModuleStack::with_checks(
-            full.checker().clone(),
-            Duration::of(50),
-            Checks {
-                certificates: false,
-                ..Checks::default()
-            },
-        );
         let admitted: Certified<'_> = ablated
             .admit(ProcessId(2), &forged, VirtualTime::ZERO)
             .expect("certification ablated");

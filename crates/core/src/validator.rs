@@ -132,17 +132,19 @@ pub fn check_vector_consensus(
     }
 }
 
-/// Strips the replicated-log workload's `s<slot>:` note prefix, so the
-/// note parsers below work on one-shot and per-slot notes alike.
-fn strip_slot_prefix(text: &str) -> &str {
+/// Splits the replicated-log workload's `s<slot>:` prefix off a trace
+/// note: `(Some(slot), body)` for a per-slot note, `(None, text)` for a
+/// one-shot one — so note parsers work on both alike, and per-slot
+/// bookkeeping stays possible.
+pub fn split_slot_prefix(text: &str) -> (Option<u64>, &str) {
     if let Some(rest) = text.strip_prefix('s') {
         if let Some((digits, tail)) = rest.split_once(':') {
             if !digits.is_empty() && digits.bytes().all(|b| b.is_ascii_digit()) {
-                return tail;
+                return (digits.parse().ok(), tail);
             }
         }
     }
-    text
+    (None, text)
 }
 
 /// Number of rounds `p` opened during the run (counts `round=` notes).
@@ -150,7 +152,7 @@ pub fn rounds_used(trace: &Trace, p: ProcessId) -> usize {
     trace
         .notes_of(p)
         .iter()
-        .filter(|s| strip_slot_prefix(s).starts_with("round="))
+        .filter(|s| split_slot_prefix(s).1.starts_with("round="))
         .count()
 }
 
@@ -182,7 +184,7 @@ pub fn detections(trace: &Trace) -> Vec<Detection> {
     let mut out = Vec::new();
     for entry in trace.entries() {
         if let TraceEvent::Note { process, text } = &entry.event {
-            if let Some(rest) = strip_slot_prefix(text).strip_prefix("detected=") {
+            if let Some(rest) = split_slot_prefix(text).1.strip_prefix("detected=") {
                 let mut culprit = String::new();
                 let mut class = String::new();
                 for tok in rest.split_whitespace() {

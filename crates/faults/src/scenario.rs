@@ -36,7 +36,7 @@ use ftm_certify::{ProtocolId, Value, ValueVector};
 use ftm_core::byzantine::log::{ReplicatedLog, Retention};
 use ftm_core::byzantine::{ByzantineChandraToueg, ByzantineConsensus, TransformedProtocol};
 use ftm_core::config::{MutenessMode, ProtocolConfig, ProtocolSetup};
-use ftm_core::validator::{check_vector_consensus, detections, Verdict};
+use ftm_core::validator::{check_vector_consensus, detections, split_slot_prefix, Verdict};
 use ftm_crypto::rsa::KeyPair;
 use ftm_sim::harness::{sweep, RunRecord, SweepReport};
 use ftm_sim::runner::BoxedActor;
@@ -966,26 +966,6 @@ fn check_log_verdict(
     }
 }
 
-/// Splits the replicated-log workload's `s<slot>:` note prefix off, so
-/// slot instances report into the same counters as one-shot runs while
-/// per-slot bookkeeping (last stack-stats note per instance) stays
-/// possible.
-fn split_slot_prefix(text: &str) -> (Option<u64>, &str) {
-    if let Some(rest) = text.strip_prefix('s') {
-        if let Some((digits, tail)) = rest.split_once(':') {
-            if !digits.is_empty() && digits.bytes().all(|b| b.is_ascii_digit()) {
-                return (digits.parse().ok(), tail);
-            }
-        }
-    }
-    (None, text)
-}
-
-/// Strips the replicated-log workload's `s<slot>:` note prefix.
-fn strip_slot_prefix(text: &str) -> &str {
-    split_slot_prefix(text).1
-}
-
 /// Flattens a finished run's metrics, trace notes and detections into the
 /// record's counter map. Every counter listed in the module docs is set
 /// (zero when the run never exercised that layer), so each cell of the
@@ -1185,7 +1165,7 @@ fn record_coalition_metrics<D>(
         .iter()
         .filter_map(|e| match &e.event {
             TraceEvent::Note { process, text } => {
-                let text = strip_slot_prefix(text);
+                let (_, text) = split_slot_prefix(text);
                 let rest = text.strip_prefix("suspect=")?;
                 let target = rest.split_whitespace().next().unwrap_or("");
                 (format!("p{}", process.0) != target).then(|| e.at.ticks())

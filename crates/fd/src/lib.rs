@@ -19,23 +19,20 @@
 //!   eventually accurate once the network stabilizes (GST). Feeding it all
 //!   messages makes it a crash/◇S detector; feeding it only accepted
 //!   protocol messages makes it a muteness/◇M detector — exactly the
-//!   distinction drawn in the paper;
-//! * [`MutenessDetector`] — the round-aware ◇M variant (Doudou et al.):
-//!   a peer is suspected only when it is both silent *and* falling rounds
-//!   behind the observer — muteness with respect to the algorithm;
+//!   distinction drawn in the paper. [`TimeoutDetector::round_aware`] is
+//!   the round-aware ◇M shape (Doudou et al.): the same detector with an
+//!   allowance that also grows with the observer's round;
 //! * [`OracleDetector`] — a test harness detector with scripted accuracy,
 //!   used to isolate protocol correctness from detector quality;
 //! * [`properties`] — trace-replay checkers measuring Strong Completeness,
 //!   detection latency and wrongful-suspicion (mistake) rates — the numbers
 //!   experiment E7 reports.
 
-pub mod muteness;
 pub mod oracle;
 pub mod properties;
 pub mod suspicion;
 pub mod timeout;
 
-pub use muteness::MutenessDetector;
 pub use oracle::OracleDetector;
 pub use suspicion::{FailureDetector, SuspicionChange};
 pub use timeout::TimeoutDetector;

@@ -3,11 +3,26 @@
 //!
 //! Scheme (Chandra–Toueg, and the ◇M implementation sketched by Doudou et
 //! al.): suspect `peer` when no relevant message arrived within its current
-//! timeout; when a message from a *suspected* peer arrives, the suspicion
-//! was a mistake — rehabilitate the peer and **double its timeout**, so
+//! allowance; when a message from a *suspected* peer arrives, the suspicion
+//! was a mistake — rehabilitate the peer and **double its allowance**, so
 //! each peer is wrongly suspected only finitely often once the network
 //! stabilizes. That yields Strong Completeness unconditionally and Eventual
 //! (Weak) Accuracy after GST.
+//!
+//! The *round-aware* ◇M shape ([`TimeoutDetector::round_aware`]) additionally
+//! exploits the round structure the class ◇M is defined for: the embedding
+//! protocol reports its round, and the scheduled allowance grows linearly
+//! with it — `Δ(r) = Δ₀ + r · δ` — modeling the fact that later rounds may
+//! legitimately take longer (vote collection, churned coordinators, growing
+//! certificates). Strong completeness is preserved: at any fixed round the
+//! allowance is finite, so a mute peer's silence eventually exceeds it;
+//! accuracy improves as rounds accumulate because the allowance only grows.
+//! With `δ = 0` (the default) this is the plain doubling detector.
+//!
+//! (An earlier design required the observer to *outrun* the peer by some
+//! round slack before suspecting — that breaks completeness: if the mute
+//! process is the round-1 coordinator, nobody's round ever advances and
+//! the deadlock is permanent. The time-based allowance avoids the trap.)
 
 use ftm_sim::{Duration, ProcessId, VirtualTime};
 
@@ -16,12 +31,14 @@ use crate::suspicion::{FailureDetector, SuspicionChange};
 #[derive(Debug, Clone)]
 struct PeerState {
     last_heard: VirtualTime,
-    timeout: Duration,
+    /// Allowance floor earned by past mistakes (zero until the first one).
+    adaptive: Duration,
     suspected: bool,
     mistakes: u64,
 }
 
-/// Adaptive timeout-based failure detector (see module docs).
+/// Adaptive timeout-based failure detector (see module docs): a peer's
+/// allowance is `max(adaptive, Δ₀ + r·δ)`, doubled on each mistake.
 ///
 /// # Example
 ///
@@ -36,9 +53,30 @@ struct PeerState {
 /// fd.observe_message(peer, VirtualTime::at(120));     // mistake! timeout doubles
 /// assert!(!fd.suspects(peer, VirtualTime::at(200)));  // 120+100 > 200
 /// ```
+///
+/// Round-aware, with allowance `Δ(r) = 50 + 25·r`:
+///
+/// ```
+/// use ftm_fd::{FailureDetector, TimeoutDetector};
+/// use ftm_sim::{Duration, ProcessId, VirtualTime};
+///
+/// let mut fd = TimeoutDetector::round_aware(3, Duration::of(50), Duration::of(25));
+/// fd.enter_round(1);
+/// // Allowance in round 1 is 50 + 25 = 75.
+/// assert!(!fd.suspects(ProcessId(1), VirtualTime::at(75)));
+/// assert!(fd.suspects(ProcessId(1), VirtualTime::at(76)));
+/// // In round 4 the allowance is 50 + 100 = 150.
+/// let mut fd = TimeoutDetector::round_aware(3, Duration::of(50), Duration::of(25));
+/// fd.enter_round(4);
+/// assert!(!fd.suspects(ProcessId(1), VirtualTime::at(150)));
+/// assert!(fd.suspects(ProcessId(1), VirtualTime::at(151)));
+/// ```
 #[derive(Debug, Clone)]
 pub struct TimeoutDetector {
     peers: Vec<PeerState>,
+    base: Duration,
+    per_round: Duration,
+    round: u64,
     history: Vec<SuspicionChange>,
     mistakes: u64,
 }
@@ -51,23 +89,40 @@ impl TimeoutDetector {
     ///
     /// Panics if `initial_timeout` is zero.
     pub fn new(n: usize, initial_timeout: Duration) -> Self {
-        assert!(
-            initial_timeout > Duration::ZERO,
-            "initial timeout must be positive"
-        );
+        Self::round_aware(n, initial_timeout, Duration::ZERO)
+    }
+
+    /// Creates a detector over `n` peers whose allowance starts at `base`
+    /// and grows by `per_round` with every round the observer enters
+    /// ([`enter_round`](Self::enter_round)).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `base` is zero.
+    pub fn round_aware(n: usize, base: Duration, per_round: Duration) -> Self {
+        assert!(base > Duration::ZERO, "initial timeout must be positive");
         TimeoutDetector {
             peers: vec![
                 PeerState {
                     last_heard: VirtualTime::ZERO,
-                    timeout: initial_timeout,
+                    adaptive: Duration::ZERO,
                     suspected: false,
                     mistakes: 0,
                 };
                 n
             ],
+            base,
+            per_round,
+            round: 0,
             history: Vec::new(),
             mistakes: 0,
         }
+    }
+
+    /// Informs the detector that the *observer* entered `round` (rounds
+    /// never regress).
+    pub fn enter_round(&mut self, round: u64) {
+        self.round = self.round.max(round);
     }
 
     /// Number of wrongful suspicions corrected so far (messages received
@@ -84,20 +139,22 @@ impl TimeoutDetector {
         self.peers[peer.index()].mistakes
     }
 
-    /// Current timeout of `peer` (grows by doubling on each mistake).
-    #[cfg(test)]
-    fn timeout_of(&self, peer: ProcessId) -> Duration {
-        self.peers[peer.index()].timeout
+    /// Current allowance of `peer`: `max(adaptive, Δ₀ + r·δ)`.
+    fn allowance_of(&self, peer: ProcessId) -> Duration {
+        let scheduled = self.base + self.per_round.saturating_mul(self.round);
+        self.peers[peer.index()].adaptive.max(scheduled)
     }
 }
 
 impl FailureDetector for TimeoutDetector {
     fn observe_message(&mut self, peer: ProcessId, now: VirtualTime) {
+        let allowance = self.allowance_of(peer);
         let st = &mut self.peers[peer.index()];
         if st.suspected {
-            // Premature suspicion: rehabilitate and back off.
+            // Premature suspicion: rehabilitate and double whatever
+            // allowance proved insufficient.
             st.suspected = false;
-            st.timeout = st.timeout.saturating_mul(2);
+            st.adaptive = allowance.saturating_mul(2);
             st.mistakes += 1;
             self.mistakes += 1;
             self.history.push(SuspicionChange {
@@ -110,8 +167,9 @@ impl FailureDetector for TimeoutDetector {
     }
 
     fn suspects(&mut self, peer: ProcessId, now: VirtualTime) -> bool {
+        let allowance = self.allowance_of(peer);
         let st = &mut self.peers[peer.index()];
-        let overdue = now.since(st.last_heard) > st.timeout;
+        let overdue = now.since(st.last_heard) > allowance;
         if overdue && !st.suspected {
             st.suspected = true;
             self.history.push(SuspicionChange {
@@ -157,7 +215,7 @@ mod tests {
         assert!(d.suspects(ProcessId(0), VirtualTime::at(20)));
         d.observe_message(ProcessId(0), VirtualTime::at(21));
         assert_eq!(d.mistakes(), 1);
-        assert_eq!(d.timeout_of(ProcessId(0)), Duration::of(20));
+        assert_eq!(d.allowance_of(ProcessId(0)), Duration::of(20));
         assert!(!d.suspects(ProcessId(0), VirtualTime::at(41)));
         assert!(d.suspects(ProcessId(0), VirtualTime::at(42)));
     }
@@ -198,7 +256,7 @@ mod tests {
             d.observe_message(ProcessId(0), VirtualTime::at(t));
         }
         assert_eq!(d.mistakes(), mistakes_before);
-        assert!(d.timeout_of(ProcessId(0)) > Duration::of(5));
+        assert!(d.allowance_of(ProcessId(0)) > Duration::of(5));
     }
 
     #[test]
@@ -216,5 +274,72 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_timeout_rejected() {
         let _ = TimeoutDetector::new(1, Duration::ZERO);
+    }
+
+    fn round_aware() -> TimeoutDetector {
+        TimeoutDetector::round_aware(2, Duration::of(20), Duration::of(10))
+    }
+
+    #[test]
+    fn allowance_grows_with_round() {
+        let mut d = round_aware();
+        d.enter_round(1);
+        assert_eq!(d.allowance_of(ProcessId(0)), Duration::of(30));
+        d.enter_round(5);
+        assert_eq!(d.allowance_of(ProcessId(0)), Duration::of(70));
+    }
+
+    #[test]
+    fn completeness_even_when_the_observer_is_parked() {
+        // The mute round-1 coordinator scenario: the observer never leaves
+        // round 1, yet the suspicion must eventually fire.
+        let mut d = round_aware();
+        d.enter_round(1);
+        assert!(!d.suspects(ProcessId(0), VirtualTime::at(30)));
+        assert!(d.suspects(ProcessId(0), VirtualTime::at(31)));
+        // And it is permanent without further messages.
+        assert!(d.suspects(ProcessId(0), VirtualTime::at(100_000)));
+    }
+
+    #[test]
+    fn accuracy_improves_in_later_rounds() {
+        let mut early = round_aware();
+        early.enter_round(1);
+        let mut late = round_aware();
+        late.enter_round(10);
+        // A gap of 100 ticks: suspicious in round 1, tolerated in round 10.
+        assert!(early.suspects(ProcessId(0), VirtualTime::at(100)));
+        assert!(!late.suspects(ProcessId(0), VirtualTime::at(100)));
+    }
+
+    #[test]
+    fn mistakes_double_the_allowance() {
+        let mut d = round_aware();
+        d.enter_round(1);
+        assert!(d.suspects(ProcessId(0), VirtualTime::at(40)));
+        d.observe_message(ProcessId(0), VirtualTime::at(41));
+        assert_eq!(d.mistakes(), 1);
+        assert_eq!(d.allowance_of(ProcessId(0)), Duration::of(60));
+        // The adaptive floor persists even as rounds advance slowly.
+        assert!(!d.suspects(ProcessId(0), VirtualTime::at(101)));
+        assert!(d.suspects(ProcessId(0), VirtualTime::at(102)));
+    }
+
+    #[test]
+    fn rounds_never_regress() {
+        let mut d = round_aware();
+        d.enter_round(5);
+        d.enter_round(3);
+        assert_eq!(d.allowance_of(ProcessId(0)), Duration::of(70));
+    }
+
+    #[test]
+    fn round_aware_history_records_flips() {
+        let mut d = round_aware();
+        d.enter_round(1);
+        let _ = d.suspects(ProcessId(1), VirtualTime::at(50));
+        d.observe_message(ProcessId(1), VirtualTime::at(60));
+        assert_eq!(d.history().len(), 2);
+        assert!(d.history()[0].suspected && !d.history()[1].suspected);
     }
 }

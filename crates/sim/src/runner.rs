@@ -45,7 +45,9 @@ pub enum StopReason {
 }
 
 /// Parses the round number from a `round=N` trace note, tolerating the
-/// replicated-log workload's `s<slot>:` prefix.
+/// replicated-log workload's `s<slot>:` prefix. The prefix parser proper
+/// is `ftm_core::validator::split_slot_prefix`; `ftm-core` depends on this
+/// crate, so the simulator keeps its own three lines.
 fn note_round(text: &str) -> Option<u64> {
     let body = match text.strip_prefix('s').and_then(|rest| rest.split_once(':')) {
         Some((digits, tail))
