@@ -209,10 +209,21 @@ impl ModuleStack {
         env: &'a Envelope,
         ctx: &mut Context<'_, Envelope, ValueVector>,
     ) -> Option<Certified<'a>> {
-        let was_faulty = self.is_faulty(env.sender());
+        // Whether a rejection is a straggler depends on whom the observer
+        // names, and that is the channel source `from` for a falsified
+        // identity but the claimed sender otherwise (the two differ only
+        // then, or with the signature module ablated) — so sample both
+        // before the conviction lands.
+        let from_was_faulty = self.is_faulty(from);
+        let claimed_was_faulty = self.is_faulty(env.sender());
         match self.admit(from, env, ctx.now()) {
             Ok(certified) => Some(certified),
             Err(e) => {
+                let was_faulty = if e.culprit == from {
+                    from_was_faulty
+                } else {
+                    claimed_was_faulty
+                };
                 // Messages from an already convicted peer are quarantined
                 // silently — the detection already happened; re-noting every
                 // dropped straggler would inflate the detection metrics with
@@ -408,6 +419,52 @@ mod tests {
              auto-rejects=0 syntax-rejects=0 fd-mistakes=0 \
              fd-honest-mistakes=0 quarantined=2 checkpoints=0"
         );
+    }
+
+    /// The notes and quarantine count after observer p0 receives each of
+    /// `arrivals` (channel source, envelope) in order.
+    fn receive_all(stack: &mut ModuleStack, arrivals: &[(u32, &Envelope)]) -> (Vec<String>, u64) {
+        let mut draw = || 0u64;
+        let mut ctx = Context::new(VirtualTime::at(1), ProcessId(0), 3, &mut draw);
+        for &(from, env) in arrivals {
+            assert!(stack.receive(ProcessId(from), env, &mut ctx).is_none());
+        }
+        (ctx.into_effects().notes, stack.stats.quarantined)
+    }
+
+    const STOLEN: &str =
+        "detected=p2 class=bad-signature reason=claimed sender differs from channel source";
+
+    #[test]
+    fn an_identity_thief_is_quarantined_after_its_first_conviction() {
+        // p2 keeps sending under honest p1's name: the culprit is the
+        // channel source, so the stragglers are p2's, not p1's.
+        let (mut stack, keys) = fixture();
+        let stolen = init(&keys, 1);
+        let (notes, quarantined) =
+            receive_all(&mut stack, &[(2, &stolen), (2, &stolen), (2, &stolen)]);
+        assert_eq!(notes, [STOLEN]);
+        assert_eq!(quarantined, 2);
+        assert!(stack.is_faulty(ProcessId(2)) && !stack.is_faulty(ProcessId(1)));
+    }
+
+    #[test]
+    fn a_thief_hiding_behind_a_convicted_victim_is_still_noted() {
+        // p1 is convicted first; p2 then steals p1's identity. The victim's
+        // conviction must not swallow the thief's.
+        let (mut stack, keys) = fixture();
+        let wrong_key = Envelope::make(
+            ProcessId(1),
+            Core::Init { value: 0 },
+            Certificate::new(),
+            &keys[0],
+        );
+        let stolen = init(&keys, 1);
+        let (notes, quarantined) = receive_all(&mut stack, &[(1, &wrong_key), (2, &stolen)]);
+        assert_eq!(notes.len(), 2, "{notes:?}");
+        assert!(notes[0].starts_with("detected=p1 class=bad-signature"));
+        assert_eq!(notes[1], STOLEN);
+        assert_eq!(quarantined, 0);
     }
 
     /// A quorum-backed slot-4 checkpoint from p1, and p2's forgery of it:
