@@ -24,6 +24,11 @@
 //!   runs the actor's callbacks inline between rounds — still through
 //!   [`ftm_runtime::step`], so an actor never observes two callbacks
 //!   concurrently, exactly as in the simulator;
+//! * a round that found nothing to do sleeps one slice — 200 µs while
+//!   frames are arriving, 1 ms otherwise — and probes only the *active*
+//!   connections (peer links, handshakes in progress, clients heard from
+//!   in the last 100 ms); silent ones are looked at once a millisecond
+//!   (see [`node`]'s *Cadence*);
 //! * a dropped peer link is redialed with capped exponential **backoff +
 //!   deterministic jitter** ([`backoff`]), re-validating the handshake;
 //!   frames staged while the link was down are queued (bounded) and

@@ -11,6 +11,29 @@
 //! [`ftm_runtime::step`] so the staged-effects discipline is identical to
 //! the simulator's.
 //!
+//! # Cadence
+//!
+//! One iteration (`NodeLoop::turn`) fires what is due, writes what was
+//! staged, probes the **active set** — inbound peer links, pending
+//! handshakes, and clients that sent a request in the last 100 ms — and,
+//! if none of that found work, sleeps **one slice**: 200 µs while a frame
+//! was read in the last 10 ms, 1 ms otherwise. Everything that costs a
+//! syscall per connection or more — `accept`, redials, probing silent
+//! clients and outbound links (EOF watch), retrying blocked writes,
+//! evicting half-open sockets, rebuilding the active set — runs once per
+//! millisecond tick (`NodeLoop::sweep`), so a busy node pays per
+//! connection once a millisecond, a quiet one what it paid when every
+//! iteration was 1 ms, and a dialing client or rejoining peer is picked up
+//! within a tick.
+//!
+//! The slice shortens how soon a frame is *noticed*, not how long it is
+//! *held* ([`NodeConfig::delivery_delay_ms`]). Timers and held frames are
+//! looked at when a socket had work, or when the wake-up the loop set as
+//! it went idle comes — whole milliseconds ahead, as ever — and not at
+//! every slice in between: an otherwise idle node holds a frame for the
+//! full delay rather than to the next tick boundary, which the slices
+//! would otherwise find ~0.5 ms sooner on average.
+//!
 //! Three properties the threaded transport lacked:
 //!
 //! * **Scales to thousands of clients** — a connection costs a slab slot
@@ -44,6 +67,25 @@ use crate::ring::RingBuf;
 /// How long a freshly accepted connection may sit without completing its
 /// handshake before the loop evicts it (half-open defense).
 const HANDSHAKE_TIMEOUT_MS: u64 = 3_000;
+
+/// Idle sleep while the node is hot (a frame was read within
+/// [`HOT_WINDOW_MS`]): a frame that lands mid-sleep is noticed this much
+/// (plus ~0.1 ms of `thread::sleep` overshoot) later. Each sleep costs
+/// ~21 µs of CPU whatever its length, so halving this doubles an
+/// otherwise idle hot node's CPU for ~0.1 ms per hop (DESIGN.md §12).
+const HOT_SLICE_US: u64 = 200;
+
+/// Idle sleep otherwise — a pre-barrier, halted or quiet node.
+const COLD_SLICE_US: u64 = 1_000;
+
+/// How long after the last frame the loop keeps the short slice. Longer
+/// than a slot of the replicated log at any hop delay the benchmark uses,
+/// so a cluster deciding slots back to back never cools between hops.
+const HOT_WINDOW_MS: u64 = 10;
+
+/// How long after its last request a client connection stays in the
+/// active set (probed every iteration, not once per tick).
+const ACTIVE_CLIENT_MS: u64 = 100;
 
 /// Write-ring cap for client connections: the backpressure boundary. A
 /// client whose replies would exceed this is disconnected.
@@ -403,6 +445,8 @@ struct Conn {
     wb: RingBuf,
     kind: ConnKind,
     opened_ms: u64,
+    /// When a client last sent a request (its handshake counts).
+    last_request_ms: u64,
 }
 
 impl Conn {
@@ -417,8 +461,34 @@ impl Conn {
             wb: RingBuf::with_max(write_cap),
             kind,
             opened_ms: now_ms,
+            last_request_ms: now_ms,
         }
     }
+
+    /// Whether the loop probes this socket every iteration: a frame on it
+    /// is on some command's critical path. Outbound links are write-only
+    /// and silent clients are many; both wait for the sweep.
+    fn is_active(&self, now_ms: u64) -> bool {
+        match self.kind {
+            ConnKind::Pending | ConnKind::PeerIn(_) => true,
+            ConnKind::PeerOut(_) => false,
+            ConnKind::Client => now_ms.saturating_sub(self.last_request_ms) <= ACTIVE_CLIENT_MS,
+        }
+    }
+}
+
+/// The idle sleep of an iteration at `now_ms` on a node that last read a
+/// frame at `last_frame_ms`.
+fn slice(now_ms: u64, last_frame_ms: u64) -> std::time::Duration {
+    let hot = now_ms.saturating_sub(last_frame_ms) <= HOT_WINDOW_MS;
+    std::time::Duration::from_micros(if hot { HOT_SLICE_US } else { COLD_SLICE_US })
+}
+
+/// The tick from which a peer frame read at `read` may reach the actor:
+/// whole ticks, so with a delay of 1 a frame is never delivered in the
+/// tick it was read in, and with 0 the next `deliver_due` takes it.
+fn hold_until(read: VirtualTime, delivery_delay_ms: u64) -> VirtualTime {
+    read + Duration::of(delivery_delay_ms)
 }
 
 /// The dial-side state of one peer link: where to reconnect, when the
@@ -498,8 +568,27 @@ struct NodeLoop<'a, A: Actor, S> {
     holdq: VecDeque<(VirtualTime, u32, Vec<u8>)>,
     barrier: BarrierState,
     shutdown: bool,
-    /// Whether this iteration made progress (skip the idle sleep).
+    /// Whether this iteration made progress: it then skips the idle
+    /// sleep, and the next one looks at timers and held frames.
     busy: bool,
+    /// Slab indices probed every iteration (see [`Conn::is_active`]),
+    /// rebuilt by the sweep. May name a slot that has since closed —
+    /// those are skipped.
+    active: Vec<usize>,
+    /// The tick of the last sweep (`u64::MAX` before the first).
+    swept_ms: u64,
+    /// The microsecond reading from which an idle loop looks at its timers
+    /// and held frames again. Set when the loop goes idle, to whole
+    /// milliseconds ahead ([`WallClock::until`]); a socket with work
+    /// (`busy`) overrides it. This, not the slice, is what paces the hold:
+    /// a frame due next tick on an otherwise idle node waits a full
+    /// millisecond, not for the tick boundary.
+    wake_us: u64,
+    /// When the last complete frame was parsed off any connection.
+    last_frame_ms: u64,
+    /// Readiness probes issued, for the active-set tests.
+    #[cfg(test)]
+    probes: u64,
 }
 
 impl<'a, A, S> NodeLoop<'a, A, S>
@@ -508,6 +597,67 @@ where
     A::Msg: CanonicalEncode + CanonicalDecode,
     S: FnMut(&mut A, &NodeView<'_, A::Decision>, &[u8]) -> ServiceReply,
 {
+    /// A loop over `listener` that has not run yet.
+    fn new(cfg: &'a NodeConfig, listener: TcpListener, actor: A, service: S) -> io::Result<Self> {
+        assert_eq!(
+            cfg.peers.len(),
+            cfg.n,
+            "peer list must have one address per replica"
+        );
+        assert!(cfg.me.index() < cfg.n, "me out of range");
+        listener.set_nonblocking(true)?;
+        let clock = WallClock::start();
+        let links = (0..cfg.n)
+            .map(|id| {
+                if id == cfg.me.index() {
+                    None
+                } else {
+                    Some(PeerLink {
+                        addr: cfg.peers[id].clone(),
+                        resolved: None,
+                        conn: None,
+                        backoff: Backoff::new(
+                            derive_seed(cfg.seed, u64::from(cfg.me.0)) ^ id as u64,
+                        ),
+                        next_dial_ms: 0,
+                        queue: VecDeque::new(),
+                        queued_bytes: 0,
+                        dropped_note: false,
+                    })
+                }
+            })
+            .collect();
+        let barrier = if cfg.start_barrier && cfg.n > 1 {
+            BarrierState::Meshing {
+                deadline_ms: START_BARRIER_DEADLINE_MS,
+            }
+        } else {
+            BarrierState::Done
+        };
+        Ok(NodeLoop {
+            cfg,
+            clock,
+            listener,
+            conns: Vec::new(),
+            links,
+            inbound_seen: vec![false; cfg.n],
+            peer_ready: vec![false; cfg.n],
+            driver: NetDriver::new(cfg, clock),
+            actor,
+            service,
+            holdq: VecDeque::new(),
+            barrier,
+            shutdown: false,
+            busy: false,
+            active: Vec::new(),
+            swept_ms: u64::MAX,
+            wake_us: 0,
+            last_frame_ms: 0,
+            #[cfg(test)]
+            probes: 0,
+        })
+    }
+
     fn now_ms(&self) -> u64 {
         self.clock.now().ticks()
     }
@@ -556,9 +706,22 @@ where
         }
     }
 
-    /// Accepts every pending inbound connection (non-blocking) and evicts
-    /// half-open ones that out-sat the handshake timeout.
-    fn accept_and_evict(&mut self) {
+    /// Puts `conn` into the first free slab slot, returning its index.
+    fn insert_conn(&mut self, conn: Conn) -> usize {
+        match self.conns.iter().position(Option::is_none) {
+            Some(i) => {
+                self.conns[i] = Some(conn);
+                i
+            }
+            None => {
+                self.conns.push(Some(conn));
+                self.conns.len() - 1
+            }
+        }
+    }
+
+    /// Accepts every pending inbound connection (non-blocking).
+    fn accept(&mut self) {
         loop {
             match self.listener.accept() {
                 Ok((stream, _)) => {
@@ -567,27 +730,12 @@ where
                     }
                     let _ = stream.set_nodelay(true);
                     let conn = Conn::new(stream, ConnKind::Pending, self.now_ms());
-                    let slot = self.conns.iter().position(Option::is_none);
-                    match slot {
-                        Some(i) => self.conns[i] = Some(conn),
-                        None => self.conns.push(Some(conn)),
-                    }
+                    self.insert_conn(conn);
                     self.busy = true;
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(_) => break,
-            }
-        }
-        let now = self.now_ms();
-        for i in 0..self.conns.len() {
-            let stale = matches!(
-                self.conns[i].as_ref(),
-                Some(c) if c.kind == ConnKind::Pending && now.saturating_sub(c.opened_ms) > HANDSHAKE_TIMEOUT_MS
-            );
-            if stale {
-                self.driver.notes.push("handshake-timeout evicted".into());
-                self.close_conn(i);
             }
         }
     }
@@ -631,17 +779,7 @@ where
                     // The write ring is empty, so the handshake always fits.
                     frame_into(&mut conn.wb, &hello.canonical_bytes());
                     link.backoff.reset();
-                    let slot = self.conns.iter().position(Option::is_none);
-                    let idx = match slot {
-                        Some(i) => {
-                            self.conns[i] = Some(conn);
-                            i
-                        }
-                        None => {
-                            self.conns.push(Some(conn));
-                            self.conns.len() - 1
-                        }
-                    };
+                    let idx = self.insert_conn(conn);
                     if let Some(link) = self.links[id].as_mut() {
                         link.conn = Some(idx);
                     }
@@ -655,7 +793,9 @@ where
     }
 
     /// Moves staged outbox frames into peer write rings (or reconnect
-    /// queues) and flushes every non-empty write ring once.
+    /// queues) and flushes those rings. Client rings are flushed where
+    /// they are filled (`read_conn`); whatever a socket would not take is
+    /// retried by the sweep.
     fn pump(&mut self) {
         for id in 0..self.cfg.n {
             // First drain the reconnect queue, then fresh outbox frames,
@@ -689,28 +829,33 @@ where
                 }
                 self.busy = true;
             }
+            if let Some(i) = self.links[id].as_ref().and_then(|link| link.conn) {
+                self.flush_conn(i);
+            }
         }
-        // Flush every write ring; errors close the connection.
-        for i in 0..self.conns.len() {
-            let mut failed = false;
-            if let Some(conn) = self.conns[i].as_mut() {
-                while !conn.wb.is_empty() {
-                    let Conn { stream, wb, .. } = conn;
-                    match wb.write_to(&mut &*stream) {
-                        Ok(0) => break,
-                        Ok(_) => self.busy = true,
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                        Err(_) => {
-                            failed = true;
-                            break;
-                        }
+    }
+
+    /// Writes slot `i`'s write ring to its socket until it is empty or
+    /// the socket would block; an error closes the connection.
+    fn flush_conn(&mut self, i: usize) {
+        let mut failed = false;
+        if let Some(conn) = self.conns[i].as_mut() {
+            while !conn.wb.is_empty() {
+                let Conn { stream, wb, .. } = conn;
+                match wb.write_to(&mut &*stream) {
+                    Ok(0) => break,
+                    Ok(_) => self.busy = true,
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                    Err(_) => {
+                        failed = true;
+                        break;
                     }
                 }
             }
-            if failed {
-                self.close_conn(i);
-            }
+        }
+        if failed {
+            self.close_conn(i);
         }
     }
 
@@ -809,56 +954,100 @@ where
         }
     }
 
-    /// Polls every live socket for readability (sleeping up to `wait`
-    /// when idle), reads ready ones into their rings, then parses frames.
-    fn read_and_parse(&mut self, wait: std::time::Duration) {
-        // Read readiness per slab slot (`false` for free slots).
-        let ready: Vec<bool> = {
-            let mut fds: Vec<PollFd<'_>> = self
-                .conns
-                .iter()
-                .flatten()
-                .map(|conn| PollFd::new(&conn.stream, POLLIN))
-                .collect();
-            poll(&mut fds, wait);
-            let mut fds = fds.iter();
-            self.conns
-                .iter()
-                .map(|slot| slot.is_some() && fds.next().is_some_and(|fd| fd.revents & POLLIN != 0))
-                .collect()
+    /// Whether slot `i`'s socket has bytes, an EOF or an error to read:
+    /// one zero-timeout [`poll`] — a `peek`; no sleep, no allocation.
+    fn readable(&mut self, i: usize) -> bool {
+        let Some(conn) = self.conns[i].as_ref() else {
+            return false;
         };
-        for (i, ready) in ready.into_iter().enumerate() {
-            let mut close = false;
-            if let Some(conn) = self.conns[i].as_mut().filter(|_| ready) {
-                loop {
-                    if conn.rb.free() == 0 {
-                        break; // inbound backpressure: parse first
+        #[cfg(test)]
+        {
+            self.probes += 1;
+        }
+        poll(
+            &mut [PollFd::new(&conn.stream, POLLIN)],
+            std::time::Duration::ZERO,
+        ) > 0
+    }
+
+    /// Probes the active set and reads the sockets that are ready.
+    fn read_active(&mut self) {
+        // Nothing below adds to or reorders the list: reading can only
+        // close slots (skipped) or re-type a pending one (still active).
+        for k in 0..self.active.len() {
+            let i = self.active[k];
+            if self.readable(i) {
+                self.read_conn(i);
+            }
+        }
+    }
+
+    /// The once-per-tick pass over every connection, run right after
+    /// `accept` and `dial_due` (an `accept` that finds nothing costs as
+    /// much as ten probes, so it is per tick too): evicts half-open
+    /// ones that out-sat the handshake timeout, probes the sockets the
+    /// active set leaves out (silent clients; outbound links, which only
+    /// ever show EOF), parses bytes whose parsing was deferred (client
+    /// requests during the start barrier), retries blocked writes, and
+    /// rebuilds the active set.
+    fn sweep(&mut self, now: u64) {
+        self.active.clear();
+        for i in 0..self.conns.len() {
+            let Some(conn) = self.conns[i].as_ref() else {
+                continue;
+            };
+            if conn.kind == ConnKind::Pending
+                && now.saturating_sub(conn.opened_ms) > HANDSHAKE_TIMEOUT_MS
+            {
+                self.driver.notes.push("handshake-timeout evicted".into());
+                self.close_conn(i);
+                continue;
+            }
+            if !conn.is_active(now) && self.readable(i) {
+                self.read_conn(i);
+            } else {
+                self.parse_conn(i);
+                self.flush_conn(i);
+            }
+            // Still open, and active — possibly since the read just above.
+            if self.conns[i].as_ref().is_some_and(|c| c.is_active(now)) {
+                self.active.push(i);
+            }
+        }
+    }
+
+    /// Drains slot `i`'s socket into its read ring, parses the frames
+    /// and writes out the replies they earned; EOF or an error closes it.
+    fn read_conn(&mut self, i: usize) {
+        let mut close = false;
+        if let Some(conn) = self.conns[i].as_mut() {
+            loop {
+                if conn.rb.free() == 0 {
+                    break; // inbound backpressure: parse first
+                }
+                let Conn { stream, rb, .. } = conn;
+                match rb.read_from(&mut &*stream) {
+                    Ok(0) => {
+                        close = true; // EOF (free() > 0 rules out a full ring)
+                        break;
                     }
-                    let Conn { stream, rb, .. } = conn;
-                    match rb.read_from(&mut &*stream) {
-                        Ok(0) => {
-                            close = true; // EOF (free() > 0 rules out a full ring)
-                            break;
-                        }
-                        Ok(_) => self.busy = true,
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                        Err(_) => {
-                            close = true;
-                            break;
-                        }
+                    Ok(_) => self.busy = true,
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                    Err(_) => {
+                        close = true;
+                        break;
                     }
                 }
             }
-            // Parse what we have even when the socket just closed: frames
-            // already buffered must not be lost with the connection. Parse
-            // without fresh readiness too: a ring left full last round
-            // (inbound backpressure), or parsing deferred during the
-            // barrier, leaves parseable bytes behind.
-            self.parse_conn(i);
-            if close {
-                self.close_conn(i);
-            }
+        }
+        // Parse what we have even when the socket just closed: frames
+        // already buffered must not be lost with the connection.
+        self.parse_conn(i);
+        if close {
+            self.close_conn(i);
+        } else {
+            self.flush_conn(i);
         }
     }
 
@@ -893,6 +1082,7 @@ where
             let mut frame = vec![0u8; len];
             conn.rb.copy_to(&mut frame, len);
             conn.rb.consume(len);
+            self.last_frame_ms = self.now_ms();
             match kind {
                 ConnKind::Pending => {
                     if !self.handshake(i, &frame) {
@@ -944,8 +1134,10 @@ where
                 }
             }
             Hello::Client { .. } => {
+                let now = self.now_ms();
                 if let Some(conn) = self.conns[i].as_mut() {
                     conn.kind = ConnKind::Client;
+                    conn.last_request_ms = now;
                 }
             }
         }
@@ -964,7 +1156,7 @@ where
             }
             return;
         }
-        let due = self.clock.now() + Duration::of(self.cfg.delivery_delay_ms);
+        let due = hold_until(self.clock.now(), self.cfg.delivery_delay_ms);
         self.holdq.push_back((due, from, frame));
     }
 
@@ -987,6 +1179,7 @@ where
         let Some(conn) = self.conns[i].as_mut() else {
             return false;
         };
+        conn.last_request_ms = view.now.ticks();
         if !frame_into(&mut conn.wb, &out.frame) {
             // The client is not draining its replies: cap hit, drop it.
             self.driver
@@ -1001,78 +1194,77 @@ where
         true
     }
 
-    /// How long the readiness poll may sleep this iteration.
-    fn idle_wait(&self) -> std::time::Duration {
-        if self.busy {
-            return std::time::Duration::ZERO;
+    /// How long a loop going idle now leaves its timers and held frames
+    /// alone: whole milliseconds until the earliest is due, `None` when
+    /// nothing is pending (or the actor has not started).
+    fn idle_wait(&self) -> Option<std::time::Duration> {
+        if !matches!(self.barrier, BarrierState::Done) {
+            return None;
         }
-        let mut wait = std::time::Duration::from_millis(50);
-        match &self.barrier {
-            BarrierState::Meshing { .. } => wait = wait.min(std::time::Duration::from_millis(1)),
-            BarrierState::Announcing { .. } => {
-                wait = wait.min(std::time::Duration::from_millis(5));
-            }
-            BarrierState::Done => {
-                if let Some(deadline) = self.driver.next_deadline() {
-                    wait = wait.min(self.clock.until(deadline));
-                }
-                if let Some(&(due, _, _)) = self.holdq.front() {
-                    wait = wait.min(self.clock.until(due));
-                }
-            }
-        }
-        // Unflushed writes deserve a quick retry even when sockets are
-        // quiet (the peer may drain its receive window at any time).
-        let writes_pending = self.conns.iter().flatten().any(|conn| !conn.wb.is_empty());
-        if writes_pending {
-            wait = wait.min(std::time::Duration::from_millis(5));
-        }
-        for link in self.links.iter().flatten() {
-            if link.conn.is_none() {
-                wait = wait.min(self.clock.until(VirtualTime::at(link.next_dial_ms)));
-            }
-        }
-        wait
+        let held = self.holdq.front().map(|&(due, _, _)| due);
+        let due = self.driver.next_deadline().into_iter().chain(held).min()?;
+        Some(self.clock.until(due))
     }
 
-    /// The readiness loop: runs until the actor halts (with
-    /// `exit_on_halt`), a client requests shutdown, the stop flag rises,
-    /// or the run bound trips. Returns the final report.
-    fn run(&mut self, stop: &AtomicBool) -> NetReport<A::Decision> {
-        if matches!(self.barrier, BarrierState::Done) {
-            self.start_actor();
+    /// One iteration of the readiness loop (see the module's *Cadence*).
+    /// Returns `false` once the loop must exit: the actor halted (with
+    /// `exit_on_halt`), a client requested shutdown, or the run bound
+    /// tripped.
+    fn turn(&mut self) -> bool {
+        let woken = self.busy || self.clock.micros() >= self.wake_us;
+        self.busy = false;
+        let now = self.now_ms();
+        let started = matches!(self.barrier, BarrierState::Done);
+        if self.shutdown
+            || now >= self.cfg.run_timeout_ms
+            || (self.cfg.exit_on_halt && self.driver.halted && started)
+        {
+            return false;
         }
-        loop {
-            self.busy = false;
-            if stop.load(Ordering::Relaxed) || self.shutdown {
-                break;
-            }
-            if self.now_ms() >= self.cfg.run_timeout_ms {
-                break;
-            }
-            if self.cfg.exit_on_halt
-                && self.driver.halted
-                && matches!(self.barrier, BarrierState::Done)
-            {
-                break;
-            }
-            self.accept_and_evict();
+        if now != self.swept_ms {
+            self.swept_ms = now;
+            self.accept();
             self.dial_due();
-            self.barrier_step();
+            self.sweep(now);
+        }
+        self.barrier_step();
+        if woken {
             if matches!(self.barrier, BarrierState::Done) {
                 self.fire_timers();
                 self.deliver_due();
             }
-            self.pump();
-            let wait = self.idle_wait();
-            self.read_and_parse(wait);
+            self.wake_us = self.idle_wait().map_or(u64::MAX, |wait| {
+                let wait_us = u64::try_from(wait.as_micros()).unwrap_or(u64::MAX);
+                self.clock.micros().saturating_add(wait_us)
+            });
         }
+        self.pump();
+        self.read_active();
+        if !self.busy {
+            let left = self.wake_us.saturating_sub(self.clock.micros());
+            std::thread::sleep(
+                slice(now, self.last_frame_ms).min(std::time::Duration::from_micros(left)),
+            );
+        }
+        true
+    }
+
+    /// Runs [`turn`](NodeLoop::turn) until it or the stop flag says to
+    /// exit, then flushes and returns the final report.
+    fn run(&mut self, stop: &AtomicBool) -> NetReport<A::Decision> {
+        if matches!(self.barrier, BarrierState::Done) {
+            self.start_actor();
+        }
+        while !stop.load(Ordering::Relaxed) && self.turn() {}
         // Exit flush: everything staged before the halt/shutdown should
         // reach the wire, but a wedged peer must not hold the node
         // hostage — bound the flush.
         let flush_deadline = self.now_ms() + EXIT_FLUSH_MS;
         loop {
             self.pump();
+            for i in 0..self.conns.len() {
+                self.flush_conn(i);
+            }
             let outstanding = self.conns.iter().flatten().any(|c| !c.wb.is_empty())
                 || self.driver.outbox.iter().any(|q| !q.is_empty());
             if !outstanding || self.now_ms() >= flush_deadline {
@@ -1146,55 +1338,7 @@ where
     A::Msg: CanonicalEncode + CanonicalDecode,
     S: FnMut(&mut A, &NodeView<'_, A::Decision>, &[u8]) -> ServiceReply,
 {
-    assert_eq!(
-        cfg.peers.len(),
-        cfg.n,
-        "peer list must have one address per replica"
-    );
-    assert!(cfg.me.index() < cfg.n, "me out of range");
-    listener.set_nonblocking(true)?;
-    let clock = WallClock::start();
-    let links = (0..cfg.n)
-        .map(|id| {
-            if id == cfg.me.index() {
-                None
-            } else {
-                Some(PeerLink {
-                    addr: cfg.peers[id].clone(),
-                    resolved: None,
-                    conn: None,
-                    backoff: Backoff::new(derive_seed(cfg.seed, u64::from(cfg.me.0)) ^ id as u64),
-                    next_dial_ms: 0,
-                    queue: VecDeque::new(),
-                    queued_bytes: 0,
-                    dropped_note: false,
-                })
-            }
-        })
-        .collect();
-    let barrier = if cfg.start_barrier && cfg.n > 1 {
-        BarrierState::Meshing {
-            deadline_ms: START_BARRIER_DEADLINE_MS,
-        }
-    } else {
-        BarrierState::Done
-    };
-    let mut node = NodeLoop {
-        cfg,
-        clock,
-        listener,
-        conns: Vec::new(),
-        links,
-        inbound_seen: vec![false; cfg.n],
-        peer_ready: vec![false; cfg.n],
-        driver: NetDriver::new(cfg, clock),
-        actor,
-        service,
-        holdq: VecDeque::new(),
-        barrier,
-        shutdown: false,
-        busy: false,
-    };
+    let mut node = NodeLoop::new(cfg, listener, actor, service)?;
     let report = node.run(stop);
     Ok((report, node.actor))
 }
@@ -1202,6 +1346,329 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::codec::{read_frame, write_frame};
+
+    const CLUSTER: u64 = 7;
+
+    /// A timer-less actor that logs what reached it and when (µs).
+    struct Sink {
+        clock: WallClock,
+        seen: Vec<(u64, u64)>,
+    }
+
+    impl Actor for Sink {
+        type Msg = u64;
+        type Decision = u64;
+
+        fn on_start(&mut self, _ctx: &mut ftm_runtime::Context<'_, u64, u64>) {}
+
+        fn on_message(
+            &mut self,
+            _from: ProcessId,
+            msg: &u64,
+            _ctx: &mut ftm_runtime::Context<'_, u64, u64>,
+        ) {
+            self.seen.push((*msg, self.clock.micros()));
+        }
+    }
+
+    type Service = fn(&mut Sink, &NodeView<'_, u64>, &[u8]) -> ServiceReply;
+
+    /// Echoes the request; `big` earns 64 KiB, so that an unread handful
+    /// crosses the client write cap.
+    fn echo(_: &mut Sink, _: &NodeView<'_, u64>, frame: &[u8]) -> ServiceReply {
+        if frame == b"big" {
+            ServiceReply::reply(vec![0u8; 64 * 1024])
+        } else {
+            ServiceReply::reply(frame.to_vec())
+        }
+    }
+
+    fn bind() -> (TcpListener, String) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        (listener, addr)
+    }
+
+    /// A started loop the test drives one [`NodeLoop::turn`] at a time, on
+    /// its own thread: what the node has done after `k` turns is then a
+    /// fact, not a race.
+    fn boot(cfg: &NodeConfig, listener: TcpListener) -> NodeLoop<'_, Sink, Service> {
+        let sink = Sink {
+            clock: WallClock::start(),
+            seen: Vec::new(),
+        };
+        let mut node = NodeLoop::new(cfg, listener, sink, echo as Service).expect("node");
+        node.start_actor();
+        node
+    }
+
+    fn single_node_cfg(addr: &str) -> NodeConfig {
+        let mut cfg = NodeConfig::new(ProcessId(0), vec![addr.to_string()], CLUSTER, 1);
+        cfg.start_barrier = false;
+        cfg
+    }
+
+    /// A handshaken, non-blocking client socket (its few small writes
+    /// always fit the kernel's buffer).
+    fn client(addr: &str) -> TcpStream {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream.set_nodelay(true).expect("nodelay");
+        write_frame(
+            &mut stream,
+            &Hello::Client { cluster: CLUSTER }.canonical_bytes(),
+        )
+        .expect("hello");
+        stream.set_nonblocking(true).expect("nonblocking");
+        stream
+    }
+
+    /// Reads the reply [`has_reply`] announced.
+    fn reply(stream: &mut TcpStream) -> Vec<u8> {
+        stream.set_nonblocking(false).expect("blocking");
+        let frame = read_frame(stream, DEFAULT_MAX_FRAME).expect("reply");
+        stream.set_nonblocking(true).expect("nonblocking");
+        frame
+    }
+
+    fn has_reply(stream: &TcpStream) -> bool {
+        poll(
+            &mut [PollFd::new(stream, POLLIN)],
+            std::time::Duration::ZERO,
+        ) > 0
+    }
+
+    /// Turns the loop until `done` holds, at most `max` times.
+    fn turn_until(
+        node: &mut NodeLoop<'_, Sink, Service>,
+        max: usize,
+        what: &str,
+        mut done: impl FnMut(&NodeLoop<'_, Sink, Service>) -> bool,
+    ) -> usize {
+        for turns in 0..=max {
+            if done(node) {
+                return turns;
+            }
+            assert!(node.turn(), "the loop exited while waiting for {what}");
+        }
+        panic!("{what}: not within {max} turns");
+    }
+
+    #[test]
+    fn slice_is_short_inside_the_hot_window_and_a_millisecond_outside() {
+        let hot = std::time::Duration::from_micros(HOT_SLICE_US);
+        let cold = std::time::Duration::from_millis(1);
+        assert_eq!(slice(500, 500), hot);
+        assert_eq!(slice(500 + HOT_WINDOW_MS, 500), hot);
+        assert_eq!(slice(500 + HOT_WINDOW_MS + 1, 500), cold);
+        assert_eq!(slice(u64::MAX, 0), cold);
+        // A stamp ahead of `now` (taken later in the same turn) is hot.
+        assert_eq!(slice(500, 501), hot);
+        assert!(hot < cold, "the hot slice is the short one");
+    }
+
+    #[test]
+    fn a_frame_is_held_whole_ticks_and_never_delivered_in_its_own_tick() {
+        let deliverable = |due: VirtualTime, now: u64| due <= VirtualTime::at(now);
+        for read in [0u64, 1, 999, 123_456] {
+            for delay in [1u64, 2, 5] {
+                let due = hold_until(VirtualTime::at(read), delay);
+                for now in read..read + delay {
+                    assert!(
+                        !deliverable(due, now),
+                        "read {read} delay {delay} now {now}"
+                    );
+                }
+                assert!(deliverable(due, read + delay));
+            }
+            // No delay: due in the tick it was read in, so the next
+            // `deliver_due` — the turn after the read, which does not
+            // sleep first — takes it.
+            assert!(deliverable(hold_until(VirtualTime::at(read), 0), read));
+        }
+    }
+
+    /// A two-replica config whose peer 1 is the test: a listener that is
+    /// bound but never accepts (the node's dial lands in its backlog) and
+    /// a socket that says `Hello::Peer` and then sends `u64` frames.
+    fn node_with_a_scripted_peer(delay_ms: u64) -> (NodeConfig, TcpListener, TcpListener) {
+        let (listener, addr) = bind();
+        let (peer_listener, peer_addr) = bind();
+        let mut cfg = NodeConfig::new(ProcessId(0), vec![addr, peer_addr], CLUSTER, 1);
+        cfg.start_barrier = false;
+        cfg.delivery_delay_ms = delay_ms;
+        (cfg, listener, peer_listener)
+    }
+
+    fn scripted_peer(node: &mut NodeLoop<'_, Sink, Service>, addr: &str) -> TcpStream {
+        let mut peer = TcpStream::connect(addr).expect("connect");
+        peer.set_nodelay(true).expect("nodelay");
+        let hello = Hello::Peer {
+            id: 1,
+            cluster: CLUSTER,
+        };
+        write_frame(&mut peer, &hello.canonical_bytes()).expect("hello");
+        turn_until(node, 50, "the peer handshake", |n| n.inbound_seen[1]);
+        peer
+    }
+
+    #[test]
+    fn an_idle_node_holds_a_frame_for_the_whole_delay_not_to_the_tick_boundary() {
+        let (cfg, listener, _peer_listener) = node_with_a_scripted_peer(1);
+        let mut node = boot(&cfg, listener);
+        let clock = node.actor.clock;
+        let mut peer = scripted_peer(&mut node, &cfg.peers[0]);
+        for trial in 0..20u64 {
+            write_frame(&mut peer, &trial.canonical_bytes()).expect("frame");
+            turn_until(&mut node, 50, "the frame to be read", |n| {
+                !n.holdq.is_empty()
+            });
+            let read_by_us = clock.micros();
+            // The turn after the read looks at the hold queue. If the tick
+            // rolled over since the read the frame is due and goes now, as
+            // it always has; that says nothing about the idle wait, so
+            // take another frame.
+            assert!(node.turn());
+            if node.holdq.is_empty() {
+                continue;
+            }
+            turn_until(&mut node, 50, "the delivery", |n| n.holdq.is_empty());
+            let &(msg, delivered_us) = node.actor.seen.last().expect("delivered");
+            assert_eq!(msg, trial);
+            assert!(
+                delivered_us - read_by_us >= 1_000,
+                "held {} us of a 1 ms hop delay",
+                delivered_us - read_by_us
+            );
+            return;
+        }
+        panic!("the tick rolled over right after the read, twenty times running");
+    }
+
+    #[test]
+    fn without_a_delay_a_frame_reaches_the_actor_the_turn_after_it_was_read() {
+        let (cfg, listener, _peer_listener) = node_with_a_scripted_peer(0);
+        let mut node = boot(&cfg, listener);
+        let mut peer = scripted_peer(&mut node, &cfg.peers[0]);
+        write_frame(&mut peer, &42u64.canonical_bytes()).expect("frame");
+        turn_until(&mut node, 50, "the frame to be read", |n| {
+            !n.holdq.is_empty()
+        });
+        assert!(
+            node.busy,
+            "a read is progress: the next turn must not sleep first"
+        );
+        assert!(node.turn());
+        assert_eq!(node.actor.seen.len(), 1);
+        assert_eq!(node.actor.seen[0].0, 42);
+    }
+
+    #[test]
+    fn an_idle_timerless_node_answers_a_new_client_within_a_few_turns() {
+        let (listener, addr) = bind();
+        let cfg = single_node_cfg(&addr);
+        let mut node = boot(&cfg, listener);
+        // Let it cool down and go idle: nothing pending, 1 ms turns.
+        let idle_from = node.now_ms() + HOT_WINDOW_MS + 5;
+        turn_until(&mut node, 1_000, "the node to cool", |n| {
+            n.now_ms() > idle_from
+        });
+        assert_eq!(
+            node.wake_us,
+            u64::MAX,
+            "nothing is pending on a timer-less node"
+        );
+
+        let mut c = client(&addr);
+        write_frame(&mut c, b"ping").expect("request");
+        // One tick accepts it and reads the handshake and the request
+        // behind it, and the reply is flushed where it is staged. Turns
+        // of an idle node are a slice each, so this is a few milliseconds
+        // where a loop that accepted once per 50 ms wait took up to 50.
+        turn_until(&mut node, 4, "the reply", |_| has_reply(&c));
+        assert_eq!(reply(&mut c), b"ping");
+    }
+
+    #[test]
+    fn silent_clients_are_probed_once_a_tick_and_wake_up_when_they_speak() {
+        const SILENT: usize = 256;
+        let (listener, addr) = bind();
+        let cfg = single_node_cfg(&addr);
+        let mut node = boot(&cfg, listener);
+        // In batches the listener's backlog holds: nothing accepts while
+        // this thread is connecting.
+        let mut silent: Vec<TcpStream> = Vec::new();
+        while silent.len() < SILENT {
+            silent.extend((0..32).map(|_| client(&addr)));
+            assert!(node.turn());
+        }
+        let mut talker = client(&addr);
+        let clients = |n: &NodeLoop<'_, Sink, Service>| {
+            n.conns
+                .iter()
+                .flatten()
+                .filter(|c| c.kind == ConnKind::Client)
+                .count()
+        };
+        turn_until(&mut node, 2_000, "every handshake", |n| {
+            clients(n) == SILENT + 1
+        });
+
+        // (i) Once the silent ones have cooled, a turn that is not a sweep
+        // probes the talker and nothing else; a sweep probes each
+        // connection at most once.
+        let cooled_from = node.now_ms() + ACTIVE_CLIENT_MS + 5;
+        let mut plain_turns = 0;
+        let mut sweeps = 0;
+        while sweeps < 20 {
+            write_frame(&mut talker, b"status").expect("request");
+            let (probes, swept) = (node.probes, node.swept_ms);
+            assert!(node.turn());
+            let probed = (node.probes - probes) as usize;
+            if node.now_ms() > cooled_from && swept > cooled_from {
+                if node.swept_ms == swept {
+                    plain_turns += 1;
+                    assert!(probed <= 1, "{probed} sockets probed outside a sweep");
+                } else {
+                    sweeps += 1;
+                    assert!(probed <= SILENT + 2, "{probed} probes in one sweep");
+                }
+                assert_eq!(node.active.len(), 1, "only the talker is active");
+            }
+            while has_reply(&talker) {
+                reply(&mut talker);
+            }
+        }
+        assert!(plain_turns > 0, "a hot node takes several turns per tick");
+
+        // (ii) A cold client's first request is answered by the next
+        // sweep, and that puts it in the active set.
+        write_frame(&mut silent[0], b"status").expect("request");
+        turn_until(&mut node, 16, "the cold client's reply", |_| {
+            has_reply(&silent[0])
+        });
+        assert_eq!(reply(&mut silent[0]), b"status");
+        assert_eq!(node.active.len(), 2, "the talker and the client that woke");
+
+        // (iii) Closing a cold client frees its slab slot within a sweep.
+        drop(silent.pop());
+        let live = |n: &NodeLoop<'_, Sink, Service>| n.conns.iter().flatten().count();
+        turn_until(&mut node, 16, "the closed client's slot", |n| {
+            live(n) == SILENT
+        });
+
+        // (v) A client that stops reading is cut at the write-ring cap,
+        // active or not: the cut is made where the reply is staged.
+        let deaf = &mut silent[1];
+        turn_until(&mut node, 5_000, "the backpressure cut", |n| {
+            let _ = write_frame(deaf, b"big"); // fails once cut
+            n.driver
+                .notes
+                .iter()
+                .any(|note| note == "backpressure-disconnect client")
+        });
+        assert_eq!(live(&node), SILENT - 1);
+    }
 
     #[test]
     fn parse_convictions_handles_prefixes_and_noise() {

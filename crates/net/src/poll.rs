@@ -17,11 +17,17 @@
 //!   site. This matches how the readiness loop uses it — `POLLOUT`
 //!   interest is only registered while a write ring has bytes queued.
 //!
-//! When no entry is ready the probe sleeps in ~1 ms slices up to the
-//! caller's timeout, so an idle node burns negligible CPU while a busy
-//! one never sleeps at all. Deadlines are read through [`WallClock`] —
-//! rule D3 (the `Instant` ban in `clippy.toml`) confines the raw clock
-//! to `clock.rs`, and this module stays on the sanctioned API.
+//! When no entry is ready the probe sleeps `min(1 ms, time left)` and
+//! scans again, so it returns within a sleep's overshoot of the caller's
+//! timeout and a zero timeout is one scan and no sleep — the form the
+//! node loop uses on its active connections ([`crate::node`] owns its own
+//! cadence; the load generator lets this module sleep for it). On this
+//! class of host `thread::sleep(d)` returns after d + 75…125 µs whatever
+//! d is and costs ~21 µs of CPU, against ~0.27 µs for an idle `peek`, so
+//! it is the sleeps, not the probes, that a caller has to budget.
+//! Deadlines are read through [`WallClock`] — rule D3 (the `Instant` ban
+//! in `clippy.toml`) confines the raw clock to `clock.rs`, and this
+//! module stays on the sanctioned API.
 
 use std::io;
 use std::net::TcpStream;
@@ -86,18 +92,29 @@ fn scan(fds: &mut [PollFd<'_>]) -> usize {
     ready
 }
 
+/// Longest single sleep between two scans of a waiting [`poll`].
+const SLICE_US: u64 = 1_000;
+
+/// How long a poll that is `elapsed_us` into a `timeout_us` wait sleeps
+/// before its next scan: the slice or the time left, whichever is
+/// shorter — zero at and after the deadline, never past it.
+fn next_sleep(elapsed_us: u64, timeout_us: u64, slice_us: u64) -> Duration {
+    Duration::from_micros(timeout_us.saturating_sub(elapsed_us).min(slice_us))
+}
+
 /// Level-triggered readiness poll: fills each entry's `revents` and
-/// returns how many entries are ready, sleeping in ~1 ms slices up to
-/// `timeout` while nothing is.
+/// returns how many entries are ready, sleeping in slices of at most
+/// 1 ms up to `timeout` while nothing is.
 pub fn poll(fds: &mut [PollFd<'_>], timeout: Duration) -> usize {
     let clock = WallClock::start();
     let timeout_us = u64::try_from(timeout.as_micros()).unwrap_or(u64::MAX);
     loop {
         let ready = scan(fds);
-        if ready > 0 || clock.micros() >= timeout_us {
+        let sleep = next_sleep(clock.micros(), timeout_us, SLICE_US);
+        if ready > 0 || sleep.is_zero() {
             return ready;
         }
-        std::thread::sleep(Duration::from_millis(1).min(timeout));
+        std::thread::sleep(sleep);
     }
 }
 
@@ -125,6 +142,26 @@ mod tests {
         assert_eq!(poll(&mut fds, Duration::from_millis(20)), 0);
         assert!(clock.micros() >= 20_000, "poll returned before its timeout");
         assert_eq!(fds[0].revents, 0);
+    }
+
+    #[test]
+    fn next_sleep_is_the_slice_or_the_time_left_and_zero_at_the_deadline() {
+        for timeout in [0, 1, 200, 999, 1_000, 1_001, 5_000, u64::MAX] {
+            for slice in [1, 200, 1_000] {
+                for elapsed in [0, 1, 199, 200, 999, 1_000, 4_999, 5_000, 5_001, u64::MAX] {
+                    let sleep = next_sleep(elapsed, timeout, slice).as_micros();
+                    assert!(sleep <= u128::from(slice), "longer than the slice");
+                    assert!(
+                        u128::from(elapsed) + sleep <= u128::from(timeout.max(elapsed)),
+                        "sleeps past the deadline: {elapsed} + {sleep} > {timeout}"
+                    );
+                    assert_eq!(sleep == 0, elapsed >= timeout, "zero iff at/after deadline");
+                }
+            }
+        }
+        // The overshoot this replaces: 1.2 ms into a 1.5 ms wait the old
+        // code slept a whole slice (to 2.2 ms); 0.3 ms are left.
+        assert_eq!(next_sleep(1_200, 1_500, 1_000), Duration::from_micros(300));
     }
 
     #[test]

@@ -1,0 +1,106 @@
+#!/usr/bin/env bash
+# Alternating parent/change pairs of one benchmark workload — the form
+# every speed claim in this repo has to take (ROADMAP.md, *Measuring*:
+# the host drifts 7–18 % within an hour, so never one side after the
+# other).
+#
+#   scripts/bench_pairs.sh <parent-ref> <workload> [pairs=3]
+#
+# The parent is exported with `git archive` into a temp dir (nothing is
+# written to .git, nothing is left behind); the change is the working
+# tree the script is run from. Both are built with --offline, then run
+# with the exact `command` of BENCHMARK.json plus
+#   --workload <workload> --seed <pair> --seconds <run_seconds> --trace 0
+# each from its own root, alternating which side goes first. Prints each
+# pair's end-to-end metrics, CPU per command and failed/attempted, then
+# per-side medians and, per metric, how many pairs the change won.
+#
+# Reads benchmark/ and BENCHMARK.json; changes nothing in them. The tcp-*
+# workloads need `ulimit -n 4096` or more (the benchmark checks).
+set -euo pipefail
+
+if [ "$#" -lt 2 ] || [ "$#" -gt 3 ]; then
+    echo "usage: $0 <parent-ref> <workload> [pairs=3]" >&2
+    exit 2
+fi
+parent_ref="$1"
+workload="$2"
+pairs="${3:-3}"
+
+root="$(git rev-parse --show-toplevel)"
+cd "$root"
+git rev-parse --verify --quiet "${parent_ref}^{commit}" >/dev/null || {
+    echo "$0: not a commit: $parent_ref" >&2
+    exit 2
+}
+
+# The benchmark's own command line and run length, as the driver uses them.
+mapfile -t cmd < <(python3 -c '
+import json
+for word in json.load(open("BENCHMARK.json"))["command"]:
+    print(word)')
+seconds="$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])')"
+
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+mkdir "$tmp/parent"
+git archive "$parent_ref" | tar -x -C "$tmp/parent"
+
+echo "# building parent ($(git rev-parse --short "$parent_ref")) and change (working tree)" >&2
+for side in "$tmp/parent" "$root"; do
+    (cd "$side" && cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml) >&2
+done
+
+# One run; prints "setup_s commit_p50_us throughput_cps cpu_us_per_cmd failed attempted".
+run_side() {
+    local dir="$1" seed="$2" out
+    out="$(cd "$dir" && "${cmd[@]}" --workload "$workload" --seed "$seed" \
+        --seconds "$seconds" --trace 0 2>/dev/null)" || true
+    awk '
+        $1 == "setup_s"                { setup = $2 }
+        $1 == "commit_p50_us"          { p50 = $2 }
+        $1 == "throughput_cps"         { cps = $2 }
+        $1 == "process.cpu_us_per_cmd" { cpu = $2 }
+        $1 == "failed_ratio"           { gsub(/[()]/, ""); failed = $4; attempted = $6 }
+        END { print setup, p50, cps, cpu, failed, attempted }
+    ' <<<"$out"
+}
+
+printf '%-4s %-6s %10s %14s %15s %15s %s\n' \
+    pair side setup_s commit_p50_us throughput_cps cpu_us_per_cmd failed/attempted
+for pair in $(seq 1 "$pairs"); do
+    # Odd pairs run the parent first, even pairs the change.
+    if [ $((pair % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi
+    for side in $order; do
+        if [ "$side" = parent ]; then dir="$tmp/parent"; else dir="$root"; fi
+        read -r setup p50 cps cpu failed attempted < <(run_side "$dir" "$pair")
+        printf '%-4s %-6s %10s %14s %15s %15s %s/%s\n' \
+            "$pair" "$side" "$setup" "$p50" "$cps" "$cpu" "$failed" "$attempted"
+        echo "$pair $side $setup $p50 $cps $cpu" >>"$tmp/rows"
+    done
+done
+
+# Medians per side, and wins per metric (ties count for neither).
+awk '
+    function median(side, col,    n, i, v, k, t) {
+        n = 0
+        for (i = 1; i <= pairs; i++) v[++n] = val[i, side, col]
+        for (i = 2; i <= n; i++) for (k = i; k > 1 && v[k - 1] > v[k]; k--) { t = v[k]; v[k] = v[k - 1]; v[k - 1] = t }
+        return n % 2 ? v[(n + 1) / 2] : (v[n / 2] + v[n / 2 + 1]) / 2
+    }
+    { for (c = 3; c <= 6; c++) val[$1, $2, c] = $c; if ($1 > pairs) pairs = $1 }
+    END {
+        name[3] = "setup_s"; name[4] = "commit_p50_us"; name[5] = "throughput_cps"; name[6] = "cpu_us_per_cmd"
+        higher[5] = 1
+        printf "\n%-16s %14s %14s %9s %s\n", "metric", "parent median", "change median", "change", "change wins"
+        for (c = 3; c <= 6; c++) {
+            wins = 0
+            for (i = 1; i <= pairs; i++) {
+                a = val[i, "parent", c]; b = val[i, "change", c]
+                if (higher[c] ? b > a : b < a) wins++
+            }
+            p = median("parent", c); q = median("change", c)
+            printf "%-16s %14.3f %14.3f %+8.1f%% %d of %d\n", name[c], p, q, p ? (q - p) / p * 100 : 0, wins, pairs
+        }
+    }
+' "$tmp/rows"
