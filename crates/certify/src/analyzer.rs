@@ -2,24 +2,15 @@
 //!
 //! For every message kind the paper defines when its certificate is
 //! *well-formed* with respect to the value it carries and the condition
-//! that enabled its send. [`CertChecker`] implements those rules:
+//! that enabled its send. [`CertChecker`] implements those rules, one
+//! function per row of the [`crate::rules`] table — each row says what it
+//! re-derives — reached only through [`CertChecker::rule_for`]'s walk
+//! over that table.
 //!
-//! * `INIT(v)` — empty certificate (initial values cannot be certified;
-//!   they are handled by vector certification instead).
-//! * `CURRENT(r, vect)` from the round-`r` coordinator — the INIT-portion
-//!   must witness `vect` (≥ `n−F` signed INITs consistent with it) and the
-//!   NEXT-portion must witness `r` (≥ `n−F` signed `NEXT(r−1)`, or nothing
-//!   for `r = 1`).
-//! * `CURRENT(r, vect)` from a relayer — the certificate must contain the
-//!   coordinator's own signed `CURRENT(r, vect)` plus the INIT backing of
-//!   `vect`.
-//! * `NEXT(r)` — must match one of the three send conditions (coordinator
-//!   suspicion from `q0`, `change_mind` from `q1`, end-of-round), each with
-//!   its own cardinality pattern; suspicion itself is unverifiable, so that
-//!   branch only constrains structure.
-//! * `DECIDE(r, vect)` — ≥ `n−F` signed `CURRENT(r, vect)` from distinct
-//!   senders (we follow §5.1 here; Fig. 3 line 21 writes `est_cert_i`,
-//!   which would be forgeable — see DESIGN.md).
+//! One deliberate departure from the figure: `DECIDE(r, vect)` demands
+//! ≥ `n−F` signed `CURRENT(r, vect)` from distinct senders. That is
+//! §5.1's rule; Fig. 3 line 21 writes `est_cert_i`, which would be
+//! forgeable — see DESIGN.md.
 //!
 //! Every rule first re-verifies the signature of every certificate item:
 //! this is what makes the certification module *reliable* — no process can
@@ -28,26 +19,18 @@
 // D7 (DESIGN.md §13): a truncated count is silently a wrong threshold.
 #![deny(clippy::cast_possible_truncation)]
 
+use std::collections::BTreeSet;
+
 use ftm_crypto::keydir::KeyDirectory;
 use ftm_sim::ProcessId;
 
 use crate::certificate::Certificate;
 use crate::certified::Certified;
+use crate::checkpoint::{checkpoint_digest, decide_vote_groups, decide_vote_kind};
 use crate::error::{CertifyError, FaultClass};
 use crate::message::{Core, MessageKind, ProtocolId, Round, ValueVector};
-use crate::signed::Envelope;
-
-/// Which of the three legal conditions triggered a `NEXT` message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NextTrigger {
-    /// `q0 → q2`: the sender suspected the round coordinator.
-    Suspicion,
-    /// `q1 → q2`: the sender received a quorum of votes but neither a
-    /// CURRENT nor a NEXT quorum — it changes its mind to unblock the round.
-    ChangeMind,
-    /// End of the round loop: a NEXT quorum was already observed.
-    EndOfRound,
-}
+use crate::rules::{certification_rules_for, RuleInfo, CHECKPOINT_RULE};
+use crate::signed::{Envelope, SignedCore};
 
 /// Validates certificates against the transformed protocol's rules.
 ///
@@ -197,9 +180,8 @@ impl CertChecker {
     pub fn check_cert_signatures(&self, env: &Envelope) -> Result<(), CertifyError> {
         for item in env.cert.iter() {
             if item.verify(&self.dir).is_err() {
-                return Err(CertifyError::new(
-                    env.sender(),
-                    FaultClass::BadCertificate,
+                return Err(bad_cert(
+                    env,
                     "certificate contains an item with an invalid signature",
                 ));
             }
@@ -207,16 +189,39 @@ impl CertChecker {
         Ok(())
     }
 
-    /// INIT messages carry no certificate.
-    pub fn check_init(&self, env: &Envelope) -> Result<(), CertifyError> {
+    /// The row of this checker's table whose send condition `env`
+    /// satisfies: the rows of [`certification_rules_for`] the checker's
+    /// protocol, then the shared checkpoint row, tried in order among
+    /// those auditing the envelope's kind. This walk is the only path to
+    /// a rule's check. Signatures and syntax are the caller's.
+    ///
+    /// # Errors
+    ///
+    /// The violation the matching row found; or, for a kind no row of this
+    /// protocol audits (the other protocol's vote kinds), a
+    /// `bad-certificate` conviction of the sender.
+    pub fn rule_for(&self, env: &Envelope) -> Result<&'static RuleInfo, CertifyError> {
+        let rows = certification_rules_for(self.protocol)
+            .iter()
+            .copied()
+            .chain([&CHECKPOINT_RULE]);
+        for rule in rows.filter(|rule| rule.kind == env.kind()) {
+            if (rule.check)(self, env)? {
+                return Ok(rule);
+            }
+        }
+        Err(bad_cert(
+            env,
+            "no certification rule of this protocol audits the message kind",
+        ))
+    }
+
+    /// `init-empty`: INIT messages carry no certificate.
+    pub(crate) fn init_empty(&self, env: &Envelope) -> Result<bool, CertifyError> {
         if env.cert.is_empty() {
-            Ok(())
+            Ok(true)
         } else {
-            Err(CertifyError::new(
-                env.sender(),
-                FaultClass::BadCertificate,
-                "INIT must carry an empty certificate",
-            ))
+            Err(bad_cert(env, "INIT must carry an empty certificate"))
         }
     }
 
@@ -253,192 +258,151 @@ impl CertChecker {
     }
 
     /// "next_cert is well-formed with respect to round": entering round
-    /// `round > 1` requires `n−F` signed `NEXT(round−1)`; round 1 needs
-    /// nothing (`next_cert = ∅`).
-    pub fn next_portion_well_formed(
+    /// `round > 1` requires `n−F` distinct signed votes of the protocol's
+    /// round-ending kinds ([`ProtocolId::round_ending_kinds`]: `NEXT`
+    /// under Hurfin–Raynal, `ACK`/`NACK` under Chandra–Toueg) for
+    /// `round−1`; round 1 needs nothing (`next_cert = ∅`).
+    pub fn round_entry_well_formed(
         &self,
         cert: &Certificate,
         round: Round,
         culprit: ProcessId,
     ) -> Result<(), CertifyError> {
-        if round <= 1 {
+        let ending = self.protocol.round_ending_kinds();
+        if round <= 1 || cert.senders_of_any(ending, round - 1).len() >= self.quorum() {
             return Ok(());
-        }
-        if cert.count(MessageKind::Next, round - 1) < self.quorum() {
-            return Err(CertifyError::new(
-                culprit,
-                FaultClass::BadCertificate,
-                "round entry lacks n−F signed NEXT votes for the previous round",
-            ));
-        }
-        Ok(())
-    }
-
-    /// CT round-entry evidence: entering round `round > 1` requires `n−F`
-    /// distinct signed `ACK(round−1)` or `NACK(round−1)` (the CT analogue
-    /// of [`CertChecker::next_portion_well_formed`]); round 1 needs
-    /// nothing.
-    pub fn ct_round_entry_well_formed(
-        &self,
-        cert: &Certificate,
-        round: Round,
-        culprit: ProcessId,
-    ) -> Result<(), CertifyError> {
-        if round <= 1 {
-            return Ok(());
-        }
-        if cert.ct_votes(round - 1).len() < self.quorum() {
-            return Err(CertifyError::new(
-                culprit,
-                FaultClass::BadCertificate,
-                "round entry lacks n−F signed ACK/NACK votes for the previous round",
-            ));
-        }
-        Ok(())
-    }
-
-    /// CURRENT rules (coordinator vs. relayer), assuming signatures and
-    /// syntax were already checked.
-    pub fn check_current(&self, env: &Envelope) -> Result<(), CertifyError> {
-        let Core::Current { round, vector } = env.core() else {
-            return Err(CertifyError::new(
-                env.sender(),
-                FaultClass::WrongSyntax,
-                "check_current on a non-CURRENT message",
-            ));
-        };
-        let culprit = env.sender();
-        self.init_portion_well_formed(&env.cert, vector, culprit)?;
-        if env.sender() == self.coordinator(*round) {
-            // The coordinator must additionally justify being in round r.
-            self.next_portion_well_formed(&env.cert, *round, culprit)
-        } else {
-            // A relayer must show the coordinator's own CURRENT for the
-            // same round and the same vector (no substituted message).
-            if env
-                .cert
-                .find_current(self.coordinator(*round), *round, vector)
-                .is_none()
-            {
-                return Err(CertifyError::new(
-                    culprit,
-                    FaultClass::BadCertificate,
-                    "relayed CURRENT lacks the coordinator's signed CURRENT for this vector",
-                ));
-            }
-            Ok(())
-        }
-    }
-
-    /// NEXT rules: the certificate must match one of the three legal send
-    /// conditions; returns which one (receivers use it to know *why* the
-    /// sender votes NEXT).
-    pub fn check_next(&self, env: &Envelope) -> Result<NextTrigger, CertifyError> {
-        let Core::Next { round } = env.core() else {
-            return Err(CertifyError::new(
-                env.sender(),
-                FaultClass::WrongSyntax,
-                "check_next on a non-NEXT message",
-            ));
-        };
-        let r = *round;
-        let culprit = env.sender();
-
-        // No certificate item may come from the future: that would mean
-        // the sender fabricated votes it cannot have received.
-        for item in env.cert.iter() {
-            if item.round() > r {
-                return Err(CertifyError::new(
-                    culprit,
-                    FaultClass::BadCertificate,
-                    "NEXT certificate contains items from a future round",
-                ));
-            }
-        }
-
-        let currents = env.cert.count(MessageKind::Current, r);
-        let nexts = env.cert.count(MessageKind::Next, r);
-        let rec_from = env.cert.rec_from(r).len();
-        let q = self.quorum();
-
-        // (c) End-of-round: a full NEXT quorum observed.
-        if nexts >= q {
-            return Ok(NextTrigger::EndOfRound);
-        }
-        // (b) change_mind: in q1 (≥1 CURRENT seen), a quorum of votes
-        // arrived but neither a CURRENT quorum nor a NEXT quorum.
-        if currents >= 1 && rec_from >= q && currents < q {
-            return Ok(NextTrigger::ChangeMind);
-        }
-        // (a) Suspicion from q0: no CURRENT relayed/adopted yet. The
-        // suspicion itself cannot be audited (failure-detector output is
-        // local), so the only structural requirement is the absence of a
-        // CURRENT quorum claim.
-        if currents == 0 {
-            return Ok(NextTrigger::Suspicion);
         }
         Err(CertifyError::new(
             culprit,
             FaultClass::BadCertificate,
-            "NEXT certificate matches no legal send condition",
+            match self.protocol {
+                ProtocolId::HurfinRaynal => {
+                    "round entry lacks n−F signed NEXT votes for the previous round"
+                }
+                ProtocolId::ChandraToueg => {
+                    "round entry lacks n−F signed ACK/NACK votes for the previous round"
+                }
+            },
         ))
     }
 
-    /// ESTIMATE rules: the INIT-portion witnesses the vector; a claimed
-    /// adoption timestamp `ts > 0` must be backed by `coordinator(ts)`'s
-    /// own signed `PROPOSE(ts, vect)` (this is what makes CT's
-    /// max-timestamp adoption rule auditable); entering round `r > 1`
-    /// requires the ACK/NACK round-entry evidence.
-    pub fn check_estimate(&self, env: &Envelope) -> Result<(), CertifyError> {
-        let Core::Estimate { round, vector, ts } = env.core() else {
-            return Err(CertifyError::new(
-                env.sender(),
-                FaultClass::WrongSyntax,
-                "check_estimate on a non-ESTIMATE message",
-            ));
+    /// `current-coordinator`: the round coordinator's CURRENT must witness
+    /// its vector and justify being in round `r`.
+    pub(crate) fn current_coordinator(&self, env: &Envelope) -> Result<bool, CertifyError> {
+        let Core::Current { round, vector } = env.core() else {
+            return Ok(false);
         };
-        let culprit = env.sender();
-        self.init_portion_well_formed(&env.cert, vector, culprit)?;
+        if env.sender() != self.coordinator(*round) {
+            return Ok(false);
+        }
+        self.init_portion_well_formed(&env.cert, vector, env.sender())?;
+        self.round_entry_well_formed(&env.cert, *round, env.sender())?;
+        Ok(true)
+    }
+
+    /// `current-relay`: a relayer must witness the vector and show the
+    /// coordinator's own CURRENT for the same round and the same vector
+    /// (no substituted message).
+    pub(crate) fn current_relay(&self, env: &Envelope) -> Result<bool, CertifyError> {
+        let Core::Current { round, vector } = env.core() else {
+            return Ok(false);
+        };
+        let coordinator = self.coordinator(*round);
+        if env.sender() == coordinator {
+            return Ok(false);
+        }
+        self.init_portion_well_formed(&env.cert, vector, env.sender())?;
+        if env.cert.find_current(coordinator, *round, vector).is_none() {
+            return Err(bad_cert(
+                env,
+                "relayed CURRENT lacks the coordinator's signed CURRENT for this vector",
+            ));
+        }
+        Ok(true)
+    }
+
+    /// What the three NEXT rows share: no certificate item may come from
+    /// the future — that would mean the sender fabricated votes it cannot
+    /// have received.
+    fn check_next(&self, env: &Envelope) -> Result<(), CertifyError> {
+        no_future_items(env, "NEXT certificate contains items from a future round")
+    }
+
+    /// `next-end-of-round`: a full NEXT quorum observed.
+    pub(crate) fn next_end_of_round(&self, env: &Envelope) -> Result<bool, CertifyError> {
+        self.check_next(env)?;
+        Ok(env.cert.count(MessageKind::Next, env.round()) >= self.quorum())
+    }
+
+    /// `next-change-mind`: in q1 (≥ 1 CURRENT seen), a quorum of votes
+    /// arrived but not a CURRENT quorum (a NEXT quorum is the row before).
+    pub(crate) fn next_change_mind(&self, env: &Envelope) -> Result<bool, CertifyError> {
+        self.check_next(env)?;
+        let currents = env.cert.count(MessageKind::Current, env.round());
+        Ok((1..self.quorum()).contains(&currents)
+            && env.cert.rec_from(env.round()).len() >= self.quorum())
+    }
+
+    /// `next-suspicion`, from q0: no CURRENT relayed or adopted yet. The
+    /// suspicion itself cannot be audited (failure-detector output is
+    /// local), so the only structural requirement is the absence of a
+    /// CURRENT claim. The last NEXT row: a NEXT that cites CURRENTs and
+    /// matched neither row before it matches no send condition at all.
+    pub(crate) fn next_suspicion(&self, env: &Envelope) -> Result<bool, CertifyError> {
+        self.check_next(env)?;
+        if env.cert.count(MessageKind::Current, env.round()) == 0 {
+            Ok(true)
+        } else {
+            Err(bad_cert(
+                env,
+                "NEXT certificate matches no legal send condition",
+            ))
+        }
+    }
+
+    /// `estimate-roundstart`: the INIT-portion witnesses the vector; a
+    /// claimed adoption timestamp `ts > 0` must be backed by
+    /// `coordinator(ts)`'s own signed `PROPOSE(ts, vect)` (this is what
+    /// makes CT's max-timestamp adoption rule auditable); entering round
+    /// `r > 1` requires the ACK/NACK round-entry evidence.
+    pub(crate) fn estimate_roundstart(&self, env: &Envelope) -> Result<bool, CertifyError> {
+        let Core::Estimate { round, vector, ts } = env.core() else {
+            return Ok(false);
+        };
+        self.init_portion_well_formed(&env.cert, vector, env.sender())?;
         if *ts > 0
             && env
                 .cert
                 .find_vouching(MessageKind::Propose, self.coordinator(*ts), *ts, vector)
                 .is_none()
         {
-            return Err(CertifyError::new(
-                culprit,
-                FaultClass::BadCertificate,
+            return Err(bad_cert(
+                env,
                 "estimate timestamp lacks the ts-coordinator's signed PROPOSE for this vector",
             ));
         }
-        self.ct_round_entry_well_formed(&env.cert, *round, culprit)
+        self.round_entry_well_formed(&env.cert, *round, env.sender())?;
+        Ok(true)
     }
 
-    /// PROPOSE rules: only the round coordinator proposes; the certificate
-    /// carries `n−F` signed `ESTIMATE(r)` and the proposed vector equals
-    /// the vector of a maximum-timestamp estimate among them (CT's
-    /// adoption rule), with its INIT backing.
-    pub fn check_propose(&self, env: &Envelope) -> Result<(), CertifyError> {
+    /// `propose-coordinator`: only the round coordinator proposes; the
+    /// certificate carries `n−F` signed `ESTIMATE(r)` and the proposed
+    /// vector equals the vector of a maximum-timestamp estimate among them
+    /// (CT's adoption rule), with its INIT backing.
+    pub(crate) fn propose_coordinator(&self, env: &Envelope) -> Result<bool, CertifyError> {
         let Core::Propose { round, vector } = env.core() else {
-            return Err(CertifyError::new(
-                env.sender(),
-                FaultClass::WrongSyntax,
-                "check_propose on a non-PROPOSE message",
-            ));
+            return Ok(false);
         };
-        let culprit = env.sender();
         if env.sender() != self.coordinator(*round) {
-            return Err(CertifyError::new(
-                culprit,
-                FaultClass::BadCertificate,
+            return Err(bad_cert(
+                env,
                 "PROPOSE from a process that is not the round coordinator",
             ));
         }
-        self.init_portion_well_formed(&env.cert, vector, culprit)?;
+        self.init_portion_well_formed(&env.cert, vector, env.sender())?;
         if env.cert.count(MessageKind::Estimate, *round) < self.quorum() {
-            return Err(CertifyError::new(
-                culprit,
-                FaultClass::BadCertificate,
+            return Err(bad_cert(
+                env,
                 "PROPOSE lacks n−F signed ESTIMATE votes for this round",
             ));
         }
@@ -459,151 +423,101 @@ impl CertChecker {
                     if *ts == max_ts && v == vector)
             });
         if !adopted {
-            return Err(CertifyError::new(
-                culprit,
-                FaultClass::BadCertificate,
+            return Err(bad_cert(
+                env,
                 "proposed vector is not a maximum-timestamp estimate from the certificate",
             ));
         }
-        Ok(())
+        Ok(true)
     }
 
-    /// ACK rules: the echo must quote the round coordinator's own signed
+    /// `ack-echo`: the echo must quote the round coordinator's own signed
     /// `PROPOSE(r, vect)` for exactly the acknowledged vector (no
     /// substituted proposal).
-    pub fn check_ack(&self, env: &Envelope) -> Result<(), CertifyError> {
+    pub(crate) fn ack_echo(&self, env: &Envelope) -> Result<bool, CertifyError> {
         let Core::Ack { round, vector } = env.core() else {
-            return Err(CertifyError::new(
-                env.sender(),
-                FaultClass::WrongSyntax,
-                "check_ack on a non-ACK message",
-            ));
+            return Ok(false);
         };
+        let coordinator = self.coordinator(*round);
         if env
             .cert
-            .find_vouching(
-                MessageKind::Propose,
-                self.coordinator(*round),
-                *round,
-                vector,
-            )
+            .find_vouching(MessageKind::Propose, coordinator, *round, vector)
             .is_none()
         {
-            return Err(CertifyError::new(
-                env.sender(),
-                FaultClass::BadCertificate,
+            return Err(bad_cert(
+                env,
                 "ACK lacks the coordinator's signed PROPOSE for this vector",
             ));
         }
-        Ok(())
+        Ok(true)
     }
 
-    /// NACK rules: coordinator suspicion is failure-detector output and
-    /// cannot be audited; the only structural requirement is that no
+    /// `nack-suspicion`: coordinator suspicion is failure-detector output
+    /// and cannot be audited; the only structural requirement is that no
     /// certificate item comes from a future round.
-    pub fn check_nack(&self, env: &Envelope) -> Result<(), CertifyError> {
-        let Core::Nack { round } = env.core() else {
-            return Err(CertifyError::new(
-                env.sender(),
-                FaultClass::WrongSyntax,
-                "check_nack on a non-NACK message",
-            ));
-        };
-        for item in env.cert.iter() {
-            if item.round() > *round {
-                return Err(CertifyError::new(
-                    env.sender(),
-                    FaultClass::BadCertificate,
-                    "NACK certificate contains items from a future round",
-                ));
-            }
-        }
-        Ok(())
+    pub(crate) fn nack_suspicion(&self, env: &Envelope) -> Result<bool, CertifyError> {
+        no_future_items(env, "NACK certificate contains items from a future round")?;
+        Ok(true)
     }
 
-    /// DECIDE rule: `n−F` distinct signed votes for the decided vector —
-    /// `CURRENT(round, vect)` under Hurfin–Raynal (§5.1; see module docs
-    /// for the Fig. 3 discrepancy), `ACK(round, vect)` under
-    /// Chandra–Toueg.
-    pub fn check_decide(&self, env: &Envelope) -> Result<(), CertifyError> {
+    /// `decide-current-quorum` (§5.1, not Fig. 3 — see the module docs).
+    pub(crate) fn decide_current_quorum(&self, env: &Envelope) -> Result<bool, CertifyError> {
+        self.decide_quorum(
+            env,
+            "DECIDE lacks n−F signed CURRENT votes for the decided vector",
+        )
+    }
+
+    /// `decide-ack-quorum`.
+    pub(crate) fn decide_ack_quorum(&self, env: &Envelope) -> Result<bool, CertifyError> {
+        self.decide_quorum(
+            env,
+            "DECIDE lacks n−F signed ACK votes for the decided vector",
+        )
+    }
+
+    /// The DECIDE rule of either protocol: `n−F` distinct signed
+    /// decide-votes ([`decide_vote_kind`]) of the decided round for the
+    /// decided vector, or `lacks`.
+    fn decide_quorum(&self, env: &Envelope, lacks: &'static str) -> Result<bool, CertifyError> {
         let Core::Decide { round, vector } = env.core() else {
-            return Err(CertifyError::new(
-                env.sender(),
-                FaultClass::WrongSyntax,
-                "check_decide on a non-DECIDE message",
-            ));
+            return Ok(false);
         };
-        let (vote_kind, reason) = match self.protocol {
-            ProtocolId::HurfinRaynal => (
-                MessageKind::Current,
-                "DECIDE lacks n−F signed CURRENT votes for the decided vector",
-            ),
-            ProtocolId::ChandraToueg => (
-                MessageKind::Ack,
-                "DECIDE lacks n−F signed ACK votes for the decided vector",
-            ),
-        };
-        let matching: std::collections::BTreeSet<ProcessId> = env
+        let matching: BTreeSet<ProcessId> = env
             .cert
-            .iter_kind_round(vote_kind, *round)
+            .iter_kind_round(decide_vote_kind(self.protocol), *round)
             .filter(|i| i.core().core.vector() == Some(vector))
-            .map(super::signed::SignedCore::sender)
+            .map(SignedCore::sender)
             .collect();
         if matching.len() < self.quorum() {
-            return Err(CertifyError::new(
-                env.sender(),
-                FaultClass::BadCertificate,
-                reason,
-            ));
+            return Err(bad_cert(env, lacks));
         }
-        Ok(())
+        Ok(true)
     }
 
-    /// CHECKPOINT rule (`checkpoint-quorum`, shared by both protocols): the
-    /// certificate must contain `n−F` distinct signed decide-votes
-    /// (`CURRENT` under Hurfin–Raynal, `ACK` under Chandra–Toueg) over a
-    /// single round and a single vector whose
-    /// [`crate::checkpoint::checkpoint_digest`] equals the digest the
+    /// `checkpoint-quorum`, shared by both protocols: the certificate must
+    /// contain `n−F` distinct signed decide-votes (`CURRENT` under
+    /// Hurfin–Raynal, `ACK` under Chandra–Toueg) over a single round and a
+    /// single vector whose [`checkpoint_digest`] equals the digest the
     /// checkpoint claims. A quorum over a *different* vector is a forged
     /// digest; no quorum at all is a sub-quorum checkpoint — both are
     /// `bad-certificate` convictions of the sender.
-    pub fn check_checkpoint(&self, env: &Envelope) -> Result<(), CertifyError> {
+    pub(crate) fn checkpoint_quorum(&self, env: &Envelope) -> Result<bool, CertifyError> {
         let Core::Checkpoint { slot, digest } = env.core() else {
-            return Err(CertifyError::new(
-                env.sender(),
-                FaultClass::WrongSyntax,
-                "check_checkpoint on a non-CHECKPOINT message",
-            ));
+            return Ok(false);
         };
-        let vote_kind = crate::checkpoint::decide_vote_kind(self.protocol);
-        // Group the decide-votes by (round, vector); distinct senders only.
-        let mut groups: std::collections::BTreeMap<
-            (Round, &ValueVector),
-            std::collections::BTreeSet<ProcessId>,
-        > = std::collections::BTreeMap::new();
-        for item in env.cert.iter() {
-            if item.kind() == vote_kind {
-                if let Some(vector) = item.core().core.vector() {
-                    groups
-                        .entry((item.round(), vector))
-                        .or_default()
-                        .insert(item.sender());
-                }
-            }
-        }
         let mut quorum_seen = false;
-        for ((_round, vector), senders) in &groups {
+        for ((_round, vector), senders) in decide_vote_groups(self.protocol, &env.cert) {
             if senders.len() < self.quorum() {
                 continue;
             }
             quorum_seen = true;
-            if crate::checkpoint::checkpoint_digest(self.protocol, *slot, vector) == *digest {
-                return Ok(());
+            if checkpoint_digest(self.protocol, *slot, vector) == *digest {
+                return Ok(true);
             }
         }
-        Err(CertifyError::new(
-            env.sender(),
-            FaultClass::BadCertificate,
+        Err(bad_cert(
+            env,
             if quorum_seen {
                 "checkpoint digest does not match the vector its quorum certifies"
             } else {
@@ -611,6 +525,19 @@ impl CertChecker {
             },
         ))
     }
+}
+
+/// No certificate item may come from a round after the envelope's own.
+fn no_future_items(env: &Envelope, reason: &'static str) -> Result<(), CertifyError> {
+    if env.cert.iter().any(|item| item.round() > env.round()) {
+        return Err(bad_cert(env, reason));
+    }
+    Ok(())
+}
+
+/// A `bad-certificate` conviction of `env`'s sender.
+fn bad_cert(env: &Envelope, reason: &'static str) -> CertifyError {
+    CertifyError::new(env.sender(), FaultClass::BadCertificate, reason)
 }
 
 #[cfg(test)]
@@ -874,43 +801,99 @@ mod tests {
         assert_eq!(err.class, FaultClass::BadCertificate);
     }
 
+    /// The rule/witness table: for every row, one envelope whose send
+    /// condition is that row's. A row added without a witness fails here.
+    fn witness(f: &Fixture, rule: &RuleInfo) -> Envelope {
+        let (round, vector) = (1, witnessed_vector());
+        let v = || vector.clone();
+        let current = Core::Current { round, vector: v() };
+        let propose = Core::Propose { round, vector: v() };
+        let ack = Core::Ack { round, vector: v() };
+        let decide = Core::Decide { round, vector: v() };
+        let (next, nack) = (Core::Next { round }, Core::Nack { round });
+        let by = |sender: u32, core: &Core| signed(f, sender, core.clone());
+        let quorum = |core: &Core| Certificate::from_items((0..3).map(|s| by(s, core)));
+        let (sender, core, cert) = match rule.id {
+            "init-empty" => (1, Core::Init { value: 11 }, Certificate::new()),
+            "current-coordinator" => (0, current, init_quorum(f)),
+            "current-relay" => {
+                let coordinators = Certificate::from_items([by(0, &current)]);
+                (2, current, init_quorum(f).union(&coordinators))
+            }
+            "next-end-of-round" => (3, next.clone(), quorum(&next)),
+            // One CURRENT + two NEXT = 3 voters, no quorum of either kind.
+            "next-change-mind" => {
+                let votes = [by(0, &current), by(1, &next), by(2, &next)];
+                (3, next, Certificate::from_items(votes))
+            }
+            "next-suspicion" => (3, next, Certificate::new()),
+            "decide-current-quorum" => (0, decide, quorum(&current)),
+            "estimate-roundstart" => {
+                let estimate = Core::Estimate {
+                    round,
+                    vector,
+                    ts: 0,
+                };
+                (2, estimate, init_quorum(f))
+            }
+            "propose-coordinator" => (0, propose, init_quorum(f).union(&estimate_quorum(f, round))),
+            "ack-echo" => (2, ack, Certificate::from_items([by(0, &propose)])),
+            "nack-suspicion" => (3, nack, Certificate::new()),
+            "decide-ack-quorum" => (0, decide, quorum(&ack)),
+            "checkpoint-quorum" => {
+                let protocol = f.checker.protocol();
+                let votes = if decide_vote_kind(protocol) == MessageKind::Ack {
+                    quorum(&ack)
+                } else {
+                    quorum(&current)
+                };
+                let me = ProcessId(1);
+                return crate::checkpoint::make_checkpoint(
+                    protocol, 7, &vector, votes, me, &f.keys[1],
+                );
+            }
+            other => panic!("rule row `{other}` has no witness envelope"),
+        };
+        Envelope::make(ProcessId(sender), core, cert, &f.keys[sender as usize])
+    }
+
     #[test]
-    fn next_triggers_classified() {
-        let f = fixture();
-        let vect = witnessed_vector();
-        // (c) End of round.
-        let env = Envelope::make(
-            ProcessId(3),
-            Core::Next { round: 1 },
-            next_quorum(&f, 1),
-            &f.keys[3],
-        );
-        assert_eq!(f.checker.check_next(&env).unwrap(), NextTrigger::EndOfRound);
-        // (a) Suspicion: empty certificate.
-        let env = Envelope::make(
-            ProcessId(3),
-            Core::Next { round: 1 },
-            Certificate::new(),
-            &f.keys[3],
-        );
-        assert_eq!(f.checker.check_next(&env).unwrap(), NextTrigger::Suspicion);
-        // (b) change_mind: one CURRENT + two NEXT = 3 voters, no quorum of
-        // either kind.
-        let mut cert = Certificate::from_items([
-            signed(
-                &f,
-                0,
-                Core::Current {
-                    round: 1,
-                    vector: vect,
-                },
-            ),
-            signed(&f, 1, Core::Next { round: 1 }),
-            signed(&f, 2, Core::Next { round: 1 }),
-        ]);
-        cert = cert.union(&init_quorum(&f));
-        let env = Envelope::make(ProcessId(3), Core::Next { round: 1 }, cert, &f.keys[3]);
-        assert_eq!(f.checker.check_next(&env).unwrap(), NextTrigger::ChangeMind);
+    fn every_rule_row_names_its_witness_envelope() {
+        for (f, rows) in [(fixture(), 7 + 1), (ct_fixture(), 6 + 1)] {
+            let own = certification_rules_for(f.checker.protocol());
+            let mut witnessed = 0;
+            for rule in own.iter().copied().chain([&CHECKPOINT_RULE]) {
+                let env = witness(&f, rule);
+                assert!(f.checker.check_envelope(&env).is_ok(), "{rule:?}");
+                assert_eq!(f.checker.rule_for(&env), Ok(rule));
+                witnessed += 1;
+            }
+            assert_eq!(witnessed, rows, "{}", f.checker.protocol());
+        }
+    }
+
+    #[test]
+    fn a_kind_outside_the_protocols_table_is_never_certified() {
+        // Each checker is shown the other protocol's witnesses — well-formed
+        // under the table they come from — for every kind its own table has
+        // no row for: HR × ESTIMATE/PROPOSE/ACK/NACK, CT × CURRENT/NEXT.
+        let mut foreign = 0;
+        for (f, other) in [(fixture(), ct_fixture()), (ct_fixture(), fixture())] {
+            let own = certification_rules_for(f.checker.protocol());
+            for rule in certification_rules_for(other.checker.protocol()) {
+                if own.iter().any(|r| r.kind == rule.kind) {
+                    continue; // INIT and DECIDE are on both wires
+                }
+                let env = witness(&other, rule);
+                assert!(other.checker.check_envelope(&env).is_ok(), "{rule:?}");
+                let err = f.checker.check_envelope(&env).unwrap_err();
+                assert_eq!(err.class, FaultClass::BadCertificate, "{rule:?}");
+                assert_eq!(err.culprit, env.sender(), "{rule:?}");
+                assert!(err.reason.contains("no certification rule"), "{rule:?}");
+                foreign += 1;
+            }
+        }
+        assert_eq!(foreign, 4 + 5); // four CT vote rows, five HR vote rows
     }
 
     #[test]

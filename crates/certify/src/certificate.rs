@@ -104,9 +104,7 @@ impl Certificate {
 
     /// Distinct senders of items of a given kind and round.
     pub fn senders_of(&self, kind: MessageKind, round: Round) -> BTreeSet<ProcessId> {
-        self.iter_kind_round(kind, round)
-            .map(super::signed::SignedCore::sender)
-            .collect()
+        self.senders_of_any(&[kind], round)
     }
 
     /// Count of distinct senders of `(kind, round)` items — the
@@ -153,21 +151,27 @@ impl Certificate {
         self.find_vouching(MessageKind::Current, sender, round, vector)
     }
 
+    /// Distinct senders that contributed an item of any of `kinds` for
+    /// `round` — one process voting two of the kinds counts once.
+    pub fn senders_of_any(&self, kinds: &[MessageKind], round: Round) -> BTreeSet<ProcessId> {
+        self.items
+            .iter()
+            .filter(|i| i.round() == round && kinds.contains(&i.kind()))
+            .map(super::signed::SignedCore::sender)
+            .collect()
+    }
+
     /// Distinct senders that contributed an ACK or NACK item for `round`
     /// — the CT round-progression vote set (the CT analogue of
     /// [`Certificate::rec_from`]).
     pub fn ct_votes(&self, round: Round) -> BTreeSet<ProcessId> {
-        let mut s = self.senders_of(MessageKind::Ack, round);
-        s.extend(self.senders_of(MessageKind::Nack, round));
-        s
+        self.senders_of_any(&[MessageKind::Ack, MessageKind::Nack], round)
     }
 
     /// Distinct senders that contributed a CURRENT or NEXT item for
     /// `round` — the paper's `REC_FROM_i` expressed over certificates.
     pub fn rec_from(&self, round: Round) -> BTreeSet<ProcessId> {
-        let mut s = self.senders_of(MessageKind::Current, round);
-        s.extend(self.senders_of(MessageKind::Next, round));
-        s
+        self.senders_of_any(&[MessageKind::Current, MessageKind::Next], round)
     }
 
     /// Approximate wire size: sum of item sizes.

@@ -5,8 +5,8 @@
 //! non-muteness and certification modules. [`Certified`] carries that
 //! promise in the type system: it wraps an [`Envelope`], has a private
 //! field and no public constructor, and comes into existence in exactly
-//! one place — [`CertChecker::certify`], the certification module's rule
-//! dispatch. Every replicated-state sink (the actors' admitted-message
+//! one place — [`CertChecker::certify`], the certification module's walk
+//! over its rule table. Every replicated-state sink (the actors' admitted-message
 //! handlers and round buffers, [`VectorBuilder::absorb`],
 //! [`checkpoint_vector`], the replicated log's checkpoint install) takes
 //! a `Certified`, so handing one a raw `&Envelope` is a type error.
@@ -19,7 +19,6 @@ use std::ops::Deref;
 
 use crate::analyzer::CertChecker;
 use crate::error::CertifyError;
-use crate::message::Core;
 use crate::signed::Envelope;
 
 /// An [`Envelope`] that has passed the certification module.
@@ -128,8 +127,9 @@ impl Certified<'_> {
 impl CertChecker {
     /// The certification module proper, and the only place a
     /// [`Certified`] is minted: re-verifies the signature of every
-    /// certificate item, then applies the well-formedness rule of the
-    /// envelope's kind (paper §5.1).
+    /// certificate item, then finds the row of the rule table whose send
+    /// condition the envelope satisfies ([`CertChecker::rule_for`], paper
+    /// §5.1).
     ///
     /// `certificates` is the E8 ablation bit (`Checks::certificates` in
     /// `ftm-detect`): `false` skips both steps, so the ablated stack
@@ -151,17 +151,7 @@ impl CertChecker {
     ) -> Result<Certified<'a>, CertifyError> {
         if certificates {
             self.check_cert_signatures(env)?;
-            match env.core() {
-                Core::Init { .. } => self.check_init(env),
-                Core::Current { .. } => self.check_current(env),
-                Core::Next { .. } => self.check_next(env).map(|_| ()),
-                Core::Decide { .. } => self.check_decide(env),
-                Core::Estimate { .. } => self.check_estimate(env),
-                Core::Propose { .. } => self.check_propose(env),
-                Core::Ack { .. } => self.check_ack(env),
-                Core::Nack { .. } => self.check_nack(env),
-                Core::Checkpoint { .. } => self.check_checkpoint(env),
-            }?;
+            self.rule_for(env)?;
         }
         Ok(Certified(Cow::Borrowed(env)))
     }

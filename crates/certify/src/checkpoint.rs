@@ -16,7 +16,7 @@
 //!
 //! * **soundness** — the digest is recomputable from the quorum's vector,
 //!   so a forged digest (or a digest over a different vector than the
-//!   quorum certifies) fails [`crate::CertChecker::check_checkpoint`] and
+//!   quorum certifies) fails the [`crate::rules::CHECKPOINT_RULE`] row and
 //!   convicts the sender with `bad-certificate`;
 //! * **cardinality** — fewer than `n − F` distinct matching votes is a
 //!   sub-quorum checkpoint and is rejected the same way;
@@ -29,6 +29,8 @@
 //! the simulation schedule: compacted and uncompacted runs of the same
 //! seed decide identically (enforced by `tests/fault_matrix.rs`).
 
+use std::collections::{BTreeMap, BTreeSet};
+
 use ftm_crypto::rsa::KeyPair;
 use ftm_crypto::sha256::{Digest, Sha256};
 use ftm_crypto::wire::Encoder;
@@ -36,7 +38,7 @@ use ftm_sim::ProcessId;
 
 use crate::certificate::Certificate;
 use crate::certified::Certified;
-use crate::message::{Core, MessageKind, ProtocolId, ValueVector};
+use crate::message::{Core, MessageKind, ProtocolId, Round, ValueVector};
 use crate::signed::Envelope;
 
 /// The vote kind whose quorum decides — and therefore backs a checkpoint —
@@ -66,7 +68,7 @@ pub fn checkpoint_digest(protocol: ProtocolId, slot: u64, vector: &ValueVector) 
 /// collected when the slot decided).
 ///
 /// The caller is responsible for `evidence` actually holding the quorum —
-/// [`crate::CertChecker::check_checkpoint`] is the audit on the receiving
+/// the [`crate::rules::CHECKPOINT_RULE`] row is the audit on the receiving
 /// side, and the compacted-log layer re-checks its own checkpoints before
 /// retaining them.
 pub fn make_checkpoint(
@@ -81,17 +83,33 @@ pub fn make_checkpoint(
     Envelope::make(me, Core::Checkpoint { slot, digest }, evidence, key)
 }
 
+/// The decide-votes of `cert` under `protocol`, grouped by the
+/// `(round, vector)` they vote for — distinct senders only, so a group's
+/// size is the quorum count both sides of the checkpoint rule test.
+pub(crate) fn decide_vote_groups(
+    protocol: ProtocolId,
+    cert: &Certificate,
+) -> BTreeMap<(Round, &ValueVector), BTreeSet<ProcessId>> {
+    let vote_kind = decide_vote_kind(protocol);
+    let mut groups: BTreeMap<_, BTreeSet<_>> = BTreeMap::new();
+    for item in cert.iter().filter(|item| item.kind() == vote_kind) {
+        if let Some(vector) = item.core().core.vector() {
+            let voters = groups.entry((item.round(), vector)).or_default();
+            voters.insert(item.sender());
+        }
+    }
+    groups
+}
+
 /// Recovers the decided vector a checkpoint envelope certifies: the
 /// unique vector backed by `quorum` distinct signed decide-votes whose
 /// [`checkpoint_digest`] matches the envelope's claimed digest.
 ///
-/// This is the read side of [`CertChecker::check_checkpoint`]'s rule — a
+/// This is the read side of the [`crate::rules::CHECKPOINT_RULE`] row — a
 /// replica catching up from a peer's checkpoint extracts the slot content
 /// from the quorum itself rather than trusting any unsigned field.
 /// Returns `None` for non-checkpoint envelopes or when no matching quorum
 /// exists.
-///
-/// [`CertChecker::check_checkpoint`]: crate::CertChecker::check_checkpoint
 pub fn checkpoint_vector(
     protocol: ProtocolId,
     quorum: usize,
@@ -100,22 +118,7 @@ pub fn checkpoint_vector(
     let Core::Checkpoint { slot, digest } = env.core() else {
         return None;
     };
-    let vote_kind = decide_vote_kind(protocol);
-    let mut groups: std::collections::BTreeMap<
-        (crate::message::Round, &ValueVector),
-        std::collections::BTreeSet<ProcessId>,
-    > = std::collections::BTreeMap::new();
-    for item in env.cert.iter() {
-        if item.kind() == vote_kind {
-            if let Some(vector) = item.core().core.vector() {
-                groups
-                    .entry((item.round(), vector))
-                    .or_default()
-                    .insert(item.sender());
-            }
-        }
-    }
-    groups
+    decide_vote_groups(protocol, &env.cert)
         .into_iter()
         .find(|((_, vector), senders)| {
             senders.len() >= quorum && checkpoint_digest(protocol, *slot, vector) == *digest

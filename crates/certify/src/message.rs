@@ -165,6 +165,24 @@ impl ProtocolId {
             ProtocolId::ChandraToueg => "ct",
         }
     }
+
+    /// The vote kinds whose `n − F` quorum ends a round: what a process
+    /// must have seen of round `r − 1` to be in round `r`.
+    pub fn round_ending_kinds(self) -> &'static [MessageKind] {
+        match self {
+            ProtocolId::HurfinRaynal => &[MessageKind::Next],
+            ProtocolId::ChandraToueg => &[MessageKind::Ack, MessageKind::Nack],
+        }
+    }
+
+    /// The kind with which the round coordinator — and nobody else —
+    /// opens a round's vote, thereby vouching that the round started.
+    pub fn coordinator_kind(self) -> MessageKind {
+        match self {
+            ProtocolId::HurfinRaynal => MessageKind::Current,
+            ProtocolId::ChandraToueg => MessageKind::Propose,
+        }
+    }
 }
 
 impl fmt::Display for ProtocolId {

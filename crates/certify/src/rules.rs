@@ -1,46 +1,64 @@
-//! Introspection over the certification rules the analyzer implements.
+//! The certification-rule table: the analyzer's dispatch, as data.
 //!
 //! The paper's §5 discipline is that every *conditional send* of the
 //! protocol has a certification rule letting receivers re-derive the
-//! enabling condition from the attached certificate. [`CertChecker`]
-//! implements those rules as code; this module names them as *data*, so
-//! static tooling (`ftm-verify`) can cross-check the rule set against the
-//! protocol description in `ftm_core::spec` — if a send condition is added
-//! without a rule (or a rule goes dead), the coverage diff fails instead
-//! of a simulation sweep having to stumble over the hole.
+//! enabling condition from the attached certificate. A [`RuleInfo`] *is*
+//! such a rule: its id, the kind it audits, what it re-derives — and the
+//! function that re-derives it. [`CertChecker::rule_for`] walks the rows
+//! of its protocol in table order and the first row whose send condition
+//! holds certifies the envelope, so a rule without code, or code without
+//! a rule, has no spelling: there is no second dispatch to keep in step.
 //!
-//! The list is maintained *here*, next to the analyzer, and deliberately
-//! not generated from the spec: the whole point is that two independently
-//! maintained artifacts must agree. The rule ids double as the
-//! *obligation table* of the crash→Byzantine transformation
-//! (`ftm_core::spec::transform`): the mechanical rewrite routes each crash
-//! send through the rule named here, and `ftm-verify` checks both the
-//! local bijection (coverage) and the global evidence chains the rules
-//! induce (certificate lineage).
+//! The rows double as the *obligation table* of the crash→Byzantine
+//! transformation: `ftm_core::spec::CertRoute` holds a `&'static
+//! RuleInfo`, so a send naming a rule that does not exist does not
+//! compile. What `ftm-verify`'s coverage pass still checks is what no type
+//! says: every routed rule sits in *this protocol's* table and audits the
+//! send's kind, no row is dead, and only the opening is uncertifiable.
 //!
-//! [`CertChecker`]: crate::analyzer::CertChecker
+//! [`CertChecker::rule_for`]: crate::analyzer::CertChecker::rule_for
 
+use std::fmt;
+
+use crate::analyzer::CertChecker;
+use crate::error::CertifyError;
 use crate::message::{MessageKind, ProtocolId};
+use crate::signed::Envelope;
 
-/// One certification rule of the analyzer, as checkable data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// One certification rule of the analyzer: a table row and its checker.
+///
+/// Rows exist only as the `static`s of this module (the `check` field is
+/// private), so two rules are equal exactly when they are the same row.
 pub struct RuleInfo {
-    /// Stable identifier, matched against
-    /// `ftm_core::spec::ConditionalSend::route`.
+    /// Stable identifier, the one reports and `ftm_core::spec` print.
     pub id: &'static str,
     /// The message kind whose certificates the rule audits.
     pub kind: MessageKind,
     /// What the rule re-derives from the certificate.
     pub checks: &'static str,
+    /// The rule itself: `Ok(true)` when this row's send condition holds,
+    /// `Ok(false)` for "not this rule, try the next row", `Err` for a
+    /// violation. Signatures and syntax are checked before any row runs.
+    pub(crate) check: fn(&CertChecker, &Envelope) -> Result<bool, CertifyError>,
 }
 
-/// The certification-rule table of the given transformed protocol: every
-/// rule [`CertChecker`] implements for it, in the order the analyzer's
-/// dispatch tries them.
-///
-/// Each table is maintained by hand next to the analyzer code that
-/// enforces it; `ftm-verify` diffs it against the matching
-/// `ProtocolSpec`'s conditional-send table per protocol.
+impl PartialEq for RuleInfo {
+    fn eq(&self, other: &Self) -> bool {
+        std::ptr::eq(self, other)
+    }
+}
+
+impl Eq for RuleInfo {}
+
+impl fmt::Debug for RuleInfo {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "RuleInfo({} {})", self.kind, self.id)
+    }
+}
+
+/// The certification-rule table of the given transformed protocol, in the
+/// order [`CertChecker::rule_for`] tries the rows. Rows of one kind are
+/// ordered most demanding first, and the last of them owns the reject.
 ///
 /// # Example
 ///
@@ -51,125 +69,159 @@ pub struct RuleInfo {
 ///     .iter()
 ///     .filter(|r| r.kind == MessageKind::Next)
 ///     .collect();
-/// assert_eq!(next_rules.len(), 3); // suspicion, change-mind, end-of-round
+/// assert_eq!(next_rules.len(), 3); // end-of-round, change-mind, suspicion
 /// ```
 ///
-/// [`CertChecker`]: crate::analyzer::CertChecker
-pub fn certification_rules_for(protocol: ProtocolId) -> &'static [RuleInfo] {
+/// [`CertChecker::rule_for`]: crate::analyzer::CertChecker::rule_for
+pub fn certification_rules_for(protocol: ProtocolId) -> &'static [&'static RuleInfo] {
     match protocol {
-        ProtocolId::HurfinRaynal => HR_RULES,
-        ProtocolId::ChandraToueg => CT_RULES,
+        ProtocolId::HurfinRaynal => &HR_RULES,
+        ProtocolId::ChandraToueg => &CT_RULES,
     }
 }
 
-const HR_RULES: &[RuleInfo] = &[
-    RuleInfo {
-        id: "init-empty",
-        kind: MessageKind::Init,
-        checks: "INIT carries an empty certificate (initial values are \
-                     vouched by vector certification, not certificates)",
-    },
-    RuleInfo {
-        id: "current-coordinator",
-        kind: MessageKind::Current,
-        checks: "INIT-portion witnesses the vector (≥ n−F signed INITs) \
-                     and NEXT-portion witnesses the round (≥ n−F signed \
-                     NEXT(r−1), or nothing for r = 1)",
-    },
-    RuleInfo {
-        id: "current-relay",
-        kind: MessageKind::Current,
-        checks: "certificate contains the round coordinator's own signed \
-                     CURRENT(r, vect) plus the INIT backing of vect",
-    },
-    RuleInfo {
-        id: "next-suspicion",
-        kind: MessageKind::Next,
-        checks: "no CURRENT adopted (suspicion is local and unverifiable; \
-                     structure only: absence of a CURRENT quorum claim)",
-    },
-    RuleInfo {
-        id: "next-change-mind",
-        kind: MessageKind::Next,
-        checks: "≥ 1 CURRENT seen and a quorum of round-r votes, but \
-                     neither a CURRENT quorum nor a NEXT quorum",
-    },
-    RuleInfo {
-        id: "next-end-of-round",
-        kind: MessageKind::Next,
-        checks: "a full quorum of signed NEXT(r)",
-    },
-    RuleInfo {
-        id: "decide-current-quorum",
-        kind: MessageKind::Decide,
-        checks: "≥ n−F distinct signed CURRENT(r, vect) matching the \
-                     decided vector",
-    },
+static HR_RULES: [&RuleInfo; 7] = [
+    &INIT_EMPTY,
+    &CURRENT_COORDINATOR,
+    &CURRENT_RELAY,
+    &NEXT_END_OF_ROUND,
+    &NEXT_CHANGE_MIND,
+    &NEXT_SUSPICION,
+    &DECIDE_CURRENT_QUORUM,
 ];
 
-const CT_RULES: &[RuleInfo] = &[
-    RuleInfo {
-        id: "init-empty",
-        kind: MessageKind::Init,
-        checks: "INIT carries an empty certificate (initial values are \
-                 vouched by vector certification, not certificates)",
-    },
-    RuleInfo {
-        id: "estimate-roundstart",
-        kind: MessageKind::Estimate,
-        checks: "INIT-portion witnesses the vector; a claimed adoption \
-                 timestamp ts > 0 is backed by coordinator(ts)'s signed \
-                 PROPOSE(ts, vect); round entry r > 1 is backed by ≥ n−F \
-                 signed ACK/NACK(r−1)",
-    },
-    RuleInfo {
-        id: "propose-coordinator",
-        kind: MessageKind::Propose,
-        checks: "sender is coordinator(r); ≥ n−F signed ESTIMATE(r) and \
-                 the proposed vector equals the vector of a maximum-ts \
-                 estimate in the certificate, with its INIT backing",
-    },
-    RuleInfo {
-        id: "ack-echo",
-        kind: MessageKind::Ack,
-        checks: "certificate contains the round coordinator's own signed \
-                 PROPOSE(r, vect) carrying exactly the echoed vector",
-    },
-    RuleInfo {
-        id: "nack-suspicion",
-        kind: MessageKind::Nack,
-        checks: "coordinator suspicion is local and unverifiable; \
-                 structure only: no quorum claim is made",
-    },
-    RuleInfo {
-        id: "decide-ack-quorum",
-        kind: MessageKind::Decide,
-        checks: "≥ n−F distinct signed ACK(r, vect) matching the decided \
-                 vector",
-    },
+static CT_RULES: [&RuleInfo; 6] = [
+    &INIT_EMPTY,
+    &ESTIMATE_ROUNDSTART,
+    &PROPOSE_COORDINATOR,
+    &ACK_ECHO,
+    &NACK_SUSPICION,
+    &DECIDE_ACK_QUORUM,
 ];
 
-/// The checkpoint-compaction rule, shared by both protocols: the message
-/// kind that seals a decided log slot is audited identically under HR and
-/// CT, differing only in which decide-vote kind backs the quorum (CURRENT
-/// vs ACK — see [`crate::checkpoint::decide_vote_kind`]).
-pub const CHECKPOINT_RULE: RuleInfo = RuleInfo {
-    id: "checkpoint-quorum",
-    kind: MessageKind::Checkpoint,
-    checks: "≥ n−F distinct signed decide-votes (CURRENT under HR, ACK \
-             under CT) over one round and one vector, whose vector hashes \
-             to the claimed checkpoint digest",
+/// `init-empty`, shared by both protocols.
+pub static INIT_EMPTY: RuleInfo = RuleInfo {
+    id: "init-empty",
+    kind: MessageKind::Init,
+    checks: "INIT carries an empty certificate (initial values are vouched by vector \
+             certification, not certificates)",
+    check: CertChecker::init_empty,
 };
 
-/// The rule table of `protocol` extended with the checkpoint-compaction
-/// rule — the table enforced over replicated-log runs with certificate
-/// compaction enabled. The base tables stay untouched so the transform's
-/// coverage bijection over single-shot consensus is unaffected.
-pub fn certification_rules_with_checkpoint(protocol: ProtocolId) -> Vec<RuleInfo> {
-    let mut rules = certification_rules_for(protocol).to_vec();
-    rules.push(CHECKPOINT_RULE);
-    rules
-}
+/// `current-coordinator` (HR).
+pub static CURRENT_COORDINATOR: RuleInfo = RuleInfo {
+    id: "current-coordinator",
+    kind: MessageKind::Current,
+    checks: "INIT-portion witnesses the vector (≥ n−F signed INITs) and NEXT-portion \
+             witnesses the round (≥ n−F signed NEXT(r−1), or nothing for r = 1)",
+    check: CertChecker::current_coordinator,
+};
+
+/// `current-relay` (HR).
+pub static CURRENT_RELAY: RuleInfo = RuleInfo {
+    id: "current-relay",
+    kind: MessageKind::Current,
+    checks: "certificate contains the round coordinator's own signed CURRENT(r, vect) plus \
+             the INIT backing of vect",
+    check: CertChecker::current_relay,
+};
+
+/// `next-end-of-round` (HR).
+pub static NEXT_END_OF_ROUND: RuleInfo = RuleInfo {
+    id: "next-end-of-round",
+    kind: MessageKind::Next,
+    checks: "a full quorum of signed NEXT(r)",
+    check: CertChecker::next_end_of_round,
+};
+
+/// `next-change-mind` (HR).
+pub static NEXT_CHANGE_MIND: RuleInfo = RuleInfo {
+    id: "next-change-mind",
+    kind: MessageKind::Next,
+    checks: "≥ 1 CURRENT seen and a quorum of round-r votes, but neither a CURRENT quorum \
+             nor a NEXT quorum",
+    check: CertChecker::next_change_mind,
+};
+
+/// `next-suspicion` (HR).
+pub static NEXT_SUSPICION: RuleInfo = RuleInfo {
+    id: "next-suspicion",
+    kind: MessageKind::Next,
+    checks: "no CURRENT adopted (suspicion is local and unverifiable; structure only: \
+             absence of a CURRENT quorum claim)",
+    check: CertChecker::next_suspicion,
+};
+
+/// `decide-current-quorum` (HR).
+pub static DECIDE_CURRENT_QUORUM: RuleInfo = RuleInfo {
+    id: "decide-current-quorum",
+    kind: MessageKind::Decide,
+    checks: "≥ n−F distinct signed CURRENT(r, vect) matching the decided vector",
+    check: CertChecker::decide_current_quorum,
+};
+
+/// `estimate-roundstart` (CT).
+pub static ESTIMATE_ROUNDSTART: RuleInfo = RuleInfo {
+    id: "estimate-roundstart",
+    kind: MessageKind::Estimate,
+    checks: "INIT-portion witnesses the vector; a claimed adoption timestamp ts > 0 is \
+             backed by coordinator(ts)'s signed PROPOSE(ts, vect); round entry r > 1 is \
+             backed by ≥ n−F signed ACK/NACK(r−1)",
+    check: CertChecker::estimate_roundstart,
+};
+
+/// `propose-coordinator` (CT).
+pub static PROPOSE_COORDINATOR: RuleInfo = RuleInfo {
+    id: "propose-coordinator",
+    kind: MessageKind::Propose,
+    checks: "sender is coordinator(r); ≥ n−F signed ESTIMATE(r) and the proposed vector \
+             equals the vector of a maximum-ts estimate in the certificate, with its INIT \
+             backing",
+    check: CertChecker::propose_coordinator,
+};
+
+/// `ack-echo` (CT).
+pub static ACK_ECHO: RuleInfo = RuleInfo {
+    id: "ack-echo",
+    kind: MessageKind::Ack,
+    checks: "certificate contains the round coordinator's own signed PROPOSE(r, vect) \
+             carrying exactly the echoed vector",
+    check: CertChecker::ack_echo,
+};
+
+/// `nack-suspicion` (CT).
+pub static NACK_SUSPICION: RuleInfo = RuleInfo {
+    id: "nack-suspicion",
+    kind: MessageKind::Nack,
+    checks: "coordinator suspicion is local and unverifiable; structure only: no quorum \
+             claim is made",
+    check: CertChecker::nack_suspicion,
+};
+
+/// `decide-ack-quorum` (CT).
+pub static DECIDE_ACK_QUORUM: RuleInfo = RuleInfo {
+    id: "decide-ack-quorum",
+    kind: MessageKind::Decide,
+    checks: "≥ n−F distinct signed ACK(r, vect) matching the decided vector",
+    check: CertChecker::decide_ack_quorum,
+};
+
+/// The checkpoint-compaction rule, a row of both protocols' tables: the
+/// message kind that seals a decided log slot is audited identically under
+/// HR and CT, differing only in which decide-vote kind backs the quorum
+/// (CURRENT vs ACK — see [`crate::checkpoint::decide_vote_kind`]). It is
+/// kept out of [`certification_rules_for`] because single-shot consensus
+/// has no send for it; [`CertChecker::rule_for`] tries it after the
+/// protocol's own rows.
+///
+/// [`CertChecker::rule_for`]: crate::analyzer::CertChecker::rule_for
+pub static CHECKPOINT_RULE: RuleInfo = RuleInfo {
+    id: "checkpoint-quorum",
+    kind: MessageKind::Checkpoint,
+    checks: "≥ n−F distinct signed decide-votes (CURRENT under HR, ACK under CT) over one \
+             round and one vector, whose vector hashes to the claimed checkpoint digest",
+    check: CertChecker::checkpoint_quorum,
+};
 
 #[cfg(test)]
 mod tests {
@@ -179,60 +231,12 @@ mod tests {
     fn rule_ids_are_unique() {
         for protocol in ProtocolId::all() {
             let rules = certification_rules_for(protocol);
-            let ids: std::collections::BTreeSet<&str> = rules.iter().map(|r| r.id).collect();
-            assert_eq!(ids.len(), rules.len(), "{protocol}");
-        }
-    }
-
-    #[test]
-    fn ct_table_covers_its_wire_kinds() {
-        let rules = certification_rules_for(ProtocolId::ChandraToueg);
-        for kind in [
-            MessageKind::Init,
-            MessageKind::Estimate,
-            MessageKind::Propose,
-            MessageKind::Ack,
-            MessageKind::Nack,
-            MessageKind::Decide,
-        ] {
-            assert!(
-                rules.iter().any(|r| r.kind == kind),
-                "{kind} has no CT certification rule"
-            );
-        }
-        assert_eq!(rules.len(), 6);
-    }
-
-    #[test]
-    fn hr_table_covers_its_wire_kinds() {
-        let rules = certification_rules_for(ProtocolId::HurfinRaynal);
-        for kind in [
-            MessageKind::Init,
-            MessageKind::Current,
-            MessageKind::Next,
-            MessageKind::Decide,
-        ] {
-            assert!(
-                rules.iter().any(|r| r.kind == kind),
-                "{kind} has no HR certification rule"
-            );
-        }
-        // One NEXT rule per `NextTrigger` variant: the analyzer's
-        // classification and the rule table must not drift apart.
-        let next = rules.iter().filter(|r| r.kind == MessageKind::Next);
-        assert_eq!(next.count(), 3);
-    }
-
-    #[test]
-    fn checkpoint_table_extends_without_disturbing_the_base() {
-        for protocol in ProtocolId::all() {
-            let base = certification_rules_for(protocol);
-            let extended = certification_rules_with_checkpoint(protocol);
-            assert_eq!(extended.len(), base.len() + 1, "{protocol}");
-            assert_eq!(&extended[..base.len()], base, "{protocol}");
-            assert_eq!(extended.last(), Some(&CHECKPOINT_RULE), "{protocol}");
-            let ids: std::collections::BTreeSet<&str> = extended.iter().map(|r| r.id).collect();
-            assert_eq!(ids.len(), extended.len(), "{protocol}");
+            let ids: std::collections::BTreeSet<&str> = rules
+                .iter()
+                .chain([&&CHECKPOINT_RULE])
+                .map(|r| r.id)
+                .collect();
+            assert_eq!(ids.len(), rules.len() + 1, "{protocol}");
         }
     }
 }

@@ -24,45 +24,52 @@
 //! *is* that application — Fig. 3's send table is computed from the crash
 //! rows, [`OBLIGATIONS`] and [`VOCABULARY`], never written a second time.
 
+use ftm_certify::rules::{self, RuleInfo};
 use ftm_certify::{MessageKind, ProtocolId, Round};
 use ftm_detect::ProtocolTable;
 
 /// How a conditional send is audited by the certification module.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CertRoute {
-    /// The send's enabling condition is certifiable: the named
-    /// `ftm-certify` rule re-derives it from the attached certificate.
-    Rule(&'static str),
+    /// The send's enabling condition is certifiable: the `ftm-certify`
+    /// rule — held by value, a row of the analyzer's dispatch table —
+    /// re-derives it from the attached certificate.
+    Rule(&'static RuleInfo),
     /// The value itself cannot be certified (nobody can audit what a
     /// process's initial value "should" be); the round-0 vector
-    /// certification phase bounds the damage instead. The named rule
-    /// still audits the send's *structure*.
-    VectorCertification(&'static str),
+    /// certification phase bounds the damage instead. The rule still
+    /// audits the send's *structure*.
+    VectorCertification(&'static RuleInfo),
     /// No audit at all: the receiver trusts the sender. This is the crash
     /// model's discipline — benign processes never lie, so every send of
     /// an un-transformed spec is routed here. The transformation replaces
     /// every `Trusted` route with a certified one.
     Trusted,
     /// The send *compacts* prior evidence instead of citing it onward: the
-    /// named rule re-derives a quorum-signed digest of a decided slot from
+    /// rule re-derives a quorum-signed digest of a decided slot from
     /// the attached decide-vote quorum. Like [`CertRoute::Rule`], the
     /// condition is fully certifiable — but in the lineage analysis the
     /// send is a new *justification root*: once a checkpoint stands, the
     /// per-round certificate prefix behind it may be discarded, so nothing
     /// downstream cites it and the chain legitimately ends here.
-    CheckpointRoot(&'static str),
+    CheckpointRoot(&'static RuleInfo),
 }
 
 impl CertRoute {
-    /// The id of the `ftm-certify` rule auditing this send, if any
-    /// (`Trusted` routes are audited by nobody).
-    pub fn rule_id(&self) -> Option<&'static str> {
+    /// The `ftm-certify` rule auditing this send, if any (`Trusted`
+    /// routes are audited by nobody).
+    pub fn rule(&self) -> Option<&'static RuleInfo> {
         match self {
-            CertRoute::Rule(id)
-            | CertRoute::VectorCertification(id)
-            | CertRoute::CheckpointRoot(id) => Some(id),
+            CertRoute::Rule(rule)
+            | CertRoute::VectorCertification(rule)
+            | CertRoute::CheckpointRoot(rule) => Some(rule),
             CertRoute::Trusted => None,
         }
+    }
+
+    /// The id of that rule, for reports.
+    pub fn rule_id(&self) -> Option<&'static str> {
+        self.rule().map(|rule| rule.id)
     }
 
     /// `true` when the enabling condition itself is certifiable.
@@ -189,10 +196,11 @@ pub struct ProtocolSpec {
     /// `protocol`.
     pub table: ProtocolTable,
     /// The conditional-send table. Once transformed this is the §5
-    /// obligation table: `ftm-verify` checks that each route's rule exists
-    /// in `ftm-certify` (same kind, no dead rules) and that the *only* send
-    /// whose condition is uncertifiable is the initial-value broadcast,
-    /// routed through vector certification.
+    /// obligation table: each route holds its `ftm-certify` rule, and
+    /// `ftm-verify` checks that the rule is a row of this protocol's table
+    /// (same kind, no dead rows) and that the *only* send whose condition
+    /// is uncertifiable is the initial-value broadcast, routed through
+    /// vector certification.
     pub sends: Vec<ConditionalSend>,
 }
 
@@ -401,7 +409,7 @@ impl ProtocolSpec {
             condition: "a log slot decided locally: compact its decide-vote quorum \
                         into a signed checkpoint digest"
                 .into(),
-            route: CertRoute::CheckpointRoot("checkpoint-quorum"),
+            route: CertRoute::CheckpointRoot(&rules::CHECKPOINT_RULE),
             carries_value: true,
             justified_by: vec![Justification::same("decide-announce")],
         });
@@ -417,30 +425,32 @@ impl ProtocolSpec {
 /// The §5 certification-obligation table of the transformation: which
 /// `ftm-certify` rule each crash-model send is routed through. The paper
 /// is explicit that certificate *design* is protocol-specific — this table
-/// is that design, and [`transform`] is its mechanical application.
-pub const OBLIGATIONS: &[(&str, &str)] = &[
-    ("current-coordinator", "current-coordinator"),
-    ("current-relay", "current-relay"),
-    ("next-suspicion", "next-suspicion"),
-    ("next-change-mind", "next-change-mind"),
-    ("next-end-of-round", "next-end-of-round"),
-    ("decide-announce", "decide-current-quorum"),
+/// is that design, and [`transform`] is its mechanical application. A rule
+/// is named by value, so an obligation to a rule that does not exist does
+/// not compile.
+pub static OBLIGATIONS: &[(&str, &RuleInfo)] = &[
+    ("current-coordinator", &rules::CURRENT_COORDINATOR),
+    ("current-relay", &rules::CURRENT_RELAY),
+    ("next-suspicion", &rules::NEXT_SUSPICION),
+    ("next-change-mind", &rules::NEXT_CHANGE_MIND),
+    ("next-end-of-round", &rules::NEXT_END_OF_ROUND),
+    ("decide-announce", &rules::DECIDE_CURRENT_QUORUM),
 ];
 
 /// The §5 certification-obligation table for Chandra–Toueg: same shape as
 /// [`OBLIGATIONS`], different certificate design — the `ack-echo` rule
 /// demands the coordinator's *own* signed `PROPOSE` (a one-hop echo) where
 /// HR's relay rule re-derives the quorum at every hop.
-pub const OBLIGATIONS_CT: &[(&str, &str)] = &[
-    ("estimate-roundstart", "estimate-roundstart"),
-    ("propose-coordinator", "propose-coordinator"),
-    ("ack-echo", "ack-echo"),
-    ("nack-suspicion", "nack-suspicion"),
-    ("decide-announce", "decide-ack-quorum"),
+pub static OBLIGATIONS_CT: &[(&str, &RuleInfo)] = &[
+    ("estimate-roundstart", &rules::ESTIMATE_ROUNDSTART),
+    ("propose-coordinator", &rules::PROPOSE_COORDINATOR),
+    ("ack-echo", &rules::ACK_ECHO),
+    ("nack-suspicion", &rules::NACK_SUSPICION),
+    ("decide-announce", &rules::DECIDE_ACK_QUORUM),
 ];
 
 /// The obligation table for `protocol`.
-pub fn obligations_for(protocol: ProtocolId) -> &'static [(&'static str, &'static str)] {
+pub fn obligations_for(protocol: ProtocolId) -> &'static [(&'static str, &'static RuleInfo)] {
     match protocol {
         ProtocolId::HurfinRaynal => OBLIGATIONS,
         ProtocolId::ChandraToueg => OBLIGATIONS_CT,
@@ -505,7 +515,7 @@ pub fn transform(spec: &ProtocolSpec) -> ProtocolSpec {
         id: "init-broadcast",
         kind: MessageKind::Init,
         condition: "protocol start: broadcast the signed initial value".into(),
-        route: CertRoute::VectorCertification("init-empty"),
+        route: CertRoute::VectorCertification(&rules::INIT_EMPTY),
         carries_value: true,
         justified_by: vec![],
     }];

@@ -939,4 +939,20 @@ mod tests {
             ]
         );
     }
+
+    #[test]
+    fn the_wire_alphabet_is_the_kinds_the_rule_table_audits() {
+        use std::collections::BTreeSet;
+        for p in ProtocolId::all() {
+            let sent: BTreeSet<MessageKind> = ProtocolTable::for_protocol(p)
+                .alphabet()
+                .into_iter()
+                .collect();
+            let audited: BTreeSet<MessageKind> = ftm_certify::rules::certification_rules_for(p)
+                .iter()
+                .map(|rule| rule.kind)
+                .collect();
+            assert_eq!(sent, audited, "{p}");
+        }
+    }
 }

@@ -8,16 +8,18 @@
 //! claimed transition).
 
 use ftm_certify::analyzer::CertChecker;
-use ftm_certify::{CertifyError, Envelope, FaultClass, MessageKind, ProtocolId, Round};
+use ftm_certify::{CertifyError, Envelope, FaultClass, Round};
 
 /// Checks that an envelope justifies the peer *entering* `round`.
 ///
 /// A correct process's first message of round `r > 1` can prove its round
-/// entry in one of three protocol-specific ways. Under Hurfin–Raynal:
+/// entry in one of three ways, each over per-protocol kinds
+/// ([`ProtocolId::round_ending_kinds`], [`ProtocolId::coordinator_kind`]).
+/// Under Hurfin–Raynal:
 ///
 /// 1. a NEXT-portion of `n−F` signed `NEXT(r−1)` (it saw the previous
 ///    round end — coordinators must use this form, enforced separately by
-///    [`CertChecker::check_current`]);
+///    the `current-coordinator` certification rule);
 /// 2. the round-`r` coordinator's own signed `CURRENT(r)` (the coordinator
 ///    vouches for the round — the relayed-CURRENT case);
 /// 3. a full quorum of `NEXT(r)` items (others are already leaving `r`,
@@ -30,58 +32,32 @@ use ftm_certify::{CertifyError, Envelope, FaultClass, MessageKind, ProtocolId, R
 /// # Errors
 ///
 /// Returns a [`FaultClass::BadCertificate`] error when none applies.
+///
+/// [`ProtocolId::round_ending_kinds`]: ftm_certify::ProtocolId::round_ending_kinds
+/// [`ProtocolId::coordinator_kind`]: ftm_certify::ProtocolId::coordinator_kind
 pub fn round_entry_justified(
     checker: &CertChecker,
     env: &Envelope,
     round: Round,
 ) -> Result<(), CertifyError> {
-    if round <= 1 {
+    // (1) n−F round-ending votes of round−1 (nothing for round 1).
+    if checker
+        .round_entry_well_formed(&env.cert, round, env.sender())
+        .is_ok()
+    {
         return Ok(());
     }
+    let protocol = checker.protocol();
+    // (2) the coordinator's own signed vote for this round.
     let coord = checker.coordinator(round);
-    match checker.protocol() {
-        ProtocolId::HurfinRaynal => {
-            // (1) n−F NEXT(round−1).
-            if checker
-                .next_portion_well_formed(&env.cert, round, env.sender())
-                .is_ok()
-            {
-                return Ok(());
-            }
-            // (2) the coordinator's signed CURRENT for this round.
-            let coord_current = env
-                .cert
-                .iter_kind_round(MessageKind::Current, round)
-                .any(|i| i.sender() == coord);
-            if coord_current {
-                return Ok(());
-            }
-            // (3) a NEXT(round) quorum.
-            if env.cert.count(MessageKind::Next, round) >= checker.quorum() {
-                return Ok(());
-            }
-        }
-        ProtocolId::ChandraToueg => {
-            // (1) n−F ACK/NACK(round−1).
-            if checker
-                .ct_round_entry_well_formed(&env.cert, round, env.sender())
-                .is_ok()
-            {
-                return Ok(());
-            }
-            // (2) the coordinator's signed PROPOSE for this round.
-            let coord_propose = env
-                .cert
-                .iter_kind_round(MessageKind::Propose, round)
-                .any(|i| i.sender() == coord);
-            if coord_propose {
-                return Ok(());
-            }
-            // (3) an ACK/NACK(round) quorum.
-            if env.cert.ct_votes(round).len() >= checker.quorum() {
-                return Ok(());
-            }
-        }
+    let mut coord_votes = env.cert.iter_kind_round(protocol.coordinator_kind(), round);
+    if coord_votes.any(|i| i.sender() == coord) {
+        return Ok(());
+    }
+    // (3) a quorum of round-ending votes of this round.
+    let ending = protocol.round_ending_kinds();
+    if env.cert.senders_of_any(ending, round).len() >= checker.quorum() {
+        return Ok(());
     }
     Err(CertifyError::new(
         env.sender(),

@@ -20,9 +20,11 @@
 //!    the generator also emits, and proves every other one is convicted
 //!    (acceptor ∌ any divergent neighbour), reporting the kill matrix.
 //! 3. **Certificate-rule coverage** ([`coverage`]) — §5's obligation
-//!    table: every conditional send in the spec is audited by a matching
-//!    rule in `ftm-certify`, no rule is dead, and the only uncertifiable
-//!    sends are initial values routed through vector certification.
+//!    table: a send holds its `ftm-certify` rule by value, so what is
+//!    checked is that the rule sits in that protocol's table and audits
+//!    the send's kind, that no rule is dead, and that the only
+//!    uncertifiable sends are initial values routed through vector
+//!    certification.
 //! 4. **Certificate-lineage flow** ([`lineage`]) — the global side of the
 //!    same obligation: the justification graph over the send table has no
 //!    dangling evidence, no dead route, no same-round cycle, and every

@@ -23,19 +23,15 @@ pub enum SpecPerturbation {
     /// Add a same-round back edge closing a justification cycle —
     /// [`crate::lineage`] must report the cycle.
     CyclicRoute,
-    /// Re-route a certified send to a rule the analyzer does not have —
-    /// [`crate::coverage`] must report the uncovered send.
-    MissingRule,
 }
 
 impl SpecPerturbation {
     /// All perturbations, in report order.
-    pub fn all() -> [SpecPerturbation; 4] {
+    pub fn all() -> [SpecPerturbation; 3] {
         [
             SpecPerturbation::DropRoute,
             SpecPerturbation::OrphanSend,
             SpecPerturbation::CyclicRoute,
-            SpecPerturbation::MissingRule,
         ]
     }
 
@@ -45,7 +41,6 @@ impl SpecPerturbation {
             SpecPerturbation::DropRoute => "drop-route",
             SpecPerturbation::OrphanSend => "orphan-send",
             SpecPerturbation::CyclicRoute => "cyclic-route",
-            SpecPerturbation::MissingRule => "missing-rule",
         }
     }
 
@@ -125,18 +120,6 @@ impl SpecPerturbation {
                     "added same-round back edge `{}` -> `{}`",
                     justified_id, spec.sends[justifier_idx].id
                 )
-            }
-            SpecPerturbation::MissingRule => {
-                let candidates: Vec<usize> = spec
-                    .sends
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, s)| matches!(s.route, CertRoute::Rule(_)))
-                    .map(|(i, _)| i)
-                    .collect();
-                let i = candidates[pick(&mut rng, candidates.len())];
-                spec.sends[i].route = CertRoute::Rule("no-such-rule");
-                format!("re-routed `{}` to a missing rule", spec.sends[i].id)
             }
         }
     }
