@@ -872,6 +872,45 @@ mod tests {
         }
     }
 
+    /// What licenses the length and digest cached in a [`SignedCore`]:
+    /// for every kind, built or decoded, they are what re-encoding says.
+    #[test]
+    fn cached_size_and_digest_are_the_re_encoded_ones_for_every_kind() {
+        use ftm_sim::Payload;
+
+        fn check(env: &Envelope) {
+            for sc in std::iter::once(&env.signed).chain(env.cert.iter()) {
+                let core_len = sc.core().canonical_bytes().len();
+                assert_eq!(sc.size_bytes(), core_len + sc.signature_bytes().len());
+                assert_eq!(sc.digest(), sc.core().canonical_digest());
+            }
+            let split = env.layer_split();
+            assert_eq!(split.total(), env.size_bytes());
+            assert_eq!(
+                split.protocol_bytes,
+                env.signed.core().canonical_bytes().len()
+            );
+            assert_eq!(split.signature_bytes, env.signed.signature_bytes().len());
+            let members: usize = env.cert.iter().map(SignedCore::size_bytes).sum();
+            assert_eq!(split.certificate_bytes, members);
+        }
+
+        let mut kinds = BTreeSet::new();
+        for f in [fixture(), ct_fixture()] {
+            let own = certification_rules_for(f.checker.protocol());
+            for rule in own.iter().copied().chain([&CHECKPOINT_RULE]) {
+                let env = witness(&f, rule);
+                check(&env);
+                let back = Envelope::from_bytes(&env.to_bytes()).expect("round trip");
+                check(&back);
+                assert_eq!(back.size_bytes(), env.size_bytes(), "{rule:?}");
+                assert_eq!(back.layer_split(), env.layer_split(), "{rule:?}");
+                kinds.insert(env.kind());
+            }
+        }
+        assert_eq!(kinds.len(), 9, "a Core kind has no witness: {kinds:?}");
+    }
+
     #[test]
     fn a_kind_outside_the_protocols_table_is_never_certified() {
         // Each checker is shown the other protocol's witnesses — well-formed

@@ -12,13 +12,15 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use ftm_crypto::sha256::Digest;
 use ftm_sim::ProcessId;
 
 use crate::message::{MessageKind, Round, ValueVector};
 use crate::signed::SignedCore;
 
 /// An insertion-ordered, deduplicated set of signed cores.
+///
+/// A certificate holds at most a couple of votes per process (≤ 2n
+/// members), so membership is a linear scan over the members' digests.
 ///
 /// # Example
 ///
@@ -38,7 +40,6 @@ use crate::signed::SignedCore;
 #[derive(Clone, Default, PartialEq)]
 pub struct Certificate {
     items: Vec<SignedCore>,
-    seen: BTreeSet<Digest>,
 }
 
 impl Certificate {
@@ -58,12 +59,11 @@ impl Certificate {
 
     /// Inserts one signed core; returns `true` if it was new.
     pub fn insert(&mut self, item: SignedCore) -> bool {
-        if self.seen.insert(item.digest()) {
+        let new = !self.items.contains(&item);
+        if new {
             self.items.push(item);
-            true
-        } else {
-            false
         }
+        new
     }
 
     /// Set-union with another certificate (used when a send is justified by
@@ -231,6 +231,39 @@ mod tests {
         assert!(!c1.insert(a.clone()));
         let c2 = Certificate::from_items([a, b]);
         assert_eq!(c1.union(&c2).len(), 2);
+    }
+
+    /// What the digest index next to the member list used to guarantee,
+    /// now that the list is the only collection.
+    #[test]
+    fn the_member_list_alone_keeps_dedup_order_and_equality() {
+        let ks = keys();
+        let a = signed(0, Core::Init { value: 5 }, &ks);
+        let b = signed(1, Core::Next { round: 1 }, &ks);
+        let c = signed(2, Core::Init { value: 7 }, &ks);
+        let digests = |cert: &Certificate| cert.iter().map(SignedCore::digest).collect::<Vec<_>>();
+
+        // A second signing of the same statement is the same member.
+        let mut cert = Certificate::from_items([b.clone(), a.clone()]);
+        assert!(!cert.insert(signed(0, Core::Init { value: 5 }, &ks)));
+        assert!(!cert.insert(b.clone()));
+        assert_eq!(cert.len(), 2);
+
+        // Union: the left side's order, then the right side's new members
+        // in theirs; `init_portion` filters without reordering.
+        let union = cert.union(&Certificate::from_items([c.clone(), a.clone()]));
+        assert_eq!(digests(&union), [b.digest(), a.digest(), c.digest()]);
+        assert_eq!(digests(&union.init_portion()), [a.digest(), c.digest()]);
+
+        // Equality is by members in order, duplicates not counted.
+        let ab = Certificate::from_items([a.clone(), b.clone()]);
+        assert_eq!(
+            ab,
+            Certificate::from_items([a.clone(), b.clone(), a.clone()])
+        );
+        assert_ne!(ab, Certificate::from_items([b.clone(), a.clone()]));
+        assert_ne!(ab, Certificate::from_items([a]));
+        assert_ne!(ab, union);
     }
 
     #[test]

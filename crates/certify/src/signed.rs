@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use ftm_crypto::keydir::KeyDirectory;
 use ftm_crypto::rsa::{KeyPair, Signature};
-use ftm_crypto::sha256::Digest;
+use ftm_crypto::sha256::{Digest, Sha256};
 use ftm_crypto::wire::{CanonicalDecode, CanonicalEncode, DecodeError, Decoder, Encoder};
 use ftm_sim::{LayerSplit, Payload, ProcessId};
 
@@ -15,8 +15,10 @@ use crate::message::{Core, MessageCore, MessageKind, Round};
 
 /// A message core plus the sender's signature over its canonical bytes.
 ///
-/// Cores are shared (`Arc`) because certificates reference the same signed
-/// statements many times across a run.
+/// One shared allocation: certificates reference the same signed statement
+/// many times across a run, so a clone is a reference-count bump, and what
+/// is fixed once the core is signed or decoded — its digest and its
+/// canonical length — is computed then, from one encode, and never again.
 ///
 /// # Example
 ///
@@ -31,63 +33,71 @@ use crate::message::{Core, MessageCore, MessageKind, Round};
 /// assert!(sc.verify(&dir).is_ok());
 /// ```
 #[derive(Clone)]
-pub struct SignedCore {
-    core: Arc<MessageCore>,
+pub struct SignedCore(Arc<Sealed>);
+
+struct Sealed {
+    core: MessageCore,
     signature: Signature,
+    /// SHA-256 of the canonical core bytes.
     digest: Digest,
+    /// Length of the canonical core bytes, from the encode that fed
+    /// `digest`.
+    core_len: usize,
 }
 
 impl SignedCore {
+    /// Encodes `core` once for both its digest and its length; `sign`
+    /// turns the digest into the signature to attach.
+    fn seal(core: MessageCore, sign: impl FnOnce(&Digest) -> Signature) -> Self {
+        let bytes = core.canonical_bytes();
+        let digest = Sha256::digest(&bytes);
+        SignedCore(Arc::new(Sealed {
+            signature: sign(&digest),
+            core,
+            digest,
+            core_len: bytes.len(),
+        }))
+    }
+
     /// Signs `core` with `keys` (which should be the sender's key pair —
     /// fault injectors deliberately violate this).
     pub fn sign(core: MessageCore, keys: &KeyPair) -> Self {
-        let digest = core.canonical_digest();
-        let signature = keys.sign_digest(&digest);
-        SignedCore {
-            core: Arc::new(core),
-            signature,
-            digest,
-        }
+        Self::seal(core, |digest| keys.sign_digest(digest))
     }
 
     /// Assembles a signed core from parts (used by forgery injectors).
     pub fn from_parts(core: MessageCore, signature: Signature) -> Self {
-        let digest = core.canonical_digest();
-        SignedCore {
-            core: Arc::new(core),
-            signature,
-            digest,
-        }
+        Self::seal(core, |_| signature)
     }
 
     /// The signed statement.
     pub fn core(&self) -> &MessageCore {
-        &self.core
+        &self.0.core
     }
 
     /// The claimed sender.
     pub fn sender(&self) -> ProcessId {
-        self.core.sender
+        self.0.core.sender
     }
 
     /// Kind shorthand.
     pub fn kind(&self) -> MessageKind {
-        self.core.core.kind()
+        self.0.core.core.kind()
     }
 
     /// Round shorthand.
     pub fn round(&self) -> Round {
-        self.core.core.round()
+        self.0.core.core.round()
     }
 
     /// Digest of the canonical core bytes (identity for dedup).
     pub fn digest(&self) -> Digest {
-        self.digest
+        self.0.digest
     }
 
     /// Raw signature bytes (wire accounting, forensics and fuzz tests).
     pub fn signature_bytes(&self) -> Vec<u8> {
-        self.signature.to_bytes()
+        self.0.signature.to_bytes()
     }
 
     /// Verifies the signature against the claimed sender's directory key.
@@ -97,10 +107,10 @@ impl SignedCore {
     /// Returns a [`CertifyError`] with class
     /// [`FaultClass::BadSignature`] naming the claimed sender.
     pub fn verify(&self, dir: &KeyDirectory) -> Result<(), CertifyError> {
-        dir.verify_digest(self.core.sender.0, &self.digest, &self.signature)
+        dir.verify_digest(self.sender().0, &self.0.digest, &self.0.signature)
             .map_err(|_| {
                 CertifyError::new(
-                    self.core.sender,
+                    self.sender(),
                     FaultClass::BadSignature,
                     "core signature does not verify for claimed sender",
                 )
@@ -109,14 +119,14 @@ impl SignedCore {
 
     /// On-the-wire size: canonical core bytes plus signature bytes.
     pub fn size_bytes(&self) -> usize {
-        self.core.canonical_bytes().len() + self.signature.size_bytes()
+        self.0.core_len + self.0.signature.size_bytes()
     }
 }
 
 impl CanonicalEncode for SignedCore {
     fn encode(&self, enc: &mut Encoder) {
-        enc.nested(&*self.core);
-        enc.bytes(&self.signature.to_bytes());
+        enc.nested(&self.0.core);
+        enc.bytes(&self.0.signature.to_bytes());
     }
 }
 
@@ -130,7 +140,7 @@ impl CanonicalDecode for SignedCore {
 
 impl fmt::Debug for SignedCore {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Signed⟨{} {}⟩", self.core.sender, self.core.label())
+        write!(f, "Signed⟨{} {}⟩", self.sender(), self.0.core.label())
     }
 }
 
@@ -139,7 +149,7 @@ impl PartialEq for SignedCore {
         // Signed statements are equal when the statement is: RSA signatures
         // here are deterministic, and a second valid signature over the
         // same core carries no extra information.
-        self.digest == other.digest
+        Arc::ptr_eq(&self.0, &other.0) || self.0.digest == other.0.digest
     }
 }
 impl Eq for SignedCore {}
@@ -157,9 +167,8 @@ pub struct Envelope {
 impl CanonicalEncode for Envelope {
     fn encode(&self, enc: &mut Encoder) {
         enc.nested(&self.signed);
-        let items: Vec<&SignedCore> = self.cert.iter().collect();
-        enc.u32(items.len() as u32);
-        for item in items {
+        enc.u32(self.cert.len() as u32);
+        for item in self.cert.iter() {
             item.encode(enc);
         }
     }
@@ -252,12 +261,10 @@ impl Payload for Envelope {
         // the certification layer's carried evidence (certificate items,
         // cores *and* their signatures — the evidence only exists because
         // of certification).
-        let signature_bytes = self.signed.signature.size_bytes();
-        let certificate_bytes = self.cert.size_bytes();
         LayerSplit {
-            signature_bytes,
-            certificate_bytes,
-            protocol_bytes: self.size_bytes() - signature_bytes - certificate_bytes,
+            signature_bytes: self.signed.0.signature.size_bytes(),
+            certificate_bytes: self.cert.size_bytes(),
+            protocol_bytes: self.signed.0.core_len,
         }
     }
 }
@@ -302,7 +309,7 @@ mod tests {
         // Re-assemble with a different value but the old signature.
         let tampered = SignedCore::from_parts(
             MessageCore::new(ProcessId(0), Core::Init { value: 6 }),
-            honest.signature.clone(),
+            honest.0.signature.clone(),
         );
         assert!(tampered.verify(&dir).is_err());
     }

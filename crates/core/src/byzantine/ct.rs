@@ -145,15 +145,14 @@ impl ChandraToueg {
     /// has reached a quorum of distinct ack senders.
     fn ack_quorum(&self, sh: &Shell<'_, '_, CtSend>) -> Option<(ValueVector, Certificate)> {
         let acks = || self.vote_cert.iter_kind_round(MessageKind::Ack, sh.round());
+        if acks().count() < sh.quorum() {
+            return None; // fewer ACK items than a quorum of senders needs
+        }
         for vector in acks().filter_map(|i| i.core().core.vector()) {
-            let matching = Certificate::from_items(
-                acks()
-                    .filter(|i| i.core().core.vector() == Some(vector))
-                    .cloned(),
-            );
-            let senders: BTreeSet<ProcessId> = matching.iter().map(SignedCore::sender).collect();
+            let matching = || acks().filter(|i| i.core().core.vector() == Some(vector));
+            let senders: BTreeSet<ProcessId> = matching().map(SignedCore::sender).collect();
             if senders.len() >= sh.quorum() {
-                return Some((vector.clone(), matching));
+                return Some((vector.clone(), matching().cloned().collect()));
             }
         }
         None

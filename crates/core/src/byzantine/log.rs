@@ -130,7 +130,8 @@ pub struct ReplicatedLog<P: TransformedProtocol = ByzantineConsensus> {
     buffered: Vec<(ProcessId, SlotMsg)>,
     done: bool,
     retention: Retention,
-    /// Per-slot decide-vote certificates ([`Retention::Full`] only).
+    /// Per-slot decide-vote certificates ([`Retention::Full`] only), in
+    /// slot order: `retain` appends as slots seal.
     evidence: Vec<(u64, Certificate)>,
     /// Running `size_bytes` total of `evidence`, kept by `retain` so the
     /// per-slot note does not re-sum every retained slot.
@@ -508,9 +509,10 @@ impl<P: TransformedProtocol> ReplicatedLog<P> {
         let hi = self.current.min(stale_slot.saturating_add(window));
         let mut sent = 0u64;
         for k in stale_slot..hi {
-            let Some((_, cert)) = self.evidence.iter().find(|(s, _)| *s == k) else {
+            let Ok(at) = self.evidence.binary_search_by_key(&k, |(s, _)| *s) else {
                 continue;
             };
+            let cert = &self.evidence[at].1;
             let Some(vector) = self.log.get(k as usize) else {
                 continue;
             };
@@ -986,15 +988,26 @@ mod tests {
             Certificate::from_items([init]),
             &setup.keys[0],
         );
-        let msg = SlotMsg { slot: 3, env };
-        let split = msg.layer_split();
-        assert_eq!(split.total(), msg.size_bytes());
-        assert_eq!(split.certificate_bytes, msg.env.cert.size_bytes());
-        assert!(split.certificate_bytes > 0 && split.signature_bytes > 0);
-        assert_eq!(
-            split.protocol_bytes,
-            8 + msg.env.layer_split().protocol_bytes
-        );
+        for msg in [
+            SlotMsg { slot: 3, env },
+            synthetic_checkpoint(&setup, 3, ProcessId(0)),
+        ] {
+            let split = msg.layer_split();
+            assert_eq!(split.total(), msg.size_bytes());
+            assert_eq!(split.certificate_bytes, msg.env.cert.size_bytes());
+            assert!(split.certificate_bytes > 0 && split.signature_bytes > 0);
+            assert_eq!(
+                split.protocol_bytes,
+                8 + msg.env.signed.core().canonical_bytes().len()
+            );
+            // A decoded message measures like the one that was sent.
+            let back = SlotMsg::from_canonical_bytes(&msg.canonical_bytes()).expect("round trip");
+            assert_eq!(back, msg);
+            assert_eq!(
+                (back.size_bytes(), back.layer_split()),
+                (msg.size_bytes(), split)
+            );
+        }
     }
 
     #[test]
@@ -1101,6 +1114,53 @@ mod tests {
         assert_eq!(ctx.take_staged_sends().len(), 0, "repeats 1-15: throttled");
         Actor::on_message(&mut log, ProcessId(3), &stale, &mut ctx);
         assert_eq!(ctx.take_staged_sends().len(), 2, "16th repeat replies");
+    }
+
+    #[test]
+    fn a_stale_slot_deep_in_a_long_log_gets_the_evidence_a_scan_would_find() {
+        const SEALED: u64 = 300;
+        let setup = ProtocolConfig::new(4, 1).seed(24).setup();
+        let mut log =
+            ReplicatedLog::<ByzantineConsensus>::new(&setup, ProcessId(0), SEALED + 1, cmd)
+                .with_catchup(4);
+        let mut draw = || 0u64;
+        let mut ctx: RtContext<'_, SlotMsg, Vec<ValueVector>> =
+            RtContext::new(VirtualTime::ZERO, ProcessId(0), 4, &mut draw);
+        for k in 0..SEALED {
+            let msg = synthetic_checkpoint(&setup, k, ProcessId(1));
+            Actor::on_message(&mut log, ProcessId(1), &msg, &mut ctx);
+        }
+        assert_eq!(log.current, SEALED);
+        assert_eq!(log.evidence.len() as u64, SEALED);
+        ctx.take_staged_sends();
+        for lo in [0, 137, 250, SEALED - 2] {
+            let stale = SlotMsg {
+                slot: lo,
+                env: Envelope::make(
+                    ProcessId(3),
+                    Core::Init { value: cmd(lo, 3) },
+                    Certificate::default(),
+                    &setup.keys[3],
+                ),
+            };
+            Actor::on_message(&mut log, ProcessId(3), &stale, &mut ctx);
+            let sends = ctx.take_staged_sends();
+            assert_eq!(sends.len() as u64, 4.min(SEALED - lo), "stale slot {lo}");
+            for (k, (to, reply)) in (lo..).zip(&sends) {
+                assert_eq!((*to, reply.slot), (ProcessId(3), k));
+                // What the linear scan over every sealed slot found.
+                let (_, scanned) = log.evidence.iter().find(|(s, _)| *s == k).expect("sealed");
+                let expected = make_checkpoint(
+                    ftm_certify::ProtocolId::HurfinRaynal,
+                    k,
+                    &log.log[k as usize],
+                    scanned.clone(),
+                    ProcessId(0),
+                    &setup.keys[0],
+                );
+                assert_eq!(reply.env.to_bytes(), expected.to_bytes(), "slot {k}");
+            }
+        }
     }
 
     #[test]

@@ -16,7 +16,9 @@
 //! | [`InitEquivocator`]  | two-faced proposal                   | *not locally detectable* — Agreement must survive it |
 //! | [`SpuriousCurrent`]  | spurious statement (fake coordinator)| certificate analyzer |
 
-use ftm_certify::{Certificate, Core, Envelope, Round, Value, ValueVector};
+use ftm_certify::{
+    Certificate, Core, Envelope, MessageCore, Round, SignedCore, Value, ValueVector,
+};
 use ftm_crypto::rsa::KeyPair;
 use ftm_sim::{ProcessId, VirtualTime};
 
@@ -26,6 +28,22 @@ use crate::behavior::Tamper;
 /// preserving the certificate.
 fn resign(me: ProcessId, core: Core, cert: Certificate, keys: &KeyPair) -> Envelope {
     Envelope::make(me, core, cert, keys)
+}
+
+/// Re-signs every staged envelope's unchanged core as `sender` under
+/// `keys`, certificates untouched. The copies of one broadcast carry one
+/// statement and signatures are deterministic, so a run of equal
+/// statements is signed once.
+fn resign_all(sender: ProcessId, keys: &KeyPair, staged: &mut [(ProcessId, Envelope)]) {
+    let mut last: Option<(SignedCore, SignedCore)> = None;
+    for (_, env) in staged {
+        let forged = match &last {
+            Some((honest, forged)) if *honest == env.signed => forged.clone(),
+            _ => SignedCore::sign(MessageCore::new(sender, env.core().clone()), keys),
+        };
+        let honest = std::mem::replace(&mut env.signed, forged.clone());
+        last = Some((honest, forged));
+    }
 }
 
 /// Permanent omission: stops sending anything from `after` on.
@@ -264,9 +282,7 @@ impl Tamper for WrongKeySigner {
         staged: &mut Vec<(ProcessId, Envelope)>,
         _now: VirtualTime,
     ) {
-        for (_, env) in staged.iter_mut() {
-            *env = resign(me, env.core().clone(), env.cert.clone(), &self.wrong);
-        }
+        resign_all(me, &self.wrong, staged);
     }
 }
 
@@ -287,9 +303,7 @@ impl Tamper for IdentityThief {
         staged: &mut Vec<(ProcessId, Envelope)>,
         _now: VirtualTime,
     ) {
-        for (_, env) in staged.iter_mut() {
-            *env = resign(self.victim, env.core().clone(), env.cert.clone(), keys);
-        }
+        resign_all(self.victim, keys, staged);
     }
 }
 

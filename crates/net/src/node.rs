@@ -283,8 +283,9 @@ struct NetDriver<M, D> {
     rng: Xoshiro256PlusPlus,
     /// Outbound frame staging, indexed by peer id (unused at `me`).
     outbox: Vec<VecDeque<Vec<u8>>>,
-    /// Self-sends, delivered after the current callback's effects apply.
-    loopback: VecDeque<M>,
+    /// Self-sends with their payload size, delivered after the current
+    /// callback's effects apply.
+    loopback: VecDeque<(M, u64)>,
     /// Pending timers as `(deadline, seq, tag)`; `seq` breaks ties in
     /// scheduling order, matching the simulator's event queue.
     timers: Vec<(VirtualTime, u64, TimerTag)>,
@@ -332,9 +333,10 @@ impl<M: Payload + CanonicalEncode, D: Clone + std::fmt::Debug + PartialEq> NetDr
 
     /// Queues a self-send for delivery after the current effects apply.
     fn send_loopback(&mut self, msg: M) {
+        let bytes = msg.size_bytes() as u64;
         self.msgs_sent += 1;
-        self.bytes_sent += msg.size_bytes() as u64;
-        self.loopback.push_back(msg);
+        self.bytes_sent += bytes;
+        self.loopback.push_back((msg, bytes));
     }
 
     /// Earliest pending timer deadline, if any.
@@ -381,17 +383,20 @@ impl<M: Payload + CanonicalEncode, D: Clone + std::fmt::Debug + PartialEq> Runti
                 }
             }
             StagedSend::ToAll(msg) => {
-                // Encode once; each remote peer gets a byte-level clone of
-                // the same canonical frame, the self-copy stays decoded.
-                let bytes = msg.canonical_bytes();
-                for p in 0..self.n as u32 {
-                    let to = ProcessId(p);
-                    if to == self.me {
-                        self.send_loopback(msg.clone());
-                    } else {
-                        self.send_bytes(to, bytes.clone());
-                    }
+                // Encode once; each remote peer gets a byte-level copy of
+                // the same canonical frame (the last one the frame itself),
+                // the self-copy is the staged message, still decoded.
+                let frame = msg.canonical_bytes();
+                let me = self.me;
+                let mut remotes = (0..self.n as u32).map(ProcessId).filter(|&to| to != me);
+                let last = remotes.next_back();
+                for to in remotes {
+                    self.send_bytes(to, frame.clone());
                 }
+                if let Some(to) = last {
+                    self.send_bytes(to, frame);
+                }
+                self.send_loopback(msg);
             }
         }
     }
@@ -669,11 +674,11 @@ where
             if self.driver.halted {
                 return;
             }
-            let Some(msg) = self.driver.loopback.pop_front() else {
+            let Some((msg, bytes)) = self.driver.loopback.pop_front() else {
                 return;
             };
             self.driver.msgs_received += 1;
-            self.driver.bytes_received += msg.size_bytes() as u64;
+            self.driver.bytes_received += bytes;
             let me = self.driver.me;
             let actor = &mut self.actor;
             step(&mut self.driver, me, |ctx| actor.on_message(me, &msg, ctx));
@@ -1710,7 +1715,7 @@ mod tests {
         assert!(d.contradicted);
         assert_eq!(d.decision, Some(5));
         d.schedule(ProcessId(0), Duration::of(1), 1);
-        d.loopback.push_back(9);
+        d.loopback.push_back((9, 8));
         d.record_halt(ProcessId(0));
         assert!(d.halted && d.timers.is_empty() && d.loopback.is_empty());
     }
@@ -1720,7 +1725,7 @@ mod tests {
         let cfg = NodeConfig::new(ProcessId(0), vec!["a".into(), "b".into()], 0, 1);
         let mut d: NetDriver<u64, u64> = NetDriver::new(&cfg, WallClock::start());
         d.dispatch(ProcessId(0), StagedSend::ToAll(42));
-        assert_eq!(d.loopback.pop_front(), Some(42));
+        assert_eq!(d.loopback.pop_front(), Some((42, 8)));
         assert_eq!(d.msgs_sent, 2); // self copy + one remote frame
         assert_eq!(d.outbox[1].len(), 1);
     }

@@ -9,7 +9,9 @@
 //!
 //! Payloads travel the event queue behind [`Arc`]: a broadcast allocates
 //! its message once and every pending delivery shares it, so large
-//! envelopes (signature + certificate) are not cloned per receiver.
+//! envelopes (signature + certificate) are not cloned per receiver. The
+//! same goes for what the records say about it: a staged send is measured
+//! and labelled once, however many copies of it are dispatched.
 
 use std::fmt;
 use std::sync::Arc;
@@ -220,11 +222,11 @@ where
                         TraceEvent::Deliver {
                             src: from,
                             dst: pid,
-                            label: msg.label(),
+                            label: Arc::clone(&msg.label),
                         },
                     );
                     step(&mut d, pid, |ctx| {
-                        actors[idx].on_message(from, msg.as_ref(), ctx);
+                        actors[idx].on_message(from, &msg.payload, ctx);
                     });
                 }
                 EventKind::Timer { tag } => {
@@ -264,6 +266,14 @@ where
     }
 }
 
+/// One staged send on its way: the payload and the label its trace
+/// entries carry, shared by every copy dispatched.
+#[derive(Debug)]
+struct InFlight<M> {
+    payload: M,
+    label: Arc<str>,
+}
+
 /// The simulator's [`Runtime`]: maps the runtime-agnostic capabilities
 /// onto the event queue, the seeded delay model and the run's collectors.
 ///
@@ -277,7 +287,7 @@ struct SimDriver<M: Payload, D> {
     now: VirtualTime,
     rng: Xoshiro256PlusPlus,
     network: Network,
-    queue: EventQueue<Arc<M>>,
+    queue: EventQueue<Arc<InFlight<M>>>,
     trace: Trace,
     metrics: Metrics,
     decisions: Vec<Option<D>>,
@@ -307,21 +317,25 @@ where
     }
 
     fn dispatch(&mut self, from: ProcessId, send: StagedSend<M>) {
-        // A broadcast is expanded here, sharing one `Arc` across all `n`
-        // pending deliveries.
-        let (targets, msg) = match send {
-            StagedSend::To(to, msg) => (vec![to], Arc::new(msg)),
-            StagedSend::ToAll(msg) => ((0..self.n as u32).map(ProcessId).collect(), Arc::new(msg)),
+        // A broadcast is expanded here: measured and labelled once, one
+        // `Arc` shared across all `n` pending deliveries.
+        let (payload, targets) = match send {
+            StagedSend::To(to, msg) => (msg, to.0..to.0 + 1),
+            StagedSend::ToAll(msg) => (msg, 0..self.n as u32),
         };
-        for to in targets {
-            self.metrics.on_send(from, msg.layer_split());
+        let split = payload.layer_split();
+        let bytes = payload.size_bytes();
+        let label: Arc<str> = payload.label().into();
+        let msg = Arc::new(InFlight { payload, label });
+        for to in targets.map(ProcessId) {
+            self.metrics.on_send(from, split);
             self.trace.record(
                 self.now,
                 TraceEvent::Send {
                     src: from,
                     dst: to,
-                    bytes: msg.size_bytes(),
-                    label: msg.label(),
+                    bytes,
+                    label: Arc::clone(&msg.label),
                 },
             );
             let at = self
@@ -469,6 +483,101 @@ mod tests {
         assert_eq!(report.metrics.messages_sent, 16); // 4 processes × 4 targets
         assert_eq!(report.metrics.bytes_sent, 16 * 8);
         assert_eq!(report.metrics.messages_delivered, 16);
+    }
+
+    /// Counts how often the runner measures and labels it:
+    /// `[size_bytes, layer_split, label]`.
+    #[derive(Clone, Debug)]
+    struct Counted(std::rc::Rc<std::cell::Cell<[u32; 3]>>);
+
+    impl Counted {
+        fn bump(&self, i: usize) {
+            let mut calls = self.0.get();
+            calls[i] += 1;
+            self.0.set(calls);
+        }
+    }
+
+    impl Payload for Counted {
+        fn size_bytes(&self) -> usize {
+            self.bump(0);
+            40
+        }
+
+        fn layer_split(&self) -> crate::process::LayerSplit {
+            self.bump(1);
+            crate::process::LayerSplit {
+                signature_bytes: 16,
+                certificate_bytes: 20,
+                protocol_bytes: 4,
+            }
+        }
+
+        fn label(&self) -> String {
+            self.bump(2);
+            "COUNTED(r=1) cert=2".into()
+        }
+    }
+
+    /// Process 0 broadcasts one [`Counted`]; nobody answers.
+    struct Shouter(Counted);
+
+    impl Actor for Shouter {
+        type Msg = Counted;
+        type Decision = u64;
+
+        fn on_start(&mut self, ctx: &mut Context<'_, Counted, u64>) {
+            if ctx.me() == ProcessId(0) {
+                ctx.broadcast(self.0.clone());
+            }
+        }
+
+        fn on_message(&mut self, _: ProcessId, _: &Counted, _: &mut Context<'_, Counted, u64>) {}
+    }
+
+    #[test]
+    fn a_broadcast_is_measured_and_labelled_once_whatever_n() {
+        let calls = std::rc::Rc::new(std::cell::Cell::new([0; 3]));
+        let report = Simulation::build(SimConfig::new(7).seed(4), |_| {
+            Shouter(Counted(std::rc::Rc::clone(&calls)))
+        })
+        .run();
+        assert_eq!(calls.get(), [1, 1, 1], "size_bytes, layer_split, label");
+        // The n Send entries read as they did when each copy was measured
+        // and labelled by itself (the rendering feeds `Trace::fingerprint`).
+        let sends: Vec<String> = report
+            .trace
+            .entries()
+            .iter()
+            .filter(|e| matches!(e.event, TraceEvent::Send { .. }))
+            .map(|e| format!("{:?}", e.event))
+            .collect();
+        let expected: Vec<String> = (0..7)
+            .map(|to| {
+                format!(
+                    "Send {{ src: ProcessId(0), dst: ProcessId({to}), bytes: 40, \
+                     label: \"COUNTED(r=1) cert=2\" }}"
+                )
+            })
+            .collect();
+        assert_eq!(sends, expected);
+        let delivered = report
+            .trace
+            .entries()
+            .iter()
+            .filter(|e| {
+                matches!(&e.event, TraceEvent::Deliver { src: ProcessId(0), label, .. }
+                    if &**label == "COUNTED(r=1) cert=2")
+            })
+            .count();
+        assert_eq!(delivered, 7);
+        let m = &report.metrics;
+        assert_eq!((m.messages_sent, m.bytes_sent), (7, 7 * 40));
+        assert_eq!(
+            (m.signature_bytes, m.certificate_bytes, m.protocol_bytes),
+            (7 * 16, 7 * 20, 7 * 4)
+        );
+        assert_eq!(m.bytes_per_process[0], 7 * 40);
     }
 
     struct TimerLoop {

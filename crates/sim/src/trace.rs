@@ -5,6 +5,7 @@
 //! experiment harness all judge runs by the same record.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::process::{ProcessId, TimerTag};
 use crate::time::VirtualTime;
@@ -20,8 +21,9 @@ pub enum TraceEvent {
         dst: ProcessId,
         /// Payload size in bytes.
         bytes: usize,
-        /// Short payload description (message kind and round, typically).
-        label: String,
+        /// Short payload description (message kind and round, typically);
+        /// one allocation shared by every entry about the same send.
+        label: Arc<str>,
     },
     /// The network delivered a message to `dst`.
     Deliver {
@@ -30,7 +32,7 @@ pub enum TraceEvent {
         /// Receiving process.
         dst: ProcessId,
         /// Short payload description.
-        label: String,
+        label: Arc<str>,
     },
     /// A timer fired at `at`.
     Timer {

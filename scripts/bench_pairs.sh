@@ -13,7 +13,14 @@
 #   --workload <workload> --seed <pair> --seconds <run_seconds> --trace 0
 # each from its own root, alternating which side goes first. Prints each
 # pair's end-to-end metrics, CPU per command and failed/attempted, then
-# per-side medians and, per metric, how many pairs the change won.
+# per metric each side's median and quartiles, how many pairs the change
+# won, and whether that meets the *Measuring* rule for claiming a gain:
+# at least 9 of 10 pairs won (ties count for neither side) and the
+# medians apart by more than the parent's own interquartile range. For a
+# sim-* workload one `--trace 1 --seed 7` pass per side follows and the
+# two `counts:` lines (messages, bytes, memo hits, convictions, trace
+# fingerprint, …) are compared, so a behaviour change cannot hide behind a
+# speed-up.
 #
 # Reads benchmark/ and BENCHMARK.json; changes nothing in them. The tcp-*
 # workloads need `ulimit -n 4096` or more (the benchmark checks).
@@ -80,27 +87,58 @@ for pair in $(seq 1 "$pairs"); do
     done
 done
 
-# Medians per side, and wins per metric (ties count for neither).
+# Per metric: each side's median and quartiles, the pairs the change won
+# (ties count for neither), and the gain rule.
 awk '
-    function median(side, col,    n, i, v, k, t) {
+    # Quantile p of one side of one column, linear between order statistics.
+    function quantile(side, col, p,    n, i, v, k, t, pos, lo) {
         n = 0
         for (i = 1; i <= pairs; i++) v[++n] = val[i, side, col]
         for (i = 2; i <= n; i++) for (k = i; k > 1 && v[k - 1] > v[k]; k--) { t = v[k]; v[k] = v[k - 1]; v[k - 1] = t }
-        return n % 2 ? v[(n + 1) / 2] : (v[n / 2] + v[n / 2 + 1]) / 2
+        pos = (n - 1) * p; lo = int(pos)
+        return lo + 1 < n ? v[lo + 1] + (pos - lo) * (v[lo + 2] - v[lo + 1]) : v[n]
     }
     { for (c = 3; c <= 6; c++) val[$1, $2, c] = $c; if ($1 > pairs) pairs = $1 }
     END {
         name[3] = "setup_s"; name[4] = "commit_p50_us"; name[5] = "throughput_cps"; name[6] = "cpu_us_per_cmd"
         higher[5] = 1
-        printf "\n%-16s %14s %14s %9s %s\n", "metric", "parent median", "change median", "change", "change wins"
+        printf "\n%-16s %12s %25s %12s %25s %9s %8s %s\n", "metric", "parent med", "[q1, q3]", "change med", "[q1, q3]", "change", "wins", "gain rule"
         for (c = 3; c <= 6; c++) {
             wins = 0
             for (i = 1; i <= pairs; i++) {
                 a = val[i, "parent", c]; b = val[i, "change", c]
                 if (higher[c] ? b > a : b < a) wins++
             }
-            p = median("parent", c); q = median("change", c)
-            printf "%-16s %14.3f %14.3f %+8.1f%% %d of %d\n", name[c], p, q, p ? (q - p) / p * 100 : 0, wins, pairs
+            p = quantile("parent", c, 0.5); q = quantile("change", c, 0.5)
+            p1 = quantile("parent", c, 0.25); p3 = quantile("parent", c, 0.75)
+            better = higher[c] ? q - p : p - q
+            met = wins * 10 >= pairs * 9 && better > p3 - p1
+            if (met) claimable = claimable " " name[c]
+            printf "%-16s %12.3f %25s %12.3f %25s %+8.1f%% %8s %s\n", name[c], p, \
+                sprintf("[%.3f, %.3f]", p1, p3), q, \
+                sprintf("[%.3f, %.3f]", quantile("change", c, 0.25), quantile("change", c, 0.75)), \
+                p ? (q - p) / p * 100 : 0, wins " of " pairs, met ? "met" : "not met"
         }
+        printf "\ngain rule (change wins >= 9/10 of the pairs and moves the median by more than the parent IQR): %s\n", \
+            claimable ? "met by" claimable : "met by no metric"
+        if (pairs < 10) printf "  (%d pairs: a claim needs 10)\n", pairs
     }
 ' "$tmp/rows"
+
+# A simulator workload repeats exactly per seed: the two sides' counts of
+# one traced pass must be the same line.
+case "$workload" in
+sim-*)
+    for side in parent change; do
+        if [ "$side" = parent ]; then dir="$tmp/parent"; else dir="$root"; fi
+        (cd "$dir" && "${cmd[@]}" --workload "$workload" --seed 7 \
+            --seconds "$seconds" --trace 1 2>/dev/null | grep '^counts:') >"$tmp/counts.$side" || true
+    done
+    if [ -s "$tmp/counts.parent" ] && cmp -s "$tmp/counts.parent" "$tmp/counts.change"; then
+        echo "counts: identical"
+    else
+        echo "counts: DIFFERENT (parent, then change)"
+        diff "$tmp/counts.parent" "$tmp/counts.change" || true
+    fi
+    ;;
+esac
