@@ -935,6 +935,15 @@ mod tests {
     use ftm_certify::{Core, MessageCore, SignedCore};
     use ftm_sim::Context as RtContext;
 
+    /// Every replica's slot-`slot` command.
+    fn slot_vector(n: usize, slot: u64) -> ValueVector {
+        ValueVector::from_entries(
+            (0..n)
+                .map(|p| Some(cmd(slot, p as u32)))
+                .collect::<Vec<_>>(),
+        )
+    }
+
     /// A quorum-signed checkpoint for `slot` carrying the vector of
     /// slot-`slot` commands, exactly as a sealed replica would emit it.
     fn synthetic_checkpoint(
@@ -943,11 +952,7 @@ mod tests {
         sender: ProcessId,
     ) -> SlotMsg {
         let n = setup.resilience.n();
-        let vect = ValueVector::from_entries(
-            (0..n)
-                .map(|p| Some(cmd(slot, p as u32)))
-                .collect::<Vec<_>>(),
-        );
+        let vect = slot_vector(n, slot);
         let quorum = n - setup.resilience.f();
         let votes = (0..quorum).map(|p| {
             SignedCore::sign(
@@ -1161,6 +1166,98 @@ mod tests {
                 assert_eq!(reply.env.to_bytes(), expected.to_bytes(), "slot {k}");
             }
         }
+    }
+
+    /// The kill-restart chaos gate rests on this: an instance opened by a
+    /// checkpoint seal keeps its timing convictions out of the conviction
+    /// count, and only those, and only until a slot decides locally.
+    #[test]
+    fn a_recovering_instance_suppresses_timing_convictions_only() {
+        let setup = ProtocolConfig::new(4, 1).seed(25).setup();
+        let mut log =
+            ReplicatedLog::<ByzantineConsensus>::new(&setup, ProcessId(3), 4, cmd).with_catchup(8);
+        let mut draw = || 0u64;
+        let mut ctx: RtContext<'_, SlotMsg, Vec<ValueVector>> =
+            RtContext::new(VirtualTime::ZERO, ProcessId(3), 4, &mut draw);
+        let init = |slot: u64, p: u32, key: usize| SlotMsg {
+            slot,
+            env: Envelope::make(
+                ProcessId(p),
+                Core::Init {
+                    value: cmd(slot, p),
+                },
+                Certificate::default(),
+                &setup.keys[key],
+            ),
+        };
+        // Slot 0 seals from p0's checkpoint, so slot 1's instance joins
+        // mid-round. p1's INIT, then the same INIT again: the per-peer
+        // automaton calls the duplicate out-of-order.
+        let sealed = synthetic_checkpoint(&setup, 0, ProcessId(0));
+        Actor::on_message(&mut log, ProcessId(0), &sealed, &mut ctx);
+        assert!(log.recovering);
+        for _ in 0..2 {
+            Actor::on_message(&mut log, ProcessId(1), &init(1, 1, 1), &mut ctx);
+        }
+        // Forged bytes are proof however little of the prefix was seen.
+        Actor::on_message(&mut log, ProcessId(2), &init(1, 2, 0), &mut ctx);
+        // p0's INIT and relayed DECIDE: slot 1 decides locally, so slot 2's
+        // instance sees its whole prefix and the same duplicate convicts.
+        Actor::on_message(&mut log, ProcessId(0), &init(1, 0, 0), &mut ctx);
+        let decided = synthetic_checkpoint(&setup, 1, ProcessId(0));
+        let relay = SlotMsg {
+            slot: 1,
+            env: Envelope::make(
+                ProcessId(0),
+                Core::Decide {
+                    round: 1,
+                    vector: slot_vector(4, 1),
+                },
+                decided.env.cert.clone(),
+                &setup.keys[0],
+            ),
+        };
+        Actor::on_message(&mut log, ProcessId(0), &relay, &mut ctx);
+        assert_eq!((log.current, log.recovering), (2, false));
+        for _ in 0..2 {
+            Actor::on_message(&mut log, ProcessId(1), &init(2, 1, 1), &mut ctx);
+        }
+
+        let verdicts: Vec<String> = ctx
+            .into_effects()
+            .notes
+            .into_iter()
+            .filter(|n| n.contains("class="))
+            .collect();
+        assert_eq!(
+            verdicts,
+            [
+                "s1:recovery-suppressed unproven=p1 class=out-of-order reason=duplicate INIT",
+                "s1:detected=p2 class=bad-signature \
+                 reason=core signature does not verify for claimed sender",
+                "s2:detected=p1 class=out-of-order reason=duplicate INIT",
+            ]
+        );
+        // Conviction counters read the suppressed note as no conviction.
+        let mut trace = ftm_sim::trace::Trace::new();
+        for text in verdicts {
+            let event = ftm_sim::trace::TraceEvent::Note {
+                process: ProcessId(3),
+                text,
+            };
+            trace.record(VirtualTime::ZERO, event);
+        }
+        let counted: Vec<(String, String)> = crate::validator::detections(&trace)
+            .into_iter()
+            .map(|d| (d.culprit, d.class))
+            .collect();
+        assert_eq!(
+            counted,
+            [
+                ("p2".to_string(), "bad-signature".to_string()),
+                ("p1".to_string(), "out-of-order".to_string()),
+            ]
+        );
     }
 
     #[test]

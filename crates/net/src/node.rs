@@ -1691,6 +1691,24 @@ mod tests {
         );
     }
 
+    /// The texts `ftm-core`'s
+    /// `a_recovering_instance_suppresses_timing_convictions_only` pins: the
+    /// kill-restart gate reads "nobody convicted" through this function.
+    #[test]
+    fn parse_convictions_skips_recovery_suppressed_verdicts() {
+        let notes = vec![
+            "s1:recovery-suppressed unproven=p1 class=out-of-order reason=duplicate INIT"
+                .to_string(),
+            "s1:detected=p2 class=bad-signature \
+             reason=core signature does not verify for claimed sender"
+                .to_string(),
+        ];
+        assert_eq!(
+            parse_convictions(&notes),
+            vec![("p2".to_string(), "bad-signature".to_string())]
+        );
+    }
+
     #[test]
     fn driver_timers_fire_in_deadline_then_seq_order() {
         let cfg = NodeConfig::new(ProcessId(0), vec!["unused".into()], 0, 1);
