@@ -22,11 +22,10 @@
 
 use ftm_certify::certificate::Certificate;
 use ftm_certify::{Core, Envelope, MessageCore, SignedCore, ValueVector};
-use ftm_core::byzantine::log::Retention;
+use ftm_core::byzantine::log::{self, Retention};
 use ftm_crypto::keydir::KeyDirectory;
 use ftm_crypto::rsa::KeyPair;
 use ftm_faults::AttackRun;
-use ftm_sim::trace::TraceEvent;
 use ftm_sim::ProcessId;
 
 use crate::report::Table;
@@ -39,24 +38,10 @@ const BURST_SEED: u64 = 11;
 /// Replica 0's retained-evidence byte series under `retention` for an
 /// honest fixed-seed `(4, 1)` log run of `slots` slots.
 fn retained_series(retention: Retention, slots: u64) -> Vec<u64> {
-    let prefix = match retention {
-        Retention::Full => "evidence slot=",
-        Retention::Checkpoint => "checkpoint slot=",
-    };
     let report = AttackRun::new(4, 1, SEED, 0)
         .retention(retention)
         .run_log(slots, |_| None);
-    report
-        .trace
-        .entries()
-        .iter()
-        .filter_map(|e| match &e.event {
-            TraceEvent::Note { process, text } if process.0 == 0 && text.starts_with(prefix) => {
-                text.rsplit_once("bytes=").and_then(|(_, b)| b.parse().ok())
-            }
-            _ => None,
-        })
-        .collect()
+    log::retained_series(&report.trace, retention)
 }
 
 fn retention_table() -> Table {

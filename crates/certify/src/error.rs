@@ -29,15 +29,21 @@ pub enum FaultClass {
     BadCertificate,
 }
 
-impl fmt::Display for FaultClass {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+impl FaultClass {
+    /// The stable kebab-case name conviction notes and reports carry.
+    pub fn label(self) -> &'static str {
+        match self {
             FaultClass::BadSignature => "bad-signature",
             FaultClass::OutOfOrder => "out-of-order",
             FaultClass::WrongSyntax => "wrong-syntax",
             FaultClass::BadCertificate => "bad-certificate",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for FaultClass {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.label())
     }
 }
 

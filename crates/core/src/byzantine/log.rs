@@ -16,10 +16,12 @@
 
 use ftm_certify::analyzer::CertChecker;
 use ftm_certify::{
-    checkpoint_vector, make_checkpoint, Certificate, Certified, Envelope, MessageKind, Value,
-    ValueVector,
+    checkpoint_vector, make_checkpoint, Certificate, Certified, Envelope, FaultClass, MessageKind,
+    Value, ValueVector,
 };
 use ftm_crypto::wire::{CanonicalDecode, CanonicalEncode, DecodeError, Decoder, Encoder};
+use ftm_sim::note::{self, Note};
+use ftm_sim::trace::Trace;
 use ftm_sim::{Actor, Context, LayerSplit, Payload, ProcessId, StagedSend, TimerTag};
 
 use crate::byzantine::{ByzantineConsensus, TransformedProtocol};
@@ -321,10 +323,7 @@ impl<P: TransformedProtocol> ReplicatedLog<P> {
             Retention::Full => {
                 self.evidence_bytes += cert.size_bytes();
                 self.evidence.push((slot, cert.clone()));
-                ctx.note(format!(
-                    "evidence slot={slot} bytes={}",
-                    self.retained_bytes()
-                ));
+                ctx.note(Note::Evidence(slot, self.retained_bytes() as u64));
             }
             Retention::Checkpoint => {
                 let env = make_checkpoint(
@@ -341,12 +340,9 @@ impl<P: TransformedProtocol> ReplicatedLog<P> {
                 match self.checker.check_envelope(&env) {
                     Ok(audited) => {
                         self.checkpoint = Some(audited.into_owned());
-                        ctx.note(format!(
-                            "checkpoint slot={slot} bytes={}",
-                            self.retained_bytes()
-                        ));
+                        ctx.note(Note::Checkpoint(slot, self.retained_bytes() as u64));
                     }
-                    Err(e) => ctx.note(format!("checkpoint-unsound slot={slot} reason={e}")),
+                    Err(e) => ctx.note(Note::CheckpointUnsound(slot, &e.to_string())),
                 }
             }
         }
@@ -381,19 +377,23 @@ impl<P: TransformedProtocol> ReplicatedLog<P> {
         for (delay, tag) in fx.timers {
             ctx.set_timer(delay, slot * TAGS_PER_SLOT + tag);
         }
-        for note in fx.notes {
+        for text in fx.notes {
             // An instance opened by a checkpoint seal saw only a partial
             // message prefix (it joined the slot mid-round), so timing-
             // automaton convictions over it would convict honest peers.
-            // They are kept in the trace but stripped of the `detected=`
-            // marker so conviction parsers don't count them.
-            if self.recovering && note.contains("detected=") && note.contains("class=out-of-order")
-            {
-                let defanged = note.replace("detected=", "unproven=");
-                ctx.note(format!("s{slot}:recovery-suppressed {defanged}"));
-                continue;
+            // They are kept in the trace, as findings no conviction reader
+            // counts. Only such an instance's notes are read at all.
+            let said = if self.recovering {
+                Note::parse(&text).1
+            } else {
+                Note::Text(&text)
+            };
+            match said {
+                Note::Detected(found) if found.class == FaultClass::OutOfOrder.label() => {
+                    ctx.note(note::in_slot(slot, Note::Unproven(found)));
+                }
+                _ => ctx.note(note::in_slot(slot, text)),
             }
-            ctx.note(format!("s{slot}:{note}"));
         }
         // The inner halt is absorbed: the log replica lives on to run the
         // next slot.
@@ -422,11 +422,7 @@ impl<P: TransformedProtocol> ReplicatedLog<P> {
             hook(self.current, &decided);
         }
         self.log.push(decided);
-        ctx.note(format!(
-            "slot-decided={} total={}",
-            self.current,
-            self.log.len()
-        ));
+        ctx.note(Note::SlotDecided(self.current, self.log.len() as u64));
         if self.log.len() as u64 == self.slots {
             self.done = true;
             ctx.decide(self.log.clone());
@@ -528,7 +524,7 @@ impl<P: TransformedProtocol> ReplicatedLog<P> {
             sent += 1;
         }
         if sent > 0 {
-            ctx.note(format!("catchup-sent to={from} lo={stale_slot} n={sent}"));
+            ctx.note(Note::CatchupSent(from, stale_slot, sent));
         }
     }
 
@@ -548,16 +544,13 @@ impl<P: TransformedProtocol> ReplicatedLog<P> {
                 let quorum = res.n() - res.f();
                 match checkpoint_vector(P::ID, quorum, &checkpoint) {
                     Some(vector) => {
-                        ctx.note(format!("catchup-applied slot={} from={from}", msg.slot));
+                        ctx.note(Note::CatchupApplied(msg.slot, from));
                         self.advance_with(vector, Some(&checkpoint.cert), ctx);
                     }
-                    None => ctx.note(format!(
-                        "catchup-rejected slot={} reason=no-quorum-vector",
-                        msg.slot
-                    )),
+                    None => ctx.note(Note::CatchupRejected(msg.slot, "no-quorum-vector")),
                 }
             }
-            Err(e) => ctx.note(format!("catchup-rejected slot={} reason={e}", msg.slot)),
+            Err(e) => ctx.note(Note::CatchupRejected(msg.slot, &e.to_string())),
         }
     }
 }
@@ -660,6 +653,22 @@ pub fn check_log_consistency(
     Ok(log)
 }
 
+/// Replica 0's retained-evidence bytes after each sealed slot, read off a
+/// run's trace: the [`Note::Evidence`] series under [`Retention::Full`],
+/// the [`Note::Checkpoint`] series under [`Retention::Checkpoint`].
+pub fn retained_series(trace: &Trace, retention: Retention) -> Vec<u64> {
+    let bytes = |text: &&str| match (retention, Note::parse(text).1) {
+        (Retention::Full, Note::Evidence(_, bytes))
+        | (Retention::Checkpoint, Note::Checkpoint(_, bytes)) => Some(bytes),
+        _ => None,
+    };
+    trace
+        .notes_of(ProcessId(0))
+        .iter()
+        .filter_map(bytes)
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -757,24 +766,6 @@ mod tests {
         assert_eq!(log.len(), 2);
     }
 
-    /// The `bytes=` series of the given retained-evidence note prefix,
-    /// at replica 0, in slot order.
-    fn retained_series<D>(report: &ftm_sim::RunReport<D>, prefix: &str) -> Vec<u64> {
-        report
-            .trace
-            .entries()
-            .iter()
-            .filter_map(|e| match &e.event {
-                ftm_sim::trace::TraceEvent::Note { process, text }
-                    if process.0 == 0 && text.starts_with(prefix) =>
-                {
-                    text.rsplit_once("bytes=").and_then(|(_, b)| b.parse().ok())
-                }
-                _ => None,
-            })
-            .collect()
-    }
-
     fn run_with_retention(
         retention: Retention,
         slots: u64,
@@ -804,14 +795,14 @@ mod tests {
     fn full_retention_grows_linearly_and_compaction_stays_flat() {
         let slots = 4;
         let full = run_with_retention(Retention::Full, slots, 11);
-        let linear = retained_series(&full, "evidence slot=");
+        let linear = retained_series(&full.trace, Retention::Full);
         assert_eq!(linear.len() as u64, slots);
         assert!(
             linear.windows(2).all(|w| w[1] > w[0]),
             "full retention must grow per slot: {linear:?}"
         );
         let compact = run_with_retention(Retention::Checkpoint, slots, 11);
-        let flat = retained_series(&compact, "checkpoint slot=");
+        let flat = retained_series(&compact.trace, Retention::Checkpoint);
         assert_eq!(flat.len() as u64, slots);
         let spread = flat.iter().max().unwrap() - flat.iter().min().unwrap();
         assert!(
@@ -875,7 +866,7 @@ mod tests {
             .run();
             check_log_consistency(&report.decisions, &report.crashed, 3).expect("consistent log");
             assert_eq!(
-                retained_series(&report, "evidence slot=").len() as u64,
+                retained_series(&report.trace, Retention::Full).len() as u64,
                 slots
             );
         }
@@ -894,9 +885,12 @@ mod tests {
         })
         .run();
         check_log_consistency(&report.decisions, &report.crashed, 3).expect("consistent log");
-        let flat = retained_series(&report, "checkpoint slot=");
+        let flat = retained_series(&report.trace, Retention::Checkpoint);
         assert_eq!(flat.len(), 2);
-        assert!(retained_series(&report, "checkpoint-unsound").is_empty());
+        let notes = report.trace.notes_of(ProcessId(0));
+        assert!(notes
+            .iter()
+            .all(|text| !matches!(Note::parse(text).1, Note::CheckpointUnsound(..))));
     }
 
     #[test]
@@ -1044,7 +1038,7 @@ mod tests {
         assert_eq!(
             fx.notes
                 .iter()
-                .filter(|t| t.starts_with("catchup-applied"))
+                .filter(|t| matches!(Note::parse(t).1, Note::CatchupApplied(..)))
                 .count(),
             3
         );
@@ -1072,7 +1066,10 @@ mod tests {
         Actor::on_message(&mut log, ProcessId(0), &msg, &mut ctx);
         assert_eq!(log.log.len(), 0, "forged checkpoint must not seal");
         let fx = ctx.into_effects();
-        assert!(fx.notes.iter().any(|t| t.starts_with("catchup-rejected")));
+        assert!(fx
+            .notes
+            .iter()
+            .any(|t| matches!(Note::parse(t).1, Note::CatchupRejected(..))));
     }
 
     #[test]

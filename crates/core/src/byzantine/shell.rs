@@ -30,6 +30,7 @@ use ftm_certify::{
     ValueVector,
 };
 use ftm_crypto::rsa::KeyPair;
+use ftm_sim::note::Note;
 use ftm_sim::{Actor, Context, Duration, ProcessId, TimerTag};
 
 use crate::config::ProtocolSetup;
@@ -467,7 +468,7 @@ impl<R: Rounds> Transformed<R> {
         self.state.entry_cert = entry;
         self.state.r += 1;
         self.stack.enter_round(self.state.r);
-        ctx.note(format!("round={}", self.state.r));
+        ctx.note(Note::Round(self.state.r));
         // Per-round stack snapshot: the harness keeps the *last* note per
         // process, so churn under adverse networks is visible even when
         // the run never decides.
@@ -596,7 +597,7 @@ impl<R: Rounds> Actor for Transformed<R> {
         {
             let coord = self.state.coordinator();
             if self.stack.suspected_or_faulty(coord, ctx.now()) {
-                ctx.note(format!("suspect={} r={}", coord, self.state.r));
+                ctx.note(Note::Suspect(coord, self.state.r));
                 let step = self
                     .rounds
                     .on_suspicion(&mut Shell::new(&mut self.state, ctx));
@@ -772,11 +773,13 @@ mod tests {
         for run in BOTH {
             let (report, _) = run(5, 2, 3, &[]);
             assert!(report.all_decided());
-            // No "detected=" notes: the non-muteness module stayed silent.
+            // No conviction notes: the non-muteness module stayed silent.
             for p in 0..5u32 {
                 let notes = report.trace.notes_of(ProcessId(p));
                 assert!(
-                    notes.iter().all(|n| !n.starts_with("detected=")),
+                    notes
+                        .iter()
+                        .all(|n| !matches!(Note::parse(n).1, Note::Detected(_))),
                     "p{p} convicted someone in an all-honest run: {notes:?}"
                 );
             }

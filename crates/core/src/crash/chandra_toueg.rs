@@ -23,6 +23,7 @@ use std::collections::BTreeSet;
 
 use ftm_certify::{Round, Value};
 use ftm_fd::FailureDetector;
+use ftm_sim::note::Note;
 use ftm_sim::{Actor, Context, Payload, ProcessId, TimerTag};
 
 use crate::spec::Resilience;
@@ -190,7 +191,7 @@ impl<FD: FailureDetector> ChandraToueg<FD> {
         self.estimates.clear();
         self.acks.clear();
         self.nacks.clear();
-        ctx.note(format!("round={}", self.r));
+        ctx.note(Note::Round(self.r));
         // Phase 1: everyone (coordinator included) sends its estimate.
         ctx.send(
             self.coordinator(),
@@ -350,7 +351,7 @@ impl<FD: FailureDetector + 'static> Actor for ChandraToueg<FD> {
                 if self.phase == Phase::AwaitProposal {
                     let coord = self.coordinator();
                     if self.fd.suspects(coord, ctx.now()) {
-                        ctx.note(format!("suspect={} r={}", coord, self.r));
+                        ctx.note(Note::Suspect(coord, self.r));
                         ctx.send(coord, CtMsg::Nack { round: self.r });
                         self.begin_round(ctx);
                     }

@@ -16,6 +16,7 @@ use std::collections::BTreeSet;
 
 use ftm_certify::{Round, Value};
 use ftm_fd::FailureDetector;
+use ftm_sim::note::Note;
 use ftm_sim::{Actor, Context, ProcessId, TimerTag};
 
 use crate::crash::message::CrashMsg;
@@ -126,7 +127,7 @@ impl<FD: FailureDetector> CrashConsensus<FD> {
         self.rec_from.clear();
         self.nb_current = 0;
         self.nb_next = 0;
-        ctx.note(format!("round={}", self.r));
+        ctx.note(Note::Round(self.r));
         if self.me == self.coordinator() {
             // Line 5: the coordinator proposes its estimate.
             ctx.broadcast(CrashMsg::Current {
@@ -284,7 +285,7 @@ impl<FD: FailureDetector + 'static> Actor for CrashConsensus<FD> {
                 // Line 13: upon (p_c ∈ suspected_i) in state q0.
                 let coord = self.coordinator();
                 if self.state == State::Q0 && self.fd.suspects(coord, ctx.now()) {
-                    ctx.note(format!("suspect={} r={}", coord, self.r));
+                    ctx.note(Note::Suspect(coord, self.r));
                     self.vote_next(ctx);
                 }
                 ctx.set_timer(self.poll_interval, POLL_TIMER);
@@ -417,17 +418,6 @@ mod tests {
     fn decision_latency_reported_in_rounds() {
         let report = run_timeout_fd(4, 2, &[]);
         // With a correct coordinator, no process should pass round 1.
-        let max_round = (0..4u32)
-            .map(|p| {
-                report
-                    .trace
-                    .notes_of(ProcessId(p))
-                    .iter()
-                    .filter(|s| s.starts_with("round="))
-                    .count()
-            })
-            .max()
-            .unwrap();
-        assert_eq!(max_round, 1);
+        assert_eq!(crate::validator::max_round(&report.trace, 4), 1);
     }
 }

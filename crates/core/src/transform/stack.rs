@@ -5,6 +5,7 @@ use ftm_certify::analyzer::CertChecker;
 use ftm_certify::{Certified, CertifyError, Envelope, FaultClass, ProtocolId, ValueVector};
 use ftm_detect::Observer;
 use ftm_fd::{FailureDetector, TimeoutDetector};
+use ftm_sim::note::{Finding, Note, Stats};
 use ftm_sim::{Context, Duration, ProcessId, VirtualTime};
 
 use crate::config::{MutenessMode, ProtocolSetup};
@@ -38,7 +39,7 @@ pub struct StackStats {
     /// [`certificate_rejects`]: StackStats::certificate_rejects
     pub checkpoints: u64,
     /// Rejected envelopes whose sender was already convicted
-    /// (quarantine): dropped without a fresh `detected=` note. A subset
+    /// (quarantine): dropped without a fresh conviction note. A subset
     /// of the reject counters above, not an addition to [`total`].
     ///
     /// [`total`]: StackStats::total
@@ -231,10 +232,11 @@ impl ModuleStack {
                 if was_faulty {
                     self.stats.quarantined += 1;
                 } else {
-                    ctx.note(format!(
-                        "detected={} class={} reason={}",
-                        e.culprit, e.class, e.reason
-                    ));
+                    ctx.note(Note::Detected(Finding {
+                        culprit: e.culprit,
+                        class: e.class.label(),
+                        reason: e.reason,
+                    }));
                 }
                 None
             }
@@ -261,8 +263,8 @@ impl ModuleStack {
         self.observer.checker()
     }
 
-    /// Renders the stack's counters as a `stack-stats` trace note, the
-    /// format the sweep harness parses into per-cell metrics. Includes
+    /// Renders the stack's counters as a [`Note::StackStats`], which the
+    /// sweep harness reads into per-cell metrics. Includes
     /// the ◇M mistake totals, split into mistakes about peers later
     /// convicted anyway versus mistakes about (still-)honest peers.
     pub fn stats_note(&self) -> String {
@@ -273,10 +275,9 @@ impl ModuleStack {
             .map(|p| self.muteness.mistakes_for(p))
             .sum();
         let s = self.stats;
-        format!(
-            "stack-stats admitted={} sig-rejects={} cert-rejects={} \
-             auto-rejects={} syntax-rejects={} fd-mistakes={} \
-             fd-honest-mistakes={} quarantined={} checkpoints={}",
+        let words = format!(
+            "admitted={} sig-rejects={} cert-rejects={} auto-rejects={} syntax-rejects={} \
+             fd-mistakes={} fd-honest-mistakes={} quarantined={} checkpoints={}",
             s.admitted,
             s.signature_rejects,
             s.certificate_rejects,
@@ -286,7 +287,8 @@ impl ModuleStack {
             honest_mistakes,
             s.quarantined,
             s.checkpoints,
-        )
+        );
+        Note::StackStats(Stats(&words)).into()
     }
 }
 

@@ -7,7 +7,8 @@
 
 use ftm_certify::vector::check_vector_validity;
 use ftm_certify::{Value, ValueVector};
-use ftm_sim::trace::{Trace, TraceEvent};
+use ftm_sim::note::Note;
+use ftm_sim::trace::{Trace, TraceEntry, TraceEvent};
 use ftm_sim::{ProcessId, RunReport, VirtualTime};
 
 /// The verdict on one run against one specification.
@@ -132,27 +133,13 @@ pub fn check_vector_consensus(
     }
 }
 
-/// Splits the replicated-log workload's `s<slot>:` prefix off a trace
-/// note: `(Some(slot), body)` for a per-slot note, `(None, text)` for a
-/// one-shot one — so note parsers work on both alike, and per-slot
-/// bookkeeping stays possible.
-pub fn split_slot_prefix(text: &str) -> (Option<u64>, &str) {
-    if let Some(rest) = text.strip_prefix('s') {
-        if let Some((digits, tail)) = rest.split_once(':') {
-            if !digits.is_empty() && digits.bytes().all(|b| b.is_ascii_digit()) {
-                return (digits.parse().ok(), tail);
-            }
-        }
-    }
-    (None, text)
-}
-
-/// Number of rounds `p` opened during the run (counts `round=` notes).
+/// Number of rounds `p` opened during the run (counts [`Note::Round`]s,
+/// a replicated log's instances included).
 pub fn rounds_used(trace: &Trace, p: ProcessId) -> usize {
     trace
         .notes_of(p)
         .iter()
-        .filter(|s| split_slot_prefix(s).1.starts_with("round="))
+        .filter(|text| matches!(Note::parse(text).1, Note::Round(_)))
         .count()
 }
 
@@ -164,7 +151,7 @@ pub fn max_round(trace: &Trace, n: usize) -> usize {
         .unwrap_or(0)
 }
 
-/// A parsed `detected=` note: who convicted whom, for what, when.
+/// A parsed [`Note::Detected`]: who convicted whom, for what, when.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Detection {
     /// The convicting observer.
@@ -177,33 +164,24 @@ pub struct Detection {
     pub at: VirtualTime,
 }
 
-/// Extracts all non-muteness detections from a trace (notes emitted by the
-/// transformed protocol as `detected=<p> class=<c> reason=<r>`, optionally
-/// behind a replicated-log slot prefix).
+/// Extracts all non-muteness detections from a trace: the
+/// [`Note::Detected`]s, a replicated log's instances included.
 pub fn detections(trace: &Trace) -> Vec<Detection> {
-    let mut out = Vec::new();
-    for entry in trace.entries() {
-        if let TraceEvent::Note { process, text } = &entry.event {
-            if let Some(rest) = split_slot_prefix(text).1.strip_prefix("detected=") {
-                let mut culprit = String::new();
-                let mut class = String::new();
-                for tok in rest.split_whitespace() {
-                    if let Some(c) = tok.strip_prefix("class=") {
-                        class = c.to_string();
-                    } else if culprit.is_empty() {
-                        culprit = tok.to_string();
-                    }
-                }
-                out.push(Detection {
-                    observer: *process,
-                    culprit,
-                    class,
-                    at: entry.at,
-                });
-            }
-        }
-    }
-    out
+    let detection = |entry: &TraceEntry| {
+        let TraceEvent::Note { process, text } = &entry.event else {
+            return None;
+        };
+        let Note::Detected(found) = Note::parse(text).1 else {
+            return None;
+        };
+        Some(Detection {
+            observer: *process,
+            culprit: found.culprit.to_string(),
+            class: found.class.to_string(),
+            at: entry.at,
+        })
+    };
+    trace.entries().iter().filter_map(detection).collect()
 }
 
 #[cfg(test)]

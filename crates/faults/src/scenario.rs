@@ -36,9 +36,10 @@ use ftm_certify::{ProtocolId, Value, ValueVector};
 use ftm_core::byzantine::log::{ReplicatedLog, Retention};
 use ftm_core::byzantine::{ByzantineChandraToueg, ByzantineConsensus, TransformedProtocol};
 use ftm_core::config::{MutenessMode, ProtocolConfig, ProtocolSetup};
-use ftm_core::validator::{check_vector_consensus, detections, split_slot_prefix, Verdict};
+use ftm_core::validator::{check_vector_consensus, Verdict};
 use ftm_crypto::rsa::KeyPair;
 use ftm_sim::harness::{sweep, RunRecord, SweepReport};
+use ftm_sim::note::{Finding, Note, Stats};
 use ftm_sim::runner::BoxedActor;
 use ftm_sim::trace::TraceEvent;
 use ftm_sim::{
@@ -83,45 +84,33 @@ pub enum FaultBehavior {
 }
 
 impl FaultBehavior {
+    /// One row per behavior, in declaration order: the behavior and the
+    /// stable kebab-case name cell keys and reports carry.
+    const TABLE: [(FaultBehavior, &'static str); 14] = [
+        (FaultBehavior::Honest, "honest"),
+        (FaultBehavior::Crash, "crash"),
+        (FaultBehavior::Mute, "mute"),
+        (FaultBehavior::VectorCorrupt, "vector-corrupt"),
+        (FaultBehavior::RoundJump, "round-jump"),
+        (FaultBehavior::DuplicateVotes, "duplicate-votes"),
+        (FaultBehavior::ForgeDecide, "forge-decide"),
+        (FaultBehavior::WrongKey, "wrong-key"),
+        (FaultBehavior::StealIdentity, "steal-identity"),
+        (FaultBehavior::EquivocateInit, "equivocate-init"),
+        (FaultBehavior::SpuriousCurrent, "spurious-current"),
+        (FaultBehavior::Replay, "replay"),
+        (FaultBehavior::StripCertificates, "strip-certificates"),
+        (FaultBehavior::SelectiveOmission, "selective-omission"),
+    ];
+
     /// Every behavior, in a stable order (the matrix enumeration order).
-    pub fn all() -> Vec<FaultBehavior> {
-        use FaultBehavior::*;
-        vec![
-            Honest,
-            Crash,
-            Mute,
-            VectorCorrupt,
-            RoundJump,
-            DuplicateVotes,
-            ForgeDecide,
-            WrongKey,
-            StealIdentity,
-            EquivocateInit,
-            SpuriousCurrent,
-            Replay,
-            StripCertificates,
-            SelectiveOmission,
-        ]
+    pub fn all() -> [FaultBehavior; Self::TABLE.len()] {
+        Self::TABLE.map(|(behavior, _)| behavior)
     }
 
     /// Stable kebab-case name used in cell keys and reports.
     pub fn label(&self) -> &'static str {
-        match self {
-            FaultBehavior::Honest => "honest",
-            FaultBehavior::Crash => "crash",
-            FaultBehavior::Mute => "mute",
-            FaultBehavior::VectorCorrupt => "vector-corrupt",
-            FaultBehavior::RoundJump => "round-jump",
-            FaultBehavior::DuplicateVotes => "duplicate-votes",
-            FaultBehavior::ForgeDecide => "forge-decide",
-            FaultBehavior::WrongKey => "wrong-key",
-            FaultBehavior::StealIdentity => "steal-identity",
-            FaultBehavior::EquivocateInit => "equivocate-init",
-            FaultBehavior::SpuriousCurrent => "spurious-current",
-            FaultBehavior::Replay => "replay",
-            FaultBehavior::StripCertificates => "strip-certificates",
-            FaultBehavior::SelectiveOmission => "selective-omission",
-        }
+        Self::TABLE[*self as usize].1
     }
 
     /// Builds the outgoing-message tamper for this behavior against
@@ -903,8 +892,7 @@ fn record_outcome<D>(
     rec.set("prop-termination", u64::from(verdict.termination));
     rec.set("prop-agreement", u64::from(verdict.agreement));
     rec.set("prop-validity", u64::from(verdict.validity));
-    record_metrics(rec, report);
-    record_coalition_metrics(rec, report, members);
+    record_metrics(rec, report, members);
 }
 
 /// The vector-consensus properties lifted to the log workload: every
@@ -966,12 +954,22 @@ fn check_log_verdict(
     }
 }
 
-/// Flattens a finished run's metrics, trace notes and detections into the
-/// record's counter map. Every counter listed in the module docs is set
-/// (zero when the run never exercised that layer), so each cell of the
-/// aggregated report carries the full per-layer breakdown. Generic over
-/// the decision type so one-shot and log runs flatten identically.
-fn record_metrics<D>(rec: &mut RunRecord, report: &RunReport<D>) {
+/// Flattens a finished run's metrics and trace notes into the record's
+/// counter map, in one pass over the trace. Every counter listed in the
+/// module docs is set (zero when the run never exercised that layer), so
+/// each cell of the aggregated report carries the full per-layer
+/// breakdown. Generic over the decision type so one-shot and log runs
+/// flatten identically.
+///
+/// Detection outcomes are coalition-focused. Aggregate counters cover the
+/// whole coalition: which classes honest observers convicted *any* member
+/// under (`convicted-<class>` distinct observers, `conviction-at-<class>`
+/// earliest time), plus the first ◇M suspicion. Per-member counters
+/// (`m<i>-…`, `i` the member's index in the coalition vector) break the
+/// same outcomes down: conviction class coverage, first-conviction time
+/// and the convicting observer's round at that moment, and whether ◇M
+/// ever suspected the member.
+fn record_metrics<D>(rec: &mut RunRecord, report: &RunReport<D>, members: &[(u32, FaultBehavior)]) {
     // Send-side cost, decomposed by module layer (see `Payload::layer_split`).
     rec.set("messages-sent", report.metrics.messages_sent);
     rec.set("bytes-total", report.metrics.bytes_sent);
@@ -1007,23 +1005,34 @@ fn record_metrics<D>(rec: &mut RunRecord, report: &RunReport<D>) {
         rec.add(key, 0);
     }
 
-    // The stack emits a cumulative stats note at every round entry and at
-    // decide, so only the *last* note per (process, slot instance) counts
-    // — summing them all would charge early rounds many times over.
-    let mut last_stats: BTreeMap<(u32, Option<u64>), &str> = BTreeMap::new();
-    let mut rounds = 0u64;
+    let index_of: BTreeMap<u32, usize> = members
+        .iter()
+        .enumerate()
+        .map(|(i, &(m, _))| (m, i))
+        .collect();
+    // Per class: the honest observers that convicted any member under it,
+    // and when the first did.
+    let mut agg: BTreeMap<&str, (BTreeSet<ProcessId>, u64)> = BTreeMap::new();
+    let mut mem_observers: Vec<BTreeMap<&str, BTreeSet<ProcessId>>> =
+        vec![BTreeMap::new(); members.len()];
+    // Per member: time of its first conviction and the observer's round then.
+    let mut mem_first: Vec<Option<(u64, u64)>> = vec![None; members.len()];
+    let mut mem_suspected: Vec<bool> = vec![false; members.len()];
+    // First muteness suspicion raised by one process about another: the
+    // ◇M module's half of the detection work (suspicion, not conviction).
+    let mut first_suspicion: Option<u64> = None;
+
+    // Per (process, slot instance): the round it is in, so a conviction
+    // can be stamped with the round it landed in, and its last stats note
+    // — the stack emits a cumulative one at every round entry and at
+    // decide, so summing them all would charge early rounds many times
+    // over.
+    let mut max_round = 0u64;
+    let mut rounds: BTreeMap<(u32, Option<u64>), u64> = BTreeMap::new();
+    let mut last_stats: BTreeMap<(u32, Option<u64>), Stats<'_>> = BTreeMap::new();
     for entry in report.trace.entries() {
-        match &entry.event {
-            TraceEvent::Note { process, text } => {
-                let (slot, text) = split_slot_prefix(text);
-                if let Some(r) = text.strip_prefix("round=") {
-                    rounds = rounds.max(r.parse().unwrap_or(0));
-                } else if text.starts_with("suspect=") {
-                    rec.add("suspicions", 1);
-                } else if let Some(rest) = text.strip_prefix("stack-stats ") {
-                    last_stats.insert((process.0, slot), rest);
-                }
-            }
+        let (process, text) = match &entry.event {
+            TraceEvent::Note { process, text } => (*process, text),
             TraceEvent::Send { label, .. } => {
                 if let Some(pos) = label.rfind("cert=") {
                     if let Ok(items) = label[pos + 5..].trim().parse::<u64>() {
@@ -1032,152 +1041,70 @@ fn record_metrics<D>(rec: &mut RunRecord, report: &RunReport<D>) {
                         rec.set("cert-items-max", max);
                     }
                 }
+                continue;
+            }
+            _ => continue,
+        };
+        let (slot, note) = Note::parse(text);
+        let instance = (process.0, slot);
+        // What coalition members say is not evidence.
+        let honest = !index_of.contains_key(&process.0);
+        let at = entry.at.ticks();
+        match note {
+            Note::Round(round) => {
+                max_round = max_round.max(round);
+                rounds.insert(instance, round);
+            }
+            Note::StackStats(stats) => {
+                last_stats.insert(instance, stats);
+            }
+            Note::Suspect(peer, _) => {
+                rec.add("suspicions", 1);
+                if peer != process {
+                    first_suspicion = Some(first_suspicion.map_or(at, |first| first.min(at)));
+                }
+                if let (true, Some(&i)) = (honest, index_of.get(&peer.0)) {
+                    mem_suspected[i] = true;
+                }
+            }
+            Note::Detected(Finding { culprit, class, .. }) => {
+                rec.add("detections", 1);
+                rec.add(format!("detections-{class}"), 1);
+                let (true, Some(&i)) = (honest, index_of.get(&culprit.0)) else {
+                    continue;
+                };
+                let (observers, first) = agg.entry(class).or_insert((BTreeSet::new(), at));
+                observers.insert(process);
+                *first = (*first).min(at);
+                mem_observers[i].entry(class).or_default().insert(process);
+                let round = rounds.get(&instance).copied().unwrap_or(0);
+                mem_first[i].get_or_insert((at, round));
             }
             _ => {}
         }
     }
-    for rest in last_stats.values() {
-        for tok in rest.split_whitespace() {
-            if let Some((key, val)) = tok.split_once('=') {
-                if let Ok(v) = val.parse::<u64>() {
-                    rec.add(format!("stack-{key}"), v);
-                }
-            }
-        }
+
+    rec.set("rounds", max_round);
+    for (key, value) in last_stats.values().flat_map(|stats| stats.iter()) {
+        rec.add(format!("stack-{key}"), value);
     }
-    rec.set("rounds", rounds);
-
-    for d in detections(&report.trace) {
-        rec.add("detections", 1);
-        rec.add(format!("detections-{}", d.class), 1);
+    for (class, (observers, first)) in &agg {
+        rec.set(format!("convicted-{class}"), observers.len() as u64);
+        rec.set(format!("conviction-at-{class}"), *first);
     }
-}
-
-/// Coalition-focused detection outcomes. Aggregate counters keep their
-/// historical meaning, now over the whole coalition: which classes honest
-/// observers convicted *any* member under (`convicted-<class>` distinct
-/// observers, `conviction-at-<class>` earliest time), plus the first ◇M
-/// suspicion. Per-member counters (`m<i>-…`, `i` the member's index in
-/// the coalition vector) break the same outcomes down: conviction class
-/// coverage, first-conviction time and the convicting observer's round at
-/// that moment, and whether ◇M ever suspected the member.
-fn record_coalition_metrics<D>(
-    rec: &mut RunRecord,
-    report: &RunReport<D>,
-    members: &[(u32, FaultBehavior)],
-) {
-    let member_ids: BTreeSet<u32> = members.iter().map(|&(m, _)| m).collect();
-    let index_of: BTreeMap<u32, usize> = members
-        .iter()
-        .enumerate()
-        .map(|(i, &(m, _))| (m, i))
-        .collect();
-
-    let mut agg_observers: BTreeMap<String, BTreeSet<ProcessId>> = BTreeMap::new();
-    let mut agg_first: BTreeMap<String, u64> = BTreeMap::new();
-    let mut mem_observers: Vec<BTreeMap<String, BTreeSet<ProcessId>>> =
-        vec![BTreeMap::new(); members.len()];
-    let mut mem_first_at: Vec<Option<u64>> = vec![None; members.len()];
-    let mut mem_first_round: Vec<u64> = vec![0; members.len()];
-    let mut mem_suspected: Vec<bool> = vec![false; members.len()];
-
-    // One sequential pass: track each (observer, slot instance)'s current
-    // round from its `round=` notes so a conviction can be stamped with
-    // the round it landed in.
-    let mut rounds: BTreeMap<(u32, Option<u64>), u64> = BTreeMap::new();
-    for entry in report.trace.entries() {
-        let TraceEvent::Note { process, text } = &entry.event else {
-            continue;
-        };
-        let (slot, text) = split_slot_prefix(text);
-        if let Some(r) = text.strip_prefix("round=").and_then(|r| r.parse().ok()) {
-            rounds.insert((process.0, slot), r);
-        } else if let Some(rest) = text.strip_prefix("detected=") {
-            let mut culprit = "";
-            let mut class = "";
-            for tok in rest.split_whitespace() {
-                if let Some(c) = tok.strip_prefix("class=") {
-                    class = c;
-                } else if culprit.is_empty() {
-                    culprit = tok;
-                }
-            }
-            let Some(target) = culprit
-                .strip_prefix('p')
-                .and_then(|p| p.parse::<u64>().ok())
-            else {
-                continue;
-            };
-            let target = target as u32;
-            // Convictions spoken by coalition members are not evidence.
-            if member_ids.contains(&process.0) || !member_ids.contains(&target) {
-                continue;
-            }
-            agg_observers
-                .entry(class.to_string())
-                .or_default()
-                .insert(*process);
-            let at = agg_first.entry(class.to_string()).or_insert(u64::MAX);
-            *at = (*at).min(entry.at.ticks());
-            let i = index_of[&target];
-            mem_observers[i]
-                .entry(class.to_string())
-                .or_default()
-                .insert(*process);
-            if mem_first_at[i].is_none() {
-                mem_first_at[i] = Some(entry.at.ticks());
-                mem_first_round[i] = rounds.get(&(process.0, slot)).copied().unwrap_or(0);
-            }
-        } else if let Some(rest) = text.strip_prefix("suspect=") {
-            let target = rest.split_whitespace().next().unwrap_or("");
-            let Some(target) = target.strip_prefix('p').and_then(|p| p.parse::<u64>().ok()) else {
-                continue;
-            };
-            let target = target as u32;
-            if let Some(&i) = index_of.get(&target) {
-                if !member_ids.contains(&process.0) {
-                    mem_suspected[i] = true;
-                }
-            }
-        }
-    }
-
-    for (class, obs) in &agg_observers {
-        rec.set(format!("convicted-{class}"), obs.len() as u64);
-        rec.set(format!("conviction-at-{class}"), agg_first[class]);
-    }
-    for (i, _) in members.iter().enumerate() {
+    for i in 0..members.len() {
         for (class, obs) in &mem_observers[i] {
             rec.set(format!("m{i}-convicted-{class}"), obs.len() as u64);
         }
-        if let Some(at) = mem_first_at[i] {
+        if let Some((at, round)) = mem_first[i] {
             rec.set(format!("m{i}-conviction-at"), at);
-            rec.set(format!("m{i}-conviction-round"), mem_first_round[i]);
+            rec.set(format!("m{i}-conviction-round"), round);
         }
         rec.set(format!("m{i}-suspected"), u64::from(mem_suspected[i]));
     }
-
-    // First muteness suspicion raised by one process about another: the
-    // ◇M module's half of the detection work (suspicion, not conviction).
-    let suspicion = report
-        .trace
-        .entries()
-        .iter()
-        .filter_map(|e| match &e.event {
-            TraceEvent::Note { process, text } => {
-                let (_, text) = split_slot_prefix(text);
-                let rest = text.strip_prefix("suspect=")?;
-                let target = rest.split_whitespace().next().unwrap_or("");
-                (format!("p{}", process.0) != target).then(|| e.at.ticks())
-            }
-            _ => None,
-        })
-        .min();
-    if let Some(at) = suspicion {
-        rec.set("suspicion-covered", 1);
+    rec.set("suspicion-covered", u64::from(first_suspicion.is_some()));
+    if let Some(at) = first_suspicion {
         rec.set("suspicion-first-at", at);
-    } else {
-        rec.set("suspicion-covered", 0);
     }
 }
 
@@ -1337,8 +1264,15 @@ mod tests {
 
     #[test]
     fn full_matrix_covers_the_whole_taxonomy() {
-        let m = ScenarioMatrix::new(vec![(4, 1)], FaultBehavior::all());
+        let m = ScenarioMatrix::new(vec![(4, 1)], FaultBehavior::all().to_vec());
         assert_eq!(m.enumerate().len(), FaultBehavior::all().len());
+        // `label` indexes the table by discriminant.
+        for (row, behavior) in FaultBehavior::all().into_iter().enumerate() {
+            assert_eq!(
+                behavior as usize, row,
+                "{behavior:?} is out of declaration order"
+            );
+        }
         let labels: std::collections::BTreeSet<&str> = FaultBehavior::all()
             .iter()
             .map(super::FaultBehavior::label)

@@ -54,6 +54,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use ftm_crypto::prng::{derive_seed, Rng64, Xoshiro256PlusPlus};
 use ftm_crypto::wire::{CanonicalDecode, CanonicalEncode};
+use ftm_runtime::note::Note;
 use ftm_runtime::{
     step, Actor, Duration, Payload, ProcessId, Runtime, StagedSend, TimerTag, VirtualTime,
 };
@@ -184,8 +185,8 @@ pub struct NetReport<D> {
     pub halted: bool,
     /// Whether a second, different decision was attempted.
     pub contradicted: bool,
-    /// All notes the actor emitted, in order (includes `detected=`
-    /// convictions; see [`parse_convictions`]).
+    /// All notes the actor emitted, in order (includes its convictions;
+    /// see [`parse_convictions`]).
     pub notes: Vec<String>,
     /// Messages handed to the transport (loopback included).
     pub msgs_sent: u64,
@@ -252,24 +253,14 @@ impl ServiceReply {
     }
 }
 
-/// Extracts `(culprit, class)` pairs from `detected=<p> class=<c> …` notes
-/// (tolerating the replicated log's `s<slot>:` prefix), the transport-side
-/// twin of `ftm-core`'s trace-based detection parser.
+/// Extracts `(culprit, class)` pairs from the [`Note::Detected`]s among
+/// `notes`, a replicated log's instances included.
 pub fn parse_convictions(notes: &[String]) -> Vec<(String, String)> {
-    let mut out = Vec::new();
-    for note in notes {
-        if let Some(pos) = note.find("detected=") {
-            let rest = &note[pos + "detected=".len()..];
-            let mut toks = rest.split_whitespace();
-            let culprit = toks.next().unwrap_or("").to_string();
-            let class = toks
-                .find_map(|t| t.strip_prefix("class="))
-                .unwrap_or("")
-                .to_string();
-            out.push((culprit, class));
-        }
-    }
-    out
+    let conviction = |text: &String| match Note::parse(text).1 {
+        Note::Detected(found) => Some((found.culprit.to_string(), found.class.to_string())),
+        _ => None,
+    };
+    notes.iter().filter_map(conviction).collect()
 }
 
 /// The transport-side [`Runtime`]: sockets for delivery, a wall clock for

@@ -24,6 +24,7 @@ use ftm_net::{
     bind_cluster, parse_convictions, rebind, spawn_node, write_frame, ClientConn, Hello,
     NodeConfig, NodeHandle, ServiceReply,
 };
+use ftm_runtime::note::Note;
 use ftm_runtime::{Actor, Context, ProcessId};
 
 const N: usize = 4;
@@ -161,13 +162,17 @@ fn killed_replica_rejoins_via_checkpoint_catchup() {
     assert_cluster_agrees(&reports, SLOTS);
     let rejoined = &reports[3];
     assert!(
-        rejoined.notes.iter().any(|n| n.contains("catchup-applied")),
+        rejoined
+            .notes
+            .iter()
+            .any(|n| matches!(Note::parse(n).1, Note::CatchupApplied(..))),
         "the rejoined replica never applied a catch-up checkpoint"
     );
     assert!(
-        reports[..3]
+        reports[..3].iter().any(|r| r
+            .notes
             .iter()
-            .any(|r| r.notes.iter().any(|n| n.contains("catchup-sent"))),
+            .any(|n| matches!(Note::parse(n).1, Note::CatchupSent(..)))),
         "no survivor answered the rejoined replica's stale traffic"
     );
 }

@@ -1,11 +1,17 @@
 //! The two parts of the determinism discipline (DESIGN.md §13) that no
-//! toolchain lint can state about itself, and the workspace inventory.
+//! toolchain lint can state about itself, the one-note-grammar rule, and the
+//! workspace inventory.
 //!
 //! **Rule D5**: no ad-hoc quorum arithmetic — `n - f`, `n + f`, `2 * f`,
 //! `3 * f` — in the protocol crates; every threshold routes through
 //! `ftm_quorum` so the paper's bound `F ≤ min(⌊(n−1)/2⌋, C)` has one audited
 //! derivation. That is a spelling convention, not a name-resolution fact, so
 //! unlike D1–D4/D6/D7 Clippy cannot check it; this test does, on source lines.
+//!
+//! **Note grammar**: the text of a trace note is known to
+//! `crates/runtime/src/note.rs` alone (DESIGN.md *Notes*); everything else
+//! renders and parses through `Note`, so no second tokeniser — and no
+//! behaviour hanging on a substring — can grow back. Same source scan as D5.
 //!
 //! **Lint levels**: the `clippy.toml` bans are kept live by `#[expect]`
 //! canaries (`clippy_canaries.rs`), but an `#[expect]` sets its lint's level
@@ -41,6 +47,25 @@ impl Thresholds {
 }
 ";
 
+/// The opening of a string literal that spells a note's text.
+const NOTE_LITERALS: [&str; 6] = [
+    "\"detected=",
+    "\"unproven=",
+    "\"suspect=",
+    "\"round=",
+    "\"stack-stats",
+    "\"recovery-suppressed",
+];
+/// The one file that may: the grammar itself.
+const NOTE_GRAMMAR: &str = "runtime/src/note.rs";
+
+/// What `ReplicatedLog::drive` was: behaviour decided by a substring.
+const NOTE_MUST_FIRE: &str = "\
+fn counts(note: &str) -> bool {
+    !(note.contains(\"detected=\") && note.contains(\"class=out-of-order\"))
+}
+";
+
 /// Identifier/number runs and single punctuation characters of one line,
 /// with `self.` dropped so method bodies read like free code.
 fn tokens(code: &str) -> Vec<&str> {
@@ -64,9 +89,9 @@ fn tokens(code: &str) -> Vec<&str> {
     out
 }
 
-/// 1-indexed lines of `source` that spell a threshold shape, outside
-/// comments and `#[cfg(test)]` items.
-fn ad_hoc_thresholds(source: &str) -> Vec<usize> {
+/// 1-indexed lines of `source` whose code `fires`, outside comments and
+/// `#[cfg(test)]` items.
+fn lines_where(source: &str, fires: impl Fn(&str) -> bool) -> Vec<usize> {
     let mut hits = Vec::new();
     // Brace depth inside a `#[cfg(test)]` item; `Some(0)` until it opens.
     let mut test_item: Option<usize> = None;
@@ -76,16 +101,32 @@ fn ad_hoc_thresholds(source: &str) -> Vec<usize> {
             test_item = Some(0);
         } else if let Some(depth) = test_item {
             let depth = depth + code.matches('{').count() - code.matches('}').count();
-            test_item = (depth > 0 || !code.contains('}')).then_some(depth);
-        } else if tokens(code)
-            .windows(3)
-            .any(|w| SHAPES.contains(&w.concat().as_str()))
-        {
+            // Over once the braces it opened are closed; a field or a
+            // `use` opens none and is over at its `,` / `;`.
+            let ends = code.contains('}') || code.trim_end().ends_with([',', ';']);
+            test_item = (depth > 0 || !ends).then_some(depth);
+        } else if fires(code) {
             hits.push(i + 1);
         }
     }
     assert_eq!(test_item, None, "unbalanced #[cfg(test)] item");
     hits
+}
+
+/// Lines that spell a threshold shape.
+fn ad_hoc_thresholds(source: &str) -> Vec<usize> {
+    lines_where(source, |code| {
+        tokens(code)
+            .windows(3)
+            .any(|w| SHAPES.contains(&w.concat().as_str()))
+    })
+}
+
+/// Lines that spell a note's text.
+fn note_literals(source: &str) -> Vec<usize> {
+    lines_where(source, |code| {
+        NOTE_LITERALS.iter().any(|lit| code.contains(lit))
+    })
 }
 
 fn rust_files(dir: &Path, out: &mut Vec<PathBuf>) {
@@ -127,6 +168,42 @@ fn protocol_crates_route_every_threshold_through_ftm_quorum() {
         findings.is_empty(),
         "ad-hoc quorum arithmetic; use `ftm_quorum::{{quorum_size, intersection_margin, \
          vector_validity_floor}}`: {findings:#?}"
+    );
+}
+
+#[test]
+fn the_note_rule_fires_on_its_sample() {
+    assert_eq!(note_literals(NOTE_MUST_FIRE), [2]);
+    assert_eq!(note_literals("ctx.note(format!(\"round={}\", r));"), [1]);
+    assert!(note_literals("let rounds = rec.get(\"rounds\"); // \"round=\"").is_empty());
+    let in_test = "#[cfg(test)]\nmod tests {\n    const S: &str = \"suspect=p2\";\n}\n";
+    assert!(note_literals(in_test).is_empty());
+    // A `#[cfg(test)]` field ends at its comma, not at the struct's brace.
+    let field = "struct S {\n    #[cfg(test)]\n    probes: u64,\n}\nconst R: &str = \"round=\";\n";
+    assert_eq!(note_literals(field), [5]);
+}
+
+#[test]
+fn note_texts_are_spelled_in_the_grammar_module_only() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let mut files = Vec::new();
+    rust_files(&root.join("crates"), &mut files);
+    rust_files(&root.join("src"), &mut files);
+    files.sort();
+    let mut findings = Vec::new();
+    for file in files
+        .iter()
+        .filter(|f| !f.ends_with(NOTE_GRAMMAR) && !f.components().any(|c| c.as_os_str() == "tests"))
+    {
+        let source = fs::read_to_string(file).expect("readable source file");
+        for line in note_literals(&source) {
+            findings.push(format!("{}:{line}", file.display()));
+        }
+    }
+    assert!(
+        findings.is_empty(),
+        "note text spelled outside its grammar; render and parse through \
+         `ftm_runtime::note::Note`: {findings:#?}"
     );
 }
 

@@ -24,6 +24,7 @@
 //! creating cycles.
 
 pub mod driver;
+pub mod note;
 pub mod process;
 pub mod time;
 

@@ -355,11 +355,10 @@ impl<'a, M: Payload, D: Clone + fmt::Debug + PartialEq> Context<'a, M, D> {
             .collect();
     }
 
-    /// Emits a free-form trace annotation (`key=value` style by convention).
+    /// Emits a trace annotation: a [`crate::note::Note`], or free text.
     ///
     /// Notes land in the run's trace (simulator) or note log (transport);
-    /// experiment E4 measures
-    /// detection latency from notes like `detected=p3 class=duplication`.
+    /// experiment E4 measures detection latency from them.
     pub fn note(&mut self, text: impl Into<String>) {
         self.staged_notes.push(text.into());
     }

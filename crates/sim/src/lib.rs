@@ -63,6 +63,7 @@ pub mod trace;
 // the real transport (`ftm-net`). Re-exported here module-for-module so
 // every pre-existing `ftm_sim::process::...` / `ftm_sim::time::...` path
 // keeps compiling unchanged.
+pub use ftm_runtime::note;
 pub use ftm_runtime::process;
 pub use ftm_runtime::time;
 

@@ -16,6 +16,7 @@
 use std::fmt;
 use std::sync::Arc;
 
+use ftm_runtime::note::Note;
 use ftm_runtime::{step, Runtime};
 
 use crate::config::SimConfig;
@@ -44,22 +45,6 @@ pub enum StopReason {
     /// A process entered a round beyond the configured `max_rounds` cap —
     /// the termination backstop for never-stabilizing networks.
     RoundLimit,
-}
-
-/// Parses the round number from a `round=N` trace note, tolerating the
-/// replicated-log workload's `s<slot>:` prefix. The prefix parser proper
-/// is `ftm_core::validator::split_slot_prefix`; `ftm-core` depends on this
-/// crate, so the simulator keeps its own three lines.
-fn note_round(text: &str) -> Option<u64> {
-    let body = match text.strip_prefix('s').and_then(|rest| rest.split_once(':')) {
-        Some((digits, tail))
-            if !digits.is_empty() && digits.bytes().all(|b| b.is_ascii_digit()) =>
-        {
-            tail
-        }
-        _ => text,
-    };
-    body.strip_prefix("round=")?.parse().ok()
 }
 
 /// Outcome of one simulation run.
@@ -358,8 +343,10 @@ where
     }
 
     fn emit_note(&mut self, at: ProcessId, text: String) {
-        if let (Some(cap), Some(round)) = (self.max_rounds, note_round(&text)) {
-            self.round_cap_hit |= round > cap;
+        if let Some(cap) = self.max_rounds {
+            if let (_, Note::Round(round)) = Note::parse(&text) {
+                self.round_cap_hit |= round > cap;
+            }
         }
         self.trace
             .record(self.now, TraceEvent::Note { process: at, text });
@@ -398,6 +385,7 @@ mod tests {
     use super::*;
     use crate::process::Context;
     use crate::time::Duration;
+    use ftm_runtime::note::in_slot;
 
     /// Sends its id to everyone; decides on the sum of received ids.
     struct Summer {
@@ -650,9 +638,11 @@ mod tests {
         assert_eq!(report.stop, StopReason::TimeLimit);
     }
 
-    /// Notes entry into round `r + 1` on every timer tick, forever.
+    /// Notes entry into round `r + 1` on every timer tick, forever — as a
+    /// log's `slot` instance would, if given one.
     struct RoundChurner {
         r: u64,
+        slot: Option<u64>,
     }
 
     impl Actor for RoundChurner {
@@ -667,26 +657,26 @@ mod tests {
 
         fn on_timer(&mut self, _: u64, ctx: &mut Context<'_, u64, u64>) {
             self.r += 1;
-            ctx.note(format!("round={}", self.r));
+            let round = Note::Round(self.r);
+            ctx.note(self.slot.map_or(round.into(), |slot| in_slot(slot, round)));
             ctx.set_timer(Duration::of(10), 1);
         }
     }
 
     #[test]
     fn round_cap_stops_churning_protocols() {
-        let cfg = SimConfig::new(1).seed(0).max_rounds(3);
-        let report = Simulation::build(cfg, |_| RoundChurner { r: 0 }).run();
-        assert_eq!(report.stop, StopReason::RoundLimit);
-        // The run ended right when round 4 was announced: t = 4 ticks of 10.
-        assert_eq!(report.end_time, VirtualTime::at(40));
-        // Slot-prefixed round notes (the log workload) hit the cap too.
-        assert_eq!(super::note_round("s2:round=7"), Some(7));
-        assert_eq!(super::note_round("round=7"), Some(7));
-        assert_eq!(super::note_round("suspect=p1 r=7"), None);
-        // Without the cap the same protocol runs to the time limit.
-        let cfg = SimConfig::new(1).seed(0).max_time(VirtualTime::at(500));
-        let report = Simulation::build(cfg, |_| RoundChurner { r: 0 }).run();
-        assert_eq!(report.stop, StopReason::TimeLimit);
+        // A log instance's round notes (the log workload) hit the cap too.
+        for slot in [None, Some(2)] {
+            let cfg = SimConfig::new(1).seed(0).max_rounds(3);
+            let report = Simulation::build(cfg, |_| RoundChurner { r: 0, slot }).run();
+            assert_eq!(report.stop, StopReason::RoundLimit);
+            // The run ended right when round 4 was announced: t = 4 ticks of 10.
+            assert_eq!(report.end_time, VirtualTime::at(40));
+            // Without the cap the same protocol runs to the time limit.
+            let cfg = SimConfig::new(1).seed(0).max_time(VirtualTime::at(500));
+            let report = Simulation::build(cfg, |_| RoundChurner { r: 0, slot }).run();
+            assert_eq!(report.stop, StopReason::TimeLimit);
+        }
     }
 
     #[test]

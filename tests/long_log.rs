@@ -8,28 +8,12 @@
 //! is `#[ignore]`d — the weekly deep-verify CI job runs it in release
 //! mode.
 
-use ft_modular::certify::ValueVector;
-use ft_modular::core::byzantine::log::Retention;
+use ft_modular::core::byzantine::log::{retained_series, Retention};
 use ft_modular::faults::AttackRun;
-use ft_modular::sim::trace::TraceEvent;
-use ft_modular::sim::RunReport;
+use ft_modular::sim::note::Note;
+use ft_modular::sim::ProcessId;
 
 const SLOTS: u64 = 10_000;
-
-/// Replica 0's `{prefix}… bytes=B` note series, in slot order.
-fn retained_series(report: &RunReport<Vec<ValueVector>>, prefix: &str) -> Vec<u64> {
-    report
-        .trace
-        .entries()
-        .iter()
-        .filter_map(|e| match &e.event {
-            TraceEvent::Note { process, text } if process.0 == 0 && text.starts_with(prefix) => {
-                text.rsplit_once("bytes=").and_then(|(_, b)| b.parse().ok())
-            }
-            _ => None,
-        })
-        .collect()
-}
 
 #[test]
 fn retained_bytes_of_a_three_slot_log_are_pinned() {
@@ -39,10 +23,10 @@ fn retained_bytes_of_a_three_slot_log_are_pinned() {
             .run_log(3, |_| None)
     };
     // Full retention accumulates: the last figure is the linear endpoint.
-    let full = || retained_series(&run(Retention::Full), "evidence slot=").pop();
+    let full = || retained_series(&run(Retention::Full).trace, Retention::Full).pop();
     // Compaction is flat (and undercuts full): the max figure is the bound.
     let flat = || {
-        retained_series(&run(Retention::Checkpoint), "checkpoint slot=")
+        retained_series(&run(Retention::Checkpoint).trace, Retention::Checkpoint)
             .into_iter()
             .max()
     };
@@ -75,15 +59,13 @@ fn checkpointed_log_memory_is_bounded_over_ten_thousand_slots() {
     // Replica 0's retained evidence: one sound checkpoint per slot, and
     // the per-slot retained bytes never trend upward — the whole point of
     // compaction. (Full retention reaches ~SLOTS × quorum-cert bytes.)
-    for entry in report.trace.entries() {
-        if let TraceEvent::Note { process, text } = &entry.event {
-            assert!(
-                process.0 != 0 || !text.starts_with("checkpoint-unsound"),
-                "replica 0 built an unsound checkpoint: {text}"
-            );
-        }
+    for text in report.trace.notes_of(ProcessId(0)) {
+        assert!(
+            !matches!(Note::parse(text).1, Note::CheckpointUnsound(..)),
+            "replica 0 built an unsound checkpoint: {text}"
+        );
     }
-    let series = retained_series(&report, "checkpoint slot=");
+    let series = retained_series(&report.trace, Retention::Checkpoint);
     assert_eq!(series.len() as u64, SLOTS, "a slot was never compacted");
     let (min, max) = (*series.iter().min().unwrap(), *series.iter().max().unwrap());
     assert!(
