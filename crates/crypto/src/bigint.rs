@@ -549,8 +549,59 @@ impl BigUint {
 }
 
 /// Exponent bits consumed per step of [`Montgomery::pow`]; divides 64, so
-/// no window straddles a limb.
+/// no window straddles a limb, and is even, so a window's squarings
+/// ping-pong between two buffers and end where they began.
 const WINDOW_BITS: usize = 4;
+
+/// Word-serial (CIOS) Montgomery multiplication, Koç–Acar–Kaliski — the
+/// one kernel every width runs: leaves `a·b·R⁻¹ mod n` in `t`, for
+/// `k`-limb `a`, `b`, `n`, `t` (`k = n.len()`, `R = 2^(64k)`) with
+/// `a·b < n·R` (either operand below `n` is enough) and
+/// `n0_neg_inv = −n⁻¹ mod 2⁶⁴`.
+///
+/// Each outer step adds `a·bᵢ` and the multiple `m·n` that zeroes the
+/// low limb, shifting one limb down, so the running value stays below
+/// `2n` — `k` limbs and the one-bit carry `top`; one conditional
+/// subtraction finishes. The two additions share one pass with a carry
+/// each (`c1`, `c2`): two short dependency chains the processor overlaps.
+///
+/// `#[inline(always)]` because the body is written once and compiled per
+/// caller: where `k` is a constant at the call site (the
+/// [`Montgomery::pow_fixed`] instantiations) the slices are stack arrays,
+/// both loops unroll and the bounds checks fold away; anywhere else the
+/// same code runs at the run-time width.
+#[inline(always)]
+fn mont_mul(a: &[u64], b: &[u64], n: &[u64], n0_neg_inv: u64, t: &mut [u64]) {
+    let k = n.len();
+    let (a, b, t) = (&a[..k], &b[..k], &mut t[..k]);
+    t.fill(0);
+    let mut top = 0u64;
+    for &bi in b {
+        let s = u128::from(t[0]) + u128::from(a[0]) * u128::from(bi);
+        let mut c1 = s >> 64;
+        let m = (s as u64).wrapping_mul(n0_neg_inv);
+        let mut c2 = (u128::from(s as u64) + u128::from(m) * u128::from(n[0])) >> 64;
+        for j in 1..k {
+            let s = u128::from(t[j]) + u128::from(a[j]) * u128::from(bi) + c1;
+            c1 = s >> 64;
+            let s = u128::from(s as u64) + u128::from(m) * u128::from(n[j]) + c2;
+            t[j - 1] = s as u64;
+            c2 = s >> 64;
+        }
+        let s = u128::from(top) + c1 + c2;
+        t[k - 1] = s as u64;
+        top = (s >> 64) as u64;
+    }
+    if top != 0 || t.iter().rev().ge(n.iter().rev()) {
+        let mut borrow = false;
+        for (tj, &nj) in t.iter_mut().zip(n) {
+            let (d, b1) = tj.overflowing_sub(nj);
+            let (d, b2) = d.overflowing_sub(u64::from(borrow));
+            *tj = d;
+            borrow = b1 || b2;
+        }
+    }
+}
 
 /// Montgomery arithmetic modulo one fixed odd modulus `n` of `k` limbs,
 /// with `R = 2^(64k)`.
@@ -562,6 +613,16 @@ const WINDOW_BITS: usize = 4;
 /// callers that exponentiate under the same modulus repeatedly (a
 /// verification key, the two prime factors of a signing key, a
 /// Miller–Rabin candidate) build it once.
+///
+/// There is one multiplication kernel (`mont_mul`) and one exponentiation
+/// loop around it, both written over limb slices. At the limb counts the
+/// repo's keys have — 1, 2, 4 and 8: `p`, `q` and `n` of 64-, 128-, 256-
+/// and 512-bit keys, and every Miller–Rabin candidate on the way to them
+/// — [`Montgomery::pow`] runs them through a `const K` wrapper whose
+/// buffers are `[u64; K]` on the stack, which roughly halves a signature;
+/// at any other width the same two functions run over heap buffers of the
+/// run-time width, so a width outside the list costs speed, never a
+/// different algorithm.
 ///
 /// # Example
 ///
@@ -623,117 +684,143 @@ impl Montgomery {
 
     /// Returns `a · b mod n`.
     pub fn mul(&self, a: &BigUint, b: &BigUint) -> BigUint {
-        let k = self.n.limbs.len();
-        let mut t = vec![0u64; k + 1];
-        let a = self.to_mont(a, &mut t);
         // mont(aR, b) = a·b·R·R⁻¹: one operand in Montgomery form is enough.
-        self.mont_mul(&a, &self.residue(b), &mut t);
-        from_limbs(&t[..k])
+        self.redc_product(&self.to_mont(a).limbs, &b.rem(&self.n).limbs)
+    }
+
+    /// Returns `x·R mod n`, the Montgomery form of `x`.
+    pub(crate) fn to_mont(&self, x: &BigUint) -> BigUint {
+        self.redc_product(&x.rem(&self.n).limbs, &self.r2)
+    }
+
+    /// Returns `a·b·R⁻¹ mod n` for `a`, `b` already below `n`: one kernel
+    /// call and no division. With `a` in Montgomery form and `b` not, that
+    /// is their plain product mod `n`.
+    pub(crate) fn mul_mont(&self, a: &BigUint, b: &BigUint) -> BigUint {
+        debug_assert!(a < &self.n && b < &self.n);
+        self.redc_product(&a.limbs, &b.limbs)
+    }
+
+    /// One kernel call at the run-time width on operands of at most `k`
+    /// limbs, zero-extended here.
+    fn redc_product(&self, a: &[u64], b: &[u64]) -> BigUint {
+        let n = &self.n.limbs[..];
+        let mut buf = vec![0u64; 3 * n.len()];
+        let (a_limbs, rest) = buf.split_at_mut(n.len());
+        let (b_limbs, t) = rest.split_at_mut(n.len());
+        a_limbs[..a.len()].copy_from_slice(a);
+        b_limbs[..b.len()].copy_from_slice(b);
+        mont_mul(a_limbs, b_limbs, n, self.n0_neg_inv, t);
+        from_limbs(t)
     }
 
     /// Returns `base^exp mod n` (so `0` when `n` is one, `1` when only
     /// `exp` is zero).
-    ///
-    /// Left-to-right fixed-window exponentiation: four squarings and at
-    /// most one table multiplication per exponent nibble, each a CIOS
-    /// Montgomery multiplication into one scratch buffer allocated up
-    /// front. The table of powers is filled only up to the largest nibble
-    /// the exponent contains, so the public exponent `65537` (nibbles 1, 0,
-    /// 0, 0, 1) costs no table set-up at all.
     pub fn pow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
+        self.pow_reduced(&padded(base.rem(&self.n), self.n.limbs.len()), exp)
+    }
+
+    /// [`Montgomery::pow_in`] with accumulator, scratch and window table
+    /// on the stack, for a modulus of exactly `K` limbs: `k` is a constant
+    /// in the inlined loop and kernel.
+    fn pow_fixed<const K: usize>(&self, base: &[u64], exp: &BigUint) -> BigUint {
+        let (mut acc, mut t) = ([0u64; K], [0u64; K]);
+        let mut table = [[0u64; K]; 1 << WINDOW_BITS];
+        self.pow_in(base, exp, &mut acc, &mut t, table.as_flattened_mut());
+        from_limbs(&acc)
+    }
+
+    /// [`Montgomery::pow_in`] over heap buffers of the modulus's own
+    /// width: the route of every width without an instantiation.
+    fn pow_dynamic(&self, base: &[u64], exp: &BigUint) -> BigUint {
         let k = self.n.limbs.len();
+        let mut buf = vec![0u64; (2 + (1 << WINDOW_BITS)) * k];
+        let (acc, rest) = buf.split_at_mut(k);
+        let (t, table) = rest.split_at_mut(k);
+        self.pow_in(base, exp, acc, t, table);
+        from_limbs(acc)
+    }
+
+    /// The exponentiation: leaves `base^exp mod n` in `acc`, for a modulus
+    /// of `k = acc.len()` limbs and a `k`-limb `base` below it, with `k`
+    /// limbs of scratch `t` and `16·k` of `table`.
+    ///
+    /// Left-to-right fixed-window: four squarings and at most one table
+    /// multiplication per exponent nibble, each one `mont_mul`. The table
+    /// of powers is filled only up to the largest nibble the exponent
+    /// contains, so the public exponent `65537` (nibbles 1, 0, 0, 0, 1)
+    /// costs no table set-up at all.
+    #[inline(always)]
+    fn pow_in(
+        &self,
+        base: &[u64],
+        exp: &BigUint,
+        acc: &mut [u64],
+        t: &mut [u64],
+        table: &mut [u64],
+    ) {
+        let k = acc.len();
+        let (n, inv) = (&self.n.limbs[..k], self.n0_neg_inv);
+        let (t, table) = (&mut t[..k], &mut table[..k << WINDOW_BITS]);
         // Most significant first.
         let mut nibbles = (0..exp.bits().div_ceil(WINDOW_BITS)).rev().map(|i| {
             let per_limb = 64 / WINDOW_BITS;
             (exp.limbs[i / per_limb] >> (WINDOW_BITS * (i % per_limb))) as usize
                 & ((1 << WINDOW_BITS) - 1)
         });
-        let mut t = vec![0u64; k + 1];
 
         // table[d·k..][..k] = base^d in Montgomery form, d = 0..=largest.
         let largest = nibbles.clone().max().unwrap_or(0);
-        let mut table = Vec::with_capacity((largest + 1).max(2) * k);
-        table.extend_from_slice(&self.r1);
-        table.extend_from_slice(&self.to_mont(base, &mut t));
+        table[..k].copy_from_slice(&self.r1[..k]);
+        mont_mul(&base[..k], &self.r2[..k], n, inv, &mut table[k..2 * k]);
         for d in 2..=largest {
-            self.mont_mul(&table[(d - 1) * k..d * k], &table[k..2 * k], &mut t);
-            table.extend_from_slice(&t[..k]);
+            let (filled, next) = table.split_at_mut(d * k);
+            mont_mul(&filled[(d - 1) * k..], &filled[k..2 * k], n, inv, next);
         }
-        let power = |d: usize| &table[d * k..(d + 1) * k];
 
-        let mut acc = power(nibbles.next().unwrap_or(0)).to_vec();
+        let d = nibbles.next().unwrap_or(0);
+        acc.copy_from_slice(&table[d * k..(d + 1) * k]);
         for d in nibbles {
-            for _ in 0..WINDOW_BITS {
-                self.mont_mul(&acc, &acc, &mut t);
-                acc.copy_from_slice(&t[..k]);
+            for _ in 0..WINDOW_BITS / 2 {
+                mont_mul(acc, acc, n, inv, t);
+                mont_mul(t, t, n, inv, acc);
             }
             if d != 0 {
-                self.mont_mul(&acc, power(d), &mut t);
-                acc.copy_from_slice(&t[..k]);
+                mont_mul(acc, &table[d * k..(d + 1) * k], n, inv, t);
+                acc.copy_from_slice(t);
             }
         }
 
-        // mont(x·R, 1) = x.
-        let mut one = vec![0u64; k];
+        // mont(x·R, 1) = x; the table is done with, so its first entry
+        // holds the one.
+        let one = &mut table[..k];
+        one.fill(0);
         one[0] = 1;
-        self.mont_mul(&acc, &one, &mut t);
-        from_limbs(&t[..k])
-    }
-
-    /// `x mod n` as exactly `k` limbs.
-    fn residue(&self, x: &BigUint) -> Vec<u64> {
-        padded(x.rem(&self.n), self.n.limbs.len())
-    }
-
-    /// `x·R mod n` as exactly `k` limbs; `t` is `k + 1` limbs of scratch.
-    fn to_mont(&self, x: &BigUint, t: &mut [u64]) -> Vec<u64> {
-        self.mont_mul(&self.residue(x), &self.r2, t);
-        t[..self.n.limbs.len()].to_vec()
-    }
-
-    /// Word-serial (CIOS) Montgomery multiplication, Koç–Acar–Kaliski:
-    /// leaves `a·b·R⁻¹ mod n` in `t[..k]`, for `k`-limb `a`, `b` with
-    /// `a·b < n·R` (either operand below `n` is enough) and `k + 1` limbs
-    /// of scratch `t`.
-    ///
-    /// Each outer step adds `a·bᵢ` and the multiple `m·n` that zeroes the
-    /// low limb, shifting one limb down, so the running value stays below
-    /// `2n`; one conditional subtraction finishes. The two additions share
-    /// one pass with a carry each (`c1`, `c2`): two short dependency
-    /// chains the processor overlaps, 16 % off a 512-bit signature against
-    /// one pass per addition.
-    fn mont_mul(&self, a: &[u64], b: &[u64], t: &mut [u64]) {
-        let n = &self.n.limbs[..];
-        let k = n.len();
-        let (a, b, t) = (&a[..k], &b[..k], &mut t[..k + 1]);
-        t.fill(0);
-        for &bi in b {
-            let s = u128::from(t[0]) + u128::from(a[0]) * u128::from(bi);
-            let mut c1 = s >> 64;
-            let m = (s as u64).wrapping_mul(self.n0_neg_inv);
-            let mut c2 = (u128::from(s as u64) + u128::from(m) * u128::from(n[0])) >> 64;
-            for j in 1..k {
-                let s = u128::from(t[j]) + u128::from(a[j]) * u128::from(bi) + c1;
-                c1 = s >> 64;
-                let s = u128::from(s as u64) + u128::from(m) * u128::from(n[j]) + c2;
-                t[j - 1] = s as u64;
-                c2 = s >> 64;
-            }
-            let s = u128::from(t[k]) + c1 + c2;
-            t[k - 1] = s as u64;
-            t[k] = (s >> 64) as u64;
-        }
-        if t[k] != 0 || t[..k].iter().rev().ge(n.iter().rev()) {
-            let mut borrow = false;
-            for (tj, &nj) in t[..k].iter_mut().zip(n) {
-                let (d, b1) = tj.overflowing_sub(nj);
-                let (d, b2) = d.overflowing_sub(u64::from(borrow));
-                *tj = d;
-                borrow = b1 || b2;
-            }
-        }
+        mont_mul(acc, one, n, inv, t);
+        acc.copy_from_slice(t);
     }
 }
+
+/// The limb counts with a [`Montgomery::pow_fixed`] instantiation (which,
+/// and why those: [`Montgomery`]) — the list the tests read and the
+/// dispatch over it, from one place.
+macro_rules! instantiated_widths {
+    ($($k:literal),+) => {
+        #[cfg(test)]
+        pub(crate) const INSTANTIATED_WIDTHS: &[usize] = &[$($k),+];
+
+        impl Montgomery {
+            /// `base^exp mod n` for a `k`-limb `base` below `n`.
+            fn pow_reduced(&self, base: &[u64], exp: &BigUint) -> BigUint {
+                match self.n.limbs.len() {
+                    $($k => self.pow_fixed::<$k>(base, exp),)+
+                    _ => self.pow_dynamic(base, exp),
+                }
+            }
+        }
+    };
+}
+instantiated_widths!(1, 2, 4, 8);
 
 /// The limbs of `x`, zero-extended to `k`.
 fn padded(x: BigUint, k: usize) -> Vec<u64> {
@@ -1148,6 +1235,70 @@ mod tests {
                     "case {i}: (−1)² mod {n}"
                 );
             }
+        }
+
+        /// The `K`-limb instantiation and the run-time-width route are the
+        /// same function of (modulus, base, exponent), on every pairing of
+        /// the edge shapes `montgomery_matches_reference` rotates through.
+        fn fixed_and_dynamic_agree<const K: usize>(rng: &mut SplitMix64) {
+            let top_ones = {
+                let mut n = limbs_of(rng, K);
+                n[K - 1] = u64::MAX;
+                n
+            };
+            let top_tiny = {
+                let mut n = limbs_of(rng, K);
+                n[K - 1] = 1 + (n[K - 1] & 3);
+                n
+            };
+            for mut n in [top_ones, top_tiny, vec![u64::MAX; K]] {
+                n[0] |= 1;
+                let n = from_limbs(&n);
+                if n == BigUint::one() {
+                    continue;
+                }
+                let ctx = Montgomery::new(&n);
+                assert_eq!(n.limbs.len(), K);
+                let bases = [
+                    n.sub(&BigUint::one()),
+                    from_limbs(&limbs_of(rng, K + 1)), // ≥ n: reduced on entry
+                    BigUint::random_below(rng, &n),
+                ];
+                let exps = [
+                    BigUint::zero(),
+                    BigUint::from(65537u64),
+                    // Every window 0xF; one limb of them is what Miri has time for.
+                    from_limbs(&vec![u64::MAX; if cfg!(miri) { 1 } else { K }]),
+                ];
+                for base in &bases {
+                    let reduced = padded(base.rem(&n), K);
+                    for exp in &exps {
+                        let fixed = ctx.pow_fixed::<K>(&reduced, exp);
+                        assert_eq!(
+                            fixed,
+                            ctx.pow_dynamic(&reduced, exp),
+                            "{base}^{exp} mod {n}"
+                        );
+                        assert_eq!(fixed, ctx.pow(base, exp), "{base}^{exp} mod {n}");
+                    }
+                }
+            }
+        }
+
+        /// Every instantiated width, and 3, 5 and 9 limbs, which
+        /// [`Montgomery::pow`] sends down the run-time-width route.
+        #[test]
+        fn constant_and_run_time_widths_agree() {
+            let mut rng = SplitMix64::from_seed(0xB169);
+            fixed_and_dynamic_agree::<1>(&mut rng);
+            fixed_and_dynamic_agree::<2>(&mut rng);
+            fixed_and_dynamic_agree::<3>(&mut rng);
+            fixed_and_dynamic_agree::<4>(&mut rng);
+            fixed_and_dynamic_agree::<5>(&mut rng);
+            fixed_and_dynamic_agree::<8>(&mut rng);
+            fixed_and_dynamic_agree::<9>(&mut rng);
+            let covered = [1, 2, 3, 4, 5, 8, 9];
+            assert!(INSTANTIATED_WIDTHS.iter().all(|k| covered.contains(k)));
         }
     }
 }

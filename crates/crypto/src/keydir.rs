@@ -34,14 +34,26 @@ const VERIFY_CACHE_CAPACITY: usize = 1 << 16;
 /// forgery many times too.
 #[derive(Debug, Default)]
 struct VerifyCache {
+    verdicts: Mutex<Verdicts>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+}
+
+/// The memo's table: under each `(signer, digest)` — a `Copy` key, so a
+/// lookup borrows the signature instead of cloning its limbs — the
+/// signatures presented for it, each with its verdict. A key has one
+/// valid signature, so a bucket is longer than one entry only by
+/// forgeries.
+#[derive(Debug, Default)]
+struct Verdicts {
     #[expect(
         clippy::disallowed_types,
         reason = "D2 waiver: the memo is looked up by key and cleared wholesale, never \
                   iterated, so hash order cannot reach a report; it is on the verify hot path"
     )]
-    verdicts: Mutex<std::collections::HashMap<(SignerId, Digest, Signature), bool>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    seen: std::collections::HashMap<(SignerId, Digest), Vec<(Signature, bool)>>,
+    /// Triples held, over all buckets.
+    len: usize,
 }
 
 impl VerifyCache {
@@ -54,10 +66,11 @@ impl VerifyCache {
         sig: &Signature,
         compute: impl FnOnce() -> bool,
     ) -> bool {
-        let key = (signer, *digest, sig.clone());
+        let key = (signer, *digest);
         {
             let verdicts = self.verdicts.lock().expect("verify cache poisoned");
-            if let Some(&ok) = verdicts.get(&key) {
+            let seen = verdicts.seen.get(&key).map_or(&[][..], Vec::as_slice);
+            if let Some(&(_, ok)) = seen.iter().find(|(s, _)| s == sig) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 return ok;
             }
@@ -69,10 +82,16 @@ impl VerifyCache {
         self.misses.fetch_add(1, Ordering::Relaxed);
         let ok = compute();
         let mut verdicts = self.verdicts.lock().expect("verify cache poisoned");
-        if verdicts.len() >= VERIFY_CACHE_CAPACITY {
-            verdicts.clear();
+        if verdicts.len >= VERIFY_CACHE_CAPACITY {
+            verdicts.seen.clear();
+            verdicts.len = 0;
         }
-        verdicts.insert(key, ok);
+        verdicts
+            .seen
+            .entry(key)
+            .or_default()
+            .push((sig.clone(), ok));
+        verdicts.len += 1;
         ok
     }
 }

@@ -99,7 +99,8 @@ pub struct KeyPair {
     /// `p − 1` and mod `q − 1`.
     dp: BigUint,
     dq: BigUint,
-    /// `q⁻¹ mod p`.
+    /// `q⁻¹ mod p` in `p`'s Montgomery form, so Garner's product is one
+    /// kernel call.
     qinv: BigUint,
 }
 
@@ -151,6 +152,8 @@ impl KeyPair {
             let Some(d) = e.modinv(&p1.lcm(&q1)) else {
                 continue; // gcd(e, λ) ≠ 1; redraw primes
             };
+            let qinv = q.modinv(&p).expect("distinct primes are coprime");
+            let p = Montgomery::new(&p);
             return Ok(KeyPair {
                 public: PublicKey {
                     n: Montgomery::new(&n),
@@ -158,8 +161,8 @@ impl KeyPair {
                 },
                 dp: d.rem(&p1),
                 dq: d.rem(&q1),
-                qinv: q.modinv(&p).expect("distinct primes are coprime"),
-                p: Montgomery::new(&p),
+                qinv: p.to_mont(&qinv),
+                p,
                 q: Montgomery::new(&q),
             });
         }
@@ -185,9 +188,14 @@ impl KeyPair {
         let (p, q) = (self.p.modulus(), self.q.modulus());
         let m1 = self.p.pow(&m, &self.dp);
         let m2 = self.q.pow(&m, &self.dq);
-        // h = qinv · (m1 − m2) mod p, with the difference kept non-negative.
-        let diff = m1.add(p).sub(&m2.rem(p));
-        let h = self.p.mul(&self.qinv, &diff);
+        // h = qinv · (m1 − m2) mod p, with the difference brought into [0, p).
+        let m2_mod_p = m2.rem(p);
+        let diff = if m1 >= m2_mod_p {
+            m1.sub(&m2_mod_p)
+        } else {
+            m1.add(p).sub(&m2_mod_p)
+        };
+        let h = self.p.mul_mont(&self.qinv, &diff);
         Signature(m2.add(&h.mul(q)))
     }
 
@@ -348,6 +356,24 @@ mod tests {
             }
         }
         assert!(m2_reduced, "no case had m2 >= p");
+    }
+
+    /// The key sizes the repo runs at (128-bit set-ups, the benchmark's
+    /// 512-bit workload) exponentiate at constant width under all three
+    /// moduli: dropping a width from the list fails here instead of
+    /// silently doubling a signature.
+    #[test]
+    fn key_moduli_land_on_instantiated_widths() {
+        for bits in [128usize, 512] {
+            let kp = KeyPair::generate(&mut crate::rng_from_seed(bits as u64), bits);
+            for ctx in [&kp.public.n, &kp.p, &kp.q] {
+                let limbs = ctx.modulus().bits().div_ceil(64);
+                assert!(
+                    crate::bigint::INSTANTIATED_WIDTHS.contains(&limbs),
+                    "{bits}-bit key: no instantiation for {limbs} limbs"
+                );
+            }
+        }
     }
 
     /// Keys and signatures are bit-identical to the ones the bit-at-a-time

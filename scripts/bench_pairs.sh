@@ -4,7 +4,7 @@
 # the host drifts 7–18 % within an hour, so never one side after the
 # other).
 #
-#   scripts/bench_pairs.sh <parent-ref> <workload> [pairs=3]
+#   scripts/bench_pairs.sh <parent-ref> <workload> [pairs=3] [probes]
 #
 # The parent is exported with `git archive` into a temp dir (nothing is
 # written to .git, nothing is left behind); the change is the working
@@ -22,17 +22,25 @@
 # fingerprint, …) are compared, so a behaviour change cannot hide behind a
 # speed-up.
 #
+# `probes` is a comma-separated list of per-layer metric names, e.g.
+#   crypto.sign_ns,crypto.verify_miss_ns,crypto.verify_hit_ns,core.byz_decide_us
+# Given it, every pair also makes one `--trace 1` pass per side (same
+# seed, same order as the pair's untraced runs) and the named metrics are
+# printed as each side's median and range over the pairs: the
+# parent -> change columns of DESIGN.md §12's tables.
+#
 # Reads benchmark/ and BENCHMARK.json; changes nothing in them. The tcp-*
 # workloads need `ulimit -n 4096` or more (the benchmark checks).
 set -euo pipefail
 
-if [ "$#" -lt 2 ] || [ "$#" -gt 3 ]; then
-    echo "usage: $0 <parent-ref> <workload> [pairs=3]" >&2
+if [ "$#" -lt 2 ] || [ "$#" -gt 4 ]; then
+    echo "usage: $0 <parent-ref> <workload> [pairs=3] [probe,probe,...]" >&2
     exit 2
 fi
 parent_ref="$1"
 workload="$2"
 pairs="${3:-3}"
+probes="${4:-}"
 
 root="$(git rev-parse --show-toplevel)"
 cd "$root"
@@ -73,6 +81,18 @@ run_side() {
     ' <<<"$out"
 }
 
+# One traced pass; prints "<name> <value>" for each requested probe.
+probe_side() {
+    local dir="$1" seed="$2" out
+    out="$(cd "$dir" && "${cmd[@]}" --workload "$workload" --seed "$seed" \
+        --seconds "$seconds" --trace 1 2>/dev/null)" || true
+    awk -v want="$probes" '
+        BEGIN { split(want, names, ","); for (i in names) wanted[names[i]] = 1 }
+        $1 in wanted { print $1, $2 }
+    ' <<<"$out"
+}
+
+: >"$tmp/probes"
 printf '%-4s %-6s %10s %14s %15s %15s %s\n' \
     pair side setup_s commit_p50_us throughput_cps cpu_us_per_cmd failed/attempted
 for pair in $(seq 1 "$pairs"); do
@@ -85,6 +105,12 @@ for pair in $(seq 1 "$pairs"); do
             "$pair" "$side" "$setup" "$p50" "$cps" "$cpu" "$failed" "$attempted"
         echo "$pair $side $setup $p50 $cps $cpu" >>"$tmp/rows"
     done
+    if [ -n "$probes" ]; then
+        for side in $order; do
+            if [ "$side" = parent ]; then dir="$tmp/parent"; else dir="$root"; fi
+            probe_side "$dir" "$pair" | sed "s/^/$side /" >>"$tmp/probes"
+        done
+    fi
 done
 
 # Per metric: each side's median and quartiles, the pairs the change won
@@ -124,6 +150,29 @@ awk '
         if (pairs < 10) printf "  (%d pairs: a claim needs 10)\n", pairs
     }
 ' "$tmp/rows"
+
+# Per requested probe: each side's median and range over the traced passes.
+if [ -n "$probes" ]; then
+    awk -v want="$probes" '
+        # "median (min-max)" of one side of one probe.
+        function spread(side, name,    n, i, k, t, v) {
+            n = count[side, name]
+            if (!n) return "-"
+            for (i = 1; i <= n; i++) v[i] = val[side, name, i]
+            for (i = 2; i <= n; i++) for (k = i; k > 1 && v[k - 1] > v[k]; k--) { t = v[k]; v[k] = v[k - 1]; v[k - 1] = t }
+            return sprintf("%.3f (%.3f-%.3f)", n % 2 ? v[(n + 1) / 2] : (v[n / 2] + v[n / 2 + 1]) / 2, v[1], v[n])
+        }
+        { val[$1, $2, ++count[$1, $2]] = $3 }
+        END {
+            printf "\n%-32s %38s %38s %9s\n", "probe (--trace 1, one pass a pair)", "parent med (min-max)", "change med (min-max)", "change"
+            n = split(want, names, ",")
+            for (i = 1; i <= n; i++) {
+                p = spread("parent", names[i]); q = spread("change", names[i])
+                printf "%-32s %38s %38s %+8.1f%%\n", names[i], p, q, p + 0 ? (q - p) / p * 100 : 0
+            }
+        }
+    ' "$tmp/probes"
+fi
 
 # A simulator workload repeats exactly per seed: the two sides' counts of
 # one traced pass must be the same line.
