@@ -1,12 +1,17 @@
 //! E1 sweeps: the crash-model Hurfin–Raynal protocol across system sizes,
-//! crash patterns and detector quality.
+//! crash patterns and detector quality; and a trace-level golden of both
+//! crash actors (Hurfin–Raynal and Chandra–Toueg).
 
 use ft_modular::certify::Value;
-use ft_modular::core::crash::CrashConsensus;
+use ft_modular::core::crash::{ChandraToueg, CrashConsensus, CrashMsg};
 use ft_modular::core::spec::Resilience;
 use ft_modular::core::validator::{check_crash_consensus, max_round};
-use ft_modular::fd::{OracleDetector, TimeoutDetector};
-use ft_modular::sim::{Duration, ProcessId, RunReport, SimConfig, Simulation, VirtualTime};
+use ft_modular::faults::crash_attacks::{CrashAttack, CrashSaboteur};
+use ft_modular::fd::{FailureDetector, OracleDetector, TimeoutDetector};
+use ft_modular::sim::runner::BoxedActor;
+use ft_modular::sim::{
+    Actor, Duration, Payload, ProcessId, RunReport, SimConfig, Simulation, VirtualTime,
+};
 
 fn run(n: usize, seed: u64, crashes: &[(usize, u64)]) -> RunReport<Value> {
     let mut cfg = SimConfig::new(n).seed(seed);
@@ -234,4 +239,192 @@ fn deterministic_replay() {
     assert_eq!(a.decisions, b.decisions);
     assert_eq!(a.end_time, b.end_time);
     assert_eq!(a.metrics, b.metrics);
+}
+
+/// A crash-model process built by its six-argument constructor over any
+/// failure detector, proposing `100 + i`.
+trait CrashProtocol {
+    type Msg: Payload + 'static;
+
+    fn actor<FD: FailureDetector + 'static>(
+        res: Resilience,
+        id: ProcessId,
+        fd: FD,
+        poll: Duration,
+        heartbeat: Option<Duration>,
+    ) -> BoxedActor<Self::Msg, Value>;
+}
+
+struct Hr;
+struct Ct;
+
+impl CrashProtocol for Hr {
+    type Msg = CrashMsg;
+
+    fn actor<FD: FailureDetector + 'static>(
+        res: Resilience,
+        id: ProcessId,
+        fd: FD,
+        poll: Duration,
+        heartbeat: Option<Duration>,
+    ) -> BoxedActor<CrashMsg, Value> {
+        Box::new(CrashConsensus::new(
+            res,
+            id,
+            100 + id.0 as u64,
+            fd,
+            poll,
+            heartbeat,
+        ))
+    }
+}
+
+impl CrashProtocol for Ct {
+    type Msg = <ChandraToueg<TimeoutDetector> as Actor>::Msg;
+
+    fn actor<FD: FailureDetector + 'static>(
+        res: Resilience,
+        id: ProcessId,
+        fd: FD,
+        poll: Duration,
+        heartbeat: Option<Duration>,
+    ) -> BoxedActor<Self::Msg, Value> {
+        Box::new(ChandraToueg::new(
+            res,
+            id,
+            100 + id.0 as u64,
+            fd,
+            poll,
+            heartbeat,
+        ))
+    }
+}
+
+/// The pinned observables of one run, one line.
+fn golden_line(label: &str, report: &RunReport<Value>) -> String {
+    format!(
+        "{label}: fp={:016x} msgs={} bytes={} end={} decisions={:?}",
+        report.trace.fingerprint(),
+        report.metrics.messages_sent,
+        report.metrics.bytes_sent,
+        report.end_time.ticks(),
+        report.decisions
+    )
+}
+
+/// The runs both crash actors are pinned on: n ∈ {4, 5, 7} × seeds 0..3
+/// under no crash, the round-1 coordinator crashed at t = 0 and p0
+/// crashed at t = 60 (E1's schedules), then the lying-oracle and
+/// heavy-jitter configurations above.
+fn golden_lines<P: CrashProtocol>() -> Vec<String> {
+    let mut lines = Vec::new();
+    for n in [4usize, 5, 7] {
+        let res = Resilience::new(n, ftm_core::quorum::max_faults(n));
+        for (schedule, crash_at) in [("none", None), ("coord@0", Some(0)), ("p0@60", Some(60))] {
+            for seed in 0..3 {
+                let mut cfg = SimConfig::new(n).seed(seed);
+                if let Some(t) = crash_at {
+                    cfg = cfg.crash(0, VirtualTime::at(t));
+                }
+                let report = Simulation::build_boxed(cfg, |id| {
+                    let fd = TimeoutDetector::new(n, Duration::of(150));
+                    P::actor(res, id, fd, Duration::of(25), Some(Duration::of(40)))
+                })
+                .run();
+                lines.push(golden_line(
+                    &format!("n={n} {schedule} seed={seed}"),
+                    &report,
+                ));
+            }
+        }
+    }
+    let n = 4;
+    let cfg = SimConfig::new(n)
+        .seed(5)
+        .delay_range(Duration::of(30), Duration::of(60))
+        .gst(VirtualTime::at(2_000), Duration::of(40));
+    let report = Simulation::build_boxed(cfg, |id| {
+        let mut fd = OracleDetector::new(n);
+        for p in (0..n as u32).filter(|&p| p != id.0) {
+            fd = fd.wrongly_suspect_until(ProcessId(p), VirtualTime::at(600));
+        }
+        P::actor(Resilience::new(n, 1), id, fd, Duration::of(5), None)
+    })
+    .run();
+    lines.push(golden_line("lying oracle", &report));
+    let n = 5;
+    for seed in 0..10 {
+        let cfg = SimConfig::new(n)
+            .seed(seed)
+            .delay_range(Duration::of(1), Duration::of(120))
+            .gst(VirtualTime::at(5_000), Duration::of(15));
+        let report = Simulation::build_boxed(cfg, |id| {
+            let fd = TimeoutDetector::new(n, Duration::of(50));
+            P::actor(
+                Resilience::new(n, 2),
+                id,
+                fd,
+                Duration::of(20),
+                Some(Duration::of(30)),
+            )
+        })
+        .run();
+        lines.push(golden_line(&format!("heavy jitter seed={seed}"), &report));
+    }
+    lines
+}
+
+/// FNV-1a over the lines; a mismatch prints every run's values.
+fn assert_golden(lines: &[String], pinned: u64) {
+    let text = lines.join("\n");
+    let digest = text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    assert_eq!(digest, pinned, "digest {digest:#018x} over:\n{text}");
+}
+
+#[test]
+fn hurfin_raynal_traces_are_pinned() {
+    let mut lines = golden_lines::<Hr>();
+    // E2: one saboteur among n = 4, each attack as experiments/e2.rs runs it.
+    let attacks = [
+        (0, CrashAttack::CorruptEstimate { poison: 31337 }),
+        (
+            3,
+            CrashAttack::ForgeDecide {
+                at: VirtualTime::at(1),
+                poison: 999,
+            },
+        ),
+    ];
+    for (attacker, attack) in attacks {
+        for seed in 0..3 {
+            let report = Simulation::build_boxed(SimConfig::new(4).seed(seed), |id| {
+                let fd = TimeoutDetector::new(4, Duration::of(150));
+                let honest = Hr::actor(
+                    Resilience::new(4, 1),
+                    id,
+                    fd,
+                    Duration::of(25),
+                    Some(Duration::of(40)),
+                );
+                if id.0 == attacker {
+                    Box::new(CrashSaboteur::new(honest, attack.clone()))
+                } else {
+                    honest
+                }
+            })
+            .run();
+            lines.push(golden_line(
+                &format!("E2 p{attacker} {attack:?} seed={seed}"),
+                &report,
+            ));
+        }
+    }
+    assert_golden(&lines, 0x4289_ef1a_39b2_6af6);
+}
+
+#[test]
+fn chandra_toueg_traces_are_pinned() {
+    assert_golden(&golden_lines::<Ct>(), 0x9c39_2956_fb36_038a);
 }
