@@ -3,7 +3,8 @@
 use ftm_certify::{Value, ValueVector};
 use ftm_core::byzantine::ByzantineConsensus;
 use ftm_core::config::{ProtocolConfig, ProtocolSetup};
-use ftm_core::crash::CrashConsensus;
+use ftm_core::crash::shell::Rounds;
+use ftm_core::crash::Crash;
 use ftm_core::spec::Resilience;
 use ftm_core::validator::{check_crash_consensus, check_vector_consensus, max_round, Verdict};
 use ftm_faults::{ByzantineWrapper, Tamper};
@@ -31,15 +32,16 @@ pub struct Outcome {
     pub bytes: u64,
 }
 
-/// Runs the crash-model protocol; `crashes` are `(process, time)` pairs.
-pub fn run_crash(n: usize, seed: u64, crashes: &[(usize, u64)]) -> (RunReport<Value>, Outcome) {
+/// Runs the crash-model protocol with round module `R`; `crashes` are
+/// `(process, time)` pairs.
+pub fn run_crash<R: Rounds + 'static>(n: usize, seed: u64, crashes: &[(usize, u64)]) -> Outcome {
     let mut cfg = SimConfig::new(n).seed(seed);
     for &(p, t) in crashes {
         cfg = cfg.crash(p, VirtualTime::at(t));
     }
     let res = Resilience::new(n, ftm_core::quorum::max_faults(n));
     let report = Simulation::build(cfg, |id| {
-        CrashConsensus::new(
+        Crash::<R, _>::new(
             res,
             id,
             100 + id.0 as u64,
@@ -50,14 +52,13 @@ pub fn run_crash(n: usize, seed: u64, crashes: &[(usize, u64)]) -> (RunReport<Va
     })
     .run();
     let verdict = check_crash_consensus(&report, &proposals(n), &vec![false; n]);
-    let outcome = Outcome {
+    Outcome {
         rounds: max_round(&report.trace, n),
         latency: report.end_time.ticks(),
         messages: report.metrics.messages_sent,
         bytes: report.metrics.bytes_sent,
         verdict,
-    };
-    (report, outcome)
+    }
 }
 
 /// Runs the transformed protocol with optional crashes and at most one
@@ -171,10 +172,11 @@ pub fn run_byz_honest(n: usize, f: usize, seed: u64) -> (RunReport<ValueVector>,
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ftm_core::crash::hr;
 
     #[test]
     fn crash_helper_produces_clean_outcome() {
-        let (_, o) = run_crash(4, 1, &[]);
+        let o = run_crash::<hr::HurfinRaynal>(4, 1, &[]);
         assert!(o.verdict.ok());
         assert_eq!(o.rounds, 1);
         assert!(o.messages > 0 && o.bytes > 0 && o.latency > 0);

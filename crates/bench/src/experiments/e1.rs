@@ -1,12 +1,8 @@
 //! E1 — Fig. 2: the crash-model protocol across sizes and crash patterns.
 
-use ftm_core::crash::ChandraToueg;
-use ftm_core::spec::Resilience;
-use ftm_core::validator::{check_crash_consensus, max_round};
-use ftm_fd::TimeoutDetector;
-use ftm_sim::{Duration, SimConfig, Simulation, VirtualTime};
+use ftm_core::crash::{ct, hr};
 
-use crate::experiments::common::{proposals, run_crash, Outcome};
+use crate::experiments::common::{run_crash, Outcome};
 use crate::report::{mean, pct, Table};
 
 const SEEDS: u64 = 20;
@@ -54,7 +50,7 @@ pub fn run() -> String {
         schedules.push(("1 late".into(), vec![(0, 60)]));
         for (label, crashes) in schedules {
             let outcomes: Vec<Outcome> = (0..SEEDS)
-                .map(|seed| run_crash(n, seed, &crashes).1)
+                .map(|seed| run_crash::<hr::HurfinRaynal>(n, seed, &crashes))
                 .collect();
             let (ok, rounds, maxlat, lat, msgs) = aggregate(&outcomes);
             t.row([n.to_string(), label, ok, rounds, maxlat, lat, msgs]);
@@ -85,7 +81,9 @@ pub fn run() -> String {
     ]);
     for n in [4usize, 7, 9] {
         for (label, crashes) in [("none", vec![]), ("1 early", vec![(0usize, 0u64)])] {
-            let hr: Vec<Outcome> = (0..SEEDS).map(|s| run_crash(n, s, &crashes).1).collect();
+            let hr: Vec<Outcome> = (0..SEEDS)
+                .map(|s| run_crash::<hr::HurfinRaynal>(n, s, &crashes))
+                .collect();
             let (ok, rounds, _maxlat, lat, msgs) = aggregate(&hr);
             t.row([
                 n.to_string(),
@@ -97,7 +95,9 @@ pub fn run() -> String {
                 msgs,
             ]);
 
-            let ct: Vec<Outcome> = (0..SEEDS).map(|s| run_ct(n, s, &crashes)).collect();
+            let ct: Vec<Outcome> = (0..SEEDS)
+                .map(|s| run_crash::<ct::ChandraToueg>(n, s, &crashes))
+                .collect();
             let (ok, rounds, _maxlat, lat, msgs) = aggregate(&ct);
             t.row([
                 n.to_string(),
@@ -113,31 +113,4 @@ pub fn run() -> String {
     out.push_str(&t.to_string());
     out.push('\n');
     out
-}
-
-fn run_ct(n: usize, seed: u64, crashes: &[(usize, u64)]) -> Outcome {
-    let mut cfg = SimConfig::new(n).seed(seed);
-    for &(p, t) in crashes {
-        cfg = cfg.crash(p, VirtualTime::at(t));
-    }
-    let res = Resilience::new(n, ftm_core::quorum::max_faults(n));
-    let report = Simulation::build(cfg, |id| {
-        ChandraToueg::new(
-            res,
-            id,
-            100 + id.0 as u64,
-            TimeoutDetector::new(n, Duration::of(150)),
-            Duration::of(25),
-            Some(Duration::of(40)),
-        )
-    })
-    .run();
-    let verdict = check_crash_consensus(&report, &proposals(n), &vec![false; n]);
-    Outcome {
-        rounds: max_round(&report.trace, n),
-        latency: report.end_time.ticks(),
-        messages: report.metrics.messages_sent,
-        bytes: report.metrics.bytes_sent,
-        verdict,
-    }
 }

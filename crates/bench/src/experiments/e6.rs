@@ -1,6 +1,7 @@
 //! E6 — the price of arbitrary-fault tolerance: crash vs. transformed.
 
 use ftm_core::config::ProtocolConfig;
+use ftm_core::crash::hr;
 use ftm_sim::Duration;
 
 use ftm_sim::SimConfig;
@@ -39,7 +40,9 @@ pub fn run() -> String {
         "mean decision time",
     ]);
     for n in [4usize, 5, 7, 9] {
-        let crash: Vec<Outcome> = (0..SEEDS).map(|s| run_crash(n, s, &[]).1).collect();
+        let crash: Vec<Outcome> = (0..SEEDS)
+            .map(|s| run_crash::<hr::HurfinRaynal>(n, s, &[]))
+            .collect();
         let (m, b, per, lat) = means(&crash);
         t.row([n.to_string(), "crash (Fig. 2)".into(), m, b, per, lat]);
 

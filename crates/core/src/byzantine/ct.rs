@@ -1,5 +1,5 @@
 //! The Chandra–Toueg round module: the crash-model ◇S protocol of
-//! [`crate::crash::chandra_toueg`] inside the same [shell](super::shell)
+//! [`crate::crash::ct`] inside the same [shell](super::shell)
 //! as the Hurfin–Raynal instance.
 //!
 //! The round discipline is CT's four-phase pattern, made auditable:

@@ -1,16 +1,22 @@
-//! The crash-model Hurfin–Raynal consensus protocol (paper Fig. 2).
+//! The crash-model protocols, the *input* of the paper's transformation.
 //!
-//! This is the *input* of the paper's transformation: a ◇S-based,
-//! rotating-coordinator, asynchronous-round consensus protocol assuming a
+//! Hurfin–Raynal (paper Fig. 2) and Chandra–Toueg are ◇S-based,
+//! rotating-coordinator, asynchronous-round consensus protocols assuming a
 //! majority of correct processes and reliable FIFO channels. Each round, a
-//! predetermined coordinator tries to impose its estimate; every process
-//! votes `CURRENT` (adopt and conclude) or `NEXT` (move on), with a
-//! `change_mind` escape hatch preventing deadlock when votes split.
+//! predetermined coordinator tries to impose its estimate. As on the
+//! transformed side ([`crate::byzantine`]), each protocol is a round module
+//! — [`hr::HurfinRaynal`], [`ct::ChandraToueg`] — inside one actor written
+//! once, [`Crash`] in [`shell`], speaking one vocabulary, [`CrashMsg`].
 
-pub mod chandra_toueg;
+pub mod ct;
+pub mod hr;
 pub mod message;
-pub mod protocol;
+pub mod shell;
 
-pub use chandra_toueg::{ChandraToueg, CtMsg};
 pub use message::CrashMsg;
-pub use protocol::CrashConsensus;
+pub use shell::Crash;
+
+/// The crash-model Hurfin–Raynal protocol (paper Fig. 2).
+pub type CrashConsensus<FD> = Crash<hr::HurfinRaynal, FD>;
+/// The crash-model Chandra–Toueg protocol.
+pub type ChandraToueg<FD> = Crash<ct::ChandraToueg, FD>;

@@ -9,7 +9,8 @@
 //! between them:
 //!
 //! * [`crash`] — the Hurfin–Raynal ◇S consensus protocol (paper Fig. 2,
-//!   the FIFO-channel variant), the *input* of the transformation;
+//!   the FIFO-channel variant) and Chandra–Toueg's, the *input* of the
+//!   transformation: two round modules in one crash-model shell;
 //! * [`transform`] — the five-module process structure (paper Fig. 1) and
 //!   the transformation rules of §3 as reusable machinery: the receive
 //!   pipeline ([`transform::stack::ModuleStack`]) and the

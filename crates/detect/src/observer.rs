@@ -193,13 +193,18 @@ impl Observer {
         self.record(e, now)
     }
 
+    /// Logs the first conviction of each culprit: a convicted peer's
+    /// stragglers are still rejected (and counted by the caller), but the
+    /// log stays bounded by the number of distinct culprits.
     fn record(&mut self, e: CertifyError, now: VirtualTime) -> CertifyError {
-        self.faults.push(FaultRecord {
-            culprit: e.culprit,
-            class: e.class,
-            reason: e.reason,
-            at: now,
-        });
+        if self.faults.iter().all(|f| f.culprit != e.culprit) {
+            self.faults.push(FaultRecord {
+                culprit: e.culprit,
+                class: e.class,
+                reason: e.reason,
+                at: now,
+            });
+        }
         e
     }
 
@@ -210,7 +215,8 @@ impl Observer {
             .is_some_and(super::automaton::PeerAutomaton::is_faulty)
     }
 
-    /// The evidence log, in conviction order.
+    /// The evidence log, in conviction order: one record per culprit, its
+    /// first conviction.
     pub fn faults(&self) -> &[FaultRecord] {
         &self.faults
     }
@@ -397,5 +403,27 @@ mod tests {
         let set: BTreeSet<ProcessId> = obs.faults().iter().map(|f| f.culprit).collect();
         assert_eq!(set.len(), 2);
         assert!(set.contains(&ProcessId(1)) && set.contains(&ProcessId(2)));
+    }
+
+    #[test]
+    fn a_convicted_peer_spamming_stragglers_keeps_one_record() {
+        let (mut obs, keys) = fixture();
+        let next = Envelope::make(
+            ProcessId(1),
+            Core::Next { round: 1 },
+            Certificate::new(),
+            &keys[1],
+        );
+        // First message is not INIT: the conviction.
+        let first = obs.observe(ProcessId(1), &next, VirtualTime::ZERO);
+        assert_eq!(first.unwrap_err().class, FaultClass::OutOfOrder);
+        // 10 000 stragglers are each still rejected, none is logged.
+        for t in 1..=10_000 {
+            assert!(obs
+                .observe(ProcessId(1), &next, VirtualTime::at(t))
+                .is_err());
+        }
+        assert_eq!(obs.faults().len(), 1);
+        assert_eq!(obs.faults()[0].at, VirtualTime::ZERO);
     }
 }
