@@ -447,7 +447,17 @@ impl CanonicalEncode for MessageCore {
 
 impl CanonicalDecode for MessageCore {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let sender = ProcessId(dec.u32()?);
+        Self::decode_after_sender(ProcessId(dec.u32()?), dec)
+    }
+}
+
+impl MessageCore {
+    /// Decodes the rest of a core whose leading sender field the caller
+    /// has already read (a signed core's wire form branches on it).
+    pub(crate) fn decode_after_sender(
+        sender: ProcessId,
+        dec: &mut Decoder<'_>,
+    ) -> Result<Self, DecodeError> {
         let core = match dec.tag()? {
             1 => Core::Init { value: dec.u64()? },
             2 => Core::Current {

@@ -13,12 +13,40 @@ use crate::certificate::Certificate;
 use crate::error::{CertifyError, FaultClass};
 use crate::message::{Core, MessageCore, MessageKind, Round};
 
-/// A message core plus the sender's signature over its canonical bytes.
+/// First byte of a signed pair's hash input. A canonical [`MessageCore`]
+/// opens with its sender as a big-endian `u32`, so no in-range sender's
+/// core starts with this byte: a pair digest is never a lone core's
+/// digest (domain separation). A pair member's wire form opens with four
+/// of them where a lone core's opens with its sender.
+pub const PAIR_TAG: u8 = 0xFF;
+
+/// The four-byte head of a pair member's wire form.
+const PAIR_HEAD: u32 = u32::from_be_bytes([PAIR_TAG; 4]);
+
+/// What a pair's one signature covers: `PAIR_TAG ‖ min(a, b) ‖ max(a, b)`,
+/// so both members name the same input whichever one is asked.
+fn pair_input(a: &Digest, b: &Digest) -> [u8; 65] {
+    let (lo, hi) = if a <= b { (a, b) } else { (b, a) };
+    let mut input = [PAIR_TAG; 65];
+    input[1..33].copy_from_slice(&lo.0);
+    input[33..].copy_from_slice(&hi.0);
+    input
+}
+
+/// A message core plus the sender's signature over it.
+///
+/// The signature covers the core's digest, or — for a member of a pair
+/// signed with one RSA operation ([`SignedCore::sign_pair`]) — the pair
+/// digest over both members' digests; a member then carries its
+/// sibling's digest so it verifies on its own. Either way
+/// [`digest`](SignedCore::digest) is the core's own digest: statement
+/// identity, certificate dedup and equality do not see the difference.
 ///
 /// One shared allocation: certificates reference the same signed statement
 /// many times across a run, so a clone is a reference-count bump, and what
-/// is fixed once the core is signed or decoded — its digest and its
-/// canonical length — is computed then, from one encode, and never again.
+/// is fixed once the core is signed or decoded — its digest, the digest
+/// its signature covers and its canonical length — is computed then, from
+/// one encode, and never again.
 ///
 /// # Example
 ///
@@ -31,6 +59,13 @@ use crate::message::{Core, MessageCore, MessageKind, Round};
 /// let (dir, keys) = KeyDirectory::generate(&mut rng, 2, 128);
 /// let sc = SignedCore::sign(MessageCore::new(ProcessId(0), Core::Init { value: 9 }), &keys[0]);
 /// assert!(sc.verify(&dir).is_ok());
+///
+/// // Two statements, one RSA operation; each member verifies alone.
+/// let decide = MessageCore::new(ProcessId(1), Core::Next { round: 1 });
+/// let init = MessageCore::new(ProcessId(1), Core::Init { value: 4 });
+/// let [a, b] = SignedCore::sign_pair(decide, init, &keys[1]);
+/// assert!(a.verify(&dir).is_ok() && b.verify(&dir).is_ok());
+/// assert_eq!(a.signature_bytes(), b.signature_bytes());
 /// ```
 #[derive(Clone)]
 pub struct SignedCore(Arc<Sealed>);
@@ -40,34 +75,82 @@ struct Sealed {
     signature: Signature,
     /// SHA-256 of the canonical core bytes.
     digest: Digest,
+    /// The other member's `digest` when signed as a pair.
+    sibling: Option<Digest>,
+    /// What `signature` covers: `digest`, or the pair digest over
+    /// `digest` and `sibling`. The verdict memo is keyed by it.
+    signed: Digest,
     /// Length of the canonical core bytes, from the encode that fed
     /// `digest`.
     core_len: usize,
 }
 
+/// A core's digest and canonical length, from one encode.
+fn measure(core: &MessageCore) -> (Digest, usize) {
+    let bytes = core.canonical_bytes();
+    (Sha256::digest(&bytes), bytes.len())
+}
+
 impl SignedCore {
-    /// Encodes `core` once for both its digest and its length; `sign`
-    /// turns the digest into the signature to attach.
-    fn seal(core: MessageCore, sign: impl FnOnce(&Digest) -> Signature) -> Self {
-        let bytes = core.canonical_bytes();
-        let digest = Sha256::digest(&bytes);
+    /// Seals a measured `core` as a lone statement or as the member of a
+    /// pair whose other member has digest `sibling`; `sign` turns the
+    /// digest the signature covers into the signature to attach.
+    fn seal(
+        core: MessageCore,
+        (digest, core_len): (Digest, usize),
+        sibling: Option<Digest>,
+        sign: impl FnOnce(&Digest) -> Signature,
+    ) -> Self {
+        let signed = sibling.map_or(digest, |s| Sha256::digest(&pair_input(&digest, &s)));
         SignedCore(Arc::new(Sealed {
-            signature: sign(&digest),
+            signature: sign(&signed),
             core,
             digest,
-            core_len: bytes.len(),
+            sibling,
+            signed,
+            core_len,
         }))
     }
 
     /// Signs `core` with `keys` (which should be the sender's key pair —
     /// fault injectors deliberately violate this).
     pub fn sign(core: MessageCore, keys: &KeyPair) -> Self {
-        Self::seal(core, |digest| keys.sign_digest(digest))
+        let measured = measure(&core);
+        Self::seal(core, measured, None, |digest| keys.sign_digest(digest))
     }
 
-    /// Assembles a signed core from parts (used by forgery injectors).
+    /// Signs two cores with one RSA operation over their pair digest and
+    /// returns them as two members sharing that signature, each carrying
+    /// the other's digest.
+    pub fn sign_pair(a: MessageCore, b: MessageCore, keys: &KeyPair) -> [Self; 2] {
+        let (ma, mb) = (measure(&a), measure(&b));
+        let first = Self::seal(a, ma, Some(mb.0), |pair| keys.sign_digest(pair));
+        let second = Self::seal(b, mb, Some(ma.0), |_| first.0.signature.clone());
+        [first, second]
+    }
+
+    /// Assembles a lone signed core from parts (used by forgery
+    /// injectors).
     pub fn from_parts(core: MessageCore, signature: Signature) -> Self {
-        Self::seal(core, |_| signature)
+        let measured = measure(&core);
+        Self::seal(core, measured, None, |_| signature)
+    }
+
+    /// The same core and signature claiming `sibling` instead — a member
+    /// lifted out of its pair (`None`), or given another's sibling (used
+    /// by forgery injectors and hostile-pair tests).
+    pub fn with_sibling(&self, sibling: Option<Digest>) -> Self {
+        let sealed = &self.0;
+        let measured = (sealed.digest, sealed.core_len);
+        Self::seal(sealed.core.clone(), measured, sibling, |_| {
+            sealed.signature.clone()
+        })
+    }
+
+    /// The digest of the other member of this core's signed pair, if it
+    /// was signed as one.
+    pub fn sibling(&self) -> Option<Digest> {
+        self.0.sibling
     }
 
     /// The signed statement.
@@ -100,14 +183,18 @@ impl SignedCore {
         self.0.signature.to_bytes()
     }
 
-    /// Verifies the signature against the claimed sender's directory key.
+    /// Verifies the signature against the claimed sender's directory key,
+    /// over the digest it covers (the pair digest for a pair member, so a
+    /// flipped, swapped, invented or dropped sibling fails here). The
+    /// directory memoizes the verdict under `(signer, that digest,
+    /// signature)`: both members of a pair share one entry.
     ///
     /// # Errors
     ///
     /// Returns a [`CertifyError`] with class
     /// [`FaultClass::BadSignature`] naming the claimed sender.
     pub fn verify(&self, dir: &KeyDirectory) -> Result<(), CertifyError> {
-        dir.verify_digest(self.sender().0, &self.0.digest, &self.0.signature)
+        dir.verify_digest(self.sender().0, &self.0.signed, &self.0.signature)
             .map_err(|_| {
                 CertifyError::new(
                     self.sender(),
@@ -117,14 +204,30 @@ impl SignedCore {
             })
     }
 
-    /// On-the-wire size: canonical core bytes plus signature bytes.
+    /// On-the-wire size: canonical core bytes plus the signature layer's.
     pub fn size_bytes(&self) -> usize {
-        self.0.core_len + self.0.signature.size_bytes()
+        self.0.core_len + self.signature_layer_bytes()
+    }
+
+    /// The signature layer's bytes: the signature, plus the sibling digest
+    /// a pair member carries.
+    fn signature_layer_bytes(&self) -> usize {
+        let sibling = self.0.sibling.map_or(0, |s| s.0.len());
+        self.0.signature.size_bytes() + sibling
     }
 }
 
+// A lone core is `core ‖ bytes(signature)`; a pair member is
+// `PAIR_HEAD ‖ sibling (32 raw bytes) ‖ core ‖ bytes(signature)`. Both are
+// self-delimiting, so certificate items can be written back to back.
 impl CanonicalEncode for SignedCore {
     fn encode(&self, enc: &mut Encoder) {
+        if let Some(sibling) = &self.0.sibling {
+            enc.u32(PAIR_HEAD);
+            for &b in &sibling.0 {
+                enc.tag(b);
+            }
+        }
         enc.nested(&self.0.core);
         enc.bytes(&self.0.signature.to_bytes());
     }
@@ -132,9 +235,22 @@ impl CanonicalEncode for SignedCore {
 
 impl CanonicalDecode for SignedCore {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let core = MessageCore::decode(dec)?;
+        let head = dec.u32()?;
+        let (core, sibling) = if head == PAIR_HEAD {
+            let mut sibling = Digest([0; 32]);
+            for b in &mut sibling.0 {
+                *b = dec.tag()?;
+            }
+            (MessageCore::decode(dec)?, Some(sibling))
+        } else {
+            (
+                MessageCore::decode_after_sender(ProcessId(head), dec)?,
+                None,
+            )
+        };
         let sig = Signature::from_bytes(&dec.bytes()?);
-        Ok(SignedCore::from_parts(core, sig))
+        let measured = measure(&core);
+        Ok(SignedCore::seal(core, measured, sibling, |_| sig))
     }
 }
 
@@ -257,12 +373,12 @@ impl Payload for Envelope {
 
     fn layer_split(&self) -> LayerSplit {
         // The wire envelope decomposes exactly: the protocol core's
-        // canonical bytes, the signature layer's bytes over that core, and
-        // the certification layer's carried evidence (certificate items,
-        // cores *and* their signatures — the evidence only exists because
-        // of certification).
+        // canonical bytes, the signature layer's bytes over that core (with
+        // a pair member's sibling digest), and the certification layer's
+        // carried evidence (certificate items, cores *and* their
+        // signatures — the evidence only exists because of certification).
         LayerSplit {
-            signature_bytes: self.signed.0.signature.size_bytes(),
+            signature_bytes: self.signed.signature_layer_bytes(),
             certificate_bytes: self.cert.size_bytes(),
             protocol_bytes: self.signed.0.core_len,
         }
@@ -340,6 +456,200 @@ mod tests {
         assert!(forged.verify(&dir).is_err());
         assert!(forged.verify(&dir).is_err());
         assert_eq!((dir.cache_hits(), dir.cache_misses()), (3, 2));
+    }
+
+    /// p1's DECIDE(1) and INIT(v) signed as one pair.
+    fn pair(keys: &[KeyPair], value: u64) -> [SignedCore; 2] {
+        let decide = MessageCore::new(
+            ProcessId(1),
+            Core::Decide {
+                round: 1,
+                vector: ValueVector::from_entries(vec![Some(1), None, Some(3)]),
+            },
+        );
+        let init = MessageCore::new(ProcessId(1), Core::Init { value });
+        SignedCore::sign_pair(decide, init, &keys[1])
+    }
+
+    fn flipped(d: Digest, bit: usize) -> Digest {
+        let mut d = d;
+        d.0[bit / 8] ^= 1 << (bit % 8);
+        d
+    }
+
+    #[test]
+    fn both_members_of_a_pair_verify_and_keep_their_own_identity() {
+        let (dir, keys) = setup();
+        let [decide, init] = pair(&keys, 7);
+        assert!(decide.verify(&dir).is_ok() && init.verify(&dir).is_ok());
+        assert_eq!(decide.signature_bytes(), init.signature_bytes());
+        assert_eq!(
+            (decide.sibling(), init.sibling()),
+            (Some(init.digest()), Some(decide.digest()))
+        );
+        // Identity is the core's: a pair member equals the lone statement.
+        assert_eq!(init, SignedCore::sign(init.core().clone(), &keys[1]));
+        assert_eq!(init.digest(), init.core().canonical_digest());
+        // Order does not matter: either member names the same pair input.
+        let [init2, decide2] =
+            SignedCore::sign_pair(init.core().clone(), decide.core().clone(), &keys[1]);
+        assert_eq!(init2.signature_bytes(), decide.signature_bytes());
+        assert_eq!(decide2.signature_bytes(), init.signature_bytes());
+    }
+
+    #[test]
+    fn a_flipped_sibling_bit_convicts_the_sender_of_a_bad_signature() {
+        let (dir, keys) = setup();
+        let [decide, _] = pair(&keys, 7);
+        let sibling = decide.sibling().expect("a member");
+        for bit in [0, 7, 100, 255] {
+            let err = decide
+                .with_sibling(Some(flipped(sibling, bit)))
+                .verify(&dir)
+                .unwrap_err();
+            assert_eq!(
+                (err.culprit, err.class),
+                (ProcessId(1), FaultClass::BadSignature)
+            );
+        }
+    }
+
+    #[test]
+    fn a_member_lifted_out_of_its_pair_does_not_verify() {
+        let (dir, keys) = setup();
+        let [decide, init] = pair(&keys, 7);
+        assert!(decide.with_sibling(None).verify(&dir).is_err());
+        assert!(init.with_sibling(None).verify(&dir).is_err());
+    }
+
+    #[test]
+    fn two_pairs_of_one_signer_with_siblings_swapped_do_not_verify() {
+        let (dir, keys) = setup();
+        let [decide_a, init_a] = pair(&keys, 7);
+        let [decide_b, init_b] = pair(&keys, 8);
+        // Same DECIDE in both pairs, different INITs: each DECIDE claims
+        // the other pair's INIT.
+        assert!(decide_a
+            .with_sibling(decide_b.sibling())
+            .verify(&dir)
+            .is_err());
+        assert!(decide_b
+            .with_sibling(decide_a.sibling())
+            .verify(&dir)
+            .is_err());
+        // And each INIT claims the other pair's DECIDE signature.
+        let swapped = SignedCore::from_parts(init_a.core().clone(), decide_b.0.signature.clone())
+            .with_sibling(init_a.sibling());
+        assert!(swapped.verify(&dir).is_err());
+        assert!(init_b.verify(&dir).is_ok());
+    }
+
+    #[test]
+    fn a_lone_core_given_an_invented_sibling_does_not_verify() {
+        let (dir, keys) = setup();
+        let lone = init(1, 5, &keys[1]);
+        let invented = Sha256::digest(b"no such statement");
+        assert!(lone.verify(&dir).is_ok());
+        assert!(lone.with_sibling(Some(invented)).verify(&dir).is_err());
+        assert!(lone.with_sibling(Some(lone.digest())).verify(&dir).is_err());
+    }
+
+    #[test]
+    fn the_pair_input_opens_with_a_tag_no_core_kind_opens_with() {
+        let (a, b) = (Sha256::digest(b"a"), Sha256::digest(b"b"));
+        let input = pair_input(&a, &b);
+        assert_eq!(input[0], PAIR_TAG);
+        assert_eq!(input, pair_input(&b, &a));
+        let vector = ValueVector::empty(3);
+        let kinds = [
+            Core::Init { value: u64::MAX },
+            Core::Current {
+                round: 1,
+                vector: vector.clone(),
+            },
+            Core::Next { round: 1 },
+            Core::Decide {
+                round: 1,
+                vector: vector.clone(),
+            },
+            Core::Estimate {
+                round: 2,
+                vector: vector.clone(),
+                ts: 1,
+            },
+            Core::Propose {
+                round: 1,
+                vector: vector.clone(),
+            },
+            Core::Ack { round: 1, vector },
+            Core::Nack { round: 1 },
+            Core::Checkpoint { slot: 1, digest: a },
+        ];
+        // Any sender below 2^24 — every directory this stack builds.
+        for sender in [0, 1, 6, 0x00FF_FFFF] {
+            for core in &kinds {
+                let bytes = MessageCore::new(ProcessId(sender), core.clone()).canonical_bytes();
+                assert_ne!(bytes[0], PAIR_TAG, "{core:?} from {sender}");
+            }
+        }
+    }
+
+    #[test]
+    fn verifying_both_members_costs_one_memo_miss_and_one_hit() {
+        let (dir, keys) = setup();
+        let [decide, init] = pair(&keys, 7);
+        assert!(decide.verify(&dir).is_ok());
+        assert!(init.verify(&dir).is_ok());
+        assert_eq!((dir.cache_misses(), dir.cache_hits()), (1, 1));
+    }
+
+    #[test]
+    fn a_member_measures_its_sibling_in_the_signature_layer() {
+        let (_, keys) = setup();
+        let [_, member] = pair(&keys, 7);
+        let lone = init(1, 7, &keys[1]);
+        let env = |signed: SignedCore| Envelope {
+            signed,
+            cert: Certificate::new(),
+        };
+        let (member_env, lone_env) = (env(member.clone()), env(lone.clone()));
+        let (m, l) = (member_env.layer_split(), lone_env.layer_split());
+        assert_eq!(m.protocol_bytes, l.protocol_bytes);
+        assert_eq!(m.signature_bytes, member.signature_bytes().len() + 32);
+        assert_eq!(l.signature_bytes, lone.signature_bytes().len());
+        assert_eq!(m.total(), member_env.size_bytes());
+        assert_eq!(
+            member.size_bytes(),
+            member.core().canonical_bytes().len() + member.signature_bytes().len() + 32
+        );
+    }
+
+    #[test]
+    fn members_roundtrip_back_to_back_and_every_truncation_is_an_error() {
+        let (dir, keys) = setup();
+        let [decide, member] = pair(&keys, 7);
+        let env = Envelope {
+            signed: decide,
+            cert: Certificate::from_items([member, init(0, 5, &keys[0])]),
+        };
+        let bytes = env.to_bytes();
+        let back = Envelope::from_bytes(&bytes).expect("roundtrip");
+        assert_eq!(back.to_bytes(), bytes);
+        assert_eq!(
+            (back.size_bytes(), back.layer_split()),
+            (env.size_bytes(), env.layer_split())
+        );
+        for item in std::iter::once(&back.signed).chain(back.cert.iter()) {
+            assert!(item.verify(&dir).is_ok());
+        }
+        // A member's wire form: the four-tag head, the raw sibling, then
+        // the lone form.
+        let head = back.signed.canonical_bytes();
+        assert_eq!(&head[..4], &[PAIR_TAG; 4]);
+        assert_eq!(&head[4..36], &back.signed.sibling().expect("a member").0);
+        for cut in 0..bytes.len() {
+            assert!(Envelope::from_bytes(&bytes[..cut]).is_err(), "cut at {cut}");
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! is identified by its iteration number and replays identically.
 
 use ftm_certify::analyzer::CertChecker;
-use ftm_certify::{Certificate, Core, Envelope, MessageCore, SignedCore, ValueVector};
+use ftm_certify::{Certificate, Core, Envelope, FaultClass, MessageCore, SignedCore, ValueVector};
 use ftm_crypto::keydir::KeyDirectory;
 use ftm_crypto::prng::{Rng64, SplitMix64};
 use ftm_crypto::rsa::KeyPair;
@@ -299,6 +299,117 @@ fn envelopes_roundtrip_through_wire_bytes() {
         let back = Envelope::from_bytes(&env.to_bytes()).expect("roundtrip");
         assert_eq!(back, env, "case {case}");
         assert_eq!(back.signed.digest(), env.signed.digest(), "case {case}");
+    }
+}
+
+/// `sender`'s INIT(value), signed in one pair with a DECIDE of a previous
+/// slot — the form a replicated log puts INITs of slots ≥ 1 in.
+fn paired_init(keys: &[KeyPair], sender: u32, value: u64) -> SignedCore {
+    let decide = MessageCore::new(
+        ProcessId(sender),
+        Core::Decide {
+            round: 1,
+            vector: ValueVector::from_entries(vec![Some(7); N]),
+        },
+    );
+    let init = MessageCore::new(ProcessId(sender), Core::Init { value });
+    let [_, init] = SignedCore::sign_pair(decide, init, &keys[sender as usize]);
+    init
+}
+
+/// [`valid_current`] with every INIT witness a pair member.
+fn valid_current_over_pairs(keys: &[KeyPair]) -> Envelope {
+    let (env, vect) = valid_current(keys);
+    let cert = Certificate::from_items(env.cert.iter().map(|item| {
+        paired_init(
+            keys,
+            item.sender().0,
+            vect.get(item.sender().index()).unwrap(),
+        )
+    }));
+    Envelope::make(ProcessId(0), env.core().clone(), cert, &keys[0])
+}
+
+fn flip(d: ftm_crypto::sha256::Digest, bit: usize) -> ftm_crypto::sha256::Digest {
+    let mut d = d;
+    d.0[bit / 8] ^= 1 << (bit % 8);
+    d
+}
+
+/// A member sent as a message: any flipped bit of its sibling is a
+/// bad-signature conviction of its sender.
+#[test]
+fn a_flipped_sibling_bit_in_a_head_convicts_the_sender() {
+    let (checker, keys) = fixture();
+    let head = paired_init(&keys, 2, 102);
+    let env = |signed| Envelope {
+        signed,
+        cert: Certificate::new(),
+    };
+    assert!(checker.check_envelope(&env(head.clone())).is_ok());
+    let sibling = head.sibling().unwrap();
+    for bit in 0..256 {
+        let err = checker
+            .check_envelope(&env(head.with_sibling(Some(flip(sibling, bit)))))
+            .unwrap_err();
+        assert_eq!(
+            (err.culprit, err.class),
+            (ProcessId(2), FaultClass::BadSignature),
+            "bit {bit}"
+        );
+    }
+}
+
+/// The same flip inside a relayed certificate: a bad-certificate
+/// conviction of the relayer, whose message it is.
+#[test]
+fn a_flipped_sibling_bit_in_a_certificate_convicts_the_relayer() {
+    let (checker, keys) = fixture();
+    let env = valid_current_over_pairs(&keys);
+    assert!(checker.check_envelope(&env).is_ok());
+    let items: Vec<&SignedCore> = env.cert.iter().collect();
+    for (i, item) in items.iter().enumerate() {
+        for bit in [0, 31, 128, 255] {
+            let bad = item.with_sibling(Some(flip(item.sibling().unwrap(), bit)));
+            let cert = Certificate::from_items(items.iter().enumerate().map(|(j, it)| {
+                if j == i {
+                    bad.clone()
+                } else {
+                    (*it).clone()
+                }
+            }));
+            let relayed = Envelope::make(ProcessId(0), env.core().clone(), cert, &keys[0]);
+            let err = checker.check_envelope(&relayed).unwrap_err();
+            assert_eq!(
+                (err.culprit, err.class),
+                (ProcessId(0), FaultClass::BadCertificate),
+                "item {i} bit {bit}"
+            );
+        }
+    }
+}
+
+/// Bit-flips anywhere in an envelope whose certificate holds pair
+/// members: a flipped copy that decodes is either the same bytes again or
+/// rejected by the analyzer — never accepted as a different message.
+#[test]
+fn bitflipped_envelopes_over_pairs_never_forge() {
+    let (checker, keys) = fixture();
+    let env = valid_current_over_pairs(&keys);
+    let bytes = env.to_bytes();
+    let mut rng = SplitMix64::from_seed(0xF0229);
+    for case in 0..200 {
+        let mut flipped = bytes.clone();
+        let idx = rng.gen_range_u64(0, bytes.len() as u64 - 1) as usize;
+        flipped[idx] ^= 1 << rng.gen_range_u64(0, 7);
+        if let Ok(decoded) = Envelope::from_bytes(&flipped) {
+            if decoded.to_bytes() != bytes {
+                assert!(
+                    checker.check_envelope(&decoded).is_err(),
+                    "case {case}: byte {idx} forged"
+                );
+            }
+        }
     }
 }
 

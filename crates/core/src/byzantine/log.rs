@@ -17,8 +17,9 @@
 use ftm_certify::analyzer::CertChecker;
 use ftm_certify::{
     checkpoint_vector, make_checkpoint, Certificate, Certified, Envelope, FaultClass, MessageKind,
-    Value, ValueVector,
+    SignedCore, Value, ValueVector,
 };
+use ftm_crypto::rsa::KeyPair;
 use ftm_crypto::wire::{CanonicalDecode, CanonicalEncode, DecodeError, Decoder, Encoder};
 use ftm_sim::note::{self, Note};
 use ftm_sim::trace::Trace;
@@ -326,14 +327,7 @@ impl<P: TransformedProtocol> ReplicatedLog<P> {
                 ctx.note(Note::Evidence(slot, self.retained_bytes() as u64));
             }
             Retention::Checkpoint => {
-                let env = make_checkpoint(
-                    P::ID,
-                    slot,
-                    decided,
-                    cert.clone(),
-                    self.me,
-                    &self.setup.keys[self.me.index()],
-                );
+                let env = make_checkpoint(P::ID, slot, decided, cert.clone(), self.me, self.keys());
                 // Re-audit our own compaction with the full analyzer
                 // pipeline peers would apply; a checkpoint we could not
                 // defend must never replace the evidence it summarizes.
@@ -400,6 +394,11 @@ impl<P: TransformedProtocol> ReplicatedLog<P> {
         fx.decision
     }
 
+    /// This replica's signing key.
+    fn keys(&self) -> &KeyPair {
+        &self.setup.keys[self.me.index()]
+    }
+
     /// Records a slot decision and opens the next slot (or finishes).
     fn advance(&mut self, decided: ValueVector, ctx: &mut Context<'_, SlotMsg, Vec<ValueVector>>) {
         self.advance_with(decided, None, ctx);
@@ -407,6 +406,13 @@ impl<P: TransformedProtocol> ReplicatedLog<P> {
 
     /// [`advance`](Self::advance) with an externally supplied decide
     /// quorum (catch-up path: the local instance never decided the slot).
+    ///
+    /// The slot seals (evidence, hook, log, note), the next slot's command
+    /// is drawn, and only then is anything signed: the decided instance's
+    /// DECIDE and the next instance's INIT as one pair, one RSA operation
+    /// for two statements. The DECIDE is staged first, as when each was
+    /// signed alone. The last slot's DECIDE is sealed alone, and so is an
+    /// INIT after a checkpoint seal, which has no local DECIDE.
     fn advance_with(
         &mut self,
         decided: ValueVector,
@@ -423,19 +429,33 @@ impl<P: TransformedProtocol> ReplicatedLog<P> {
         }
         self.log.push(decided);
         ctx.note(Note::SlotDecided(self.current, self.log.len() as u64));
+        let decide = self.inner.take_announce();
         if self.log.len() as u64 == self.slots {
+            if let Some(decide) = decide {
+                let decide = SignedCore::sign(decide, self.keys());
+                self.drive(ctx, |inner, ictx| inner.announce(decide, ictx));
+            }
             self.done = true;
             ctx.decide(self.log.clone());
             ctx.halt();
             return;
         }
-        self.current += 1;
-        self.inner = P::build(
+        let next = P::build(
             &self.setup,
             self.me,
-            (self.command)(self.current, self.me.0),
+            (self.command)(self.current + 1, self.me.0),
         );
-        if let Some(d) = self.drive(ctx, ftm_sim::Actor::on_start) {
+        let init = match decide {
+            Some(decide) => {
+                let [decide, init] = SignedCore::sign_pair(decide, next.init_core(), self.keys());
+                self.drive(ctx, |inner, ictx| inner.announce(decide, ictx));
+                init
+            }
+            None => SignedCore::sign(next.init_core(), self.keys()),
+        };
+        self.current += 1;
+        self.inner = next;
+        if let Some(d) = self.drive(ctx, |inner, ictx| inner.start(init, ictx)) {
             // A 1-process system can decide instantly; recurse.
             self.advance(d, ctx);
             return;
@@ -457,7 +477,7 @@ impl<P: TransformedProtocol> ReplicatedLog<P> {
                 self.apply_checkpoint(from, &msg, ctx);
                 continue;
             }
-            if let Some(d) = self.drive(ctx, |inner, ictx| inner.on_message(from, &msg.env, ictx)) {
+            if let Some(d) = self.drive(ctx, |inner, ictx| inner.receive(from, &msg.env, ictx)) {
                 self.advance(d, ctx);
             }
         }
@@ -512,14 +532,7 @@ impl<P: TransformedProtocol> ReplicatedLog<P> {
             let Some(vector) = self.log.get(k as usize) else {
                 continue;
             };
-            let env = make_checkpoint(
-                P::ID,
-                k,
-                vector,
-                cert.clone(),
-                self.me,
-                &self.setup.keys[self.me.index()],
-            );
+            let env = make_checkpoint(P::ID, k, vector, cert.clone(), self.me, self.keys());
             ctx.send(from, SlotMsg { slot: k, env });
             sent += 1;
         }
@@ -599,7 +612,7 @@ impl<P: TransformedProtocol> Actor for ReplicatedLog<P> {
             self.maybe_catchup_reply(from, msg, ctx);
             return;
         }
-        if let Some(d) = self.drive(ctx, |inner, ictx| inner.on_message(from, &msg.env, ictx)) {
+        if let Some(d) = self.drive(ctx, |inner, ictx| inner.receive(from, &msg.env, ictx)) {
             self.advance(d, ctx);
         }
         self.drain(ctx);
@@ -614,7 +627,7 @@ impl<P: TransformedProtocol> Actor for ReplicatedLog<P> {
             return; // stale timer from a sealed slot
         }
         let inner_tag = tag % TAGS_PER_SLOT;
-        if let Some(d) = self.drive(ctx, |inner, ictx| inner.on_timer(inner_tag, ictx)) {
+        if let Some(d) = self.drive(ctx, |inner, ictx| inner.tick(inner_tag, ictx)) {
             self.advance(d, ctx);
         }
         self.drain(ctx);
@@ -671,6 +684,10 @@ pub fn retained_series(trace: &Trace, retention: Retention) -> Vec<u64> {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::RefCell;
+    use std::collections::{BTreeMap, BTreeSet};
+    use std::rc::Rc;
+
     use super::*;
     use crate::config::ProtocolConfig;
     use ftm_sim::{SimConfig, Simulation, VirtualTime};
@@ -874,6 +891,80 @@ mod tests {
         run::<crate::byzantine::ByzantineChandraToueg>();
     }
 
+    /// Keeps the head of every envelope delivered to the wrapped replica.
+    struct Heads<P: TransformedProtocol>(ReplicatedLog<P>, Rc<RefCell<Vec<SignedCore>>>);
+
+    impl<P: TransformedProtocol> Actor for Heads<P> {
+        type Msg = SlotMsg;
+        type Decision = Vec<ValueVector>;
+
+        fn on_start(&mut self, ctx: &mut Context<'_, SlotMsg, Vec<ValueVector>>) {
+            self.0.on_start(ctx);
+        }
+
+        fn on_message(
+            &mut self,
+            from: ProcessId,
+            msg: &SlotMsg,
+            ctx: &mut Context<'_, SlotMsg, Vec<ValueVector>>,
+        ) {
+            self.1.borrow_mut().push(msg.env.signed.clone());
+            self.0.on_message(from, msg, ctx);
+        }
+
+        fn on_timer(&mut self, tag: TimerTag, ctx: &mut Context<'_, SlotMsg, Vec<ValueVector>>) {
+            self.0.on_timer(tag, ctx);
+        }
+    }
+
+    /// Every broadcast reaches its sender too, so replica 0's deliveries
+    /// hold every signed statement of an honest run. Distinct `(signer,
+    /// core digest)` are the statements, distinct `(signer, signature)`
+    /// the RSA operations: one per statement, less one per replica per
+    /// slot boundary, where DECIDE(k) and INIT(k + 1) share a signature.
+    #[test]
+    fn a_log_signs_one_pair_per_replica_per_slot_boundary() {
+        fn count<P: TransformedProtocol + 'static>(n: usize, f: usize) {
+            const SLOTS: u64 = 4;
+            let setup = ProtocolConfig::new(n, f).seed(3).setup();
+            let heads = Rc::new(RefCell::new(Vec::new()));
+            let report = Simulation::build_boxed(SimConfig::new(n).seed(3), |id| {
+                let log = ReplicatedLog::<P>::new(&setup, id, SLOTS, cmd);
+                if id.0 == 0 {
+                    Box::new(Heads(log, Rc::clone(&heads))) as ftm_sim::runner::BoxedActor<_, _>
+                } else {
+                    Box::new(log)
+                }
+            })
+            .run();
+            check_log_consistency(&report.decisions, &report.crashed, n - f)
+                .expect("consistent log");
+            let mut statements: BTreeMap<MessageKind, BTreeSet<_>> = BTreeMap::new();
+            let mut operations = BTreeSet::new();
+            for head in heads.borrow().iter() {
+                statements
+                    .entry(head.kind())
+                    .or_default()
+                    .insert((head.sender(), head.digest()));
+                operations.insert((head.sender(), head.signature_bytes()));
+            }
+            let per_kind: Vec<(MessageKind, usize)> =
+                statements.iter().map(|(k, s)| (*k, s.len())).collect();
+            let total: usize = per_kind.iter().map(|(_, c)| c).sum();
+            let boundaries = n * (SLOTS as usize - 1);
+            assert_eq!(
+                operations.len(),
+                total - boundaries,
+                "{} n={n}: statements {per_kind:?}",
+                P::ID
+            );
+        }
+        for (n, f) in [(4, 1), (7, 2)] {
+            count::<ByzantineConsensus>(n, f);
+            count::<crate::byzantine::ByzantineChandraToueg>(n, f);
+        }
+    }
+
     #[test]
     fn compaction_works_under_chandra_toueg_too() {
         let setup = ProtocolConfig::new(4, 1).seed(6).setup();
@@ -1028,6 +1119,20 @@ mod tests {
             Actor::on_message(&mut log, ProcessId(0), &msg, &mut ctx);
         }
         let fx = ctx.into_effects();
+        // No local DECIDE to pair with: the INITs of slots 1 and 2 are
+        // each signed alone.
+        let sent: Vec<&SlotMsg> = fx
+            .sends
+            .iter()
+            .map(|s| match s {
+                StagedSend::To(_, m) | StagedSend::ToAll(m) => m,
+            })
+            .collect();
+        assert_eq!(sent.len(), 2);
+        for m in sent {
+            assert_eq!(m.env.kind(), MessageKind::Init);
+            assert_eq!(m.env.signed.sibling(), None);
+        }
         let decided = fx.decision.expect("sealed all three slots");
         assert_eq!(decided.len(), 3);
         for (slot, vect) in decided.iter().enumerate() {

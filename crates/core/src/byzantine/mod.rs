@@ -35,8 +35,8 @@ pub mod hr;
 pub mod log;
 pub mod shell;
 
-use ftm_certify::{Certificate, Envelope, ProtocolId, Value, ValueVector};
-use ftm_sim::{Actor, ProcessId};
+use ftm_certify::{Certificate, Envelope, MessageCore, ProtocolId, SignedCore, Value, ValueVector};
+use ftm_sim::{Actor, Context, ProcessId, TimerTag};
 
 use crate::config::ProtocolSetup;
 use crate::spec::ProtocolSpec;
@@ -59,6 +59,14 @@ pub type ByzantineChandraToueg = Transformed<ChandraToueg>;
 /// This is the seam that makes the runtime protocol-generic: the
 /// replicated log, the fault-injection harness and the sweep runner are
 /// written against this trait and instantiated per [`ProtocolId`].
+///
+/// As an [`Actor`] the process signs its own INIT and DECIDE, each alone.
+/// A host that signs them itself — the replicated log seals one slot's
+/// DECIDE and the next slot's INIT with one RSA operation — drives it
+/// through the entry points below instead, which never sign either:
+/// [`start`](Self::start), [`receive`](Self::receive),
+/// [`tick`](Self::tick), then [`take_announce`](Self::take_announce) and
+/// [`announce`](Self::announce) once it decides.
 pub trait TransformedProtocol: Actor<Msg = Envelope, Decision = ValueVector> {
     /// The base protocol's identity — selects the observer automaton
     /// table, the §5 certification-rule table and the decision predicate.
@@ -87,22 +95,35 @@ pub trait TransformedProtocol: Actor<Msg = Envelope, Decision = ValueVector> {
     /// checkpoint compacts into a single envelope
     /// (see `ftm_certify::checkpoint`).
     fn decide_evidence(&self) -> Option<&Certificate>;
-}
 
-impl<R: Rounds> TransformedProtocol for Transformed<R> {
-    const ID: ProtocolId = R::ID;
+    /// This process's INIT (Fig. 3 line 5), unsigned, for the host to
+    /// seal and hand to [`start`](Self::start).
+    fn init_core(&self) -> MessageCore;
 
-    fn build(setup: &ProtocolSetup, me: ProcessId, value: Value) -> Self {
-        Transformed::new(setup, me, value)
-    }
+    /// [`Actor::on_start`] with the INIT already sealed by the host.
+    fn start(&mut self, init: SignedCore, ctx: &mut Context<'_, Envelope, ValueVector>);
 
-    fn stack(&self) -> &ModuleStack {
-        Transformed::stack(self)
-    }
+    /// [`Actor::on_message`], except that a DECIDE this delivery leads to
+    /// is left for [`take_announce`](Self::take_announce).
+    fn receive(
+        &mut self,
+        from: ProcessId,
+        env: &Envelope,
+        ctx: &mut Context<'_, Envelope, ValueVector>,
+    );
 
-    fn decide_evidence(&self) -> Option<&Certificate> {
-        Transformed::decide_evidence(self)
-    }
+    /// [`Actor::on_timer`], leaving a DECIDE as
+    /// [`receive`](Self::receive) does.
+    fn tick(&mut self, tag: TimerTag, ctx: &mut Context<'_, Envelope, ValueVector>);
+
+    /// The decision's DECIDE core, unsigned — once: `None` before the
+    /// process decides and after the core was taken.
+    fn take_announce(&mut self) -> Option<MessageCore>;
+
+    /// Broadcasts the DECIDE [`take_announce`](Self::take_announce) gave
+    /// out, sealed by the host, with the decide-vote quorum as its
+    /// certificate.
+    fn announce(&mut self, decide: SignedCore, ctx: &mut Context<'_, Envelope, ValueVector>);
 }
 
 #[cfg(test)]

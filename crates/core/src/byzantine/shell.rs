@@ -20,6 +20,13 @@
 //! from the certified estimate; it signs, broadcasts and counts the
 //! discharge. A unicast, a send for another round, a kind the row does
 //! not name and a kind the spec does not declare cannot be written.
+//!
+//! The shell's own two sends, `init-broadcast` and `decide-announce`,
+//! take a core its host has already sealed ([`TransformedProtocol::start`],
+//! [`TransformedProtocol::announce`]): the replicated log signs a decided
+//! slot's DECIDE and the next slot's INIT with one RSA operation. As a
+//! standalone [`Actor`] the shell seals each alone. All three kinds of
+//! send leave through the one broadcast path.
 
 use std::fmt;
 use std::marker::PhantomData;
@@ -33,6 +40,7 @@ use ftm_crypto::rsa::KeyPair;
 use ftm_sim::note::Note;
 use ftm_sim::{Actor, Context, Duration, ProcessId, TimerTag};
 
+use super::TransformedProtocol;
 use crate::config::ProtocolSetup;
 use crate::spec::Resilience;
 use crate::transform::ModuleStack;
@@ -170,8 +178,9 @@ struct RoundState {
     /// sends as round-entry evidence.
     entry_cert: Certificate,
     /// Sends made so far per spec id, in `ProtocolSpec::sends` order. Every
-    /// send is counted (there is one send path); the coverage test reads
-    /// the tally.
+    /// send is counted where it is committed to — [`Shell::emit`], the
+    /// start and `decide` — and leaves through [`RoundState::broadcast`];
+    /// the coverage test reads the tally.
     discharged: Vec<(&'static str, u32)>,
 }
 
@@ -180,25 +189,29 @@ impl RoundState {
         ProcessId(self.res.coordinator(self.r) as u32)
     }
 
-    /// The send path of Fig. 1 and the only place a transformed process
-    /// speaks: the signature module signs, the certification module
-    /// appends `cert`, and the message goes to everyone.
-    fn broadcast(
-        &mut self,
-        id: &'static str,
-        core: Core,
-        cert: Certificate,
-        ctx: &mut Context<'_, Envelope, ValueVector>,
-    ) -> SignedCore {
+    /// Counts one send against the spec row `id`.
+    fn discharge(&mut self, id: &'static str) {
         if let Some((_, count)) = self.discharged.iter_mut().find(|(d, _)| *d == id) {
             *count += 1;
         }
-        let signed = SignedCore::sign(MessageCore::new(self.me, core), &self.keys);
-        ctx.broadcast(Envelope {
-            signed: signed.clone(),
-            cert,
-        });
-        signed
+    }
+
+    /// The send path of Fig. 1 and the only place a transformed process
+    /// speaks: the signature module's signed core — signed here for a
+    /// round-module send, by the host for the shell's own INIT and DECIDE
+    /// — with the certification module's `cert` appended, to everyone.
+    fn broadcast(
+        &self,
+        signed: SignedCore,
+        cert: Certificate,
+        ctx: &mut Context<'_, Envelope, ValueVector>,
+    ) {
+        debug_assert_eq!(
+            signed.sender(),
+            self.me,
+            "a sealed core names another sender"
+        );
+        ctx.broadcast(Envelope { signed, cert });
     }
 }
 
@@ -362,8 +375,11 @@ impl<'a, 'c, S: SendId> Shell<'a, 'c, S> {
     /// ```
     pub fn emit(&mut self, ob: S, cert: Certificate) -> SignedCore {
         let st = &mut *self.state;
+        st.discharge(ob.id());
         let core = ob.kind().core(st.r, &st.est_vect, st.adopted_in);
-        st.broadcast(ob.id(), core, cert, self.ctx)
+        let signed = SignedCore::sign(MessageCore::new(st.me, core), &st.keys);
+        st.broadcast(signed.clone(), cert, self.ctx);
+        signed
     }
 }
 
@@ -404,8 +420,13 @@ pub struct Transformed<R: Rounds> {
     decided: bool,
     /// The decide-vote quorum this decision rests on, kept after halting
     /// so the log layer can compact it into a checkpoint
-    /// (see `ftm_certify::checkpoint`).
+    /// (see `ftm_certify::checkpoint`). It is also the certificate the
+    /// DECIDE announce carries.
     decide_evidence: Option<Certificate>,
+    /// The DECIDE `decide` recorded and nobody has sealed yet: the
+    /// standalone actor seals it alone at the end of the deciding
+    /// callback, a host takes it to seal it with its next INIT.
+    unsent: Option<MessageCore>,
 }
 
 impl<R: Rounds> Transformed<R> {
@@ -441,18 +462,8 @@ impl<R: Rounds> Transformed<R> {
             buffered: Vec::new(),
             decided: false,
             decide_evidence: None,
+            unsent: None,
         }
-    }
-
-    /// Read access to the module stack (evidence logs, detector state).
-    pub fn stack(&self) -> &ModuleStack {
-        &self.stack
-    }
-
-    /// The decide-vote quorum backing this process's decision, once
-    /// decided.
-    pub fn decide_evidence(&self) -> Option<&Certificate> {
-        self.decide_evidence.as_ref()
     }
 
     fn follow(&mut self, step: Step, ctx: &mut Context<'_, Envelope, ValueVector>) {
@@ -489,7 +500,10 @@ impl<R: Rounds> Transformed<R> {
         }
     }
 
-    /// Lines 20–21 and 2–3: decide, announce, stop.
+    /// Lines 20–21 and 2–3: decide, stop, and record the announce — the
+    /// DECIDE core and its certificate — for whoever seals it. Nothing
+    /// sends after this in the callback, so the announce is its last send
+    /// however late it is sealed.
     fn decide(
         &mut self,
         round: Round,
@@ -498,12 +512,13 @@ impl<R: Rounds> Transformed<R> {
         ctx: &mut Context<'_, Envelope, ValueVector>,
     ) {
         self.decided = true;
-        self.decide_evidence = Some(cert.clone());
+        self.decide_evidence = Some(cert);
         let core = Core::Decide {
             round,
             vector: vector.clone(),
         };
-        self.state.broadcast(DECIDE_ANNOUNCE, core, cert, ctx);
+        self.unsent = Some(MessageCore::new(self.state.me, core));
+        self.state.discharge(DECIDE_ANNOUNCE);
         // Final per-layer receive-side tally, in note form so trace
         // consumers (the sweep harness) can collect it without reaching
         // into actor state.
@@ -558,19 +573,36 @@ impl<R: Rounds> Transformed<R> {
     }
 }
 
-impl<R: Rounds> Actor for Transformed<R> {
-    type Msg = Envelope;
-    type Decision = ValueVector;
+/// The shell's own two sends take a core the host has already sealed: a
+/// replicated log signs one slot's DECIDE and the next slot's INIT as one
+/// pair. The standalone [`Actor`] below seals each alone.
+impl<R: Rounds> TransformedProtocol for Transformed<R> {
+    const ID: ProtocolId = R::ID;
 
-    fn on_start(&mut self, ctx: &mut Context<'_, Envelope, ValueVector>) {
+    fn build(setup: &ProtocolSetup, me: ProcessId, value: Value) -> Self {
+        Transformed::new(setup, me, value)
+    }
+
+    fn stack(&self) -> &ModuleStack {
+        &self.stack
+    }
+
+    fn decide_evidence(&self) -> Option<&Certificate> {
+        self.decide_evidence.as_ref()
+    }
+
+    fn init_core(&self) -> MessageCore {
+        MessageCore::new(self.state.me, Core::Init { value: self.value })
+    }
+
+    fn start(&mut self, init: SignedCore, ctx: &mut Context<'_, Envelope, ValueVector>) {
         // Line 5: broadcast the signed proposal with an empty certificate.
-        let core = Core::Init { value: self.value };
-        self.state
-            .broadcast(INIT_BROADCAST, core, Certificate::new(), ctx);
+        self.state.discharge(INIT_BROADCAST);
+        self.state.broadcast(init, Certificate::new(), ctx);
         ctx.set_timer(self.poll_interval, POLL_TIMER);
     }
 
-    fn on_message(
+    fn receive(
         &mut self,
         from: ProcessId,
         env: &Envelope,
@@ -585,7 +617,7 @@ impl<R: Rounds> Actor for Transformed<R> {
         }
     }
 
-    fn on_timer(&mut self, _tag: TimerTag, ctx: &mut Context<'_, Envelope, ValueVector>) {
+    fn tick(&mut self, _tag: TimerTag, ctx: &mut Context<'_, Envelope, ValueVector>) {
         if self.decided {
             return;
         }
@@ -605,6 +637,52 @@ impl<R: Rounds> Actor for Transformed<R> {
             }
         }
         ctx.set_timer(self.poll_interval, POLL_TIMER);
+    }
+
+    fn take_announce(&mut self) -> Option<MessageCore> {
+        self.unsent.take()
+    }
+
+    fn announce(&mut self, decide: SignedCore, ctx: &mut Context<'_, Envelope, ValueVector>) {
+        debug_assert!(self.decided, "announce before deciding");
+        let cert = self.decide_evidence.clone().unwrap_or_default();
+        self.state.broadcast(decide, cert, ctx);
+    }
+}
+
+impl<R: Rounds> Transformed<R> {
+    /// Seals a pending announce alone and sends it: the standalone
+    /// actor's last act in the callback that decided.
+    fn announce_alone(&mut self, ctx: &mut Context<'_, Envelope, ValueVector>) {
+        if let Some(core) = self.take_announce() {
+            let decide = SignedCore::sign(core, &self.state.keys);
+            self.announce(decide, ctx);
+        }
+    }
+}
+
+impl<R: Rounds> Actor for Transformed<R> {
+    type Msg = Envelope;
+    type Decision = ValueVector;
+
+    fn on_start(&mut self, ctx: &mut Context<'_, Envelope, ValueVector>) {
+        let init = SignedCore::sign(self.init_core(), &self.state.keys);
+        self.start(init, ctx);
+    }
+
+    fn on_message(
+        &mut self,
+        from: ProcessId,
+        env: &Envelope,
+        ctx: &mut Context<'_, Envelope, ValueVector>,
+    ) {
+        self.receive(from, env, ctx);
+        self.announce_alone(ctx);
+    }
+
+    fn on_timer(&mut self, tag: TimerTag, ctx: &mut Context<'_, Envelope, ValueVector>) {
+        self.tick(tag, ctx);
+        self.announce_alone(ctx);
     }
 }
 

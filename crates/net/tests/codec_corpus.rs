@@ -5,13 +5,19 @@
 //! [`ftm_net::VERSION`] bump. The property tests drive the codec with a
 //! seeded PRNG (reproducible, no wall-clock randomness): encode→decode
 //! identity over random inputs, and rejection-without-panic for every
-//! truncation and for arbitrary garbage.
+//! truncation and for arbitrary garbage — for frames and handshakes, and
+//! for slot messages carrying signed-pair members, whose wire form opens
+//! with a four-byte pair head and a raw sibling digest.
 
 use std::io::{self, Cursor};
 
+use ftm_certify::{Certificate, Core, Envelope, MessageCore, SignedCore, ValueVector};
+use ftm_core::byzantine::log::SlotMsg;
+use ftm_core::config::ProtocolConfig;
 use ftm_crypto::prng::{Rng64, Xoshiro256PlusPlus};
 use ftm_crypto::wire::{CanonicalDecode, CanonicalEncode};
 use ftm_net::{read_frame, write_frame, Hello, DEFAULT_MAX_FRAME};
+use ftm_sim::{Payload, ProcessId};
 
 const ROUNDS: usize = 200;
 
@@ -133,6 +139,110 @@ fn every_hello_truncation_is_rejected() {
         assert!(
             Hello::from_canonical_bytes(&bytes[..cut]).is_err(),
             "prefix of length {cut} must not parse"
+        );
+    }
+}
+
+/// Slot messages as a replicated log sends them: p1's DECIDE(0) and
+/// INIT(1) signed as one pair, and p0's CURRENT(1) whose INIT witnesses
+/// are such pair members.
+fn paired_slot_messages() -> Vec<SlotMsg> {
+    let setup = ProtocolConfig::new(4, 1).seed(5).setup();
+    let vector = ValueVector::from_entries(vec![Some(1100), Some(1101), Some(1102), None]);
+    let pair = |p: u32| {
+        let decide = MessageCore::new(
+            ProcessId(p),
+            Core::Decide {
+                round: 1,
+                vector: ValueVector::from_entries(vec![Some(100), Some(101), None, Some(103)]),
+            },
+        );
+        let init = MessageCore::new(
+            ProcessId(p),
+            Core::Init {
+                value: 1100 + u64::from(p),
+            },
+        );
+        SignedCore::sign_pair(decide, init, &setup.keys[p as usize])
+    };
+    let [decide, init] = pair(1);
+    let witnesses = Certificate::from_items((0..3).map(|p| pair(p)[1].clone()));
+    let current = Envelope::make(
+        ProcessId(0),
+        Core::Current { round: 1, vector },
+        witnesses,
+        &setup.keys[0],
+    );
+    let bare = |signed| Envelope {
+        signed,
+        cert: Certificate::new(),
+    };
+    vec![
+        SlotMsg {
+            slot: 0,
+            env: bare(decide),
+        },
+        SlotMsg {
+            slot: 1,
+            env: bare(init),
+        },
+        SlotMsg {
+            slot: 1,
+            env: current,
+        },
+    ]
+}
+
+/// Pair members survive a frame round trip byte for byte, in a head and
+/// back to back inside a certificate.
+#[test]
+fn paired_slot_messages_roundtrip_through_frames() {
+    for msg in paired_slot_messages() {
+        let bytes = msg.canonical_bytes();
+        let mut buf = Vec::new();
+        write_frame(&mut buf, &bytes).expect("write");
+        let payload = read_frame(&mut Cursor::new(buf), DEFAULT_MAX_FRAME).expect("read");
+        let back = SlotMsg::from_canonical_bytes(&payload).expect("decode");
+        assert_eq!(back.canonical_bytes(), bytes);
+        assert_eq!(back.env.signed.sibling(), msg.env.signed.sibling());
+    }
+}
+
+/// Every strict prefix of a slot message carrying pair members is a
+/// decode error, never a panic.
+#[test]
+fn every_truncation_of_a_paired_slot_message_is_a_decode_error() {
+    for msg in paired_slot_messages() {
+        let bytes = msg.canonical_bytes();
+        for cut in 0..bytes.len() {
+            assert!(
+                SlotMsg::from_canonical_bytes(&bytes[..cut]).is_err(),
+                "{} cut at {cut}",
+                msg.label()
+            );
+        }
+    }
+}
+
+/// Seeded garbage spliced after a valid prefix — so it reaches the pair
+/// head, the raw sibling and the members behind it — is a decode error,
+/// never a panic.
+#[test]
+fn seeded_garbage_in_paired_slot_messages_is_a_decode_error() {
+    let mut rng = Xoshiro256PlusPlus::from_seed(0x9A125);
+    let corpus: Vec<Vec<u8>> = paired_slot_messages()
+        .iter()
+        .map(CanonicalEncode::canonical_bytes)
+        .collect();
+    for case in 0..ROUNDS {
+        let valid = &corpus[case % corpus.len()];
+        let cut = (rng.next_u64() % valid.len() as u64) as usize;
+        let tail = (rng.next_u64() % 64) as usize;
+        let mut junk = valid[..cut].to_vec();
+        junk.extend((0..tail).map(|_| (rng.next_u64() & 0xFF) as u8));
+        assert!(
+            SlotMsg::from_canonical_bytes(&junk).is_err(),
+            "case {case}: cut {cut} + {tail} random bytes decoded"
         );
     }
 }

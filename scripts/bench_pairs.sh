@@ -20,7 +20,9 @@
 # sim-* workload one `--trace 1 --seed 7` pass per side follows and the
 # two `counts:` lines (messages, bytes, memo hits, convictions, trace
 # fingerprint, …) are compared, so a behaviour change cannot hide behind a
-# speed-up.
+# speed-up: `counts: identical`, or one `same` / `DIFFERS parent -> change`
+# verdict per field (a change whose bytes move by design shows this way
+# that messages, timers, stack tallies and convictions did not).
 #
 # `probes` is a comma-separated list of per-layer metric names, e.g.
 #   crypto.sign_ns,crypto.verify_miss_ns,crypto.verify_hit_ns,core.byz_decide_us
@@ -186,8 +188,39 @@ sim-*)
     if [ -s "$tmp/counts.parent" ] && cmp -s "$tmp/counts.parent" "$tmp/counts.change"; then
         echo "counts: identical"
     else
-        echo "counts: DIFFERENT (parent, then change)"
-        diff "$tmp/counts.parent" "$tmp/counts.change" || true
+        # One verdict per top-level field of the two `Counts { … }` lines,
+        # so a change whose bytes move by design can show that messages,
+        # timers, stack tallies and convictions did not.
+        python3 - "$tmp/counts.parent" "$tmp/counts.change" <<'EOF'
+import re
+import sys
+
+def fields(path):
+    """Top-level `name: value` pairs of one `counts: Counts { … }` line."""
+    text = open(path).read().strip()
+    body = re.sub(r"^counts:\s*\w+\s*\{\s*|\s*\}$", "", text)
+    out, depth, start = {}, 0, 0
+    for i, ch in enumerate(body + ","):
+        if ch in "{[(":
+            depth += 1
+        elif ch in "}])":
+            depth -= 1
+        elif ch == "," and depth == 0:
+            name, _, value = body[start:i].strip().partition(":")
+            if name:
+                out[name.strip()] = value.strip()
+            start = i + 1
+    return out
+
+parent, change = fields(sys.argv[1]), fields(sys.argv[2])
+if not parent or not change:
+    print("counts: MISSING (a side printed no counts: line)")
+    sys.exit(0)
+print("counts: per field (parent -> change)")
+for name in list(parent) + [n for n in change if n not in parent]:
+    a, b = parent.get(name, "-"), change.get(name, "-")
+    print(f"  {name:<12} {'same' if a == b else 'DIFFERS'}" + ("" if a == b else f"  {a} -> {b}"))
+EOF
     fi
     ;;
 esac
