@@ -14,6 +14,7 @@
 //! content. Certificates attach around it (see [`crate::signed`]).
 
 use std::fmt;
+use std::fmt::Write as _;
 
 use ftm_crypto::wire::{CanonicalDecode, CanonicalEncode, DecodeError, Decoder, Encoder};
 use ftm_sim::ProcessId;
@@ -380,17 +381,25 @@ impl MessageCore {
 
     /// Short trace label, e.g. `CURRENT(r=2)`.
     pub fn label(&self) -> String {
-        match &self.core {
-            Core::Init { value } => format!("INIT(v={value})"),
-            Core::Current { round, .. } => format!("CURRENT(r={round})"),
-            Core::Next { round } => format!("NEXT(r={round})"),
-            Core::Decide { round, .. } => format!("DECIDE(r={round})"),
-            Core::Estimate { round, ts, .. } => format!("ESTIMATE(r={round},ts={ts})"),
-            Core::Propose { round, .. } => format!("PROPOSE(r={round})"),
-            Core::Ack { round, .. } => format!("ACK(r={round})"),
-            Core::Nack { round } => format!("NACK(r={round})"),
-            Core::Checkpoint { slot, .. } => format!("CHECKPOINT(s={slot})"),
-        }
+        let mut out = String::new();
+        self.write_label(&mut out);
+        out
+    }
+
+    /// Appends [`MessageCore::label`] to `out`, so an enclosing label is
+    /// rendered into one buffer.
+    pub fn write_label(&self, out: &mut String) {
+        let _ = match &self.core {
+            Core::Init { value } => write!(out, "INIT(v={value})"),
+            Core::Current { round, .. } => write!(out, "CURRENT(r={round})"),
+            Core::Next { round } => write!(out, "NEXT(r={round})"),
+            Core::Decide { round, .. } => write!(out, "DECIDE(r={round})"),
+            Core::Estimate { round, ts, .. } => write!(out, "ESTIMATE(r={round},ts={ts})"),
+            Core::Propose { round, .. } => write!(out, "PROPOSE(r={round})"),
+            Core::Ack { round, .. } => write!(out, "ACK(r={round})"),
+            Core::Nack { round } => write!(out, "NACK(r={round})"),
+            Core::Checkpoint { slot, .. } => write!(out, "CHECKPOINT(s={slot})"),
+        };
     }
 }
 

@@ -14,6 +14,8 @@
 //! the staged effects (wrapping sends, remapping timer tags, intercepting
 //! the inner decision instead of halting).
 
+use std::fmt::Write as _;
+
 use ftm_certify::analyzer::CertChecker;
 use ftm_certify::{
     checkpoint_vector, make_checkpoint, Certificate, Certified, Envelope, FaultClass, MessageKind,
@@ -62,7 +64,11 @@ impl Payload for SlotMsg {
     }
 
     fn label(&self) -> String {
-        format!("s{}:{}", self.slot, self.env.label())
+        // One buffer, sized for the longest labels a slot sends.
+        let mut out = String::with_capacity(40);
+        let _ = write!(out, "s{}:", self.slot);
+        self.env.write_label(&mut out);
+        out
     }
 
     fn layer_split(&self) -> LayerSplit {

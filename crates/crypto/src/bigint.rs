@@ -16,6 +16,12 @@
 //!   Miller–Rabin candidate past trial division), so this is the only
 //!   modular exponentiation outside the tests, which keep the textbook
 //!   square-and-multiply loop as the oracle it is fuzzed against.
+//!
+//! Multiplication, division and exponentiation are each one body over limb
+//! slices (`mul_into`, `div_rem_in`, `Montgomery::pow_into`). The
+//! [`BigUint`] methods run them over heap buffers; RSA signing and
+//! verification run them over caller scratch that `with_scratch` puts on
+//! the stack whenever it fits, so neither allocates.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -189,6 +195,11 @@ impl BigUint {
         s
     }
 
+    /// Little-endian limbs, normalized (zero is empty).
+    pub(crate) fn limbs(&self) -> &[u64] {
+        &self.limbs
+    }
+
     /// Returns `self + other`.
     pub fn add(&self, other: &BigUint) -> BigUint {
         let (long, short) = if self.limbs.len() >= other.limbs.len() {
@@ -197,20 +208,10 @@ impl BigUint {
             (&other.limbs, &self.limbs)
         };
         let mut out = Vec::with_capacity(long.len() + 1);
-        let mut carry: u64 = 0;
-        for (i, &a) in long.iter().enumerate() {
-            let b = short.get(i).copied().unwrap_or(0);
-            let (s1, c1) = a.overflowing_add(b);
-            let (s2, c2) = s1.overflowing_add(carry);
-            out.push(s2);
-            carry = (c1 as u64) + (c2 as u64);
-        }
-        if carry > 0 {
-            out.push(carry);
-        }
-        let mut n = BigUint { limbs: out };
-        n.normalize();
-        n
+        out.extend_from_slice(long);
+        out.push(0);
+        add_in_place(&mut out, short);
+        normalized(out)
     }
 
     /// Returns `self - other`.
@@ -223,98 +224,45 @@ impl BigUint {
             self >= other,
             "BigUint::sub underflow: {self:?} - {other:?}"
         );
-        let mut out = Vec::with_capacity(self.limbs.len());
-        let mut borrow: u64 = 0;
-        for i in 0..self.limbs.len() {
-            let b = other.limbs.get(i).copied().unwrap_or(0);
-            let (d1, b1) = self.limbs[i].overflowing_sub(b);
-            let (d2, b2) = d1.overflowing_sub(borrow);
-            out.push(d2);
-            borrow = (b1 as u64) + (b2 as u64);
-        }
-        debug_assert_eq!(borrow, 0);
-        let mut n = BigUint { limbs: out };
-        n.normalize();
-        n
+        let mut out = self.limbs.clone();
+        let borrow = sub_in_place(&mut out, &other.limbs);
+        debug_assert!(!borrow);
+        normalized(out)
     }
 
     /// Returns `self * other` (schoolbook multiplication).
     pub fn mul(&self, other: &BigUint) -> BigUint {
-        if self.is_zero() || other.is_zero() {
-            return BigUint::zero();
-        }
         let mut out = vec![0u64; self.limbs.len() + other.limbs.len()];
-        for (i, &a) in self.limbs.iter().enumerate() {
-            let mut carry: u128 = 0;
-            for (j, &b) in other.limbs.iter().enumerate() {
-                let t = out[i + j] as u128 + (a as u128) * (b as u128) + carry;
-                out[i + j] = t as u64;
-                carry = t >> 64;
-            }
-            let mut k = i + other.limbs.len();
-            while carry > 0 {
-                let t = out[k] as u128 + carry;
-                out[k] = t as u64;
-                carry = t >> 64;
-                k += 1;
-            }
-        }
-        let mut n = BigUint { limbs: out };
-        n.normalize();
-        n
+        mul_into(&mut out, &self.limbs, &other.limbs);
+        normalized(out)
     }
 
     /// Returns `self << bits`.
     pub fn shl(&self, bits: usize) -> BigUint {
-        if self.is_zero() || bits == 0 {
-            return self.clone();
-        }
-        let limb_shift = bits / 64;
-        let bit_shift = bits % 64;
-        let mut out = vec![0u64; limb_shift];
-        if bit_shift == 0 {
-            out.extend_from_slice(&self.limbs);
-        } else {
-            let mut carry = 0u64;
-            for &l in &self.limbs {
-                out.push((l << bit_shift) | carry);
-                carry = l >> (64 - bit_shift);
-            }
-            if carry != 0 {
-                out.push(carry);
-            }
-        }
-        let mut n = BigUint { limbs: out };
-        n.normalize();
-        n
+        let (limb_shift, len) = (bits / 64, self.limbs.len());
+        let mut out = vec![0u64; limb_shift + len + 1];
+        out[limb_shift + len] = shl_limbs(
+            &mut out[limb_shift..limb_shift + len],
+            &self.limbs,
+            (bits % 64) as u32,
+        );
+        normalized(out)
     }
 
     /// Returns `self >> bits`.
     pub fn shr(&self, bits: usize) -> BigUint {
-        let limb_shift = bits / 64;
-        if limb_shift >= self.limbs.len() {
+        let Some(src) = self.limbs.get(bits / 64..) else {
             return BigUint::zero();
-        }
-        let bit_shift = bits % 64;
-        let mut out = Vec::with_capacity(self.limbs.len() - limb_shift);
-        if bit_shift == 0 {
-            out.extend_from_slice(&self.limbs[limb_shift..]);
-        } else {
-            let src = &self.limbs[limb_shift..];
-            for i in 0..src.len() {
-                let lo = src[i] >> bit_shift;
-                let hi = src.get(i + 1).map_or(0, |&n| n << (64 - bit_shift));
-                out.push(lo | hi);
-            }
-        }
-        let mut n = BigUint { limbs: out };
-        n.normalize();
-        n
+        };
+        let mut out = vec![0u64; src.len()];
+        shr_limbs(&mut out, src, (bits % 64) as u32);
+        normalized(out)
     }
 
     /// Division with remainder: returns `(self / divisor, self % divisor)`.
     ///
-    /// Implements Knuth TAOCP vol. 2, Algorithm 4.3.1 D.
+    /// `div_rem_in` (Knuth TAOCP vol. 2, Algorithm 4.3.1 D) over heap
+    /// buffers.
     ///
     /// # Panics
     ///
@@ -324,91 +272,28 @@ impl BigUint {
         if self < divisor {
             return (BigUint::zero(), self.clone());
         }
-        if divisor.limbs.len() == 1 {
-            let d = divisor.limbs[0];
-            let mut q = Vec::with_capacity(self.limbs.len());
-            let mut rem: u128 = 0;
-            for &l in self.limbs.iter().rev() {
-                let cur = (rem << 64) | l as u128;
-                q.push((cur / d as u128) as u64);
-                rem = cur % d as u128;
-            }
-            q.reverse();
-            let mut qn = BigUint { limbs: q };
-            qn.normalize();
-            return (qn, BigUint::from(rem as u64));
-        }
-
-        // Normalize so the divisor's top limb has its high bit set.
-        let shift = divisor.limbs.last().expect("nonzero").leading_zeros() as usize;
-        let u = self.shl(shift);
-        let v = divisor.shl(shift);
-        let n = v.limbs.len();
-        let m = u.limbs.len() - n;
-
-        let mut un = u.limbs.clone();
-        un.push(0); // u has m + n + 1 limbs with an extra high limb
-        let vn = &v.limbs;
-        let mut q = vec![0u64; m + 1];
-
-        for j in (0..=m).rev() {
-            // Estimate q̂ from the top two limbs of the current remainder.
-            let top = ((un[j + n] as u128) << 64) | un[j + n - 1] as u128;
-            let mut qhat = top / vn[n - 1] as u128;
-            let mut rhat = top % vn[n - 1] as u128;
-            while qhat >> 64 != 0
-                || qhat * vn[n - 2] as u128 > ((rhat << 64) | un[j + n - 2] as u128)
-            {
-                qhat -= 1;
-                rhat += vn[n - 1] as u128;
-                if rhat >> 64 != 0 {
-                    break;
-                }
-            }
-
-            // Multiply-subtract: un[j..j+n+1] -= qhat * vn.
-            let mut borrow: i128 = 0;
-            let mut carry: u128 = 0;
-            for i in 0..n {
-                let p = qhat * vn[i] as u128 + carry;
-                carry = p >> 64;
-                let t = un[j + i] as i128 - borrow - (p as u64) as i128;
-                un[j + i] = t as u64;
-                borrow = if t < 0 { 1 } else { 0 };
-            }
-            let t = un[j + n] as i128 - borrow - carry as i128;
-            un[j + n] = t as u64;
-
-            if t < 0 {
-                // q̂ was one too large: add back.
-                qhat -= 1;
-                let mut carry: u128 = 0;
-                for i in 0..n {
-                    let s = un[j + i] as u128 + vn[i] as u128 + carry;
-                    un[j + i] = s as u64;
-                    carry = s >> 64;
-                }
-                un[j + n] = un[j + n].wrapping_add(carry as u64);
-            }
-            q[j] = qhat as u64;
-        }
-
-        let mut quotient = BigUint { limbs: q };
-        quotient.normalize();
-        let mut rem = BigUint {
-            limbs: un[..n].to_vec(),
-        };
-        rem.normalize();
-        (quotient, rem.shr(shift))
+        let (u, v) = (&self.limbs[..], &divisor.limbs[..]);
+        let mut q = vec![0u64; u.len() - v.len() + 1];
+        let mut r = vec![0u64; v.len()];
+        let mut scratch = vec![0u64; div_scratch(u.len(), v.len())];
+        div_rem_in(u, v, Some(&mut q), &mut r, &mut scratch);
+        (normalized(q), normalized(r))
     }
 
-    /// Returns `self mod m`.
+    /// Returns `self mod m`: `div_rem_in` without the quotient.
     ///
     /// # Panics
     ///
     /// Panics if `m` is zero.
     pub fn rem(&self, m: &BigUint) -> BigUint {
-        self.divrem(m).1
+        assert!(!m.is_zero(), "division by zero");
+        let (u, v) = (&self.limbs[..], &m.limbs[..]);
+        let (mut r, mut scratch) = (
+            vec![0u64; v.len()],
+            vec![0u64; div_scratch(u.len(), v.len())],
+        );
+        div_rem_in(u, v, None, &mut r, &mut scratch);
+        normalized(r)
     }
 
     /// Returns `self mod d` for a single-limb divisor, without allocating.
@@ -548,6 +433,202 @@ impl BigUint {
     }
 }
 
+/// Limbs of scratch [`with_scratch`] finds on the stack: enough to sign
+/// and to verify under any modulus of at most 16 limbs, which is every key
+/// the repo runs (1024 bits and below; `rsa`'s tests hold the sizes to it).
+pub(crate) const STACK_SCRATCH_LIMBS: usize = 384;
+
+/// Runs `f` over `len` zeroed limbs of scratch: a stack array when `len`
+/// fits [`STACK_SCRATCH_LIMBS`], else one heap buffer of exactly `len` —
+/// the same code either way, so a wider key costs an allocation, never a
+/// second algorithm.
+pub(crate) fn with_scratch<T>(len: usize, f: impl FnOnce(&mut [u64]) -> T) -> T {
+    if len <= STACK_SCRATCH_LIMBS {
+        f(&mut [0; STACK_SCRATCH_LIMBS][..len])
+    } else {
+        f(&mut vec![0; len])
+    }
+}
+
+/// Splits the first `len` limbs off `scratch`.
+pub(crate) fn take<'a>(scratch: &mut &'a mut [u64], len: usize) -> &'a mut [u64] {
+    let (head, rest) = std::mem::take(scratch).split_at_mut(len);
+    *scratch = rest;
+    head
+}
+
+/// Schoolbook product: `out = a·b` in the first `a.len() + b.len()` limbs
+/// of `out`.
+pub(crate) fn mul_into(out: &mut [u64], a: &[u64], b: &[u64]) {
+    let out = &mut out[..a.len() + b.len()];
+    out.fill(0);
+    for (i, &ai) in a.iter().enumerate() {
+        let mut carry = 0u128;
+        for (j, &bj) in b.iter().enumerate() {
+            let t = u128::from(out[i + j]) + u128::from(ai) * u128::from(bj) + carry;
+            out[i + j] = t as u64;
+            carry = t >> 64;
+        }
+        out[i + b.len()] = carry as u64;
+    }
+}
+
+/// `x += y` for `y` no longer than `x`; returns the carry out of the top.
+pub(crate) fn add_in_place(x: &mut [u64], y: &[u64]) -> bool {
+    let mut carry = false;
+    for (i, xi) in x.iter_mut().enumerate() {
+        let (s, c1) = xi.overflowing_add(y.get(i).copied().unwrap_or(0));
+        let (s, c2) = s.overflowing_add(u64::from(carry));
+        *xi = s;
+        carry = c1 || c2;
+    }
+    carry
+}
+
+/// `x −= y` for `y` no longer than `x`; returns the borrow out of the top.
+pub(crate) fn sub_in_place(x: &mut [u64], y: &[u64]) -> bool {
+    let mut borrow = false;
+    for (i, xi) in x.iter_mut().enumerate() {
+        let (d, b1) = xi.overflowing_sub(y.get(i).copied().unwrap_or(0));
+        let (d, b2) = d.overflowing_sub(u64::from(borrow));
+        *xi = d;
+        borrow = b1 || b2;
+    }
+    borrow
+}
+
+/// `out = x << shift` limb for limb (`shift < 64`); returns the bits
+/// shifted out of the top.
+fn shl_limbs(out: &mut [u64], x: &[u64], shift: u32) -> u64 {
+    let mut carry = 0;
+    for (o, &l) in out.iter_mut().zip(x) {
+        *o = (l << shift) | carry;
+        carry = l.checked_shr(64 - shift).unwrap_or(0);
+    }
+    carry
+}
+
+/// `out = x >> shift` limb for limb (`shift < 64`).
+fn shr_limbs(out: &mut [u64], x: &[u64], shift: u32) {
+    for (i, o) in out.iter_mut().enumerate() {
+        let above = x
+            .get(i + 1)
+            .map_or(0, |&h| h.checked_shl(64 - shift).unwrap_or(0));
+        *o = (x[i] >> shift) | above;
+    }
+}
+
+/// Limbs of scratch [`div_rem_in`] needs to divide `u_len` limbs by
+/// `v_len`: the shifted dividend, one limb longer, and the shifted divisor
+/// — none for a one-limb divisor, which needs no shifting.
+pub(crate) const fn div_scratch(u_len: usize, v_len: usize) -> usize {
+    if v_len == 1 {
+        0
+    } else {
+        u_len + 1 + v_len
+    }
+}
+
+/// Knuth TAOCP vol. 2, Algorithm 4.3.1 D over limb slices — the crate's
+/// one division: [`BigUint::divrem`] runs it over heap buffers, signing
+/// and verification over stack ones.
+///
+/// Divides `u` by `v` (top limb nonzero), writing the remainder into the
+/// `v.len()` limbs of `r` and, when asked, the quotient into the
+/// `u.len() − v.len() + 1` limbs of `q`, with [`div_scratch`] limbs of
+/// `scratch`. A dividend shorter than the divisor is its own remainder and
+/// has no quotient limbs.
+pub(crate) fn div_rem_in(
+    u: &[u64],
+    v: &[u64],
+    mut q: Option<&mut [u64]>,
+    r: &mut [u64],
+    scratch: &mut [u64],
+) {
+    let n = v.len();
+    debug_assert!(
+        v.last().is_some_and(|&top| top != 0),
+        "divisor has a zero top limb"
+    );
+    let r = &mut r[..n];
+    if u.len() < n {
+        r.fill(0);
+        r[..u.len()].copy_from_slice(u);
+        return;
+    }
+    let m = u.len() - n;
+    if n == 1 {
+        // One divisor limb: short division, no estimate to correct.
+        let d = u128::from(v[0]);
+        let mut rem = 0u128;
+        for j in (0..=m).rev() {
+            let cur = (rem << 64) | u128::from(u[j]);
+            if let Some(q) = q.as_deref_mut() {
+                q[j] = (cur / d) as u64;
+            }
+            rem = cur % d;
+        }
+        r[0] = rem as u64;
+        return;
+    }
+
+    // Normalize so the divisor's top limb has its high bit set; the
+    // dividend gains a limb on top.
+    let shift = v[n - 1].leading_zeros();
+    let (un, vn) = scratch[..div_scratch(u.len(), n)].split_at_mut(m + n + 1);
+    shl_limbs(vn, v, shift);
+    un[m + n] = shl_limbs(&mut un[..m + n], u, shift);
+
+    for j in (0..=m).rev() {
+        // Estimate q̂ from the top two limbs of the current remainder.
+        let top = ((un[j + n] as u128) << 64) | un[j + n - 1] as u128;
+        let mut qhat = top / vn[n - 1] as u128;
+        let mut rhat = top % vn[n - 1] as u128;
+        while qhat >> 64 != 0 || qhat * vn[n - 2] as u128 > ((rhat << 64) | un[j + n - 2] as u128) {
+            #[cfg(test)]
+            tests::KNUTH_BRANCHES.with(|b| b.set((b.get().0 + 1, b.get().1)));
+            qhat -= 1;
+            rhat += vn[n - 1] as u128;
+            if rhat >> 64 != 0 {
+                break;
+            }
+        }
+
+        // Multiply-subtract: un[j..j+n+1] -= qhat * vn.
+        let mut borrow: i128 = 0;
+        let mut carry: u128 = 0;
+        for i in 0..n {
+            let p = qhat * vn[i] as u128 + carry;
+            carry = p >> 64;
+            let t = un[j + i] as i128 - borrow - (p as u64) as i128;
+            un[j + i] = t as u64;
+            borrow = if t < 0 { 1 } else { 0 };
+        }
+        let t = un[j + n] as i128 - borrow - carry as i128;
+        un[j + n] = t as u64;
+
+        if t < 0 {
+            // q̂ was one too large: add back.
+            #[cfg(test)]
+            tests::KNUTH_BRANCHES.with(|b| b.set((b.get().0, b.get().1 + 1)));
+            qhat -= 1;
+            let mut carry: u128 = 0;
+            for i in 0..n {
+                let s = un[j + i] as u128 + vn[i] as u128 + carry;
+                un[j + i] = s as u64;
+                carry = s >> 64;
+            }
+            un[j + n] = un[j + n].wrapping_add(carry as u64);
+        }
+        if let Some(q) = q.as_deref_mut() {
+            q[j] = qhat as u64;
+        }
+    }
+
+    // The remainder is the low n limbs, shifted back.
+    shr_limbs(r, &un[..n], shift);
+}
+
 /// Exponent bits consumed per step of [`Montgomery::pow`]; divides 64, so
 /// no window straddles a limb, and is even, so a window's squarings
 /// ping-pong between two buffers and end where they began.
@@ -620,9 +701,9 @@ fn mont_mul(a: &[u64], b: &[u64], n: &[u64], n0_neg_inv: u64, t: &mut [u64]) {
 /// and 512-bit keys, and every Miller–Rabin candidate on the way to them
 /// — [`Montgomery::pow`] runs them through a `const K` wrapper whose
 /// buffers are `[u64; K]` on the stack, which roughly halves a signature;
-/// at any other width the same two functions run over heap buffers of the
-/// run-time width, so a width outside the list costs speed, never a
-/// different algorithm.
+/// at any other width the same two functions run over the caller's
+/// scratch at the run-time width, so a width outside the list costs speed,
+/// never a different algorithm.
 ///
 /// # Example
 ///
@@ -693,14 +774,6 @@ impl Montgomery {
         self.redc_product(&x.rem(&self.n).limbs, &self.r2)
     }
 
-    /// Returns `a·b·R⁻¹ mod n` for `a`, `b` already below `n`: one kernel
-    /// call and no division. With `a` in Montgomery form and `b` not, that
-    /// is their plain product mod `n`.
-    pub(crate) fn mul_mont(&self, a: &BigUint, b: &BigUint) -> BigUint {
-        debug_assert!(a < &self.n && b < &self.n);
-        self.redc_product(&a.limbs, &b.limbs)
-    }
-
     /// One kernel call at the run-time width on operands of at most `k`
     /// limbs, zero-extended here.
     fn redc_product(&self, a: &[u64], b: &[u64]) -> BigUint {
@@ -714,31 +787,43 @@ impl Montgomery {
         from_limbs(t)
     }
 
+    /// Leaves `a·b·R⁻¹ mod n` in the `k` limbs of `out`, for `k`-limb `a`
+    /// and `b` below `n`: one kernel call. With `a` in Montgomery form and
+    /// `b` not, that is their plain product mod `n`.
+    pub(crate) fn mul_mont_into(&self, a: &[u64], b: &[u64], out: &mut [u64]) {
+        mont_mul(a, b, &self.n.limbs, self.n0_neg_inv, out);
+    }
+
     /// Returns `base^exp mod n` (so `0` when `n` is one, `1` when only
-    /// `exp` is zero).
+    /// `exp` is zero): `div_rem_in` reduces the base and
+    /// `Montgomery::pow_into` raises it, in heap buffers.
     pub fn pow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
-        self.pow_reduced(&padded(base.rem(&self.n), self.n.limbs.len()), exp)
+        let (n, u) = (&self.n.limbs[..], &base.limbs[..]);
+        let (mut reduced, mut out) = (vec![0u64; n.len()], vec![0u64; n.len()]);
+        let mut scratch = vec![0u64; div_scratch(u.len(), n.len()).max(self.pow_scratch())];
+        div_rem_in(u, n, None, &mut reduced, &mut scratch);
+        self.pow_into(&reduced, exp, &mut out, &mut scratch);
+        normalized(out)
     }
 
     /// [`Montgomery::pow_in`] with accumulator, scratch and window table
     /// on the stack, for a modulus of exactly `K` limbs: `k` is a constant
     /// in the inlined loop and kernel.
-    fn pow_fixed<const K: usize>(&self, base: &[u64], exp: &BigUint) -> BigUint {
+    fn pow_fixed<const K: usize>(&self, base: &[u64], exp: &BigUint, out: &mut [u64]) {
         let (mut acc, mut t) = ([0u64; K], [0u64; K]);
         let mut table = [[0u64; K]; 1 << WINDOW_BITS];
         self.pow_in(base, exp, &mut acc, &mut t, table.as_flattened_mut());
-        from_limbs(&acc)
+        out[..K].copy_from_slice(&acc);
     }
 
-    /// [`Montgomery::pow_in`] over heap buffers of the modulus's own
-    /// width: the route of every width without an instantiation.
-    fn pow_dynamic(&self, base: &[u64], exp: &BigUint) -> BigUint {
+    /// [`Montgomery::pow_in`] at the modulus's run-time width, accumulating
+    /// in `out` with product and table from `scratch`
+    /// ([`Montgomery::pow_scratch`] limbs): the route of every width
+    /// without an instantiation.
+    fn pow_dynamic(&self, base: &[u64], exp: &BigUint, out: &mut [u64], scratch: &mut [u64]) {
         let k = self.n.limbs.len();
-        let mut buf = vec![0u64; (2 + (1 << WINDOW_BITS)) * k];
-        let (acc, rest) = buf.split_at_mut(k);
-        let (t, table) = rest.split_at_mut(k);
-        self.pow_in(base, exp, acc, t, table);
-        from_limbs(acc)
+        let (t, table) = scratch.split_at_mut(k);
+        self.pow_in(base, exp, &mut out[..k], t, table);
     }
 
     /// The exponentiation: leaves `base^exp mod n` in `acc`, for a modulus
@@ -810,11 +895,29 @@ macro_rules! instantiated_widths {
         pub(crate) const INSTANTIATED_WIDTHS: &[usize] = &[$($k),+];
 
         impl Montgomery {
-            /// `base^exp mod n` for a `k`-limb `base` below `n`.
-            fn pow_reduced(&self, base: &[u64], exp: &BigUint) -> BigUint {
+            /// Leaves `base^exp mod n` in the `k` limbs of `out`, for a
+            /// `k`-limb `base` below `n`, with [`Montgomery::pow_scratch`]
+            /// limbs of `scratch`.
+            pub(crate) fn pow_into(
+                &self,
+                base: &[u64],
+                exp: &BigUint,
+                out: &mut [u64],
+                scratch: &mut [u64],
+            ) {
                 match self.n.limbs.len() {
-                    $($k => self.pow_fixed::<$k>(base, exp),)+
-                    _ => self.pow_dynamic(base, exp),
+                    $($k => self.pow_fixed::<$k>(base, exp, out),)+
+                    _ => self.pow_dynamic(base, exp, out, scratch),
+                }
+            }
+
+            /// Limbs of scratch [`Montgomery::pow_into`] takes: none at an
+            /// instantiated width, whose buffers are its own stack arrays;
+            /// the product and the window table at any other.
+            pub(crate) fn pow_scratch(&self) -> usize {
+                match self.n.limbs.len() {
+                    $($k)|+ => 0,
+                    k => (1 + (1 << WINDOW_BITS)) * k,
                 }
             }
         }
@@ -829,13 +932,16 @@ fn padded(x: BigUint, k: usize) -> Vec<u64> {
     limbs
 }
 
-/// Normalizes a limb slice into a value.
-fn from_limbs(limbs: &[u64]) -> BigUint {
-    let mut n = BigUint {
-        limbs: limbs.to_vec(),
-    };
+/// The value of `limbs`, trailing zero limbs dropped.
+fn normalized(limbs: Vec<u64>) -> BigUint {
+    let mut n = BigUint { limbs };
     n.normalize();
     n
+}
+
+/// Normalizes a limb slice into a value.
+pub(crate) fn from_limbs(limbs: &[u64]) -> BigUint {
+    normalized(limbs.to_vec())
 }
 
 type Signed = (BigUint, bool);
@@ -869,6 +975,13 @@ fn signed_sub(a: &Signed, b: &Signed) -> Signed {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    thread_local! {
+        /// How often this thread's divisions took Knuth D's two rare
+        /// branches: (q̂ corrections, add-backs).
+        pub(super) static KNUTH_BRANCHES: std::cell::Cell<(u64, u64)> =
+            const { std::cell::Cell::new((0, 0)) };
+    }
 
     fn big(v: u128) -> BigUint {
         BigUint::from(v)
@@ -1121,6 +1234,55 @@ mod tests {
             }
         }
 
+        /// The one Knuth D body called the way signing calls it —
+        /// remainder only, stack buffers, dividends with zero top limbs as
+        /// the pad's stream can have — gives `divrem`'s remainder and
+        /// `q·v + r = u`, `r < v` by multiplication, and the cases reach
+        /// both rare branches: the q̂ correction and the add-back.
+        #[test]
+        fn knuth_d_on_stack_buffers_matches_divrem() {
+            let mut rng = SplitMix64::from_seed(0xB16A);
+            KNUTH_BRANCHES.with(|b| b.set((0, 0)));
+            for i in 0..600 {
+                let (u, v) = if i % 4 == 3 {
+                    // q̂ = 2⁶⁴ − 1 passes the check against the divisor's
+                    // top two limbs and is one too large against the third.
+                    (
+                        vec![rng.next_u64() >> 1, 0, 1 << 63, (1 << 63) - 1],
+                        vec![1, 0, 1 << 63],
+                    )
+                } else {
+                    let nv = 1 + (rng.next_u64() % 6) as usize;
+                    let mut v = limbs_of(&mut rng, nv);
+                    if i % 3 == 0 {
+                        v[nv - 1] >>= rng.next_u64() % 64; // any normalizing shift
+                    }
+                    v[nv - 1] = v[nv - 1].max(1);
+                    let nu = nv + (rng.next_u64() % 6) as usize;
+                    let mut u = limbs_of(&mut rng, nu);
+                    if i % 5 == 0 {
+                        *u.last_mut().expect("nonempty") = 0;
+                    }
+                    (u, v)
+                };
+                let (x, y) = (from_limbs(&u), from_limbs(&v));
+                let (mut r, mut q) = ([0u64; 6], [0u64; 12]);
+                let mut scratch = [0u64; 24];
+                div_rem_in(&u, &v, None, &mut r, &mut scratch);
+                let rem = from_limbs(&r[..v.len()]);
+                assert_eq!(rem, x.divrem(&y).1, "case {i}");
+                div_rem_in(&u, &v, Some(&mut q), &mut r, &mut scratch);
+                let quot = from_limbs(&q[..u.len() - v.len() + 1]);
+                assert_eq!(quot.mul(&y).add(&rem), x, "case {i}");
+                assert!(rem < y, "case {i}");
+            }
+            let (corrections, add_backs) = KNUTH_BRANCHES.with(std::cell::Cell::get);
+            assert!(
+                corrections > 0 && add_backs > 0,
+                "{corrections} / {add_backs}"
+            );
+        }
+
         #[test]
         fn bytes_roundtrip() {
             let mut rng = SplitMix64::from_seed(0xB165);
@@ -1273,13 +1435,16 @@ mod tests {
                 for base in &bases {
                     let reduced = padded(base.rem(&n), K);
                     for exp in &exps {
-                        let fixed = ctx.pow_fixed::<K>(&reduced, exp);
+                        let (mut fixed, mut dynamic) = ([0u64; K], [0u64; K]);
+                        ctx.pow_fixed::<K>(&reduced, exp, &mut fixed);
+                        let mut scratch = vec![0u64; (1 + (1 << WINDOW_BITS)) * K];
+                        ctx.pow_dynamic(&reduced, exp, &mut dynamic, &mut scratch);
+                        assert_eq!(fixed, dynamic, "{base}^{exp} mod {n}");
                         assert_eq!(
-                            fixed,
-                            ctx.pow_dynamic(&reduced, exp),
+                            from_limbs(&fixed),
+                            ctx.pow(base, exp),
                             "{base}^{exp} mod {n}"
                         );
-                        assert_eq!(fixed, ctx.pow(base, exp), "{base}^{exp} mod {n}");
                     }
                 }
             }

@@ -1,28 +1,31 @@
 #!/usr/bin/env bash
-# Alternating parent/change pairs of one benchmark workload — the form
-# every speed claim in this repo has to take (ROADMAP.md, *Measuring*:
-# the host drifts 7–18 % within an hour, so never one side after the
-# other).
+# Alternating parent/change pairs of benchmark workloads — the form every
+# speed claim in this repo has to take (ROADMAP.md, *Measuring*: the host
+# drifts 7–18 % within an hour, so never one side after the other).
 #
-#   scripts/bench_pairs.sh <parent-ref> <workload> [pairs=3] [probes]
+#   scripts/bench_pairs.sh <parent-ref> <workload[,workload...]> [pairs=3] [probes]
 #
 # The parent is exported with `git archive` into a temp dir (nothing is
 # written to .git, nothing is left behind); the change is the working
-# tree the script is run from. Both are built with --offline, then run
-# with the exact `command` of BENCHMARK.json plus
+# tree the script is run from. Both are built once with --offline, then,
+# workload by workload in the order given, run with the exact `command` of
+# BENCHMARK.json plus
 #   --workload <workload> --seed <pair> --seconds <run_seconds> --trace 0
-# each from its own root, alternating which side goes first. Prints each
-# pair's end-to-end metrics, CPU per command and failed/attempted, then
-# per metric each side's median and quartiles, how many pairs the change
-# won, and whether that meets the *Measuring* rule for claiming a gain:
-# at least 9 of 10 pairs won (ties count for neither side) and the
-# medians apart by more than the parent's own interquartile range. For a
-# sim-* workload one `--trace 1 --seed 7` pass per side follows and the
-# two `counts:` lines (messages, bytes, memo hits, convictions, trace
-# fingerprint, …) are compared, so a behaviour change cannot hide behind a
-# speed-up: `counts: identical`, or one `same` / `DIFFERS parent -> change`
-# verdict per field (a change whose bytes move by design shows this way
-# that messages, timers, stack tallies and convictions did not).
+# each from its own root, alternating which side goes first. Prints one
+# block per workload: each pair's end-to-end metrics, CPU per command and
+# failed/attempted, then per metric each side's median and quartiles, how
+# many pairs the change won, and whether that meets the *Measuring* rule
+# for claiming a gain: at least 9 of 10 pairs won (ties count for neither
+# side) and the medians apart by more than the parent's own interquartile
+# range. For a sim-* workload one `--trace 1 --seed 7` pass per side
+# follows and the two `counts:` lines (messages, bytes, memo hits,
+# convictions, trace fingerprint, …) are compared, so a behaviour change
+# cannot hide behind a speed-up: `counts: identical`, or one `same` /
+# `DIFFERS parent -> change` verdict per field (a change whose bytes move
+# by design shows this way that messages, timers, stack tallies and
+# convictions did not). A list of workloads makes "the claimed metric up,
+# every other workload unmoved" one command, e.g.
+#   scripts/bench_pairs.sh <parent> sim-ct-attack,sim-hr-k512,tcp-hr-open100 3
 #
 # `probes` is a comma-separated list of per-layer metric names, e.g.
 #   crypto.sign_ns,crypto.verify_miss_ns,crypto.verify_hit_ns,core.byz_decide_us
@@ -36,11 +39,11 @@
 set -euo pipefail
 
 if [ "$#" -lt 2 ] || [ "$#" -gt 4 ]; then
-    echo "usage: $0 <parent-ref> <workload> [pairs=3] [probe,probe,...]" >&2
+    echo "usage: $0 <parent-ref> <workload[,workload...]> [pairs=3] [probe,probe,...]" >&2
     exit 2
 fi
 parent_ref="$1"
-workload="$2"
+IFS=, read -r -a workloads <<<"$2"
 pairs="${3:-3}"
 probes="${4:-}"
 
@@ -94,104 +97,107 @@ probe_side() {
     ' <<<"$out"
 }
 
-: >"$tmp/probes"
-printf '%-4s %-6s %10s %14s %15s %15s %s\n' \
-    pair side setup_s commit_p50_us throughput_cps cpu_us_per_cmd failed/attempted
-for pair in $(seq 1 "$pairs"); do
-    # Odd pairs run the parent first, even pairs the change.
-    if [ $((pair % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi
-    for side in $order; do
-        if [ "$side" = parent ]; then dir="$tmp/parent"; else dir="$root"; fi
-        read -r setup p50 cps cpu failed attempted < <(run_side "$dir" "$pair")
-        printf '%-4s %-6s %10s %14s %15s %15s %s/%s\n' \
-            "$pair" "$side" "$setup" "$p50" "$cps" "$cpu" "$failed" "$attempted"
-        echo "$pair $side $setup $p50 $cps $cpu" >>"$tmp/rows"
-    done
-    if [ -n "$probes" ]; then
+# One workload: its pairs, its summary block, its probes and, for a
+# simulator workload, its counts verdict.
+measure_workload() {
+    : >"$tmp/probes.$workload"
+    printf '%-4s %-6s %10s %14s %15s %15s %s\n' \
+        pair side setup_s commit_p50_us throughput_cps cpu_us_per_cmd failed/attempted
+    for pair in $(seq 1 "$pairs"); do
+        # Odd pairs run the parent first, even pairs the change.
+        if [ $((pair % 2)) -eq 1 ]; then order="parent change"; else order="change parent"; fi
         for side in $order; do
             if [ "$side" = parent ]; then dir="$tmp/parent"; else dir="$root"; fi
-            probe_side "$dir" "$pair" | sed "s/^/$side /" >>"$tmp/probes"
+            read -r setup p50 cps cpu failed attempted < <(run_side "$dir" "$pair")
+            printf '%-4s %-6s %10s %14s %15s %15s %s/%s\n' \
+                "$pair" "$side" "$setup" "$p50" "$cps" "$cpu" "$failed" "$attempted"
+            echo "$pair $side $setup $p50 $cps $cpu" >>"$tmp/rows.$workload"
         done
-    fi
-done
-
-# Per metric: each side's median and quartiles, the pairs the change won
-# (ties count for neither), and the gain rule.
-awk '
-    # Quantile p of one side of one column, linear between order statistics.
-    function quantile(side, col, p,    n, i, v, k, t, pos, lo) {
-        n = 0
-        for (i = 1; i <= pairs; i++) v[++n] = val[i, side, col]
-        for (i = 2; i <= n; i++) for (k = i; k > 1 && v[k - 1] > v[k]; k--) { t = v[k]; v[k] = v[k - 1]; v[k - 1] = t }
-        pos = (n - 1) * p; lo = int(pos)
-        return lo + 1 < n ? v[lo + 1] + (pos - lo) * (v[lo + 2] - v[lo + 1]) : v[n]
-    }
-    { for (c = 3; c <= 6; c++) val[$1, $2, c] = $c; if ($1 > pairs) pairs = $1 }
-    END {
-        name[3] = "setup_s"; name[4] = "commit_p50_us"; name[5] = "throughput_cps"; name[6] = "cpu_us_per_cmd"
-        higher[5] = 1
-        printf "\n%-16s %12s %25s %12s %25s %9s %8s %s\n", "metric", "parent med", "[q1, q3]", "change med", "[q1, q3]", "change", "wins", "gain rule"
-        for (c = 3; c <= 6; c++) {
-            wins = 0
-            for (i = 1; i <= pairs; i++) {
-                a = val[i, "parent", c]; b = val[i, "change", c]
-                if (higher[c] ? b > a : b < a) wins++
-            }
-            p = quantile("parent", c, 0.5); q = quantile("change", c, 0.5)
-            p1 = quantile("parent", c, 0.25); p3 = quantile("parent", c, 0.75)
-            better = higher[c] ? q - p : p - q
-            met = wins * 10 >= pairs * 9 && better > p3 - p1
-            if (met) claimable = claimable " " name[c]
-            printf "%-16s %12.3f %25s %12.3f %25s %+8.1f%% %8s %s\n", name[c], p, \
-                sprintf("[%.3f, %.3f]", p1, p3), q, \
-                sprintf("[%.3f, %.3f]", quantile("change", c, 0.25), quantile("change", c, 0.75)), \
-                p ? (q - p) / p * 100 : 0, wins " of " pairs, met ? "met" : "not met"
-        }
-        printf "\ngain rule (change wins >= 9/10 of the pairs and moves the median by more than the parent IQR): %s\n", \
-            claimable ? "met by" claimable : "met by no metric"
-        if (pairs < 10) printf "  (%d pairs: a claim needs 10)\n", pairs
-    }
-' "$tmp/rows"
-
-# Per requested probe: each side's median and range over the traced passes.
-if [ -n "$probes" ]; then
-    awk -v want="$probes" '
-        # "median (min-max)" of one side of one probe.
-        function spread(side, name,    n, i, k, t, v) {
-            n = count[side, name]
-            if (!n) return "-"
-            for (i = 1; i <= n; i++) v[i] = val[side, name, i]
-            for (i = 2; i <= n; i++) for (k = i; k > 1 && v[k - 1] > v[k]; k--) { t = v[k]; v[k] = v[k - 1]; v[k - 1] = t }
-            return sprintf("%.3f (%.3f-%.3f)", n % 2 ? v[(n + 1) / 2] : (v[n / 2] + v[n / 2 + 1]) / 2, v[1], v[n])
-        }
-        { val[$1, $2, ++count[$1, $2]] = $3 }
-        END {
-            printf "\n%-32s %38s %38s %9s\n", "probe (--trace 1, one pass a pair)", "parent med (min-max)", "change med (min-max)", "change"
-            n = split(want, names, ",")
-            for (i = 1; i <= n; i++) {
-                p = spread("parent", names[i]); q = spread("change", names[i])
-                printf "%-32s %38s %38s %+8.1f%%\n", names[i], p, q, p + 0 ? (q - p) / p * 100 : 0
-            }
-        }
-    ' "$tmp/probes"
-fi
-
-# A simulator workload repeats exactly per seed: the two sides' counts of
-# one traced pass must be the same line.
-case "$workload" in
-sim-*)
-    for side in parent change; do
-        if [ "$side" = parent ]; then dir="$tmp/parent"; else dir="$root"; fi
-        (cd "$dir" && "${cmd[@]}" --workload "$workload" --seed 7 \
-            --seconds "$seconds" --trace 1 2>/dev/null | grep '^counts:') >"$tmp/counts.$side" || true
+        if [ -n "$probes" ]; then
+            for side in $order; do
+                if [ "$side" = parent ]; then dir="$tmp/parent"; else dir="$root"; fi
+                probe_side "$dir" "$pair" | sed "s/^/$side /" >>"$tmp/probes.$workload"
+            done
+        fi
     done
-    if [ -s "$tmp/counts.parent" ] && cmp -s "$tmp/counts.parent" "$tmp/counts.change"; then
-        echo "counts: identical"
-    else
-        # One verdict per top-level field of the two `Counts { … }` lines,
-        # so a change whose bytes move by design can show that messages,
-        # timers, stack tallies and convictions did not.
-        python3 - "$tmp/counts.parent" "$tmp/counts.change" <<'EOF'
+
+    # Per metric: each side's median and quartiles, the pairs the change won
+    # (ties count for neither), and the gain rule.
+    awk '
+        # Quantile p of one side of one column, linear between order statistics.
+        function quantile(side, col, p,    n, i, v, k, t, pos, lo) {
+            n = 0
+            for (i = 1; i <= pairs; i++) v[++n] = val[i, side, col]
+            for (i = 2; i <= n; i++) for (k = i; k > 1 && v[k - 1] > v[k]; k--) { t = v[k]; v[k] = v[k - 1]; v[k - 1] = t }
+            pos = (n - 1) * p; lo = int(pos)
+            return lo + 1 < n ? v[lo + 1] + (pos - lo) * (v[lo + 2] - v[lo + 1]) : v[n]
+        }
+        { for (c = 3; c <= 6; c++) val[$1, $2, c] = $c; if ($1 > pairs) pairs = $1 }
+        END {
+            name[3] = "setup_s"; name[4] = "commit_p50_us"; name[5] = "throughput_cps"; name[6] = "cpu_us_per_cmd"
+            higher[5] = 1
+            printf "\n%-16s %12s %25s %12s %25s %9s %8s %s\n", "metric", "parent med", "[q1, q3]", "change med", "[q1, q3]", "change", "wins", "gain rule"
+            for (c = 3; c <= 6; c++) {
+                wins = 0
+                for (i = 1; i <= pairs; i++) {
+                    a = val[i, "parent", c]; b = val[i, "change", c]
+                    if (higher[c] ? b > a : b < a) wins++
+                }
+                p = quantile("parent", c, 0.5); q = quantile("change", c, 0.5)
+                p1 = quantile("parent", c, 0.25); p3 = quantile("parent", c, 0.75)
+                better = higher[c] ? q - p : p - q
+                met = wins * 10 >= pairs * 9 && better > p3 - p1
+                if (met) claimable = claimable " " name[c]
+                printf "%-16s %12.3f %25s %12.3f %25s %+8.1f%% %8s %s\n", name[c], p, \
+                    sprintf("[%.3f, %.3f]", p1, p3), q, \
+                    sprintf("[%.3f, %.3f]", quantile("change", c, 0.25), quantile("change", c, 0.75)), \
+                    p ? (q - p) / p * 100 : 0, wins " of " pairs, met ? "met" : "not met"
+            }
+            printf "\ngain rule (change wins >= 9/10 of the pairs and moves the median by more than the parent IQR): %s\n", \
+                claimable ? "met by" claimable : "met by no metric"
+            if (pairs < 10) printf "  (%d pairs: a claim needs 10)\n", pairs
+        }
+    ' "$tmp/rows.$workload"
+
+    # Per requested probe: each side's median and range over the traced passes.
+    if [ -n "$probes" ]; then
+        awk -v want="$probes" '
+            # "median (min-max)" of one side of one probe.
+            function spread(side, name,    n, i, k, t, v) {
+                n = count[side, name]
+                if (!n) return "-"
+                for (i = 1; i <= n; i++) v[i] = val[side, name, i]
+                for (i = 2; i <= n; i++) for (k = i; k > 1 && v[k - 1] > v[k]; k--) { t = v[k]; v[k] = v[k - 1]; v[k - 1] = t }
+                return sprintf("%.3f (%.3f-%.3f)", n % 2 ? v[(n + 1) / 2] : (v[n / 2] + v[n / 2 + 1]) / 2, v[1], v[n])
+            }
+            { val[$1, $2, ++count[$1, $2]] = $3 }
+            END {
+                printf "\n%-32s %38s %38s %9s\n", "probe (--trace 1, one pass a pair)", "parent med (min-max)", "change med (min-max)", "change"
+                n = split(want, names, ",")
+                for (i = 1; i <= n; i++) {
+                    p = spread("parent", names[i]); q = spread("change", names[i])
+                    printf "%-32s %38s %38s %+8.1f%%\n", names[i], p, q, p + 0 ? (q - p) / p * 100 : 0
+                }
+            }
+        ' "$tmp/probes.$workload"
+    fi
+
+    # A simulator workload repeats exactly per seed: the two sides' counts of
+    # one traced pass must be the same line.
+    case "$workload" in
+    sim-*)
+        for side in parent change; do
+            if [ "$side" = parent ]; then dir="$tmp/parent"; else dir="$root"; fi
+            (cd "$dir" && "${cmd[@]}" --workload "$workload" --seed 7 \
+                --seconds "$seconds" --trace 1 2>/dev/null | grep '^counts:') >"$tmp/counts.$workload.$side" || true
+        done
+        if [ -s "$tmp/counts.$workload.parent" ] && cmp -s "$tmp/counts.$workload.parent" "$tmp/counts.$workload.change"; then
+            echo "counts: identical"
+        else
+            # One verdict per top-level field of the two `Counts { … }` lines,
+            # so a change whose bytes move by design can show that messages,
+            # timers, stack tallies and convictions did not.
+            python3 - "$tmp/counts.$workload.parent" "$tmp/counts.$workload.change" <<'EOF'
 import re
 import sys
 
@@ -221,6 +227,12 @@ for name in list(parent) + [n for n in change if n not in parent]:
     a, b = parent.get(name, "-"), change.get(name, "-")
     print(f"  {name:<12} {'same' if a == b else 'DIFFERS'}" + ("" if a == b else f"  {a} -> {b}"))
 EOF
-    fi
-    ;;
-esac
+        fi
+        ;;
+    esac
+}
+
+for workload in "${workloads[@]}"; do
+    printf '\n## %s\n' "$workload"
+    measure_workload
+done
