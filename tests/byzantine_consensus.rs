@@ -1,11 +1,13 @@
 //! E3/E5 sweeps: the transformed protocol across sizes, fault budgets,
 //! crash placements and network conditions — plus the ψ = n − 2F bound
-//! and Propositions 1–2 at the run level.
+//! and Propositions 1–2 at the run level; and a trace-level golden of both
+//! transformed protocols (Hurfin–Raynal and Chandra–Toueg).
 
-use ft_modular::certify::{Value, ValueVector};
-use ft_modular::core::byzantine::ByzantineConsensus;
+use ft_modular::certify::{ProtocolId, Value, ValueVector};
+use ft_modular::core::byzantine::{ByzantineChandraToueg, ByzantineConsensus, TransformedProtocol};
 use ft_modular::core::config::{MutenessMode, ProtocolConfig};
 use ft_modular::core::validator::{check_vector_consensus, max_round};
+use ft_modular::faults::{AttackRun, FaultBehavior};
 use ft_modular::sim::{Duration, RunReport, SimConfig, Simulation, VirtualTime};
 
 fn proposals(n: usize) -> Vec<Value> {
@@ -276,5 +278,97 @@ fn certificates_grow_with_rounds_but_stay_flat_per_round() {
     assert!(
         churny_mean < fast_mean * 8,
         "certificate blowup: churny {churny_mean} vs fast {fast_mean} (tenths of a byte)"
+    );
+}
+
+/// The pinned observables of one run, one line: the trace fingerprint
+/// covers every entry, each send's byte count included.
+fn golden_line(label: &str, report: &RunReport<ValueVector>) -> String {
+    format!(
+        "{label}: fp={:016x} msgs={} bytes={} end={} decisions={:?}",
+        report.trace.fingerprint(),
+        report.metrics.messages_sent,
+        report.metrics.bytes_sent,
+        report.end_time.ticks(),
+        report.decisions
+    )
+}
+
+/// The runs both transformed protocols are pinned on: n ∈ {4, 5, 7} ×
+/// seeds 0..3, all honest and with the round-1 coordinator crashed at
+/// t = 0; the slow network with a muteness timeout inside its delay range
+/// (the only input where HR's change-mind and end-of-round NEXTs fire);
+/// and every `FaultBehavior` at p1 of (4, 1).
+fn golden_lines<P: TransformedProtocol + 'static>() -> Vec<String> {
+    let run = |protocol: ProtocolConfig, cfg: SimConfig| {
+        let setup = protocol.setup();
+        Simulation::build_boxed(cfg, |id| Box::new(P::build(&setup, id, 100 + id.0 as u64))).run()
+    };
+    let mut lines = Vec::new();
+    for n in [4usize, 5, 7] {
+        let f = ftm_core::quorum::max_faults(n);
+        for (schedule, crashed) in [("honest", false), ("coord@0", true)] {
+            for seed in 0..3 {
+                let mut cfg = SimConfig::new(n).seed(seed);
+                if crashed {
+                    cfg = cfg.crash(0, VirtualTime::ZERO);
+                }
+                let report = run(ProtocolConfig::new(n, f).seed(seed), cfg);
+                lines.push(golden_line(
+                    &format!("n={n} {schedule} seed={seed}"),
+                    &report,
+                ));
+            }
+        }
+    }
+    for seed in 0..4 {
+        let hasty = ProtocolConfig::new(4, 1)
+            .seed(seed)
+            .muteness_timeout(Duration::of(60));
+        let slow = SimConfig::new(4)
+            .seed(seed)
+            .delay_range(Duration::of(5), Duration::of(90))
+            .gst(VirtualTime::at(4_000), Duration::of(15));
+        lines.push(golden_line(&format!("slow seed={seed}"), &run(hasty, slow)));
+    }
+    // At (4, 1) p1 votes in round 1 only; at (5, 2) with p0 crashed it
+    // coordinates round 2.
+    for (n, f, p0_crashed) in [(4usize, 1usize, 0usize), (5, 2, 1)] {
+        for behavior in FaultBehavior::all() {
+            let mut attack = AttackRun::new(n, f, 0, 1)
+                .protocol(P::ID)
+                .crash_low(p0_crashed);
+            if behavior == FaultBehavior::Crash {
+                attack = attack.crash_at_start(1);
+            }
+            let report = attack.run(|_| behavior.make_tamper_for(P::ID, n, 1, 0));
+            let label = format!("n={n} p0-crashed={p0_crashed} p1 {}", behavior.label());
+            lines.push(golden_line(&label, &report));
+        }
+    }
+    lines
+}
+
+/// FNV-1a over the lines; a mismatch prints every run's values.
+fn assert_golden(lines: &[String], pinned: u64) {
+    let text = lines.join("\n");
+    let digest = text.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    assert_eq!(digest, pinned, "digest {digest:#018x} over:\n{text}");
+}
+
+#[test]
+fn hurfin_raynal_traces_are_pinned() {
+    assert_eq!(ByzantineConsensus::ID, ProtocolId::HurfinRaynal);
+    assert_golden(&golden_lines::<ByzantineConsensus>(), 0x03ce_6803_3b1b_ce50);
+}
+
+#[test]
+fn chandra_toueg_traces_are_pinned() {
+    assert_eq!(ByzantineChandraToueg::ID, ProtocolId::ChandraToueg);
+    assert_golden(
+        &golden_lines::<ByzantineChandraToueg>(),
+        0x9630_cf0c_cd5c_ef19,
     );
 }
