@@ -3,8 +3,8 @@
 use ftm_certify::{Value, ValueVector};
 use ftm_core::byzantine::ByzantineConsensus;
 use ftm_core::config::{ProtocolConfig, ProtocolSetup};
-use ftm_core::crash::shell::Rounds;
-use ftm_core::crash::Crash;
+use ftm_core::crash::{Crash, CrashModel};
+use ftm_core::rounds::{Record, Rounds};
 use ftm_core::spec::Resilience;
 use ftm_core::validator::{check_crash_consensus, check_vector_consensus, max_round, Verdict};
 use ftm_faults::{ByzantineWrapper, Tamper};
@@ -34,7 +34,10 @@ pub struct Outcome {
 
 /// Runs the crash-model protocol with round module `R`; `crashes` are
 /// `(process, time)` pairs.
-pub fn run_crash<R: Rounds + 'static>(n: usize, seed: u64, crashes: &[(usize, u64)]) -> Outcome {
+pub fn run_crash<R>(n: usize, seed: u64, crashes: &[(usize, u64)]) -> Outcome
+where
+    R: Rounds<Votes: Record<Model = CrashModel>> + 'static,
+{
     let mut cfg = SimConfig::new(n).seed(seed);
     for &(p, t) in crashes {
         cfg = cfg.crash(p, VirtualTime::at(t));
@@ -172,11 +175,12 @@ pub fn run_byz_honest(n: usize, f: usize, seed: u64) -> (RunReport<ValueVector>,
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ftm_core::crash::hr;
+    use ftm_core::crash::HrCounts;
+    use ftm_core::rounds::hr::HurfinRaynal;
 
     #[test]
     fn crash_helper_produces_clean_outcome() {
-        let o = run_crash::<hr::HurfinRaynal>(4, 1, &[]);
+        let o = run_crash::<HurfinRaynal<HrCounts>>(4, 1, &[]);
         assert!(o.verdict.ok());
         assert_eq!(o.rounds, 1);
         assert!(o.messages > 0 && o.bytes > 0 && o.latency > 0);

@@ -1,7 +1,8 @@
 //! E6 — the price of arbitrary-fault tolerance: crash vs. transformed.
 
 use ftm_core::config::ProtocolConfig;
-use ftm_core::crash::hr;
+use ftm_core::crash::HrCounts;
+use ftm_core::rounds::hr::HurfinRaynal;
 use ftm_sim::Duration;
 
 use ftm_sim::SimConfig;
@@ -41,7 +42,7 @@ pub fn run() -> String {
     ]);
     for n in [4usize, 5, 7, 9] {
         let crash: Vec<Outcome> = (0..SEEDS)
-            .map(|s| run_crash::<hr::HurfinRaynal>(n, s, &[]))
+            .map(|s| run_crash::<HurfinRaynal<HrCounts>>(n, s, &[]))
             .collect();
         let (m, b, per, lat) = means(&crash);
         t.row([n.to_string(), "crash (Fig. 2)".into(), m, b, per, lat]);

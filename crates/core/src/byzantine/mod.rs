@@ -13,44 +13,43 @@
 //! * the ◇S guard `p_c ∈ suspected_i` becomes
 //!   `p_c ∈ (suspected_i ∪ faulty_i)` over the muteness and non-muteness
 //!   modules;
-//! * corruptible local variables (`nb_current`, `nb_next`, `rec_from`,
-//!   `state`) are replaced by certificate expressions, which the
-//!   implementation asserts against its explicit state at every step.
+//! * corruptible local variables (`nb_current`, `nb_next`, `rec_from`) are
+//!   replaced by certificate expressions: the vote records of [`votes`].
 //!
 //! The module layout mirrors paper Fig. 1. The four generic modules and
 //! everything Fig. 3 shades gray are one actor, [`Transformed`], written
-//! once in [`shell`]; the protocol-specific round module is a [`Rounds`]
-//! implementation — [`HurfinRaynal`] in [`hr`], [`ChandraToueg`] in [`ct`] —
-//! holding only its round's vote record and its certificate design (§5).
-//! A round module cannot send on its own: it discharges one of its
-//! protocol's [`SendId`] obligations through [`Shell::emit`], so send
-//! conformance with `ProtocolSpec::sends` is a typing fact. The
+//! once in [`shell`]; the protocol-specific round module is the one the
+//! crash model runs — [`crate::rounds::hr`], [`crate::rounds::ct`] — over
+//! a certificate record ([`HrCerts`], [`CtCerts`]). A round module cannot
+//! send on its own: it discharges one of its protocol's spec rows through
+//! [`crate::rounds::Shell::emit`], so send conformance with
+//! `ProtocolSpec::sends` is a typing fact, and the shell assembles the
+//! row's certificate from one per-row evidence table. The
 //! [`TransformedProtocol`] trait is the seam layers above (the replicated
 //! log, the fault harness) build against. Both instances tolerate
 //! `F ≤ min(⌊(n−1)/2⌋, C)` arbitrary faults and decide a vector with at
 //! least `ψ = n − 2F ≥ 1` entries from correct processes.
 
-pub mod ct;
-pub mod hr;
 pub mod log;
 pub mod shell;
+pub mod votes;
 
 use ftm_certify::{Certificate, Envelope, MessageCore, ProtocolId, SignedCore, Value, ValueVector};
 use ftm_sim::{Actor, Context, ProcessId, TimerTag};
 
 use crate::config::ProtocolSetup;
+use crate::rounds::{ct, hr};
 use crate::spec::ProtocolSpec;
 use crate::transform::ModuleStack;
 
-pub use ct::{ChandraToueg, CtSend};
-pub use hr::{HrSend, HurfinRaynal};
 pub use log::ReplicatedLog;
-pub use shell::{Rounds, SendId, Shell, Step, Transformed, Vote};
+pub use shell::{ArbitraryModel, Transformed};
+pub use votes::{CtCerts, HrCerts};
 
 /// The transformed Hurfin–Raynal protocol (paper Fig. 3).
-pub type ByzantineConsensus = Transformed<HurfinRaynal>;
+pub type ByzantineConsensus = Transformed<hr::HurfinRaynal<HrCerts>>;
 /// The transformed Chandra–Toueg protocol.
-pub type ByzantineChandraToueg = Transformed<ChandraToueg>;
+pub type ByzantineChandraToueg = Transformed<ct::ChandraToueg<CtCerts>>;
 
 /// A protocol produced by the crash→arbitrary transformation: an actor
 /// speaking signed [`Envelope`]s and deciding a certified [`ValueVector`],

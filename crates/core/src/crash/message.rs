@@ -3,6 +3,8 @@
 use ftm_certify::{MessageKind, Round, Value};
 use ftm_sim::Payload;
 
+use crate::rounds::Vote;
+
 /// Messages of the crash-model Hurfin–Raynal and Chandra–Toueg protocols,
 /// plus heartbeats for the ◇S implementation: one crash vocabulary, as
 /// [`ftm_certify::Core`] is the one transformed vocabulary.
@@ -10,7 +12,7 @@ use ftm_sim::Payload;
 /// In the crash model no signatures or certificates are needed: processes
 /// fail only by stopping, so every received message is trusted — exactly
 /// the assumption the transformation removes.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CrashMsg {
     /// `CURRENT(r, est)` — vote to decide `est` in round `r` (HR).
     Current {
@@ -63,6 +65,19 @@ pub enum CrashMsg {
 }
 
 impl CrashMsg {
+    /// The round-`round` message of kind `kind`: value-carrying kinds
+    /// carry `est`, `ESTIMATE` also its adoption round `ts`.
+    pub(crate) fn of(kind: Vote, round: Round, est: Value, ts: Round) -> Self {
+        match kind {
+            Vote::Current => CrashMsg::Current { round, est },
+            Vote::Next => CrashMsg::Next { round },
+            Vote::Estimate => CrashMsg::Estimate { round, est, ts },
+            Vote::Propose => CrashMsg::Propose { round, est },
+            Vote::Ack => CrashMsg::Ack { round, est },
+            Vote::Nack => CrashMsg::Nack { round },
+        }
+    }
+
     /// The round a vote belongs to; `None` for `DECIDE` and heartbeats.
     pub fn round(&self) -> Option<Round> {
         match *self {

@@ -5,60 +5,48 @@
 //! [`Transformed`](crate::byzantine::Transformed): the round counter, the
 //! estimate and the round it was adopted in, footnote 5's buffering of
 //! votes for rounds not yet entered, `decide` and its relay, the ◇S poll
-//! (`p_c ∈ suspected_i`) and the detector's heartbeats. A [`Rounds`]
-//! implementation supplies the rest through the four entry points of
-//! [`crate::byzantine::Rounds`]: its per-round record and how it reacts to
-//! a round opening, a vote of the round in progress and a suspicion of the
-//! coordinator.
+//! (`p_c ∈ suspected_i`) and the detector's heartbeats. A round module of
+//! [`crate::rounds`] over a crash-model vote record
+//! ([`crate::crash::votes`]) supplies the rest.
 //!
-//! Crash-model processes trust every byte, so a round module sends through
-//! [`Shell::broadcast`] and [`Shell::send`]: there is no signature,
-//! certificate or send obligation for the shell to derive.
+//! Crash-model processes trust every byte, so rendering a send is only
+//! choosing its destinations: a `CrashMsg` to everyone, or to the round
+//! coordinator for Chandra–Toueg's ESTIMATE, ACK and NACK. The
+//! coordinator's own ACK is not a message: the self-delivery of its
+//! PROPOSE stands for it.
 
-use std::fmt;
-
-use ftm_certify::{Round, Value};
+use ftm_certify::{MessageKind, Round, Value};
 use ftm_fd::FailureDetector;
 use ftm_sim::note::Note;
 use ftm_sim::{Actor, Context, Duration, ProcessId, TimerTag};
 
 use crate::crash::message::CrashMsg;
+use crate::rounds::{
+    Discharged, Model, Record, Rounds, SendId, Shell, Step, Vote, DECIDE_ANNOUNCE,
+};
 use crate::spec::Resilience;
 
 const POLL_TIMER: TimerTag = 1;
 const HEARTBEAT_TIMER: TimerTag = 2;
 
-/// What a round module tells the shell after reacting to an event.
+/// The crash model: a vote is a trusted [`CrashMsg`], and neither a round's
+/// end nor a decision carries evidence — a decision decides the estimate
+/// (Fig. 2 line 12).
 #[derive(Debug)]
-#[must_use]
-pub enum Step {
-    /// The round goes on.
-    Stay,
-    /// The round is over; open the next one.
-    NextRound,
-    /// Decide the value.
-    Decide(Value),
+pub enum CrashModel {}
+
+impl Model for CrashModel {
+    type Vote<'v> = CrashMsg;
+    type Sent = CrashMsg;
+    type Entry = ();
+    type Decision = ();
+
+    fn kind(vote: &CrashMsg) -> MessageKind {
+        vote.kind().unwrap_or(MessageKind::Decide) // the shell hands over votes only
+    }
 }
 
-/// The protocol-specific round module of a crash-model protocol.
-pub trait Rounds: fmt::Debug + Default {
-    /// The shell entered a new round: reset the per-round record and make
-    /// the round-opening send, if this process owes one.
-    fn open_round(&mut self, sh: &mut Shell<'_, '_>);
-
-    /// A vote for the round in progress (never `DECIDE` or a heartbeat,
-    /// never another round's).
-    fn on_vote(&mut self, from: ProcessId, msg: &CrashMsg, sh: &mut Shell<'_, '_>) -> Step;
-
-    /// Whether this process still waits on the round coordinator, i.e.
-    /// whether `p_c ∈ suspected_i` would make it give up.
-    fn awaits_coordinator(&self) -> bool;
-
-    /// The coordinator is suspected while awaited.
-    fn on_suspicion(&mut self, sh: &mut Shell<'_, '_>) -> Step;
-}
-
-/// The shell state a round module reads and, through [`Shell`], updates.
+/// The shell state a round module reads and, through [`View`], updates.
 #[derive(Debug)]
 struct RoundState {
     res: Resilience,
@@ -68,6 +56,8 @@ struct RoundState {
     /// Round in which `est` was last adopted (0 = the own proposal). Only
     /// CT's `ESTIMATE` puts it on the wire.
     ts: Round,
+    /// Messages sent per spec row; the conformance test reads the tally.
+    discharged: Discharged,
 }
 
 impl RoundState {
@@ -76,62 +66,51 @@ impl RoundState {
     }
 }
 
-/// A round module's view of the shell for the duration of one callback.
-#[derive(Debug)]
-pub struct Shell<'a, 'c> {
-    state: &'a mut RoundState,
-    ctx: &'a mut Context<'c, CrashMsg, Value>,
-}
+/// A round module's view of the shell for the duration of one callback:
+/// the shell state and the effect handle, which the module cannot reach.
+struct View<'a, 'c>(&'a mut RoundState, &'a mut Context<'c, CrashMsg, Value>);
 
-impl<'a, 'c> Shell<'a, 'c> {
-    fn new(state: &'a mut RoundState, ctx: &'a mut Context<'c, CrashMsg, Value>) -> Self {
-        Shell { state, ctx }
+impl<R: Rounds<Votes: Record<Model = CrashModel>>> Shell<R> for View<'_, '_> {
+    fn me(&self) -> ProcessId {
+        self.0.me
     }
 
-    /// This process.
-    pub fn me(&self) -> ProcessId {
-        self.state.me
+    fn round(&self) -> Round {
+        self.0.r
     }
 
-    /// The round in progress.
-    pub fn round(&self) -> Round {
-        self.state.r
-    }
-
-    /// The coordinator of the round in progress.
-    pub fn coordinator(&self) -> ProcessId {
-        self.state.coordinator()
+    fn coordinator(&self) -> ProcessId {
+        self.0.coordinator()
     }
 
     /// The crash majority `⌊n/2⌋ + 1`.
-    pub fn majority(&self) -> usize {
-        self.state.res.crash_majority()
+    fn quorum(&self) -> usize {
+        self.0.res.crash_majority()
     }
 
-    /// The current estimate.
-    pub fn est(&self) -> Value {
-        self.state.est
+    fn adopt(&mut self, vote: &CrashMsg) {
+        if let CrashMsg::Current { est, .. }
+        | CrashMsg::Estimate { est, .. }
+        | CrashMsg::Propose { est, .. }
+        | CrashMsg::Ack { est, .. } = *vote
+        {
+            self.0.est = est;
+            self.0.ts = self.0.r;
+        }
     }
 
-    /// The round [`Shell::est`] was adopted in.
-    pub fn ts(&self) -> Round {
-        self.state.ts
-    }
-
-    /// Adopts `est` as the estimate in the round in progress.
-    pub fn adopt(&mut self, est: Value) {
-        self.state.est = est;
-        self.state.ts = self.state.r;
-    }
-
-    /// Sends `msg` to every process, this one included.
-    pub fn broadcast(&mut self, msg: CrashMsg) {
-        self.ctx.broadcast(msg);
-    }
-
-    /// Sends `msg` to `to`.
-    pub fn send(&mut self, to: ProcessId, msg: CrashMsg) {
-        self.ctx.send(to, msg);
+    fn emit(&mut self, row: R::Send, votes: &mut R::Votes) {
+        let st = &mut *self.0;
+        let msg = CrashMsg::of(row.kind(), st.r, st.est, st.ts);
+        let coordinator = st.coordinator();
+        if !(row.kind() == Vote::Ack && coordinator == st.me) {
+            st.discharged.count(row.id());
+            match row.kind() {
+                Vote::Estimate | Vote::Ack | Vote::Nack => self.1.send(coordinator, msg),
+                _ => self.1.broadcast(msg),
+            }
+        } // else: the coordinator's own PROPOSE, self-delivered, stands for it
+        votes.sent(&msg);
     }
 }
 
@@ -177,7 +156,7 @@ pub struct Crash<R, FD> {
     decided: bool,
 }
 
-impl<R: Rounds, FD: FailureDetector> Crash<R, FD> {
+impl<R: Rounds<Votes: Record<Model = CrashModel>>, FD: FailureDetector> Crash<R, FD> {
     /// Creates a process proposing `value`.
     pub fn new(
         res: Resilience,
@@ -194,6 +173,7 @@ impl<R: Rounds, FD: FailureDetector> Crash<R, FD> {
                 r: 0,
                 est: value, // HR line 1: est_i ← v_i
                 ts: 0,
+                discharged: Discharged::new::<R::Send>(&[]),
             },
             rounds: R::default(),
             fd,
@@ -204,11 +184,17 @@ impl<R: Rounds, FD: FailureDetector> Crash<R, FD> {
         }
     }
 
-    fn follow(&mut self, step: Step, ctx: &mut Context<'_, CrashMsg, Value>) {
+    /// Messages sent so far per row of `ProtocolSpec::crash_for(R::ID).sends`,
+    /// in its order.
+    pub fn discharged(&self) -> &[(&'static str, u32)] {
+        &self.state.discharged.0
+    }
+
+    fn follow(&mut self, step: Step<R::Votes>, ctx: &mut Context<'_, CrashMsg, Value>) {
         match step {
             Step::Stay => {}
-            Step::NextRound => self.begin_round(ctx),
-            Step::Decide(value) => self.decide(value, ctx),
+            Step::NextRound(()) => self.begin_round(ctx),
+            Step::Decide(()) => self.decide(self.state.est, ctx),
         }
     }
 
@@ -216,8 +202,7 @@ impl<R: Rounds, FD: FailureDetector> Crash<R, FD> {
     fn begin_round(&mut self, ctx: &mut Context<'_, CrashMsg, Value>) {
         self.state.r += 1;
         ctx.note(Note::Round(self.state.r));
-        self.rounds
-            .open_round(&mut Shell::new(&mut self.state, ctx));
+        self.rounds.open_round(&mut View(&mut self.state, ctx));
         self.drain_buffer(ctx);
     }
 
@@ -241,7 +226,7 @@ impl<R: Rounds, FD: FailureDetector> Crash<R, FD> {
     ) {
         let step = self
             .rounds
-            .on_vote(from, msg, &mut Shell::new(&mut self.state, ctx));
+            .on_vote(from, *msg, &mut View(&mut self.state, ctx));
         self.follow(step, ctx);
     }
 
@@ -249,6 +234,7 @@ impl<R: Rounds, FD: FailureDetector> Crash<R, FD> {
     /// echo).
     fn decide(&mut self, value: Value, ctx: &mut Context<'_, CrashMsg, Value>) {
         self.decided = true;
+        self.state.discharged.count(DECIDE_ANNOUNCE);
         ctx.broadcast(CrashMsg::Decide { est: value });
         ctx.decide(value);
         ctx.halt();
@@ -262,7 +248,7 @@ impl<R: Rounds, FD: FailureDetector> Crash<R, FD> {
     }
 }
 
-impl<R: Rounds, FD: FailureDetector> Actor for Crash<R, FD> {
+impl<R: Rounds<Votes: Record<Model = CrashModel>>, FD: FailureDetector> Actor for Crash<R, FD> {
     type Msg = CrashMsg;
     type Decision = Value;
 
@@ -287,7 +273,7 @@ impl<R: Rounds, FD: FailureDetector> Actor for Crash<R, FD> {
         match (msg, msg.round()) {
             // HR line 2: relay and decide.
             (CrashMsg::Decide { est }, _) => self.decide(*est, ctx),
-            (_, Some(round)) if round > self.state.r => self.buffered.push((from, msg.clone())),
+            (_, Some(round)) if round > self.state.r => self.buffered.push((from, *msg)),
             (_, Some(round)) if round == self.state.r => self.handle_vote(from, msg, ctx),
             // A heartbeat, or a stale vote (footnote 5: discarded).
             _ => {}
@@ -303,11 +289,10 @@ impl<R: Rounds, FD: FailureDetector> Actor for Crash<R, FD> {
                 // HR line 13 / CT phase 3: upon p_c ∈ suspected_i while
                 // still waiting on it.
                 let coord = self.state.coordinator();
-                if self.rounds.awaits_coordinator() && self.fd.suspects(coord, ctx.now()) {
+                let awaits = (self.rounds).awaits_coordinator(&View(&mut self.state, ctx));
+                if awaits && self.fd.suspects(coord, ctx.now()) {
                     ctx.note(Note::Suspect(coord, self.state.r));
-                    let step = self
-                        .rounds
-                        .on_suspicion(&mut Shell::new(&mut self.state, ctx));
+                    let step = self.rounds.on_suspicion(&mut View(&mut self.state, ctx));
                     self.follow(step, ctx);
                 }
                 ctx.set_timer(self.poll_interval, POLL_TIMER);

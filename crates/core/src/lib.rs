@@ -8,14 +8,15 @@
 //! contains both endpoints of that transformation and the machinery
 //! between them:
 //!
+//! * [`rounds`] — the round modules of Hurfin–Raynal (paper Fig. 2 and
+//!   Fig. 3's round logic) and Chandra–Toueg, each written once and generic
+//!   over the vote record its fault model keeps;
 //! * [`crash`] — the Hurfin–Raynal ◇S consensus protocol (paper Fig. 2,
 //!   the FIFO-channel variant) and Chandra–Toueg's, the *input* of the
-//!   transformation: two round modules in one crash-model shell;
+//!   transformation: the round modules in one crash-model shell;
 //! * [`transform`] — the five-module process structure (paper Fig. 1) and
 //!   the transformation rules of §3 as reusable machinery: the receive
-//!   pipeline ([`transform::stack::ModuleStack`]) and the
-//!   local-variable-to-certificate expression rules
-//!   ([`transform::rules`]);
+//!   pipeline ([`transform::stack::ModuleStack`]);
 //! * [`byzantine`] — the *output*: the transformed protocol (paper
 //!   Fig. 3), solving **Vector Consensus** with Agreement, Termination and
 //!   Vector Validity under `F ≤ min(⌊(n−1)/2⌋, C)` arbitrary failures;
@@ -49,6 +50,7 @@ pub mod byzantine;
 pub mod config;
 pub mod crash;
 pub mod quorum;
+pub mod rounds;
 pub mod spec;
 pub mod transform;
 pub mod validator;

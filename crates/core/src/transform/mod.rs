@@ -24,7 +24,8 @@
 //! 4. **Certify every send** — attach the signed receipts that justify the
 //!    carried value and the send condition
 //!    ([`ftm_certify::Certificate`]); replace expressions over corruptible
-//!    local variables with expressions over certificates ([`rules`]).
+//!    local variables with expressions over certificates (the transformed
+//!    model's vote records, [`crate::byzantine::votes`]).
 //! 5. **Vector-certify what has no history** — initial values become a
 //!    certified vector, turning the problem into Vector Consensus
 //!    ([`ftm_certify::vector::VectorBuilder`]).
@@ -37,7 +38,6 @@
 //! (witness values, witness send conditions, majority cardinalities) is
 //! generic.
 
-pub mod rules;
 pub mod stack;
 
 pub use stack::{ModuleStack, StackStats};

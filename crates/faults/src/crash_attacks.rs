@@ -136,8 +136,8 @@ mod tests {
         assert_eq!(
             sends,
             [
-                to(0, poisoned.clone()),
-                to(1, poisoned.clone()),
+                to(0, poisoned),
+                to(1, poisoned),
                 to(2, poisoned),
                 to(1, CrashMsg::Next { round: 1 }),
             ],

@@ -26,8 +26,9 @@
 //!   analyzer, vector certification;
 //! * [`detect`] — non-muteness failure detection (per-peer state
 //!   machines);
-//! * [`core`] — the crash-model protocol (Fig. 2), the transformation
-//!   stack (Fig. 1), the transformed vector consensus (Fig. 3), and run
+//! * [`core`] — the round modules (Fig. 2 and Fig. 3's round logic,
+//!   one per protocol), the crash-model shell, the transformation stack
+//!   (Fig. 1), the transformed vector consensus (Fig. 3), and run
 //!   validators;
 //! * [`faults`] — the Byzantine fault-injection library;
 //! * [`verify`] — static protocol analyzer: model-checks the observer
@@ -130,34 +131,40 @@
 //!
 //! # Send conformance is a type
 //!
-//! The transformed protocols are one generic shell,
-//! [`core::byzantine::Transformed`], around a protocol-specific
-//! [`core::byzantine::Rounds`] module. The shell owns the runtime's
-//! effect handle; a round module speaks only through
-//! [`core::byzantine::Shell::emit`], which takes one of its protocol's
-//! declared send obligations and derives kind, round and routing itself:
+//! Each protocol's round logic is one module, [`core::rounds::Rounds`],
+//! run in either fault model by a shell written once per model
+//! ([`core::byzantine::Transformed`], [`core::crash::Crash`]). The shell
+//! owns the runtime's effect handle; a round module speaks only through
+//! [`core::rounds::Shell::emit`], which takes one of its protocol's
+//! declared send rows and derives kind, round, routing and certificate
+//! itself:
 //!
 //! ```
 //! use ft_modular::certify::{Certified, Envelope, ProtocolId};
-//! use ft_modular::core::byzantine::{HrSend, Rounds, Shell, Step};
+//! use ft_modular::core::byzantine::HrCerts;
+//! use ft_modular::core::rounds::hr::HrSend;
+//! use ft_modular::core::rounds::{Rounds, Shell, Step};
 //! use ft_modular::sim::ProcessId;
 //!
 //! #[derive(Debug, Default)]
-//! struct Parrot;
+//! struct Parrot {
+//!     votes: HrCerts,
+//! }
 //!
 //! impl Rounds for Parrot {
 //!     const ID: ProtocolId = ProtocolId::HurfinRaynal;
 //!     type Send = HrSend;
+//!     type Votes = HrCerts;
 //!
-//!     fn open_round(&mut self, _: &mut Shell<'_, '_, HrSend>) {}
-//!     fn on_vote(&mut self, _: ProcessId, env: Certified<'_>, sh: &mut Shell<'_, '_, HrSend>) -> Step {
-//!         sh.emit(HrSend::CurrentRelay, env.cert.clone());
+//!     fn open_round(&mut self, _: &mut impl Shell<Self>) {}
+//!     fn on_vote(&mut self, _: ProcessId, env: Certified<'_>, sh: &mut impl Shell<Self>) -> Step<HrCerts> {
+//!         sh.emit(HrSend::CurrentRelay, &mut self.votes);
 //!         Step::Stay
 //!     }
-//!     fn awaits_coordinator(&self, _: &Shell<'_, '_, HrSend>) -> bool {
+//!     fn awaits_coordinator(&self, _: &impl Shell<Self>) -> bool {
 //!         false
 //!     }
-//!     fn on_suspicion(&mut self, _: &mut Shell<'_, '_, HrSend>) -> Step {
+//!     fn on_suspicion(&mut self, _: &mut impl Shell<Self>) -> Step<HrCerts> {
 //!         Step::Stay
 //!     }
 //! }
@@ -165,26 +172,96 @@
 //!
 //! Reach past `emit` for the effect handle — to echo the received
 //! envelope as is, or to one process only — and the same module is
-//! rejected by rustc (only the first line of `on_vote` differs):
+//! rejected by rustc (only the first line of `on_vote` differs): the
+//! module sees its shell as a type parameter, which has no fields.
 //!
 //! ```compile_fail
 //! # use ft_modular::certify::{Certified, Envelope, ProtocolId};
-//! # use ft_modular::core::byzantine::{HrSend, Rounds, Shell, Step};
+//! # use ft_modular::core::byzantine::HrCerts;
+//! # use ft_modular::core::rounds::hr::HrSend;
+//! # use ft_modular::core::rounds::{Rounds, Shell, Step};
 //! # use ft_modular::sim::ProcessId;
 //! # #[derive(Debug, Default)]
-//! # struct Parrot;
+//! # struct Parrot {
+//! #     votes: HrCerts,
+//! # }
 //! # impl Rounds for Parrot {
 //! #     const ID: ProtocolId = ProtocolId::HurfinRaynal;
 //! #     type Send = HrSend;
-//! #     fn open_round(&mut self, _: &mut Shell<'_, '_, HrSend>) {}
-//!     fn on_vote(&mut self, _: ProcessId, env: Certified<'_>, sh: &mut Shell<'_, '_, HrSend>) -> Step {
+//! #     type Votes = HrCerts;
+//! #     fn open_round(&mut self, _: &mut impl Shell<Self>) {}
+//!     fn on_vote(&mut self, _: ProcessId, env: Certified<'_>, sh: &mut impl Shell<Self>) -> Step<HrCerts> {
 //!         sh.ctx.broadcast(Envelope::clone(&env));
 //!         Step::Stay
 //!     }
-//! #     fn awaits_coordinator(&self, _: &Shell<'_, '_, HrSend>) -> bool {
+//! #     fn awaits_coordinator(&self, _: &impl Shell<Self>) -> bool {
 //! #         false
 //! #     }
-//! #     fn on_suspicion(&mut self, _: &mut Shell<'_, '_, HrSend>) -> Step {
+//! #     fn on_suspicion(&mut self, _: &mut impl Shell<Self>) -> Step<HrCerts> {
+//! #         Step::Stay
+//! #     }
+//! # }
+//! ```
+//!
+//! The crash model is held the same way. A crash-model round module may
+//! relay through `emit`:
+//!
+//! ```
+//! use ft_modular::certify::ProtocolId;
+//! use ft_modular::core::crash::{CrashMsg, HrCounts};
+//! use ft_modular::core::rounds::hr::HrSend;
+//! use ft_modular::core::rounds::{Rounds, Shell, Step};
+//! use ft_modular::sim::ProcessId;
+//!
+//! #[derive(Debug, Default)]
+//! struct Parrot {
+//!     votes: HrCounts,
+//! }
+//!
+//! impl Rounds for Parrot {
+//!     const ID: ProtocolId = ProtocolId::HurfinRaynal;
+//!     type Send = HrSend;
+//!     type Votes = HrCounts;
+//!
+//!     fn open_round(&mut self, _: &mut impl Shell<Self>) {}
+//!     fn on_vote(&mut self, _: ProcessId, msg: CrashMsg, sh: &mut impl Shell<Self>) -> Step<HrCounts> {
+//!         sh.emit(HrSend::CurrentRelay, &mut self.votes);
+//!         Step::Stay
+//!     }
+//!     fn awaits_coordinator(&self, _: &impl Shell<Self>) -> bool {
+//!         false
+//!     }
+//!     fn on_suspicion(&mut self, _: &mut impl Shell<Self>) -> Step<HrCounts> {
+//!         Step::Stay
+//!     }
+//! }
+//! ```
+//!
+//! but it cannot unicast a vote past it either:
+//!
+//! ```compile_fail
+//! # use ft_modular::certify::ProtocolId;
+//! # use ft_modular::core::crash::{CrashMsg, HrCounts};
+//! # use ft_modular::core::rounds::hr::HrSend;
+//! # use ft_modular::core::rounds::{Rounds, Shell, Step};
+//! # use ft_modular::sim::ProcessId;
+//! # #[derive(Debug, Default)]
+//! # struct Parrot {
+//! #     votes: HrCounts,
+//! # }
+//! # impl Rounds for Parrot {
+//! #     const ID: ProtocolId = ProtocolId::HurfinRaynal;
+//! #     type Send = HrSend;
+//! #     type Votes = HrCounts;
+//! #     fn open_round(&mut self, _: &mut impl Shell<Self>) {}
+//!     fn on_vote(&mut self, _: ProcessId, msg: CrashMsg, sh: &mut impl Shell<Self>) -> Step<HrCounts> {
+//!         sh.ctx.send(ProcessId(0), msg);
+//!         Step::Stay
+//!     }
+//! #     fn awaits_coordinator(&self, _: &impl Shell<Self>) -> bool {
+//! #         false
+//! #     }
+//! #     fn on_suspicion(&mut self, _: &mut impl Shell<Self>) -> Step<HrCounts> {
 //! #         Step::Stay
 //! #     }
 //! # }
