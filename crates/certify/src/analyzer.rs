@@ -866,6 +866,15 @@ mod tests {
                 let env = witness(&f, rule);
                 assert!(f.checker.check_envelope(&env).is_ok(), "{rule:?}");
                 assert_eq!(f.checker.rule_for(&env), Ok(rule));
+                // The row's flag says whether its check reads INIT items.
+                let mut bare = env.clone();
+                bare.cert = Certificate::from_items(
+                    (env.cert.iter())
+                        .filter(|i| i.kind() != MessageKind::Init)
+                        .cloned(),
+                );
+                let admitted = f.checker.check_envelope(&bare).is_ok();
+                assert_eq!(admitted, !rule.needs_init_backing, "{rule:?}");
                 witnessed += 1;
             }
             assert_eq!(witnessed, rows, "{}", f.checker.protocol());

@@ -36,6 +36,11 @@ pub struct RuleInfo {
     pub kind: MessageKind,
     /// What the rule re-derives from the certificate.
     pub checks: &'static str,
+    /// Whether the rule re-derives the INIT backing of the vector the
+    /// message carries (§5.1's `est_cert`), so that a send it audits
+    /// carries that backing: `ftm_core::spec::transform` gives exactly
+    /// these sends their round-0 justification.
+    pub needs_init_backing: bool,
     /// The rule itself: `Ok(true)` when this row's send condition holds,
     /// `Ok(false)` for "not this rule, try the next row", `Err` for a
     /// violation. Signatures and syntax are checked before any row runs.
@@ -105,6 +110,7 @@ pub static INIT_EMPTY: RuleInfo = RuleInfo {
     kind: MessageKind::Init,
     checks: "INIT carries an empty certificate (initial values are vouched by vector \
              certification, not certificates)",
+    needs_init_backing: false,
     check: CertChecker::init_empty,
 };
 
@@ -114,6 +120,7 @@ pub static CURRENT_COORDINATOR: RuleInfo = RuleInfo {
     kind: MessageKind::Current,
     checks: "INIT-portion witnesses the vector (≥ n−F signed INITs) and NEXT-portion \
              witnesses the round (≥ n−F signed NEXT(r−1), or nothing for r = 1)",
+    needs_init_backing: true,
     check: CertChecker::current_coordinator,
 };
 
@@ -123,6 +130,7 @@ pub static CURRENT_RELAY: RuleInfo = RuleInfo {
     kind: MessageKind::Current,
     checks: "certificate contains the round coordinator's own signed CURRENT(r, vect) plus \
              the INIT backing of vect",
+    needs_init_backing: true,
     check: CertChecker::current_relay,
 };
 
@@ -131,6 +139,7 @@ pub static NEXT_END_OF_ROUND: RuleInfo = RuleInfo {
     id: "next-end-of-round",
     kind: MessageKind::Next,
     checks: "a full quorum of signed NEXT(r)",
+    needs_init_backing: false,
     check: CertChecker::next_end_of_round,
 };
 
@@ -140,6 +149,7 @@ pub static NEXT_CHANGE_MIND: RuleInfo = RuleInfo {
     kind: MessageKind::Next,
     checks: "≥ 1 CURRENT seen and a quorum of round-r votes, but neither a CURRENT quorum \
              nor a NEXT quorum",
+    needs_init_backing: false,
     check: CertChecker::next_change_mind,
 };
 
@@ -149,6 +159,7 @@ pub static NEXT_SUSPICION: RuleInfo = RuleInfo {
     kind: MessageKind::Next,
     checks: "no CURRENT adopted (suspicion is local and unverifiable; structure only: \
              absence of a CURRENT quorum claim)",
+    needs_init_backing: false,
     check: CertChecker::next_suspicion,
 };
 
@@ -157,6 +168,7 @@ pub static DECIDE_CURRENT_QUORUM: RuleInfo = RuleInfo {
     id: "decide-current-quorum",
     kind: MessageKind::Decide,
     checks: "≥ n−F distinct signed CURRENT(r, vect) matching the decided vector",
+    needs_init_backing: false,
     check: CertChecker::decide_current_quorum,
 };
 
@@ -167,6 +179,7 @@ pub static ESTIMATE_ROUNDSTART: RuleInfo = RuleInfo {
     checks: "INIT-portion witnesses the vector; a claimed adoption timestamp ts > 0 is \
              backed by coordinator(ts)'s signed PROPOSE(ts, vect); round entry r > 1 is \
              backed by ≥ n−F signed ACK/NACK(r−1)",
+    needs_init_backing: true,
     check: CertChecker::estimate_roundstart,
 };
 
@@ -177,6 +190,7 @@ pub static PROPOSE_COORDINATOR: RuleInfo = RuleInfo {
     checks: "sender is coordinator(r); ≥ n−F signed ESTIMATE(r) and the proposed vector \
              equals the vector of a maximum-ts estimate in the certificate, with its INIT \
              backing",
+    needs_init_backing: true,
     check: CertChecker::propose_coordinator,
 };
 
@@ -186,6 +200,7 @@ pub static ACK_ECHO: RuleInfo = RuleInfo {
     kind: MessageKind::Ack,
     checks: "certificate contains the round coordinator's own signed PROPOSE(r, vect) \
              carrying exactly the echoed vector",
+    needs_init_backing: false,
     check: CertChecker::ack_echo,
 };
 
@@ -195,6 +210,7 @@ pub static NACK_SUSPICION: RuleInfo = RuleInfo {
     kind: MessageKind::Nack,
     checks: "coordinator suspicion is local and unverifiable; structure only: no quorum \
              claim is made",
+    needs_init_backing: false,
     check: CertChecker::nack_suspicion,
 };
 
@@ -203,6 +219,7 @@ pub static DECIDE_ACK_QUORUM: RuleInfo = RuleInfo {
     id: "decide-ack-quorum",
     kind: MessageKind::Decide,
     checks: "≥ n−F distinct signed ACK(r, vect) matching the decided vector",
+    needs_init_backing: false,
     check: CertChecker::decide_ack_quorum,
 };
 
@@ -220,6 +237,7 @@ pub static CHECKPOINT_RULE: RuleInfo = RuleInfo {
     kind: MessageKind::Checkpoint,
     checks: "≥ n−F distinct signed decide-votes (CURRENT under HR, ACK under CT) over one \
              round and one vector, whose vector hashes to the claimed checkpoint digest",
+    needs_init_backing: false,
     check: CertChecker::checkpoint_quorum,
 };
 

@@ -24,7 +24,7 @@
 //! send on its own: it discharges one of its protocol's spec rows through
 //! [`crate::rounds::Shell::emit`], so send conformance with
 //! `ProtocolSpec::sends` is a typing fact, and the shell assembles the
-//! row's certificate from one per-row evidence table. The
+//! row's certificate by walking the row's `justified_by`. The
 //! [`TransformedProtocol`] trait is the seam layers above (the replicated
 //! log, the fault harness) build against. Both instances tolerate
 //! `F ≤ min(⌊(n−1)/2⌋, C)` arbitrary faults and decide a vector with at
