@@ -59,9 +59,10 @@ pub fn run() -> String {
         "\n### Certificate growth under round churn\n\n\
          Message delays drawn from [20, 60] with an increasingly aggressive\n\
          muteness timeout: wrongful suspicions force extra rounds, and\n\
-         certificates carry the per-round vote sets — bytes/message grows\n\
-         with contention but stays bounded (signed cores never nest; see the\n\
-         design note in `ftm-certify`).\n\n",
+         certificates carry the per-round vote sets — bytes/message stays\n\
+         bounded with contention (signed cores never nest; see the design\n\
+         note in `ftm-certify`), and falls: a NEXT carries only the votes its\n\
+         rule reads, fewer bytes than a CURRENT's INIT backing.\n\n",
     );
     let mut t = Table::new(["muteness timeout", "mean rounds", "mean msgs", "bytes/msg"]);
     for timeout in [400u64, 150, 60, 30] {

@@ -361,7 +361,7 @@ fn assert_golden(lines: &[String], pinned: u64) {
 #[test]
 fn hurfin_raynal_traces_are_pinned() {
     assert_eq!(ByzantineConsensus::ID, ProtocolId::HurfinRaynal);
-    assert_golden(&golden_lines::<ByzantineConsensus>(), 0x03ce_6803_3b1b_ce50);
+    assert_golden(&golden_lines::<ByzantineConsensus>(), 0xe123_8fcb_b1cd_051d);
 }
 
 #[test]
