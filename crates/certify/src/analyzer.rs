@@ -19,18 +19,16 @@
 // D7 (DESIGN.md §13): a truncated count is silently a wrong threshold.
 #![deny(clippy::cast_possible_truncation)]
 
-use std::collections::BTreeSet;
-
 use ftm_crypto::keydir::KeyDirectory;
 use ftm_sim::ProcessId;
 
-use crate::certificate::Certificate;
+use crate::certificate::{distinct_senders, Certificate};
 use crate::certified::Certified;
 use crate::checkpoint::{checkpoint_digest, decide_vote_groups, decide_vote_kind};
 use crate::error::{CertifyError, FaultClass};
 use crate::message::{Core, MessageKind, ProtocolId, Round, ValueVector};
 use crate::rules::{certification_rules_for, RuleInfo, CHECKPOINT_RULE};
-use crate::signed::{Envelope, SignedCore};
+use crate::signed::Envelope;
 
 /// Validates certificates against the transformed protocol's rules.
 ///
@@ -269,7 +267,7 @@ impl CertChecker {
         culprit: ProcessId,
     ) -> Result<(), CertifyError> {
         let ending = self.protocol.round_ending_kinds();
-        if round <= 1 || cert.senders_of_any(ending, round - 1).len() >= self.quorum() {
+        if round <= 1 || cert.count_senders(ending, round - 1) >= self.quorum() {
             return Ok(());
         }
         Err(CertifyError::new(
@@ -331,16 +329,17 @@ impl CertChecker {
     /// `next-end-of-round`: a full NEXT quorum observed.
     pub(crate) fn next_end_of_round(&self, env: &Envelope) -> Result<bool, CertifyError> {
         self.check_next(env)?;
-        Ok(env.cert.count(MessageKind::Next, env.round()) >= self.quorum())
+        Ok(env.cert.count_senders(&[MessageKind::Next], env.round()) >= self.quorum())
     }
 
     /// `next-change-mind`: in q1 (≥ 1 CURRENT seen), a quorum of votes
     /// arrived but not a CURRENT quorum (a NEXT quorum is the row before).
     pub(crate) fn next_change_mind(&self, env: &Envelope) -> Result<bool, CertifyError> {
         self.check_next(env)?;
-        let currents = env.cert.count(MessageKind::Current, env.round());
+        let currents = env.cert.count_senders(&[MessageKind::Current], env.round());
+        let rec_from = [MessageKind::Current, MessageKind::Next];
         Ok((1..self.quorum()).contains(&currents)
-            && env.cert.rec_from(env.round()).len() >= self.quorum())
+            && env.cert.count_senders(&rec_from, env.round()) >= self.quorum())
     }
 
     /// `next-suspicion`, from q0: no CURRENT relayed or adopted yet. The
@@ -350,7 +349,7 @@ impl CertChecker {
     /// matched neither row before it matches no send condition at all.
     pub(crate) fn next_suspicion(&self, env: &Envelope) -> Result<bool, CertifyError> {
         self.check_next(env)?;
-        if env.cert.count(MessageKind::Current, env.round()) == 0 {
+        if env.cert.count_senders(&[MessageKind::Current], env.round()) == 0 {
             Ok(true)
         } else {
             Err(bad_cert(
@@ -400,7 +399,7 @@ impl CertChecker {
             ));
         }
         self.init_portion_well_formed(&env.cert, vector, env.sender())?;
-        if env.cert.count(MessageKind::Estimate, *round) < self.quorum() {
+        if env.cert.count_senders(&[MessageKind::Estimate], *round) < self.quorum() {
             return Err(bad_cert(
                 env,
                 "PROPOSE lacks n−F signed ESTIMATE votes for this round",
@@ -483,13 +482,11 @@ impl CertChecker {
         let Core::Decide { round, vector } = env.core() else {
             return Ok(false);
         };
-        let matching: BTreeSet<ProcessId> = env
+        let matching = env
             .cert
             .iter_kind_round(decide_vote_kind(self.protocol), *round)
-            .filter(|i| i.core().core.vector() == Some(vector))
-            .map(SignedCore::sender)
-            .collect();
-        if matching.len() < self.quorum() {
+            .filter(|i| i.core().core.vector() == Some(vector));
+        if distinct_senders(matching) < self.quorum() {
             return Err(bad_cert(env, lacks));
         }
         Ok(true)
@@ -904,7 +901,7 @@ mod tests {
             assert_eq!(split.certificate_bytes, members);
         }
 
-        let mut kinds = BTreeSet::new();
+        let mut kinds = std::collections::BTreeSet::new();
         for f in [fixture(), ct_fixture()] {
             let own = certification_rules_for(f.checker.protocol());
             for rule in own.iter().copied().chain([&CHECKPOINT_RULE]) {

@@ -9,8 +9,8 @@
 //! [`Certificate`] values with different well-formedness rules (enforced by
 //! [`crate::analyzer::CertChecker`]).
 
-use std::collections::BTreeSet;
 use std::fmt;
+use std::sync::Arc;
 
 use ftm_sim::ProcessId;
 
@@ -21,6 +21,13 @@ use crate::signed::SignedCore;
 ///
 /// A certificate holds at most a couple of votes per process (≤ 2n
 /// members), so membership is a linear scan over the members' digests.
+///
+/// The members live in one shared body: a clone — of the certificate, or
+/// of an envelope, buffered message or record holding it — is a
+/// reference-count bump and shares that body, and
+/// [`insert`](Certificate::insert) copies it first only while another
+/// clone still holds it (copy on write). The empty certificate has no
+/// body and allocates nothing.
 ///
 /// # Example
 ///
@@ -37,9 +44,27 @@ use crate::signed::SignedCore;
 /// cert.insert(item); // duplicate: ignored
 /// assert_eq!(cert.len(), 1);
 /// ```
-#[derive(Clone, Default, PartialEq)]
+#[derive(Clone, Default)]
 pub struct Certificate {
-    items: Vec<SignedCore>,
+    /// The members, shared by every clone; `None` when there are none.
+    body: Option<Arc<Vec<SignedCore>>>,
+}
+
+/// How many distinct senders `items` name: an item counts when no earlier
+/// item has its sender. A scan with no allocation and no bound on sender
+/// ids — certificates are small (≤ 2n members).
+pub fn distinct_senders<'a>(items: impl Iterator<Item = &'a SignedCore> + Clone) -> usize {
+    items
+        .clone()
+        .enumerate()
+        .filter(|(k, item)| {
+            let sender = item.sender();
+            !items
+                .clone()
+                .take(*k)
+                .any(|earlier| earlier.sender() == sender)
+        })
+        .count()
 }
 
 impl Certificate {
@@ -57,20 +82,35 @@ impl Certificate {
         c
     }
 
-    /// Inserts one signed core; returns `true` if it was new.
+    /// The members, in insertion order.
+    fn items(&self) -> &[SignedCore] {
+        self.body.as_deref().map_or(&[], Vec::as_slice)
+    }
+
+    /// Inserts one signed core; returns `true` if it was new. The body is
+    /// copied first if another clone shares it.
     pub fn insert(&mut self, item: SignedCore) -> bool {
-        let new = !self.items.contains(&item);
+        let new = !self.items().contains(&item);
         if new {
-            self.items.push(item);
+            Arc::make_mut(self.body.get_or_insert_with(Arc::default)).push(item);
         }
         new
+    }
+
+    /// Whether `other` holds this very body — a clone of this certificate
+    /// not inserted into since — rather than equal members of its own.
+    pub(crate) fn shares_body(&self, other: &Certificate) -> bool {
+        match (&self.body, &other.body) {
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            (a, b) => a.is_none() && b.is_none(),
+        }
     }
 
     /// Set-union with another certificate (used when a send is justified by
     /// several certificate variables, e.g. `est_cert ∪ next_cert`).
     pub fn union(&self, other: &Certificate) -> Certificate {
         let mut out = self.clone();
-        for item in &other.items {
+        for item in other.iter() {
             out.insert(item.clone());
         }
         out
@@ -78,17 +118,17 @@ impl Certificate {
 
     /// Number of distinct signed cores.
     pub fn len(&self) -> usize {
-        self.items.len()
+        self.items().len()
     }
 
     /// Returns `true` when the certificate holds nothing.
     pub fn is_empty(&self) -> bool {
-        self.items.is_empty()
+        self.items().is_empty()
     }
 
     /// Iterates all items in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = &SignedCore> {
-        self.items.iter()
+    pub fn iter(&self) -> impl Iterator<Item = &SignedCore> + Clone {
+        self.items().iter()
     }
 
     /// Iterates items of a given kind and round.
@@ -96,30 +136,28 @@ impl Certificate {
         &self,
         kind: MessageKind,
         round: Round,
-    ) -> impl Iterator<Item = &SignedCore> {
-        self.items
-            .iter()
+    ) -> impl Iterator<Item = &SignedCore> + Clone {
+        self.iter()
             .filter(move |i| i.kind() == kind && i.round() == round)
     }
 
-    /// Distinct senders of items of a given kind and round.
-    pub fn senders_of(&self, kind: MessageKind, round: Round) -> BTreeSet<ProcessId> {
-        self.senders_of_any(&[kind], round)
-    }
-
-    /// Count of distinct senders of `(kind, round)` items — the
-    /// cardinality used in the paper's majority tests (`|current_cert|`,
-    /// `|next_cert|`).
-    pub fn count(&self, kind: MessageKind, round: Round) -> usize {
-        self.senders_of(kind, round).len()
+    /// Count of distinct senders that contributed an item of any of
+    /// `kinds` for `round` — one process voting twice, or voting two of the
+    /// kinds, counts once. The cardinality behind the paper's majority
+    /// tests: `|current_cert|`, `|next_cert|`, `REC_FROM_i` (CURRENT or
+    /// NEXT) and CT's ACK/NACK votes.
+    pub fn count_senders(&self, kinds: &[MessageKind], round: Round) -> usize {
+        distinct_senders(
+            self.iter()
+                .filter(|i| i.round() == round && kinds.contains(&i.kind())),
+        )
     }
 
     /// The INIT-only sub-certificate (`est_cert` extracted from a received
     /// certificate — what a process adopts along with an estimate vector).
     pub fn init_portion(&self) -> Certificate {
         Certificate::from_items(
-            self.items
-                .iter()
+            self.iter()
                 .filter(|i| i.kind() == MessageKind::Init)
                 .cloned(),
         )
@@ -151,41 +189,22 @@ impl Certificate {
         self.find_vouching(MessageKind::Current, sender, round, vector)
     }
 
-    /// Distinct senders that contributed an item of any of `kinds` for
-    /// `round` — one process voting two of the kinds counts once.
-    pub fn senders_of_any(&self, kinds: &[MessageKind], round: Round) -> BTreeSet<ProcessId> {
-        self.items
-            .iter()
-            .filter(|i| i.round() == round && kinds.contains(&i.kind()))
-            .map(super::signed::SignedCore::sender)
-            .collect()
-    }
-
-    /// Distinct senders that contributed an ACK or NACK item for `round`
-    /// — the CT round-progression vote set (the CT analogue of
-    /// [`Certificate::rec_from`]).
-    pub fn ct_votes(&self, round: Round) -> BTreeSet<ProcessId> {
-        self.senders_of_any(&[MessageKind::Ack, MessageKind::Nack], round)
-    }
-
-    /// Distinct senders that contributed a CURRENT or NEXT item for
-    /// `round` — the paper's `REC_FROM_i` expressed over certificates.
-    pub fn rec_from(&self, round: Round) -> BTreeSet<ProcessId> {
-        self.senders_of_any(&[MessageKind::Current, MessageKind::Next], round)
-    }
-
     /// Approximate wire size: sum of item sizes.
     pub fn size_bytes(&self) -> usize {
-        self.items
-            .iter()
-            .map(super::signed::SignedCore::size_bytes)
-            .sum()
+        self.iter().map(SignedCore::size_bytes).sum()
+    }
+}
+
+/// Equal when the members are, in order (shared or not).
+impl PartialEq for Certificate {
+    fn eq(&self, other: &Self) -> bool {
+        self.items() == other.items()
     }
 }
 
 impl fmt::Debug for Certificate {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_list().entries(&self.items).finish()
+        f.debug_list().entries(self.items()).finish()
     }
 }
 
@@ -277,9 +296,101 @@ mod tests {
             signed(0, Core::Next { round: 2 }, &ks), // exact dup, removed
             signed(1, Core::Next { round: 3 }, &ks), // other round
         ]);
-        assert_eq!(cert.count(MessageKind::Next, 2), 2);
-        assert_eq!(cert.count(MessageKind::Next, 3), 1);
-        assert_eq!(cert.count(MessageKind::Current, 2), 0);
+        assert_eq!(cert.count_senders(&[MessageKind::Next], 2), 2);
+        assert_eq!(cert.count_senders(&[MessageKind::Next], 3), 1);
+        assert_eq!(cert.count_senders(&[MessageKind::Current], 2), 0);
+    }
+
+    /// `count_senders` against a `BTreeSet` of senders, over seeded
+    /// certificates with exact duplicates, equivocating senders (several
+    /// statements of one kind and round), mixed kinds and rounds, and
+    /// sender ids far past 64: the scan has no width limit.
+    #[test]
+    fn count_senders_matches_a_set_of_senders() {
+        use ftm_crypto::prng::Rng64;
+        use std::collections::BTreeSet;
+
+        let key = &keys()[0];
+        let mut rng = ftm_crypto::rng_from_seed(64);
+        let vector = ValueVector::empty(2);
+        let kinds = [
+            MessageKind::Current,
+            MessageKind::Next,
+            MessageKind::Ack,
+            MessageKind::Nack,
+            MessageKind::Estimate,
+        ];
+        for _ in 0..200 {
+            let mut cert = Certificate::new();
+            for _ in 0..rng.next_u64() % 24 {
+                let sender = [0, 1, 5, 63, 64, 65, 130, 1000][(rng.next_u64() % 8) as usize];
+                let round = 1 + rng.next_u64() % 3;
+                let value = rng.next_u64() % 2; // two statements a sender can equivocate between
+                let core = match rng.next_u64() % 5 {
+                    0 => Core::Current {
+                        round,
+                        vector: ValueVector::from_entries(vec![Some(value), None]),
+                    },
+                    1 => Core::Next { round },
+                    2 => Core::Ack {
+                        round,
+                        vector: vector.clone(),
+                    },
+                    3 => Core::Nack { round },
+                    _ => Core::Estimate {
+                        round,
+                        vector: vector.clone(),
+                        ts: value,
+                    },
+                };
+                let item = SignedCore::sign(MessageCore::new(ProcessId(sender), core), key);
+                cert.insert(item.clone());
+                cert.insert(item); // an exact duplicate
+            }
+            for round in 0..4 {
+                for mask in 0..1u32 << kinds.len() {
+                    let asked: Vec<MessageKind> = (kinds.iter().enumerate())
+                        .filter(|(b, _)| mask >> b & 1 == 1)
+                        .map(|(_, k)| *k)
+                        .collect();
+                    let reference: BTreeSet<ProcessId> = cert
+                        .iter()
+                        .filter(|i| i.round() == round && asked.contains(&i.kind()))
+                        .map(SignedCore::sender)
+                        .collect();
+                    assert_eq!(
+                        cert.count_senders(&asked, round),
+                        reference.len(),
+                        "{asked:?} r={round} over {cert:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_clone_shares_the_body_until_either_side_inserts() {
+        let ks = keys();
+        let a = signed(0, Core::Next { round: 1 }, &ks);
+        let b = signed(1, Core::Next { round: 1 }, &ks);
+        let original = Certificate::from_items([a.clone()]);
+        let mut copy = original.clone();
+        assert!(copy.shares_body(&original));
+        // A member already there changes nothing and copies nothing.
+        assert!(!copy.insert(a.clone()));
+        assert!(copy.shares_body(&original));
+        // A new member is written to a body of the clone's own.
+        assert!(copy.insert(b.clone()));
+        assert!(!copy.shares_body(&original));
+        assert_eq!(original, Certificate::from_items([a.clone()]));
+        assert_eq!(copy, Certificate::from_items([a.clone(), b]));
+        // Equal members in separate bodies are equal, not shared.
+        let twin = Certificate::from_items([a]);
+        assert!(twin == original && !twin.shares_body(&original));
+        // The empty certificate has no body to share or allocate.
+        assert!(Certificate::new().shares_body(&Certificate::default()));
+        assert!(Certificate::new().body.is_none());
+        assert!(!Certificate::new().shares_body(&original));
     }
 
     #[test]
@@ -313,7 +424,7 @@ mod tests {
     }
 
     #[test]
-    fn rec_from_unions_current_and_next_senders() {
+    fn rec_from_counts_current_and_next_senders_once() {
         let ks = keys();
         let v = ValueVector::empty(2);
         let cert = Certificate::from_items([
@@ -325,12 +436,12 @@ mod tests {
                 },
                 &ks,
             ),
+            signed(0, Core::Next { round: 1 }, &ks),
             signed(1, Core::Next { round: 1 }, &ks),
             signed(2, Core::Next { round: 2 }, &ks),
         ]);
-        let rf = cert.rec_from(1);
-        assert_eq!(rf.len(), 2);
-        assert!(rf.contains(&ProcessId(0)) && rf.contains(&ProcessId(1)));
+        let rec_from = [MessageKind::Current, MessageKind::Next];
+        assert_eq!(cert.count_senders(&rec_from, 1), 2);
     }
 
     #[test]

@@ -112,7 +112,7 @@ impl Certificate {
     /// Distinct senders of INIT items (helper for the builder's exit
     /// condition and the analyzer's witness rule).
     pub fn count_init_senders(&self) -> usize {
-        self.senders_of(MessageKind::Init, 0).len()
+        self.count_senders(&[MessageKind::Init], 0)
     }
 }
 

@@ -71,6 +71,10 @@ impl Payload for SlotMsg {
         out
     }
 
+    fn is_same(&self, other: &Self) -> bool {
+        self.slot == other.slot && self.env.is_same(&other.env)
+    }
+
     fn layer_split(&self) -> LayerSplit {
         // The slot tag is protocol-level framing; the rest is the envelope's.
         let mut split = self.env.layer_split();

@@ -9,8 +9,7 @@
 //! edge of a send's `justified_by`, one store, chosen by the cited row's
 //! kind ([`Ledger::cite`]).
 
-use std::collections::BTreeSet;
-
+use ftm_certify::certificate::distinct_senders;
 use ftm_certify::{Certificate, Certified, Core, MessageKind, Round, SignedCore, ValueVector};
 use ftm_sim::ProcessId;
 
@@ -21,16 +20,13 @@ use crate::spec::{EvidencePhase, Justification};
 /// The items among `items` that endorse `vector`, once from a quorum of
 /// distinct signers: a decision and its evidence.
 fn endorsing<'a>(
-    items: impl Iterator<Item = &'a SignedCore>,
+    items: impl Iterator<Item = &'a SignedCore> + Clone,
     vector: &ValueVector,
     quorum: usize,
 ) -> Option<(ValueVector, Certificate)> {
-    let matching: Certificate = items
-        .filter(|i| i.core().core.vector() == Some(vector))
-        .cloned()
-        .collect();
-    let signers: BTreeSet<ProcessId> = matching.iter().map(SignedCore::sender).collect();
-    (signers.len() >= quorum).then(|| (vector.clone(), matching))
+    let matching = items.filter(move |i| i.core().core.vector() == Some(vector));
+    (distinct_senders(matching.clone()) >= quorum)
+        .then(|| (vector.clone(), matching.cloned().collect()))
 }
 
 /// Hurfin–Raynal's votes of one round, as certificates.
@@ -91,10 +87,17 @@ impl hr::Votes for HrCerts {
     }
 
     fn counts(&self, round: Round) -> (usize, usize, usize) {
-        let currents = self.current_cert.count(MessageKind::Current, round);
-        let nexts = self.next_cert.count(MessageKind::Next, round);
-        let rec_from = self.current_cert.union(&self.next_cert).rec_from(round);
-        (currents, nexts, rec_from.len())
+        let currents = self
+            .current_cert
+            .count_senders(&[MessageKind::Current], round);
+        let nexts = self.next_cert.count_senders(&[MessageKind::Next], round);
+        // REC_FROM: who sent either vote, over both certificates.
+        let vote = |i: &&SignedCore| {
+            i.round() == round && matches!(i.kind(), MessageKind::Current | MessageKind::Next)
+        };
+        let both = self.current_cert.iter().chain(self.next_cert.iter());
+        let rec_from = distinct_senders(both.filter(vote));
+        (currents, nexts, rec_from)
     }
 
     /// Only CURRENTs endorsing the adopted vector, the first one's, count:
@@ -210,7 +213,8 @@ impl ct::Votes for CtCerts {
     }
 
     fn end(&mut self, round: Round, quorum: usize) -> Option<Certificate> {
-        let over = self.vote_cert.ct_votes(round).len() >= quorum;
+        let votes = [MessageKind::Ack, MessageKind::Nack];
+        let over = self.vote_cert.count_senders(&votes, round) >= quorum;
         over.then(|| std::mem::take(&mut self.vote_cert))
     }
 }

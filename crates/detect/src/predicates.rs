@@ -56,7 +56,7 @@ pub fn round_entry_justified(
     }
     // (3) a quorum of round-ending votes of this round.
     let ending = protocol.round_ending_kinds();
-    if env.cert.senders_of_any(ending, round).len() >= checker.quorum() {
+    if env.cert.count_senders(ending, round) >= checker.quorum() {
         return Ok(());
     }
     Err(CertifyError::new(

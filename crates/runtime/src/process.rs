@@ -103,6 +103,18 @@ pub trait Payload: Clone + fmt::Debug {
         }
         s
     }
+
+    /// Whether `other` is this very message — one object reached through
+    /// two handles — and not merely an equal one.
+    /// [`Context::restore_staged_sends`] turns copies back into one
+    /// broadcast only when they are all the same message, so a payload
+    /// that answers `true` must be one whose size, split and label cannot
+    /// tell the two handles apart. The default, `false`, keeps every copy a
+    /// unicast.
+    fn is_same(&self, other: &Self) -> bool {
+        let _ = other;
+        false
+    }
 }
 
 impl Payload for &'static str {
@@ -326,9 +338,10 @@ impl<'a, M: Payload, D: Clone + fmt::Debug + PartialEq> Context<'a, M, D> {
     /// Intended for fault-injection wrappers (`ftm-faults`), which corrupt,
     /// drop or duplicate a wrapped actor's output *before* it reaches the
     /// honest network and need per-copy access; pair with
-    /// [`restore_staged_sends`](Context::restore_staged_sends). Honest runs
-    /// never call this, so their broadcasts stay shared all the way to
-    /// delivery.
+    /// [`restore_staged_sends`](Context::restore_staged_sends), which puts
+    /// the copies a wrapper left alone back out as one broadcast. Honest
+    /// runs never call this, so their broadcasts stay shared all the way
+    /// to delivery.
     pub fn take_staged_sends(&mut self) -> Vec<(ProcessId, M)> {
         let staged = std::mem::take(&mut self.staged_sends);
         let mut flat = Vec::with_capacity(staged.len());
@@ -348,11 +361,37 @@ impl<'a, M: Payload, D: Clone + fmt::Debug + PartialEq> Context<'a, M, D> {
     /// Puts back a (possibly rewritten) flat send list obtained from
     /// [`take_staged_sends`](Context::take_staged_sends), replacing
     /// whatever is currently staged.
+    ///
+    /// A run of `n` consecutive entries to `p_0 … p_{n-1}`, in that order,
+    /// that are all the same message ([`Payload::is_same`]) goes back out
+    /// as one [`StagedSend::ToAll`] — what an untouched broadcast flattens
+    /// to. Every other entry stays a unicast. The runner expands a
+    /// broadcast to exactly those `n` deliveries, in that order, so the
+    /// trace, the random draws and the queue are as the unicasts would
+    /// have left them.
     pub fn restore_staged_sends(&mut self, flat: Vec<(ProcessId, M)>) {
-        self.staged_sends = flat
-            .into_iter()
-            .map(|(to, msg)| StagedSend::To(to, msg))
-            .collect();
+        let mut staged: Vec<StagedSend<M>> = Vec::with_capacity(flat.len());
+        // How many entries at the end of `staged` are one message to
+        // p_0, p_1, … in order.
+        let mut run = 0;
+        for (to, msg) in flat {
+            let same = matches!(staged.last(), Some(StagedSend::To(_, prev))
+                if run > 0 && to.index() == run && prev.is_same(&msg));
+            run = if same {
+                run + 1
+            } else {
+                usize::from(to.index() == 0)
+            };
+            staged.push(StagedSend::To(to, msg));
+            if same && run == self.n {
+                staged.truncate(staged.len() + 1 - run);
+                if let Some(StagedSend::To(_, msg)) = staged.pop() {
+                    staged.push(StagedSend::ToAll(msg));
+                }
+                run = 0;
+            }
+        }
+        self.staged_sends = staged;
     }
 
     /// Emits a trace annotation: a [`crate::note::Note`], or free text.
@@ -406,6 +445,88 @@ mod tests {
         );
         c.restore_staged_sends(flat);
         assert_eq!(c.into_effects().sends.len(), 5);
+    }
+
+    /// A payload that knows its own identity: one allocation per message.
+    #[derive(Clone, Debug, PartialEq)]
+    struct Shared(std::sync::Arc<str>);
+
+    impl Payload for Shared {
+        fn size_bytes(&self) -> usize {
+            self.0.len()
+        }
+
+        fn is_same(&self, other: &Self) -> bool {
+            std::sync::Arc::ptr_eq(&self.0, &other.0)
+        }
+    }
+
+    /// What `restore_staged_sends` stages after `edit` rewrites the flat
+    /// view of: a unicast, a broadcast of `m`, a unicast (at p1 of 3).
+    fn restored(edit: impl FnOnce(&mut Vec<(ProcessId, Shared)>)) -> Vec<StagedSend<Shared>> {
+        let mut draw = || 0u64;
+        let mut c: Context<'_, Shared, u64> =
+            Context::new(VirtualTime::at(5), ProcessId(1), 3, &mut draw);
+        c.send(ProcessId(2), Shared("pre".into()));
+        c.broadcast(Shared("m".into()));
+        c.send(ProcessId(0), Shared("post".into()));
+        let mut flat = c.take_staged_sends();
+        edit(&mut flat);
+        c.restore_staged_sends(flat);
+        c.into_effects().sends
+    }
+
+    fn shape(sends: &[StagedSend<Shared>]) -> Vec<String> {
+        let show = |s: &StagedSend<Shared>| match s {
+            StagedSend::To(to, m) => format!("{to}:{}", m.0),
+            StagedSend::ToAll(m) => format!("all:{}", m.0),
+        };
+        sends.iter().map(show).collect()
+    }
+
+    #[test]
+    fn copies_left_alone_go_back_out_as_one_broadcast() {
+        let sends = restored(|_| {});
+        assert_eq!(shape(&sends), ["p2:pre", "all:m", "p0:post"]);
+        // A broadcast sent twice over is two broadcasts.
+        let sends_twice = restored(|flat| {
+            let copies: Vec<_> = flat[1..4].to_vec();
+            flat.splice(4..4, copies);
+        });
+        assert_eq!(shape(&sends_twice), ["p2:pre", "all:m", "all:m", "p0:post"]);
+    }
+
+    #[test]
+    fn a_run_with_one_equal_but_separate_copy_stays_unicasts() {
+        let sends = restored(|flat| flat[2].1 = Shared("m".into()));
+        assert_eq!(
+            shape(&sends),
+            ["p2:pre", "p0:m", "p1:m", "p2:m", "p0:post"],
+            "an equal message is not the same message"
+        );
+    }
+
+    #[test]
+    fn reordered_or_partial_runs_stay_unicasts() {
+        let swapped = restored(|flat| flat.swap(1, 2));
+        assert_eq!(
+            shape(&swapped),
+            ["p2:pre", "p1:m", "p0:m", "p2:m", "p0:post"]
+        );
+        let dropped = restored(|flat| {
+            flat.remove(3);
+        });
+        assert_eq!(shape(&dropped), ["p2:pre", "p0:m", "p1:m", "p0:post"]);
+        // A run may start right after a broken one.
+        let restarted = restored(|flat| {
+            let copies: Vec<_> = flat[1..4].to_vec();
+            flat.remove(3);
+            flat.splice(3..3, copies);
+        });
+        assert_eq!(
+            shape(&restarted),
+            ["p2:pre", "p0:m", "p1:m", "all:m", "p0:post"]
+        );
     }
 
     #[test]
