@@ -7,7 +7,7 @@ use ftm_core::crash::{Crash, CrashModel};
 use ftm_core::rounds::{Record, Rounds};
 use ftm_core::spec::Resilience;
 use ftm_core::validator::{check_crash_consensus, check_vector_consensus, max_round, Verdict};
-use ftm_faults::{ByzantineWrapper, Tamper};
+use ftm_faults::{Attack, ByzantineWrapper};
 use ftm_fd::TimeoutDetector;
 use ftm_sim::runner::BoxedActor;
 use ftm_sim::{Duration, RunReport, SimConfig, Simulation, VirtualTime};
@@ -71,7 +71,7 @@ pub fn run_byz(
     f: usize,
     seed: u64,
     crashes: &[(usize, u64)],
-    attacker: Option<(u32, Box<dyn Tamper>)>,
+    attacker: Option<(u32, Attack)>,
 ) -> (RunReport<ValueVector>, Outcome) {
     run_byz_with_config(
         ProtocolConfig::new(n, f).seed(seed),
@@ -87,7 +87,7 @@ pub fn run_byz_with_config(
     config: ProtocolConfig,
     seed: u64,
     crashes: &[(usize, u64)],
-    attacker: Option<(u32, Box<dyn Tamper>)>,
+    attacker: Option<(u32, Attack)>,
 ) -> (RunReport<ValueVector>, Outcome) {
     let mut cfg = SimConfig::new(config.n).seed(seed);
     for &(p, t) in crashes {
@@ -101,7 +101,7 @@ pub fn run_byz_with_config(
 pub fn run_byz_sim(
     config: ProtocolConfig,
     cfg: SimConfig,
-    attacker: Option<(u32, Box<dyn Tamper>)>,
+    attacker: Option<(u32, Attack)>,
 ) -> (RunReport<ValueVector>, Outcome) {
     let n = config.n;
     let f = config.f;
@@ -113,10 +113,10 @@ pub fn run_byz_sim(
         let honest = ByzantineConsensus::new(&setup, id, props[id.index()]);
         match &mut attacker {
             Some((a, _)) if *a == id.0 => {
-                let (a, tamper) = attacker.take().expect("just matched");
+                let (a, attack) = attacker.take().expect("just matched");
                 Box::new(ByzantineWrapper::new(
                     honest,
-                    tamper,
+                    attack,
                     setup.keys[a as usize].clone(),
                     Duration::of(10),
                 )) as BoxedActor<_, ValueVector>

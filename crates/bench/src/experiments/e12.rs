@@ -40,7 +40,7 @@ const BURST_SEED: u64 = 11;
 fn retained_series(retention: Retention, slots: u64) -> Vec<u64> {
     let report = AttackRun::new(4, 1, SEED, 0)
         .retention(retention)
-        .run_log(slots, |_| None);
+        .run_log(slots, None);
     log::retained_series(&report.trace, retention)
 }
 

@@ -1,10 +1,10 @@
 //! E2 — the paper's motivation: the crash protocol is not Byzantine-
 //! tolerant; the transformed protocol is, under the same attacks.
 
-use ftm_certify::Value;
+use ftm_certify::{MessageKind, Value};
 use ftm_core::crash::{CrashConsensus, CrashMsg};
 use ftm_core::spec::Resilience;
-use ftm_faults::attacks::{DecideForger, VectorCorruptor};
+use ftm_faults::attacks::{Attack, Trigger};
 use ftm_faults::crash_attacks::{CrashAttack, CrashSaboteur};
 use ftm_fd::TimeoutDetector;
 use ftm_sim::runner::BoxedActor;
@@ -60,10 +60,10 @@ pub fn run() -> String {
                 &[],
                 Some((
                     0,
-                    Box::new(VectorCorruptor {
+                    Attack::CorruptVector {
                         entry: 2,
                         poison: 31337,
-                    }),
+                    },
                 )),
             );
             verdict_with_faulty(&report, N, 1, &[0]).ok()
@@ -96,7 +96,14 @@ pub fn run() -> String {
                 1,
                 s,
                 &[],
-                Some((3, Box::new(DecideForger::new(VirtualTime::at(1), N, 999)))),
+                Some((
+                    3,
+                    Attack::Forge {
+                        kind: MessageKind::Decide,
+                        poison: 999,
+                        trigger: Trigger::At(VirtualTime::at(1)),
+                    },
+                )),
             );
             verdict_with_faulty(&report, N, 1, &[3]).ok()
         })

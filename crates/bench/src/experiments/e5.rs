@@ -1,7 +1,6 @@
 //! E5 — Vector Validity: the ψ = n − 2F bound and Propositions 1–2.
 
-use ftm_faults::attacks::InitEquivocator;
-use ftm_faults::Tamper;
+use ftm_faults::Attack;
 
 use crate::experiments::common::{run_byz, verdict_with_faulty};
 use crate::report::{pct, Table};
@@ -49,12 +48,7 @@ pub fn run() -> String {
             let mut agree = 0;
             let mut ok = 0;
             for seed in 0..SEEDS {
-                let attacker = byz.map(|a| {
-                    (
-                        a,
-                        Box::new(InitEquivocator { alt: 1313 }) as Box<dyn Tamper>,
-                    )
-                });
+                let attacker = byz.map(|a| (a, Attack::EquivocateInit { alt: 1313 }));
                 let (report, _) = run_byz(n, f, seed, &crashes, attacker);
                 let mut faulty: Vec<usize> = crashes.iter().map(|&(p, _)| p).collect();
                 if let Some(a) = byz {

@@ -4,8 +4,7 @@
 use ftm_core::config::ProtocolConfig;
 use ftm_core::validator::detections;
 use ftm_detect::observer::Checks;
-use ftm_faults::attacks::{IdentityThief, VectorCorruptor, VoteDuplicator};
-use ftm_faults::Tamper;
+use ftm_faults::Attack;
 use ftm_sim::ProcessId;
 
 use crate::experiments::common::{run_byz_with_config, verdict_with_faulty};
@@ -33,16 +32,17 @@ fn checks(name: &str) -> Checks {
     }
 }
 
-fn attack(name: &str) -> Box<dyn Tamper> {
+fn attack(name: &str) -> Attack {
     match name {
-        "vector corruption" => Box::new(VectorCorruptor {
+        "vector corruption" => Attack::CorruptVector {
             entry: 2,
             poison: 666,
-        }),
-        "identity theft" => Box::new(IdentityThief {
-            victim: ProcessId(1),
-        }),
-        "vote duplication" => Box::new(VoteDuplicator),
+        },
+        "identity theft" => Attack::Resign {
+            sender: Some(ProcessId(1)),
+            key: None,
+        },
+        "vote duplication" => Attack::DuplicateVotes,
         other => panic!("unknown attack {other:?}"),
     }
 }

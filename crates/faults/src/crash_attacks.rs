@@ -44,7 +44,13 @@ impl Deviation<CrashMsg> for Sabotage {
         Duration::of(1)
     }
 
-    fn rewrite(&mut self, _: ProcessId, _: VirtualTime, staged: &mut Vec<(ProcessId, CrashMsg)>) {
+    fn rewrite(
+        &mut self,
+        _: ProcessId,
+        _: usize,
+        _: VirtualTime,
+        staged: &mut Vec<(ProcessId, CrashMsg)>,
+    ) {
         if let CrashAttack::CorruptEstimate { poison } = self.attack {
             for (_, msg) in staged {
                 match msg {

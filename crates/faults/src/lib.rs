@@ -8,25 +8,30 @@
 //! them into simulated runs:
 //!
 //! * crashes are native to [`ftm_sim::SimConfig`];
-//! * everything else is an **actor wrapper**: a faulty process runs the
-//!   honest protocol internally and a [`Tamper`] strategy rewrites, drops,
-//!   duplicates or injects messages on the way out — the network stays
-//!   honest, matching the paper's reliable-channel model;
+//! * everything else is an **actor wrapper**, [`behavior::Faulty`]: a
+//!   faulty process runs the honest protocol internally and a
+//!   [`behavior::Deviation`] rewrites, drops, duplicates or injects
+//!   messages on the way out — the network stays honest, matching the
+//!   paper's reliable-channel model;
 //! * wrappers hold the process's own key pair (a faulty process signs
 //!   whatever it sends — that is precisely why signatures alone do not
 //!   stop Byzantine behavior and certificates are needed).
 //!
-//! [`attacks`] targets the transformed protocol ([`ftm_certify::Envelope`]
-//! messages); [`crash_attacks`] targets the crash-model protocol, whose
-//! unsigned messages make the same attacks trivially lethal — experiment
-//! E2's point.
+//! Deviations are data. Against the transformed protocol
+//! ([`ftm_certify::Envelope`] messages, bare or inside a replicated log's
+//! slot messages) each is one [`Attack`] value, one operation per
+//! variant, and [`FaultBehavior`] names the value each row of the
+//! taxonomy runs; against the crash-model protocol each is one
+//! [`crash_attacks::CrashAttack`], whose unsigned messages make the same
+//! attacks trivially lethal — experiment E2's point.
 
 pub mod attacks;
 pub mod behavior;
 pub mod crash_attacks;
 pub mod scenario;
 
-pub use behavior::{ByzantineLogWrapper, ByzantineWrapper, Tamper};
+pub use attacks::Attack;
+pub use behavior::{ByzantineLogWrapper, ByzantineWrapper};
 pub use scenario::{
     coalition_faulty, log_command, run_scenario, sweep_matrix, sweep_matrix_repeated,
     sweep_scenarios, AttackRun, CoalitionAxis, DetectorKind, FaultBehavior, Scenario,

@@ -32,7 +32,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use ftm_certify::vector::check_vector_validity;
-use ftm_certify::{ProtocolId, Value, ValueVector};
+use ftm_certify::{MessageKind, ProtocolId, Value, ValueVector};
 use ftm_core::byzantine::log::{ReplicatedLog, Retention};
 use ftm_core::byzantine::{ByzantineChandraToueg, ByzantineConsensus, TransformedProtocol};
 use ftm_core::config::{MutenessMode, ProtocolConfig, ProtocolSetup};
@@ -46,8 +46,8 @@ use ftm_sim::{
     Actor, Duration, NetworkProfile, ProcessId, RunReport, SimConfig, Simulation, VirtualTime,
 };
 
-use crate::attacks;
-use crate::{ByzantineLogWrapper, ByzantineWrapper, Tamper};
+use crate::attacks::{Attack, Trigger};
+use crate::{ByzantineLogWrapper, ByzantineWrapper};
 
 /// One fault behavior a coalition member may exhibit — the paper's
 /// taxonomy (§2–3) plus the honest baseline and the benign crash.
@@ -113,11 +113,11 @@ impl FaultBehavior {
         Self::TABLE[*self as usize].1
     }
 
-    /// Builds the outgoing-message tamper for this behavior against
-    /// `protocol`, or `None` when the behavior needs no wrapper (honest
-    /// runs, benign crashes). Most strategies are protocol-agnostic (they
-    /// pattern-match the kinds of both transformed
-    /// protocols and a run only ever stages its own kinds); the fake
+    /// The [`Attack`] this behavior runs against `protocol` when
+    /// `attacker` of `n` processes exhibits it under `seed`, or `None` when
+    /// the behavior needs no wrapper (honest runs, benign crashes). Most
+    /// attacks are protocol-agnostic (they match the kinds of both
+    /// transformed protocols and a run only ever stages its own); the fake
     /// coordinator is the exception — it must forge the proposal kind the
     /// victim protocol actually certifies (CURRENT under Hurfin–Raynal,
     /// PROPOSE under Chandra–Toueg).
@@ -127,45 +127,56 @@ impl FaultBehavior {
         n: usize,
         attacker: u32,
         seed: u64,
-    ) -> Option<Box<dyn Tamper>> {
-        let t: Box<dyn Tamper> = match self {
+    ) -> Option<Attack> {
+        // An honest process's entry and identity, never the attacker's own.
+        let neighbour = (attacker as usize + 1) % n;
+        let attack = match self {
             FaultBehavior::Honest | FaultBehavior::Crash => return None,
-            FaultBehavior::Mute => Box::new(attacks::MuteAfter {
+            FaultBehavior::Mute => Attack::Mute {
                 after: VirtualTime::at(30),
-            }),
-            FaultBehavior::VectorCorrupt => Box::new(attacks::VectorCorruptor {
-                // Poison an honest process's entry, never the attacker's own.
-                entry: (attacker as usize + 1) % n,
+            },
+            FaultBehavior::VectorCorrupt => Attack::CorruptVector {
+                entry: neighbour,
                 poison: 666,
-            }),
-            FaultBehavior::RoundJump => Box::new(attacks::RoundJumper { jump: 5 }),
-            FaultBehavior::DuplicateVotes => Box::new(attacks::VoteDuplicator),
-            FaultBehavior::ForgeDecide => {
-                Box::new(attacks::DecideForger::new(VirtualTime::at(1), n, 999))
-            }
+            },
+            FaultBehavior::RoundJump => Attack::JumpRound { jump: 5 },
+            FaultBehavior::DuplicateVotes => Attack::DuplicateVotes,
+            FaultBehavior::ForgeDecide => Attack::Forge {
+                kind: MessageKind::Decide,
+                poison: 999,
+                trigger: Trigger::At(VirtualTime::at(1)),
+            },
             FaultBehavior::WrongKey => {
                 let mut rng = ftm_crypto::rng_from_seed(0xBAD ^ seed);
-                Box::new(attacks::WrongKeySigner {
-                    wrong: KeyPair::generate(&mut rng, 128),
-                })
-            }
-            FaultBehavior::StealIdentity => Box::new(attacks::IdentityThief {
-                victim: ProcessId(((attacker as usize + 1) % n) as u32),
-            }),
-            FaultBehavior::EquivocateInit => Box::new(attacks::InitEquivocator { alt: 1313 }),
-            FaultBehavior::SpuriousCurrent => match protocol {
-                ProtocolId::HurfinRaynal => {
-                    Box::new(attacks::SpuriousCurrent::new(VirtualTime::at(1), n))
+                Attack::Resign {
+                    sender: None,
+                    key: Some(KeyPair::generate(&mut rng, 128)),
                 }
-                ProtocolId::ChandraToueg => Box::new(attacks::SpuriousPropose::new(n)),
-            },
-            FaultBehavior::Replay => Box::new(attacks::Replayer::new(VirtualTime::at(30))),
-            FaultBehavior::StripCertificates => Box::new(attacks::CertStripper),
-            FaultBehavior::SelectiveOmission => {
-                Box::new(attacks::SelectiveSender { cutoff: n / 2 })
             }
+            FaultBehavior::StealIdentity => Attack::Resign {
+                sender: Some(ProcessId(neighbour as u32)),
+                key: None,
+            },
+            FaultBehavior::EquivocateInit => Attack::EquivocateInit { alt: 1313 },
+            FaultBehavior::SpuriousCurrent => match protocol {
+                ProtocolId::HurfinRaynal => Attack::Forge {
+                    kind: MessageKind::Current,
+                    poison: 4242,
+                    trigger: Trigger::At(VirtualTime::at(1)),
+                },
+                ProtocolId::ChandraToueg => Attack::Forge {
+                    kind: MessageKind::Propose,
+                    poison: 4242,
+                    trigger: Trigger::AfterFirstEstimate,
+                },
+            },
+            FaultBehavior::Replay => Attack::Replay {
+                at: VirtualTime::at(30),
+            },
+            FaultBehavior::StripCertificates => Attack::StripCertificates,
+            FaultBehavior::SelectiveOmission => Attack::SelectiveOmission { cutoff: n / 2 },
         };
-        Some(t)
+        Some(attack)
     }
 }
 
@@ -512,8 +523,8 @@ impl ScenarioMatrix {
     }
 }
 
-/// Which processes run behind a wrapper, and the strategy of each.
-type Tampers = BTreeMap<u32, Box<dyn Tamper>>;
+/// Which processes run behind a wrapper, and the attack of each.
+type Attacks = BTreeMap<u32, Attack>;
 
 /// One hand-configured adversarial run: the stack-building glue (keys,
 /// transformed actors, wrapped attackers, optional coordinator crash)
@@ -646,50 +657,50 @@ impl AttackRun {
     }
 
     /// The one run builder: every process runs `honest(id)`, and a process
-    /// with an entry in `tampers` runs it behind `wrap` with its own key
+    /// with an entry in `attacks` runs it behind `wrap` with its own key
     /// pair.
     fn simulate<A, W>(
         &self,
         setup: &ProtocolSetup,
         cfg: SimConfig,
-        mut tampers: Tampers,
+        mut attacks: Attacks,
         honest: impl Fn(ProcessId) -> A,
-        wrap: fn(A, Box<dyn Tamper>, KeyPair, Duration) -> W,
+        wrap: fn(A, Attack, KeyPair, Duration) -> W,
     ) -> RunReport<A::Decision>
     where
         A: Actor + 'static,
         W: Actor<Msg = A::Msg, Decision = A::Decision> + 'static,
     {
-        Simulation::build_boxed(cfg, |id| match tampers.remove(&id.0) {
-            Some(tamper) => {
+        Simulation::build_boxed(cfg, |id| match attacks.remove(&id.0) {
+            Some(attack) => {
                 let keys = setup.keys[id.index()].clone();
-                Box::new(wrap(honest(id), tamper, keys, self.injection_delay)) as BoxedActor<_, _>
+                Box::new(wrap(honest(id), attack, keys, self.injection_delay)) as BoxedActor<_, _>
             }
             None => Box::new(honest(id)),
         })
         .run()
     }
 
-    /// One-shot consensus with the processes in `tampers` wrapped.
+    /// One-shot consensus with the processes in `attacks` wrapped.
     fn one_shot(
         &self,
         setup: &ProtocolSetup,
         cfg: SimConfig,
-        tampers: Tampers,
+        attacks: Attacks,
     ) -> RunReport<ValueVector> {
         let props = self.proposals();
         match self.protocol {
             ProtocolId::HurfinRaynal => self.simulate(
                 setup,
                 cfg,
-                tampers,
+                attacks,
                 |id| ByzantineConsensus::build(setup, id, props[id.index()]),
                 ByzantineWrapper::new,
             ),
             ProtocolId::ChandraToueg => self.simulate(
                 setup,
                 cfg,
-                tampers,
+                attacks,
                 |id| ByzantineChandraToueg::build(setup, id, props[id.index()]),
                 ByzantineWrapper::new,
             ),
@@ -704,20 +715,20 @@ impl AttackRun {
         slots: u64,
         setup: &ProtocolSetup,
         cfg: SimConfig,
-        tampers: Tampers,
+        attacks: Attacks,
     ) -> RunReport<Vec<ValueVector>> {
         match self.protocol {
             ProtocolId::HurfinRaynal => self.simulate(
                 setup,
                 cfg,
-                tampers,
+                attacks,
                 |id| self.replica::<ByzantineConsensus>(setup, id, slots),
                 ByzantineLogWrapper::new,
             ),
             ProtocolId::ChandraToueg => self.simulate(
                 setup,
                 cfg,
-                tampers,
+                attacks,
                 |id| self.replica::<ByzantineChandraToueg>(setup, id, slots),
                 ByzantineLogWrapper::new,
             ),
@@ -733,46 +744,36 @@ impl AttackRun {
         ReplicatedLog::new(setup, id, slots, log_command).with_retention(self.retention)
     }
 
-    /// The single-attacker tamper map: `attacker` wrapped iff there is a
-    /// strategy.
-    fn lone_tamper(&self, tamper: Option<Box<dyn Tamper>>) -> Tampers {
-        tamper.map(|t| (self.attacker, t)).into_iter().collect()
+    /// The single-attacker map: `attacker` wrapped iff there is an attack.
+    fn lone_attack(&self, attack: Option<Attack>) -> Attacks {
+        attack.map(|a| (self.attacker, a)).into_iter().collect()
     }
 
     /// Builds the full stack and executes one-shot consensus with
-    /// [`attacker`](Self::attacker) behind the tamper `mk_tamper` builds —
-    /// a one-member coalition with a hand-made strategy. `mk_tamper` may
-    /// return `None` for an honest (or merely crashed) system.
-    pub fn run(
-        &self,
-        mk_tamper: impl FnOnce(&ProtocolSetup) -> Option<Box<dyn Tamper>>,
-    ) -> RunReport<ValueVector> {
+    /// [`attacker`](Self::attacker) running `attack` — a one-member
+    /// coalition with a hand-made attack. `None` runs an honest (or merely
+    /// crashed) system.
+    pub fn run(&self, attack: Option<Attack>) -> RunReport<ValueVector> {
         let (setup, cfg) = self.setup_and_cfg(&[]);
-        let tampers = self.lone_tamper(mk_tamper(&setup));
-        self.one_shot(&setup, cfg, tampers)
+        self.one_shot(&setup, cfg, self.lone_attack(attack))
     }
 
     /// Executes the run with an attacker *coalition*: every member whose
-    /// behavior needs a wrapper is wrapped with its own tamper (built by
+    /// behavior needs a wrapper runs its own attack (built by
     /// [`FaultBehavior::make_tamper_for`]), members behaving as
     /// [`FaultBehavior::Crash`] are crashed at t = 0, and honest members
     /// run untouched.
     pub fn run_coalition(&self, members: &[(u32, FaultBehavior)]) -> RunReport<ValueVector> {
         let (setup, cfg) = self.setup_and_cfg(&coalition_crashes(members));
-        self.one_shot(&setup, cfg, self.coalition_tampers(members))
+        self.one_shot(&setup, cfg, self.coalition_attacks(members))
     }
 
     /// [`run`](Self::run) over the replicated-log workload: the attacker's
-    /// replica is wrapped so the tamper strategy rewrites the consensus
-    /// envelope inside each slot message.
-    pub fn run_log(
-        &self,
-        slots: u64,
-        mk_tamper: impl FnOnce(&ProtocolSetup) -> Option<Box<dyn Tamper>>,
-    ) -> RunReport<Vec<ValueVector>> {
+    /// replica is wrapped so the attack rewrites the consensus envelope
+    /// inside each slot message.
+    pub fn run_log(&self, slots: u64, attack: Option<Attack>) -> RunReport<Vec<ValueVector>> {
         let (setup, cfg) = self.setup_and_cfg(&[]);
-        let tampers = self.lone_tamper(mk_tamper(&setup));
-        self.log(slots, &setup, cfg, tampers)
+        self.log(slots, &setup, cfg, self.lone_attack(attack))
     }
 
     /// The replicated-log workload under an attacker coalition — the
@@ -783,17 +784,17 @@ impl AttackRun {
         members: &[(u32, FaultBehavior)],
     ) -> RunReport<Vec<ValueVector>> {
         let (setup, cfg) = self.setup_and_cfg(&coalition_crashes(members));
-        self.log(slots, &setup, cfg, self.coalition_tampers(members))
+        self.log(slots, &setup, cfg, self.coalition_attacks(members))
     }
 
-    /// Per-member tamper strategies for a coalition (honest and crashed
-    /// members need none).
-    fn coalition_tampers(&self, members: &[(u32, FaultBehavior)]) -> Tampers {
+    /// Per-member attacks for a coalition (honest and crashed members need
+    /// none).
+    fn coalition_attacks(&self, members: &[(u32, FaultBehavior)]) -> Attacks {
         members
             .iter()
             .filter_map(|&(m, b)| {
                 b.make_tamper_for(self.protocol, self.n, m, self.seed)
-                    .map(|t| (m, t))
+                    .map(|a| (m, a))
             })
             .collect()
     }
@@ -1372,12 +1373,10 @@ mod tests {
         const LOG_2_SLOTS: u64 = 5_731_438_682_581_073_303;
         let run = AttackRun::new(4, 1, 9, 3);
         let members = [(3, FaultBehavior::DuplicateVotes)];
-        let mk = |_: &ProtocolSetup| {
-            FaultBehavior::DuplicateVotes.make_tamper_for(ProtocolId::HurfinRaynal, 4, 3, 9)
-        };
-        assert_eq!(run.run(mk).trace.fingerprint(), ONE_SHOT);
+        let attack = || Some(Attack::DuplicateVotes);
+        assert_eq!(run.run(attack()).trace.fingerprint(), ONE_SHOT);
         assert_eq!(run.run_coalition(&members).trace.fingerprint(), ONE_SHOT);
-        assert_eq!(run.run_log(2, mk).trace.fingerprint(), LOG_2_SLOTS);
+        assert_eq!(run.run_log(2, attack()).trace.fingerprint(), LOG_2_SLOTS);
         assert_eq!(
             run.run_coalition_log(2, &members).trace.fingerprint(),
             LOG_2_SLOTS

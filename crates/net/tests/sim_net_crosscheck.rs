@@ -36,8 +36,7 @@ use ftm_core::byzantine::ByzantineConsensus;
 use ftm_core::config::ProtocolConfig;
 use ftm_core::validator::detections;
 use ftm_crypto::rsa::KeyPair;
-use ftm_faults::attacks::WrongKeySigner;
-use ftm_faults::{log_command, AttackRun, ByzantineLogWrapper};
+use ftm_faults::{log_command, Attack, AttackRun, ByzantineLogWrapper};
 use ftm_net::{parse_convictions, run_loopback_cluster, ClusterConfig};
 use ftm_runtime::time::Duration;
 use ftm_runtime::SendBoxedActor;
@@ -58,11 +57,14 @@ const SLOTS: u64 = 8;
 const HOP_MS: u64 = 5;
 const ATTACKER: u32 = 3;
 
-/// The same wrong key on both sides (the attack is seed-deterministic,
+/// The same wrong-key attack on both sides (seed-deterministic,
 /// mirroring [`ftm_faults::FaultBehavior::WrongKey`]).
-fn wrong_key() -> KeyPair {
+fn wrong_key() -> Attack {
     let mut rng = ftm_crypto::rng_from_seed(0xBAD ^ SEED);
-    KeyPair::generate(&mut rng, 128)
+    Attack::Resign {
+        sender: None,
+        key: Some(KeyPair::generate(&mut rng, 128)),
+    }
 }
 
 /// `(observer, culprit, class)` triples, deduplicated: the *set* of
@@ -73,9 +75,7 @@ type Convictions = BTreeSet<(u32, String, String)>;
 #[test]
 fn simulator_and_tcp_agree_on_decisions_and_convictions() {
     // --- Simulator side -------------------------------------------------
-    let sim = AttackRun::new(N, F, SEED, ATTACKER).run_log(SLOTS, |_| {
-        Some(Box::new(WrongKeySigner { wrong: wrong_key() }))
-    });
+    let sim = AttackRun::new(N, F, SEED, ATTACKER).run_log(SLOTS, Some(wrong_key()));
 
     let sim_convictions: Convictions = detections(&sim.trace)
         .into_iter()
@@ -91,7 +91,7 @@ fn simulator_and_tcp_agree_on_decisions_and_convictions() {
         if id.0 == ATTACKER {
             Box::new(ByzantineLogWrapper::new(
                 honest,
-                Box::new(WrongKeySigner { wrong: wrong_key() }),
+                wrong_key(),
                 setup.keys[ATTACKER as usize].clone(),
                 Duration::of(3),
             )) as SendBoxedActor<_, _>

@@ -11,9 +11,8 @@ use ft_modular::core::config::ProtocolConfig;
 use ft_modular::core::crash::{CrashConsensus, CrashMsg};
 use ft_modular::core::spec::Resilience;
 use ft_modular::core::validator::{check_crash_consensus, check_vector_consensus, detections};
-use ft_modular::faults::attacks::VectorCorruptor;
 use ft_modular::faults::crash_attacks::{CrashAttack, CrashSaboteur};
-use ft_modular::faults::ByzantineWrapper;
+use ft_modular::faults::{Attack, ByzantineWrapper};
 use ft_modular::fd::TimeoutDetector;
 use ft_modular::sim::runner::BoxedActor;
 use ft_modular::sim::{Duration, SimConfig, Simulation};
@@ -64,10 +63,10 @@ fn main() {
         if id.0 == 0 {
             Box::new(ByzantineWrapper::new(
                 honest,
-                Box::new(VectorCorruptor {
+                Attack::CorruptVector {
                     entry: 2,
                     poison: 31337,
-                }),
+                },
                 setup.keys[0].clone(),
                 Duration::of(30),
             )) as BoxedActor<_, ValueVector>

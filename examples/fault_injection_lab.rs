@@ -6,76 +6,68 @@
 //! cargo run --example fault_injection_lab
 //! ```
 
-use ft_modular::certify::{Value, ValueVector};
+use ft_modular::certify::{MessageKind, Value, ValueVector};
 use ft_modular::core::byzantine::ByzantineConsensus;
-use ft_modular::core::config::{ProtocolConfig, ProtocolSetup};
+use ft_modular::core::config::ProtocolConfig;
 use ft_modular::core::validator::{check_vector_consensus, detections};
-use ft_modular::faults::attacks::{
-    DecideForger, IdentityThief, InitEquivocator, MuteAfter, RoundJumper, SpuriousCurrent,
-    VectorCorruptor, VoteDuplicator, WrongKeySigner,
-};
-use ft_modular::faults::{ByzantineWrapper, Tamper};
+use ft_modular::crypto::rsa::KeyPair;
+use ft_modular::faults::attacks::{Attack, Trigger};
+use ft_modular::faults::ByzantineWrapper;
 use ft_modular::sim::runner::BoxedActor;
 use ft_modular::sim::{Duration, ProcessId, SimConfig, Simulation, VirtualTime};
 
 const N: usize = 4;
 const ATTACKER: u32 = 3;
 
-/// A named attack constructor.
-type AttackEntry = (&'static str, Box<dyn Fn(&ProtocolSetup) -> Box<dyn Tamper>>);
-
 fn main() {
-    let gallery: Vec<AttackEntry> = vec![
+    let mut rng = ft_modular::crypto::rng_from_seed(0xBAD);
+    let wrong_key = KeyPair::generate(&mut rng, 128);
+    let gallery = [
         (
             "muteness (silent after t=30)",
-            Box::new(|_| {
-                Box::new(MuteAfter {
-                    after: VirtualTime::at(30),
-                })
-            }),
+            Attack::Mute {
+                after: VirtualTime::at(30),
+            },
         ),
         (
             "vector corruption",
-            Box::new(|_| {
-                Box::new(VectorCorruptor {
-                    entry: 1,
-                    poison: 666,
-                })
-            }),
+            Attack::CorruptVector {
+                entry: 1,
+                poison: 666,
+            },
         ),
-        (
-            "round jumping (+5)",
-            Box::new(|_| Box::new(RoundJumper { jump: 5 })),
-        ),
-        ("vote duplication", Box::new(|_| Box::new(VoteDuplicator))),
+        ("round jumping (+5)", Attack::JumpRound { jump: 5 }),
+        ("vote duplication", Attack::DuplicateVotes),
         (
             "forged DECIDE",
-            Box::new(|_| Box::new(DecideForger::new(VirtualTime::at(1), N, 999))),
+            Attack::Forge {
+                kind: MessageKind::Decide,
+                poison: 999,
+                trigger: Trigger::At(VirtualTime::at(1)),
+            },
         ),
         (
             "wrong signing key",
-            Box::new(|_| {
-                let mut rng = ft_modular::crypto::rng_from_seed(0xBAD);
-                Box::new(WrongKeySigner {
-                    wrong: ft_modular::crypto::rsa::KeyPair::generate(&mut rng, 128),
-                })
-            }),
+            Attack::Resign {
+                sender: None,
+                key: Some(wrong_key),
+            },
         ),
         (
             "identity theft (claims p1)",
-            Box::new(|_| {
-                Box::new(IdentityThief {
-                    victim: ProcessId(1),
-                })
-            }),
+            Attack::Resign {
+                sender: Some(ProcessId(1)),
+                key: None,
+            },
         ),
-        (
-            "INIT equivocation",
-            Box::new(|_| Box::new(InitEquivocator { alt: 1313 })),
-        ),
+        ("INIT equivocation", Attack::EquivocateInit { alt: 1313 }),
         (
             "spurious CURRENT",
-            Box::new(|_| Box::new(SpuriousCurrent::new(VirtualTime::at(1), N))),
+            Attack::Forge {
+                kind: MessageKind::Current,
+                poison: 4242,
+                trigger: Trigger::At(VirtualTime::at(1)),
+            },
         ),
     ];
 
@@ -86,7 +78,7 @@ fn main() {
     );
     println!("{}", "-".repeat(95));
 
-    for (name, mk) in gallery {
+    for (name, attack) in gallery {
         let proposals: Vec<Value> = (0..N as u64).map(|i| 100 + i).collect();
         let setup = ProtocolConfig::new(N, 1).seed(5).setup();
         let report = Simulation::build_boxed(SimConfig::new(N).seed(5), |id| {
@@ -94,7 +86,7 @@ fn main() {
             if id.0 == ATTACKER {
                 Box::new(ByzantineWrapper::new(
                     honest,
-                    mk(&setup),
+                    attack.clone(),
                     setup.keys[ATTACKER as usize].clone(),
                     Duration::of(10),
                 )) as BoxedActor<_, ValueVector>

@@ -7,12 +7,12 @@
 //! cargo run --example replicated_log
 //! ```
 
-use ft_modular::certify::ValueVector;
+use ft_modular::certify::{MessageKind, ValueVector};
 use ft_modular::core::byzantine::log::{check_log_consistency, ReplicatedLog};
 use ft_modular::core::byzantine::ByzantineConsensus;
 use ft_modular::core::config::ProtocolConfig;
-use ft_modular::faults::attacks::{DecideForger, MuteAfter, VectorCorruptor, VoteDuplicator};
-use ft_modular::faults::{ByzantineWrapper, Tamper};
+use ft_modular::faults::attacks::{Attack, Trigger};
+use ft_modular::faults::ByzantineWrapper;
 use ft_modular::runtime::{Duration, SendBoxedActor, VirtualTime};
 use ft_modular::sim::{SimConfig, Simulation};
 
@@ -67,16 +67,20 @@ fn main() {
         // Each slot: fresh keys and a fresh instance; commands are
         // "client requests" 1000*slot + client id.
         let setup = ProtocolConfig::new(N, 1).seed(slot).setup();
-        let attack: Box<dyn Tamper> = match slot % 4 {
-            0 => Box::new(VectorCorruptor {
+        let attack = match slot % 4 {
+            0 => Attack::CorruptVector {
                 entry: 1,
                 poison: 31337,
-            }),
-            1 => Box::new(MuteAfter {
+            },
+            1 => Attack::Mute {
                 after: VirtualTime::at(5),
-            }),
-            2 => Box::new(DecideForger::new(VirtualTime::at(1), N, 999)),
-            _ => Box::new(VoteDuplicator),
+            },
+            2 => Attack::Forge {
+                kind: MessageKind::Decide,
+                poison: 999,
+                trigger: Trigger::At(VirtualTime::at(1)),
+            },
+            _ => Attack::DuplicateVotes,
         };
         let attack_name = match slot % 4 {
             0 => "vector corruption",
@@ -84,15 +88,12 @@ fn main() {
             2 => "forged DECIDE",
             _ => "vote duplication",
         };
-        // The factory runs once per process; the single attacker takes
-        // the boxed strategy out of this Option.
-        let mut attack = Some(attack);
         let report = Simulation::build_boxed(SimConfig::new(N).seed(slot), |id| {
             let honest = ByzantineConsensus::new(&setup, id, 1000 * slot + 100 + id.0 as u64);
             if id.0 == 3 {
                 Box::new(ByzantineWrapper::new(
                     honest,
-                    attack.take().expect("exactly one attacker"),
+                    attack.clone(),
                     setup.keys[3].clone(),
                     Duration::of(10),
                 )) as SendBoxedActor<_, ValueVector>

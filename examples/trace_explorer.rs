@@ -12,8 +12,7 @@
 use ft_modular::certify::ValueVector;
 use ft_modular::core::byzantine::ByzantineConsensus;
 use ft_modular::core::config::ProtocolConfig;
-use ft_modular::faults::attacks::VectorCorruptor;
-use ft_modular::faults::ByzantineWrapper;
+use ft_modular::faults::{Attack, ByzantineWrapper};
 use ft_modular::sim::runner::BoxedActor;
 use ft_modular::sim::trace::TraceEvent;
 use ft_modular::sim::{Duration, SimConfig, Simulation};
@@ -37,10 +36,10 @@ fn main() {
         if corrupt && id.0 == 0 {
             Box::new(ByzantineWrapper::new(
                 honest,
-                Box::new(VectorCorruptor {
+                Attack::CorruptVector {
                     entry: 1,
                     poison: 666,
-                }),
+                },
                 setup.keys[0].clone(),
                 Duration::of(30),
             )) as BoxedActor<_, ValueVector>

@@ -44,8 +44,7 @@
 //! use ft_modular::core::byzantine::ByzantineConsensus;
 //! use ft_modular::core::config::ProtocolConfig;
 //! use ft_modular::core::validator::check_vector_consensus;
-//! use ft_modular::faults::attacks::VectorCorruptor;
-//! use ft_modular::faults::ByzantineWrapper;
+//! use ft_modular::faults::{Attack, ByzantineWrapper};
 //! use ft_modular::sim::{Duration, SimConfig, Simulation};
 //!
 //! let n = 4;
@@ -56,7 +55,7 @@
 //!         // Round-1 coordinator lies about p2's value in every vector.
 //!         Box::new(ByzantineWrapper::new(
 //!             honest,
-//!             Box::new(VectorCorruptor { entry: 2, poison: 666 }),
+//!             Attack::CorruptVector { entry: 2, poison: 666 },
 //!             setup.keys[0].clone(),
 //!             Duration::of(40),
 //!         ))

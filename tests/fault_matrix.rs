@@ -8,29 +8,21 @@
 //!    responsible for the class convicts the culprit at every correct
 //!    process (where the class is locally detectable at all).
 
-use ft_modular::certify::{Value, ValueVector};
-use ft_modular::core::config::ProtocolSetup;
+use ft_modular::certify::{MessageKind, Value, ValueVector};
 use ft_modular::core::validator::{detections, Verdict};
-use ft_modular::faults::attacks::{
-    CertStripper, DecideForger, IdentityThief, InitEquivocator, MuteAfter, Replayer, RoundJumper,
-    SelectiveSender, SpuriousCurrent, VectorCorruptor, VoteDuplicator, WrongKeySigner,
-};
-use ft_modular::faults::{AttackRun, Tamper};
+use ft_modular::faults::attacks::{Attack, Trigger};
+use ft_modular::faults::AttackRun;
 use ft_modular::sim::{Duration, ProcessId, RunReport, VirtualTime};
 
 const N: usize = 4;
 const F: usize = 1;
 
-/// Runs the transformed protocol with `attacker` running `tamper`, through
+/// Runs the transformed protocol with `attacker` running `attack`, through
 /// the shared [`AttackRun`] glue (the injection timer defaults to 3 ticks,
 /// beating the fastest honest decision so timed attacks never fire into an
 /// already-halted system).
-fn run_with_attack(
-    seed: u64,
-    attacker: u32,
-    mk_tamper: impl FnOnce(&ProtocolSetup) -> Box<dyn Tamper>,
-) -> RunReport<ValueVector> {
-    AttackRun::new(N, F, seed, attacker).run(|setup| Some(mk_tamper(setup)))
+fn run_with_attack(seed: u64, attacker: u32, attack: Attack) -> RunReport<ValueVector> {
+    AttackRun::new(N, F, seed, attacker).run(Some(attack))
 }
 
 fn verdict(report: &RunReport<ValueVector>, attacker: u32) -> Verdict {
@@ -42,12 +34,12 @@ fn verdict(report: &RunReport<ValueVector>, attacker: u32) -> Verdict {
 fn run_with_attack_and_dead_coordinator(
     seed: u64,
     attacker: u32,
-    mk_tamper: impl FnOnce(&ProtocolSetup) -> Box<dyn Tamper>,
+    attack: Attack,
 ) -> RunReport<ValueVector> {
     AttackRun::new(5, 2, seed, attacker)
         .crash_at_start(0)
         .injection_delay(Duration::of(10))
-        .run(|setup| Some(mk_tamper(setup)))
+        .run(Some(attack))
 }
 
 fn verdict5(report: &RunReport<ValueVector>, attacker: u32) -> Verdict {
@@ -95,11 +87,13 @@ fn assert_no_honest_convicted(report: &RunReport<ValueVector>, attacker: u32) {
 #[test]
 fn muteness_is_survived_and_needs_no_conviction() {
     for seed in 0..5 {
-        let report = run_with_attack(seed, 0, |_| {
-            Box::new(MuteAfter {
+        let report = run_with_attack(
+            seed,
+            0,
+            Attack::Mute {
                 after: VirtualTime::at(30),
-            })
-        });
+            },
+        );
         let v = verdict(&report, 0);
         assert!(v.ok(), "seed {seed}: {:?}", v.violations);
         assert_no_honest_convicted(&report, 0);
@@ -110,12 +104,14 @@ fn muteness_is_survived_and_needs_no_conviction() {
 fn vector_corruption_is_survived_and_detected() {
     // The attacker is p0, the round-1 coordinator: the worst placement.
     for seed in 0..5 {
-        let report = run_with_attack(seed, 0, |_| {
-            Box::new(VectorCorruptor {
+        let report = run_with_attack(
+            seed,
+            0,
+            Attack::CorruptVector {
                 entry: 2,
                 poison: 666,
-            })
-        });
+            },
+        );
         let v = verdict(&report, 0);
         assert!(v.ok(), "seed {seed}: {:?}", v.violations);
         assert_detected_by_all(&report, 0, "bad-certificate");
@@ -132,8 +128,7 @@ fn round_jumping_is_survived_and_detected() {
     // p0 (round-1 coordinator) is crashed so NEXT votes must flow; the
     // attacker p4 corrupts its round numbers.
     for seed in 0..5 {
-        let report =
-            run_with_attack_and_dead_coordinator(seed, 4, |_| Box::new(RoundJumper { jump: 5 }));
+        let report = run_with_attack_and_dead_coordinator(seed, 4, Attack::JumpRound { jump: 5 });
         let v = verdict5(&report, 4);
         assert!(v.ok(), "seed {seed}: {:?}", v.violations);
         assert_detected_by_all(&report, 4, "out-of-order");
@@ -144,7 +139,7 @@ fn round_jumping_is_survived_and_detected() {
 #[test]
 fn vote_duplication_is_survived_and_detected() {
     for seed in 0..5 {
-        let report = run_with_attack_and_dead_coordinator(seed, 4, |_| Box::new(VoteDuplicator));
+        let report = run_with_attack_and_dead_coordinator(seed, 4, Attack::DuplicateVotes);
         let v = verdict5(&report, 4);
         assert!(v.ok(), "seed {seed}: {:?}", v.violations);
         assert_detected_by_all(&report, 4, "out-of-order");
@@ -155,9 +150,15 @@ fn vote_duplication_is_survived_and_detected() {
 #[test]
 fn forged_decide_is_survived_and_detected() {
     for seed in 0..5 {
-        let report = run_with_attack(seed, 3, |_| {
-            Box::new(DecideForger::new(VirtualTime::at(1), N, 999))
-        });
+        let report = run_with_attack(
+            seed,
+            3,
+            Attack::Forge {
+                kind: MessageKind::Decide,
+                poison: 999,
+                trigger: Trigger::At(VirtualTime::at(1)),
+            },
+        );
         let v = verdict(&report, 3);
         assert!(v.ok(), "seed {seed}: {:?}", v.violations);
         assert_detected_by_some(&report, 3, "bad-certificate");
@@ -178,12 +179,16 @@ fn forged_decide_is_survived_and_detected() {
 #[test]
 fn wrong_key_signatures_are_survived_and_detected() {
     for seed in 0..5 {
-        let report = run_with_attack(seed, 3, |_| {
-            let mut rng = ft_modular::crypto::rng_from_seed(0xBAD + seed);
-            Box::new(WrongKeySigner {
-                wrong: ft_modular::crypto::rsa::KeyPair::generate(&mut rng, 128),
-            })
-        });
+        let mut rng = ft_modular::crypto::rng_from_seed(0xBAD + seed);
+        let wrong = ft_modular::crypto::rsa::KeyPair::generate(&mut rng, 128);
+        let report = run_with_attack(
+            seed,
+            3,
+            Attack::Resign {
+                sender: None,
+                key: Some(wrong),
+            },
+        );
         let v = verdict(&report, 3);
         assert!(v.ok(), "seed {seed}: {:?}", v.violations);
         assert_detected_by_all(&report, 3, "bad-signature");
@@ -194,11 +199,14 @@ fn wrong_key_signatures_are_survived_and_detected() {
 #[test]
 fn identity_theft_is_survived_and_pinned_on_the_thief() {
     for seed in 0..5 {
-        let report = run_with_attack(seed, 3, |_| {
-            Box::new(IdentityThief {
-                victim: ProcessId(1),
-            })
-        });
+        let report = run_with_attack(
+            seed,
+            3,
+            Attack::Resign {
+                sender: Some(ProcessId(1)),
+                key: None,
+            },
+        );
         let v = verdict(&report, 3);
         assert!(v.ok(), "seed {seed}: {:?}", v.violations);
         // The channel gives the thief away: p3 is convicted, p1 is not.
@@ -212,7 +220,7 @@ fn init_equivocation_cannot_break_agreement() {
     // Not locally detectable — the test is that Agreement and Vector
     // Validity survive anyway (the paper's Proposition 2 territory).
     for seed in 0..8 {
-        let report = run_with_attack(seed, 3, |_| Box::new(InitEquivocator { alt: 1313 }));
+        let report = run_with_attack(seed, 3, Attack::EquivocateInit { alt: 1313 });
         let v = verdict(&report, 3);
         assert!(v.ok(), "seed {seed}: {:?}", v.violations);
         // Whatever entry 3 shows, entries of correct processes are intact.
@@ -229,9 +237,15 @@ fn init_equivocation_cannot_break_agreement() {
 #[test]
 fn spurious_current_is_survived_and_detected() {
     for seed in 0..5 {
-        let report = run_with_attack(seed, 3, |_| {
-            Box::new(SpuriousCurrent::new(VirtualTime::at(1), N))
-        });
+        let report = run_with_attack(
+            seed,
+            3,
+            Attack::Forge {
+                kind: MessageKind::Current,
+                poison: 4242,
+                trigger: Trigger::At(VirtualTime::at(1)),
+            },
+        );
         let v = verdict(&report, 3);
         assert!(v.ok(), "seed {seed}: {:?}", v.violations);
         // Either the bogus CURRENT arrives while the receiver still expects
@@ -251,7 +265,13 @@ fn replayed_recordings_are_survived_and_detected() {
     // The attacker records its own honest output and replays it all later:
     // every replayed message is a duplicate or stale — out-of-order.
     for seed in 0..5 {
-        let report = run_with_attack(seed, 3, |_| Box::new(Replayer::new(VirtualTime::at(30))));
+        let report = run_with_attack(
+            seed,
+            3,
+            Attack::Replay {
+                at: VirtualTime::at(30),
+            },
+        );
         let v = verdict(&report, 3);
         assert!(v.ok(), "seed {seed}: {:?}", v.violations);
         // Detection happens whenever a replay reaches a still-running
@@ -268,7 +288,7 @@ fn stripped_certificates_are_survived_and_detected() {
     // Certificates removed from every message that had one: CURRENT/NEXT
     // relays and decisions all lose their evidence.
     for seed in 0..5 {
-        let report = run_with_attack(seed, 0, |_| Box::new(CertStripper));
+        let report = run_with_attack(seed, 0, Attack::StripCertificates);
         let v = verdict(&report, 0);
         assert!(v.ok(), "seed {seed}: {:?}", v.violations);
         assert_detected_by_some(&report, 0, "bad-certificate");
@@ -282,7 +302,7 @@ fn selective_omission_is_survived() {
     // point: faultiness is per-observer, and the quorum n − F makes the
     // system whole anyway.
     for seed in 0..5 {
-        let report = run_with_attack(seed, 3, |_| Box::new(SelectiveSender { cutoff: 2 }));
+        let report = run_with_attack(seed, 3, Attack::SelectiveOmission { cutoff: 2 });
         let v = verdict(&report, 3);
         assert!(v.ok(), "seed {seed}: {:?}", v.violations);
         assert_no_honest_convicted(&report, 3);
@@ -309,16 +329,20 @@ fn two_simultaneous_different_attackers_within_the_budget() {
             match id.0 {
                 0 => Box::new(ByzantineWrapper::new(
                     honest,
-                    Box::new(VectorCorruptor {
+                    Attack::CorruptVector {
                         entry: 2,
                         poison: 666,
-                    }),
+                    },
                     setup.keys[0].clone(),
                     Duration::of(10),
                 )) as BoxedActor<_, _>,
                 4 => Box::new(ByzantineWrapper::new(
                     honest,
-                    Box::new(DecideForger::new(VirtualTime::at(1), 5, 999)),
+                    Attack::Forge {
+                        kind: MessageKind::Decide,
+                        poison: 999,
+                        trigger: Trigger::At(VirtualTime::at(1)),
+                    },
                     setup.keys[4].clone(),
                     Duration::of(10),
                 )),
@@ -481,9 +505,10 @@ fn checkpoint_compaction_changes_no_decision_or_conviction() {
                 AttackRun::new(N, F, seed, 0)
                     .protocol(protocol)
                     .retention(retention)
-                    .run_log(2, |_| {
-                        FaultBehavior::VectorCorrupt.make_tamper_for(protocol, N, 0, seed)
-                    })
+                    .run_log(
+                        2,
+                        FaultBehavior::VectorCorrupt.make_tamper_for(protocol, N, 0, seed),
+                    )
             };
             let full = run(Retention::Full);
             let compact = run(Retention::Checkpoint);
@@ -508,12 +533,14 @@ fn checkpoint_compaction_changes_no_decision_or_conviction() {
 fn detection_latency_is_bounded() {
     // E4's quantitative claim: detection happens promptly after the
     // faulty message is delivered, not rounds later.
-    let report = run_with_attack(1, 0, |_| {
-        Box::new(VectorCorruptor {
+    let report = run_with_attack(
+        1,
+        0,
+        Attack::CorruptVector {
             entry: 2,
             poison: 666,
-        })
-    });
+        },
+    );
     let det = detections(&report.trace);
     let first = det.iter().map(|d| d.at).min().expect("detected at all");
     assert!(

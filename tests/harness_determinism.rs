@@ -130,7 +130,7 @@ fn no_gst_cell_terminates_via_the_round_cap() {
         max_rounds: Some(2),
     };
     let run = AttackRun::new(4, 1, 0xCAFE, 3).network(stress);
-    let report = run.run(|_| None);
+    let report = run.run(None);
     assert_eq!(
         report.stop,
         StopReason::RoundLimit,
@@ -144,7 +144,7 @@ fn no_gst_cell_terminates_via_the_round_cap() {
     );
 
     // And the cap is itself deterministic.
-    let again = run.run(|_| None);
+    let again = run.run(None);
     assert_eq!(report.trace.fingerprint(), again.trace.fingerprint());
 }
 

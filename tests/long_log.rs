@@ -20,7 +20,7 @@ fn retained_bytes_of_a_three_slot_log_are_pinned() {
     let run = |retention| {
         AttackRun::new(4, 1, 11, 0)
             .retention(retention)
-            .run_log(3, |_| None)
+            .run_log(3, None)
     };
     // Full retention accumulates: the last figure is the linear endpoint.
     let full = || retained_series(&run(Retention::Full).trace, Retention::Full).pop();
@@ -41,7 +41,7 @@ fn retained_bytes_of_a_three_slot_log_are_pinned() {
 fn checkpointed_log_memory_is_bounded_over_ten_thousand_slots() {
     let report = AttackRun::new(4, 1, 9, 0)
         .retention(Retention::Checkpoint)
-        .run_log(SLOTS, |_| None);
+        .run_log(SLOTS, None);
 
     // Every replica decided every slot and the logs agree.
     for (p, log) in report.decisions.iter().enumerate() {

@@ -11,15 +11,15 @@
 //! framework), so every case is identified by its iteration number and
 //! replays identically everywhere.
 
-use ft_modular::certify::{Value, ValueVector};
+use ft_modular::certify::{MessageKind, Value, ValueVector};
 use ft_modular::core::byzantine::ByzantineConsensus;
 use ft_modular::core::config::ProtocolConfig;
 use ft_modular::core::crash::CrashConsensus;
 use ft_modular::core::spec::Resilience;
 use ft_modular::core::validator::{check_crash_consensus, check_vector_consensus};
 use ft_modular::crypto::prng::{Rng64, SplitMix64};
-use ft_modular::faults::attacks::{DecideForger, RoundJumper, VectorCorruptor, VoteDuplicator};
-use ft_modular::faults::{ByzantineWrapper, Tamper};
+use ft_modular::faults::attacks::{Attack, Trigger};
+use ft_modular::faults::ByzantineWrapper;
 use ft_modular::fd::TimeoutDetector;
 use ft_modular::sim::runner::BoxedActor;
 use ft_modular::sim::{Duration, SimConfig, Simulation, VirtualTime};
@@ -125,18 +125,22 @@ fn byzantine_protocol_safe_under_random_attacks() {
         let report = Simulation::build_boxed(SimConfig::new(n).seed(seed), move |id| {
             let honest = ByzantineConsensus::new(&setup, id, p2[id.index()]);
             if id.0 == attacker {
-                let tamper: Box<dyn Tamper> = match attack_kind {
-                    0 => Box::new(VectorCorruptor {
+                let attack = match attack_kind {
+                    0 => Attack::CorruptVector {
                         entry: (attacker as usize + 1) % n,
                         poison: 666,
-                    }),
-                    1 => Box::new(RoundJumper { jump: 3 }),
-                    2 => Box::new(VoteDuplicator),
-                    _ => Box::new(DecideForger::new(VirtualTime::at(fire_at), n, 999)),
+                    },
+                    1 => Attack::JumpRound { jump: 3 },
+                    2 => Attack::DuplicateVotes,
+                    _ => Attack::Forge {
+                        kind: MessageKind::Decide,
+                        poison: 999,
+                        trigger: Trigger::At(VirtualTime::at(fire_at)),
+                    },
                 };
                 Box::new(ByzantineWrapper::new(
                     honest,
-                    tamper,
+                    attack,
                     setup.keys[attacker as usize].clone(),
                     Duration::of(15),
                 )) as BoxedActor<_, ValueVector>

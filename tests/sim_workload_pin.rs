@@ -17,7 +17,7 @@ use ft_modular::certify::{ProtocolId, ValueVector};
 use ft_modular::core::byzantine::log::ReplicatedLog;
 use ft_modular::core::byzantine::{ByzantineChandraToueg, ByzantineConsensus, TransformedProtocol};
 use ft_modular::core::config::{ProtocolConfig, ProtocolSetup};
-use ft_modular::faults::{log_command, AttackRun, ByzantineLogWrapper, FaultBehavior, Tamper};
+use ft_modular::faults::{log_command, Attack, AttackRun, ByzantineLogWrapper, FaultBehavior};
 use ft_modular::sim::runner::BoxedActor;
 use ft_modular::sim::{Duration, NetworkProfile, RunReport, SimConfig, Simulation};
 
@@ -40,7 +40,7 @@ fn run_as<P: TransformedProtocol + 'static>(
 ) -> (RunReport<Vec<ValueVector>>, ProtocolSetup) {
     let setup = ProtocolConfig::new(N, F).seed(SEED).setup();
     let cfg = NetworkProfile::calm().apply(SimConfig::new(N).seed(SEED));
-    let mut tampers: BTreeMap<u32, Box<dyn Tamper>> = coalition
+    let mut tampers: BTreeMap<u32, Attack> = coalition
         .iter()
         .filter_map(|&(m, b)| b.make_tamper_for(protocol, N, m, SEED).map(|t| (m, t)))
         .collect();

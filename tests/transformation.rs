@@ -14,9 +14,8 @@ use ft_modular::core::crash::{CrashConsensus, CrashMsg};
 use ft_modular::core::spec::Resilience;
 use ft_modular::core::validator::{check_crash_consensus, check_vector_consensus};
 use ft_modular::detect::observer::Checks;
-use ft_modular::faults::attacks::VectorCorruptor;
 use ft_modular::faults::crash_attacks::{CrashAttack, CrashSaboteur};
-use ft_modular::faults::ByzantineWrapper;
+use ft_modular::faults::{Attack, ByzantineWrapper};
 use ft_modular::fd::TimeoutDetector;
 use ft_modular::sim::runner::BoxedActor;
 use ft_modular::sim::{Duration, SimConfig, Simulation, VirtualTime};
@@ -65,10 +64,10 @@ fn e2_crash_protocol_falls_to_estimate_corruption_transformed_survives() {
             if id.0 == 0 {
                 Box::new(ByzantineWrapper::new(
                     honest,
-                    Box::new(VectorCorruptor {
+                    Attack::CorruptVector {
                         entry: 2,
                         poison: 31337,
-                    }),
+                    },
                     setup.keys[0].clone(),
                     Duration::of(30),
                 )) as BoxedActor<_, ValueVector>
@@ -134,10 +133,10 @@ fn byz_corruption_survives(checks: Checks, seed: u64) -> bool {
         if id.0 == 0 {
             Box::new(ByzantineWrapper::new(
                 honest,
-                Box::new(VectorCorruptor {
+                Attack::CorruptVector {
                     entry: 2,
                     poison: 666,
-                }),
+                },
                 setup.keys[0].clone(),
                 Duration::of(30),
             )) as BoxedActor<_, ValueVector>
@@ -175,7 +174,6 @@ fn e8_disabling_certificates_reopens_vector_corruption() {
 
 #[test]
 fn e8_disabling_signatures_admits_impersonation() {
-    use ft_modular::faults::attacks::IdentityThief;
     // With signatures off, the thief's messages claiming to be p1 are
     // admitted and processed as p1's — the observer applies them to p1's
     // automaton, convicting the *innocent* p1 of p3's double-talk.
@@ -194,9 +192,10 @@ fn e8_disabling_signatures_admits_impersonation() {
             if id.0 == 3 {
                 Box::new(ByzantineWrapper::new(
                     honest,
-                    Box::new(IdentityThief {
-                        victim: ft_modular::sim::ProcessId(1),
-                    }),
+                    Attack::Resign {
+                        sender: Some(ft_modular::sim::ProcessId(1)),
+                        key: None,
+                    },
                     setup.keys[3].clone(),
                     Duration::of(30),
                 )) as BoxedActor<_, ValueVector>
