@@ -999,7 +999,7 @@ mod tests {
         let f = fixture();
         let vect = witnessed_vector();
         let mut cert = init_quorum(&f);
-        // Tamper: p0's INIT value rewritten but old signature kept.
+        // Forged item: p0's INIT value rewritten but old signature kept.
         let honest = signed(&f, 0, Core::Init { value: 10 });
         let tampered = SignedCore::from_parts(
             MessageCore::new(ProcessId(0), Core::Init { value: 66 }),
