@@ -8,7 +8,7 @@
 //!
 //! * [`sha256`] — the SHA-256 compression function and streaming hasher;
 //! * [`bigint`] — arbitrary-precision unsigned integers (the minimal set of
-//!   operations RSA needs: add/sub/mul/divrem/modinv) and Montgomery
+//!   operations RSA needs: add/sub/mul/divrem) and Montgomery
 //!   exponentiation modulo a fixed odd modulus;
 //! * [`prime`] — Miller–Rabin probabilistic primality testing and random
 //!   prime generation;
