@@ -13,11 +13,14 @@
 #   --workload <workload> --seed <pair> --seconds <run_seconds> --trace 0
 # each from its own root, alternating which side goes first. Prints one
 # block per workload: each pair's end-to-end metrics, CPU per command and
-# failed/attempted, then per metric each side's median and quartiles, how
-# many pairs the change won, and whether that meets the *Measuring* rule
-# for claiming a gain: at least 9 of 10 pairs won (ties count for neither
-# side) and the medians apart by more than the parent's own interquartile
-# range. For a sim-* workload one `--trace 1 --seed 7` pass per side
+# failed/attempted (the metrics and counts from the run's JSON result line,
+# the last line of stdout, at full precision — the table rounds to three
+# decimals, and setup_s is under a millisecond on the simulator; CPU per
+# command from the table), then per metric each side's median and
+# quartiles, how many pairs the change won, and whether that meets the
+# *Measuring* rule for claiming a gain: at least 9 of 10 pairs won (ties
+# count for neither side) and the medians apart by more than the parent's
+# own interquartile range. For a sim-* workload one `--trace 1 --seed 7` pass per side
 # follows and the two `counts:` lines (messages, bytes, memo hits,
 # convictions, trace fingerprint, …) are compared, so a behaviour change
 # cannot hide behind a speed-up: `counts: identical`, or one `same` /
@@ -71,19 +74,27 @@ for side in "$tmp/parent" "$root"; do
     (cd "$side" && cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml) >&2
 done
 
-# One run; prints "setup_s commit_p50_us throughput_cps cpu_us_per_cmd failed attempted".
+# One run; prints "setup_s commit_p50_us throughput_cps cpu_us_per_cmd
+# failed attempted", each "-" where the run printed none.
 run_side() {
     local dir="$1" seed="$2" out
     out="$(cd "$dir" && "${cmd[@]}" --workload "$workload" --seed "$seed" \
         --seconds "$seconds" --trace 0 2>/dev/null)" || true
-    awk '
-        $1 == "setup_s"                { setup = $2 }
-        $1 == "commit_p50_us"          { p50 = $2 }
-        $1 == "throughput_cps"         { cps = $2 }
-        $1 == "process.cpu_us_per_cmd" { cpu = $2 }
-        $1 == "failed_ratio"           { gsub(/[()]/, ""); failed = $4; attempted = $6 }
-        END { print setup, p50, cps, cpu, failed, attempted }
-    ' <<<"$out"
+    python3 -c '
+import json
+import sys
+
+lines = sys.stdin.read().splitlines()
+cpu = next((l.split()[1] for l in lines if l.split()[:1] == ["process.cpu_us_per_cmd"]), "-")
+try:
+    result = json.loads(lines[-1])
+except (IndexError, ValueError):
+    result = {}
+metrics = result.get("metrics", {})
+row = ["%.6g" % metrics[m]["value"] if m in metrics else "-"
+       for m in ("setup_s", "commit_p50_us", "throughput_cps")]
+print(*row, cpu, result.get("failed", "-"), result.get("attempted", "-"))
+' <<<"$out"
 }
 
 # One traced pass; prints "<name> <value>" for each requested probe.
@@ -148,9 +159,9 @@ measure_workload() {
                 better = higher[c] ? q - p : p - q
                 met = wins * 10 >= pairs * 9 && better > p3 - p1
                 if (met) claimable = claimable " " name[c]
-                printf "%-16s %12.3f %25s %12.3f %25s %+8.1f%% %8s %s\n", name[c], p, \
-                    sprintf("[%.3f, %.3f]", p1, p3), q, \
-                    sprintf("[%.3f, %.3f]", quantile("change", c, 0.25), quantile("change", c, 0.75)), \
+                printf "%-16s %12.6g %25s %12.6g %25s %+8.1f%% %8s %s\n", name[c], p, \
+                    sprintf("[%.6g, %.6g]", p1, p3), q, \
+                    sprintf("[%.6g, %.6g]", quantile("change", c, 0.25), quantile("change", c, 0.75)), \
                     p ? (q - p) / p * 100 : 0, wins " of " pairs, met ? "met" : "not met"
             }
             printf "\ngain rule (change wins >= 9/10 of the pairs and moves the median by more than the parent IQR): %s\n", \
