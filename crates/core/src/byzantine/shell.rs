@@ -512,7 +512,7 @@ mod tests {
     use crate::byzantine::{CtCerts, HrCerts};
     use crate::config::ProtocolConfig;
     use crate::rounds::{ct, hr};
-    use crate::spec::obligations_for;
+    use ftm_certify::rules::certification_rules_for;
     use ftm_sim::{RunReport, SimConfig, Simulation, VirtualTime};
 
     type HurfinRaynal = hr::HurfinRaynal<HrCerts>;
@@ -698,17 +698,18 @@ mod tests {
         p.state.discharged.0.iter().map(|(id, _)| *id).collect()
     }
 
-    /// The send-id type, `spec.sends` and the §5 obligation table name the
-    /// same sends, in the same order, with the same kinds.
+    /// The send-id type, `spec.sends` and the certification-rule table name
+    /// the same sends, in the same order, with the same kinds.
     fn send_ids_are_the_spec_table<R: Rounds<Votes: Ledger>>() {
         let spec = ProtocolSpec::transformed_for(R::ID);
         let ids = ids::<R>();
         let spec_ids: Vec<&str> = spec.sends.iter().map(|s| s.id).collect();
         assert_eq!(ids, spec_ids);
-        let obligations: Vec<&str> = std::iter::once(INIT_BROADCAST)
-            .chain(obligations_for(R::ID).iter().map(|(id, _)| *id))
+        let rows: Vec<&str> = certification_rules_for(R::ID)
+            .iter()
+            .map(|row| row.send)
             .collect();
-        assert_eq!(ids, obligations);
+        assert_eq!(ids, rows);
 
         let kind_of = |id: &str| spec.send(id).map(|row| row.kind);
         assert_eq!(kind_of(INIT_BROADCAST), spec.table.opening);

@@ -22,6 +22,6 @@
 #![deny(clippy::cast_possible_truncation)]
 
 pub use ftm_quorum::{
-    certification_quorum, default_cert_capacity, intersection_margin, max_faults, quorum_size,
-    resilience_bound, vector_validity_floor,
+    certification_quorum, coordinator, default_cert_capacity, intersection_margin, max_faults,
+    quorum_size, resilience_bound, vector_validity_floor,
 };

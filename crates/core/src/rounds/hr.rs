@@ -35,9 +35,9 @@ impl SendId for HrSend {
     const ALL: &'static [Self] = &[
         HrSend::CurrentCoordinator,
         HrSend::CurrentRelay,
-        HrSend::NextSuspicion,
-        HrSend::NextChangeMind,
         HrSend::NextEndOfRound,
+        HrSend::NextChangeMind,
+        HrSend::NextSuspicion,
     ];
 
     fn id(self) -> &'static str {

@@ -21,12 +21,16 @@
 //! [`ProtocolSpec::crash_for`] describes an un-transformed protocol
 //! (Fig. 2 for Hurfin–Raynal), [`transform`] applies the paper's module
 //! stack to it at the spec level, and [`ProtocolSpec::transformed_for`]
-//! *is* that application — Fig. 3's send table is computed from the crash
-//! rows, [`OBLIGATIONS`] and [`VOCABULARY`], never written a second time.
+//! *is* that application. Both are read off the certification-rule table
+//! ([`ftm_certify::rules`]): a send is a row, its condition and its
+//! justification are the row's, and Fig. 3's send table is the crash
+//! rows certified, with their round-0 evidence and [`VOCABULARY`] applied
+//! — never written a second time.
 
 use std::sync::OnceLock;
 
-use ftm_certify::rules::{self, RuleInfo};
+pub use ftm_certify::rules::EvidencePhase;
+use ftm_certify::rules::{self, certification_rules_for, RuleInfo, Votes};
 use ftm_certify::{MessageKind, ProtocolId, Round};
 use ftm_detect::ProtocolTable;
 
@@ -80,37 +84,9 @@ impl CertRoute {
     }
 }
 
-/// When the evidence behind a justification edge was produced, relative to
-/// the round of the send it justifies.
-///
-/// The distinction keeps the justification graph well-founded: a cycle is
-/// only vicious when every edge on it is [`EvidencePhase::SameRound`] —
-/// `PrevRound` evidence strictly decreases the round and `Initial`
-/// evidence bottoms out at the round-0 vector-certification phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum EvidencePhase {
-    /// Round-0 evidence: signed initial-value broadcasts.
-    Initial,
-    /// Evidence from the previous round (e.g. the `NEXT(r−1)` quorum that
-    /// witnesses entry into round `r`).
-    PrevRound,
-    /// Evidence from the same round the send belongs to.
-    SameRound,
-}
-
-impl EvidencePhase {
-    /// Stable kebab-case label for reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            EvidencePhase::Initial => "initial",
-            EvidencePhase::PrevRound => "prev-round",
-            EvidencePhase::SameRound => "same-round",
-        }
-    }
-}
-
 /// One edge of the justification graph: the send named `by` produced
-/// (signed) messages that appear in this send's certificate.
+/// (signed) messages that appear in this send's certificate — one cite of
+/// a row's [`ftm_certify::rules::Edge`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Justification {
     /// The id of the conditional send whose output is cited as evidence.
@@ -132,33 +108,17 @@ impl Justification {
             adopted: false,
         }
     }
+}
 
-    /// Previous-round evidence from `by`.
-    pub fn prev(by: &'static str) -> Self {
-        Justification {
-            by,
-            phase: EvidencePhase::PrevRound,
-            adopted: false,
-        }
-    }
-
-    /// Round-0 evidence from `by`.
-    pub fn initial(by: &'static str) -> Self {
-        Justification {
-            by,
-            phase: EvidencePhase::Initial,
-            adopted: false,
-        }
-    }
-
-    /// The same edge, citing only the coordinator's vote the sender
-    /// adopted its vector from.
-    pub fn adopted(self) -> Self {
-        Justification {
-            adopted: true,
-            ..self
-        }
-    }
+/// `rule`'s edges as justification-graph edges, one per cited send.
+fn justifications(rule: &RuleInfo) -> impl Iterator<Item = Justification> {
+    rule.edges.iter().flat_map(|edge| {
+        edge.cites.iter().map(move |cite| Justification {
+            by: cite.by,
+            phase: edge.phase,
+            adopted: edge.votes != Votes::Quorum,
+        })
+    })
 }
 
 /// One conditional send of the protocol: a message a correct process emits
@@ -172,15 +132,40 @@ pub struct ConditionalSend {
     pub kind: MessageKind,
     /// The enabling condition, as stated in the protocol figure.
     pub condition: String,
+    /// The row of the certification-rule table this send is built from —
+    /// the rule its route names once certified.
+    pub rule: &'static RuleInfo,
     /// The certification route auditing the send.
     pub route: CertRoute,
     /// Whether the message body carries protocol *values* (estimates /
     /// vectors) as opposed to pure control structure.
     pub carries_value: bool,
-    /// The sends whose (signed) output justifies this one: the shape of
-    /// this send's certificate, which the transformed shell assembles by
-    /// walking this list.
+    /// The sends whose (signed) output justifies this one: the row's edges,
+    /// the shape of this send's certificate, which the transformed shell
+    /// assembles by walking this list.
     pub justified_by: Vec<Justification>,
+}
+
+impl ConditionalSend {
+    /// The send `rule` certifies, audited by `route(rule)`: id, kind,
+    /// condition and justification are the row's — but for its round-0
+    /// evidence under a trusted route, since the crash model has no vector
+    /// certification to cite. Every kind carries a value but the pure
+    /// control votes, NEXT and NACK.
+    fn of(rule: &'static RuleInfo, route: fn(&'static RuleInfo) -> CertRoute) -> Self {
+        let route = route(rule);
+        let cited =
+            |j: &Justification| route != CertRoute::Trusted || j.phase != EvidencePhase::Initial;
+        ConditionalSend {
+            id: rule.send,
+            kind: rule.kind,
+            condition: rule.condition.into(),
+            rule,
+            route,
+            carries_value: !matches!(rule.kind, MessageKind::Next | MessageKind::Nack),
+            justified_by: justifications(rule).filter(cited).collect(),
+        }
+    }
 }
 
 /// Declarative description of a protocol: its *send discipline* — which
@@ -211,15 +196,13 @@ pub struct ConditionalSend {
 pub struct ProtocolSpec {
     /// The send discipline: protocol id, opening, per-round vote sequence,
     /// terminal and round advance. Everything protocol-specific (the §5
-    /// obligation table, the decision predicate) is keyed off its
-    /// `protocol`.
+    /// rule table, the decision predicate) is keyed off its `protocol`.
     pub table: ProtocolTable,
-    /// The conditional-send table. Once transformed this is the §5
-    /// obligation table: each route holds its `ftm-certify` rule, and
-    /// `ftm-verify` checks that the rule is a row of this protocol's table
-    /// (same kind, no dead rows) and that the *only* send whose condition
-    /// is uncertifiable is the initial-value broadcast, routed through
-    /// vector certification.
+    /// The conditional-send table: one send per row of the protocol's
+    /// certification-rule table, in its order. Once transformed this is
+    /// the §5 obligation table — every send audited by its row, and the
+    /// *only* uncertifiable one the initial-value broadcast, routed
+    /// through vector certification.
     pub sends: Vec<ConditionalSend>,
 }
 
@@ -239,86 +222,7 @@ impl ProtocolSpec {
     /// crash model believe what they are told, which is exactly why
     /// classical Validity is vacuous once failures become arbitrary.
     pub fn crash_hr() -> Self {
-        ProtocolSpec {
-            table: ProtocolTable {
-                opening: None,
-                ..*ProtocolTable::for_protocol(ProtocolId::HurfinRaynal)
-            },
-            sends: vec![
-                ConditionalSend {
-                    id: "current-coordinator",
-                    kind: MessageKind::Current,
-                    condition: "round-r coordinator entered r with its estimate".into(),
-                    route: CertRoute::Trusted,
-                    carries_value: true,
-                    justified_by: vec![
-                        Justification::prev("next-suspicion"),
-                        Justification::prev("next-change-mind"),
-                        Justification::prev("next-end-of-round"),
-                    ],
-                },
-                ConditionalSend {
-                    id: "current-relay",
-                    kind: MessageKind::Current,
-                    condition: "received the round-r coordinator's CURRENT and adopted it".into(),
-                    route: CertRoute::Trusted,
-                    carries_value: true,
-                    justified_by: vec![Justification::same("current-coordinator").adopted()],
-                },
-                ConditionalSend {
-                    id: "next-suspicion",
-                    kind: MessageKind::Next,
-                    condition: "in q0, the crash detector suspects the round coordinator".into(),
-                    route: CertRoute::Trusted,
-                    carries_value: false,
-                    // Possibly the round's first vote: it shows the round's
-                    // entry, as the coordinator's CURRENT does.
-                    justified_by: vec![
-                        Justification::prev("next-suspicion"),
-                        Justification::prev("next-change-mind"),
-                        Justification::prev("next-end-of-round"),
-                    ],
-                },
-                ConditionalSend {
-                    id: "next-change-mind",
-                    kind: MessageKind::Next,
-                    condition: "in q1, a majority of votes arrived but no decisive majority".into(),
-                    route: CertRoute::Trusted,
-                    carries_value: false,
-                    // The round's votes, whichever row cast them.
-                    justified_by: vec![
-                        Justification::same("current-coordinator"),
-                        Justification::same("current-relay"),
-                        Justification::same("next-suspicion"),
-                        Justification::same("next-change-mind"),
-                        Justification::same("next-end-of-round"),
-                    ],
-                },
-                ConditionalSend {
-                    id: "next-end-of-round",
-                    kind: MessageKind::Next,
-                    condition: "a full NEXT majority for the round was observed".into(),
-                    route: CertRoute::Trusted,
-                    carries_value: false,
-                    justified_by: vec![
-                        Justification::same("next-suspicion"),
-                        Justification::same("next-change-mind"),
-                        Justification::same("next-end-of-round"),
-                    ],
-                },
-                ConditionalSend {
-                    id: "decide-announce",
-                    kind: MessageKind::Decide,
-                    condition: "a majority of CURRENT votes for one value were collected".into(),
-                    route: CertRoute::Trusted,
-                    carries_value: true,
-                    justified_by: vec![
-                        Justification::same("current-coordinator"),
-                        Justification::same("current-relay"),
-                    ],
-                },
-            ],
-        }
+        ProtocolSpec::crash_for(ProtocolId::HurfinRaynal)
     }
 
     /// The transformed Chandra–Toueg protocol: `INIT` opens, each round
@@ -341,65 +245,7 @@ impl ProtocolSpec {
     /// `NACK`; `DECIDE` terminates. Every send is [`CertRoute::Trusted`],
     /// exactly as in [`ProtocolSpec::crash_hr`].
     pub fn crash_ct() -> Self {
-        ProtocolSpec {
-            table: ProtocolTable {
-                opening: None,
-                ..*ProtocolTable::for_protocol(ProtocolId::ChandraToueg)
-            },
-            sends: vec![
-                ConditionalSend {
-                    id: "estimate-roundstart",
-                    kind: MessageKind::Estimate,
-                    condition: "entered round r and re-broadcast its estimate with its adoption \
-                                timestamp"
-                        .into(),
-                    route: CertRoute::Trusted,
-                    carries_value: true,
-                    justified_by: vec![
-                        Justification::prev("ack-echo"),
-                        Justification::prev("nack-suspicion"),
-                        // The PROPOSE behind the estimate's timestamp.
-                        Justification::prev("propose-coordinator").adopted(),
-                    ],
-                },
-                ConditionalSend {
-                    id: "propose-coordinator",
-                    kind: MessageKind::Propose,
-                    condition: "round-r coordinator collected a majority of ESTIMATE votes and \
-                                adopted a maximum-timestamp estimate"
-                        .into(),
-                    route: CertRoute::Trusted,
-                    carries_value: true,
-                    justified_by: vec![Justification::same("estimate-roundstart")],
-                },
-                ConditionalSend {
-                    id: "ack-echo",
-                    kind: MessageKind::Ack,
-                    condition: "received the round-r coordinator's PROPOSE and echoed it".into(),
-                    route: CertRoute::Trusted,
-                    carries_value: true,
-                    justified_by: vec![Justification::same("propose-coordinator").adopted()],
-                },
-                ConditionalSend {
-                    id: "nack-suspicion",
-                    kind: MessageKind::Nack,
-                    condition: "waiting on the proposal, the crash detector suspects the round \
-                                coordinator"
-                        .into(),
-                    route: CertRoute::Trusted,
-                    carries_value: false,
-                    justified_by: vec![],
-                },
-                ConditionalSend {
-                    id: "decide-announce",
-                    kind: MessageKind::Decide,
-                    condition: "a majority of ACK votes for one value were collected".into(),
-                    route: CertRoute::Trusted,
-                    carries_value: true,
-                    justified_by: vec![Justification::same("ack-echo")],
-                },
-            ],
-        }
+        ProtocolSpec::crash_for(ProtocolId::ChandraToueg)
     }
 
     /// The transformed spec for `protocol`: [`transform`] applied to
@@ -420,11 +266,21 @@ impl ProtocolSpec {
         cell.get_or_init(|| ProtocolSpec::transformed_for(protocol))
     }
 
-    /// The un-transformed crash-model spec for `protocol`.
+    /// The un-transformed crash-model spec for `protocol`: a trusted send
+    /// per row of its certification-rule table, in the table's order, but
+    /// for the opening's, which vector certification adds.
     pub fn crash_for(protocol: ProtocolId) -> Self {
-        match protocol {
-            ProtocolId::HurfinRaynal => ProtocolSpec::crash_hr(),
-            ProtocolId::ChandraToueg => ProtocolSpec::crash_ct(),
+        let table = ProtocolTable::for_protocol(protocol);
+        let rows = certification_rules_for(protocol).iter();
+        ProtocolSpec {
+            table: ProtocolTable {
+                opening: None,
+                ..*table
+            },
+            sends: rows
+                .filter(|rule| Some(rule.kind) != table.opening)
+                .map(|rule| ConditionalSend::of(rule, |_| CertRoute::Trusted))
+                .collect(),
         }
     }
 
@@ -444,57 +300,14 @@ impl ProtocolSpec {
     pub fn checkpointed_for(protocol: ProtocolId) -> Self {
         let mut spec = ProtocolSpec::transformed_for(protocol);
         spec.table.terminal = MessageKind::Checkpoint;
-        spec.sends.push(ConditionalSend {
-            id: "checkpoint-quorum",
-            kind: MessageKind::Checkpoint,
-            condition: "a log slot decided locally: compact its decide-vote quorum \
-                        into a signed checkpoint digest"
-                .into(),
-            route: CertRoute::CheckpointRoot(&rules::CHECKPOINT_RULE),
-            carries_value: true,
-            justified_by: vec![Justification::same("decide-announce")],
-        });
+        let checkpoint = ConditionalSend::of(&rules::CHECKPOINT_RULE, CertRoute::CheckpointRoot);
+        spec.sends.push(checkpoint);
         spec
     }
 
     /// The send with the given id, if any.
     pub fn send(&self, id: &str) -> Option<&ConditionalSend> {
         self.sends.iter().find(|s| s.id == id)
-    }
-}
-
-/// The §5 certification-obligation table of the transformation: which
-/// `ftm-certify` rule each crash-model send is routed through. The paper
-/// is explicit that certificate *design* is protocol-specific — this table
-/// is that design, and [`transform`] is its mechanical application. A rule
-/// is named by value, so an obligation to a rule that does not exist does
-/// not compile.
-pub static OBLIGATIONS: &[(&str, &RuleInfo)] = &[
-    ("current-coordinator", &rules::CURRENT_COORDINATOR),
-    ("current-relay", &rules::CURRENT_RELAY),
-    ("next-suspicion", &rules::NEXT_SUSPICION),
-    ("next-change-mind", &rules::NEXT_CHANGE_MIND),
-    ("next-end-of-round", &rules::NEXT_END_OF_ROUND),
-    ("decide-announce", &rules::DECIDE_CURRENT_QUORUM),
-];
-
-/// The §5 certification-obligation table for Chandra–Toueg: same shape as
-/// [`OBLIGATIONS`], different certificate design — the `ack-echo` rule
-/// demands the coordinator's *own* signed `PROPOSE` (a one-hop echo) where
-/// HR's relay rule re-derives the quorum at every hop.
-pub static OBLIGATIONS_CT: &[(&str, &RuleInfo)] = &[
-    ("estimate-roundstart", &rules::ESTIMATE_ROUNDSTART),
-    ("propose-coordinator", &rules::PROPOSE_COORDINATOR),
-    ("ack-echo", &rules::ACK_ECHO),
-    ("nack-suspicion", &rules::NACK_SUSPICION),
-    ("decide-announce", &rules::DECIDE_ACK_QUORUM),
-];
-
-/// The obligation table for `protocol`.
-pub fn obligations_for(protocol: ProtocolId) -> &'static [(&'static str, &'static RuleInfo)] {
-    match protocol {
-        ProtocolId::HurfinRaynal => OBLIGATIONS,
-        ProtocolId::ChandraToueg => OBLIGATIONS_CT,
     }
 }
 
@@ -517,13 +330,13 @@ pub const VOCABULARY: &[(&str, &str)] = &[
 ///
 /// 1. **Vector certification (module 5)** adds the `INIT` opening and the
 ///    `init-broadcast` send — initial values become a certified vector —
-///    and re-roots the value lineage: every send whose rule re-derives the
-///    INIT backing of its vector ([`RuleInfo::needs_init_backing`]) gains
-///    round-0 `init-broadcast` backing. The others reach the root through
-///    what they cite: CT's `ACK` echoes the coordinator's signed
-///    `PROPOSE`, and the terminal relays a quorum-backed vector.
+///    and re-roots the value lineage: every send whose row cites the INIT
+///    witnesses of its vector gains that round-0 backing back. The others
+///    reach the root through what they cite: CT's `ACK` echoes the
+///    coordinator's signed `PROPOSE`, and the terminal relays a
+///    quorum-backed vector.
 /// 2. **Certification (module 4)** replaces every [`CertRoute::Trusted`]
-///    route with the certified route from the [`OBLIGATIONS`] table.
+///    route with [`CertRoute::Rule`] of the row the send is built from.
 /// 3. Both modules rewrite the condition wording through [`VOCABULARY`]
 ///    (crash detector → muteness detector, majority → quorum,
 ///    values → certified vectors).
@@ -536,9 +349,8 @@ pub const VOCABULARY: &[(&str, &str)] = &[
 ///
 /// # Panics
 ///
-/// Panics when `spec` already has an opening (it is already transformed)
-/// or when a send is missing from the obligation table — both are
-/// configuration errors, not runtime conditions.
+/// Panics when `spec` already has an opening (it is already transformed),
+/// a configuration error, not a runtime condition.
 pub fn transform(spec: &ProtocolSpec) -> ProtocolSpec {
     assert!(
         spec.table.opening.is_none(),
@@ -554,48 +366,23 @@ pub fn transform(spec: &ProtocolSpec) -> ProtocolSpec {
         out
     };
 
-    let mut sends = vec![ConditionalSend {
-        id: "init-broadcast",
-        kind: MessageKind::Init,
-        condition: "protocol start: broadcast the signed initial value".into(),
-        route: CertRoute::VectorCertification(&rules::INIT_EMPTY),
-        carries_value: true,
-        justified_by: vec![],
-    }];
-
-    let obligations = obligations_for(spec.table.protocol);
-    for send in &spec.sends {
-        #[expect(
-            clippy::panic,
-            reason = "D6 waiver: spec-table construction runs once at startup on static data, \
-                      not on messages; a send without a certification obligation is a \
-                      programming error that must abort loudly"
-        )]
-        let (_, rule) = obligations
-            .iter()
-            .find(|(id, _)| *id == send.id)
-            .unwrap_or_else(|| panic!("send `{}` has no certification obligation", send.id));
-        let mut justified_by = Vec::new();
-        if rule.needs_init_backing {
-            justified_by.push(Justification::initial("init-broadcast"));
-        }
-        justified_by.extend(send.justified_by.iter().copied());
-        sends.push(ConditionalSend {
-            id: send.id,
-            kind: send.kind,
+    let opening = ConditionalSend::of(&rules::INIT_EMPTY, CertRoute::VectorCertification);
+    let certified = spec.sends.iter().map(|send| {
+        let initial = justifications(send.rule).filter(|j| j.phase == EvidencePhase::Initial);
+        ConditionalSend {
             condition: reword(&send.condition),
-            route: CertRoute::Rule(rule),
-            carries_value: send.carries_value,
-            justified_by,
-        });
-    }
+            route: CertRoute::Rule(send.rule),
+            justified_by: initial.chain(send.justified_by.iter().copied()).collect(),
+            ..send.clone()
+        }
+    });
 
     ProtocolSpec {
         table: ProtocolTable {
             opening: Some(MessageKind::Init),
             ..spec.table
         },
-        sends,
+        sends: std::iter::once(opening).chain(certified).collect(),
     }
 }
 
@@ -666,8 +453,7 @@ impl Resilience {
     ///
     /// Panics for round 0.
     pub fn coordinator(&self, round: Round) -> usize {
-        assert!(round >= 1, "round 0 has no coordinator");
-        ((round - 1) % self.n as u64) as usize
+        crate::quorum::coordinator(self.n, round)
     }
 
     /// Majority threshold of the *crash* protocol: smallest count strictly
@@ -841,8 +627,8 @@ mod tests {
 
     #[test]
     fn the_derived_rows_of_both_protocols_are_pinned() {
-        // Fig. 3's send table as `transform` computes it: a change to
-        // `transform`, an obligation or a crash row fails here with the row
+        // Fig. 3's send table as `transform` computes it from the rule
+        // table: a change to `transform` or a row fails here with the row
         // it moved.
         assert_eq!(
             rows(&ProtocolSpec::transformed()),
@@ -853,13 +639,13 @@ mod tests {
                  prev-round:next-end-of-round]",
                 "current-relay CURRENT current-relay [initial:init-broadcast \
                  same-round-adopted:current-coordinator]",
-                "next-suspicion NEXT next-suspicion [prev-round:next-suspicion \
-                 prev-round:next-change-mind prev-round:next-end-of-round]",
+                "next-end-of-round NEXT next-end-of-round [same-round:next-suspicion \
+                 same-round:next-change-mind same-round:next-end-of-round]",
                 "next-change-mind NEXT next-change-mind [same-round:current-coordinator \
                  same-round:current-relay same-round:next-suspicion same-round:next-change-mind \
                  same-round:next-end-of-round]",
-                "next-end-of-round NEXT next-end-of-round [same-round:next-suspicion \
-                 same-round:next-change-mind same-round:next-end-of-round]",
+                "next-suspicion NEXT next-suspicion [prev-round:next-suspicion \
+                 prev-round:next-change-mind prev-round:next-end-of-round]",
                 "decide-announce DECIDE decide-current-quorum [same-round:current-coordinator \
                  same-round:current-relay]",
             ]

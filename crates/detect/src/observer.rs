@@ -388,6 +388,55 @@ mod tests {
         assert_eq!(phase_of(&obs, ProcessId(1)), Some(PeerPhase::Q2));
     }
 
+    /// The edge the rule table leaves to the observer — `next-suspicion`'s
+    /// `NEXT(r − 1)` quorum, carried but read by no row — is read here: a
+    /// sender's first vote of round 2 is admitted with it and convicted
+    /// without it, while the row admits both.
+    #[test]
+    fn the_edge_no_row_reads_is_checked_on_round_entry() {
+        use ftm_certify::rules::{certification_rules_for, Checked, EvidencePhase};
+        use ftm_certify::{MessageCore, ProtocolId, SignedCore};
+        let on_entry: Vec<_> = (ProtocolId::all().into_iter())
+            .flat_map(certification_rules_for)
+            .flat_map(|row| row.edges.iter().map(move |edge| (row, edge)))
+            .filter(|(_, edge)| edge.checked == Checked::OnRoundEntry)
+            .collect();
+        let [(row, edge)] = on_entry[..] else {
+            panic!("one edge is left to round entry, not {on_entry:?}");
+        };
+        assert_eq!(
+            (row.id, edge.phase),
+            ("next-suspicion", EvidencePhase::PrevRound)
+        );
+        assert!(edge.cites.iter().all(|cite| cite.kind == MessageKind::Next));
+        let (_, keys) = fixture();
+        let next = |s: u32, round, cert| {
+            Envelope::make(ProcessId(s), Core::Next { round }, cert, &keys[s as usize])
+        };
+        let entry = Certificate::from_items((0..3u32).map(|s| {
+            let core = MessageCore::new(ProcessId(s), Core::Next { round: 1 });
+            SignedCore::sign(core, &keys[s as usize])
+        }));
+        for (cert, admitted) in [(entry, true), (Certificate::new(), false)] {
+            let (mut obs, _) = fixture();
+            obs.observe(ProcessId(3), &init(&keys, 3, 3), VirtualTime::ZERO)
+                .unwrap();
+            let round_one = next(3, 1, Certificate::new());
+            obs.observe(ProcessId(3), &round_one, VirtualTime::at(1))
+                .unwrap();
+            let vote = next(3, 2, cert);
+            assert_eq!(obs.checker().rule_for(&vote), Ok(*row));
+            let verdict = obs.observe(ProcessId(3), &vote, VirtualTime::at(2));
+            assert_eq!(verdict.is_ok(), admitted, "{verdict:?}");
+            if let Err(e) = verdict {
+                assert_eq!(
+                    e.reason,
+                    "first message of a new round carries no round-entry evidence"
+                );
+            }
+        }
+    }
+
     #[test]
     fn faults_accumulate_distinct_culprits() {
         let (mut obs, keys) = fixture();

@@ -40,14 +40,12 @@ pub fn round_entry_justified(
     env: &Envelope,
     round: Round,
 ) -> Result<(), CertifyError> {
+    let protocol = checker.protocol();
+    let ending = protocol.round_ending_kinds();
     // (1) n−F round-ending votes of round−1 (nothing for round 1).
-    if checker
-        .round_entry_well_formed(&env.cert, round, env.sender())
-        .is_ok()
-    {
+    if round <= 1 || env.cert.count_senders(ending, round - 1) >= checker.quorum() {
         return Ok(());
     }
-    let protocol = checker.protocol();
     // (2) the coordinator's own signed vote for this round.
     let coord = checker.coordinator(round);
     let mut coord_votes = env.cert.iter_kind_round(protocol.coordinator_kind(), round);
@@ -55,7 +53,6 @@ pub fn round_entry_justified(
         return Ok(());
     }
     // (3) a quorum of round-ending votes of this round.
-    let ending = protocol.round_ending_kinds();
     if env.cert.count_senders(ending, round) >= checker.quorum() {
         return Ok(());
     }

@@ -149,6 +149,27 @@ pub const fn resilience_bound(n: usize, c: usize) -> usize {
     }
 }
 
+/// The coordinator of `round` under the rotating-coordinator paradigm, as
+/// a 0-based process index: `(round − 1) mod n` (the paper's 1-based
+/// `(r mod n) + 1`).
+///
+/// ```
+/// assert_eq!(ftm_quorum::coordinator(4, 1), 0);
+/// assert_eq!(ftm_quorum::coordinator(4, 5), 0);
+/// ```
+///
+/// # Panics
+///
+/// Panics for round 0 (the vector-certification phase has no
+/// coordinator) and for `n = 0`.
+#[must_use]
+pub fn coordinator(n: usize, round: u64) -> usize {
+    assert!(round >= 1, "round 0 has no coordinator");
+    // `% n` bounds the index by a process count, so it fits back; the
+    // fallback is unreachable and names no process rather than truncating.
+    usize::try_from((round - 1) % n as u64).unwrap_or(usize::MAX)
+}
+
 include!("../../../clippy_canaries.rs"); // D1–D4 ban canaries, DESIGN.md §13
 
 #[cfg(test)]
