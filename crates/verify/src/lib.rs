@@ -19,12 +19,14 @@
 //!    duplicate send, round jump, send-after-decide), sets aside the ones
 //!    the generator also emits, and proves every other one is convicted
 //!    (acceptor ∌ any divergent neighbour), reporting the kill matrix.
-//! 3. **Certificate-rule coverage** ([`coverage`]) — §5's obligation
-//!    table: a send holds its `ftm-certify` rule by value, so what is
-//!    checked is that the rule sits in that protocol's table and audits
-//!    the send's kind, that no rule is dead, and that the only
-//!    uncertifiable sends are initial values routed through vector
-//!    certification.
+//! 3. **Certificate-rule coverage** — by construction, not a pass: a
+//!    spec's sends are built from its protocol's certification-rule table
+//!    ([`ftm_certify::rules`]), one per row with the row's kind, and
+//!    [`ftm_core::spec::transform`] routes each through the row it was
+//!    built from, and only the opening through vector certification. A
+//!    send outside the table, a dead row, a kind mismatch, a trusted send
+//!    in a certified spec or an uncertifiable send that is not the opening
+//!    has no spelling.
 //! 4. **Certificate-lineage flow** ([`lineage`]) — the global side of the
 //!    same obligation: the justification graph over the send table has no
 //!    dangling evidence, no dead route, no same-round cycle but
@@ -63,7 +65,6 @@
 //! assert!(report.ok(), "{}", report.to_json().render());
 //! ```
 
-pub mod coverage;
 pub mod lineage;
 pub mod mutation;
 pub mod perturb;
@@ -139,7 +140,6 @@ pub fn verify_spec(spec: &ProtocolSpec, bounds: &Bounds) -> SpecReport {
             .opening
             .is_some()
             .then(|| mutation::check_mutations(table, bounds.mutation_rounds)),
-        coverage: coverage::check_coverage(spec),
         lineage: lineage::check_lineage(spec),
     }
 }
@@ -243,7 +243,6 @@ mod tests {
             "soundness",
             "false-convictions",
             "mutation",
-            "certificate-coverage",
             "lineage",
             "kind-swap",
             "\"quorum\"",
@@ -254,8 +253,10 @@ mod tests {
         ] {
             assert!(a.contains(key), "report lost section {key}:\n{a}");
         }
-        // One transformed spec per protocol, and no refinement section.
+        // One transformed spec per protocol, no refinement section, and
+        // no coverage pass: the specs are built from the rule table.
         for key in [
+            "certificate-coverage",
             "derived",
             "refinement",
             "derivation",

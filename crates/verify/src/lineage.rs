@@ -1,7 +1,8 @@
 //! Certificate-lineage flow analysis: the justification graph.
 //!
-//! [`crate::coverage`] checks the *local* obligation — every conditional
-//! send names an audit rule. This module checks the *global* one: the
+//! The *local* obligation — every conditional send has an audit rule —
+//! holds by construction: a spec's sends are built from the rows of the
+//! certification-rule table. This module checks the *global* one: the
 //! certificates form a connected chain of evidence. Each
 //! [`ftm_core::spec::ConditionalSend`] declares which sends' signed output appears in its
 //! certificate (`justified_by`); those edges form a directed graph, and

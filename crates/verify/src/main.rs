@@ -7,7 +7,7 @@
 //! Always runs all four specs — the Hurfin–Raynal and Chandra–Toueg
 //! transformed / crash pairs — and the quorum grid (about a second). Exit
 //! status 0 when every check passed, 1 when any finding exists (false
-//! conviction, surviving mutant, coverage hole, lineage break or quorum
+//! conviction, surviving mutant, lineage break or quorum
 //! mismatch), 2 on usage errors. `--json` prints only the byte-stable JSON
 //! document; the default adds a human summary to stderr.
 
@@ -66,11 +66,10 @@ fn main() -> ExitCode {
             );
             eprintln!(
                 "ftm-verify[{label}]: {} compliant traces sound to round {}, {mutated}, \
-                 {} sends vs {} rules, lineage {} edges from {} roots",
+                 lineage {} sends, {} edges from {} roots",
                 spec.soundness.traces,
                 spec.soundness.max_rounds,
-                spec.coverage.sends,
-                spec.coverage.rules,
+                spec.lineage.sends,
                 spec.lineage.edges,
                 spec.lineage.roots,
             );

@@ -12,7 +12,6 @@
 
 use ftm_sim::report::Json;
 
-use crate::coverage::CoverageReport;
 use crate::lineage::LineageReport;
 use crate::mutation::MutationReport;
 use crate::quorum::QuorumReport;
@@ -30,8 +29,6 @@ pub struct SpecReport {
     /// Static mutation analysis (detection completeness) — only for specs
     /// with an opening kind.
     pub mutation: Option<MutationReport>,
-    /// Certificate-rule coverage.
-    pub coverage: CoverageReport,
     /// Certificate-lineage flow analysis.
     pub lineage: LineageReport,
 }
@@ -45,7 +42,6 @@ impl SpecReport {
                 .mutation
                 .as_ref()
                 .is_none_or(MutationReport::all_killed)
-            && self.coverage.ok()
             && self.lineage.ok()
     }
 
@@ -94,26 +90,6 @@ impl SpecReport {
                 ]),
             ),
             ("mutation".into(), mutation),
-            (
-                "certificate-coverage".into(),
-                Json::Obj(vec![
-                    ("sends".into(), Json::U64(self.coverage.sends)),
-                    ("rules".into(), Json::U64(self.coverage.rules)),
-                    (
-                        "trusted-sends".into(),
-                        Json::U64(self.coverage.trusted_sends),
-                    ),
-                    (
-                        "uncovered-sends".into(),
-                        strings(&self.coverage.uncovered_sends),
-                    ),
-                    ("dead-rules".into(), strings(&self.coverage.dead_rules)),
-                    (
-                        "uncertified-noninitial".into(),
-                        strings(&self.coverage.uncertified_noninitial),
-                    ),
-                ]),
-            ),
             (
                 "lineage".into(),
                 Json::Obj(vec![
