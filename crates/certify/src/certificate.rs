@@ -50,19 +50,25 @@ pub struct Certificate {
     body: Option<Arc<Vec<SignedCore>>>,
 }
 
-/// How many distinct senders `items` name: an item counts when no earlier
-/// item has its sender. A scan with no allocation and no bound on sender
-/// ids — certificates are small (≤ 2n members).
-pub fn distinct_senders<'a>(items: impl Iterator<Item = &'a SignedCore> + Clone) -> usize {
+/// How many distinct senders cast an item of `items` that `counts`
+/// accepts: an accepted item counts when no earlier accepted item has its
+/// sender. A scan with no allocation and no bound on sender ids —
+/// certificates are small (≤ 2n members) — that runs `counts` again on an
+/// earlier item only when it has the sender.
+pub fn distinct_senders<'a>(
+    items: impl Iterator<Item = &'a SignedCore> + Clone,
+    counts: impl Fn(&SignedCore) -> bool,
+) -> usize {
     items
         .clone()
         .enumerate()
         .filter(|(k, item)| {
             let sender = item.sender();
-            !items
-                .clone()
-                .take(*k)
-                .any(|earlier| earlier.sender() == sender)
+            counts(item)
+                && !items
+                    .clone()
+                    .take(*k)
+                    .any(|earlier| earlier.sender() == sender && counts(earlier))
         })
         .count()
 }
@@ -147,10 +153,9 @@ impl Certificate {
     /// tests: `|current_cert|`, `|next_cert|`, `REC_FROM_i` (CURRENT or
     /// NEXT) and CT's ACK/NACK votes.
     pub fn count_senders(&self, kinds: &[MessageKind], round: Round) -> usize {
-        distinct_senders(
-            self.iter()
-                .filter(|i| i.round() == round && kinds.contains(&i.kind())),
-        )
+        distinct_senders(self.iter(), |i| {
+            i.round() == round && kinds.contains(&i.kind())
+        })
     }
 
     /// The INIT-only sub-certificate (`est_cert` extracted from a received

@@ -24,9 +24,13 @@ fn endorsing<'a>(
     vector: &ValueVector,
     quorum: usize,
 ) -> Option<(ValueVector, Certificate)> {
-    let matching = items.filter(move |i| i.core().core.vector() == Some(vector));
-    (distinct_senders(matching.clone()) >= quorum)
-        .then(|| (vector.clone(), matching.cloned().collect()))
+    let endorses = |i: &SignedCore| i.core().core.vector() == Some(vector);
+    (distinct_senders(items.clone(), endorses) >= quorum).then(|| {
+        (
+            vector.clone(),
+            items.filter(|i| endorses(i)).cloned().collect(),
+        )
+    })
 }
 
 /// Hurfin–Raynal's votes of one round, as certificates.
@@ -92,11 +96,11 @@ impl hr::Votes for HrCerts {
             .count_senders(&[MessageKind::Current], round);
         let nexts = self.next_cert.count_senders(&[MessageKind::Next], round);
         // REC_FROM: who sent either vote, over both certificates.
-        let vote = |i: &&SignedCore| {
+        let vote = |i: &SignedCore| {
             i.round() == round && matches!(i.kind(), MessageKind::Current | MessageKind::Next)
         };
         let both = self.current_cert.iter().chain(self.next_cert.iter());
-        let rec_from = distinct_senders(both.filter(vote));
+        let rec_from = distinct_senders(both, vote);
         (currents, nexts, rec_from)
     }
 
