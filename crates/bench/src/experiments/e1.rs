@@ -51,7 +51,7 @@ pub fn run() -> String {
         schedules.push(("1 late".into(), vec![(0, 60)]));
         for (label, crashes) in schedules {
             let outcomes: Vec<Outcome> = (0..SEEDS)
-                .map(|seed| run_crash::<HurfinRaynal<HrCounts>>(n, seed, &crashes))
+                .map(|seed| run_crash::<HurfinRaynal<HrCounts>>(n, seed, &crashes, None))
                 .collect();
             let (ok, rounds, maxlat, lat, msgs) = aggregate(&outcomes);
             t.row([n.to_string(), label, ok, rounds, maxlat, lat, msgs]);
@@ -83,7 +83,7 @@ pub fn run() -> String {
     for n in [4usize, 7, 9] {
         for (label, crashes) in [("none", vec![]), ("1 early", vec![(0usize, 0u64)])] {
             let hr: Vec<Outcome> = (0..SEEDS)
-                .map(|s| run_crash::<HurfinRaynal<HrCounts>>(n, s, &crashes))
+                .map(|s| run_crash::<HurfinRaynal<HrCounts>>(n, s, &crashes, None))
                 .collect();
             let (ok, rounds, _maxlat, lat, msgs) = aggregate(&hr);
             t.row([
@@ -97,7 +97,7 @@ pub fn run() -> String {
             ]);
 
             let ct: Vec<Outcome> = (0..SEEDS)
-                .map(|s| run_crash::<ChandraToueg<CtCounts>>(n, s, &crashes))
+                .map(|s| run_crash::<ChandraToueg<CtCounts>>(n, s, &crashes, None))
                 .collect();
             let (ok, rounds, _maxlat, lat, msgs) = aggregate(&ct);
             t.row([

@@ -37,9 +37,9 @@
 //! adverse delays, while the round-aware linear allowance undershoots
 //! heavy-tailed delays and corrects more often.
 
-use ftm_faults::{
-    sweep_scenarios, DetectorKind, FaultBehavior, NetworkProfile, Scenario, ScenarioMatrix,
-};
+use ftm_core::config::MutenessMode;
+use ftm_faults::{sweep_scenarios, FaultBehavior, NetworkProfile, Scenario};
+use ftm_sim::Duration;
 
 use crate::report::Table;
 
@@ -213,13 +213,17 @@ pub fn run() -> String {
     );
 
     let mut detector_scenarios = Vec::new();
-    for &detector in &[DetectorKind::Adaptive, DetectorKind::RoundAware] {
+    // The round-aware allowance grows by one poll interval per round.
+    let round_aware = MutenessMode::RoundAware {
+        per_round: Duration::of(25),
+    };
+    for &muteness in &[MutenessMode::Adaptive, round_aware] {
         for &network in &[NetworkProfile::calm(), NetworkProfile::adverse()] {
             for &(n, f) in &[(5usize, 2usize), (7, 3)] {
                 detector_scenarios.push(
                     Scenario::new(n, f, FaultBehavior::Honest)
                         .extra_crashes(1)
-                        .detector(detector)
+                        .muteness(muteness)
                         .network(network),
                 );
             }
@@ -252,17 +256,5 @@ pub fn run() -> String {
     }
     out.push_str(&t.to_string());
     out.push('\n');
-
-    // Keep the default grid honest too: the matrix axes exist so ad-hoc
-    // sweeps stay cheap, and E11's hand-built list must stay a subset of
-    // what `cross_coalitions().cross_networks()` can enumerate.
-    debug_assert!(
-        ScenarioMatrix::new(vec![(4, 1)], vec![FaultBehavior::Mute])
-            .cross_coalitions()
-            .cross_networks()
-            .enumerate()
-            .len()
-            == 8
-    );
     out
 }

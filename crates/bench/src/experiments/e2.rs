@@ -1,39 +1,29 @@
 //! E2 — the paper's motivation: the crash protocol is not Byzantine-
 //! tolerant; the transformed protocol is, under the same attacks.
 
-use ftm_certify::{MessageKind, Value};
-use ftm_core::crash::{CrashConsensus, CrashMsg};
-use ftm_core::spec::Resilience;
+use ftm_certify::MessageKind;
+use ftm_core::crash::HrCounts;
+use ftm_core::rounds::hr::HurfinRaynal;
 use ftm_faults::attacks::{Attack, Trigger};
-use ftm_faults::crash_attacks::{CrashAttack, CrashSaboteur};
-use ftm_fd::TimeoutDetector;
-use ftm_sim::runner::BoxedActor;
-use ftm_sim::{Duration, SimConfig, Simulation, VirtualTime};
+use ftm_faults::crash_attacks::CrashAttack;
+use ftm_faults::AttackRun;
+use ftm_sim::{Duration, VirtualTime};
 
-use crate::experiments::common::{crash_verdict_with_faulty, run_byz, verdict_with_faulty};
+use crate::experiments::common::run_crash;
 use crate::report::{pct, Table};
 
 const N: usize = 4;
 const SEEDS: u64 = 20;
 
-fn run_crash_attacked(seed: u64, attacker: u32, attack: CrashAttack) -> bool {
-    let report = Simulation::build_boxed(SimConfig::new(N).seed(seed), |id| {
-        let honest = CrashConsensus::new(
-            Resilience::new(N, 1),
-            id,
-            100 + id.0 as u64,
-            TimeoutDetector::new(N, Duration::of(150)),
-            Duration::of(25),
-            Some(Duration::of(40)),
-        );
-        if id.0 == attacker {
-            Box::new(CrashSaboteur::new(honest, attack.clone())) as BoxedActor<CrashMsg, Value>
-        } else {
-            Box::new(honest)
-        }
-    })
-    .run();
-    crash_verdict_with_faulty(&report, N, &[attacker as usize]).ok()
+fn crash_survives(seed: u64, attacker: u32, attack: CrashAttack) -> bool {
+    run_crash::<HurfinRaynal<HrCounts>>(N, seed, &[], Some((attacker, attack)))
+        .verdict
+        .ok()
+}
+
+fn transformed_survives(seed: u64, attacker: u32, attack: Attack) -> bool {
+    let run = AttackRun::new(N, 1, seed, attacker).injection_delay(Duration::of(10));
+    run.verdict(&run.run(Some(attack))).ok()
 }
 
 /// Runs E2 and renders its markdown section.
@@ -49,24 +39,18 @@ pub fn run() -> String {
 
     // Estimate/vector corruption by the round-1 coordinator.
     let crash_ok = (0..SEEDS)
-        .filter(|&s| run_crash_attacked(s, 0, CrashAttack::CorruptEstimate { poison: 31337 }))
+        .filter(|&s| crash_survives(s, 0, CrashAttack::CorruptEstimate { poison: 31337 }))
         .count();
     let byz_ok = (0..SEEDS)
         .filter(|&s| {
-            let (report, _) = run_byz(
-                N,
-                1,
+            transformed_survives(
                 s,
-                &[],
-                Some((
-                    0,
-                    Attack::CorruptVector {
-                        entry: 2,
-                        poison: 31337,
-                    },
-                )),
-            );
-            verdict_with_faulty(&report, N, 1, &[0]).ok()
+                0,
+                Attack::CorruptVector {
+                    entry: 2,
+                    poison: 31337,
+                },
+            )
         })
         .count();
     t.row([
@@ -79,7 +63,7 @@ pub fn run() -> String {
     // Forged decision by a non-coordinator.
     let crash_ok = (0..SEEDS)
         .filter(|&s| {
-            run_crash_attacked(
+            crash_survives(
                 s,
                 3,
                 CrashAttack::ForgeDecide {
@@ -91,21 +75,15 @@ pub fn run() -> String {
         .count();
     let byz_ok = (0..SEEDS)
         .filter(|&s| {
-            let (report, _) = run_byz(
-                N,
-                1,
+            transformed_survives(
                 s,
-                &[],
-                Some((
-                    3,
-                    Attack::Forge {
-                        kind: MessageKind::Decide,
-                        poison: 999,
-                        trigger: Trigger::At(VirtualTime::at(1)),
-                    },
-                )),
-            );
-            verdict_with_faulty(&report, N, 1, &[3]).ok()
+                3,
+                Attack::Forge {
+                    kind: MessageKind::Decide,
+                    poison: 999,
+                    trigger: Trigger::At(VirtualTime::at(1)),
+                },
+            )
         })
         .count();
     t.row([

@@ -1,14 +1,14 @@
 //! E5 — Vector Validity: the ψ = n − 2F bound and Propositions 1–2.
 
-use ftm_faults::Attack;
+use ftm_faults::{Attack, AttackRun};
+use ftm_sim::Duration;
 
-use crate::experiments::common::{run_byz, verdict_with_faulty};
 use crate::report::{pct, Table};
 
 const SEEDS: u64 = 20;
 
-/// (label, crash schedule, optional Byzantine attacker).
-type Scenario = (String, Vec<(usize, u64)>, Option<u32>);
+/// (label, processes `p0..` crashed at t = 0, optional Byzantine attacker).
+type Scenario = (String, usize, Option<u32>);
 
 /// Runs E5 and renders its markdown section.
 pub fn run() -> String {
@@ -35,26 +35,25 @@ pub fn run() -> String {
     for (n, f) in [(3usize, 1usize), (4, 1), (5, 2), (7, 3)] {
         let psi = ftm_core::quorum::vector_validity_floor(n, f);
         let scenarios: Vec<Scenario> = vec![
-            ("all honest".into(), vec![], None),
-            (
-                format!("{f} crash @ t=0"),
-                (0..f).map(|i| (i, 0)).collect(),
-                None,
-            ),
-            ("1 equivocator".into(), vec![], Some((n - 1) as u32)),
+            ("all honest".into(), 0, None),
+            (format!("{f} crash @ t=0"), f, None),
+            ("1 equivocator".into(), 0, Some((n - 1) as u32)),
         ];
-        for (label, crashes, byz) in scenarios {
+        for (label, crashed, byz) in scenarios {
+            let mut faulty: Vec<usize> = (0..crashed).collect();
+            faulty.extend(byz.map(|a| a as usize));
             let mut min_correct = usize::MAX;
             let mut agree = 0;
             let mut ok = 0;
             for seed in 0..SEEDS {
-                let attacker = byz.map(|a| (a, Attack::EquivocateInit { alt: 1313 }));
-                let (report, _) = run_byz(n, f, seed, &crashes, attacker);
-                let mut faulty: Vec<usize> = crashes.iter().map(|&(p, _)| p).collect();
-                if let Some(a) = byz {
-                    faulty.push(a as usize);
-                }
-                let v = verdict_with_faulty(&report, n, f, &faulty);
+                let run = AttackRun::new(n, f, seed, byz.unwrap_or(0))
+                    .injection_delay(Duration::of(10))
+                    .crash_low(crashed);
+                let report = run.run(byz.map(|_| Attack::EquivocateInit { alt: 1313 }));
+                let v = match byz {
+                    Some(_) => run.verdict(&report),
+                    None => run.coalition_verdict(&[], &report),
+                };
                 if v.agreement {
                     agree += 1;
                 }

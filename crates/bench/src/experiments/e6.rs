@@ -3,14 +3,30 @@
 use ftm_core::config::ProtocolConfig;
 use ftm_core::crash::HrCounts;
 use ftm_core::rounds::hr::HurfinRaynal;
-use ftm_sim::Duration;
+use ftm_faults::{AttackRun, NetworkProfile};
+use ftm_sim::{Duration, VirtualTime};
 
-use ftm_sim::SimConfig;
-
-use crate::experiments::common::{run_byz_honest, run_byz_sim, run_crash, Outcome};
+use crate::experiments::common::{run_crash, Outcome};
 use crate::report::{mean, ratio, Table};
 
 const SEEDS: u64 = 10;
+
+/// Delays drawn from [20, 60] until a GST at 8 000, capped at 30 after.
+const CHURN: NetworkProfile = NetworkProfile {
+    label: "churn",
+    min_delay: Duration::of(20),
+    max_delay: Duration::of(60),
+    gst: Some(VirtualTime::at(8_000)),
+    post_gst_max_delay: Duration::of(30),
+    max_rounds: None,
+};
+
+/// Runs `run` with nobody attacking and reads its figures, judged with
+/// nobody marked faulty.
+fn honest(run: &AttackRun) -> Outcome {
+    let report = run.run(None);
+    Outcome::of(&report, run.config.n, run.coalition_verdict(&[], &report))
+}
 
 fn means(outcomes: &[Outcome]) -> (String, String, String, String) {
     let msgs: Vec<u64> = outcomes.iter().map(|o| o.messages).collect();
@@ -42,13 +58,13 @@ pub fn run() -> String {
     ]);
     for n in [4usize, 5, 7, 9] {
         let crash: Vec<Outcome> = (0..SEEDS)
-            .map(|s| run_crash::<HurfinRaynal<HrCounts>>(n, s, &[]))
+            .map(|s| run_crash::<HurfinRaynal<HrCounts>>(n, s, &[], None))
             .collect();
         let (m, b, per, lat) = means(&crash);
         t.row([n.to_string(), "crash (Fig. 2)".into(), m, b, per, lat]);
 
         let byz: Vec<Outcome> = (0..SEEDS)
-            .map(|s| run_byz_honest(n, ftm_core::quorum::max_faults(n), s).1)
+            .map(|s| honest(&AttackRun::new(n, ftm_core::quorum::max_faults(n), s, 0)))
             .collect();
         let (m, b, per, lat) = means(&byz);
         t.row([n.to_string(), "transformed (Fig. 3)".into(), m, b, per, lat]);
@@ -68,18 +84,11 @@ pub fn run() -> String {
     for timeout in [400u64, 150, 60, 30] {
         let outcomes: Vec<Outcome> = (0..SEEDS)
             .map(|s| {
-                run_byz_sim(
-                    ProtocolConfig::new(4, 1)
-                        .seed(s)
-                        .muteness_timeout(Duration::of(timeout))
-                        .poll_interval(Duration::of(10)),
-                    SimConfig::new(4)
-                        .seed(s)
-                        .delay_range(Duration::of(20), Duration::of(60))
-                        .gst(ftm_sim::VirtualTime::at(8_000), Duration::of(30)),
-                    None,
-                )
-                .1
+                let config = ProtocolConfig::new(4, 1)
+                    .seed(s)
+                    .muteness_timeout(Duration::of(timeout))
+                    .poll_interval(Duration::of(10));
+                honest(&AttackRun::with_config(config, s, 0).network(CHURN))
             })
             .collect();
         let rounds: Vec<u64> = outcomes.iter().map(|o| o.rounds as u64).collect();

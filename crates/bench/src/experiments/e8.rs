@@ -4,10 +4,9 @@
 use ftm_core::config::ProtocolConfig;
 use ftm_core::validator::detections;
 use ftm_detect::observer::Checks;
-use ftm_faults::Attack;
-use ftm_sim::ProcessId;
+use ftm_faults::{Attack, AttackRun};
+use ftm_sim::{Duration, ProcessId};
 
-use crate::experiments::common::{run_byz_with_config, verdict_with_faulty};
 use crate::report::{pct, Table};
 
 const N: usize = 4;
@@ -79,20 +78,19 @@ pub fn run() -> String {
             let mut ok = 0;
             let mut framed = 0;
             for seed in 0..SEEDS {
-                let (n, f, crashes, att): (usize, usize, Vec<(usize, u64)>, u32) =
-                    if attack_name == "vote duplication" {
-                        (5, 2, vec![(0, 0)], 4)
-                    } else {
-                        (N, 1, vec![], attacker)
-                    };
+                let (n, f, crashed, att) = if attack_name == "vote duplication" {
+                    (5, 2, 1, 4)
+                } else {
+                    (N, 1, 0, attacker)
+                };
                 let config = ProtocolConfig::new(n, f)
                     .seed(seed)
                     .checks(checks(stack_name));
-                let (report, _) =
-                    run_byz_with_config(config, seed, &crashes, Some((att, attack(attack_name))));
-                let mut faulty: Vec<usize> = crashes.iter().map(|&(p, _)| p).collect();
-                faulty.push(att as usize);
-                if verdict_with_faulty(&report, n, f, &faulty).ok() {
+                let run = AttackRun::with_config(config, seed, att)
+                    .injection_delay(Duration::of(10))
+                    .crash_low(crashed);
+                let report = run.run(Some(attack(attack_name)));
+                if run.verdict(&report).ok() {
                     ok += 1;
                 }
                 let culprit = format!("p{att}");

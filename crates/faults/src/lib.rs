@@ -24,6 +24,12 @@
 //! taxonomy runs; against the crash-model protocol each is one
 //! [`crash_attacks::CrashAttack`], whose unsigned messages make the same
 //! attacks trivially lethal — experiment E2's point.
+//!
+//! [`scenario::AttackRun`] wires a simulated transformed run — keys,
+//! actors, the wrapped attackers, t = 0 crashes, network — from a
+//! [`ftm_core::ProtocolConfig`]. The sweep harness and the experiments
+//! build every transformed run through it; no other non-test,
+//! non-example code wires one.
 
 pub mod attacks;
 pub mod behavior;
@@ -34,8 +40,7 @@ pub use attacks::Attack;
 pub use behavior::{ByzantineLogWrapper, ByzantineWrapper};
 pub use scenario::{
     coalition_faulty, log_command, run_scenario, sweep_matrix, sweep_matrix_repeated,
-    sweep_scenarios, AttackRun, CoalitionAxis, DetectorKind, FaultBehavior, Scenario,
-    ScenarioMatrix, Workload,
+    sweep_scenarios, AttackRun, CoalitionAxis, FaultBehavior, Scenario, ScenarioMatrix, Workload,
 };
 // Re-exported so scenario builders can name network profiles without
 // depending on ftm-sim directly.

@@ -3,12 +3,19 @@
 //! The paper's experiments (E3/E4) run the transformed protocol against
 //! every fault class in the taxonomy, over a grid of system sizes. This
 //! module names those cells — a [`Scenario`] is one `(n, F, coalition)`
-//! triple — and turns each into a single deterministic run:
-//! [`run_scenario`] builds the full stack (keys, transformed actors, a
-//! wrapped attacker *coalition* of up to F members), executes it under the
-//! seeded simulator and the scenario's [`NetworkProfile`], checks the
-//! vector-consensus properties, and flattens everything the run produced
-//! into the flat counter map of an [`ftm_sim::harness::RunRecord`].
+//! triple plus the protocol, ◇M mode, workload and network it runs — and
+//! turns each into a single deterministic run: [`run_scenario`] hands the
+//! cell to [`AttackRun`], which builds the full stack (keys, transformed
+//! actors, a wrapped attacker *coalition* of up to F members) and executes
+//! it under the seeded simulator and the scenario's [`NetworkProfile`],
+//! then checks the vector-consensus properties and flattens everything the
+//! run produced into the flat counter map of an
+//! [`ftm_sim::harness::RunRecord`].
+//!
+//! [`AttackRun`] is the one non-test builder of a simulated transformed
+//! run: the sweep and the experiment tables go through it, with the run's
+//! [`ProtocolConfig`] carrying `(n, F)`, timeouts, the enabled checks and
+//! the ◇M mode.
 //!
 //! The counters decompose cost by module layer, mirroring Fig. 1:
 //!
@@ -180,38 +187,6 @@ impl FaultBehavior {
     }
 }
 
-/// Which ◇M implementation the scenario's processes embed — the sweep
-/// axis over [`MutenessMode`] (experiment E7's comparison, harness-native).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DetectorKind {
-    /// The generic adaptive timeout detector (doubles on mistakes).
-    Adaptive,
-    /// The round-aware ◇M variant (allowance grows with the round).
-    RoundAware,
-}
-
-impl DetectorKind {
-    /// Stable kebab-case name used in cell keys.
-    pub fn label(&self) -> &'static str {
-        match self {
-            DetectorKind::Adaptive => "adaptive",
-            DetectorKind::RoundAware => "round-aware",
-        }
-    }
-
-    /// The [`MutenessMode`] this axis value configures. The round-aware
-    /// per-round allowance is fixed (one poll interval) so a cell stays a
-    /// pure function of the scenario.
-    pub fn mode(&self) -> MutenessMode {
-        match self {
-            DetectorKind::Adaptive => MutenessMode::Adaptive,
-            DetectorKind::RoundAware => MutenessMode::RoundAware {
-                per_round: Duration::of(25),
-            },
-        }
-    }
-}
-
 /// What the scenario's processes run on top of the module stack: a single
 /// consensus instance, or the replicated-log application deciding several
 /// slots back to back.
@@ -228,7 +203,7 @@ pub enum Workload {
 
 /// One cell of the sweep: system size, resilience bound and the attacker
 /// coalition (up to F members, heterogeneous behaviors), plus the
-/// protocol/detector/workload/network axes.
+/// protocol, ◇M, workload and network axes.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Scenario {
     /// Number of processes.
@@ -249,7 +224,7 @@ pub struct Scenario {
     /// default).
     pub protocol: ProtocolId,
     /// Which ◇M implementation the processes embed (adaptive by default).
-    pub detector: DetectorKind,
+    pub muteness: MutenessMode,
     /// What runs on top of consensus (a single instance by default).
     pub workload: Workload,
     /// The delay/GST regime the run executes under (calm by default —
@@ -289,7 +264,7 @@ impl Scenario {
             attackers: members,
             extra_crashes: 0,
             protocol: ProtocolId::HurfinRaynal,
-            detector: DetectorKind::Adaptive,
+            muteness: MutenessMode::Adaptive,
             workload: Workload::OneShot,
             network: NetworkProfile::calm(),
         }
@@ -329,8 +304,8 @@ impl Scenario {
     }
 
     /// Selects the ◇M implementation the processes embed.
-    pub fn detector(mut self, detector: DetectorKind) -> Self {
-        self.detector = detector;
+    pub fn muteness(mut self, mode: MutenessMode) -> Self {
+        self.muteness = mode;
         self
     }
 
@@ -359,7 +334,8 @@ impl Scenario {
     /// Cell key used to group runs for aggregation. Non-default axis
     /// values append their own markers, so pre-existing cell keys (plain
     /// single-attacker Hurfin–Raynal one-shot cells under the calm
-    /// network) are unchanged.
+    /// network) are unchanged. The round-aware ◇M marks its cells
+    /// ` fd=round-aware` whatever its per-round allowance.
     pub fn cell(&self) -> String {
         let faults: Vec<&str> = self.attackers.iter().map(|(_, b)| b.label()).collect();
         let mut key = format!("n={} f={} fault={}", self.n, self.f, faults.join("+"));
@@ -373,8 +349,8 @@ impl Scenario {
         if self.protocol != ProtocolId::HurfinRaynal {
             key.push_str(&format!(" proto={}", self.protocol.label()));
         }
-        if self.detector != DetectorKind::Adaptive {
-            key.push_str(&format!(" fd={}", self.detector.label()));
+        if matches!(self.muteness, MutenessMode::RoundAware { .. }) {
+            key.push_str(" fd=round-aware");
         }
         if let Workload::Log { slots } = self.workload {
             key.push_str(&format!(" workload=log{slots}"));
@@ -403,9 +379,10 @@ pub enum CoalitionAxis {
     UpToBudgetPlusOne,
 }
 
-/// A scenario grid: the cross product of protocols, detectors, workloads,
-/// network profiles, system configurations, coalition sizes and fault
-/// behaviors, enumerated in a stable row-major order.
+/// A scenario grid: the cross product of protocols, network profiles,
+/// system configurations, coalition sizes and fault behaviors, enumerated
+/// in a stable row-major order. Every cell runs adaptive ◇M and one-shot
+/// consensus; a sweep over the other axes lists its scenarios itself.
 #[derive(Debug, Clone)]
 pub struct ScenarioMatrix {
     /// `(n, F)` pairs, the grid's rows.
@@ -415,12 +392,6 @@ pub struct ScenarioMatrix {
     /// Transformed protocols to run the grid over, the outermost axis
     /// (just Hurfin–Raynal unless widened).
     pub protocols: Vec<ProtocolId>,
-    /// ◇M implementations to run the grid over (just the adaptive
-    /// detector unless widened).
-    pub detectors: Vec<DetectorKind>,
-    /// Workloads to run the grid over (just one-shot consensus unless
-    /// widened).
-    pub workloads: Vec<Workload>,
     /// Network profiles to run the grid over (just the calm profile
     /// unless widened).
     pub networks: Vec<NetworkProfile>,
@@ -430,15 +401,12 @@ pub struct ScenarioMatrix {
 
 impl ScenarioMatrix {
     /// Builds a matrix from explicit rows and columns, over the default
-    /// axes: Hurfin–Raynal, adaptive ◇M, one-shot consensus, calm
-    /// network, single attacker.
+    /// axes: Hurfin–Raynal, calm network, single attacker.
     pub fn new(systems: Vec<(usize, usize)>, behaviors: Vec<FaultBehavior>) -> Self {
         ScenarioMatrix {
             systems,
             behaviors,
             protocols: vec![ProtocolId::HurfinRaynal],
-            detectors: vec![DetectorKind::Adaptive],
-            workloads: vec![Workload::OneShot],
             networks: vec![NetworkProfile::calm()],
             coalitions: CoalitionAxis::Single,
         }
@@ -474,46 +442,26 @@ impl ScenarioMatrix {
         self
     }
 
-    /// Enumerates the cells row-major: protocols outermost, then
-    /// detectors, workloads, networks, systems, coalition sizes, and
-    /// innermost behaviors. With the default axes this collapses to the
-    /// historical `protocols → detectors → workloads → systems →
-    /// behaviors` order. The position in this list is the scenario index
-    /// the harness feeds to [`ftm_sim::prng::derive_seed`].
+    /// Enumerates the cells row-major: protocols outermost, then networks,
+    /// systems, coalition sizes, and innermost behaviors. The position in
+    /// this list is the scenario index the harness feeds to
+    /// [`ftm_sim::prng::derive_seed`].
     pub fn enumerate(&self) -> Vec<Scenario> {
-        self.enumerate_repeated(1)
-    }
-
-    /// Like [`enumerate`](Self::enumerate), but each cell appears
-    /// `repeats` consecutive times. Repeats share a cell key and distinct
-    /// indices, so they get distinct derived seeds and aggregate into the
-    /// same cell — this is how a sweep gets percentiles per cell.
-    pub fn enumerate_repeated(&self, repeats: usize) -> Vec<Scenario> {
         let mut out = Vec::new();
         for &protocol in &self.protocols {
-            for &detector in &self.detectors {
-                for &workload in &self.workloads {
-                    for &network in &self.networks {
-                        for &(n, f) in &self.systems {
-                            let sizes: Vec<usize> = match self.coalitions {
-                                CoalitionAxis::Single => vec![1],
-                                CoalitionAxis::UpToBudgetPlusOne => {
-                                    (1..=(f + 1).min(n - 1)).collect()
-                                }
-                            };
-                            for &size in &sizes {
-                                for &behavior in &self.behaviors {
-                                    for _ in 0..repeats {
-                                        out.push(
-                                            Scenario::coalition_of(n, f, &vec![behavior; size])
-                                                .protocol(protocol)
-                                                .detector(detector)
-                                                .workload(workload)
-                                                .network(network),
-                                        );
-                                    }
-                                }
-                            }
+            for &network in &self.networks {
+                for &(n, f) in &self.systems {
+                    let sizes: Vec<usize> = match self.coalitions {
+                        CoalitionAxis::Single => vec![1],
+                        CoalitionAxis::UpToBudgetPlusOne => (1..=(f + 1).min(n - 1)).collect(),
+                    };
+                    for &size in &sizes {
+                        for &behavior in &self.behaviors {
+                            out.push(
+                                Scenario::coalition_of(n, f, &vec![behavior; size])
+                                    .protocol(protocol)
+                                    .network(network),
+                            );
                         }
                     }
                 }
@@ -527,16 +475,15 @@ impl ScenarioMatrix {
 type Attacks = BTreeMap<u32, Attack>;
 
 /// One hand-configured adversarial run: the stack-building glue (keys,
-/// transformed actors, wrapped attackers, optional coordinator crash)
-/// shared by [`run_scenario`] and the repo's integration tests, which used
-/// to duplicate it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// transformed actors, wrapped attackers, t = 0 crashes) behind
+/// [`run_scenario`], the experiments and the repo's integration tests —
+/// the one place a simulated transformed run is wired.
+#[derive(Debug, Clone)]
 pub struct AttackRun {
-    /// Number of processes.
-    pub n: usize,
-    /// Resilience bound F (at most F arbitrary-faulty processes).
-    pub f: usize,
-    /// Simulator and key-generation seed.
+    /// What every process is built from: `(n, F)`, key seed and width,
+    /// timeouts, which checks run and the ◇M implementation.
+    pub config: ProtocolConfig,
+    /// Simulator seed, also the seed attacks draw key material from.
     pub seed: u64,
     /// The Byzantine process (single-attacker entry points; the
     /// coalition runners take their member list explicitly).
@@ -555,8 +502,6 @@ pub struct AttackRun {
     /// Which transformed protocol the processes run (Hurfin–Raynal by
     /// default).
     pub protocol: ProtocolId,
-    /// Which ◇M implementation the processes embed (adaptive by default).
-    pub muteness: MutenessMode,
     /// The delay/GST regime (calm — the historical defaults — unless
     /// overridden).
     pub network: NetworkProfile,
@@ -568,19 +513,24 @@ pub struct AttackRun {
 }
 
 impl AttackRun {
-    /// An `(n, F)` system under `seed` with one attacker, default
+    /// An `(n, F)` system under `seed` — the simulator's and the keys' —
+    /// with one attacker, the default protocol configuration, default
     /// injection delay and nobody crashed.
     pub fn new(n: usize, f: usize, seed: u64, attacker: u32) -> Self {
+        AttackRun::with_config(ProtocolConfig::new(n, f).seed(seed), seed, attacker)
+    }
+
+    /// Like [`new`](Self::new), with the processes built from `config`
+    /// (its own key seed; `seed` drives the simulator).
+    pub fn with_config(config: ProtocolConfig, seed: u64, attacker: u32) -> Self {
         AttackRun {
-            n,
-            f,
+            config,
             seed,
             attacker,
             injection_delay: Duration::of(3),
             crash_at_start: None,
             crash_low: 0,
             protocol: ProtocolId::HurfinRaynal,
-            muteness: MutenessMode::Adaptive,
             network: NetworkProfile::calm(),
             retention: Retention::Full,
         }
@@ -595,12 +545,6 @@ impl AttackRun {
     /// Selects the transformed protocol the processes run.
     pub fn protocol(mut self, protocol: ProtocolId) -> Self {
         self.protocol = protocol;
-        self
-    }
-
-    /// Selects the ◇M implementation the processes embed.
-    pub fn muteness_mode(mut self, mode: MutenessMode) -> Self {
-        self.muteness = mode;
         self
     }
 
@@ -630,7 +574,7 @@ impl AttackRun {
 
     /// The canonical proposal vector: process `i` proposes `100 + i`.
     pub fn proposals(&self) -> Vec<Value> {
-        (0..self.n as u64).map(|i| 100 + i).collect()
+        (0..self.config.n as u64).map(|i| 100 + i).collect()
     }
 
     /// The key material and simulator configuration this run is built
@@ -639,11 +583,10 @@ impl AttackRun {
     /// low-numbered crashes, so a one-member coalition schedules its t = 0
     /// events in the single-attacker order.
     fn setup_and_cfg(&self, coalition_crashes: &[u32]) -> (ProtocolSetup, SimConfig) {
-        let setup = ProtocolConfig::new(self.n, self.f)
-            .seed(self.seed)
-            .muteness_mode(self.muteness)
-            .setup();
-        let mut cfg = self.network.apply(SimConfig::new(self.n).seed(self.seed));
+        let setup = self.config.setup();
+        let mut cfg = self
+            .network
+            .apply(SimConfig::new(self.config.n).seed(self.seed));
         if let Some(p) = self.crash_at_start {
             cfg = cfg.crash(p as usize, VirtualTime::ZERO);
         }
@@ -793,18 +736,20 @@ impl AttackRun {
         members
             .iter()
             .filter_map(|&(m, b)| {
-                b.make_tamper_for(self.protocol, self.n, m, self.seed)
+                b.make_tamper_for(self.protocol, self.config.n, m, self.seed)
                     .map(|a| (m, a))
             })
             .collect()
     }
 
     /// Checks the vector-consensus properties with only the attacker
-    /// marked faulty.
+    /// marked faulty (even after [`run`](Self::run)`(None)`; judge an
+    /// attacker-free run with an empty
+    /// [`coalition_verdict`](Self::coalition_verdict)).
     pub fn verdict(&self, report: &RunReport<ValueVector>) -> Verdict {
-        let mut faulty = vec![false; self.n];
+        let mut faulty = vec![false; self.config.n];
         faulty[self.attacker as usize] = true;
-        check_vector_consensus(report, &self.proposals(), &faulty, self.f)
+        check_vector_consensus(report, &self.proposals(), &faulty, self.config.f)
     }
 
     /// Checks the vector-consensus properties with every non-honest
@@ -817,8 +762,8 @@ impl AttackRun {
         check_vector_consensus(
             report,
             &self.proposals(),
-            &coalition_faulty(self.n, members),
-            self.f,
+            &coalition_faulty(self.config.n, members),
+            self.config.f,
         )
     }
 }
@@ -855,9 +800,11 @@ pub fn log_command(slot: u64, p: u32) -> Value {
 /// a [`RunRecord`]. Matches the signature [`ftm_sim::harness::sweep`]
 /// expects, so it can be passed directly as the worker function.
 pub fn run_scenario(index: usize, sc: &Scenario, seed: u64) -> RunRecord {
-    let run = AttackRun::new(sc.n, sc.f, seed, sc.attackers[0].0)
+    let config = ProtocolConfig::new(sc.n, sc.f)
+        .seed(seed)
+        .muteness_mode(sc.muteness);
+    let run = AttackRun::with_config(config, seed, sc.attackers[0].0)
         .protocol(sc.protocol)
-        .muteness_mode(sc.detector.mode())
         .crash_low(sc.extra_crashes)
         .network(sc.network);
 
@@ -1132,8 +1079,8 @@ pub fn sweep_matrix_repeated(
 /// Runs an explicit scenario list through the parallel harness — the entry
 /// point for experiment tables whose rows are not a plain cross product
 /// (multi-crash budgets, per-row system sizes, hand-built coalitions).
-/// Each scenario appears `repeats` consecutive times under its own derived
-/// seed, exactly like [`ScenarioMatrix::enumerate_repeated`], so cells
+/// Each scenario appears `repeats` consecutive times: repeats share a cell
+/// key and get distinct indices, hence distinct derived seeds, so cells
 /// aggregate into real percentiles. The output is a pure function of
 /// `(scenarios, repeats, base_seed)`.
 pub fn sweep_scenarios(
@@ -1153,6 +1100,12 @@ pub fn sweep_scenarios(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn round_aware() -> MutenessMode {
+        MutenessMode::RoundAware {
+            per_round: Duration::of(25),
+        }
+    }
 
     #[test]
     fn matrix_enumerates_row_major_with_distinct_cells() {
@@ -1174,20 +1127,18 @@ mod tests {
 
     #[test]
     fn crossed_axes_multiply_the_grid_and_mark_their_cells() {
-        let mut m =
-            ScenarioMatrix::new(vec![(4, 1)], vec![FaultBehavior::Honest]).cross_protocols();
-        m.detectors = vec![DetectorKind::Adaptive, DetectorKind::RoundAware];
-        m.workloads = vec![Workload::OneShot, Workload::Log { slots: 3 }];
+        let m = ScenarioMatrix::new(vec![(4, 1)], vec![FaultBehavior::Honest])
+            .cross_protocols()
+            .cross_networks();
         let cells: Vec<String> = m.enumerate().iter().map(Scenario::cell).collect();
-        assert_eq!(cells.len(), 2 * 2 * 2);
+        assert_eq!(cells.len(), 2 * 4);
         assert_eq!(cells[0], "n=4 f=1 fault=honest");
         assert!(cells.iter().any(|c| c.contains("proto=ct")));
-        assert!(cells.iter().any(|c| c.contains("fd=round-aware")));
-        assert!(cells.iter().any(|c| c.contains("workload=log3")));
+        assert!(cells.iter().any(|c| c.contains("net=adverse")));
         assert!(
-            cells.iter().any(|c| c.contains("proto=ct")
-                && c.contains("fd=round-aware")
-                && c.contains("workload=log3")),
+            cells
+                .iter()
+                .any(|c| c.contains("proto=ct") && c.contains("net=adverse")),
             "the axes must cross, not just union: {cells:?}"
         );
         let distinct: std::collections::BTreeSet<&String> = cells.iter().collect();
@@ -1196,12 +1147,18 @@ mod tests {
 
     #[test]
     fn coalition_and_network_axes_multiply_the_grid() {
+        // 4 network profiles × coalition sizes 1..=F + 1 — at (4, 1) the
+        // grid E11's hand-built coalition list must stay a subset of.
+        for (n, f) in [(4, 1), (5, 2)] {
+            let m = ScenarioMatrix::new(vec![(n, f)], vec![FaultBehavior::Mute])
+                .cross_coalitions()
+                .cross_networks();
+            assert_eq!(m.enumerate().len(), 4 * (f + 1), "({n}, {f})");
+        }
         let m = ScenarioMatrix::new(vec![(5, 2)], vec![FaultBehavior::Mute])
             .cross_coalitions()
             .cross_networks();
         let cells: Vec<String> = m.enumerate().iter().map(Scenario::cell).collect();
-        // 4 network profiles × coalition sizes 1..=3 (F + 1 = 3).
-        assert_eq!(cells.len(), 4 * 3);
         assert_eq!(cells[0], "n=5 f=2 fault=mute");
         assert!(cells.iter().any(|c| c.contains("coalition=2")));
         assert!(
@@ -1384,6 +1341,26 @@ mod tests {
     }
 
     #[test]
+    fn the_protocol_config_reaches_the_stack() {
+        // E8's `no certificates | vector corruption` row at unit scale: the
+        // round-1 coordinator corrupts its vector; the full stack convicts
+        // it, the stack without the certification module is fooled.
+        let verdict = |config: ProtocolConfig| {
+            let run = AttackRun::with_config(config, 0, 0).injection_delay(Duration::of(10));
+            let report = run.run(Some(Attack::CorruptVector {
+                entry: 2,
+                poison: 666,
+            }));
+            run.verdict(&report)
+        };
+        let full = ProtocolConfig::new(4, 1).seed(0);
+        assert!(verdict(full.clone()).ok());
+        let mut no_certificates = full;
+        no_certificates.checks.certificates = false;
+        assert!(!verdict(no_certificates).ok());
+    }
+
+    #[test]
     fn extra_crashes_change_the_cell_key_and_exhaust_the_budget() {
         let base = Scenario::new(5, 2, FaultBehavior::Crash);
         assert_eq!(base.cell(), "n=5 f=2 fault=crash");
@@ -1457,7 +1434,7 @@ mod tests {
             "n=4 f=1 fault=honest proto=ct"
         );
         assert_eq!(
-            base.clone().detector(DetectorKind::RoundAware).cell(),
+            base.clone().muteness(round_aware()).cell(),
             "n=4 f=1 fault=honest fd=round-aware"
         );
         assert_eq!(
@@ -1466,7 +1443,7 @@ mod tests {
         );
         assert_eq!(
             base.protocol(ProtocolId::ChandraToueg)
-                .detector(DetectorKind::RoundAware)
+                .muteness(round_aware())
                 .workload(Workload::Log { slots: 3 })
                 .extra_crashes(1)
                 .network(NetworkProfile::adverse())
@@ -1512,7 +1489,7 @@ mod tests {
         // Crash the round-1 coordinator so the detector actually has to
         // suspect someone before the system progresses.
         let sc = Scenario::new(4, 1, FaultBehavior::Honest)
-            .detector(DetectorKind::RoundAware)
+            .muteness(round_aware())
             .extra_crashes(1);
         let rec = run_scenario(0, &sc, 11);
         assert!(rec.ok, "round-aware run failed: {rec:?}");

@@ -2,24 +2,22 @@
 //!
 //! ```text
 //! ftm-load --peers 127.0.0.1:7100,127.0.0.1:7101,... \
-//!          [--slots 1000] [--cluster 0] [--submit-per-replica <slots>] \
-//!          [--clients N] [--requests-per-client K] [--targets a:p,b:p] \
+//!          [--slots 1000] [--cluster 0] [--clients N] \
+//!          [--requests-per-client 16] [--targets a:p,b:p] [--seed S] \
 //!          [--poll-ms 100] [--timeout-ms 120000] [--out report.json]
 //! ```
 //!
-//! Two load modes share the same invariant checks:
+//! Two phases:
 //!
-//! * **classic** (`--clients 0`, the default): one worker per replica
-//!   (fanned out through the harness's `parallel_map`, the repo's only
-//!   sanctioned thread pool outside the transport) submits
-//!   `--submit-per-replica` commands, then polls `Status` until the
-//!   replica reports a complete, halted log;
-//! * **many-client** (`--clients N`): a single-threaded
-//!   [`ftm_net::run_load`] loop drives `N` concurrent connections —
+//! * **load**: a single-threaded [`ftm_net::run_load`] loop drives
+//!   `--clients` concurrent connections (default: one per peer) —
 //!   `--requests-per-client` submissions each against `--targets`
 //!   (default: all peers), with reconnect backoff and integer-µs latency
-//!   percentiles — then the classic workers take over for the monitor
-//!   phase only (no further submissions).
+//!   percentiles;
+//! * **monitor**: one worker per replica (fanned out through the
+//!   harness's `parallel_map`, the repo's only sanctioned thread pool
+//!   outside the transport) polls `Status` until the replica reports a
+//!   complete, halted log.
 //!
 //! Afterwards the main thread checks the cluster invariants — every
 //! replica halted, no contradictions, **all log digests equal**, the
@@ -36,18 +34,17 @@ use std::env;
 use std::process::ExitCode;
 
 use ftm_crypto::wire::{CanonicalDecode, CanonicalEncode};
-use ftm_net::{run_load, ClientConn, LoadConfig, LoadOutcome};
+use ftm_net::{run_load, ClientConn, LoadConfig};
 use ftm_serve::api::{Reply, Request, Status};
 use ftm_serve::args::Args;
 use ftm_serve::hex;
 use ftm_sim::harness::parallel_map;
 use ftm_sim::Json;
 
-const FLAGS: [&str; 11] = [
+const FLAGS: [&str; 10] = [
     "peers",
     "slots",
     "cluster",
-    "submit-per-replica",
     "clients",
     "requests-per-client",
     "targets",
@@ -70,7 +67,6 @@ fn main() -> ExitCode {
 struct Drive {
     cluster: u64,
     slots: u64,
-    submit: u64,
     poll_ms: u64,
     timeout_ms: u64,
 }
@@ -79,62 +75,49 @@ fn run() -> Result<ExitCode, String> {
     let args = Args::parse(env::args().skip(1), &FLAGS)?;
     let peers = args.list("peers")?;
     let slots = args.u64_or("slots", 1000)?;
-    let clients = args.u64_or("clients", 0)? as usize;
+    let clients = args.u64_or("clients", peers.len() as u64)? as usize;
     let requests_per_client = args.u64_or("requests-per-client", 16)?;
     let drive = Drive {
         cluster: args.u64_or("cluster", 0)?,
         slots,
-        // Many-client mode submits through the load loop; the per-replica
-        // workers then only monitor.
-        submit: if clients > 0 {
-            0
-        } else {
-            args.u64_or("submit-per-replica", slots)?
-        },
         poll_ms: args.u64_or("poll-ms", 100)?,
         timeout_ms: args.u64_or("timeout-ms", 120_000)?,
     };
 
-    let load = if clients > 0 {
-        let targets = match args.get("targets") {
-            Some(_) => args.list("targets")?,
-            None => peers.clone(),
-        };
-        let lcfg = LoadConfig {
-            clients,
-            targets,
-            cluster: drive.cluster,
-            requests_per_client,
-            seed: args.u64_or("seed", 0xD00D)?,
-            timeout_ms: drive.timeout_ms,
-        };
-        let outcome = run_load(
-            &lcfg,
-            |i, k| {
-                // Distinct, replayable values per (client, sequence).
-                let value = 0xC2_0000_0000 + (i as u64) * requests_per_client + k;
-                Request::Submit { value }.canonical_bytes()
-            },
-            |_, frame| {
-                matches!(
-                    Reply::from_canonical_bytes(frame),
-                    Ok(Reply::Submitted { .. })
-                )
-            },
-        )
-        .map_err(|e| format!("load phase: {e}"))?;
-        eprintln!(
-            "ftm-load: {} clients completed {} requests ({} reconnects) in {} ms",
-            clients, outcome.completed, outcome.reconnects, outcome.elapsed_ms
-        );
-        Some(outcome)
-    } else {
-        None
+    let targets = match args.get("targets") {
+        Some(_) => args.list("targets")?,
+        None => peers.clone(),
     };
+    let lcfg = LoadConfig {
+        clients,
+        targets,
+        cluster: drive.cluster,
+        requests_per_client,
+        seed: args.u64_or("seed", 0xD00D)?,
+        timeout_ms: drive.timeout_ms,
+    };
+    let load = run_load(
+        &lcfg,
+        |i, k| {
+            // Distinct, replayable values per (client, sequence).
+            let value = 0xC2_0000_0000 + (i as u64) * requests_per_client + k;
+            Request::Submit { value }.canonical_bytes()
+        },
+        |_, frame| {
+            matches!(
+                Reply::from_canonical_bytes(frame),
+                Ok(Reply::Submitted { .. })
+            )
+        },
+    )
+    .map_err(|e| format!("load phase: {e}"))?;
+    eprintln!(
+        "ftm-load: {} clients completed {} requests ({} reconnects) in {} ms",
+        clients, load.completed, load.reconnects, load.elapsed_ms
+    );
 
-    let results: Vec<Result<Status, String>> = parallel_map(&peers, peers.len(), |i, addr| {
-        drive_replica(i, addr, &drive)
-    });
+    let results: Vec<Result<Status, String>> =
+        parallel_map(&peers, peers.len(), |_, addr| monitor_replica(addr, &drive));
 
     // Shut every replica down regardless of outcome, so a failed check
     // still leaves no orphan servers behind.
@@ -226,35 +209,15 @@ fn run() -> Result<ExitCode, String> {
             Json::U64(statuses.iter().map(|s| s.committed).sum()),
         ),
         ("clients".into(), Json::U64(clients as u64)),
-        (
-            "load_completed".into(),
-            Json::U64(load_field(&load, |o| o.completed)),
-        ),
-        (
-            "load_rejected".into(),
-            Json::U64(load_field(&load, |o| o.rejected)),
-        ),
-        (
-            "load_reconnects".into(),
-            Json::U64(load_field(&load, |o| o.reconnects)),
-        ),
-        (
-            "load_elapsed_ms".into(),
-            Json::U64(load_field(&load, |o| o.elapsed_ms)),
-        ),
-        (
-            "load_p50_us".into(),
-            Json::U64(load_field(&load, |o| o.p50_us)),
-        ),
-        (
-            "load_p95_us".into(),
-            Json::U64(load_field(&load, |o| o.p95_us)),
-        ),
+        ("load_completed".into(), Json::U64(load.completed)),
+        ("load_rejected".into(), Json::U64(load.rejected)),
+        ("load_reconnects".into(), Json::U64(load.reconnects)),
+        ("load_elapsed_ms".into(), Json::U64(load.elapsed_ms)),
+        ("load_p50_us".into(), Json::U64(load.p50_us)),
+        ("load_p95_us".into(), Json::U64(load.p95_us)),
         (
             "load_requests_per_sec".into(),
-            Json::U64(load.as_ref().map_or(0, |o| {
-                o.completed.saturating_mul(1000) / o.elapsed_ms.max(1)
-            })),
+            Json::U64(load.completed.saturating_mul(1000) / load.elapsed_ms.max(1)),
         ),
     ]);
     let rendered = report.render();
@@ -269,39 +232,15 @@ fn run() -> Result<ExitCode, String> {
     })
 }
 
-/// Worker for one replica: connect (with retry), submit the command
-/// budget, poll until the log is complete and halted, return the final
-/// status.
-fn drive_replica(index: usize, addr: &String, drive: &Drive) -> Result<Status, String> {
+/// Worker for one replica: poll until the log is complete and halted,
+/// return the final status. A refused or dropped connection is not fatal:
+/// the replica may still be booting or mid-restart (the chaos smoke kills
+/// one on purpose), so the worker redials and keeps polling until the
+/// attempt budget runs out.
+fn monitor_replica(addr: &String, drive: &Drive) -> Result<Status, String> {
     let poll = std::time::Duration::from_millis(drive.poll_ms.max(1));
     let attempts = (drive.timeout_ms / drive.poll_ms.max(1)).max(1);
-
     let mut conn = None;
-    for _ in 0..attempts {
-        match ClientConn::connect(addr, drive.cluster) {
-            Ok(c) => {
-                conn = Some(c);
-                break;
-            }
-            Err(_) => std::thread::sleep(poll),
-        }
-    }
-    let mut conn = conn.ok_or_else(|| format!("{addr}: connect timed out"))?;
-
-    // Distinct, replayable command values per (replica, sequence).
-    for k in 0..drive.submit {
-        let value = 0xC1_0000_0000 + (index as u64) * drive.submit + k;
-        let reply = request(&mut conn, &Request::Submit { value })?;
-        if !matches!(reply, Reply::Submitted { .. }) {
-            return Err(format!("{addr}: unexpected submit reply {reply:?}"));
-        }
-    }
-
-    // Monitor phase. A dropped connection here is not fatal: the replica
-    // may be mid-restart (the chaos smoke kills one on purpose), so the
-    // worker redials and keeps polling until the overall attempt budget
-    // runs out.
-    let mut conn = Some(conn);
     let mut last = None;
     for _ in 0..attempts {
         let polled = match conn.as_mut() {
@@ -309,13 +248,8 @@ fn drive_replica(index: usize, addr: &String, drive: &Drive) -> Result<Status, S
             None => Err("disconnected".into()),
         };
         match polled {
-            Ok(Reply::Status(s)) => {
-                let done = s.halted && s.decided_slots >= drive.slots;
-                last = Some(s);
-                if done {
-                    return Ok(last.unwrap_or_else(|| unreachable!()));
-                }
-            }
+            Ok(Reply::Status(s)) if s.halted && s.decided_slots >= drive.slots => return Ok(s),
+            Ok(Reply::Status(s)) => last = Some(s),
             Ok(other) => return Err(format!("{addr}: unexpected status reply {other:?}")),
             Err(_) => conn = ClientConn::connect(addr, drive.cluster).ok(),
         }
@@ -327,11 +261,6 @@ fn drive_replica(index: usize, addr: &String, drive: &Drive) -> Result<Status, S
         last.map_or(0, |s| s.decided_slots),
         drive.slots
     ))
-}
-
-/// A field of the load outcome, or zero in classic mode.
-fn load_field(load: &Option<LoadOutcome>, f: impl Fn(&LoadOutcome) -> u64) -> u64 {
-    load.as_ref().map_or(0, f)
 }
 
 fn request(conn: &mut ClientConn, req: &Request) -> Result<Reply, String> {

@@ -20,7 +20,13 @@
 # quartiles, how many pairs the change won, and whether that meets the
 # *Measuring* rule for claiming a gain: at least 9 of 10 pairs won (ties
 # count for neither side) and the medians apart by more than the parent's
-# own interquartile range. For a sim-* workload one `--trace 1 --seed 7` pass per side
+# own interquartile range. Then, for a change that claims no gain, one
+# verdict per end-to-end metric of BENCHMARK.json against that metric's
+# `bound`: `within bound` (the change median no worse than the parent
+# median widened by the bound), `WORSE`, or `unresolved` when the parent's
+# interquartile range is wider than the bound — unless every change run
+# beats every parent run — and each side's failed/attempted summed over
+# its runs. For a sim-* workload one `--trace 1 --seed 7` pass per side
 # follows and the two `counts:` lines (messages, bytes, memo hits,
 # convictions, trace fingerprint, …) are compared, so a behaviour change
 # cannot hide behind a speed-up: `counts: identical`, or one `same` /
@@ -63,6 +69,11 @@ import json
 for word in json.load(open("BENCHMARK.json"))["command"]:
     print(word)')
 seconds="$(python3 -c 'import json; print(json.load(open("BENCHMARK.json"))["run_seconds"])')"
+# "name:better:bound,…" for each end-to-end metric.
+end_to_end="$(python3 -c '
+import json
+print(",".join("%s:%s:%s" % (m["name"], m["better"], m["bound"])
+               for m in json.load(open("BENCHMARK.json"))["end_to_end"]))')"
 
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
@@ -122,7 +133,7 @@ measure_workload() {
             read -r setup p50 cps cpu failed attempted < <(run_side "$dir" "$pair")
             printf '%-4s %-6s %10s %14s %15s %15s %s/%s\n' \
                 "$pair" "$side" "$setup" "$p50" "$cps" "$cpu" "$failed" "$attempted"
-            echo "$pair $side $setup $p50 $cps $cpu" >>"$tmp/rows.$workload"
+            echo "$pair $side $setup $p50 $cps $cpu $failed $attempted" >>"$tmp/rows.$workload"
         done
         if [ -n "$probes" ]; then
             for side in $order; do
@@ -134,7 +145,7 @@ measure_workload() {
 
     # Per metric: each side's median and quartiles, the pairs the change won
     # (ties count for neither), and the gain rule.
-    awk '
+    awk -v e2e="$end_to_end" '
         # Quantile p of one side of one column, linear between order statistics.
         function quantile(side, col, p,    n, i, v, k, t, pos, lo) {
             n = 0
@@ -143,7 +154,11 @@ measure_workload() {
             pos = (n - 1) * p; lo = int(pos)
             return lo + 1 < n ? v[lo + 1] + (pos - lo) * (v[lo + 2] - v[lo + 1]) : v[n]
         }
-        { for (c = 3; c <= 6; c++) val[$1, $2, c] = $c; if ($1 > pairs) pairs = $1 }
+        {
+            for (c = 3; c <= 6; c++) val[$1, $2, c] = $c
+            if ($1 > pairs) pairs = $1
+            failed[$2] += $7; attempted[$2] += $8
+        }
         END {
             name[3] = "setup_s"; name[4] = "commit_p50_us"; name[5] = "throughput_cps"; name[6] = "cpu_us_per_cmd"
             higher[5] = 1
@@ -167,6 +182,32 @@ measure_workload() {
             printf "\ngain rule (change wins >= 9/10 of the pairs and moves the median by more than the parent IQR): %s\n", \
                 claimable ? "met by" claimable : "met by no metric"
             if (pairs < 10) printf "  (%d pairs: a claim needs 10)\n", pairs
+
+            # The no-regression rule: the change median against the parent
+            # median widened by the metric bound, unless the parent spreads
+            # wider than the bound and the sides overlap.
+            printf "\n%-16s %6s %s\n", "metric", "bound", "no-regression verdict"
+            count = split(e2e, specs, ",")
+            for (k = 1; k <= count; k++) {
+                split(specs[k], spec, ":")
+                c = 0
+                for (m = 3; m <= 5; m++) if (name[m] == spec[1]) c = m
+                if (!c) continue
+                up = spec[2] == "higher"; bound = spec[3]
+                p = quantile("parent", c, 0.5); q = quantile("change", c, 0.5)
+                spread = quantile("parent", c, 0.75) - quantile("parent", c, 0.25)
+                beats = 1
+                for (i = 1; i <= pairs; i++) for (j = 1; j <= pairs; j++) {
+                    a = val[j, "parent", c]; b = val[i, "change", c]
+                    if (up ? b <= a : b >= a) beats = 0
+                }
+                if (spread > bound * p && !beats) verdict = "unresolved (parent IQR wider than the bound)"
+                else if (up ? q >= p * (1 - bound) : q <= p * (1 + bound)) verdict = "within bound"
+                else verdict = "WORSE"
+                printf "%-16s %5g%% %s\n", spec[1], bound * 100, verdict
+            }
+            printf "failed/attempted: parent %d/%d, change %d/%d\n", \
+                failed["parent"], attempted["parent"], failed["change"], attempted["change"]
         }
     ' "$tmp/rows.$workload"
 
