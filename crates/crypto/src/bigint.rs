@@ -952,6 +952,8 @@ macro_rules! instantiated_widths {
                 out: &mut [u64],
                 scratch: &mut [u64],
             ) {
+                #[cfg(test)]
+                POWS.with(|c| c.set(c.get() + 1));
                 match self.n.limbs.len() {
                     $($k => self.pow_fixed::<$k>(base, exp, out),)+
                     _ => self.pow_dynamic(base, exp, out, scratch),
@@ -971,6 +973,13 @@ macro_rules! instantiated_widths {
     };
 }
 instantiated_widths!(1, 2, 4, 8);
+
+#[cfg(test)]
+thread_local! {
+    /// How many exponentiations this thread has run through
+    /// [`Montgomery::pow_into`], every route to one included.
+    pub(crate) static POWS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
 
 /// The most scratch [`Montgomery::pow_into`] takes under a `k`-limb
 /// modulus: the product and the window table of the run-time-width route.
