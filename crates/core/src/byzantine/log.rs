@@ -1372,6 +1372,110 @@ mod tests {
         );
     }
 
+    /// A fresh outer context for replica `me` of 4.
+    fn outer_effects(
+        log: &mut ReplicatedLog<ByzantineConsensus>,
+        call: impl FnOnce(
+            &mut ReplicatedLog<ByzantineConsensus>,
+            &mut RtContext<'_, SlotMsg, Vec<ValueVector>>,
+        ),
+    ) -> ftm_sim::process::Effects<SlotMsg, Vec<ValueVector>> {
+        let mut draw = || 0u64;
+        let mut ctx = RtContext::new(VirtualTime::at(3), log.me, 4, &mut draw);
+        call(log, &mut ctx);
+        ctx.into_effects()
+    }
+
+    #[test]
+    fn consecutive_drives_stage_only_their_own_effects() {
+        let setup = ProtocolConfig::new(4, 1).seed(26).setup();
+        let mut log = ReplicatedLog::<ByzantineConsensus>::new(&setup, ProcessId(2), 3, cmd);
+        let init = |value| {
+            Envelope::make(
+                ProcessId(2),
+                Core::Init { value },
+                Certificate::default(),
+                &setup.keys[2],
+            )
+        };
+        let first = outer_effects(&mut log, |log, ctx| {
+            log.drive(ctx, |_, ictx| {
+                ictx.broadcast(init(1));
+                ictx.send(ProcessId(0), init(2));
+                ictx.set_timer(ftm_sim::Duration::of(4), 1);
+                ictx.note("first");
+            });
+        });
+        assert_eq!((first.sends.len(), first.timers.len()), (2, 1));
+        assert_eq!(first.notes, ["s0:first"]);
+        let quiet = outer_effects(&mut log, |log, ctx| {
+            log.drive(ctx, |_, _| {});
+        });
+        assert!(quiet.sends.is_empty() && quiet.timers.is_empty() && quiet.notes.is_empty());
+        log.current = 1;
+        let second = outer_effects(&mut log, |log, ctx| {
+            log.drive(ctx, |_, ictx| {
+                ictx.send(ProcessId(3), init(3));
+                ictx.note("second");
+            });
+        });
+        assert_eq!(
+            second.sends,
+            [StagedSend::To(
+                ProcessId(3),
+                SlotMsg {
+                    slot: 1,
+                    env: init(3)
+                }
+            )]
+        );
+        assert!(second.timers.is_empty());
+        assert_eq!(second.notes, ["s1:second"]);
+    }
+
+    /// One of each kind of note, as an instance says it.
+    fn every_kind_of_note() -> Vec<Note<'static>> {
+        let found = ftm_sim::note::Finding {
+            culprit: ProcessId(1),
+            class: "out-of-order",
+            reason: "duplicate INIT",
+        };
+        let stats = "stack-stats admitted=9 sig-rejects=1 cert-rejects=0 auto-rejects=2 \
+                     syntax-rejects=0 fd-mistakes=1 fd-honest-mistakes=0 quarantined=3 \
+                     checkpoints=0";
+        vec![
+            Note::Round(3),
+            Note::Suspect(ProcessId(2), 4),
+            Note::Detected(found),
+            Note::Unproven(found),
+            Note::parse(stats).1,
+            Note::SlotDecided(5, 6),
+            Note::Evidence(5, 549),
+            Note::Checkpoint(5, 248),
+            Note::CheckpointUnsound(5, "bad-certificate by p0: too few votes"),
+            Note::CatchupSent(ProcessId(3), 5, 2),
+            Note::CatchupApplied(5, ProcessId(0)),
+            Note::CatchupRejected(5, "no-quorum-vector"),
+            Note::Text("vector-certified vect=[Some(1), None]"),
+        ]
+    }
+
+    #[test]
+    fn every_note_an_instance_says_reaches_the_log_behind_its_slot() {
+        let setup = ProtocolConfig::new(4, 1).seed(27).setup();
+        let mut log = ReplicatedLog::<ByzantineConsensus>::new(&setup, ProcessId(0), 20, cmd);
+        let notes = every_kind_of_note();
+        assert!(matches!(notes[4], Note::StackStats(_)), "{:?}", notes[4]);
+        for (k, said) in (7..).zip(notes) {
+            log.current = k;
+            let fx = outer_effects(&mut log, |log, ctx| {
+                log.drive(ctx, |_, ictx| ictx.note(said));
+            });
+            assert_eq!(fx.notes, [note::in_slot(k, said).to_string()], "{said:?}");
+            assert_eq!(Note::parse(&fx.notes[0]), (Some(k), said));
+        }
+    }
+
     #[test]
     fn catchup_enabled_runs_stay_consistent() {
         // Healthy runs contain stale traffic too (slot-k messages landing

@@ -423,6 +423,35 @@ mod tests {
         );
     }
 
+    #[test]
+    fn stats_note_is_the_rendering_of_its_stack_stats_note() {
+        let (mut stack, keys) = fixture();
+        let _ = stack.admit(ProcessId(1), &init(&keys, 1), VirtualTime::ZERO);
+        let _ = stack.admit(ProcessId(1), &init(&keys, 1), VirtualTime::ZERO);
+        stack.stats.quarantined = 4;
+        let text = stack.stats_note().to_string();
+        let (None, note @ Note::StackStats(stats)) = Note::parse(&text) else {
+            panic!("not a stack-stats note: {text}");
+        };
+        assert_eq!(note.to_string(), text);
+        let s = stack.stats;
+        assert_eq!(
+            stats.iter().collect::<Vec<_>>(),
+            [
+                ("admitted", s.admitted),
+                ("sig-rejects", s.signature_rejects),
+                ("cert-rejects", s.certificate_rejects),
+                ("auto-rejects", s.automaton_rejects),
+                ("syntax-rejects", s.syntax_rejects),
+                ("fd-mistakes", 0),
+                ("fd-honest-mistakes", 0),
+                ("quarantined", 4),
+                ("checkpoints", s.checkpoints),
+            ]
+        );
+        assert_eq!((s.admitted, s.automaton_rejects), (1, 1));
+    }
+
     /// The notes and quarantine count after observer p0 receives each of
     /// `arrivals` (channel source, envelope) in order.
     fn receive_all(stack: &mut ModuleStack, arrivals: &[(u32, &Envelope)]) -> (Vec<String>, u64) {

@@ -1740,6 +1740,39 @@ mod tests {
     }
 
     #[test]
+    fn consecutive_steps_stage_only_their_own_effects() {
+        let cfg = NodeConfig::new(ProcessId(0), vec!["a".into(), "b".into()], 0, 1);
+        let mut d: NetDriver<u64, u64> = NetDriver::new(&cfg, WallClock::start());
+        let me = ProcessId(0);
+        step(&mut d, me, |ctx| {
+            ctx.broadcast(7);
+            ctx.set_timer(Duration::of(60_000), 1);
+            ctx.note("first");
+        });
+        assert_eq!(d.loopback.pop_front(), Some((7, 8)));
+        assert_eq!(
+            (d.outbox[1].len(), d.timers.len(), d.notes.len()),
+            (1, 1, 1)
+        );
+        // A quiet callback adds nothing; a busy one adds only its own.
+        step(&mut d, me, |_| {});
+        assert_eq!(
+            (d.outbox[1].len(), d.timers.len(), d.notes.len()),
+            (1, 1, 1)
+        );
+        assert!(d.loopback.is_empty());
+        step(&mut d, me, |ctx| {
+            ctx.send(ProcessId(1), 9);
+            ctx.note("second");
+        });
+        assert_eq!(d.outbox[1].len(), 2);
+        assert_eq!(d.outbox[1][1], 9u64.canonical_bytes());
+        assert_eq!(d.timers.len(), 1);
+        assert_eq!(d.notes, ["first", "second"]);
+        assert!(d.loopback.is_empty() && d.decision.is_none() && !d.halted);
+    }
+
+    #[test]
     fn outbox_send_counts_frame_overhead() {
         let cfg = NodeConfig::new(ProcessId(0), vec!["a".into(), "b".into()], 0, 1);
         let mut d: NetDriver<u64, u64> = NetDriver::new(&cfg, WallClock::start());

@@ -695,6 +695,63 @@ mod tests {
         assert_eq!(report.trace.notes_of(ProcessId(0)), vec!["round=1"]);
     }
 
+    /// Every callback stages one send, timer or note of its own, named
+    /// after the callback: message `k` sends `k + 1` (up to 3), timer `t`
+    /// re-arms `t + 1` (up to 2), and each notes what ran it.
+    struct Stager;
+
+    impl Actor for Stager {
+        type Msg = u64;
+        type Decision = u64;
+
+        fn on_start(&mut self, ctx: &mut Context<'_, u64, u64>) {
+            ctx.send(ctx.me(), 1);
+            ctx.set_timer(Duration::of(5), 1);
+            ctx.note("start");
+        }
+
+        fn on_message(&mut self, _: ProcessId, msg: &u64, ctx: &mut Context<'_, u64, u64>) {
+            if *msg < 3 {
+                ctx.send(ctx.me(), msg + 1);
+            }
+            ctx.note(format!("got {msg}"));
+        }
+
+        fn on_timer(&mut self, tag: u64, ctx: &mut Context<'_, u64, u64>) {
+            if tag < 2 {
+                ctx.set_timer(Duration::of(5), tag + 1);
+            }
+            ctx.note(format!("timer {tag}"));
+        }
+    }
+
+    #[test]
+    fn consecutive_callbacks_stage_only_their_own_effects() {
+        let report = Simulation::build(SimConfig::new(1).seed(2), |_| Stager).run();
+        let mut sends = Vec::new();
+        let mut timers = Vec::new();
+        for entry in report.trace.entries() {
+            match &entry.event {
+                TraceEvent::Send { label, .. } => sends.push(label.to_string()),
+                TraceEvent::Timer { tag, .. } => timers.push(*tag),
+                _ => {}
+            }
+        }
+        assert_eq!(
+            sends,
+            ["1", "2", "3"],
+            "each send once, by its own callback"
+        );
+        assert_eq!(timers, [1, 2], "each timer once");
+        let mut notes = report.trace.notes_of(ProcessId(0));
+        notes.sort_unstable();
+        assert_eq!(
+            notes,
+            ["got 1", "got 2", "got 3", "start", "timer 1", "timer 2"]
+        );
+        assert_eq!(report.stop, StopReason::Quiescent);
+    }
+
     #[test]
     fn contradiction_is_flagged() {
         struct Flipper;
