@@ -79,12 +79,20 @@ impl Certificate {
         Certificate::default()
     }
 
-    /// Builds a certificate from items (deduplicating).
+    /// An empty certificate with room for `capacity` members, for a
+    /// caller that inserts them one at a time and knows how many it
+    /// will: the body is allocated once, at its final size.
+    pub fn with_capacity(capacity: usize) -> Self {
+        Certificate {
+            body: (capacity > 0).then(|| Arc::new(Vec::with_capacity(capacity))),
+        }
+    }
+
+    /// Builds a certificate from items (deduplicating), sized from the
+    /// iterator's bound.
     pub fn from_items<I: IntoIterator<Item = SignedCore>>(items: I) -> Self {
         let mut c = Certificate::new();
-        for item in items {
-            c.insert(item);
-        }
+        c.extend(items);
         c
     }
 
@@ -93,12 +101,27 @@ impl Certificate {
         self.body.as_deref().map_or(&[], Vec::as_slice)
     }
 
+    /// The members, made this clone's own with room for `additional`
+    /// more: a shared body is copied at the size it is about to grow to,
+    /// never copied and then grown.
+    fn members_mut(&mut self, additional: usize) -> &mut Vec<SignedCore> {
+        let body = self.body.get_or_insert_with(Arc::default);
+        if Arc::get_mut(body).is_none() {
+            let mut own = Vec::with_capacity(body.len() + additional);
+            own.extend_from_slice(body);
+            *body = Arc::new(own);
+        }
+        let members = Arc::make_mut(body);
+        members.reserve(additional);
+        members
+    }
+
     /// Inserts one signed core; returns `true` if it was new. The body is
     /// copied first if another clone shares it.
     pub fn insert(&mut self, item: SignedCore) -> bool {
         let new = !self.items().contains(&item);
         if new {
-            Arc::make_mut(self.body.get_or_insert_with(Arc::default)).push(item);
+            self.members_mut(1).push(item);
         }
         new
     }
@@ -112,9 +135,10 @@ impl Certificate {
         }
     }
 
-    /// Set-union with another certificate (used when a send is justified by
-    /// several certificate variables, e.g. `est_cert ∪ next_cert`).
-    pub fn union(&self, other: &Certificate) -> Certificate {
+    /// Set-union with another certificate: how tests assemble a witness
+    /// from several certificate variables (`est_cert ∪ next_cert`, say).
+    #[cfg(test)]
+    pub(crate) fn union(&self, other: &Certificate) -> Certificate {
         let mut out = self.clone();
         for item in other.iter() {
             out.insert(item.clone());
@@ -219,10 +243,21 @@ impl FromIterator<SignedCore> for Certificate {
     }
 }
 
+/// Room is made once, for the iterator's upper bound (its lower bound
+/// when it has none), before the first new member goes in.
 impl Extend<SignedCore> for Certificate {
     fn extend<I: IntoIterator<Item = SignedCore>>(&mut self, iter: I) {
-        for item in iter {
-            self.insert(item);
+        let mut items = iter.into_iter();
+        let (low, high) = items.size_hint();
+        let Some(first) = items.find(|item| !self.items().contains(item)) else {
+            return;
+        };
+        let members = self.members_mut(high.unwrap_or(low).max(1));
+        members.push(first);
+        for item in items {
+            if !members.contains(&item) {
+                members.push(item);
+            }
         }
     }
 }

@@ -115,6 +115,15 @@ impl fmt::Debug for ValueVector {
 }
 
 impl CanonicalEncode for ValueVector {
+    /// Exact: the length, then a tag per entry and a value per set one.
+    fn encoded_len_hint(&self) -> usize {
+        4 + self
+            .entries
+            .iter()
+            .map(|e| if e.is_some() { 9 } else { 1 })
+            .sum::<usize>()
+    }
+
     fn encode(&self, enc: &mut Encoder) {
         enc.u32(self.entries.len() as u32);
         for e in &self.entries {
@@ -404,6 +413,21 @@ impl MessageCore {
 }
 
 impl CanonicalEncode for MessageCore {
+    /// Exact: sender, tag and the first `u64` field, then the rest of the
+    /// kind's fields.
+    fn encoded_len_hint(&self) -> usize {
+        let rest = match &self.core {
+            Core::Init { .. } | Core::Next { .. } | Core::Nack { .. } => 0,
+            Core::Current { vector, .. }
+            | Core::Decide { vector, .. }
+            | Core::Propose { vector, .. }
+            | Core::Ack { vector, .. } => vector.encoded_len_hint(),
+            Core::Estimate { vector, .. } => vector.encoded_len_hint() + 8,
+            Core::Checkpoint { digest, .. } => digest.encoded_len_hint(),
+        };
+        4 + 1 + 8 + rest
+    }
+
     fn encode(&self, enc: &mut Encoder) {
         enc.u32(self.sender.0);
         match &self.core {

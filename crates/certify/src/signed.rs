@@ -144,6 +144,21 @@ impl SignedCore {
         [first, second]
     }
 
+    /// This statement signed again, alone, under `keys`: what
+    /// [`sign`](Self::sign) makes of its core, from the digest and length
+    /// measured when it was sealed (used by forgery injectors).
+    pub fn resigned(&self, keys: &KeyPair) -> Self {
+        let sealed = &self.0;
+        let measured = (sealed.digest, sealed.core_len);
+        Self::seal(
+            sealed.core.clone(),
+            measured,
+            None,
+            sealed.digest,
+            |digest| keys.sign_digest(digest),
+        )
+    }
+
     /// Assembles a lone signed core from parts (used by forgery
     /// injectors).
     pub fn from_parts(core: MessageCore, signature: Signature) -> Self {
@@ -247,6 +262,12 @@ impl SignedCore {
 // `PAIR_HEAD ‖ sibling (32 raw bytes) ‖ core ‖ bytes(signature)`. Both are
 // self-delimiting, so certificate items can be written back to back.
 impl CanonicalEncode for SignedCore {
+    /// Exact, from the lengths measured when the core was sealed.
+    fn encoded_len_hint(&self) -> usize {
+        let head = self.0.sibling.map_or(0, |s| 4 + s.0.len());
+        head + self.0.core_len + 4 + self.0.signature.size_bytes()
+    }
+
     fn encode(&self, enc: &mut Encoder) {
         if let Some(sibling) = &self.0.sibling {
             enc.u32(PAIR_HEAD);
@@ -308,6 +329,11 @@ pub struct Envelope {
 }
 
 impl CanonicalEncode for Envelope {
+    fn encoded_len_hint(&self) -> usize {
+        let items: usize = self.cert.iter().map(SignedCore::encoded_len_hint).sum();
+        self.signed.encoded_len_hint() + 4 + items
+    }
+
     fn encode(&self, enc: &mut Encoder) {
         enc.nested(&self.signed);
         enc.u32(self.cert.len() as u32);
@@ -375,13 +401,6 @@ impl Envelope {
     pub fn core(&self) -> &Core {
         &self.signed.core().core
     }
-
-    /// Appends the trace label, e.g. `CURRENT(r=2) cert=3`, to `out`, so
-    /// an enclosing label is rendered into one buffer.
-    pub fn write_label(&self, out: &mut String) {
-        self.signed.core().write_label(out);
-        let _ = write!(out, " cert={}", self.cert.len());
-    }
 }
 
 impl fmt::Debug for Envelope {
@@ -401,10 +420,10 @@ impl Payload for Envelope {
         self.signed.size_bytes() + self.cert.size_bytes()
     }
 
-    fn label(&self) -> String {
-        let mut out = String::new();
-        self.write_label(&mut out);
-        out
+    /// The trace label, e.g. `CURRENT(r=2) cert=3`.
+    fn write_label(&self, out: &mut String) {
+        self.signed.core().write_label(out);
+        let _ = write!(out, " cert={}", self.cert.len());
     }
 
     /// One object when the signed core and the certificate body are —
@@ -655,6 +674,10 @@ mod tests {
         // Identity is the core's: a pair member equals the lone statement.
         assert_eq!(init, SignedCore::sign(init.core().clone(), &keys[1]));
         assert_eq!(init.digest(), init.core().canonical_digest());
+        // A member's encoding is sized from its parts like a lone core's.
+        for member in [&decide, &init] {
+            assert_eq!(member.encoded_len_hint(), member.canonical_bytes().len());
+        }
         // Order does not matter: either member names the same pair input.
         let [init2, decide2] =
             SignedCore::sign_pair(init.core().clone(), decide.core().clone(), &keys[1]);
@@ -940,6 +963,8 @@ mod tests {
         assert_eq!(env.kind(), MessageKind::Current);
         assert_eq!(env.round(), 1);
         assert!(env.size_bytes() > 0);
-        assert!(env.label().contains("CURRENT(r=1)"));
+        let mut label = String::new();
+        env.write_label(&mut label);
+        assert_eq!(label, "CURRENT(r=1) cert=0");
     }
 }

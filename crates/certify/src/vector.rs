@@ -67,7 +67,7 @@ impl VectorBuilder {
             n,
             f,
             vector: ValueVector::empty(n),
-            cert: Certificate::new(),
+            cert: Certificate::with_capacity(ftm_quorum::quorum_size(n, f)),
         }
     }
 

@@ -24,6 +24,7 @@ use ftm_certify::{
 use ftm_crypto::rsa::KeyPair;
 use ftm_crypto::wire::{CanonicalDecode, CanonicalEncode, DecodeError, Decoder, Encoder};
 use ftm_sim::note::{self, Note};
+use ftm_sim::process::Effects;
 use ftm_sim::trace::Trace;
 use ftm_sim::{Actor, Context, LayerSplit, Payload, ProcessId, StagedSend, TimerTag};
 
@@ -63,12 +64,9 @@ impl Payload for SlotMsg {
         8 + self.env.size_bytes()
     }
 
-    fn label(&self) -> String {
-        // One buffer, sized for the longest labels a slot sends.
-        let mut out = String::with_capacity(40);
+    fn write_label(&self, out: &mut String) {
         let _ = write!(out, "s{}:", self.slot);
-        self.env.write_label(&mut out);
-        out
+        self.env.write_label(out);
     }
 
     fn is_same(&self, other: &Self) -> bool {
@@ -87,6 +85,10 @@ impl Payload for SlotMsg {
 // (`ftm-net` frames are canonical bytes); the slot tag rides in front of
 // the envelope's own signed encoding, so signatures keep verifying.
 impl CanonicalEncode for SlotMsg {
+    fn encoded_len_hint(&self) -> usize {
+        8 + self.env.encoded_len_hint()
+    }
+
     fn encode(&self, enc: &mut Encoder) {
         enc.u64(self.slot);
         self.env.encode(enc);
@@ -172,6 +174,8 @@ pub struct ReplicatedLog<P: TransformedProtocol = ByzantineConsensus> {
     /// certificate convictions stay live: forged bytes are proof
     /// regardless of how much prefix was seen.
     recovering: bool,
+    /// The buffers every inner callback stages into.
+    staging: Effects<Envelope, ValueVector>,
 }
 
 /// A sealed-slot observer: called with `(slot, decided vector)`.
@@ -245,6 +249,7 @@ impl<P: TransformedProtocol> ReplicatedLog<P> {
             slot_hook: None,
             catchup: None,
             recovering: false,
+            staging: Effects::default(),
         }
     }
 
@@ -354,6 +359,10 @@ impl<P: TransformedProtocol> ReplicatedLog<P> {
 
     /// Drives one inner callback and translates its effects onto the
     /// outer context. Returns the inner decision, if one was made.
+    ///
+    /// The inner context stages into buffers this replica keeps, and its
+    /// notes are rendered with the slot's prefix from the start, so they
+    /// are passed on as they are.
     fn drive<F>(
         &mut self,
         ctx: &mut Context<'_, SlotMsg, Vec<ValueVector>>,
@@ -363,45 +372,47 @@ impl<P: TransformedProtocol> ReplicatedLog<P> {
         F: FnOnce(&mut P, &mut Context<'_, Envelope, ValueVector>),
     {
         let slot = self.current;
-        let fx = {
+        let staging = std::mem::take(&mut self.staging);
+        let mut fx = {
             // The inner protocol is deterministic and never draws
             // randomness; a null stream keeps the composition pure.
             let mut draw = || 0u64;
-            let mut inner_ctx: Context<'_, Envelope, ValueVector> =
-                Context::new(ctx.now(), self.me, ctx.process_count(), &mut draw);
+            let (now, n) = (ctx.now(), ctx.process_count());
+            let mut inner_ctx =
+                Context::with_staging(now, self.me, n, &mut draw, staging).notes_in_slot(slot);
             call(&mut self.inner, &mut inner_ctx);
             inner_ctx.into_effects()
         };
-        for staged in fx.sends {
+        for staged in fx.sends.drain(..) {
             match staged {
                 StagedSend::To(to, env) => ctx.send(to, SlotMsg { slot, env }),
                 StagedSend::ToAll(env) => ctx.broadcast(SlotMsg { slot, env }),
             }
         }
-        for (delay, tag) in fx.timers {
+        for (delay, tag) in fx.timers.drain(..) {
             ctx.set_timer(delay, slot * TAGS_PER_SLOT + tag);
         }
-        for text in fx.notes {
+        for text in fx.notes.drain(..) {
             // An instance opened by a checkpoint seal saw only a partial
             // message prefix (it joined the slot mid-round), so timing-
             // automaton convictions over it would convict honest peers.
             // They are kept in the trace, as findings no conviction reader
             // counts. Only such an instance's notes are read at all.
-            let said = if self.recovering {
-                Note::parse(&text).1
-            } else {
-                Note::Text(&text)
-            };
-            match said {
-                Note::Detected(found) if found.class == FaultClass::OutOfOrder.label() => {
-                    ctx.note(note::in_slot(slot, Note::Unproven(found)));
+            if self.recovering {
+                if let (_, Note::Detected(found)) = Note::parse(&text) {
+                    if found.class == FaultClass::OutOfOrder.label() {
+                        ctx.note(note::in_slot(slot, Note::Unproven(found)));
+                        continue;
+                    }
                 }
-                _ => ctx.note(note::in_slot(slot, text)),
             }
+            ctx.forward_note(text);
         }
         // The inner halt is absorbed: the log replica lives on to run the
         // next slot.
-        fx.decision
+        let decision = fx.decision.take();
+        self.staging = fx;
+        decision
     }
 
     /// This replica's signing key.
@@ -499,7 +510,10 @@ impl<P: TransformedProtocol> ReplicatedLog<P> {
     /// cost a reply. The lagging peer's own traffic for later slots
     /// re-triggers the next batch, so full recovery chains naturally.
     /// The triggering envelope must pass the full certificate analyzer
-    /// first — only authenticated lag earns catch-up service.
+    /// first — only authenticated lag earns catch-up service — and must
+    /// not be a DECIDE: a peer's DECIDE for a slot shows the peer decided
+    /// it (the relay every replica sends on its way to the next slot), not
+    /// that it lags.
     fn maybe_catchup_reply(
         &mut self,
         from: ProcessId,
@@ -509,7 +523,7 @@ impl<P: TransformedProtocol> ReplicatedLog<P> {
         if self.retention != Retention::Full {
             return; // no per-slot certificates to back checkpoints
         }
-        if self.catchup.is_none() {
+        if self.catchup.is_none() || msg.env.kind() == MessageKind::Decide {
             return;
         }
         if self.checker.check_envelope(&msg.env).is_err() {
@@ -1231,6 +1245,55 @@ mod tests {
         assert_eq!(ctx.take_staged_sends().len(), 0, "repeats 1-15: throttled");
         Actor::on_message(&mut log, ProcessId(3), &stale, &mut ctx);
         assert_eq!(ctx.take_staged_sends().len(), 2, "16th repeat replies");
+    }
+
+    #[test]
+    fn a_peers_stale_decide_earns_no_catchup_reply() {
+        let setup = ProtocolConfig::new(4, 1).seed(23).setup();
+        let mut log =
+            ReplicatedLog::<ByzantineConsensus>::new(&setup, ProcessId(0), 4, cmd).with_catchup(2);
+        let mut draw = || 0u64;
+        let mut ctx: RtContext<'_, SlotMsg, Vec<ValueVector>> =
+            RtContext::new(VirtualTime::ZERO, ProcessId(0), 4, &mut draw);
+        for k in [0, 1, 2] {
+            let msg = synthetic_checkpoint(&setup, k, ProcessId(1));
+            Actor::on_message(&mut log, ProcessId(1), &msg, &mut ctx);
+        }
+        assert_eq!(log.current, 3);
+        drop(ctx.into_effects());
+        // p3's DECIDE relay for slot 0, backed by the slot's decide quorum:
+        // authentic, stale, and no sign that p3 lags.
+        let mut draw = || 0u64;
+        let mut ctx: RtContext<'_, SlotMsg, Vec<ValueVector>> =
+            RtContext::new(VirtualTime::ZERO, ProcessId(0), 4, &mut draw);
+        let quorum = synthetic_checkpoint(&setup, 0, ProcessId(1)).env.cert;
+        let decide = SlotMsg {
+            slot: 0,
+            env: Envelope::make(
+                ProcessId(3),
+                Core::Decide {
+                    round: 1,
+                    vector: slot_vector(4, 0),
+                },
+                quorum,
+                &setup.keys[3],
+            ),
+        };
+        log.checker
+            .check_envelope(&decide.env)
+            .expect("an authentic DECIDE");
+        for _ in 0..17 {
+            Actor::on_message(&mut log, ProcessId(3), &decide, &mut ctx);
+        }
+        let fx = ctx.into_effects();
+        assert!(
+            fx.sends.is_empty() && fx.timers.is_empty() && fx.notes.is_empty(),
+            "{fx:?}"
+        );
+        assert_eq!(
+            log.catchup.as_ref().map(|c| c.peers[3].last_slot),
+            Some(None)
+        );
     }
 
     #[test]

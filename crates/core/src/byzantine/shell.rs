@@ -66,9 +66,9 @@ impl Model for ArbitraryModel {
 /// A vote record of the transformed model: it lends the signed votes it
 /// holds to the sends whose spec row cites their rows.
 pub trait Ledger: Record<Model = ArbitraryModel> {
-    /// Adds to `cert` the one store of this record that holds the output
-    /// `edge` cites, which its row sent as `kind`.
-    fn cite(&self, edge: &Justification, kind: MessageKind, cert: &mut Certificate);
+    /// Adds to `cited` the members of the one store of this record that
+    /// holds the output `edge` cites, which its row sent as `kind`.
+    fn cite(&self, edge: &Justification, kind: MessageKind, cited: &mut Vec<SignedCore>);
 }
 
 impl Vote {
@@ -106,6 +106,9 @@ struct RoundState {
     /// committed to — [`Shell::emit`], the start and `decide` — and leaves
     /// through [`RoundState::broadcast`].
     discharged: Discharged,
+    /// What [`Shell::emit`] gathers from the stores a send's edges cite,
+    /// before it becomes the send's certificate, at its final size.
+    cited: Vec<SignedCore>,
 }
 
 impl RoundState {
@@ -178,26 +181,26 @@ impl<R: Rounds<Votes: Ledger>> Shell<R> for View<'_, '_> {
         let st = &mut *self.0;
         st.discharged.count(row.id());
         if row.id() == NEXT_CHANGE_MIND {
-            self.1.note(format!("change-mind r={}", st.r));
+            self.1.note(format_args!("change-mind r={}", st.r));
         }
         let spec = ProtocolSpec::transformed_once(R::ID);
         let by = spec
             .send(row.id())
             .map_or(&[][..], |send| &send.justified_by);
         let ending = R::ID.round_ending_kinds();
-        let mut cert = Certificate::new();
         for edge in by {
             let Some(cited) = spec.send(edge.by) else {
                 continue;
             };
             match edge.phase {
-                EvidencePhase::Initial => cert.extend(st.est_cert.iter().cloned()),
+                EvidencePhase::Initial => st.cited.extend(st.est_cert.iter().cloned()),
                 EvidencePhase::PrevRound if ending.contains(&cited.kind) => {
-                    cert.extend(st.entry_cert.iter().cloned());
+                    st.cited.extend(st.entry_cert.iter().cloned());
                 }
-                _ => votes.cite(edge, cited.kind, &mut cert),
+                _ => votes.cite(edge, cited.kind, &mut st.cited),
             }
         }
+        let cert = Certificate::from_items(st.cited.drain(..));
         let core = row.kind().core(st.r, st.est_vect.clone(), st.adopted_in);
         let signed = SignedCore::sign(MessageCore::new(st.me, core), &st.keys);
         votes.sent(&signed);
@@ -270,6 +273,7 @@ impl<R: Rounds<Votes: Ledger>> Transformed<R> {
                 adopted_in: 0,
                 entry_cert: Certificate::new(),
                 discharged: Discharged::new::<R::Send>(&[INIT_BROADCAST]),
+                cited: Vec::new(),
             },
             rounds: R::default(),
             value,
@@ -367,7 +371,10 @@ impl<R: Rounds<Votes: Ledger>> Transformed<R> {
                 }
                 // Lines 6–9 exit: the certified vector is ready.
                 (self.state.est_vect, self.state.est_cert) = builder.finish();
-                ctx.note(format!("vector-certified vect={:?}", self.state.est_vect));
+                ctx.note(format_args!(
+                    "vector-certified vect={:?}",
+                    self.state.est_vect
+                ));
                 self.begin_round(Certificate::new(), ctx);
             }
             Core::Decide { round, vector } => {

@@ -60,11 +60,11 @@ impl Ledger for HrCerts {
     /// The coordinator's CURRENT a relay adopted its vector from, which
     /// it may have seen only inside another relay's certificate; else the
     /// round's CURRENT or NEXT votes, whichever row cast them.
-    fn cite(&self, edge: &Justification, kind: MessageKind, cert: &mut Certificate) {
+    fn cite(&self, edge: &Justification, kind: MessageKind, cited: &mut Vec<SignedCore>) {
         match kind {
-            MessageKind::Current if edge.adopted => cert.extend(self.coord_core.clone()),
-            MessageKind::Current => cert.extend(self.current_cert.iter().cloned()),
-            MessageKind::Next => cert.extend(self.next_cert.iter().cloned()),
+            MessageKind::Current if edge.adopted => cited.extend(self.coord_core.clone()),
+            MessageKind::Current => cited.extend(self.current_cert.iter().cloned()),
+            MessageKind::Next => cited.extend(self.next_cert.iter().cloned()),
             _ => {}
         }
     }
@@ -157,13 +157,13 @@ impl Ledger for CtCerts {
     /// The round's ESTIMATEs; the coordinator's PROPOSE a vector was
     /// adopted from — the PROPOSE of the round the estimate was adopted in
     /// for an earlier round's, this round's otherwise.
-    fn cite(&self, edge: &Justification, kind: MessageKind, cert: &mut Certificate) {
+    fn cite(&self, edge: &Justification, kind: MessageKind, cited: &mut Vec<SignedCore>) {
         match kind {
-            MessageKind::Estimate => cert.extend(self.estimates.iter().map(|e| e.signed.clone())),
+            MessageKind::Estimate => cited.extend(self.estimates.iter().map(|e| e.signed.clone())),
             MessageKind::Propose if edge.phase == EvidencePhase::PrevRound => {
-                cert.extend(self.ts_backing.clone());
+                cited.extend(self.ts_backing.clone());
             }
-            MessageKind::Propose => cert.extend(self.proposed.clone()),
+            MessageKind::Propose => cited.extend(self.proposed.clone()),
             _ => {}
         }
     }

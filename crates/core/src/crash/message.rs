@@ -1,5 +1,7 @@
 //! Wire messages of the crash-model protocols.
 
+use std::fmt::Write as _;
+
 use ftm_certify::{MessageKind, Round, Value};
 use ftm_sim::Payload;
 
@@ -118,17 +120,17 @@ impl Payload for CrashMsg {
         }
     }
 
-    fn label(&self) -> String {
-        match self {
-            CrashMsg::Current { round, est } => format!("CURRENT(r={round},est={est})"),
-            CrashMsg::Next { round } => format!("NEXT(r={round})"),
-            CrashMsg::Estimate { round, .. } => format!("EST(r={round})"),
-            CrashMsg::Propose { round, est } => format!("PROP(r={round},est={est})"),
-            CrashMsg::Ack { round, est } => format!("ACK(r={round},est={est})"),
-            CrashMsg::Nack { round } => format!("NACK(r={round})"),
-            CrashMsg::Decide { est } => format!("DECIDE(est={est})"),
-            CrashMsg::Heartbeat => "HB".to_string(),
-        }
+    fn write_label(&self, out: &mut String) {
+        let _ = match self {
+            CrashMsg::Current { round, est } => write!(out, "CURRENT(r={round},est={est})"),
+            CrashMsg::Next { round } => write!(out, "NEXT(r={round})"),
+            CrashMsg::Estimate { round, .. } => write!(out, "EST(r={round})"),
+            CrashMsg::Propose { round, est } => write!(out, "PROP(r={round},est={est})"),
+            CrashMsg::Ack { round, est } => write!(out, "ACK(r={round},est={est})"),
+            CrashMsg::Nack { round } => write!(out, "NACK(r={round})"),
+            CrashMsg::Decide { est } => write!(out, "DECIDE(est={est})"),
+            CrashMsg::Heartbeat => out.write_str("HB"),
+        };
     }
 }
 
@@ -153,24 +155,30 @@ mod tests {
         assert_eq!(CrashMsg::Nack { round: 1 }.size_bytes(), 9);
     }
 
+    fn label(msg: &CrashMsg) -> String {
+        let mut out = String::new();
+        msg.write_label(&mut out);
+        out
+    }
+
     #[test]
     fn labels_are_compact() {
         assert_eq!(
-            CrashMsg::Current { round: 3, est: 7 }.label(),
+            label(&CrashMsg::Current { round: 3, est: 7 }),
             "CURRENT(r=3,est=7)"
         );
-        assert_eq!(CrashMsg::Heartbeat.label(), "HB");
+        assert_eq!(label(&CrashMsg::Heartbeat), "HB");
         let estimate = CrashMsg::Estimate {
             round: 2,
             est: 7,
             ts: 1,
         };
-        assert_eq!(estimate.label(), "EST(r=2)");
+        assert_eq!(label(&estimate), "EST(r=2)");
         assert_eq!(
-            CrashMsg::Propose { round: 2, est: 7 }.label(),
+            label(&CrashMsg::Propose { round: 2, est: 7 }),
             "PROP(r=2,est=7)"
         );
-        assert_eq!(CrashMsg::Nack { round: 2 }.label(), "NACK(r=2)");
+        assert_eq!(label(&CrashMsg::Nack { round: 2 }), "NACK(r=2)");
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! The receive-side module stack (paper Fig. 1): signature module,
 //! muteness failure detection, non-muteness failure detection.
 
+use std::fmt;
+
 use ftm_certify::analyzer::CertChecker;
 use ftm_certify::{Certified, CertifyError, Envelope, FaultClass, ProtocolId, ValueVector};
 use ftm_detect::Observer;
@@ -263,32 +265,41 @@ impl ModuleStack {
         self.observer.checker()
     }
 
-    /// Renders the stack's counters as a [`Note::StackStats`], which the
-    /// sweep harness reads into per-cell metrics. Includes
-    /// the ◇M mistake totals, split into mistakes about peers later
-    /// convicted anyway versus mistakes about (still-)honest peers.
-    pub fn stats_note(&self) -> String {
-        let n = self.checker().n();
+    /// The stack's counters as a [`Note::StackStats`], which the sweep
+    /// harness reads into per-cell metrics, rendered where the note is
+    /// written. Includes the ◇M mistake totals, split into mistakes about
+    /// peers later convicted anyway versus mistakes about (still-)honest
+    /// peers.
+    pub fn stats_note(&self) -> impl fmt::Display + '_ {
+        StatsNote(self)
+    }
+}
+
+/// [`ModuleStack::stats_note`]: the counters as they stand when rendered.
+struct StatsNote<'a>(&'a ModuleStack);
+
+impl fmt::Display for StatsNote<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let stack = self.0;
+        let n = stack.checker().n();
         let honest_mistakes: u64 = (0..n as u32)
             .map(ProcessId)
-            .filter(|&p| !self.is_faulty(p))
-            .map(|p| self.muteness.mistakes_for(p))
+            .filter(|&p| !stack.is_faulty(p))
+            .map(|p| stack.muteness.mistakes_for(p))
             .sum();
-        let s = self.stats;
-        let words = format!(
-            "admitted={} sig-rejects={} cert-rejects={} auto-rejects={} syntax-rejects={} \
-             fd-mistakes={} fd-honest-mistakes={} quarantined={} checkpoints={}",
-            s.admitted,
-            s.signature_rejects,
-            s.certificate_rejects,
-            s.automaton_rejects,
-            s.syntax_rejects,
-            self.muteness.mistakes(),
-            honest_mistakes,
-            s.quarantined,
-            s.checkpoints,
-        );
-        Note::StackStats(Stats(&words)).into()
+        let s = stack.stats;
+        let pairs = [
+            ("admitted", s.admitted),
+            ("sig-rejects", s.signature_rejects),
+            ("cert-rejects", s.certificate_rejects),
+            ("auto-rejects", s.automaton_rejects),
+            ("syntax-rejects", s.syntax_rejects),
+            ("fd-mistakes", stack.muteness.mistakes()),
+            ("fd-honest-mistakes", honest_mistakes),
+            ("quarantined", s.quarantined),
+            ("checkpoints", s.checkpoints),
+        ];
+        Note::StackStats(Stats::Pairs(&pairs)).fmt(f)
     }
 }
 
@@ -416,7 +427,7 @@ mod tests {
         // extra term of total().
         assert_eq!(stack.stats.total(), 4);
         assert_eq!(
-            stack.stats_note(),
+            stack.stats_note().to_string(),
             "stack-stats admitted=1 sig-rejects=3 cert-rejects=0 \
              auto-rejects=0 syntax-rejects=0 fd-mistakes=0 \
              fd-honest-mistakes=0 quarantined=2 checkpoints=0"
@@ -541,7 +552,7 @@ mod tests {
         assert_eq!(stack.stats.checkpoints, 1);
         assert_eq!(stack.stats.certificate_rejects, 1);
         assert!(stack.is_faulty(ProcessId(2)));
-        assert!(stack.stats_note().contains("checkpoints=1"));
+        assert!(stack.stats_note().to_string().contains("checkpoints=1"));
     }
 
     /// E8 ablation: with the certification module off, the stack admits
@@ -571,7 +582,10 @@ mod tests {
         assert!(stack.suspects(ProcessId(1), VirtualTime::at(60)));
         let _ = stack.admit(ProcessId(1), &init(&keys, 1), VirtualTime::at(61));
         assert_eq!(stack.muteness.mistakes(), 1);
-        assert!(stack.stats_note().contains("fd-honest-mistakes=1"));
+        assert!(stack
+            .stats_note()
+            .to_string()
+            .contains("fd-honest-mistakes=1"));
         // Convict p1 via a forged signature: its past mistake no longer
         // counts as a mistake about an honest peer.
         let bad = Envelope::make(
@@ -582,7 +596,10 @@ mod tests {
         );
         let _ = stack.admit(ProcessId(1), &bad, VirtualTime::at(62));
         assert!(stack.is_faulty(ProcessId(1)));
-        assert!(stack.stats_note().contains("fd-honest-mistakes=0"));
-        assert!(stack.stats_note().contains("fd-mistakes=1"));
+        assert!(stack
+            .stats_note()
+            .to_string()
+            .contains("fd-honest-mistakes=0"));
+        assert!(stack.stats_note().to_string().contains("fd-mistakes=1"));
     }
 }

@@ -7,6 +7,8 @@
 //! (immutably) by all processes, faulty ones included — a faulty process can
 //! *misuse* its own key but cannot alter the directory.
 
+use std::collections::hash_map::Entry;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -90,9 +92,7 @@ struct VerifyCache {
 
 /// The memo's table: under each `(signer, digest)` — a `Copy` key, so a
 /// lookup borrows the signature instead of cloning its limbs — the
-/// signatures presented for it, each with its verdict. A key has one
-/// valid signature, so a bucket is longer than one entry only by
-/// forgeries.
+/// signatures presented for it, each with its verdict.
 #[derive(Debug, Default)]
 struct Verdicts {
     #[expect(
@@ -100,9 +100,38 @@ struct Verdicts {
         reason = "D2 waiver: the memo is looked up by key and cleared wholesale, never \
                   iterated, so hash order cannot reach a report; it is on the verify hot path"
     )]
-    seen: std::collections::HashMap<(SignerId, Digest), Vec<(Signature, bool)>>,
+    seen: std::collections::HashMap<(SignerId, Digest), Bucket, BuildHasherDefault<DigestHash>>,
     /// Triples held, over all buckets.
     len: usize,
+}
+
+/// The signatures presented for one key, each with its verdict. A key has
+/// one valid signature, so the first is held in place and `more` is
+/// filled only by forgeries.
+#[derive(Debug)]
+struct Bucket {
+    first: (Signature, bool),
+    more: Vec<(Signature, bool)>,
+}
+
+/// The memo's hash: a key's digest is SHA-256 output, uniform already, so
+/// its first eight bytes, with the signer folded in, are the hash — no
+/// keyed hash runs over it. Deterministic, and no order is read from the
+/// table.
+#[derive(Debug, Default)]
+struct DigestHash(u64);
+
+impl Hasher for DigestHash {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        let mut word = [0u8; 8];
+        let head = bytes.len().min(8);
+        word[..head].copy_from_slice(&bytes[..head]);
+        self.0 = self.0.rotate_left(8) ^ u64::from_le_bytes(word);
+    }
 }
 
 impl VerifyCache {
@@ -128,8 +157,8 @@ impl VerifyCache {
         let key = (signer, *digest);
         {
             let verdicts = self.verdicts.lock().expect("verify cache poisoned");
-            let seen = verdicts.seen.get(&key).map_or(&[][..], Vec::as_slice);
-            if let Some(&(_, ok)) = seen.iter().find(|(s, _)| s == sig) {
+            let seen = (verdicts.seen.get(&key)).map(|b| std::iter::once(&b.first).chain(&b.more));
+            if let Some(&(_, ok)) = seen.and_then(|mut seen| seen.find(|(s, _)| s == sig)) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 return (ok, self.epoch.load(Ordering::Relaxed));
             }
@@ -146,11 +175,16 @@ impl VerifyCache {
             verdicts.len = 0;
             self.epoch.store(fresh_epoch(), Ordering::Relaxed);
         }
-        verdicts
-            .seen
-            .entry(key)
-            .or_default()
-            .push((sig.clone(), ok));
+        let entry = (sig.clone(), ok);
+        match verdicts.seen.entry(key) {
+            Entry::Occupied(bucket) => bucket.into_mut().more.push(entry),
+            Entry::Vacant(slot) => {
+                slot.insert(Bucket {
+                    first: entry,
+                    more: Vec::new(),
+                });
+            }
+        }
         verdicts.len += 1;
         (ok, self.epoch.load(Ordering::Relaxed))
     }

@@ -36,9 +36,17 @@ pub trait CanonicalEncode {
     /// Writes the canonical encoding of `self` into `enc`.
     fn encode(&self, enc: &mut Encoder);
 
+    /// The length of the encoding where a type knows it without writing
+    /// it, so [`canonical_bytes`](CanonicalEncode::canonical_bytes)
+    /// allocates once, at the final size; `0` (the default) grows the
+    /// buffer as it is written. Only capacity depends on it, never bytes.
+    fn encoded_len_hint(&self) -> usize {
+        0
+    }
+
     /// Returns the canonical encoding as a fresh byte vector.
     fn canonical_bytes(&self) -> Vec<u8> {
-        let mut enc = Encoder::new();
+        let mut enc = Encoder::with_capacity(self.encoded_len_hint());
         self.encode(&mut enc);
         enc.into_bytes()
     }
@@ -63,6 +71,13 @@ impl Encoder {
     /// Creates an empty encoder.
     pub fn new() -> Self {
         Encoder::default()
+    }
+
+    /// Creates an empty encoder with room for `capacity` bytes.
+    pub fn with_capacity(capacity: usize) -> Self {
+        Encoder {
+            out: Vec::with_capacity(capacity),
+        }
     }
 
     /// Consumes the encoder, returning the accumulated bytes.
@@ -154,6 +169,10 @@ impl<T: CanonicalEncode> CanonicalEncode for &T {
 }
 
 impl CanonicalEncode for Digest {
+    fn encoded_len_hint(&self) -> usize {
+        4 + self.0.len()
+    }
+
     fn encode(&self, enc: &mut Encoder) {
         enc.bytes(self.as_bytes());
     }

@@ -148,6 +148,17 @@ pub struct Campaign {
     recorded: Vec<Envelope>,
     /// The highest slot seen going out; injected envelopes ride it.
     pub(crate) latest_slot: u64,
+    /// What the log rendering reuses from callback to callback.
+    buffers: SlotBuffers,
+}
+
+/// The buffers of [`Campaign`]'s log rendering: the slots one callback
+/// staged for, one slot's group of envelopes, and the rewritten list.
+#[derive(Debug, Default)]
+struct SlotBuffers {
+    slots: Vec<u64>,
+    group: Vec<(ProcessId, Envelope)>,
+    out: Vec<(ProcessId, SlotMsg)>,
 }
 
 /// How many messages [`Attack::Replay`] records.
@@ -162,6 +173,7 @@ impl Campaign {
             fired: false,
             recorded: Vec::new(),
             latest_slot: 0,
+            buffers: SlotBuffers::default(),
         }
     }
 
@@ -194,7 +206,7 @@ impl Campaign {
                 if *entry < vector.len() {
                     vector.set(*entry, *poison);
                 }
-                Some((core, env.cert.clone()))
+                Some((Some(core), env.cert.clone()))
             }),
             Attack::JumpRound { jump } => resign(staged, me, keys, |_, env| {
                 let mut core = env.core().clone();
@@ -204,19 +216,20 @@ impl Campaign {
                     return None;
                 };
                 *round += *jump;
-                Some((core, env.cert.clone()))
+                Some((Some(core), env.cert.clone()))
             }),
             Attack::DuplicateVotes => {
-                let votes: Vec<_> = (staged.iter())
-                    .filter(|(_, env)| {
-                        matches!(
-                            env.core(),
-                            Core::Next { .. } | Core::Ack { .. } | Core::Nack { .. }
-                        )
-                    })
-                    .cloned()
-                    .collect();
-                staged.extend(votes);
+                let vote = |env: &Envelope| {
+                    matches!(
+                        env.core(),
+                        Core::Next { .. } | Core::Ack { .. } | Core::Nack { .. }
+                    )
+                };
+                for k in 0..staged.len() {
+                    if vote(&staged[k].1) {
+                        staged.push(staged[k].clone());
+                    }
+                }
             }
             Attack::Forge {
                 kind,
@@ -234,12 +247,12 @@ impl Campaign {
             Attack::Resign { sender, key } => {
                 let key = key.as_ref().unwrap_or(keys);
                 resign(staged, sender.unwrap_or(me), key, |_, env| {
-                    Some((env.core().clone(), env.cert.clone()))
+                    Some((None, env.cert.clone()))
                 });
             }
             Attack::EquivocateInit { alt } => resign(staged, me, keys, |to, env| {
                 let odd_init = to.index() % 2 == 1 && matches!(env.core(), Core::Init { .. });
-                odd_init.then(|| (Core::Init { value: *alt }, env.cert.clone()))
+                odd_init.then(|| (Some(Core::Init { value: *alt }), env.cert.clone()))
             }),
             Attack::Replay { .. } => {
                 let room = REPLAY_CAPACITY - self.recorded.len();
@@ -247,7 +260,7 @@ impl Campaign {
                 self.recorded.extend(copies);
             }
             Attack::StripCertificates => resign(staged, me, keys, |_, env| {
-                (!env.cert.is_empty()).then(|| (env.core().clone(), Certificate::new()))
+                (!env.cert.is_empty()).then(|| (None, Certificate::new()))
             }),
             Attack::SelectiveOmission { cutoff } => staged.retain(|(to, _)| to.index() < *cutoff),
         }
@@ -332,27 +345,30 @@ impl Deviation<SlotMsg> for Campaign {
         now: VirtualTime,
         staged: &mut Vec<(ProcessId, SlotMsg)>,
     ) {
-        let mut slots: Vec<u64> = Vec::new();
+        let SlotBuffers {
+            mut slots,
+            mut group,
+            mut out,
+        } = std::mem::take(&mut self.buffers);
+        slots.clear();
         for (_, m) in staged.iter() {
             if !slots.contains(&m.slot) {
                 slots.push(m.slot);
             }
         }
-        let mut out = Vec::with_capacity(staged.len());
-        for slot in slots {
+        for &slot in &slots {
             self.latest_slot = self.latest_slot.max(slot);
-            let mut group: Vec<(ProcessId, Envelope)> = (staged.iter())
-                .filter(|(_, m)| m.slot == slot)
-                .map(|(to, m)| (*to, m.env.clone()))
-                .collect();
+            group.clear();
+            let copies = staged.iter().filter(|(_, m)| m.slot == slot);
+            group.extend(copies.map(|(to, m)| (*to, m.env.clone())));
             self.tamper(me, n, now, &mut group);
-            out.extend(
-                group
-                    .into_iter()
-                    .map(|(to, env)| (to, SlotMsg { slot, env })),
-            );
+            out.extend(group.drain(..).map(|(to, env)| (to, SlotMsg { slot, env })));
         }
-        *staged = out;
+        // The rewritten list goes out in the buffer kept from the last
+        // callback; the one it came in is kept for the next.
+        std::mem::swap(staged, &mut out);
+        out.clear();
+        self.buffers = SlotBuffers { slots, group, out };
     }
 
     fn inject<D>(&mut self, ctx: &mut Context<'_, SlotMsg, D>) -> Option<Duration>
@@ -365,25 +381,31 @@ impl Deviation<SlotMsg> for Campaign {
     }
 }
 
-/// Replaces each staged envelope `edit` gives a new statement and
-/// certificate for with that statement, claimed by `sender` and signed
-/// under `keys`. Signatures are deterministic, so a copy whose statement
-/// equals the last one signed shares it: the copies of one broadcast carry
-/// one statement, signed once.
+/// Replaces each staged envelope `edit` gives a new statement (`None`:
+/// the one it holds) and certificate for with that statement, claimed by
+/// `sender` and signed under `keys`. Signatures are deterministic, so a
+/// copy whose statement equals the last one signed shares it: the copies
+/// of one broadcast carry one statement, signed once. A statement kept as
+/// it was, by its own sender, keeps its measured digest and is only
+/// signed again.
 fn resign(
     staged: &mut [(ProcessId, Envelope)],
     sender: ProcessId,
     keys: &KeyPair,
-    mut edit: impl FnMut(ProcessId, &Envelope) -> Option<(Core, Certificate)>,
+    mut edit: impl FnMut(ProcessId, &Envelope) -> Option<(Option<Core>, Certificate)>,
 ) {
     let mut last: Option<SignedCore> = None;
     for (to, env) in staged {
         let Some((core, cert)) = edit(*to, env) else {
             continue;
         };
-        let signed = match last {
-            Some(prev) if prev.core().core == core => prev,
-            _ => SignedCore::sign(MessageCore::new(sender, core), keys),
+        let signed = match (last, core) {
+            (Some(prev), core) if prev.core().core == *core.as_ref().unwrap_or(env.core()) => prev,
+            (_, None) if env.sender() == sender => env.signed.resigned(keys),
+            (_, core) => {
+                let core = core.unwrap_or_else(|| env.core().clone());
+                SignedCore::sign(MessageCore::new(sender, core), keys)
+            }
         };
         *env = Envelope {
             signed: signed.clone(),

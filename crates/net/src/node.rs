@@ -56,7 +56,7 @@ use ftm_crypto::prng::{derive_seed, Rng64, Xoshiro256PlusPlus};
 use ftm_crypto::wire::{CanonicalDecode, CanonicalEncode};
 use ftm_runtime::note::Note;
 use ftm_runtime::{
-    step, Actor, Duration, Payload, ProcessId, Runtime, StagedSend, TimerTag, VirtualTime,
+    step, Actor, Duration, Effects, Payload, ProcessId, Runtime, StagedSend, TimerTag, VirtualTime,
 };
 
 use crate::backoff::Backoff;
@@ -289,6 +289,8 @@ struct NetDriver<M, D> {
     msgs_received: u64,
     bytes_sent: u64,
     bytes_received: u64,
+    /// The buffers every callback stages into.
+    staging: Effects<M, D>,
 }
 
 impl<M: Payload + CanonicalEncode, D: Clone + std::fmt::Debug + PartialEq> NetDriver<M, D> {
@@ -310,6 +312,7 @@ impl<M: Payload + CanonicalEncode, D: Clone + std::fmt::Debug + PartialEq> NetDr
             msgs_received: 0,
             bytes_sent: 0,
             bytes_received: 0,
+            staging: Effects::default(),
         }
     }
 
@@ -415,6 +418,10 @@ impl<M: Payload + CanonicalEncode, D: Clone + std::fmt::Debug + PartialEq> Runti
         // A halted process receives no further callbacks.
         self.timers.clear();
         self.loopback.clear();
+    }
+
+    fn staging(&mut self) -> &mut Effects<M, D> {
+        &mut self.staging
     }
 }
 

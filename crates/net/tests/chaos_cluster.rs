@@ -63,11 +63,16 @@ impl Actor for Idle {
     }
 }
 
-/// One replica's config for a bounded chaos run.
+/// One replica's config for a bounded chaos run, paced at 1 ms a hop (as
+/// the benchmark and `ftm-serve --delay-ms 1` run): unpaced, an optimised
+/// build finishes the short logs before the kill, the restart or the
+/// second client this suite stages — and a replica that has finished its
+/// log answers nothing.
 fn chaos_cfg(me: ProcessId, addrs: &[String], seed: u64) -> NodeConfig {
     let mut cfg = NodeConfig::new(me, addrs.to_vec(), CLUSTER, seed);
     cfg.exit_on_halt = true;
     cfg.run_timeout_ms = 120_000;
+    cfg.delivery_delay_ms = 1;
     cfg
 }
 

@@ -17,7 +17,7 @@ use ftm_core::config::ProtocolConfig;
 use ftm_crypto::prng::{Rng64, Xoshiro256PlusPlus};
 use ftm_crypto::wire::{CanonicalDecode, CanonicalEncode};
 use ftm_net::{read_frame, write_frame, Hello, DEFAULT_MAX_FRAME};
-use ftm_sim::{Payload, ProcessId};
+use ftm_sim::ProcessId;
 
 const ROUNDS: usize = 200;
 
@@ -217,8 +217,7 @@ fn every_truncation_of_a_paired_slot_message_is_a_decode_error() {
         for cut in 0..bytes.len() {
             assert!(
                 SlotMsg::from_canonical_bytes(&bytes[..cut]).is_err(),
-                "{} cut at {cut}",
-                msg.label()
+                "{msg:?} cut at {cut}"
             );
         }
     }

@@ -66,23 +66,28 @@ pub trait Runtime<M: Payload, D: Clone + fmt::Debug + PartialEq> {
     /// callbacks to it.
     fn record_halt(&mut self, at: ProcessId);
 
+    /// The buffers [`step`] lends each callback's [`Context`] and gets
+    /// back drained: one [`Effects`] the host keeps for the whole run.
+    fn staging(&mut self) -> &mut Effects<M, D>;
+
     /// Applies one callback's staged effects in the canonical order:
-    /// sends, timers, notes, decision, halt.
+    /// sends, timers, notes, decision, halt — draining `fx`, whose
+    /// buffers stay for the next callback.
     ///
     /// Hosts must not override this — the order is the cross-runtime
     /// contract (and, in the simulator, part of the byte-identity of
     /// sweep reports).
-    fn apply_effects(&mut self, at: ProcessId, fx: Effects<M, D>) {
-        for send in fx.sends {
+    fn apply_effects(&mut self, at: ProcessId, fx: &mut Effects<M, D>) {
+        for send in fx.sends.drain(..) {
             self.dispatch(at, send);
         }
-        for (delay, tag) in fx.timers {
+        for (delay, tag) in fx.timers.drain(..) {
             self.schedule(at, delay, tag);
         }
-        for note in fx.notes {
+        for note in fx.notes.drain(..) {
             self.emit_note(at, note);
         }
-        if let Some(value) = fx.decision {
+        if let Some(value) = fx.decision.take() {
             self.record_decision(at, value);
         }
         if fx.halted {
@@ -96,9 +101,10 @@ pub trait Runtime<M: Payload, D: Clone + fmt::Debug + PartialEq> {
 ///
 /// This is the single choke point both runtimes call for every `on_start`,
 /// `on_message` and `on_timer`: the callback sees a [`Context`] stamped
-/// with [`Runtime::now`] and backed by [`Runtime::rng_draw`], and its
-/// effects are applied by [`Runtime::apply_effects`] after it returns —
-/// never concurrently with another callback of the same actor.
+/// with [`Runtime::now`], backed by [`Runtime::rng_draw`] and staging into
+/// [`Runtime::staging`]'s buffers, and its effects are applied by
+/// [`Runtime::apply_effects`] after it returns — never concurrently with
+/// another callback of the same actor.
 pub fn step<M, D, R, F>(rt: &mut R, me: ProcessId, call: F)
 where
     M: Payload,
@@ -108,13 +114,15 @@ where
 {
     let now = rt.now();
     let n = rt.process_count();
-    let fx = {
+    let staging = std::mem::take(rt.staging());
+    let mut fx = {
         let mut draw = || rt.rng_draw();
-        let mut ctx: Context<'_, M, D> = Context::new(now, me, n, &mut draw);
+        let mut ctx: Context<'_, M, D> = Context::with_staging(now, me, n, &mut draw, staging);
         call(&mut ctx);
         ctx.into_effects()
     };
-    rt.apply_effects(me, fx);
+    rt.apply_effects(me, &mut fx);
+    *rt.staging() = fx;
 }
 
 #[cfg(test)]
@@ -122,9 +130,11 @@ mod tests {
     use super::*;
 
     /// A runtime that records every hook invocation in order.
+    #[derive(Default)]
     struct Recorder {
         calls: Vec<String>,
         draws: u64,
+        staging: Effects<u64, u64>,
     }
 
     impl Runtime<u64, u64> for Recorder {
@@ -153,14 +163,14 @@ mod tests {
         fn record_halt(&mut self, at: ProcessId) {
             self.calls.push(format!("halt {at}"));
         }
+        fn staging(&mut self) -> &mut Effects<u64, u64> {
+            &mut self.staging
+        }
     }
 
     #[test]
     fn effects_apply_in_canonical_order() {
-        let mut rt = Recorder {
-            calls: Vec::new(),
-            draws: 0,
-        };
+        let mut rt = Recorder::default();
         step(&mut rt, ProcessId(1), |ctx| {
             // Stage in scrambled order: application order must not follow
             // staging order across kinds.
@@ -186,10 +196,7 @@ mod tests {
 
     #[test]
     fn context_is_stamped_with_runtime_clock_and_rng() {
-        let mut rt = Recorder {
-            calls: Vec::new(),
-            draws: 0,
-        };
+        let mut rt = Recorder::default();
         step(&mut rt, ProcessId(2), |ctx| {
             assert_eq!(ctx.now(), VirtualTime::at(7));
             assert_eq!(ctx.me(), ProcessId(2));
@@ -203,10 +210,7 @@ mod tests {
 
     #[test]
     fn quiet_callbacks_apply_nothing() {
-        let mut rt = Recorder {
-            calls: Vec::new(),
-            draws: 0,
-        };
+        let mut rt = Recorder::default();
         step(&mut rt, ProcessId(0), |_ctx| {});
         assert!(rt.calls.is_empty());
     }

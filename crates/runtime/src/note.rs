@@ -1,10 +1,11 @@
 //! The one grammar of trace notes.
 //!
-//! A note leaves an actor as a `String` ([`Context::note`]) and is read
-//! back from simulator traces and node reports. Only this module knows the
-//! text: an emitter renders a [`Note`] with `Display` (a replicated log
-//! passes on what its instances say through [`in_slot`]), a reader calls
-//! [`Note::parse`]. Each text is a fixed format — the frozen benchmark keeps
+//! A note leaves an actor as a `String` ([`Context::note`] renders it once,
+//! straight into the string the trace keeps) and is read back from
+//! simulator traces and node reports. Only this module knows the text: an
+//! emitter hands a [`Note`] to the context, which renders it with
+//! `Display` (behind [`in_slot`]'s prefix when the context speaks for a
+//! replicated log's slot), a reader calls [`Note::parse`]. Each text is a fixed format — the frozen benchmark keeps
 //! a reader of its own — so the golden table in this module's tests pins
 //! every one.
 //!
@@ -16,8 +17,17 @@ use crate::process::ProcessId;
 
 /// `s<slot>:<note>` — how a replicated log passes on what slot `slot`'s
 /// instance said. Its own notes, and a one-shot instance's, carry no prefix.
-pub fn in_slot(slot: u64, note: impl fmt::Display) -> String {
-    format!("s{slot}:{note}")
+pub fn in_slot(slot: u64, note: impl fmt::Display) -> impl fmt::Display {
+    InSlot(slot, note)
+}
+
+/// [`in_slot`]'s rendering.
+struct InSlot<N>(u64, N);
+
+impl<N: fmt::Display> fmt::Display for InSlot<N> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "s{}:{}", self.0, self.1)
+    }
 }
 
 /// Whom the non-muteness module names, and for what.
@@ -40,14 +50,39 @@ impl fmt::Display for Finding<'_> {
 
 /// The counters of a [`Note::StackStats`]: its `key=<n>` words.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Stats<'a>(pub &'a str);
+pub enum Stats<'a> {
+    /// The words as a note's text holds them (what a reader gets).
+    Words(&'a str),
+    /// The `(key, n)` pairs themselves (what an emitter holds), written
+    /// as the words.
+    Pairs(&'a [(&'a str, u64)]),
+}
 
 impl<'a> Stats<'a> {
     /// The `(key, n)` pairs, in the order written; a word of another shape
     /// is skipped.
     pub fn iter(self) -> impl Iterator<Item = (&'a str, u64)> {
         let pair = |word: &'a str| word.split_once('=').and_then(|(k, n)| Some((k, num(n)?)));
-        self.0.split_whitespace().filter_map(pair)
+        let (words, pairs) = match self {
+            Stats::Words(words) => (words, &[][..]),
+            Stats::Pairs(pairs) => ("", pairs),
+        };
+        (words.split_whitespace().filter_map(pair)).chain(pairs.iter().copied())
+    }
+}
+
+impl fmt::Display for Stats<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            Stats::Words(words) => f.write_str(words),
+            Stats::Pairs(pairs) => {
+                for (i, (key, n)) in pairs.iter().enumerate() {
+                    let blank = if i == 0 { "" } else { " " };
+                    write!(f, "{blank}{key}={n}")?;
+                }
+                Ok(())
+            }
+        }
     }
 }
 
@@ -128,7 +163,7 @@ impl<'a> Note<'a> {
             "suspect" => Note::Suspect(pid(first)?, f.num("r")?),
             "detected" => Note::Detected(finding(pid(first)?, &mut f)?),
             "recovery-suppressed" => Note::Unproven(finding(f.pid("unproven")?, &mut f)?),
-            "stack-stats" => Note::StackStats(Stats(std::mem::take(&mut f.0))),
+            "stack-stats" => Note::StackStats(Stats::Words(std::mem::take(&mut f.0))),
             "slot-decided" => Note::SlotDecided(num(first)?, f.num("total")?),
             "evidence" => Note::Evidence(f.num("slot")?, f.num("bytes")?),
             "checkpoint" => Note::Checkpoint(f.num("slot")?, f.num("bytes")?),
@@ -149,7 +184,7 @@ impl fmt::Display for Note<'_> {
             Note::Suspect(p, r) => write!(f, "suspect={p} r={r}"),
             Note::Detected(found) => write!(f, "detected={found}"),
             Note::Unproven(found) => write!(f, "recovery-suppressed unproven={found}"),
-            Note::StackStats(Stats(words)) => write!(f, "stack-stats {words}"),
+            Note::StackStats(stats) => write!(f, "stack-stats {stats}"),
             Note::SlotDecided(k, total) => write!(f, "slot-decided={k} total={total}"),
             Note::Evidence(k, bytes) => write!(f, "evidence slot={k} bytes={bytes}"),
             Note::Checkpoint(k, bytes) => write!(f, "checkpoint slot={k} bytes={bytes}"),
@@ -161,13 +196,6 @@ impl fmt::Display for Note<'_> {
             Note::CatchupRejected(k, why) => write!(f, "catchup-rejected slot={k} reason={why}"),
             Note::Text(text) => f.write_str(text),
         }
-    }
-}
-
-/// So an emitter writes `ctx.note(Note::Round(r))`.
-impl From<Note<'_>> for String {
-    fn from(note: Note<'_>) -> String {
-        note.to_string()
     }
 }
 
@@ -263,7 +291,7 @@ mod tests {
             ),
             (
                 slot(0),
-                Note::StackStats(Stats(COUNTERS)),
+                Note::StackStats(Stats::Words(COUNTERS)),
                 "s0:stack-stats admitted=9 sig-rejects=1 cert-rejects=0 auto-rejects=2 \
                  syntax-rejects=0 fd-mistakes=1 fd-honest-mistakes=0 quarantined=3 checkpoints=0",
             ),
@@ -307,8 +335,8 @@ mod tests {
     fn every_variant_renders_its_golden_text_and_parses_back() {
         for (slot, note, text) in golden() {
             let rendered = match slot {
-                Some(slot) => in_slot(slot, note),
-                None => note.into(),
+                Some(slot) => in_slot(slot, note).to_string(),
+                None => note.to_string(),
             };
             assert_eq!(rendered, text);
             assert_eq!(Note::parse(text), (slot, note), "{text}");
@@ -317,7 +345,7 @@ mod tests {
 
     #[test]
     fn stats_read_back_as_the_pairs_written() {
-        let text = Note::StackStats(Stats(COUNTERS)).to_string();
+        let text = Note::StackStats(Stats::Words(COUNTERS)).to_string();
         let (_, Note::StackStats(read)) = Note::parse(&text) else {
             panic!("{text}");
         };
@@ -325,11 +353,22 @@ mod tests {
         assert_eq!(read.iter().next(), Some(("admitted", 9)));
         assert_eq!(read.iter().last(), Some(("checkpoints", 0)));
         // A word that is not `key=<n>` is skipped, not an error.
-        let sparse = Stats("admitted=4 garbage fd-mistakes=x checkpoints=1");
+        let sparse = Stats::Words("admitted=4 garbage fd-mistakes=x checkpoints=1");
         assert_eq!(
             sparse.iter().collect::<Vec<_>>(),
             [("admitted", 4), ("checkpoints", 1)]
         );
+    }
+
+    #[test]
+    fn pairs_render_as_the_words_they_read_back_as() {
+        let pairs: Vec<(&str, u64)> = Stats::Words(COUNTERS).iter().collect();
+        let emitted = Note::StackStats(Stats::Pairs(&pairs));
+        assert_eq!(
+            emitted.to_string(),
+            Note::StackStats(Stats::Words(COUNTERS)).to_string()
+        );
+        assert_eq!(Stats::Pairs(&pairs).iter().collect::<Vec<_>>(), pairs);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! Process identities, the [`Actor`] protocol trait, and the effect
 //! [`Context`] handed to every callback.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
+use crate::note;
 use crate::time::{Duration, VirtualTime};
 
 /// Identity of a simulated process (`p_1 … p_n` in the paper, 0-based here).
@@ -92,16 +93,17 @@ pub trait Payload: Clone + fmt::Debug {
         LayerSplit::protocol_only(self.size_bytes())
     }
 
-    /// Short human-readable label used in run traces (defaults to the
-    /// `Debug` rendering, truncated). Protocol messages override this with
-    /// something like `CURRENT(r=3)`.
-    fn label(&self) -> String {
-        let mut s = format!("{self:?}");
-        if s.len() > 48 {
-            s.truncate(45);
-            s.push_str("...");
+    /// Appends the short human-readable label used in run traces to
+    /// `out` (defaults to the `Debug` rendering, truncated). Protocol
+    /// messages override this with something like `CURRENT(r=3)`; a host
+    /// renders every label into one buffer it keeps.
+    fn write_label(&self, out: &mut String) {
+        let start = out.len();
+        let _ = write!(out, "{self:?}");
+        if out.len() - start > 48 {
+            out.truncate(start + 45);
+            out.push_str("...");
         }
-        s
     }
 
     /// Whether `other` is this very message — one object reached through
@@ -219,11 +221,10 @@ pub struct Context<'a, M, D> {
     me: ProcessId,
     n: usize,
     rng_draw: &'a mut dyn FnMut() -> u64,
-    staged_sends: Vec<StagedSend<M>>,
-    staged_timers: Vec<(Duration, TimerTag)>,
-    staged_notes: Vec<String>,
-    decision: Option<D>,
-    halted: bool,
+    staged: Effects<M, D>,
+    /// The log slot whose instance this context speaks for: every note
+    /// then carries its `s<slot>:` prefix ([`note::in_slot`]).
+    slot: Option<u64>,
 }
 
 impl<M: fmt::Debug, D: fmt::Debug> fmt::Debug for Context<'_, M, D> {
@@ -232,15 +233,20 @@ impl<M: fmt::Debug, D: fmt::Debug> fmt::Debug for Context<'_, M, D> {
             .field("now", &self.now)
             .field("me", &self.me)
             .field("n", &self.n)
-            .field("staged_sends", &self.staged_sends)
-            .field("staged_timers", &self.staged_timers)
-            .field("decision", &self.decision)
-            .field("halted", &self.halted)
+            .field("staged_sends", &self.staged.sends)
+            .field("staged_timers", &self.staged.timers)
+            .field("decision", &self.staged.decision)
+            .field("halted", &self.staged.halted)
             .finish_non_exhaustive()
     }
 }
 
 /// Effects staged by one callback, as consumed by the runner.
+///
+/// Also the buffers a callback stages into: a host keeps one `Effects`,
+/// lends it to every callback's [`Context`]
+/// ([`with_staging`](Context::with_staging)) and drains it, so a callback
+/// allocates only for what outgrows the buffers, not for every entry.
 #[derive(Debug)]
 pub struct Effects<M, D> {
     /// Messages to hand to the network, in staging order (broadcasts as
@@ -254,28 +260,67 @@ pub struct Effects<M, D> {
     pub decision: Option<D>,
     /// Whether the actor halted.
     pub halted: bool,
+    /// Where a note is rendered before it is copied out at its length.
+    text: String,
+}
+
+impl<M, D> Default for Effects<M, D> {
+    fn default() -> Self {
+        Effects {
+            sends: Vec::new(),
+            timers: Vec::new(),
+            notes: Vec::new(),
+            decision: None,
+            halted: false,
+            text: String::new(),
+        }
+    }
 }
 
 impl<'a, M: Payload, D: Clone + fmt::Debug + PartialEq> Context<'a, M, D> {
-    /// Creates a context for one callback. Used by the runner and by tests
-    /// that drive actors directly.
+    /// Creates a context for one callback, staging into buffers of its
+    /// own. Used by tests that drive actors directly.
     pub fn new(
         now: VirtualTime,
         me: ProcessId,
         n: usize,
         rng_draw: &'a mut dyn FnMut() -> u64,
     ) -> Self {
+        Self::with_staging(now, me, n, rng_draw, Effects::default())
+    }
+
+    /// Creates a context for one callback that stages into `staging`'s
+    /// buffers, emptied first: what a host does with the one [`Effects`]
+    /// it keeps.
+    pub fn with_staging(
+        now: VirtualTime,
+        me: ProcessId,
+        n: usize,
+        rng_draw: &'a mut dyn FnMut() -> u64,
+        mut staging: Effects<M, D>,
+    ) -> Self {
+        staging.sends.clear();
+        staging.timers.clear();
+        staging.notes.clear();
+        staging.decision = None;
+        staging.halted = false;
         Context {
             now,
             me,
             n,
             rng_draw,
-            staged_sends: Vec::new(),
-            staged_timers: Vec::new(),
-            staged_notes: Vec::new(),
-            decision: None,
-            halted: false,
+            staged: staging,
+            slot: None,
         }
+    }
+
+    /// Has every note this context stages speak for log slot `slot`: it
+    /// carries the slot's `s<slot>:` prefix from the start, so a log
+    /// passes its instance's notes on as they are.
+    #[must_use]
+    pub fn notes_in_slot(mut self, slot: u64) -> Self {
+        self.slot = Some(slot);
+        self
     }
 
     /// Current virtual time at this process.
@@ -295,32 +340,32 @@ impl<'a, M: Payload, D: Clone + fmt::Debug + PartialEq> Context<'a, M, D> {
 
     /// Stages a message to `to` (self-sends are delivered like any other).
     pub fn send(&mut self, to: ProcessId, msg: M) {
-        self.staged_sends.push(StagedSend::To(to, msg));
+        self.staged.sends.push(StagedSend::To(to, msg));
     }
 
     /// Stages `msg` to every process **including the sender** — the paper's
     /// `send … to Π`. One staged entry, one payload: the runner shares it
     /// across all `n` deliveries.
     pub fn broadcast(&mut self, msg: M) {
-        self.staged_sends.push(StagedSend::ToAll(msg));
+        self.staged.sends.push(StagedSend::ToAll(msg));
     }
 
     /// Schedules `on_timer(tag)` to fire `delay` from now.
     pub fn set_timer(&mut self, delay: Duration, tag: TimerTag) {
-        self.staged_timers.push((delay, tag));
+        self.staged.timers.push((delay, tag));
     }
 
     /// Records the decision value. The first decision wins; the runner
     /// flags any later, *different* decision as a local contradiction.
     pub fn decide(&mut self, value: D) {
-        if self.decision.is_none() {
-            self.decision = Some(value);
+        if self.staged.decision.is_none() {
+            self.staged.decision = Some(value);
         }
     }
 
     /// Stops this process: no further callbacks will run.
     pub fn halt(&mut self) {
-        self.halted = true;
+        self.staged.halted = true;
     }
 
     /// Draws a deterministic pseudo-random `u64` from the run's seed stream.
@@ -343,13 +388,14 @@ impl<'a, M: Payload, D: Clone + fmt::Debug + PartialEq> Context<'a, M, D> {
     /// runs never call this, so their broadcasts stay shared all the way
     /// to delivery.
     pub fn take_staged_sends(&mut self) -> Vec<(ProcessId, M)> {
-        let staged = std::mem::take(&mut self.staged_sends);
-        let mut flat = Vec::with_capacity(staged.len());
-        for s in staged {
+        let n = self.n;
+        let copies = |s: &StagedSend<M>| if let StagedSend::ToAll(_) = s { n } else { 1 };
+        let mut flat = Vec::with_capacity(self.staged.sends.iter().map(copies).sum());
+        for s in self.staged.sends.drain(..) {
             match s {
                 StagedSend::To(to, msg) => flat.push((to, msg)),
                 StagedSend::ToAll(msg) => {
-                    for p in 0..self.n as u32 {
+                    for p in 0..n as u32 {
                         flat.push((ProcessId(p), msg.clone()));
                     }
                 }
@@ -370,7 +416,9 @@ impl<'a, M: Payload, D: Clone + fmt::Debug + PartialEq> Context<'a, M, D> {
     /// trace, the random draws and the queue are as the unicasts would
     /// have left them.
     pub fn restore_staged_sends(&mut self, flat: Vec<(ProcessId, M)>) {
-        let mut staged: Vec<StagedSend<M>> = Vec::with_capacity(flat.len());
+        let n = self.n;
+        let staged = &mut self.staged.sends;
+        staged.clear();
         // How many entries at the end of `staged` are one message to
         // p_0, p_1, … in order.
         let mut run = 0;
@@ -383,7 +431,7 @@ impl<'a, M: Payload, D: Clone + fmt::Debug + PartialEq> Context<'a, M, D> {
                 usize::from(to.index() == 0)
             };
             staged.push(StagedSend::To(to, msg));
-            if same && run == self.n {
+            if same && run == n {
                 staged.truncate(staged.len() + 1 - run);
                 if let Some(StagedSend::To(_, msg)) = staged.pop() {
                     staged.push(StagedSend::ToAll(msg));
@@ -391,26 +439,33 @@ impl<'a, M: Payload, D: Clone + fmt::Debug + PartialEq> Context<'a, M, D> {
                 run = 0;
             }
         }
-        self.staged_sends = staged;
     }
 
-    /// Emits a trace annotation: a [`crate::note::Note`], or free text.
+    /// Emits a trace annotation: a [`note::Note`], or free text.
     ///
     /// Notes land in the run's trace (simulator) or note log (transport);
-    /// experiment E4 measures detection latency from them.
-    pub fn note(&mut self, text: impl Into<String>) {
-        self.staged_notes.push(text.into());
+    /// experiment E4 measures detection latency from them. The text is
+    /// rendered once, into the context's buffer, and staged as a `String`
+    /// of exactly its length.
+    pub fn note(&mut self, note: impl fmt::Display) {
+        let text = &mut self.staged.text;
+        text.clear();
+        let _ = match self.slot {
+            Some(slot) => write!(text, "{}", note::in_slot(slot, note)),
+            None => write!(text, "{note}"),
+        };
+        self.staged.notes.push(text.as_str().to_owned());
+    }
+
+    /// Stages a note another context rendered — what a host passes on from
+    /// the instance it drives — as it is.
+    pub fn forward_note(&mut self, text: String) {
+        self.staged.notes.push(text);
     }
 
     /// Consumes the context, returning its staged effects.
     pub fn into_effects(self) -> Effects<M, D> {
-        Effects {
-            sends: self.staged_sends,
-            timers: self.staged_timers,
-            notes: self.staged_notes,
-            decision: self.decision,
-            halted: self.halted,
-        }
+        self.staged
     }
 }
 
@@ -575,9 +630,10 @@ mod tests {
                 self.0.len()
             }
         }
-        let label = Big([1; 40]).label();
-        assert!(label.len() <= 48);
-        assert!(label.ends_with("..."));
+        let mut label = String::from("s1:");
+        Big([1; 40]).write_label(&mut label);
+        assert_eq!(label.len(), 3 + 48, "appended, then truncated to 45 + ...");
+        assert!(label.starts_with("s1:Big(") && label.ends_with("..."));
     }
 
     #[test]

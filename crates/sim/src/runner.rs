@@ -24,7 +24,7 @@ use crate::event::{EventKind, EventQueue};
 use crate::metrics::Metrics;
 use crate::network::Network;
 use crate::prng::{Rng64, Xoshiro256PlusPlus};
-use crate::process::{Actor, Payload, ProcessId, StagedSend, TimerTag};
+use crate::process::{Actor, Effects, Payload, ProcessId, StagedSend, TimerTag};
 use crate::time::{Duration, VirtualTime};
 use crate::trace::{Trace, TraceEvent};
 
@@ -154,6 +154,8 @@ where
             max_rounds: cfg.max_rounds,
             round_cap_hit: false,
             all_stopped: false,
+            staging: Effects::default(),
+            label: String::new(),
         };
 
         // Crashes are scheduled first so a crash at the same instant as a
@@ -282,6 +284,11 @@ struct SimDriver<M: Payload, D> {
     max_rounds: Option<u64>,
     round_cap_hit: bool,
     all_stopped: bool,
+    /// The buffers every callback stages into.
+    staging: Effects<M, D>,
+    /// Where a staged send's label is rendered before its one copy into
+    /// the `Arc<str>` its trace entries share.
+    label: String,
 }
 
 impl<M, D> Runtime<M, D> for SimDriver<M, D>
@@ -310,7 +317,9 @@ where
         };
         let split = payload.layer_split();
         let bytes = payload.size_bytes();
-        let label: Arc<str> = payload.label().into();
+        self.label.clear();
+        payload.write_label(&mut self.label);
+        let label: Arc<str> = Arc::from(self.label.as_str());
         let msg = Arc::new(InFlight { payload, label });
         for to in targets.map(ProcessId) {
             self.metrics.on_send(from, split);
@@ -377,6 +386,10 @@ where
         if self.crashed.iter().zip(&self.halted).all(|(c, h)| *c || *h) {
             self.all_stopped = true;
         }
+    }
+
+    fn staging(&mut self) -> &mut Effects<M, D> {
+        &mut self.staging
     }
 }
 
@@ -501,9 +514,9 @@ mod tests {
             }
         }
 
-        fn label(&self) -> String {
+        fn write_label(&self, out: &mut String) {
             self.bump(2);
-            "COUNTED(r=1) cert=2".into()
+            out.push_str("COUNTED(r=1) cert=2");
         }
     }
 
@@ -658,7 +671,10 @@ mod tests {
         fn on_timer(&mut self, _: u64, ctx: &mut Context<'_, u64, u64>) {
             self.r += 1;
             let round = Note::Round(self.r);
-            ctx.note(self.slot.map_or(round.into(), |slot| in_slot(slot, round)));
+            match self.slot {
+                Some(slot) => ctx.note(in_slot(slot, round)),
+                None => ctx.note(round),
+            }
             ctx.set_timer(Duration::of(10), 1);
         }
     }
