@@ -372,17 +372,17 @@ impl<P: TransformedProtocol> ReplicatedLog<P> {
         F: FnOnce(&mut P, &mut Context<'_, Envelope, ValueVector>),
     {
         let slot = self.current;
-        let staging = std::mem::take(&mut self.staging);
-        let mut fx = {
+        {
             // The inner protocol is deterministic and never draws
             // randomness; a null stream keeps the composition pure.
             let mut draw = || 0u64;
             let (now, n) = (ctx.now(), ctx.process_count());
             let mut inner_ctx =
-                Context::with_staging(now, self.me, n, &mut draw, staging).notes_in_slot(slot);
+                Context::with_staging(now, self.me, n, &mut draw, &mut self.staging)
+                    .notes_in_slot(slot);
             call(&mut self.inner, &mut inner_ctx);
-            inner_ctx.into_effects()
-        };
+        }
+        let fx = &mut self.staging;
         for staged in fx.sends.drain(..) {
             match staged {
                 StagedSend::To(to, env) => ctx.send(to, SlotMsg { slot, env }),
@@ -410,9 +410,7 @@ impl<P: TransformedProtocol> ReplicatedLog<P> {
         }
         // The inner halt is absorbed: the log replica lives on to run the
         // next slot.
-        let decision = fx.decision.take();
-        self.staging = fx;
-        decision
+        fx.decision.take()
     }
 
     /// This replica's signing key.

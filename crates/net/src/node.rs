@@ -289,8 +289,6 @@ struct NetDriver<M, D> {
     msgs_received: u64,
     bytes_sent: u64,
     bytes_received: u64,
-    /// The buffers every callback stages into.
-    staging: Effects<M, D>,
 }
 
 impl<M: Payload + CanonicalEncode, D: Clone + std::fmt::Debug + PartialEq> NetDriver<M, D> {
@@ -312,7 +310,6 @@ impl<M: Payload + CanonicalEncode, D: Clone + std::fmt::Debug + PartialEq> NetDr
             msgs_received: 0,
             bytes_sent: 0,
             bytes_received: 0,
-            staging: Effects::default(),
         }
     }
 
@@ -418,10 +415,6 @@ impl<M: Payload + CanonicalEncode, D: Clone + std::fmt::Debug + PartialEq> Runti
         // A halted process receives no further callbacks.
         self.timers.clear();
         self.loopback.clear();
-    }
-
-    fn staging(&mut self) -> &mut Effects<M, D> {
-        &mut self.staging
     }
 }
 
@@ -563,6 +556,8 @@ struct NodeLoop<'a, A: Actor, S> {
     /// sentinels; may arrive in any phase).
     peer_ready: Vec<bool>,
     driver: NetDriver<A::Msg, A::Decision>,
+    /// The buffers every callback of `actor` stages into.
+    staging: Effects<A::Msg, A::Decision>,
     actor: A,
     service: S,
     /// Inbound peer frames awaiting their delivery deadline, as
@@ -646,6 +641,7 @@ where
             inbound_seen: vec![false; cfg.n],
             peer_ready: vec![false; cfg.n],
             driver: NetDriver::new(cfg, clock),
+            staging: Effects::default(),
             actor,
             service,
             holdq: VecDeque::new(),
@@ -679,7 +675,9 @@ where
             self.driver.bytes_received += bytes;
             let me = self.driver.me;
             let actor = &mut self.actor;
-            step(&mut self.driver, me, |ctx| actor.on_message(me, &msg, ctx));
+            step(&mut self.driver, &mut self.staging, me, |ctx| {
+                actor.on_message(me, &msg, ctx);
+            });
         }
     }
 
@@ -687,7 +685,9 @@ where
     fn start_actor(&mut self) {
         let me = self.driver.me;
         let actor = &mut self.actor;
-        step(&mut self.driver, me, |ctx| actor.on_start(ctx));
+        step(&mut self.driver, &mut self.staging, me, |ctx| {
+            actor.on_start(ctx);
+        });
         self.drain_loopback();
         self.pump();
     }
@@ -916,7 +916,9 @@ where
             };
             let me = self.driver.me;
             let actor = &mut self.actor;
-            step(&mut self.driver, me, |ctx| actor.on_timer(tag, ctx));
+            step(&mut self.driver, &mut self.staging, me, |ctx| {
+                actor.on_timer(tag, ctx);
+            });
             self.drain_loopback();
             self.busy = true;
         }
@@ -940,7 +942,7 @@ where
                     if !self.driver.halted {
                         let me = self.driver.me;
                         let actor = &mut self.actor;
-                        step(&mut self.driver, me, |ctx| {
+                        step(&mut self.driver, &mut self.staging, me, |ctx| {
                             actor.on_message(ProcessId(from), &msg, ctx);
                         });
                         self.drain_loopback();
@@ -1751,7 +1753,8 @@ mod tests {
         let cfg = NodeConfig::new(ProcessId(0), vec!["a".into(), "b".into()], 0, 1);
         let mut d: NetDriver<u64, u64> = NetDriver::new(&cfg, WallClock::start());
         let me = ProcessId(0);
-        step(&mut d, me, |ctx| {
+        let mut staging = Effects::default();
+        step(&mut d, &mut staging, me, |ctx| {
             ctx.broadcast(7);
             ctx.set_timer(Duration::of(60_000), 1);
             ctx.note("first");
@@ -1762,13 +1765,13 @@ mod tests {
             (1, 1, 1)
         );
         // A quiet callback adds nothing; a busy one adds only its own.
-        step(&mut d, me, |_| {});
+        step(&mut d, &mut staging, me, |_| {});
         assert_eq!(
             (d.outbox[1].len(), d.timers.len(), d.notes.len()),
             (1, 1, 1)
         );
         assert!(d.loopback.is_empty());
-        step(&mut d, me, |ctx| {
+        step(&mut d, &mut staging, me, |ctx| {
             ctx.send(ProcessId(1), 9);
             ctx.note("second");
         });

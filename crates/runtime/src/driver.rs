@@ -66,10 +66,6 @@ pub trait Runtime<M: Payload, D: Clone + fmt::Debug + PartialEq> {
     /// callbacks to it.
     fn record_halt(&mut self, at: ProcessId);
 
-    /// The buffers [`step`] lends each callback's [`Context`] and gets
-    /// back drained: one [`Effects`] the host keeps for the whole run.
-    fn staging(&mut self) -> &mut Effects<M, D>;
-
     /// Applies one callback's staged effects in the canonical order:
     /// sends, timers, notes, decision, halt — draining `fx`, whose
     /// buffers stay for the next callback.
@@ -102,10 +98,11 @@ pub trait Runtime<M: Payload, D: Clone + fmt::Debug + PartialEq> {
 /// This is the single choke point both runtimes call for every `on_start`,
 /// `on_message` and `on_timer`: the callback sees a [`Context`] stamped
 /// with [`Runtime::now`], backed by [`Runtime::rng_draw`] and staging into
-/// [`Runtime::staging`]'s buffers, and its effects are applied by
-/// [`Runtime::apply_effects`] after it returns — never concurrently with
+/// `staging` — the one [`Effects`] the host keeps for all its callbacks —
+/// and its effects are applied by [`Runtime::apply_effects`] after it
+/// returns, draining `staging` for the next — never concurrently with
 /// another callback of the same actor.
-pub fn step<M, D, R, F>(rt: &mut R, me: ProcessId, call: F)
+pub fn step<M, D, R, F>(rt: &mut R, staging: &mut Effects<M, D>, me: ProcessId, call: F)
 where
     M: Payload,
     D: Clone + fmt::Debug + PartialEq,
@@ -114,15 +111,12 @@ where
 {
     let now = rt.now();
     let n = rt.process_count();
-    let staging = std::mem::take(rt.staging());
-    let mut fx = {
+    {
         let mut draw = || rt.rng_draw();
         let mut ctx: Context<'_, M, D> = Context::with_staging(now, me, n, &mut draw, staging);
         call(&mut ctx);
-        ctx.into_effects()
-    };
-    rt.apply_effects(me, &mut fx);
-    *rt.staging() = fx;
+    }
+    rt.apply_effects(me, staging);
 }
 
 #[cfg(test)]
@@ -134,7 +128,6 @@ mod tests {
     struct Recorder {
         calls: Vec<String>,
         draws: u64,
-        staging: Effects<u64, u64>,
     }
 
     impl Runtime<u64, u64> for Recorder {
@@ -163,15 +156,12 @@ mod tests {
         fn record_halt(&mut self, at: ProcessId) {
             self.calls.push(format!("halt {at}"));
         }
-        fn staging(&mut self) -> &mut Effects<u64, u64> {
-            &mut self.staging
-        }
     }
 
     #[test]
     fn effects_apply_in_canonical_order() {
         let mut rt = Recorder::default();
-        step(&mut rt, ProcessId(1), |ctx| {
+        step(&mut rt, &mut Effects::default(), ProcessId(1), |ctx| {
             // Stage in scrambled order: application order must not follow
             // staging order across kinds.
             ctx.halt();
@@ -197,7 +187,7 @@ mod tests {
     #[test]
     fn context_is_stamped_with_runtime_clock_and_rng() {
         let mut rt = Recorder::default();
-        step(&mut rt, ProcessId(2), |ctx| {
+        step(&mut rt, &mut Effects::default(), ProcessId(2), |ctx| {
             assert_eq!(ctx.now(), VirtualTime::at(7));
             assert_eq!(ctx.me(), ProcessId(2));
             assert_eq!(ctx.process_count(), 3);
@@ -209,9 +199,35 @@ mod tests {
     }
 
     #[test]
+    fn lent_buffers_come_back_drained_and_keep_their_room() {
+        let mut rt = Recorder::default();
+        let mut staging = Effects::default();
+        step(&mut rt, &mut staging, ProcessId(1), |ctx| {
+            ctx.send(ProcessId(0), 1);
+            ctx.set_timer(Duration::of(1), 3);
+            ctx.note("a");
+            ctx.decide(4);
+        });
+        assert!(staging.sends.is_empty() && staging.timers.is_empty());
+        assert!(staging.notes.is_empty() && staging.decision.is_none());
+        let room = staging.sends.capacity();
+        assert!(room >= 1 && staging.timers.capacity() >= 1 && staging.notes.capacity() >= 1);
+        rt.calls.clear();
+        step(&mut rt, &mut staging, ProcessId(1), |ctx| {
+            ctx.send(ProcessId(2), 5);
+        });
+        assert_eq!(rt.calls, ["send p1 To(ProcessId(2), 5)"]);
+        assert_eq!(
+            staging.sends.capacity(),
+            room,
+            "the same buffer, not a new one"
+        );
+    }
+
+    #[test]
     fn quiet_callbacks_apply_nothing() {
         let mut rt = Recorder::default();
-        step(&mut rt, ProcessId(0), |_ctx| {});
+        step(&mut rt, &mut Effects::default(), ProcessId(0), |_ctx| {});
         assert!(rt.calls.is_empty());
     }
 }

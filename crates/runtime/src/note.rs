@@ -26,7 +26,10 @@ struct InSlot<N>(u64, N);
 
 impl<N: fmt::Display> fmt::Display for InSlot<N> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "s{}:{}", self.0, self.1)
+        f.write_str("s")?;
+        self.0.fmt(f)?;
+        f.write_str(":")?;
+        self.1.fmt(f)
     }
 }
 
@@ -76,9 +79,13 @@ impl fmt::Display for Stats<'_> {
         match *self {
             Stats::Words(words) => f.write_str(words),
             Stats::Pairs(pairs) => {
+                // Piece by piece: a note of nine counters is rendered at
+                // every round entry, and this is its whole cost.
                 for (i, (key, n)) in pairs.iter().enumerate() {
-                    let blank = if i == 0 { "" } else { " " };
-                    write!(f, "{blank}{key}={n}")?;
+                    f.write_str(if i == 0 { "" } else { " " })?;
+                    f.write_str(key)?;
+                    f.write_str("=")?;
+                    n.fmt(f)?;
                 }
                 Ok(())
             }

@@ -2,6 +2,7 @@
 //! [`Context`] handed to every callback.
 
 use std::fmt::{self, Write as _};
+use std::ops::{Deref, DerefMut};
 
 use crate::note;
 use crate::time::{Duration, VirtualTime};
@@ -221,10 +222,36 @@ pub struct Context<'a, M, D> {
     me: ProcessId,
     n: usize,
     rng_draw: &'a mut dyn FnMut() -> u64,
-    staged: Effects<M, D>,
+    staged: Staged<'a, M, D>,
     /// The log slot whose instance this context speaks for: every note
     /// then carries its `s<slot>:` prefix ([`note::in_slot`]).
     slot: Option<u64>,
+}
+
+/// The buffers a context stages into: its own, or the ones a host lends.
+enum Staged<'a, M, D> {
+    Own(Effects<M, D>),
+    Lent(&'a mut Effects<M, D>),
+}
+
+impl<M, D> Deref for Staged<'_, M, D> {
+    type Target = Effects<M, D>;
+
+    fn deref(&self) -> &Effects<M, D> {
+        match self {
+            Staged::Own(fx) => fx,
+            Staged::Lent(fx) => fx,
+        }
+    }
+}
+
+impl<M, D> DerefMut for Staged<'_, M, D> {
+    fn deref_mut(&mut self) -> &mut Effects<M, D> {
+        match self {
+            Staged::Own(fx) => fx,
+            Staged::Lent(fx) => fx,
+        }
+    }
 }
 
 impl<M: fmt::Debug, D: fmt::Debug> fmt::Debug for Context<'_, M, D> {
@@ -246,7 +273,8 @@ impl<M: fmt::Debug, D: fmt::Debug> fmt::Debug for Context<'_, M, D> {
 /// Also the buffers a callback stages into: a host keeps one `Effects`,
 /// lends it to every callback's [`Context`]
 /// ([`with_staging`](Context::with_staging)) and drains it, so a callback
-/// allocates only for what outgrows the buffers, not for every entry.
+/// allocates only for what outgrows the buffers, not for every entry, and
+/// nothing is moved in or out.
 #[derive(Debug)]
 pub struct Effects<M, D> {
     /// Messages to hand to the network, in staging order (broadcasts as
@@ -286,18 +314,25 @@ impl<'a, M: Payload, D: Clone + fmt::Debug + PartialEq> Context<'a, M, D> {
         n: usize,
         rng_draw: &'a mut dyn FnMut() -> u64,
     ) -> Self {
-        Self::with_staging(now, me, n, rng_draw, Effects::default())
+        Context {
+            now,
+            me,
+            n,
+            rng_draw,
+            staged: Staged::Own(Effects::default()),
+            slot: None,
+        }
     }
 
     /// Creates a context for one callback that stages into `staging`'s
     /// buffers, emptied first: what a host does with the one [`Effects`]
-    /// it keeps.
+    /// it keeps, which it then drains.
     pub fn with_staging(
         now: VirtualTime,
         me: ProcessId,
         n: usize,
         rng_draw: &'a mut dyn FnMut() -> u64,
-        mut staging: Effects<M, D>,
+        staging: &'a mut Effects<M, D>,
     ) -> Self {
         staging.sends.clear();
         staging.timers.clear();
@@ -309,7 +344,7 @@ impl<'a, M: Payload, D: Clone + fmt::Debug + PartialEq> Context<'a, M, D> {
             me,
             n,
             rng_draw,
-            staged: staging,
+            staged: Staged::Lent(staging),
             slot: None,
         }
     }
@@ -448,13 +483,13 @@ impl<'a, M: Payload, D: Clone + fmt::Debug + PartialEq> Context<'a, M, D> {
     /// rendered once, into the context's buffer, and staged as a `String`
     /// of exactly its length.
     pub fn note(&mut self, note: impl fmt::Display) {
-        let text = &mut self.staged.text;
-        text.clear();
+        let staged = &mut *self.staged;
+        staged.text.clear();
         let _ = match self.slot {
-            Some(slot) => write!(text, "{}", note::in_slot(slot, note)),
-            None => write!(text, "{note}"),
+            Some(slot) => write!(staged.text, "{}", note::in_slot(slot, note)),
+            None => write!(staged.text, "{note}"),
         };
-        self.staged.notes.push(text.as_str().to_owned());
+        staged.notes.push(staged.text.as_str().to_owned());
     }
 
     /// Stages a note another context rendered — what a host passes on from
@@ -463,9 +498,13 @@ impl<'a, M: Payload, D: Clone + fmt::Debug + PartialEq> Context<'a, M, D> {
         self.staged.notes.push(text);
     }
 
-    /// Consumes the context, returning its staged effects.
+    /// Consumes the context, returning its staged effects (taking them
+    /// out of lent buffers).
     pub fn into_effects(self) -> Effects<M, D> {
-        self.staged
+        match self.staged {
+            Staged::Own(fx) => fx,
+            Staged::Lent(fx) => std::mem::take(fx),
+        }
     }
 }
 

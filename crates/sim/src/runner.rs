@@ -154,9 +154,10 @@ where
             max_rounds: cfg.max_rounds,
             round_cap_hit: false,
             all_stopped: false,
-            staging: Effects::default(),
             label: String::new(),
         };
+        // The buffers every callback stages into.
+        let mut staging = Effects::default();
 
         // Crashes are scheduled first so a crash at the same instant as a
         // delivery or start pre-empts it (the process dies before acting).
@@ -201,7 +202,9 @@ where
             // context borrows the driver's clock and RNG, and the staged
             // effects are applied in the canonical order.
             match ev.kind {
-                EventKind::Start => step(&mut d, pid, |ctx| actors[idx].on_start(ctx)),
+                EventKind::Start => {
+                    step(&mut d, &mut staging, pid, |ctx| actors[idx].on_start(ctx));
+                }
                 EventKind::Deliver { from, msg } => {
                     d.metrics.on_deliver();
                     d.trace.record(
@@ -212,7 +215,7 @@ where
                             label: Arc::clone(&msg.label),
                         },
                     );
-                    step(&mut d, pid, |ctx| {
+                    step(&mut d, &mut staging, pid, |ctx| {
                         actors[idx].on_message(from, &msg.payload, ctx);
                     });
                 }
@@ -225,7 +228,9 @@ where
                             tag,
                         },
                     );
-                    step(&mut d, pid, |ctx| actors[idx].on_timer(tag, ctx));
+                    step(&mut d, &mut staging, pid, |ctx| {
+                        actors[idx].on_timer(tag, ctx);
+                    });
                 }
                 EventKind::Crash => unreachable!("handled above"),
             }
@@ -284,8 +289,6 @@ struct SimDriver<M: Payload, D> {
     max_rounds: Option<u64>,
     round_cap_hit: bool,
     all_stopped: bool,
-    /// The buffers every callback stages into.
-    staging: Effects<M, D>,
     /// Where a staged send's label is rendered before its one copy into
     /// the `Arc<str>` its trace entries share.
     label: String,
@@ -386,10 +389,6 @@ where
         if self.crashed.iter().zip(&self.halted).all(|(c, h)| *c || *h) {
             self.all_stopped = true;
         }
-    }
-
-    fn staging(&mut self) -> &mut Effects<M, D> {
-        &mut self.staging
     }
 }
 
