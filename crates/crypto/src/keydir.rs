@@ -8,7 +8,7 @@
 //! *misuse* its own key but cannot alter the directory.
 
 use std::collections::hash_map::Entry;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -100,9 +100,24 @@ struct Verdicts {
         reason = "D2 waiver: the memo is looked up by key and cleared wholesale, never \
                   iterated, so hash order cannot reach a report; it is on the verify hot path"
     )]
-    seen: std::collections::HashMap<(SignerId, Digest), Bucket, BuildHasherDefault<DigestHash>>,
+    seen: std::collections::HashMap<MemoKey, Bucket>,
     /// Triples held, over all buckets.
     len: usize,
+}
+
+/// A memo key, `(signer, digest)`: compared whole, hashed by the signer
+/// and the digest's first eight bytes. The digest is SHA-256 output, so
+/// the other 24 bytes would only lengthen what the map's keyed hash runs
+/// over; the key stays secret, so crafted digests cannot aim at a bucket.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct MemoKey(SignerId, Digest);
+
+impl Hash for MemoKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let [a, b, c, d, e, f, g, h, ..] = (self.1).0;
+        state.write_u32(self.0);
+        state.write_u64(u64::from_le_bytes([a, b, c, d, e, f, g, h]));
+    }
 }
 
 /// The signatures presented for one key, each with its verdict. A key has
@@ -112,26 +127,6 @@ struct Verdicts {
 struct Bucket {
     first: (Signature, bool),
     more: Vec<(Signature, bool)>,
-}
-
-/// The memo's hash: a key's digest is SHA-256 output, uniform already, so
-/// its first eight bytes, with the signer folded in, are the hash — no
-/// keyed hash runs over it. Deterministic, and no order is read from the
-/// table.
-#[derive(Debug, Default)]
-struct DigestHash(u64);
-
-impl Hasher for DigestHash {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        let mut word = [0u8; 8];
-        let head = bytes.len().min(8);
-        word[..head].copy_from_slice(&bytes[..head]);
-        self.0 = self.0.rotate_left(8) ^ u64::from_le_bytes(word);
-    }
 }
 
 impl VerifyCache {
@@ -154,7 +149,7 @@ impl VerifyCache {
         sig: &Signature,
         compute: impl FnOnce() -> bool,
     ) -> (bool, u64) {
-        let key = (signer, *digest);
+        let key = MemoKey(signer, *digest);
         {
             let verdicts = self.verdicts.lock().expect("verify cache poisoned");
             let seen = (verdicts.seen.get(&key)).map(|b| std::iter::once(&b.first).chain(&b.more));
