@@ -5,9 +5,9 @@
 //! simulator traces and node reports. Only this module knows the text: an
 //! emitter hands a [`Note`] to the context, which renders it with
 //! `Display` (behind [`in_slot`]'s prefix when the context speaks for a
-//! replicated log's slot), a reader calls [`Note::parse`]. Each text is a fixed format — the frozen benchmark keeps
-//! a reader of its own — so the golden table in this module's tests pins
-//! every one.
+//! replicated log's slot), a reader calls [`Note::parse`]. Each text is a
+//! fixed format — the frozen benchmark keeps a reader of its own — so the
+//! golden table in this module's tests pins every one.
 //!
 //! [`Context::note`]: crate::Context::note
 
