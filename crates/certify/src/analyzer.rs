@@ -1079,7 +1079,7 @@ mod tests {
 
     /// What licenses the length and digest cached in a [`SignedCore`]:
     /// for every kind, built or decoded, they are what re-encoding says,
-    /// and so are the encoded lengths the encoder is sized from.
+    /// and so is the encoded length a core's encoder is sized from.
     #[test]
     fn cached_size_and_digest_are_the_re_encoded_ones_for_every_kind() {
         use ftm_sim::Payload;
@@ -1090,9 +1090,7 @@ mod tests {
                 assert_eq!(sc.size_bytes(), core_len + sc.signature_bytes().len());
                 assert_eq!(sc.digest(), sc.core().canonical_digest());
                 assert_eq!(sc.core().encoded_len_hint(), core_len);
-                assert_eq!(sc.encoded_len_hint(), sc.canonical_bytes().len());
             }
-            assert_eq!(env.encoded_len_hint(), env.to_bytes().len());
             let split = env.layer_split();
             assert_eq!(split.total(), env.size_bytes());
             assert_eq!(

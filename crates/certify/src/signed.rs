@@ -262,12 +262,6 @@ impl SignedCore {
 // `PAIR_HEAD ‖ sibling (32 raw bytes) ‖ core ‖ bytes(signature)`. Both are
 // self-delimiting, so certificate items can be written back to back.
 impl CanonicalEncode for SignedCore {
-    /// Exact, from the lengths measured when the core was sealed.
-    fn encoded_len_hint(&self) -> usize {
-        let head = self.0.sibling.map_or(0, |s| 4 + s.0.len());
-        head + self.0.core_len + 4 + self.0.signature.size_bytes()
-    }
-
     fn encode(&self, enc: &mut Encoder) {
         if let Some(sibling) = &self.0.sibling {
             enc.u32(PAIR_HEAD);
@@ -329,11 +323,6 @@ pub struct Envelope {
 }
 
 impl CanonicalEncode for Envelope {
-    fn encoded_len_hint(&self) -> usize {
-        let items: usize = self.cert.iter().map(SignedCore::encoded_len_hint).sum();
-        self.signed.encoded_len_hint() + 4 + items
-    }
-
     fn encode(&self, enc: &mut Encoder) {
         enc.nested(&self.signed);
         enc.u32(self.cert.len() as u32);
@@ -674,10 +663,6 @@ mod tests {
         // Identity is the core's: a pair member equals the lone statement.
         assert_eq!(init, SignedCore::sign(init.core().clone(), &keys[1]));
         assert_eq!(init.digest(), init.core().canonical_digest());
-        // A member's encoding is sized from its parts like a lone core's.
-        for member in [&decide, &init] {
-            assert_eq!(member.encoded_len_hint(), member.canonical_bytes().len());
-        }
         // Order does not matter: either member names the same pair input.
         let [init2, decide2] =
             SignedCore::sign_pair(init.core().clone(), decide.core().clone(), &keys[1]);

@@ -85,10 +85,6 @@ impl Payload for SlotMsg {
 // (`ftm-net` frames are canonical bytes); the slot tag rides in front of
 // the envelope's own signed encoding, so signatures keep verifying.
 impl CanonicalEncode for SlotMsg {
-    fn encoded_len_hint(&self) -> usize {
-        8 + self.env.encoded_len_hint()
-    }
-
     fn encode(&self, enc: &mut Encoder) {
         enc.u64(self.slot);
         self.env.encode(enc);
@@ -378,8 +374,7 @@ impl<P: TransformedProtocol> ReplicatedLog<P> {
             let mut draw = || 0u64;
             let (now, n) = (ctx.now(), ctx.process_count());
             let mut inner_ctx =
-                Context::with_staging(now, self.me, n, &mut draw, &mut self.staging)
-                    .notes_in_slot(slot);
+                Context::new(now, self.me, n, &mut draw, &mut self.staging).notes_in_slot(slot);
             call(&mut self.inner, &mut inner_ctx);
         }
         let fx = &mut self.staging;
@@ -1128,8 +1123,9 @@ mod tests {
         let mut log =
             ReplicatedLog::<ByzantineConsensus>::new(&setup, ProcessId(3), 3, cmd).with_catchup(8);
         let mut draw = || 0u64;
+        let mut fx = Effects::default();
         let mut ctx: RtContext<'_, SlotMsg, Vec<ValueVector>> =
-            RtContext::new(VirtualTime::ZERO, ProcessId(3), 4, &mut draw);
+            RtContext::new(VirtualTime::ZERO, ProcessId(3), 4, &mut draw, &mut fx);
         // Slot 2 first: must buffer, not apply.
         let early = synthetic_checkpoint(&setup, 2, ProcessId(0));
         Actor::on_message(&mut log, ProcessId(0), &early, &mut ctx);
@@ -1140,7 +1136,6 @@ mod tests {
             let msg = synthetic_checkpoint(&setup, k, ProcessId(0));
             Actor::on_message(&mut log, ProcessId(0), &msg, &mut ctx);
         }
-        let fx = ctx.into_effects();
         // No local DECIDE to pair with: the INITs of slots 1 and 2 are
         // each signed alone.
         let sent: Vec<&SlotMsg> = fx
@@ -1177,8 +1172,9 @@ mod tests {
         let mut log =
             ReplicatedLog::<ByzantineConsensus>::new(&setup, ProcessId(3), 2, cmd).with_catchup(8);
         let mut draw = || 0u64;
+        let mut fx = Effects::default();
         let mut ctx: RtContext<'_, SlotMsg, Vec<ValueVector>> =
-            RtContext::new(VirtualTime::ZERO, ProcessId(3), 4, &mut draw);
+            RtContext::new(VirtualTime::ZERO, ProcessId(3), 4, &mut draw, &mut fx);
         // A checkpoint whose digest commits to a different slot than the
         // quorum certifies: the analyzer must convict, the log must not move.
         let mut msg = synthetic_checkpoint(&setup, 0, ProcessId(0));
@@ -1192,7 +1188,6 @@ mod tests {
         msg.slot = 0;
         Actor::on_message(&mut log, ProcessId(0), &msg, &mut ctx);
         assert_eq!(log.log.len(), 0, "forged checkpoint must not seal");
-        let fx = ctx.into_effects();
         assert!(fx
             .notes
             .iter()
@@ -1205,8 +1200,9 @@ mod tests {
         let mut log =
             ReplicatedLog::<ByzantineConsensus>::new(&setup, ProcessId(0), 4, cmd).with_catchup(2);
         let mut draw = || 0u64;
+        let mut fx = Effects::default();
         let mut ctx: RtContext<'_, SlotMsg, Vec<ValueVector>> =
-            RtContext::new(VirtualTime::ZERO, ProcessId(0), 4, &mut draw);
+            RtContext::new(VirtualTime::ZERO, ProcessId(0), 4, &mut draw, &mut fx);
         // Seal three of four slots from peers' checkpoints; the external
         // certificates are retained as slot evidence.
         for k in [0, 1, 2] {
@@ -1251,19 +1247,20 @@ mod tests {
         let mut log =
             ReplicatedLog::<ByzantineConsensus>::new(&setup, ProcessId(0), 4, cmd).with_catchup(2);
         let mut draw = || 0u64;
+        let mut fx = Effects::default();
         let mut ctx: RtContext<'_, SlotMsg, Vec<ValueVector>> =
-            RtContext::new(VirtualTime::ZERO, ProcessId(0), 4, &mut draw);
+            RtContext::new(VirtualTime::ZERO, ProcessId(0), 4, &mut draw, &mut fx);
         for k in [0, 1, 2] {
             let msg = synthetic_checkpoint(&setup, k, ProcessId(1));
             Actor::on_message(&mut log, ProcessId(1), &msg, &mut ctx);
         }
         assert_eq!(log.current, 3);
-        drop(ctx.into_effects());
         // p3's DECIDE relay for slot 0, backed by the slot's decide quorum:
         // authentic, stale, and no sign that p3 lags.
         let mut draw = || 0u64;
+        let mut fx = Effects::default();
         let mut ctx: RtContext<'_, SlotMsg, Vec<ValueVector>> =
-            RtContext::new(VirtualTime::ZERO, ProcessId(0), 4, &mut draw);
+            RtContext::new(VirtualTime::ZERO, ProcessId(0), 4, &mut draw, &mut fx);
         let quorum = synthetic_checkpoint(&setup, 0, ProcessId(1)).env.cert;
         let decide = SlotMsg {
             slot: 0,
@@ -1283,7 +1280,6 @@ mod tests {
         for _ in 0..17 {
             Actor::on_message(&mut log, ProcessId(3), &decide, &mut ctx);
         }
-        let fx = ctx.into_effects();
         assert!(
             fx.sends.is_empty() && fx.timers.is_empty() && fx.notes.is_empty(),
             "{fx:?}"
@@ -1302,8 +1298,9 @@ mod tests {
             ReplicatedLog::<ByzantineConsensus>::new(&setup, ProcessId(0), SEALED + 1, cmd)
                 .with_catchup(4);
         let mut draw = || 0u64;
+        let mut fx = Effects::default();
         let mut ctx: RtContext<'_, SlotMsg, Vec<ValueVector>> =
-            RtContext::new(VirtualTime::ZERO, ProcessId(0), 4, &mut draw);
+            RtContext::new(VirtualTime::ZERO, ProcessId(0), 4, &mut draw, &mut fx);
         for k in 0..SEALED {
             let msg = synthetic_checkpoint(&setup, k, ProcessId(1));
             Actor::on_message(&mut log, ProcessId(1), &msg, &mut ctx);
@@ -1350,8 +1347,9 @@ mod tests {
         let mut log =
             ReplicatedLog::<ByzantineConsensus>::new(&setup, ProcessId(3), 4, cmd).with_catchup(8);
         let mut draw = || 0u64;
+        let mut fx = Effects::default();
         let mut ctx: RtContext<'_, SlotMsg, Vec<ValueVector>> =
-            RtContext::new(VirtualTime::ZERO, ProcessId(3), 4, &mut draw);
+            RtContext::new(VirtualTime::ZERO, ProcessId(3), 4, &mut draw, &mut fx);
         let init = |slot: u64, p: u32, key: usize| SlotMsg {
             slot,
             env: Envelope::make(
@@ -1396,10 +1394,7 @@ mod tests {
             Actor::on_message(&mut log, ProcessId(1), &init(2, 1, 1), &mut ctx);
         }
 
-        let verdicts: Vec<String> = ctx
-            .into_effects()
-            .notes
-            .into_iter()
+        let verdicts: Vec<String> = (fx.notes.into_iter())
             .filter(|n| n.contains("class="))
             .collect();
         assert_eq!(
@@ -1442,9 +1437,10 @@ mod tests {
         ),
     ) -> ftm_sim::process::Effects<SlotMsg, Vec<ValueVector>> {
         let mut draw = || 0u64;
-        let mut ctx = RtContext::new(VirtualTime::at(3), log.me, 4, &mut draw);
+        let mut fx = Effects::default();
+        let mut ctx = RtContext::new(VirtualTime::at(3), log.me, 4, &mut draw, &mut fx);
         call(log, &mut ctx);
-        ctx.into_effects()
+        fx
     }
 
     #[test]

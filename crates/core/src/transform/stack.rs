@@ -309,6 +309,7 @@ mod tests {
     use ftm_certify::{Certificate, Core};
     use ftm_crypto::rsa::KeyPair;
     use ftm_detect::observer::Checks;
+    use ftm_sim::process::Effects;
 
     use crate::config::ProtocolConfig;
 
@@ -414,12 +415,13 @@ mod tests {
             &keys[0],
         );
         let mut draw = || 0u64;
-        let mut ctx = Context::new(VirtualTime::at(1), ProcessId(0), 3, &mut draw);
+        let mut fx = Effects::default();
+        let mut ctx = Context::new(VirtualTime::at(1), ProcessId(0), 3, &mut draw, &mut fx);
         for _ in 0..3 {
             assert!(stack.receive(ProcessId(2), &bad, &mut ctx).is_none());
         }
         assert_eq!(
-            ctx.into_effects().notes,
+            fx.notes,
             ["detected=p2 class=bad-signature reason=core signature does not verify for claimed sender"]
         );
         assert_eq!(stack.stats.quarantined, 2);
@@ -467,11 +469,12 @@ mod tests {
     /// `arrivals` (channel source, envelope) in order.
     fn receive_all(stack: &mut ModuleStack, arrivals: &[(u32, &Envelope)]) -> (Vec<String>, u64) {
         let mut draw = || 0u64;
-        let mut ctx = Context::new(VirtualTime::at(1), ProcessId(0), 3, &mut draw);
+        let mut fx = Effects::default();
+        let mut ctx = Context::new(VirtualTime::at(1), ProcessId(0), 3, &mut draw, &mut fx);
         for &(from, env) in arrivals {
             assert!(stack.receive(ProcessId(from), env, &mut ctx).is_none());
         }
-        (ctx.into_effects().notes, stack.stats.quarantined)
+        (fx.notes, stack.stats.quarantined)
     }
 
     const STOLEN: &str =

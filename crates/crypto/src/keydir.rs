@@ -7,8 +7,6 @@
 //! (immutably) by all processes, faulty ones included — a faulty process can
 //! *misuse* its own key but cannot alter the directory.
 
-use std::collections::hash_map::Entry;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
@@ -92,7 +90,9 @@ struct VerifyCache {
 
 /// The memo's table: under each `(signer, digest)` — a `Copy` key, so a
 /// lookup borrows the signature instead of cloning its limbs — the
-/// signatures presented for it, each with its verdict.
+/// signatures presented for it, each with its verdict. A key has one
+/// valid signature, so a bucket is longer than one entry only by
+/// forgeries.
 #[derive(Debug, Default)]
 struct Verdicts {
     #[expect(
@@ -100,33 +100,9 @@ struct Verdicts {
         reason = "D2 waiver: the memo is looked up by key and cleared wholesale, never \
                   iterated, so hash order cannot reach a report; it is on the verify hot path"
     )]
-    seen: std::collections::HashMap<MemoKey, Bucket>,
+    seen: std::collections::HashMap<(SignerId, Digest), Vec<(Signature, bool)>>,
     /// Triples held, over all buckets.
     len: usize,
-}
-
-/// A memo key, `(signer, digest)`: compared whole, hashed by the signer
-/// and the digest's first eight bytes. The digest is SHA-256 output, so
-/// the other 24 bytes would only lengthen what the map's keyed hash runs
-/// over; the key stays secret, so crafted digests cannot aim at a bucket.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct MemoKey(SignerId, Digest);
-
-impl Hash for MemoKey {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        let [a, b, c, d, e, f, g, h, ..] = (self.1).0;
-        state.write_u32(self.0);
-        state.write_u64(u64::from_le_bytes([a, b, c, d, e, f, g, h]));
-    }
-}
-
-/// The signatures presented for one key, each with its verdict. A key has
-/// one valid signature, so the first is held in place and `more` is
-/// filled only by forgeries.
-#[derive(Debug)]
-struct Bucket {
-    first: (Signature, bool),
-    more: Vec<(Signature, bool)>,
 }
 
 impl VerifyCache {
@@ -149,11 +125,11 @@ impl VerifyCache {
         sig: &Signature,
         compute: impl FnOnce() -> bool,
     ) -> (bool, u64) {
-        let key = MemoKey(signer, *digest);
+        let key = (signer, *digest);
         {
             let verdicts = self.verdicts.lock().expect("verify cache poisoned");
-            let seen = (verdicts.seen.get(&key)).map(|b| std::iter::once(&b.first).chain(&b.more));
-            if let Some(&(_, ok)) = seen.and_then(|mut seen| seen.find(|(s, _)| s == sig)) {
+            let seen = verdicts.seen.get(&key).map_or(&[][..], Vec::as_slice);
+            if let Some(&(_, ok)) = seen.iter().find(|(s, _)| s == sig) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 return (ok, self.epoch.load(Ordering::Relaxed));
             }
@@ -170,16 +146,11 @@ impl VerifyCache {
             verdicts.len = 0;
             self.epoch.store(fresh_epoch(), Ordering::Relaxed);
         }
-        let entry = (sig.clone(), ok);
-        match verdicts.seen.entry(key) {
-            Entry::Occupied(bucket) => bucket.into_mut().more.push(entry),
-            Entry::Vacant(slot) => {
-                slot.insert(Bucket {
-                    first: entry,
-                    more: Vec::new(),
-                });
-            }
-        }
+        verdicts
+            .seen
+            .entry(key)
+            .or_default()
+            .push((sig.clone(), ok));
         verdicts.len += 1;
         (ok, self.epoch.load(Ordering::Relaxed))
     }

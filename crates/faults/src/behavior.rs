@@ -123,6 +123,7 @@ mod tests {
     use super::*;
     use ftm_certify::{Certificate, Core, Envelope, ValueVector};
     use ftm_core::byzantine::log::SlotMsg;
+    use ftm_sim::process::Effects;
     use ftm_sim::StagedSend;
 
     /// Drops everything: the simplest muteness strategy.
@@ -188,10 +189,10 @@ mod tests {
             deviation: DropAll,
         };
         let mut draw = || 0u64;
+        let mut fx = Effects::default();
         let mut ctx: Context<'_, Envelope, ValueVector> =
-            Context::new(VirtualTime::ZERO, ProcessId(0), 3, &mut draw);
+            Context::new(VirtualTime::ZERO, ProcessId(0), 3, &mut draw, &mut fx);
         wrapper.on_start(&mut ctx);
-        let fx = ctx.into_effects();
         assert!(fx.sends.is_empty(), "DropAll must silence the broadcast");
         assert_eq!(fx.timers.len(), 1, "inject timer armed");
     }
@@ -231,10 +232,10 @@ mod tests {
         let mut wrapper =
             ByzantineLogWrapper::new(OneSlot { keys: keys.clone() }, mute, keys, Duration::of(10));
         let mut draw = || 0u64;
+        let mut fx = Effects::default();
         let mut ctx: Context<'_, SlotMsg, Vec<ValueVector>> =
-            Context::new(VirtualTime::ZERO, ProcessId(0), 3, &mut draw);
+            Context::new(VirtualTime::ZERO, ProcessId(0), 3, &mut draw, &mut fx);
         wrapper.on_start(&mut ctx);
-        let fx = ctx.into_effects();
         assert!(
             fx.sends.is_empty(),
             "muteness must silence the slot traffic"
@@ -284,11 +285,13 @@ mod tests {
             deviation: ResignOne { keys },
         };
         let mut draw = || 0u64;
+        let mut fx = Effects::default();
         let mut ctx: Context<'_, SlotMsg, Vec<ValueVector>> =
-            Context::new(VirtualTime::ZERO, ProcessId(0), 3, &mut draw);
+            Context::new(VirtualTime::ZERO, ProcessId(0), 3, &mut draw, &mut fx);
         wrapper.on_start(&mut ctx);
-        let fx = ctx.into_effects();
-        let targets: Vec<u32> = (fx.sends.iter())
+        let targets: Vec<u32> = fx
+            .sends
+            .iter()
             .filter_map(|s| match s {
                 StagedSend::To(to, _) => Some(to.0),
                 StagedSend::ToAll(_) => None,
@@ -342,10 +345,10 @@ mod tests {
             deviation: Spammer { keys },
         };
         let mut draw = || 0u64;
+        let mut fx = Effects::default();
         let mut ctx: Context<'_, Envelope, ValueVector> =
-            Context::new(VirtualTime::at(10), ProcessId(0), 3, &mut draw);
+            Context::new(VirtualTime::at(10), ProcessId(0), 3, &mut draw, &mut fx);
         wrapper.on_timer(INJECT_TIMER, &mut ctx);
-        let fx = ctx.into_effects();
         assert_eq!(fx.sends.len(), 1);
         assert!(
             matches!(fx.sends[0], StagedSend::To(ProcessId(1), _)),
@@ -369,19 +372,19 @@ mod tests {
             Duration::of(10),
         );
         let mut draw = || 0u64;
+        let mut fx = Effects::default();
         let mut ctx: Context<'_, SlotMsg, Vec<ValueVector>> =
-            Context::new(VirtualTime::ZERO, ProcessId(0), 3, &mut draw);
+            Context::new(VirtualTime::ZERO, ProcessId(0), 3, &mut draw, &mut fx);
         wrapper.on_start(&mut ctx);
-        let fx = ctx.into_effects();
         assert!(
             matches!(&fx.sends[..], [StagedSend::ToAll(m)] if m.slot == 2),
             "an untampered broadcast goes back out as one: {:?}",
             fx.sends
         );
+        let mut fx = Effects::default();
         let mut ctx: Context<'_, SlotMsg, Vec<ValueVector>> =
-            Context::new(VirtualTime::at(10), ProcessId(0), 3, &mut draw);
+            Context::new(VirtualTime::at(10), ProcessId(0), 3, &mut draw, &mut fx);
         wrapper.on_timer(INJECT_TIMER, &mut ctx);
-        let fx = ctx.into_effects();
         assert!(
             matches!(&fx.sends[..], [
                 StagedSend::To(ProcessId(0), a),
@@ -409,14 +412,18 @@ mod tests {
             Duration::of(10),
         );
         let mut draw = || 0u64;
+        let mut fx = Effects::default();
         let mut ctx: Context<'_, Envelope, ValueVector> =
-            Context::new(VirtualTime::ZERO, ProcessId(0), 7, &mut draw);
+            Context::new(VirtualTime::ZERO, ProcessId(0), 7, &mut draw, &mut fx);
         wrapper.on_start(&mut ctx);
-        assert_eq!(ctx.into_effects().sends.len(), 1, "the honest broadcast");
+        assert_eq!(fx.sends.len(), 1, "the honest broadcast");
+        let mut fx = Effects::default();
         let mut ctx: Context<'_, Envelope, ValueVector> =
-            Context::new(VirtualTime::at(10), ProcessId(0), 7, &mut draw);
+            Context::new(VirtualTime::at(10), ProcessId(0), 7, &mut draw, &mut fx);
         wrapper.on_timer(INJECT_TIMER, &mut ctx);
-        let targets: Vec<u32> = (ctx.into_effects().sends.iter())
+        let targets: Vec<u32> = fx
+            .sends
+            .iter()
             .map(|s| match s {
                 StagedSend::To(to, _) => to.0,
                 StagedSend::ToAll(_) => panic!("a replay is unicasts"),

@@ -104,6 +104,7 @@ mod tests {
     use ftm_core::spec::Resilience;
     use ftm_core::validator::check_crash_consensus;
     use ftm_fd::TimeoutDetector;
+    use ftm_sim::process::Effects;
     use ftm_sim::runner::BoxedActor;
     use ftm_sim::{SimConfig, Simulation, StagedSend, TimerTag};
 
@@ -127,9 +128,9 @@ mod tests {
         call: impl FnOnce(&mut Context<'_, CrashMsg, Value>),
     ) -> (Vec<StagedSend<CrashMsg>>, Vec<(Duration, TimerTag)>) {
         let mut draw = || 0u64;
-        let mut ctx = Context::new(VirtualTime::at(now), ProcessId(0), 3, &mut draw);
+        let mut fx = Effects::default();
+        let mut ctx = Context::new(VirtualTime::at(now), ProcessId(0), 3, &mut draw, &mut fx);
         call(&mut ctx);
-        let fx = ctx.into_effects();
         (fx.sends, fx.timers)
     }
 

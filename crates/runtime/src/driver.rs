@@ -113,7 +113,7 @@ where
     let n = rt.process_count();
     {
         let mut draw = || rt.rng_draw();
-        let mut ctx: Context<'_, M, D> = Context::with_staging(now, me, n, &mut draw, staging);
+        let mut ctx: Context<'_, M, D> = Context::new(now, me, n, &mut draw, staging);
         call(&mut ctx);
     }
     rt.apply_effects(me, staging);

@@ -51,8 +51,9 @@ impl fmt::Display for Finding<'_> {
     }
 }
 
-/// The counters of a [`Note::StackStats`]: its `key=<n>` words.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The counters of a [`Note::StackStats`]: its `key=<n>` words. Two are
+/// equal when they hold the same pairs, however each is held.
+#[derive(Debug, Clone, Copy, Eq)]
 pub enum Stats<'a> {
     /// The words as a note's text holds them (what a reader gets).
     Words(&'a str),
@@ -71,6 +72,12 @@ impl<'a> Stats<'a> {
             Stats::Pairs(pairs) => ("", pairs),
         };
         (words.split_whitespace().filter_map(pair)).chain(pairs.iter().copied())
+    }
+}
+
+impl PartialEq for Stats<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.iter().eq(other.iter())
     }
 }
 
@@ -376,6 +383,10 @@ mod tests {
             Note::StackStats(Stats::Words(COUNTERS)).to_string()
         );
         assert_eq!(Stats::Pairs(&pairs).iter().collect::<Vec<_>>(), pairs);
+        // An emitted note equals the one parsed from its text.
+        let text = emitted.to_string();
+        assert_eq!(Note::parse(&text), (None, emitted));
+        assert_ne!(Stats::Pairs(&pairs[1..]), Stats::Words(COUNTERS));
     }
 
     #[test]

@@ -2,7 +2,6 @@
 //! [`Context`] handed to every callback.
 
 use std::fmt::{self, Write as _};
-use std::ops::{Deref, DerefMut};
 
 use crate::note;
 use crate::time::{Duration, VirtualTime};
@@ -222,36 +221,10 @@ pub struct Context<'a, M, D> {
     me: ProcessId,
     n: usize,
     rng_draw: &'a mut dyn FnMut() -> u64,
-    staged: Staged<'a, M, D>,
+    staged: &'a mut Effects<M, D>,
     /// The log slot whose instance this context speaks for: every note
     /// then carries its `s<slot>:` prefix ([`note::in_slot`]).
     slot: Option<u64>,
-}
-
-/// The buffers a context stages into: its own, or the ones a host lends.
-enum Staged<'a, M, D> {
-    Own(Effects<M, D>),
-    Lent(&'a mut Effects<M, D>),
-}
-
-impl<M, D> Deref for Staged<'_, M, D> {
-    type Target = Effects<M, D>;
-
-    fn deref(&self) -> &Effects<M, D> {
-        match self {
-            Staged::Own(fx) => fx,
-            Staged::Lent(fx) => fx,
-        }
-    }
-}
-
-impl<M, D> DerefMut for Staged<'_, M, D> {
-    fn deref_mut(&mut self) -> &mut Effects<M, D> {
-        match self {
-            Staged::Own(fx) => fx,
-            Staged::Lent(fx) => fx,
-        }
-    }
 }
 
 impl<M: fmt::Debug, D: fmt::Debug> fmt::Debug for Context<'_, M, D> {
@@ -271,10 +244,9 @@ impl<M: fmt::Debug, D: fmt::Debug> fmt::Debug for Context<'_, M, D> {
 /// Effects staged by one callback, as consumed by the runner.
 ///
 /// Also the buffers a callback stages into: a host keeps one `Effects`,
-/// lends it to every callback's [`Context`]
-/// ([`with_staging`](Context::with_staging)) and drains it, so a callback
-/// allocates only for what outgrows the buffers, not for every entry, and
-/// nothing is moved in or out.
+/// lends it to every callback's [`Context`] ([`Context::new`]) and drains
+/// it afterwards, so a callback allocates only for what outgrows the
+/// buffers, not for every entry.
 #[derive(Debug)]
 pub struct Effects<M, D> {
     /// Messages to hand to the network, in staging order (broadcasts as
@@ -306,28 +278,10 @@ impl<M, D> Default for Effects<M, D> {
 }
 
 impl<'a, M: Payload, D: Clone + fmt::Debug + PartialEq> Context<'a, M, D> {
-    /// Creates a context for one callback, staging into buffers of its
-    /// own. Used by tests that drive actors directly.
-    pub fn new(
-        now: VirtualTime,
-        me: ProcessId,
-        n: usize,
-        rng_draw: &'a mut dyn FnMut() -> u64,
-    ) -> Self {
-        Context {
-            now,
-            me,
-            n,
-            rng_draw,
-            staged: Staged::Own(Effects::default()),
-            slot: None,
-        }
-    }
-
     /// Creates a context for one callback that stages into `staging`'s
     /// buffers, emptied first: what a host does with the one [`Effects`]
-    /// it keeps, which it then drains.
-    pub fn with_staging(
+    /// it keeps, which it drains once the callback returns.
+    pub fn new(
         now: VirtualTime,
         me: ProcessId,
         n: usize,
@@ -344,7 +298,7 @@ impl<'a, M: Payload, D: Clone + fmt::Debug + PartialEq> Context<'a, M, D> {
             me,
             n,
             rng_draw,
-            staged: Staged::Lent(staging),
+            staged: staging,
             slot: None,
         }
     }
@@ -497,37 +451,32 @@ impl<'a, M: Payload, D: Clone + fmt::Debug + PartialEq> Context<'a, M, D> {
     pub fn forward_note(&mut self, text: String) {
         self.staged.notes.push(text);
     }
-
-    /// Consumes the context, returning its staged effects (taking them
-    /// out of lent buffers).
-    pub fn into_effects(self) -> Effects<M, D> {
-        match self.staged {
-            Staged::Own(fx) => fx,
-            Staged::Lent(fx) => std::mem::take(fx),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn ctx<'a>(draw: &'a mut dyn FnMut() -> u64) -> Context<'a, &'static str, u64> {
-        Context::new(VirtualTime::at(5), ProcessId(1), 3, draw)
+    type Fx = Effects<&'static str, u64>;
+
+    fn ctx<'a>(draw: &'a mut dyn FnMut() -> u64, fx: &'a mut Fx) -> Context<'a, &'static str, u64> {
+        Context::new(VirtualTime::at(5), ProcessId(1), 3, draw, fx)
     }
 
     #[test]
     fn broadcast_stages_one_shared_entry() {
         let mut draw = || 0u64;
-        let mut c = ctx(&mut draw);
+        let mut fx = Fx::default();
+        let mut c = ctx(&mut draw, &mut fx);
         c.broadcast("m");
-        assert_eq!(c.into_effects().sends, vec![StagedSend::ToAll("m")]);
+        assert_eq!(fx.sends, vec![StagedSend::ToAll("m")]);
     }
 
     #[test]
     fn taking_staged_sends_expands_broadcasts_in_order() {
         let mut draw = || 0u64;
-        let mut c = ctx(&mut draw);
+        let mut fx = Fx::default();
+        let mut c = ctx(&mut draw, &mut fx);
         c.send(ProcessId(2), "pre");
         c.broadcast("m");
         c.send(ProcessId(0), "post");
@@ -538,7 +487,7 @@ mod tests {
             vec![(2, "pre"), (0, "m"), (1, "m"), (2, "m"), (0, "post")]
         );
         c.restore_staged_sends(flat);
-        assert_eq!(c.into_effects().sends.len(), 5);
+        assert_eq!(fx.sends.len(), 5);
     }
 
     /// A payload that knows its own identity: one allocation per message.
@@ -559,15 +508,16 @@ mod tests {
     /// view of: a unicast, a broadcast of `m`, a unicast (at p1 of 3).
     fn restored(edit: impl FnOnce(&mut Vec<(ProcessId, Shared)>)) -> Vec<StagedSend<Shared>> {
         let mut draw = || 0u64;
+        let mut fx = Effects::default();
         let mut c: Context<'_, Shared, u64> =
-            Context::new(VirtualTime::at(5), ProcessId(1), 3, &mut draw);
+            Context::new(VirtualTime::at(5), ProcessId(1), 3, &mut draw, &mut fx);
         c.send(ProcessId(2), Shared("pre".into()));
         c.broadcast(Shared("m".into()));
         c.send(ProcessId(0), Shared("post".into()));
         let mut flat = c.take_staged_sends();
         edit(&mut flat);
         c.restore_staged_sends(flat);
-        c.into_effects().sends
+        fx.sends
     }
 
     fn shape(sends: &[StagedSend<Shared>]) -> Vec<String> {
@@ -626,35 +576,34 @@ mod tests {
     #[test]
     fn first_decision_wins() {
         let mut draw = || 0u64;
-        let mut c = ctx(&mut draw);
+        let mut fx = Fx::default();
+        let mut c = ctx(&mut draw, &mut fx);
         c.decide(10);
         c.decide(99);
-        assert_eq!(c.into_effects().decision, Some(10));
+        assert_eq!(fx.decision, Some(10));
     }
 
     #[test]
     fn staged_sends_are_rewritable() {
         let mut draw = || 0u64;
-        let mut c = ctx(&mut draw);
+        let mut fx = Fx::default();
+        let mut c = ctx(&mut draw, &mut fx);
         c.send(ProcessId(0), "honest");
         let mut flat = c.take_staged_sends();
         flat[0].1 = "corrupted";
         c.restore_staged_sends(flat);
-        assert_eq!(
-            c.into_effects().sends[0],
-            StagedSend::To(ProcessId(0), "corrupted")
-        );
+        assert_eq!(fx.sends[0], StagedSend::To(ProcessId(0), "corrupted"));
     }
 
     #[test]
     fn timers_notes_and_halt_are_staged() {
         let mut draw = || 7u64;
-        let mut c = ctx(&mut draw);
+        let mut fx = Fx::default();
+        let mut c = ctx(&mut draw, &mut fx);
         c.set_timer(Duration::of(3), 42);
         assert_eq!(c.random_u64(), 7);
         c.note("suspect=p2");
         c.halt();
-        let fx = c.into_effects();
         assert_eq!(fx.timers, vec![(Duration::of(3), 42)]);
         assert_eq!(fx.notes, vec!["suspect=p2".to_string()]);
         assert!(fx.halted);
