@@ -415,14 +415,6 @@ impl Payload for Envelope {
         let _ = write!(out, " cert={}", self.cert.len());
     }
 
-    /// One object when the signed core and the certificate body are —
-    /// never by `==`, which compares statements: a copy re-signed (under
-    /// another key, say) has the original's digest, so it is equal, and it
-    /// is still another message.
-    fn is_same(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.signed.0, &other.signed.0) && self.cert.shares_body(&other.cert)
-    }
-
     fn layer_split(&self) -> LayerSplit {
         // The wire envelope decomposes exactly: the protocol core's
         // canonical bytes, the signature layer's bytes over that core (with
@@ -844,39 +836,6 @@ mod tests {
         // The signature survives the trip and still verifies.
         assert!(back.signed.verify(&dir).is_ok());
         assert_eq!(back.cert.len(), 1);
-    }
-
-    #[test]
-    fn a_cloned_envelope_is_the_same_message_and_a_resigned_one_is_not() {
-        let (_, keys) = setup();
-        let env = Envelope::make(
-            ProcessId(1),
-            Core::Next { round: 2 },
-            Certificate::from_items([init(0, 5, &keys[0])]),
-            &keys[1],
-        );
-        let clone = env.clone();
-        assert!(env.is_same(&clone));
-        assert!(Arc::ptr_eq(&env.signed.0, &clone.signed.0));
-        assert!(env.cert.shares_body(&clone.cert));
-        // Signed again, separately: equal content, another message.
-        let resigned = Envelope {
-            signed: SignedCore::sign(env.signed.core().clone(), &keys[1]),
-            cert: env.cert.clone(),
-        };
-        assert!(resigned == env && !resigned.is_same(&env));
-        // The same core under an equal certificate of its own body.
-        let recertified = Envelope {
-            signed: env.signed.clone(),
-            cert: Certificate::from_items(env.cert.iter().cloned()),
-        };
-        assert!(recertified == env && !recertified.is_same(&env));
-        // A clone inserted into no longer shares, and the original is
-        // untouched.
-        let mut grown = env.clone();
-        grown.cert.insert(init(2, 6, &keys[2]));
-        assert!(!grown.is_same(&env));
-        assert_eq!((env.cert.len(), grown.cert.len()), (1, 2));
     }
 
     #[test]

@@ -69,10 +69,6 @@ impl Payload for SlotMsg {
         self.env.write_label(out);
     }
 
-    fn is_same(&self, other: &Self) -> bool {
-        self.slot == other.slot && self.env.is_same(&other.env)
-    }
-
     fn layer_split(&self) -> LayerSplit {
         // The slot tag is protocol-level framing; the rest is the envelope's.
         let mut split = self.env.layer_split();
@@ -709,6 +705,15 @@ mod tests {
     use crate::config::ProtocolConfig;
     use ftm_sim::{SimConfig, Simulation, VirtualTime};
 
+    /// Drains the catch-up replies staged on `ctx`: unicasts, every one.
+    fn replies(ctx: &mut RtContext<'_, SlotMsg, Vec<ValueVector>>) -> Vec<(ProcessId, SlotMsg)> {
+        let unicast = |send| match send {
+            StagedSend::To(to, msg) => (to, msg),
+            StagedSend::ToAll(_) => panic!("a catch-up reply is a unicast"),
+        };
+        ctx.staged_sends().drain(..).map(unicast).collect()
+    }
+
     fn cmd(slot: u64, p: u32) -> Value {
         1000 * slot + 100 + p as u64
     }
@@ -1210,7 +1215,7 @@ mod tests {
             Actor::on_message(&mut log, ProcessId(1), &msg, &mut ctx);
         }
         assert_eq!(log.current, 3);
-        ctx.take_staged_sends();
+        ctx.staged_sends().clear();
         // A laggard's slot-0 instance traffic earns a window of checkpoints.
         let stale = SlotMsg {
             slot: 0,
@@ -1222,7 +1227,7 @@ mod tests {
             ),
         };
         Actor::on_message(&mut log, ProcessId(3), &stale, &mut ctx);
-        let sends = ctx.take_staged_sends();
+        let sends = replies(&mut ctx);
         assert_eq!(sends.len(), 2, "window=2 bounds the reply");
         for (i, (to, reply)) in sends.iter().enumerate() {
             assert_eq!(*to, ProcessId(3));
@@ -1236,9 +1241,9 @@ mod tests {
         for _ in 0..15 {
             Actor::on_message(&mut log, ProcessId(3), &stale, &mut ctx);
         }
-        assert_eq!(ctx.take_staged_sends().len(), 0, "repeats 1-15: throttled");
+        assert_eq!(replies(&mut ctx).len(), 0, "repeats 1-15: throttled");
         Actor::on_message(&mut log, ProcessId(3), &stale, &mut ctx);
-        assert_eq!(ctx.take_staged_sends().len(), 2, "16th repeat replies");
+        assert_eq!(replies(&mut ctx).len(), 2, "16th repeat replies");
     }
 
     #[test]
@@ -1307,7 +1312,7 @@ mod tests {
         }
         assert_eq!(log.current, SEALED);
         assert_eq!(log.evidence.len() as u64, SEALED);
-        ctx.take_staged_sends();
+        ctx.staged_sends().clear();
         for lo in [0, 137, 250, SEALED - 2] {
             let stale = SlotMsg {
                 slot: lo,
@@ -1319,7 +1324,7 @@ mod tests {
                 ),
             };
             Actor::on_message(&mut log, ProcessId(3), &stale, &mut ctx);
-            let sends = ctx.take_staged_sends();
+            let sends = replies(&mut ctx);
             assert_eq!(sends.len() as u64, 4.min(SEALED - lo), "stale slot {lo}");
             for (k, (to, reply)) in (lo..).zip(&sends) {
                 assert_eq!((*to, reply.slot), (ProcessId(3), k));

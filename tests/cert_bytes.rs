@@ -30,7 +30,8 @@ use ft_modular::core::config::{ProtocolConfig, ProtocolSetup};
 use ft_modular::core::rounds::Rounds;
 use ft_modular::core::spec::ProtocolSpec;
 use ft_modular::sim::{
-    Actor, Context, Duration, Payload, ProcessId, SimConfig, Simulation, TimerTag, VirtualTime,
+    Actor, Context, Duration, Payload, ProcessId, SimConfig, Simulation, StagedSend, TimerTag,
+    VirtualTime,
 };
 
 /// A tapped process: its messages are or carry one envelope, and it says
@@ -74,17 +75,16 @@ struct Tap<A> {
 }
 
 impl<A: Tapped> Tap<A> {
-    /// Keeps the copy of each staged send addressed to p0: every send of
-    /// a transformed process is a broadcast, which includes p0.
+    /// Keeps each staged send that reaches p0: every send of a
+    /// transformed process is a broadcast, which includes p0.
     fn record(&mut self, ctx: &mut Context<'_, A::Msg, A::Decision>) {
-        let flat = ctx.take_staged_sends();
+        let reaches_p0 = |s: &&StagedSend<A::Msg>| match s {
+            StagedSend::To(to, _) => to.index() == 0,
+            StagedSend::ToAll(_) => true,
+        };
         let mut sent = self.sent.borrow_mut();
-        sent.extend(
-            (flat.iter())
-                .filter(|(to, _)| to.index() == 0)
-                .map(|(_, m)| A::env(m).clone()),
-        );
-        ctx.restore_staged_sends(flat);
+        let staged = ctx.staged_sends().iter().filter(reaches_p0);
+        sent.extend(staged.map(|s| A::env(s.msg()).clone()));
         self.rows.borrow_mut()[ctx.me().index()] = self.inner.discharged().to_vec();
     }
 }

@@ -18,7 +18,7 @@ use ft_modular::core::rounds::{ct, hr, Record, Rounds};
 use ft_modular::core::spec::{ProtocolSpec, Resilience};
 use ft_modular::fd::TimeoutDetector;
 use ft_modular::sim::{
-    Actor, Context, Duration, ProcessId, SimConfig, Simulation, TimerTag, VirtualTime,
+    Actor, Context, Duration, ProcessId, SimConfig, Simulation, StagedSend, TimerTag, VirtualTime,
 };
 
 /// A round module of the crash model.
@@ -33,7 +33,7 @@ type Tally = Rc<RefCell<Vec<Vec<(&'static str, u32)>>>>;
 
 /// Forwards to the wrapped process and records its sends and its shell's
 /// discharge tally after every callback, reading the staged sends the way
-/// `Faulty::post` does.
+/// `Faulty::post` hands them to a deviation.
 struct Recorder<R> {
     inner: Crash<R, TimeoutDetector>,
     sent: Sent,
@@ -41,24 +41,19 @@ struct Recorder<R> {
 }
 
 impl<R: CrashRounds> Recorder<R> {
-    /// Logs one callback's sends other than heartbeats. The flat view
-    /// expands a broadcast to its copies for p0 … p(n−1); a send is logged
-    /// once, whatever its destinations.
+    /// Logs one callback's sends other than heartbeats, a broadcast once.
     fn record(&mut self, ctx: &mut Context<'_, CrashMsg, Value>) {
-        let flat = ctx.take_staged_sends();
-        let n = ctx.process_count();
+        let me = ctx.me().index();
         let mut sent = self.sent.borrow_mut();
-        let log = &mut sent[ctx.me().index()];
-        let mut rest = &flat[..];
-        while let Some((to, msg)) = rest.first() {
-            let broadcast = rest.len() >= n
-                && (rest[..n].iter().enumerate()).all(|(p, (to, m))| to.index() == p && m == msg);
+        for send in ctx.staged_sends().iter() {
+            let (msg, to) = match send {
+                StagedSend::To(to, msg) => (msg, Some(*to)),
+                StagedSend::ToAll(msg) => (msg, None),
+            };
             if msg.kind().is_some() {
-                log.push((*msg, (!broadcast).then_some(*to)));
+                sent[me].push((*msg, to));
             }
-            rest = &rest[if broadcast { n } else { 1 }..];
         }
-        ctx.restore_staged_sends(flat);
         self.tally.borrow_mut()[ctx.me().index()] = self.inner.discharged().to_vec();
     }
 }
