@@ -1,9 +1,8 @@
 //! E8 — ablation: disable one module of the Fig. 1 stack at a time and
 //! show which attack then breaks which property.
 
-use ftm_core::config::ProtocolConfig;
+use ftm_core::config::{Checks, ProtocolConfig};
 use ftm_core::validator::detections;
-use ftm_detect::observer::Checks;
 use ftm_faults::{Attack, AttackRun};
 use ftm_sim::{Duration, ProcessId};
 

@@ -31,8 +31,8 @@ use crate::signed::Envelope;
 /// # Obtaining one
 ///
 /// Only through a gate that ends in [`CertChecker::certify`]:
-/// [`CertChecker::check_envelope`] here, `Observer::observe` in
-/// `ftm-detect`, `ModuleStack::admit` in `ftm-core`.
+/// [`CertChecker::check_envelope`] here and `ModuleStack::admit` in
+/// `ftm-core`.
 ///
 /// ```
 /// use ftm_certify::analyzer::CertChecker;
@@ -132,7 +132,7 @@ impl CertChecker {
     /// §5.1).
     ///
     /// `certificates` is the E8 ablation bit (`Checks::certificates` in
-    /// `ftm-detect`): `false` skips both steps, so the ablated stack
+    /// `ftm-core`): `false` skips both steps, so the ablated stack
     /// still hands its protocol module a `Certified` — minted here, by
     /// the same function, rather than through a second unchecked
     /// constructor. Everything outside the ablation experiment passes

@@ -2,7 +2,6 @@
 
 use ftm_crypto::keydir::KeyDirectory;
 use ftm_crypto::rsa::KeyPair;
-use ftm_detect::observer::Checks;
 use ftm_sim::Duration;
 
 use crate::spec::Resilience;
@@ -18,6 +17,33 @@ pub enum MutenessMode {
         /// Per-round allowance increment.
         per_round: Duration,
     },
+}
+
+/// Which checks [`ModuleStack::admit`] runs — all on by default.
+///
+/// Exists for the ablation experiment (E8): disabling one module at a time
+/// shows each is load-bearing. Production use keeps the default.
+///
+/// [`ModuleStack::admit`]: crate::transform::ModuleStack::admit
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Checks {
+    /// Identity and core-signature verification (the signature module).
+    pub signatures: bool,
+    /// Certificate item signatures and per-kind well-formedness (the
+    /// reliable certification module / `PF` predicates).
+    pub certificates: bool,
+    /// The per-peer timing automaton (out-of-order detection).
+    pub timing: bool,
+}
+
+impl Default for Checks {
+    fn default() -> Self {
+        Checks {
+            signatures: true,
+            certificates: true,
+            timing: true,
+        }
+    }
 }
 
 /// Tunable parameters of both protocols.

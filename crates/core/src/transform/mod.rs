@@ -20,7 +20,7 @@
 //!    messages).
 //! 3. **Audit every receipt against the sender's state machine** —
 //!    out-of-order and wrong-expected messages convict the sender
-//!    ([`ftm_detect::Observer`]).
+//!    ([`ftm_detect::PeerAutomaton`], run by [`ModuleStack::admit`]).
 //! 4. **Certify every send** — attach the signed receipts that justify the
 //!    carried value and the send condition
 //!    ([`ftm_certify::Certificate`]); replace expressions over corruptible

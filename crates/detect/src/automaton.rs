@@ -31,8 +31,9 @@
 //!
 //! The automaton checks *timing* (enabled receipt events); content and
 //! certificate checks (`PF` predicates) are the
-//! [`ftm_certify::CertChecker`]'s and [`crate::predicates`]'s job and are
-//! run by the [`crate::Observer`] before the transition is applied.
+//! [`ftm_certify::CertChecker`]'s and [`crate::predicates`]'s job. The
+//! receive pipeline, `ftm_core`'s `ModuleStack::admit`, runs the syntax
+//! check before the transition and the certificate checks after it.
 
 use std::fmt;
 
@@ -407,9 +408,10 @@ impl PeerAutomaton {
     }
 
     /// Checks whether `env`'s receipt event is enabled, and advances the
-    /// phase if so. Returns the extra verification the observer must run
-    /// (certificate predicates) — the observer calls this *after* the
-    /// content checks passed, with `env` already trusted syntactically.
+    /// phase if so. Returns the extra verification the receiver must run
+    /// (certificate predicates) — the receive pipeline calls this *after*
+    /// the content checks passed, with `env` already trusted
+    /// syntactically.
     ///
     /// # Errors
     ///
@@ -417,7 +419,7 @@ impl PeerAutomaton {
     /// and returns the classification.
     pub fn on_message(&mut self, env: &Envelope) -> Result<Requirement, CertifyError> {
         // Note: `env.sender()` normally equals `self.peer`; when the
-        // signature module is ablated (experiment E8) the observer routes
+        // signature module is ablated (experiment E8) the receiver routes
         // by the *claimed* sender, so an impersonator's messages land here
         // and frame the victim — which is the point of that experiment.
         self.step(env.kind(), env.round())
@@ -443,8 +445,8 @@ impl PeerAutomaton {
         }
     }
 
-    /// Convicts the peer from outside the timing rules (the observer calls
-    /// this when a content/certificate predicate failed).
+    /// Convicts the peer from outside the timing rules (the receive
+    /// pipeline calls this when any other check failed).
     pub fn convict(&mut self) {
         self.phase = PeerPhase::Faulty;
     }

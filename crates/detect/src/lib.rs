@@ -8,25 +8,24 @@
 //! not enabled is **out-of-order**; an enabled message failing the
 //! syntactic check or whose certificate is not well-formed is a **wrong
 //! expected message**. Both drive the automaton into the terminal `faulty`
-//! state, and `q` joins the observer's `faulty` set — which the protocol
-//! module may read (alongside the muteness detector's `suspected` set) but
-//! never write.
+//! state, and `q` joins `p`'s `faulty` set — which the protocol module may
+//! read (alongside the muteness detector's `suspected` set) but never
+//! write.
 //!
 //! * [`automaton`] — the per-peer automaton: phases `start, q0, q1, q2,
 //!   final, faulty`, round tracking, transition rules.
 //! * [`predicates`] — the `PF_{a,b}` predicates: certificate analysis
 //!   specialized per transition (round entry, relays, decides).
-//! * [`observer`] — the module that owns one automaton per peer plus the
-//!   evidence log; this is what the transformed protocol embeds.
+//!
+//! The receive pipeline that embeds one automaton per peer is `ftm_core`'s
+//! `ModuleStack`.
 
 // D6 (DESIGN.md §13): a Byzantine sender must not be able to crash a replica.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod automaton;
-pub mod observer;
 pub mod predicates;
 
 pub use automaton::{PeerAutomaton, PeerPhase, ProtocolTable, Requirement};
-pub use observer::{FaultRecord, Observer};
 
 include!("../../../clippy_canaries.rs"); // D1–D4 ban canaries, DESIGN.md §13

@@ -9,11 +9,11 @@
 
 use ft_modular::certify::{Value, ValueVector};
 use ft_modular::core::byzantine::ByzantineConsensus;
+use ft_modular::core::config::Checks;
 use ft_modular::core::config::ProtocolConfig;
 use ft_modular::core::crash::{CrashConsensus, CrashMsg};
 use ft_modular::core::spec::Resilience;
 use ft_modular::core::validator::{check_crash_consensus, check_vector_consensus};
-use ft_modular::detect::observer::Checks;
 use ft_modular::faults::crash_attacks::{CrashAttack, CrashSaboteur};
 use ft_modular::faults::{Attack, ByzantineWrapper};
 use ft_modular::fd::TimeoutDetector;
