@@ -215,10 +215,12 @@ mod tests {
         // eight vote chains per round would enumerate ~8^6 traces, so the
         // effective bound shrinks until the cap holds.
         assert_eq!(
-            bounds.soundness_rounds_for(&ProtocolSpec::transformed().table),
+            bounds.soundness_rounds_for(
+                &ProtocolSpec::transformed_for(ProtocolId::HurfinRaynal).table
+            ),
             bounds.soundness_rounds
         );
-        let ct_table = ProtocolSpec::transformed_ct().table;
+        let ct_table = ProtocolSpec::transformed_for(ProtocolId::ChandraToueg).table;
         let ct = bounds.soundness_rounds_for(&ct_table);
         assert!(ct >= 3, "CT bound over-shrunk: {ct}");
         assert!(ct < bounds.soundness_rounds, "CT bound did not scale: {ct}");

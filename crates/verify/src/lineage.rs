@@ -218,11 +218,12 @@ fn dfs_cycles<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ftm_certify::ProtocolId;
     use ftm_core::spec::Justification;
 
     #[test]
     fn transformed_lineage_is_fully_justified() {
-        let report = check_lineage(&ProtocolSpec::transformed());
+        let report = check_lineage(&ProtocolSpec::transformed_for(ProtocolId::HurfinRaynal));
         assert!(
             report.ok(),
             "dangling={:?} unjustified={:?} dead={:?} cycles={:?}",
@@ -238,7 +239,7 @@ mod tests {
 
     #[test]
     fn crash_lineage_is_trusted_but_structurally_clean() {
-        let report = check_lineage(&ProtocolSpec::crash_hr());
+        let report = check_lineage(&ProtocolSpec::crash_for(ProtocolId::HurfinRaynal));
         assert!(report.ok(), "{report:?}");
         assert!(report.trusted);
         assert_eq!(report.roots, 0);
@@ -289,7 +290,7 @@ mod tests {
 
     #[test]
     fn dropping_a_value_route_is_unjustified() {
-        let mut spec = ProtocolSpec::transformed();
+        let mut spec = ProtocolSpec::transformed_for(ProtocolId::HurfinRaynal);
         let relay = spec
             .sends
             .iter_mut()
@@ -314,7 +315,7 @@ mod tests {
         // and quorum-counting ones (the NEXT rows count each other's
         // votes): those are well-founded and must NOT be reported. An
         // injected same-round back edge between kinds must be.
-        let mut spec = ProtocolSpec::transformed();
+        let mut spec = ProtocolSpec::transformed_for(ProtocolId::HurfinRaynal);
         assert!(check_lineage(&spec).cycles.is_empty());
         let coordinator = spec
             .sends
@@ -339,7 +340,7 @@ mod tests {
     fn a_same_round_cycle_within_a_kind_that_ends_no_round_is_reported() {
         // Only round-ending votes count each other: a coordinator CURRENT
         // citing the relays that cite it justifies itself.
-        let mut spec = ProtocolSpec::transformed();
+        let mut spec = ProtocolSpec::transformed_for(ProtocolId::HurfinRaynal);
         let coordinator = spec
             .sends
             .iter_mut()
@@ -360,7 +361,7 @@ mod tests {
 
     #[test]
     fn an_uncited_send_is_a_dead_route() {
-        let mut spec = ProtocolSpec::transformed();
+        let mut spec = ProtocolSpec::transformed_for(ProtocolId::HurfinRaynal);
         // Cut every citation of next-end-of-round.
         for send in &mut spec.sends {
             send.justified_by.retain(|j| j.by != "next-end-of-round");

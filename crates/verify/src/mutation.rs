@@ -246,10 +246,11 @@ fn kill_matrix(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ftm_certify::ProtocolId;
     use ftm_core::spec::ProtocolSpec;
 
     fn hr() -> ProtocolTable {
-        ProtocolSpec::transformed().table
+        ProtocolSpec::transformed_for(ProtocolId::HurfinRaynal).table
     }
 
     fn compliant(table: &ProtocolTable, bound: Round, trace: &Trace) -> bool {
@@ -337,7 +338,7 @@ mod tests {
 
     #[test]
     fn chandra_toueg_divergent_mutants_are_killed() {
-        let ct = ProtocolSpec::transformed_ct().table;
+        let ct = ProtocolSpec::transformed_for(ProtocolId::ChandraToueg).table;
         let report = check_mutations(&ct, 2);
         assert!(
             report.survivors.is_empty(),

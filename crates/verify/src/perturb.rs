@@ -132,12 +132,13 @@ impl SpecPerturbation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ftm_certify::ProtocolId;
 
     #[test]
     fn every_perturbation_changes_the_spec() {
         for p in SpecPerturbation::all() {
             for seed in 0..5 {
-                let mut spec = ProtocolSpec::transformed();
+                let mut spec = ProtocolSpec::transformed_for(ProtocolId::HurfinRaynal);
                 let clean = spec.clone();
                 let what = p.apply(&mut spec, seed);
                 assert_ne!(
@@ -153,8 +154,8 @@ mod tests {
     #[test]
     fn perturbations_are_seed_deterministic() {
         for p in SpecPerturbation::all() {
-            let mut a = ProtocolSpec::transformed();
-            let mut b = ProtocolSpec::transformed();
+            let mut a = ProtocolSpec::transformed_for(ProtocolId::HurfinRaynal);
+            let mut b = ProtocolSpec::transformed_for(ProtocolId::HurfinRaynal);
             let da = p.apply(&mut a, 41);
             let db = p.apply(&mut b, 41);
             assert_eq!(a, b);

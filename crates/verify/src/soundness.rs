@@ -144,11 +144,15 @@ pub fn check_soundness(table: &ProtocolTable, max_rounds: Round) -> SoundnessRep
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ftm_certify::ProtocolId;
     use ftm_core::spec::ProtocolSpec;
 
     #[test]
     fn every_compliant_trace_up_to_six_rounds_is_accepted() {
-        let report = check_soundness(&ProtocolSpec::transformed().table, 6);
+        let report = check_soundness(
+            &ProtocolSpec::transformed_for(ProtocolId::HurfinRaynal).table,
+            6,
+        );
         assert!(
             report.false_convictions.is_empty(),
             "{:?}",
@@ -163,7 +167,7 @@ mod tests {
 
     #[test]
     fn crash_spec_traces_are_sound_from_the_opening_less_initial_state() {
-        let report = check_soundness(&ProtocolSpec::crash_hr().table, 5);
+        let report = check_soundness(&ProtocolSpec::crash_for(ProtocolId::HurfinRaynal).table, 5);
         assert!(
             report.false_convictions.is_empty(),
             "{:?}",
@@ -199,7 +203,7 @@ mod tests {
         // Non-vacuity: the generator does not consult the transition. Run
         // the HR traces through a table demanding CURRENT before leaving a
         // round and the NEXT-only rounds show up as false convictions.
-        let hr = ProtocolSpec::transformed().table;
+        let hr = ProtocolSpec::transformed_for(ProtocolId::HurfinRaynal).table;
         let strict = ProtocolTable {
             slots: &[(MessageKind::Current, true), (MessageKind::Next, true)],
             ..hr
@@ -213,14 +217,20 @@ mod tests {
 
     #[test]
     fn trace_enumeration_is_duplicate_free() {
-        let traces = compliant_traces(&ProtocolSpec::transformed().table, 3);
+        let traces = compliant_traces(
+            &ProtocolSpec::transformed_for(ProtocolId::HurfinRaynal).table,
+            3,
+        );
         let set: std::collections::BTreeSet<String> = traces.iter().map(trace_label).collect();
         assert_eq!(set.len(), traces.len(), "duplicate compliant traces");
     }
 
     #[test]
     fn compliant_traces_respect_the_round_bound() {
-        for t in compliant_traces(&ProtocolSpec::transformed().table, 2) {
+        for t in compliant_traces(
+            &ProtocolSpec::transformed_for(ProtocolId::HurfinRaynal).table,
+            2,
+        ) {
             assert!(t.iter().all(|&(_, r)| r <= 2), "{}", trace_label(&t));
         }
     }
