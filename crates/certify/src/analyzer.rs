@@ -770,9 +770,9 @@ mod tests {
     /// `strip(edge)` at unit scale: on each row's round-2 witness, removing
     /// the members that a group of its edges cites — one kind, one phase —
     /// takes the envelope off the row: it is rejected, or another row
-    /// admits it. The group the table leaves to the observer's round-entry
+    /// admits it. The group the table leaves to the receiver's round-entry
     /// check is read by no row, so the row still admits the envelope
-    /// (`ftm-detect`'s observer tests convict without it).
+    /// (`ftm-core`'s `receive_pipeline` test convicts without it).
     #[test]
     fn stripping_an_edge_group_takes_the_envelope_off_its_row() {
         let mut groups = 0;
