@@ -7,7 +7,7 @@
 //! flattened into structured counters. The output is deterministic — a
 //! pure function of `(matrix, base seed)`, independent of thread count.
 
-use ftm_faults::{sweep_matrix_repeated, FaultBehavior, ScenarioMatrix};
+use ftm_faults::{sweep_scenarios, FaultBehavior, ScenarioMatrix};
 
 use crate::report::Table;
 
@@ -29,7 +29,7 @@ pub fn run() -> String {
         ],
     )
     .cross_protocols();
-    let report = sweep_matrix_repeated(&matrix, REPEATS, BASE_SEED, THREADS);
+    let report = sweep_scenarios(&matrix.enumerate(), REPEATS, BASE_SEED, THREADS);
 
     let mut out = String::from(
         "## E10 — Scenario sweep: per-layer cost across the fault matrix\n\n\

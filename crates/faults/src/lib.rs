@@ -29,7 +29,8 @@
 //! actors, the wrapped attackers, t = 0 crashes, network — from a
 //! [`ftm_core::ProtocolConfig`]. The sweep harness and the experiments
 //! build every transformed run through it; no other non-test,
-//! non-example code wires one.
+//! non-example code wires one. [`sweep_scenarios`] is the sweep's one
+//! entry point, for hand-built scenario lists and [`ScenarioMatrix`] grids.
 
 pub mod attacks;
 pub mod behavior;
@@ -39,8 +40,8 @@ pub mod scenario;
 pub use attacks::Attack;
 pub use behavior::{ByzantineLogWrapper, ByzantineWrapper};
 pub use scenario::{
-    coalition_faulty, log_command, run_scenario, sweep_matrix, sweep_matrix_repeated,
-    sweep_scenarios, AttackRun, CoalitionAxis, FaultBehavior, Scenario, ScenarioMatrix, Workload,
+    coalition_faulty, log_command, run_scenario, sweep_scenarios, AttackRun, FaultBehavior,
+    Scenario, ScenarioMatrix, Workload,
 };
 // Re-exported so scenario builders can name network profiles without
 // depending on ftm-sim directly.

@@ -8,9 +8,12 @@
 //! cell to [`AttackRun`], which builds the full stack (keys, transformed
 //! actors, a wrapped attacker *coalition* of up to F members) and executes
 //! it under the seeded simulator and the scenario's [`NetworkProfile`],
-//! then checks the vector-consensus properties and flattens everything the
-//! run produced into the flat counter map of an
-//! [`ftm_sim::harness::RunRecord`].
+//! then judges the run with [`ftm_core::validator`] — Vector Consensus, or
+//! its lift to the replicated log — and flattens everything the run
+//! produced into the flat counter map of an
+//! [`ftm_sim::harness::RunRecord`]. [`sweep_scenarios`], the sweep's one
+//! entry point, fans a list of cells — hand-built, or a
+//! [`ScenarioMatrix`]'s cross product — across threads.
 //!
 //! [`AttackRun`] is the one non-test builder of a simulated transformed
 //! run: the sweep and the experiment tables go through it, with the run's
@@ -34,16 +37,16 @@
 //!
 //! Everything is a pure function of `(scenario, seed)`: the same pair
 //! reproduces the same trace fingerprint bit for bit, which is what lets
-//! [`sweep_matrix`] fan runs across threads without losing replayability.
+//! [`sweep_scenarios`] fan runs across threads without losing
+//! replayability.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use ftm_certify::vector::check_vector_validity;
 use ftm_certify::{MessageKind, ProtocolId, Value, ValueVector};
 use ftm_core::byzantine::log::{ReplicatedLog, Retention};
 use ftm_core::byzantine::{ByzantineChandraToueg, ByzantineConsensus, TransformedProtocol};
 use ftm_core::config::{MutenessMode, ProtocolConfig, ProtocolSetup};
-use ftm_core::validator::{check_vector_consensus, Verdict};
+use ftm_core::validator::{check_log_consensus, check_vector_consensus, Verdict};
 use ftm_crypto::rsa::KeyPair;
 use ftm_sim::harness::{sweep, RunRecord, SweepReport};
 use ftm_sim::note::{Finding, Note, Stats};
@@ -365,24 +368,10 @@ impl Scenario {
     }
 }
 
-/// How [`ScenarioMatrix`] turns its fault-behavior columns into
-/// coalitions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CoalitionAxis {
-    /// One attacker per cell (the classic grid).
-    #[default]
-    Single,
-    /// For each `(n, F)` row, coalition sizes `1..=min(F + 1, n − 1)` —
-    /// every tolerated size plus the budget-exceeded row the paper
-    /// predicts breaks. Members share the cell's behavior and sit at the
-    /// default placement.
-    UpToBudgetPlusOne,
-}
-
-/// A scenario grid: the cross product of protocols, network profiles,
-/// system configurations, coalition sizes and fault behaviors, enumerated
-/// in a stable row-major order. Every cell runs adaptive ◇M and one-shot
-/// consensus; a sweep over the other axes lists its scenarios itself.
+/// A scenario grid: the cross product of protocols, system configurations
+/// and fault behaviors, enumerated in a stable row-major order. Every cell
+/// is a single attacker under adaptive ◇M, one-shot consensus and the calm
+/// network; a sweep over the other axes lists its scenarios itself.
 #[derive(Debug, Clone)]
 pub struct ScenarioMatrix {
     /// `(n, F)` pairs, the grid's rows.
@@ -392,23 +381,15 @@ pub struct ScenarioMatrix {
     /// Transformed protocols to run the grid over, the outermost axis
     /// (just Hurfin–Raynal unless widened).
     pub protocols: Vec<ProtocolId>,
-    /// Network profiles to run the grid over (just the calm profile
-    /// unless widened).
-    pub networks: Vec<NetworkProfile>,
-    /// How behaviors become coalitions (single attacker unless widened).
-    pub coalitions: CoalitionAxis,
 }
 
 impl ScenarioMatrix {
-    /// Builds a matrix from explicit rows and columns, over the default
-    /// axes: Hurfin–Raynal, calm network, single attacker.
+    /// Builds a matrix from explicit rows and columns, over Hurfin–Raynal.
     pub fn new(systems: Vec<(usize, usize)>, behaviors: Vec<FaultBehavior>) -> Self {
         ScenarioMatrix {
             systems,
             behaviors,
             protocols: vec![ProtocolId::HurfinRaynal],
-            networks: vec![NetworkProfile::calm()],
-            coalitions: CoalitionAxis::Single,
         }
     }
 
@@ -427,43 +408,15 @@ impl ScenarioMatrix {
         self
     }
 
-    /// Widens the network axis to every preset profile, so each cell runs
-    /// once per delay/GST regime.
-    pub fn cross_networks(mut self) -> Self {
-        self.networks = NetworkProfile::all().to_vec();
-        self
-    }
-
-    /// Widens the coalition axis: each `(n, F)` row runs at every
-    /// coalition size `1..=min(F + 1, n − 1)` — the tolerated regime plus
-    /// the budget-exceeded row.
-    pub fn cross_coalitions(mut self) -> Self {
-        self.coalitions = CoalitionAxis::UpToBudgetPlusOne;
-        self
-    }
-
-    /// Enumerates the cells row-major: protocols outermost, then networks,
-    /// systems, coalition sizes, and innermost behaviors. The position in
-    /// this list is the scenario index the harness feeds to
-    /// [`ftm_sim::prng::derive_seed`].
+    /// Enumerates the cells row-major: protocols outermost, then systems,
+    /// and innermost behaviors. The position in this list is the scenario
+    /// index the harness feeds to [`ftm_sim::prng::derive_seed`].
     pub fn enumerate(&self) -> Vec<Scenario> {
         let mut out = Vec::new();
         for &protocol in &self.protocols {
-            for &network in &self.networks {
-                for &(n, f) in &self.systems {
-                    let sizes: Vec<usize> = match self.coalitions {
-                        CoalitionAxis::Single => vec![1],
-                        CoalitionAxis::UpToBudgetPlusOne => (1..=(f + 1).min(n - 1)).collect(),
-                    };
-                    for &size in &sizes {
-                        for &behavior in &self.behaviors {
-                            out.push(
-                                Scenario::coalition_of(n, f, &vec![behavior; size])
-                                    .protocol(protocol)
-                                    .network(network),
-                            );
-                        }
-                    }
+            for &(n, f) in &self.systems {
+                for &behavior in &self.behaviors {
+                    out.push(Scenario::new(n, f, behavior).protocol(protocol));
                 }
             }
         }
@@ -808,19 +761,18 @@ pub fn run_scenario(index: usize, sc: &Scenario, seed: u64) -> RunRecord {
         .crash_low(sc.extra_crashes)
         .network(sc.network);
 
-    let faulty = coalition_faulty(sc.n, &sc.attackers);
-
     let mut rec = RunRecord::new(sc.cell(), index, seed);
     rec.set("coalition-size", sc.attackers.len() as u64);
     match sc.workload {
         Workload::OneShot => {
             let report = run.run_coalition(&sc.attackers);
-            let verdict = check_vector_consensus(&report, &run.proposals(), &faulty, sc.f);
+            let verdict = run.coalition_verdict(&sc.attackers, &report);
             record_outcome(&mut rec, &verdict, &report, &sc.attackers);
         }
         Workload::Log { slots } => {
             let report = run.run_coalition_log(slots, &sc.attackers);
-            let verdict = check_log_verdict(&report, sc, &faulty, slots);
+            let faulty = coalition_faulty(sc.n, &sc.attackers);
+            let verdict = check_log_consensus(&report, log_command, &faulty, sc.f);
             record_outcome(&mut rec, &verdict, &report, &sc.attackers);
         }
     }
@@ -841,65 +793,6 @@ fn record_outcome<D>(
     rec.set("prop-agreement", u64::from(verdict.agreement));
     rec.set("prop-validity", u64::from(verdict.validity));
     record_metrics(rec, report, members);
-}
-
-/// The vector-consensus properties lifted to the log workload: every
-/// correct replica completes all `slots` (termination), completed logs are
-/// identical (agreement), and each slot of the common log satisfies Vector
-/// Validity against that slot's true commands.
-fn check_log_verdict(
-    report: &RunReport<Vec<ValueVector>>,
-    sc: &Scenario,
-    faulty: &[bool],
-    slots: u64,
-) -> Verdict {
-    let mut violations = Vec::new();
-    let correct: Vec<usize> = (0..sc.n)
-        .filter(|&i| !faulty[i] && !report.crashed[i])
-        .collect();
-
-    let termination = correct
-        .iter()
-        .all(|&i| matches!(&report.decisions[i], Some(log) if log.len() as u64 == slots));
-    if !termination {
-        violations.push("termination: some correct replica never completed its log".into());
-    }
-
-    let logs: Vec<&Vec<ValueVector>> = correct
-        .iter()
-        .filter_map(|&i| report.decisions[i].as_ref())
-        .collect();
-    let agreement = logs.windows(2).all(|w| w[0] == w[1]);
-    if !agreement {
-        violations.push("agreement: correct replicas hold diverging logs".into());
-    }
-
-    let mut validity = true;
-    if let Some(log) = logs.first() {
-        for (slot, vect) in log.iter().enumerate() {
-            let truth: Vec<Option<Value>> = (0..sc.n)
-                .map(|i| {
-                    if faulty[i] || report.crashed[i] {
-                        None
-                    } else {
-                        Some(log_command(slot as u64, i as u32))
-                    }
-                })
-                .collect();
-            if let Err(e) = check_vector_validity(vect, &truth, sc.f) {
-                validity = false;
-                violations.push(format!("vector validity at slot {slot}: {e}"));
-                break;
-            }
-        }
-    }
-
-    Verdict {
-        termination,
-        agreement,
-        validity,
-        violations,
-    }
 }
 
 /// Flattens a finished run's metrics and trace notes into the record's
@@ -1056,33 +949,15 @@ fn record_metrics<D>(rec: &mut RunRecord, report: &RunReport<D>, members: &[(u32
     }
 }
 
-/// Enumerates `matrix`, fans the runs across `threads` workers and
-/// aggregates the records into a [`SweepReport`]. The output is a pure
-/// function of `(matrix, base_seed)` — thread count only changes wall
-/// clock, never a byte of the report.
-pub fn sweep_matrix(matrix: &ScenarioMatrix, base_seed: u64, threads: usize) -> SweepReport {
-    sweep_matrix_repeated(matrix, 1, base_seed, threads)
-}
-
-/// [`sweep_matrix`] with `repeats` runs per cell, each under its own
-/// derived seed, so per-cell summaries are real percentiles rather than
-/// single observations.
-pub fn sweep_matrix_repeated(
-    matrix: &ScenarioMatrix,
-    repeats: usize,
-    base_seed: u64,
-    threads: usize,
-) -> SweepReport {
-    sweep_scenarios(&matrix.enumerate(), repeats, base_seed, threads)
-}
-
-/// Runs an explicit scenario list through the parallel harness — the entry
-/// point for experiment tables whose rows are not a plain cross product
+/// Runs a scenario list through the parallel harness — the sweep's one
+/// entry point, for a [`ScenarioMatrix::enumerate`]d grid and for
+/// experiment tables whose rows are not a plain cross product
 /// (multi-crash budgets, per-row system sizes, hand-built coalitions).
 /// Each scenario appears `repeats` consecutive times: repeats share a cell
 /// key and get distinct indices, hence distinct derived seeds, so cells
 /// aggregate into real percentiles. The output is a pure function of
-/// `(scenarios, repeats, base_seed)`.
+/// `(scenarios, repeats, base_seed)` — thread count only changes wall
+/// clock, never a byte of the report.
 pub fn sweep_scenarios(
     scenarios: &[Scenario],
     repeats: usize,
@@ -1123,57 +998,6 @@ mod tests {
                 "n=5 f=1 fault=crash",
             ]
         );
-    }
-
-    #[test]
-    fn crossed_axes_multiply_the_grid_and_mark_their_cells() {
-        let m = ScenarioMatrix::new(vec![(4, 1)], vec![FaultBehavior::Honest])
-            .cross_protocols()
-            .cross_networks();
-        let cells: Vec<String> = m.enumerate().iter().map(Scenario::cell).collect();
-        assert_eq!(cells.len(), 2 * 4);
-        assert_eq!(cells[0], "n=4 f=1 fault=honest");
-        assert!(cells.iter().any(|c| c.contains("proto=ct")));
-        assert!(cells.iter().any(|c| c.contains("net=adverse")));
-        assert!(
-            cells
-                .iter()
-                .any(|c| c.contains("proto=ct") && c.contains("net=adverse")),
-            "the axes must cross, not just union: {cells:?}"
-        );
-        let distinct: std::collections::BTreeSet<&String> = cells.iter().collect();
-        assert_eq!(distinct.len(), cells.len(), "cell keys collide");
-    }
-
-    #[test]
-    fn coalition_and_network_axes_multiply_the_grid() {
-        // 4 network profiles × coalition sizes 1..=F + 1 — at (4, 1) the
-        // grid E11's hand-built coalition list must stay a subset of.
-        for (n, f) in [(4, 1), (5, 2)] {
-            let m = ScenarioMatrix::new(vec![(n, f)], vec![FaultBehavior::Mute])
-                .cross_coalitions()
-                .cross_networks();
-            assert_eq!(m.enumerate().len(), 4 * (f + 1), "({n}, {f})");
-        }
-        let m = ScenarioMatrix::new(vec![(5, 2)], vec![FaultBehavior::Mute])
-            .cross_coalitions()
-            .cross_networks();
-        let cells: Vec<String> = m.enumerate().iter().map(Scenario::cell).collect();
-        assert_eq!(cells[0], "n=5 f=2 fault=mute");
-        assert!(cells.iter().any(|c| c.contains("coalition=2")));
-        assert!(
-            cells.iter().any(|c| c.contains("coalition=3")),
-            "the F + 1 breakage row must be enumerated: {cells:?}"
-        );
-        assert!(!cells.iter().any(|c| c.contains("coalition=4")));
-        for net in ["jittery", "adverse", "no-gst"] {
-            assert!(
-                cells.iter().any(|c| c.contains(&format!("net={net}"))),
-                "missing network {net}: {cells:?}"
-            );
-        }
-        let distinct: std::collections::BTreeSet<&String> = cells.iter().collect();
-        assert_eq!(distinct.len(), cells.len(), "cell keys collide");
     }
 
     #[test]
@@ -1411,15 +1235,6 @@ mod tests {
         ];
         let rep = sweep_scenarios(&scenarios, 2, 0xE3, 2);
         assert_eq!(rep.records.len(), 4);
-        // Matrix-equivalent lists produce identical reports.
-        let m = ScenarioMatrix::new(vec![(4, 1)], vec![FaultBehavior::Honest]);
-        let via_matrix = sweep_matrix_repeated(&m, 2, 7, 2);
-        let via_list = sweep_scenarios(&m.enumerate(), 2, 7, 2);
-        assert_eq!(
-            via_matrix.to_json().render(),
-            via_list.to_json().render(),
-            "sweep_scenarios must be the matrix sweep's primitive"
-        );
         // The coordinator-crash cell forces ◇M suspicions before progress.
         let crashed_cell = &rep.cells()["n=4 f=1 fault=honest extra-crashes=1"];
         assert!(crashed_cell.stats["suspicion-covered"].max >= 1, "{rep:?}");
@@ -1548,7 +1363,7 @@ mod tests {
                 FaultBehavior::StripCertificates,
             ],
         );
-        let rep = sweep_matrix(&m, 11, 2);
+        let rep = sweep_scenarios(&m.enumerate(), 1, 11, 2);
         assert!(rep.all_ok(), "sweep had failures: {rep:?}");
         let json = rep.to_json().render();
         for key in ["bytes-signature", "bytes-certificate", "bytes-protocol"] {

@@ -141,7 +141,7 @@ fn main() {
 /// Chandra–Toueg. The report is a pure function of `(matrix, base seed)`
 /// — rerun it on any number of threads and the bytes do not change.
 fn sweep_demo() {
-    use ft_modular::faults::{sweep_matrix, FaultBehavior, ScenarioMatrix};
+    use ft_modular::faults::{sweep_scenarios, FaultBehavior, ScenarioMatrix};
 
     let matrix = ScenarioMatrix::new(
         vec![(4, 1), (5, 2), (7, 3)],
@@ -152,7 +152,7 @@ fn sweep_demo() {
         ],
     )
     .cross_protocols();
-    let report = sweep_matrix(&matrix, 0x1AB, 4);
+    let report = sweep_scenarios(&matrix.enumerate(), 1, 0x1AB, 4);
     println!("\n== scenario sweep (3 systems x 3 behaviors x 2 protocols, 4 worker threads) ==\n");
     println!("{}", report.to_json().render());
     assert!(report.all_ok(), "a sweep cell violated the spec");

@@ -368,7 +368,7 @@ fn scenario_sweep_covers_the_matrix_with_layer_metrics() {
     // The harness-native fault matrix: 3 system sizes x 3 behaviors, every
     // run surviving the spec check, and the aggregated JSON carrying the
     // per-module-layer byte breakdown for every cell.
-    use ft_modular::faults::{sweep_matrix, FaultBehavior, ScenarioMatrix};
+    use ft_modular::faults::{sweep_scenarios, FaultBehavior, ScenarioMatrix};
 
     let m = ScenarioMatrix::new(
         vec![(4, 1), (5, 2), (7, 3)],
@@ -378,7 +378,7 @@ fn scenario_sweep_covers_the_matrix_with_layer_metrics() {
             FaultBehavior::WrongKey,
         ],
     );
-    let report = sweep_matrix(&m, 0x3A3, 4);
+    let report = sweep_scenarios(&m.enumerate(), 1, 0x3A3, 4);
     assert!(report.all_ok(), "some cell violated the spec: {report:?}");
 
     let cells = report.cells();

@@ -4,7 +4,7 @@
 //! JSON — and distinct base seeds must actually explore distinct
 //! executions.
 
-use ft_modular::faults::{sweep_matrix, FaultBehavior, ScenarioMatrix};
+use ft_modular::faults::{sweep_scenarios, FaultBehavior, ScenarioMatrix};
 
 fn matrix() -> ScenarioMatrix {
     ScenarioMatrix::new(
@@ -22,9 +22,9 @@ fn matrix() -> ScenarioMatrix {
 
 #[test]
 fn sweep_is_bit_identical_across_thread_counts() {
-    let m = matrix();
-    let single = sweep_matrix(&m, 0xD00D, 1).to_json().render();
-    let eight = sweep_matrix(&m, 0xD00D, 8).to_json().render();
+    let cells = matrix().enumerate();
+    let single = sweep_scenarios(&cells, 1, 0xD00D, 1).to_json().render();
+    let eight = sweep_scenarios(&cells, 1, 0xD00D, 8).to_json().render();
     assert_eq!(single, eight, "thread count leaked into the report");
 }
 
@@ -37,28 +37,29 @@ fn sweep_is_bit_identical_at_large_system_sizes() {
         .filter(|&(n, _)| n >= 13)
         .collect();
     assert_eq!(systems, [(13, 4), (21, 6), (31, 10)]);
-    let m = ScenarioMatrix::new(
+    let cells = ScenarioMatrix::new(
         systems,
         vec![FaultBehavior::Honest, FaultBehavior::VectorCorrupt],
     )
-    .cross_protocols();
-    let single = sweep_matrix(&m, 0xB16, 1).to_json().render();
-    let eight = sweep_matrix(&m, 0xB16, 8).to_json().render();
+    .cross_protocols()
+    .enumerate();
+    let single = sweep_scenarios(&cells, 1, 0xB16, 1).to_json().render();
+    let eight = sweep_scenarios(&cells, 1, 0xB16, 8).to_json().render();
     assert_eq!(single, eight, "thread count leaked into the large-n report");
 }
 
 #[test]
 fn distinct_base_seeds_give_distinct_traces() {
-    let m = ScenarioMatrix::new(vec![(4, 1)], vec![FaultBehavior::Honest]);
-    let a = sweep_matrix(&m, 1, 2);
-    let b = sweep_matrix(&m, 2, 2);
+    let cells = ScenarioMatrix::new(vec![(4, 1)], vec![FaultBehavior::Honest]).enumerate();
+    let a = sweep_scenarios(&cells, 1, 1, 2);
+    let b = sweep_scenarios(&cells, 1, 2, 2);
     assert_ne!(
         a.records[0].get("trace-fingerprint"),
         b.records[0].get("trace-fingerprint"),
         "different base seeds produced the same execution"
     );
     // But each base seed reproduces itself exactly.
-    let a2 = sweep_matrix(&m, 1, 8);
+    let a2 = sweep_scenarios(&cells, 1, 1, 8);
     assert_eq!(a.to_json().render(), a2.to_json().render());
 }
 
@@ -66,8 +67,8 @@ fn distinct_base_seeds_give_distinct_traces() {
 fn scenario_indices_decorrelate_seeds_within_a_sweep() {
     // Two copies of the same cell in one sweep get distinct derived seeds,
     // hence distinct traces — repeats are real samples, not clones.
-    let m = ScenarioMatrix::new(vec![(4, 1)], vec![FaultBehavior::Honest]);
-    let rep = ft_modular::faults::sweep_matrix_repeated(&m, 2, 9, 2);
+    let cells = ScenarioMatrix::new(vec![(4, 1)], vec![FaultBehavior::Honest]).enumerate();
+    let rep = sweep_scenarios(&cells, 2, 9, 2);
     assert_ne!(rep.records[0].seed, rep.records[1].seed);
     assert_ne!(
         rep.records[0].get("trace-fingerprint"),
@@ -80,7 +81,7 @@ fn coalition_and_network_sweep_is_bit_identical_across_thread_counts() {
     // The new sweep axes — multi-member coalitions and network profiles —
     // must obey the same purity contract as the classic grid: 1, 2 and 8
     // workers render byte-identical JSON.
-    use ft_modular::faults::{sweep_scenarios, NetworkProfile, Scenario};
+    use ft_modular::faults::{NetworkProfile, Scenario};
 
     let mut scenarios = Vec::new();
     for network in NetworkProfile::all() {
@@ -156,7 +157,7 @@ fn certificate_heavy_sweep_is_bit_identical_across_1_2_and_8_threads() {
     // duplicate votes), so any hash-order dependence left in the
     // report-feeding path would surface here as a byte diff between
     // worker counts.
-    let m = ScenarioMatrix::new(
+    let cells = ScenarioMatrix::new(
         vec![(4, 1), (7, 3)],
         vec![
             FaultBehavior::StripCertificates,
@@ -165,10 +166,11 @@ fn certificate_heavy_sweep_is_bit_identical_across_1_2_and_8_threads() {
             FaultBehavior::EquivocateInit,
         ],
     )
-    .cross_protocols();
-    let one = sweep_matrix(&m, 0xCE47, 1).to_json().render();
-    let two = sweep_matrix(&m, 0xCE47, 2).to_json().render();
-    let eight = sweep_matrix(&m, 0xCE47, 8).to_json().render();
+    .cross_protocols()
+    .enumerate();
+    let one = sweep_scenarios(&cells, 1, 0xCE47, 1).to_json().render();
+    let two = sweep_scenarios(&cells, 1, 0xCE47, 2).to_json().render();
+    let eight = sweep_scenarios(&cells, 1, 0xCE47, 8).to_json().render();
     assert_eq!(one, two, "thread count leaked into the certificate sweep");
     assert_eq!(one, eight, "thread count leaked into the certificate sweep");
 }
