@@ -162,9 +162,7 @@ where
         clippy::disallowed_methods,
         reason = "D4 sanctioned home: one thread per replica is what a loopback cluster is"
     )]
-    let thread = thread::spawn(move || {
-        run_node_controlled(&cfg, listener, actor, service, &flag).map(|(report, _actor)| report)
-    });
+    let thread = thread::spawn(move || run_node_controlled(&cfg, listener, actor, service, &flag));
     NodeHandle { stop, thread }
 }
 

@@ -1320,13 +1320,12 @@ where
     S: FnMut(&mut A, &NodeView<'_, A::Decision>, &[u8]) -> ServiceReply,
 {
     let stop = AtomicBool::new(false);
-    run_node_controlled(cfg, listener, actor, service, &stop).map(|(report, _)| report)
+    run_node_controlled(cfg, listener, actor, service, &stop)
 }
 
-/// [`run_node`] with an external stop flag, returning the actor alongside
-/// the report so a controller can stop a node mid-run and later restart
-/// it with its state intact — the transport-level crash/recovery harness
-/// used by the chaos tests.
+/// [`run_node`] with an external stop flag, so a controller can stop a
+/// node mid-run — the transport-level crash/recovery harness used by the
+/// chaos tests.
 ///
 /// # Errors
 ///
@@ -1337,15 +1336,13 @@ pub fn run_node_controlled<A, S>(
     actor: A,
     service: S,
     stop: &AtomicBool,
-) -> io::Result<(NetReport<A::Decision>, A)>
+) -> io::Result<NetReport<A::Decision>>
 where
     A: Actor,
     A::Msg: CanonicalEncode + CanonicalDecode,
     S: FnMut(&mut A, &NodeView<'_, A::Decision>, &[u8]) -> ServiceReply,
 {
-    let mut node = NodeLoop::new(cfg, listener, actor, service)?;
-    let report = node.run(stop);
-    Ok((report, node.actor))
+    Ok(NodeLoop::new(cfg, listener, actor, service)?.run(stop))
 }
 
 #[cfg(test)]
