@@ -111,10 +111,19 @@ fn status(conn: &mut ClientConn) -> Status {
 }
 
 /// Polls replica `i` until nothing is queued or in flight — everything
-/// submitted so far committed — asserting conservation on every poll.
+/// submitted so far committed — asserting conservation on every poll. A
+/// halted replica commits nothing more, so one that halts with work left
+/// fails at once; both that failure and the poll's own timeout name the
+/// replica's counts.
 fn drained(conn: &mut ClientConn, i: usize) -> Status {
+    let counts = |s: &Status| {
+        format!(
+            "decided_slots {} queued {} inflight {}",
+            s.decided_slots, s.queued, s.inflight
+        )
+    };
+    let mut s = status(conn);
     for _ in 0..6000 {
-        let s = status(conn);
         assert_eq!(
             s.submitted,
             s.queued + s.inflight + s.committed,
@@ -124,9 +133,11 @@ fn drained(conn: &mut ClientConn, i: usize) -> Status {
         if s.queued == 0 && s.inflight == 0 {
             return s;
         }
+        assert!(!s.halted, "replica {i} halted with work: {}", counts(&s));
         thread::sleep(Duration::from_millis(20));
+        s = status(conn);
     }
-    panic!("replica {i} never drained its queue");
+    panic!("replica {i} never drained its queue: {}", counts(&s));
 }
 
 /// Runs one 4-replica cluster, submits the fixed workload, waits until
