@@ -11,9 +11,8 @@
 //! then judges the run with [`ftm_core::validator`] — Vector Consensus, or
 //! its lift to the replicated log — and flattens everything the run
 //! produced into the flat counter map of an
-//! [`ftm_sim::harness::RunRecord`]. [`sweep_scenarios`], the sweep's one
-//! entry point, fans a list of cells — hand-built, or a
-//! [`ScenarioMatrix`]'s cross product — across threads.
+//! [`ftm_sim::harness::RunRecord`]. [`sweep_scenarios`] is the sweep's
+//! one entry point, for hand-built lists and [`ScenarioMatrix`] grids.
 //!
 //! [`AttackRun`] is the one non-test builder of a simulated transformed
 //! run: the sweep and the experiment tables go through it, with the run's
