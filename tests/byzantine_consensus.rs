@@ -29,7 +29,7 @@ fn run(n: usize, f: usize, seed: u64, crashes: &[(usize, u64)]) -> RunReport<Val
 
 #[test]
 fn sweep_sizes_and_fault_budgets_all_honest() {
-    for (n, f) in [(3usize, 1usize), (4, 1), (5, 2), (7, 3), (9, 4)] {
+    for (n, f) in [(4usize, 1usize), (5, 1), (7, 2), (9, 2)] {
         for seed in 0..3 {
             let report = run(n, f, seed, &[]);
             let v = check_vector_consensus(&report, &proposals(n), &vec![false; n], f);
@@ -48,7 +48,7 @@ fn sweep_sizes_and_fault_budgets_all_honest() {
 fn psi_bound_holds_with_maximal_crashes() {
     // With F processes crashed from the start, the decided vector still
     // carries at least ψ = n − 2F entries of correct processes.
-    for (n, f) in [(4usize, 1usize), (5, 2), (7, 3)] {
+    for (n, f) in [(4usize, 1usize), (5, 1), (7, 2)] {
         for seed in 0..3 {
             let crashes: Vec<(usize, u64)> = (0..f).map(|i| (i, 0)).collect();
             let report = run(n, f, seed, &crashes);
@@ -70,7 +70,7 @@ fn proposition2_no_two_different_certified_vectors_decided() {
     // Across many seeds and crash placements, all correct deciders hold
     // the same vector (Agreement implies Proposition 2 at decision time).
     for seed in 0..10 {
-        let report = run(5, 2, seed, &[(4, 30)]);
+        let report = run(5, 1, seed, &[(4, 30)]);
         assert!(report.unanimous().is_some(), "seed {seed}: disagreement");
     }
 }
@@ -123,11 +123,11 @@ fn wrongful_muteness_suspicions_are_tolerated() {
 
 #[test]
 fn rounds_progress_past_a_dead_coordinator_chain() {
-    // Kill coordinators of rounds 1 and 2 (p0, p1) in a 5/2 system.
-    let report = run(5, 2, 4, &[(0, 0), (1, 0)]);
-    let v = check_vector_consensus(&report, &proposals(5), &[false; 5], 2);
+    // Kill coordinators of rounds 1 and 2 (p0, p1) in a 7/2 system.
+    let report = run(7, 2, 4, &[(0, 0), (1, 0)]);
+    let v = check_vector_consensus(&report, &proposals(7), &[false; 7], 2);
     assert!(v.ok(), "{:?}", v.violations);
-    assert!(max_round(&report.trace, 5) >= 3);
+    assert!(max_round(&report.trace, 7) >= 3);
 }
 
 #[test]
@@ -198,32 +198,34 @@ fn round_aware_detector_suffers_fewer_wrongful_suspicions_on_slow_nets() {
 fn fifo_relay_adoption_blocks_the_textbook_attack_transformed() {
     // The transformed-protocol analogue of the crash-side scripted test
     // (tests/crash_consensus.rs): p0 coordinates round 1 and decides, its
-    // DECIDE is delayed by 400 ticks, p1/p4 never hear p0 after the INIT
-    // phase and suspect it, p2/p3 change their minds, and round 2's
+    // DECIDE is delayed by 400 ticks, p1 never hears p0 after the INIT
+    // phase and suspects it, p2/p3 change their minds, and round 2's
     // coordinator p1 — which never relayed in round 1 — re-proposes the
     // vector it *adopted* from p2's FIFO-ordered CURRENT relay. Everyone,
     // including the long-decided p0, must hold the same certified vector.
-    let n = 5;
-    let f = 2;
+    // (n = 4 is the one system within n > 3F where a slanderer's NEXT and
+    // two CURRENTs make a vote quorum without deciding.)
+    let n = 4;
+    let f = 1;
     let setup = ProtocolConfig::new(n, f)
         .seed(0)
         .muteness_timeout(Duration::of(20))
         .poll_interval(Duration::of(25))
         .setup();
     let props = proposals(n);
-    let slow_pairs = [(2u32, 3u32), (3, 2), (2, 4), (3, 4), (2, 1), (3, 1)];
+    let slow_pairs = [(2u32, 3u32), (3, 2), (2, 1), (3, 1)];
     let cfg = SimConfig::new(n)
         .seed(0)
         .max_time(VirtualTime::at(20_000))
         .delay_script(move |src, dst, now| {
             if now == VirtualTime::ZERO {
                 1 // the INIT wave reaches everyone fast
-            } else if src.0 == 0 && (dst.0 == 1 || dst.0 == 4 || now > VirtualTime::at(2)) {
-                // p0's CURRENT and DECIDE to the slanderers, and its
+            } else if src.0 == 0 && (dst.0 == 1 || now > VirtualTime::at(2)) {
+                // p0's CURRENT and DECIDE to the slanderer, and its
                 // DECIDE broadcast: very late.
                 400
             } else if slow_pairs.contains(&(src.0, dst.0)) {
-                30 // cross relays among p1..p4: late enough for change_mind
+                30 // cross relays among p1..p3: late enough for change_mind
             } else {
                 1
             }
@@ -294,11 +296,12 @@ fn golden_line(label: &str, report: &RunReport<ValueVector>) -> String {
     )
 }
 
-/// The runs both transformed protocols are pinned on: n ∈ {4, 5, 7} ×
-/// seeds 0..3, all honest and with the round-1 coordinator crashed at
-/// t = 0; the slow network with a muteness timeout inside its delay range
-/// (the only input where HR's change-mind and end-of-round NEXTs fire);
-/// and every `FaultBehavior` at p1 of (4, 1).
+/// The runs both transformed protocols are pinned on: n ∈ {4, 5, 7} at
+/// the largest admitted F, `⌊(n−1)/3⌋`, × seeds 0..3, all honest and with
+/// the round-1 coordinator crashed at t = 0; the slow network with a
+/// muteness timeout inside its delay range (the only input where HR's
+/// change-mind and end-of-round NEXTs fire); and every `FaultBehavior` at
+/// p1 of (4, 1) and of (7, 2) with p0 crashed.
 fn golden_lines<P: TransformedProtocol + 'static>() -> Vec<String> {
     let run = |protocol: ProtocolConfig, cfg: SimConfig| {
         let setup = protocol.setup();
@@ -306,7 +309,7 @@ fn golden_lines<P: TransformedProtocol + 'static>() -> Vec<String> {
     };
     let mut lines = Vec::new();
     for n in [4usize, 5, 7] {
-        let f = ftm_core::quorum::max_faults(n);
+        let f = ftm_core::quorum::default_cert_capacity(n);
         for (schedule, crashed) in [("honest", false), ("coord@0", true)] {
             for seed in 0..3 {
                 let mut cfg = SimConfig::new(n).seed(seed);
@@ -331,9 +334,9 @@ fn golden_lines<P: TransformedProtocol + 'static>() -> Vec<String> {
             .gst(VirtualTime::at(4_000), Duration::of(15));
         lines.push(golden_line(&format!("slow seed={seed}"), &run(hasty, slow)));
     }
-    // At (4, 1) p1 votes in round 1 only; at (5, 2) with p0 crashed it
+    // At (4, 1) p1 votes in round 1 only; at (7, 2) with p0 crashed it
     // coordinates round 2.
-    for (n, f, p0_crashed) in [(4usize, 1usize, 0usize), (5, 2, 1)] {
+    for (n, f, p0_crashed) in [(4usize, 1usize, 0usize), (7, 2, 1)] {
         for behavior in FaultBehavior::all() {
             let mut attack = AttackRun::new(n, f, 0, 1)
                 .protocol(P::ID)
@@ -361,7 +364,7 @@ fn assert_golden(lines: &[String], pinned: u64) {
 #[test]
 fn hurfin_raynal_traces_are_pinned() {
     assert_eq!(ByzantineConsensus::ID, ProtocolId::HurfinRaynal);
-    assert_golden(&golden_lines::<ByzantineConsensus>(), 0x0e1b_3761_720e_fb6d);
+    assert_golden(&golden_lines::<ByzantineConsensus>(), 0x738d_b22a_6847_b84b);
 }
 
 #[test]
@@ -369,6 +372,6 @@ fn chandra_toueg_traces_are_pinned() {
     assert_eq!(ByzantineChandraToueg::ID, ProtocolId::ChandraToueg);
     assert_golden(
         &golden_lines::<ByzantineChandraToueg>(),
-        0x6246_61d2_813a_77a5,
+        0x6a6e_1f0a_d15d_3d41,
     );
 }
