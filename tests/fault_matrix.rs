@@ -30,20 +30,20 @@ fn verdict(report: &RunReport<ValueVector>, attacker: u32) -> Verdict {
 }
 
 /// Runs with `attacker` Byzantine AND the round-1 coordinator p0 crashed
-/// at t = 0, forcing NEXT-vote traffic (n = 5, F = 2 keeps the quorum).
+/// at t = 0, forcing NEXT-vote traffic (n = 7, F = 2 keeps the quorum).
 fn run_with_attack_and_dead_coordinator(
     seed: u64,
     attacker: u32,
     attack: Attack,
 ) -> RunReport<ValueVector> {
-    AttackRun::new(5, 2, seed, attacker)
+    AttackRun::new(7, 2, seed, attacker)
         .crash_at_start(0)
         .injection_delay(Duration::of(10))
         .run(Some(attack))
 }
 
-fn verdict5(report: &RunReport<ValueVector>, attacker: u32) -> Verdict {
-    AttackRun::new(5, 2, 0, attacker).verdict(report)
+fn verdict7(report: &RunReport<ValueVector>, attacker: u32) -> Verdict {
+    AttackRun::new(7, 2, 0, attacker).verdict(report)
 }
 
 /// Asserts that at least one correct process convicted the attacker with
@@ -126,24 +126,24 @@ fn vector_corruption_is_survived_and_detected() {
 #[test]
 fn round_jumping_is_survived_and_detected() {
     // p0 (round-1 coordinator) is crashed so NEXT votes must flow; the
-    // attacker p4 corrupts its round numbers.
+    // attacker p6 corrupts its round numbers.
     for seed in 0..5 {
-        let report = run_with_attack_and_dead_coordinator(seed, 4, Attack::JumpRound { jump: 5 });
-        let v = verdict5(&report, 4);
+        let report = run_with_attack_and_dead_coordinator(seed, 6, Attack::JumpRound { jump: 5 });
+        let v = verdict7(&report, 6);
         assert!(v.ok(), "seed {seed}: {:?}", v.violations);
-        assert_detected_by_all(&report, 4, "out-of-order");
-        assert_no_honest_convicted(&report, 4);
+        assert_detected_by_all(&report, 6, "out-of-order");
+        assert_no_honest_convicted(&report, 6);
     }
 }
 
 #[test]
 fn vote_duplication_is_survived_and_detected() {
     for seed in 0..5 {
-        let report = run_with_attack_and_dead_coordinator(seed, 4, Attack::DuplicateVotes);
-        let v = verdict5(&report, 4);
+        let report = run_with_attack_and_dead_coordinator(seed, 6, Attack::DuplicateVotes);
+        let v = verdict7(&report, 6);
         assert!(v.ok(), "seed {seed}: {:?}", v.violations);
-        assert_detected_by_all(&report, 4, "out-of-order");
-        assert_no_honest_convicted(&report, 4);
+        assert_detected_by_all(&report, 6, "out-of-order");
+        assert_no_honest_convicted(&report, 6);
     }
 }
 
@@ -311,8 +311,8 @@ fn selective_omission_is_survived() {
 
 #[test]
 fn two_simultaneous_different_attackers_within_the_budget() {
-    // n = 5, F = 2: one vector corruptor AND one forged-decide injector at
-    // once. Both convicted, properties intact for the three correct
+    // n = 7, F = 2: one vector corruptor AND one forged-decide injector at
+    // once. Both convicted, properties intact for the five correct
     // processes. Two attackers means the shared single-attacker glue does
     // not apply; this test builds its stack by hand.
     use ft_modular::core::byzantine::ByzantineConsensus;
@@ -323,8 +323,8 @@ fn two_simultaneous_different_attackers_within_the_budget() {
     use ft_modular::sim::{SimConfig, Simulation};
 
     for seed in 0..5 {
-        let setup = ProtocolConfig::new(5, 2).seed(seed).setup();
-        let report = Simulation::build_boxed(SimConfig::new(5).seed(seed), |id| {
+        let setup = ProtocolConfig::new(7, 2).seed(seed).setup();
+        let report = Simulation::build_boxed(SimConfig::new(7).seed(seed), |id| {
             let honest = ByzantineConsensus::new(&setup, id, 100 + id.0 as u64);
             match id.0 {
                 0 => Box::new(ByzantineWrapper::new(
@@ -336,27 +336,28 @@ fn two_simultaneous_different_attackers_within_the_budget() {
                     setup.keys[0].clone(),
                     Duration::of(10),
                 )) as BoxedActor<_, _>,
-                4 => Box::new(ByzantineWrapper::new(
+                6 => Box::new(ByzantineWrapper::new(
                     honest,
                     Attack::Forge {
                         kind: MessageKind::Decide,
                         poison: 999,
                         trigger: Trigger::At(VirtualTime::at(1)),
                     },
-                    setup.keys[4].clone(),
+                    setup.keys[6].clone(),
                     Duration::of(10),
                 )),
                 _ => Box::new(honest),
             }
         })
         .run();
-        let props: Vec<Value> = (0..5).map(|i| 100 + i).collect();
-        let v = check_vector_consensus(&report, &props, &[true, false, false, false, true], 2);
+        let props: Vec<Value> = (0..7).map(|i| 100 + i).collect();
+        let faulty = [true, false, false, false, false, false, true];
+        let v = check_vector_consensus(&report, &props, &faulty, 2);
         assert!(v.ok(), "seed {seed}: {:?}", v.violations);
         // Only the two attackers may appear as culprits.
         for d in detections(&report.trace) {
             assert!(
-                d.culprit == "p0" || d.culprit == "p4",
+                d.culprit == "p0" || d.culprit == "p6",
                 "framed an honest process: {d:?}"
             );
         }
@@ -371,7 +372,7 @@ fn scenario_sweep_covers_the_matrix_with_layer_metrics() {
     use ft_modular::faults::{sweep_scenarios, FaultBehavior, ScenarioMatrix};
 
     let m = ScenarioMatrix::new(
-        vec![(4, 1), (5, 2), (7, 3)],
+        vec![(4, 1), (5, 1), (7, 2)],
         vec![
             FaultBehavior::Honest,
             FaultBehavior::VectorCorrupt,
@@ -418,7 +419,7 @@ fn fault_classification_is_protocol_independent() {
     // classification — which conviction classes fire, and whether ◇M
     // suspicion covers the muteness cases — must not.
     //
-    // n = 5, F = 2 with the round-1 coordinator crashed: under HR this
+    // n = 7, F = 2 with the round-1 coordinator crashed: under HR this
     // forces NEXT-vote traffic (so vote-targeting attacks have something
     // to corrupt), under CT the NACK path; the budget (attacker + one
     // crash = 2 = F) stays within bounds.
@@ -432,7 +433,7 @@ fn fault_classification_is_protocol_independent() {
         // Union over seeds: classification is about which module *can*
         // convict the behavior, not one execution's timing accidents.
         for seed in 0..3u64 {
-            let sc = Scenario::new(5, 2, behavior)
+            let sc = Scenario::new(7, 2, behavior)
                 .protocol(protocol)
                 .extra_crashes(1);
             let rec = run_scenario(seed as usize, &sc, 0xC1A5 + seed);
@@ -556,11 +557,10 @@ fn mixed_coalition_classification_is_protocol_independent() {
     // the transformed protocol is Hurfin–Raynal or Chandra–Toueg: the
     // duplicator is an automaton ("out-of-order") conviction, the mute
     // member is ◇M suspicion territory and is never convicted of
-    // anything. n = 7, F = 3 with the round-1 coordinator crashed keeps
-    // the budget at 3 = F while forcing enough rounds that both members
-    // actually act; the adverse network profile stretches the run far
-    // past the mute member's onset (t = 30) plus the ◇M allowance, so
-    // the suspicion fires before the system can decide its way out.
+    // anything. At n = 7, F = 2 the coalition is the whole budget; the
+    // adverse network profile stretches the run far past the mute
+    // member's onset (t = 30) plus the ◇M allowance, so the suspicion
+    // fires before the system can decide its way out.
     use ft_modular::certify::ProtocolId;
     use ft_modular::faults::{run_scenario, FaultBehavior, NetworkProfile, Scenario};
     use std::collections::BTreeSet;
@@ -573,8 +573,7 @@ fn mixed_coalition_classification_is_protocol_independent() {
         // each member, not one execution's timing accidents.
         for seed in 0..3u64 {
             let sc =
-                Scenario::coalition_of(7, 3, &[FaultBehavior::Mute, FaultBehavior::DuplicateVotes])
-                    .extra_crashes(1)
+                Scenario::coalition_of(7, 2, &[FaultBehavior::Mute, FaultBehavior::DuplicateVotes])
                     .network(NetworkProfile::adverse())
                     .protocol(protocol);
             let rec = run_scenario(seed as usize, &sc, 0x5117 + seed);
