@@ -57,7 +57,7 @@ fn draw_coalition(
 fn campaign(protocol: ProtocolId, campaign_seed: u64) {
     let mut gen = SplitMix64::from_seed(campaign_seed);
     let palette = attacker_palette();
-    let systems = [(4usize, 1usize), (5, 2), (7, 3)];
+    let systems = [(4usize, 1usize), (5, 1), (7, 2)];
     let networks = [
         NetworkProfile::calm(),
         NetworkProfile::jittery(),
@@ -135,7 +135,7 @@ fn safety_holds_without_any_gst() {
     for protocol in ProtocolId::all() {
         for case in 0..16 {
             let seed = gen.next_u64();
-            let (n, f) = (5usize, 2usize);
+            let (n, f) = (7usize, 2usize);
             let size = gen.gen_range_u64(1, f as u64) as usize;
             let members = draw_coalition(&mut gen, n, size, &active);
 
@@ -177,13 +177,13 @@ fn drawn_coalitions_are_distinct_and_in_range() {
     let mut gen = SplitMix64::from_seed(7);
     let palette = attacker_palette();
     for _ in 0..200 {
-        let members = draw_coalition(&mut gen, 7, 3, &palette);
+        let members = draw_coalition(&mut gen, 10, 3, &palette);
         assert_eq!(members.len(), 3);
         let ids: std::collections::BTreeSet<u32> = members.iter().map(|&(m, _)| m).collect();
         assert_eq!(ids.len(), 3, "duplicate members in {members:?}");
-        assert!(ids.iter().all(|&m| m < 7));
+        assert!(ids.iter().all(|&m| m < 10));
         // And the Scenario constructor accepts them.
-        let _ = Scenario::coalition(7, 3, members);
+        let _ = Scenario::coalition(10, 3, members);
     }
 }
 
