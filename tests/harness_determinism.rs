@@ -8,7 +8,7 @@ use ft_modular::faults::{sweep_scenarios, FaultBehavior, ScenarioMatrix};
 
 fn matrix() -> ScenarioMatrix {
     ScenarioMatrix::new(
-        vec![(4, 1), (5, 2), (7, 3)],
+        vec![(4, 1), (5, 1), (7, 2)],
         vec![
             FaultBehavior::Honest,
             FaultBehavior::Crash,
@@ -87,7 +87,7 @@ fn coalition_and_network_sweep_is_bit_identical_across_thread_counts() {
     for network in NetworkProfile::all() {
         scenarios.push(Scenario::new(4, 1, FaultBehavior::VectorCorrupt).network(network));
         scenarios.push(
-            Scenario::coalition_of(5, 2, &[FaultBehavior::VectorCorrupt, FaultBehavior::Mute])
+            Scenario::coalition_of(7, 2, &[FaultBehavior::VectorCorrupt, FaultBehavior::Mute])
                 .network(network),
         );
     }
@@ -95,7 +95,7 @@ fn coalition_and_network_sweep_is_bit_identical_across_thread_counts() {
     // parked run burns simulated time to the limit, which is pointless
     // here — E11 documents those rows).
     scenarios.push(Scenario::coalition_of(
-        5,
+        7,
         2,
         &[
             FaultBehavior::VectorCorrupt,
@@ -158,7 +158,7 @@ fn certificate_heavy_sweep_is_bit_identical_across_1_2_and_8_threads() {
     // report-feeding path would surface here as a byte diff between
     // worker counts.
     let cells = ScenarioMatrix::new(
-        vec![(4, 1), (7, 3)],
+        vec![(4, 1), (7, 2)],
         vec![
             FaultBehavior::StripCertificates,
             FaultBehavior::ForgeDecide,
