@@ -79,7 +79,7 @@ fn byzantine_protocol_safe_under_random_conditions() {
     let mut gen = SplitMix64::from_seed(0x91092);
     for case in 0..20 {
         let seed = gen.next_u64();
-        let (n, f) = [(3usize, 1usize), (4, 1), (5, 2)][gen.gen_range_u64(0, 2) as usize];
+        let (n, f) = [(4usize, 1usize), (5, 1), (7, 2)][gen.gen_range_u64(0, 2) as usize];
         let max_delay = gen.gen_range_u64(5, 49);
         let crash_time = gen.gen_range_u64(0, 199);
         let crash_someone = gen.next_u64() & 1 == 1;
@@ -175,9 +175,9 @@ fn runs_are_reproducible() {
     let mut gen = SplitMix64::from_seed(0x91094);
     for case in 0..10 {
         let seed = gen.next_u64();
-        let n = gen.gen_range_u64(3, 5) as usize;
+        let n = gen.gen_range_u64(4, 6) as usize;
         let mk = || {
-            let setup = ProtocolConfig::new(n, ftm_core::quorum::max_faults(n))
+            let setup = ProtocolConfig::new(n, ftm_core::quorum::default_cert_capacity(n))
                 .seed(seed)
                 .setup();
             let props = proposals(n);
