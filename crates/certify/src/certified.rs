@@ -41,11 +41,11 @@ use crate::signed::Envelope;
 /// use ftm_sim::ProcessId;
 ///
 /// let mut rng = ftm_crypto::rng_from_seed(3);
-/// let (dir, keys) = ftm_crypto::keydir::KeyDirectory::generate(&mut rng, 3, 128);
-/// let checker = CertChecker::new(3, 1, dir);
+/// let (dir, keys) = ftm_crypto::keydir::KeyDirectory::generate(&mut rng, 4, 128);
+/// let checker = CertChecker::new(4, 1, dir);
 /// let raw_env = Envelope::make(ProcessId(0), Core::Init { value: 7 },
 ///                              Certificate::new(), &keys[0]);
-/// let mut b = VectorBuilder::new(3, 1);
+/// let mut b = VectorBuilder::new(4, 1);
 /// let env: Certified<'_> = checker.check_envelope(&raw_env).expect("honest INIT");
 /// assert!(b.absorb(&env));
 /// ```
@@ -64,11 +64,11 @@ use crate::signed::Envelope;
 /// # use ftm_certify::{Certificate, Certified, Core, Envelope};
 /// # use ftm_sim::ProcessId;
 /// # let mut rng = ftm_crypto::rng_from_seed(3);
-/// # let (dir, keys) = ftm_crypto::keydir::KeyDirectory::generate(&mut rng, 3, 128);
-/// # let checker = CertChecker::new(3, 1, dir);
+/// # let (dir, keys) = ftm_crypto::keydir::KeyDirectory::generate(&mut rng, 4, 128);
+/// # let checker = CertChecker::new(4, 1, dir);
 /// # let raw_env = Envelope::make(ProcessId(0), Core::Init { value: 7 },
 /// #                              Certificate::new(), &keys[0]);
-/// # let mut b = VectorBuilder::new(3, 1);
+/// # let mut b = VectorBuilder::new(4, 1);
 /// assert!(b.absorb(&raw_env));
 /// ```
 ///
@@ -80,11 +80,11 @@ use crate::signed::Envelope;
 /// # use ftm_certify::{Certificate, Certified, Core, Envelope};
 /// # use ftm_sim::ProcessId;
 /// # let mut rng = ftm_crypto::rng_from_seed(3);
-/// # let (dir, keys) = ftm_crypto::keydir::KeyDirectory::generate(&mut rng, 3, 128);
-/// # let checker = CertChecker::new(3, 1, dir);
+/// # let (dir, keys) = ftm_crypto::keydir::KeyDirectory::generate(&mut rng, 4, 128);
+/// # let checker = CertChecker::new(4, 1, dir);
 /// # let raw_env = Envelope::make(ProcessId(0), Core::Init { value: 7 },
 /// #                              Certificate::new(), &keys[0]);
-/// # let mut b = VectorBuilder::new(3, 1);
+/// # let mut b = VectorBuilder::new(4, 1);
 /// let env: Certified<'_> = Certified(std::borrow::Cow::Borrowed(&raw_env));
 /// assert!(b.absorb(&env));
 /// ```
@@ -97,11 +97,11 @@ use crate::signed::Envelope;
 /// # use ftm_certify::{Certificate, Certified, Core, Envelope};
 /// # use ftm_sim::ProcessId;
 /// # let mut rng = ftm_crypto::rng_from_seed(3);
-/// # let (dir, keys) = ftm_crypto::keydir::KeyDirectory::generate(&mut rng, 3, 128);
-/// # let checker = CertChecker::new(3, 1, dir);
+/// # let (dir, keys) = ftm_crypto::keydir::KeyDirectory::generate(&mut rng, 4, 128);
+/// # let checker = CertChecker::new(4, 1, dir);
 /// # let raw_env = Envelope::make(ProcessId(0), Core::Init { value: 7 },
 /// #                              Certificate::new(), &keys[0]);
-/// # let mut b = VectorBuilder::new(3, 1);
+/// # let mut b = VectorBuilder::new(4, 1);
 /// let env: Certified<'_> = (&raw_env).into();
 /// assert!(b.absorb(&env));
 /// ```

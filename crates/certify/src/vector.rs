@@ -33,19 +33,19 @@ use crate::message::{Core, MessageKind, ValueVector};
 /// use ftm_sim::ProcessId;
 ///
 /// let mut rng = ftm_crypto::rng_from_seed(3);
-/// let (dir, keys) = KeyDirectory::generate(&mut rng, 3, 128);
-/// let checker = CertChecker::new(3, 1, dir);
-/// let mut b = VectorBuilder::new(3, 1);
-/// for s in 0..2u32 {
+/// let (dir, keys) = KeyDirectory::generate(&mut rng, 4, 128);
+/// let checker = CertChecker::new(4, 1, dir);
+/// let mut b = VectorBuilder::new(4, 1);
+/// for s in 0..3u32 {
 ///     let env = Envelope::make(ProcessId(s), Core::Init { value: s as u64 },
 ///                              Certificate::new(), &keys[s as usize]);
 ///     b.absorb(&checker.check_envelope(&env).expect("honest INIT"));
 /// }
-/// assert!(b.complete()); // n − F = 2 INITs collected
+/// assert!(b.complete()); // n − F = 3 INITs collected
 /// let (vect, cert) = b.finish();
 /// assert_eq!(vect.get(0), Some(0));
-/// assert_eq!(vect.get(2), None);
-/// assert_eq!(cert.len(), 2);
+/// assert_eq!(vect.get(3), None);
+/// assert_eq!(cert.len(), 3);
 /// ```
 #[derive(Debug, Clone)]
 pub struct VectorBuilder {
@@ -216,13 +216,14 @@ mod tests {
 
     #[test]
     fn duplicate_sender_ignored() {
-        let (checker, ks) = fixture(3, 1);
-        let mut b = VectorBuilder::new(3, 1);
+        let (checker, ks) = fixture(4, 1);
+        let mut b = VectorBuilder::new(4, 1);
         assert!(absorb(&mut b, &checker, 0, 1, &ks));
         // Equivocation attempt: second value from the same sender.
         assert!(!absorb(&mut b, &checker, 0, 2, &ks));
         let mut b2 = b.clone();
         assert!(absorb(&mut b2, &checker, 1, 3, &ks));
+        assert!(absorb(&mut b2, &checker, 2, 4, &ks));
         let (vect, _) = b2.finish();
         assert_eq!(vect.get(0), Some(1));
     }
@@ -230,16 +231,16 @@ mod tests {
     #[test]
     #[should_panic(expected = "incomplete")]
     fn finishing_early_panics() {
-        let _ = VectorBuilder::new(3, 1).finish();
+        let _ = VectorBuilder::new(4, 1).finish();
     }
 
     #[test]
     fn proposition1_shape_vector_matches_cert() {
         // The built vector's non-null entries are exactly the INIT senders
         // and the certificate witnesses each of them.
-        let (checker, ks) = fixture(5, 2);
-        let mut b = VectorBuilder::new(5, 2);
-        for s in [4u32, 2, 0] {
+        let (checker, ks) = fixture(7, 2);
+        let mut b = VectorBuilder::new(7, 2);
+        for s in [6u32, 4, 2, 0, 5] {
             absorb(&mut b, &checker, s, 100 + s as u64, &ks);
         }
         let (vect, cert) = b.finish();

@@ -798,9 +798,9 @@ mod tests {
     }
 
     #[test]
-    fn five_replicas_two_faults() {
-        let report = run(5, 2, 2, 3, &[(0, 0), (4, 50)]);
-        let log = check_log_consistency(&report.decisions, &report.crashed, 3)
+    fn seven_replicas_two_faults() {
+        let report = run(7, 2, 2, 3, &[(0, 0), (6, 50)]);
+        let log = check_log_consistency(&report.decisions, &report.crashed, 5)
             .expect("survivors consistent");
         assert_eq!(log.len(), 2);
     }

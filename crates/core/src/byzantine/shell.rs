@@ -652,7 +652,7 @@ mod tests {
     fn crash_mid_protocol_is_survived() {
         for run in BOTH {
             for seed in 0..10 {
-                let (report, _) = run(5, 2, seed, &[(1, 60)]);
+                let (report, _) = run(5, 1, seed, &[(1, 60)]);
                 assert!(report.all_decided(), "seed {seed} stop={:?}", report.stop);
                 assert!(report.unanimous().is_some(), "seed {seed}");
             }
@@ -662,17 +662,17 @@ mod tests {
     #[test]
     fn larger_system_still_decides() {
         for run in BOTH {
-            let (report, _) = run(7, 3, 2, &[]);
+            let (report, _) = run(7, 2, 2, &[]);
             assert!(report.all_decided(), "stop={:?}", report.stop);
             let vect = report.unanimous().expect("agreement");
-            assert!(vect.non_null_count() >= 4); // n − F
+            assert!(vect.non_null_count() >= 5); // n − F
         }
     }
 
     #[test]
     fn no_honest_process_is_ever_convicted() {
         for run in BOTH {
-            let (report, _) = run(5, 2, 3, &[]);
+            let (report, _) = run(5, 1, 3, &[]);
             assert!(report.all_decided());
             // No conviction notes: the non-muteness module stayed silent.
             for p in 0..5u32 {
@@ -687,20 +687,9 @@ mod tests {
         }
     }
 
-    #[test]
-    fn three_processes_one_fault_works() {
-        // Minimal configuration: n = 3, F = 1, ψ = 1.
-        for run in BOTH {
-            let (report, _) = run(3, 1, 4, &[(2, 0)]);
-            assert!(report.all_decided(), "stop={:?}", report.stop);
-            let vect = report.unanimous().expect("agreement");
-            assert!(vect.non_null_count() >= 2);
-        }
-    }
-
     /// The spec ids `Transformed<R>` counts discharges under.
     fn ids<R: Rounds<Votes: Ledger>>() -> Vec<&'static str> {
-        let setup = ProtocolConfig::new(3, 1).setup();
+        let setup = ProtocolConfig::new(4, 1).setup();
         let p = Transformed::<R>::new(&setup, ProcessId(0), 0);
         p.state.discharged.0.iter().map(|(id, _)| *id).collect()
     }
@@ -763,9 +752,8 @@ mod tests {
             tally(run::<R>(4, 1, seed, &[]));
         }
         tally(run::<R>(4, 1, 7, &[(0, 0)]));
-        tally(run::<R>(3, 1, 4, &[(2, 0)]));
         for seed in 0..10 {
-            tally(run::<R>(5, 2, seed, &[(1, 60)]));
+            tally(run::<R>(5, 1, seed, &[(1, 60)]));
         }
         for seed in 0..4 {
             let hasty = ProtocolConfig::new(4, 1)

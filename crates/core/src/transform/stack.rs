@@ -97,7 +97,7 @@ impl StackStats {
 /// use ftm_core::transform::ModuleStack;
 /// use ftm_sim::{ProcessId, VirtualTime};
 ///
-/// let setup = ProtocolConfig::new(3, 1).seed(8).setup();
+/// let setup = ProtocolConfig::new(4, 1).seed(8).setup();
 /// let mut stack = ModuleStack::for_setup(ProtocolId::HurfinRaynal, &setup);
 /// let env = Envelope::make(ProcessId(1), Core::Init { value: 4 },
 ///                          Certificate::new(), &setup.keys[1]);
@@ -366,10 +366,10 @@ mod tests {
 
     use crate::config::ProtocolConfig;
 
-    /// A (3, 1) Hurfin–Raynal stack with a 50-tick ◇M timeout, built the
+    /// A (4, 1) Hurfin–Raynal stack with a 50-tick ◇M timeout, built the
     /// one way stacks are built.
     fn fixture_with(checks: Checks) -> (ModuleStack, Vec<KeyPair>) {
-        let setup = ProtocolConfig::new(3, 1)
+        let setup = ProtocolConfig::new(4, 1)
             .seed(91)
             .muteness_timeout(Duration::of(50))
             .checks(checks)
@@ -429,7 +429,7 @@ mod tests {
         let _ = stack.admit(ProcessId(0), &init(&keys, 0), VirtualTime::ZERO);
         assert!(!stack.is_faulty(ProcessId(0)));
         assert_eq!(stack.muteness.mistakes(), 0);
-        assert_eq!(stack.checker.quorum(), 2);
+        assert_eq!(stack.checker.quorum(), 3);
     }
 
     #[test]
@@ -469,7 +469,7 @@ mod tests {
         );
         let mut draw = || 0u64;
         let mut fx = Effects::default();
-        let mut ctx = Context::new(VirtualTime::at(1), ProcessId(0), 3, &mut draw, &mut fx);
+        let mut ctx = Context::new(VirtualTime::at(1), ProcessId(0), 4, &mut draw, &mut fx);
         for _ in 0..3 {
             assert!(stack.receive(ProcessId(2), &bad, &mut ctx).is_none());
         }
@@ -523,7 +523,7 @@ mod tests {
     fn receive_all(stack: &mut ModuleStack, arrivals: &[(u32, &Envelope)]) -> (Vec<String>, u64) {
         let mut draw = || 0u64;
         let mut fx = Effects::default();
-        let mut ctx = Context::new(VirtualTime::at(1), ProcessId(0), 3, &mut draw, &mut fx);
+        let mut ctx = Context::new(VirtualTime::at(1), ProcessId(0), 4, &mut draw, &mut fx);
         for &(from, env) in arrivals {
             assert!(stack.receive(ProcessId(from), env, &mut ctx).is_none());
         }
@@ -570,8 +570,8 @@ mod tests {
     fn good_and_forged_checkpoint(keys: &[KeyPair]) -> (Envelope, Envelope) {
         use ftm_certify::{make_checkpoint, SignedCore};
 
-        let vect = ValueVector::from_entries(vec![Some(7), Some(8), None]);
-        let quorum = Certificate::from_items((0..2u32).map(|s| {
+        let vect = ValueVector::from_entries(vec![Some(7), Some(8), Some(9), None]);
+        let quorum = Certificate::from_items((0..3u32).map(|s| {
             SignedCore::sign(
                 ftm_certify::MessageCore::new(
                     ProcessId(s),
@@ -584,7 +584,7 @@ mod tests {
             )
         }));
         let mut other = vect.clone();
-        other.set(2, 99);
+        other.set(3, 99);
         let hr = ProtocolId::HurfinRaynal;
         (
             make_checkpoint(hr, 4, &vect, quorum.clone(), ProcessId(1), &keys[1]),

@@ -90,10 +90,10 @@
 //! use ft_modular::sim::ProcessId;
 //!
 //! let mut rng = ft_modular::crypto::rng_from_seed(7);
-//! let (dir, keys) = KeyDirectory::generate(&mut rng, 3, 128);
-//! let checker = CertChecker::new(3, 1, dir);
-//! let vect = ValueVector::from_entries(vec![Some(7), Some(8), None]);
-//! let quorum = Certificate::from_items((0..2u32).map(|s| {
+//! let (dir, keys) = KeyDirectory::generate(&mut rng, 4, 128);
+//! let checker = CertChecker::new(4, 1, dir);
+//! let vect = ValueVector::from_entries(vec![Some(7), Some(8), Some(9), None]);
+//! let quorum = Certificate::from_items((0..3u32).map(|s| {
 //!     let vote = Core::Current { round: 1, vector: vect.clone() };
 //!     SignedCore::sign(MessageCore::new(ProcessId(s), vote), &keys[s as usize])
 //! }));
@@ -101,7 +101,7 @@
 //! let msg = SlotMsg { slot: 4, env: make_checkpoint(hr, 4, &vect, quorum, ProcessId(1), &keys[1]) };
 //!
 //! let env = checker.check_envelope(&msg.env).expect("quorum-backed checkpoint");
-//! assert_eq!(checkpoint_vector(hr, 2, &env), Some(vect));
+//! assert_eq!(checkpoint_vector(hr, 3, &env), Some(vect));
 //! ```
 //!
 //! Skip the `check_envelope` call and the same program is rejected by
@@ -116,16 +116,16 @@
 //! # use ft_modular::crypto::keydir::KeyDirectory;
 //! # use ft_modular::sim::ProcessId;
 //! # let mut rng = ft_modular::crypto::rng_from_seed(7);
-//! # let (dir, keys) = KeyDirectory::generate(&mut rng, 3, 128);
-//! # let checker = CertChecker::new(3, 1, dir);
-//! # let vect = ValueVector::from_entries(vec![Some(7), Some(8), None]);
-//! # let quorum = Certificate::from_items((0..2u32).map(|s| {
+//! # let (dir, keys) = KeyDirectory::generate(&mut rng, 4, 128);
+//! # let checker = CertChecker::new(4, 1, dir);
+//! # let vect = ValueVector::from_entries(vec![Some(7), Some(8), Some(9), None]);
+//! # let quorum = Certificate::from_items((0..3u32).map(|s| {
 //! #     let vote = Core::Current { round: 1, vector: vect.clone() };
 //! #     SignedCore::sign(MessageCore::new(ProcessId(s), vote), &keys[s as usize])
 //! # }));
 //! # let hr = ProtocolId::HurfinRaynal;
 //! # let msg = SlotMsg { slot: 4, env: make_checkpoint(hr, 4, &vect, quorum, ProcessId(1), &keys[1]) };
-//! assert_eq!(checkpoint_vector(hr, 2, &msg.env), Some(vect));
+//! assert_eq!(checkpoint_vector(hr, 3, &msg.env), Some(vect));
 //! ```
 //!
 //! # Send conformance is a type
