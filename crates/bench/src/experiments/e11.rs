@@ -12,8 +12,11 @@
 //! an adverse profile (10× delay spread, late GST) and a no-GST profile
 //! (pure asynchrony, terminated by a round cap instead of a decision).
 //!
-//! The invariants the table demonstrates, and which this experiment
-//! *asserts* before rendering (generation fails loudly if they break):
+//! The invariants the table demonstrates for these coalitions, and which
+//! this experiment *asserts* before rendering (generation fails loudly if
+//! they break). They hold for the palette's behaviours, not for every
+//! behaviour: `tests/agreement_breaks.rs` pins runs A–C, in which one
+//! faulty process breaks Agreement at n = 4, F = 1.
 //!
 //! * **within the budget, safety holds under every profile** —
 //!   Agreement and Vector Validity hold among honest processes in every
@@ -32,10 +35,9 @@
 //! traffic. `fd-mistakes` counts wrongful-suspicion corrections
 //! (premature timeouts later contradicted by a message); `honest-mist.`
 //! restricts that to peers never convicted — mistakes against processes
-//! that deserved the benefit of the doubt. The observed trade-off:
-//! adaptive doubling converges after a correction or two even under
-//! adverse delays, while the round-aware linear allowance undershoots
-//! heavy-tailed delays and corrects more often.
+//! that deserved the benefit of the doubt. Neither policy wins every
+//! cell: they tie on the calm profile, and under adverse delays which one
+//! corrects more often depends on the system size.
 
 use ftm_core::config::MutenessMode;
 use ftm_faults::{sweep_scenarios, FaultBehavior, NetworkProfile, Scenario};
@@ -59,7 +61,7 @@ const PALETTE: [FaultBehavior; 4] = [
 ];
 
 fn coalition_scenarios() -> Vec<Scenario> {
-    let systems = [(4usize, 1usize), (5, 2), (7, 3)];
+    let systems = [(4usize, 1usize), (5, 1), (7, 2)];
     let networks = [
         NetworkProfile::calm(),
         NetworkProfile::adverse(),
@@ -91,7 +93,8 @@ fn coalition_scenarios() -> Vec<Scenario> {
 /// Panics if a within-budget coalition violates safety (agreement or
 /// vector validity among honest processes) under any profile, or fails
 /// to terminate under a profile with a GST — the paper's resilience
-/// claim. F + 1 rows are reported, never asserted.
+/// claim, over the palette's behaviours. F + 1 rows are reported, never
+/// asserted.
 pub fn run() -> String {
     let scenarios = coalition_scenarios();
     let report = sweep_scenarios(&scenarios, REPEATS, BASE_SEED, THREADS);
@@ -151,17 +154,18 @@ pub fn run() -> String {
          coalition runs under the calm profile (delays 1..10, GST 2000),\n\
          an adverse one (delays 1..250, GST 2500) and a no-GST profile\n\
          (pure asynchrony, capped at 12 rounds). `term`/`agree`/`valid`\n\
-         count runs where each property held. Generation *asserts* the\n\
-         paper's claim: in every coalition ≤ F row, `agree` and `valid`\n\
-         are full under every profile, and `term` is full whenever a GST\n\
-         exists. The F + 1 rows are reported, not asserted — they\n\
-         document the breakage past the budget, which is not just lost\n\
-         termination (quorum n − F unreachable once F + 1 members go\n\
-         mute or are quarantined) and capped rounds under no GST: with\n\
-         enough accomplices a vector corrupter can get a poisoned entry\n\
-         decided, and `valid` drops below full. `quar` is the median\n\
-         count of envelopes dropped without inspection because their\n\
-         sender was already convicted.\n\n",
+         count runs where each property held; F = ⌊(n−1)/3⌋. Generation\n\
+         *asserts* the paper's claim for this palette only (runs A–C of\n\
+         `tests/agreement_breaks.rs` break agreement at n = 4, F = 1): in\n\
+         every coalition ≤ F row, `agree` and `valid` are full under every\n\
+         profile, and `term` is full whenever a GST exists. The F + 1 rows\n\
+         are reported, not asserted — they document the breakage past the\n\
+         budget, which is not just lost termination (quorum n − F\n\
+         unreachable once F + 1 members go mute or are quarantined) and\n\
+         capped rounds under no GST: with enough accomplices a vector\n\
+         corrupter can get a poisoned entry decided, and `valid` drops\n\
+         below full. `quar` is the median count of envelopes dropped\n\
+         without inspection because their sender was already convicted.\n\n",
     );
 
     let mut t = Table::new([
@@ -203,13 +207,12 @@ pub fn run() -> String {
          adverse profiles, 3 seeds per cell. `mistakes` = wrongful\n\
          suspicions later corrected by a message from the suspect;\n\
          `honest-mist.` = the subset against peers never convicted. The\n\
-         adaptive detector doubles a peer's allowance after one mistake,\n\
-         so even under the adverse profile it converges after a\n\
-         correction or two; the round-aware allowance grows only\n\
-         linearly with the round (Δ₀ + r·δ), so under heavy-tailed\n\
-         delays it undershoots and re-suspects more often — the price\n\
-         of the tighter bound that convicts genuinely mute processes\n\
-         sooner in late rounds.\n\n",
+         adaptive detector doubles a peer's allowance after one mistake;\n\
+         the round-aware allowance grows only linearly with the round\n\
+         (Δ₀ + r·δ), a tighter bound that suspects genuinely mute\n\
+         processes sooner in late rounds. Neither wins every cell: on the\n\
+         calm profile they tie, and under adverse delays which one\n\
+         corrects more often depends on the system size.\n\n",
     );
 
     let mut detector_scenarios = Vec::new();
@@ -219,7 +222,7 @@ pub fn run() -> String {
     };
     for &muteness in &[MutenessMode::Adaptive, round_aware] {
         for &network in &[NetworkProfile::calm(), NetworkProfile::adverse()] {
-            for &(n, f) in &[(5usize, 2usize), (7, 3)] {
+            for &(n, f) in &[(5usize, 1usize), (7, 2)] {
                 detector_scenarios.push(
                     Scenario::new(n, f, FaultBehavior::Honest)
                         .extra_crashes(1)

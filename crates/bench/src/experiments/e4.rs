@@ -25,7 +25,7 @@ struct Case {
 pub fn run() -> String {
     // Vote-pattern attacks (round jumping, duplication) only show up in
     // NEXT traffic, so those cells crash the round-1 coordinator at t = 0
-    // (`extra_crashes(1)`) in a (5, 2) system; the rest use (4, 1).
+    // (`extra_crashes(1)`) in a (7, 2) system; the rest use (4, 1).
     let cases = [
         Case {
             name: "vector corruption",
@@ -55,12 +55,12 @@ pub fn run() -> String {
         Case {
             name: "round jumping (+5)",
             expected_class: "out-of-order",
-            scenario: Scenario::new(5, 2, FaultBehavior::RoundJump).extra_crashes(1),
+            scenario: Scenario::new(7, 2, FaultBehavior::RoundJump).extra_crashes(1),
         },
         Case {
             name: "vote duplication",
             expected_class: "out-of-order",
-            scenario: Scenario::new(5, 2, FaultBehavior::DuplicateVotes).extra_crashes(1),
+            scenario: Scenario::new(7, 2, FaultBehavior::DuplicateVotes).extra_crashes(1),
         },
     ];
 

@@ -32,7 +32,7 @@ pub fn run() -> String {
         "all ok",
     ]);
 
-    for (n, f) in [(3usize, 1usize), (4, 1), (5, 2), (7, 3)] {
+    for (n, f) in [(4usize, 1usize), (5, 1), (7, 2)] {
         let psi = ftm_core::quorum::vector_validity_floor(n, f);
         let scenarios: Vec<Scenario> = vec![
             ("all honest".into(), 0, None),

@@ -2,6 +2,7 @@
 
 use ftm_core::config::ProtocolConfig;
 use ftm_core::crash::HrCounts;
+use ftm_core::quorum::default_cert_capacity;
 use ftm_core::rounds::hr::HurfinRaynal;
 use ftm_faults::{AttackRun, NetworkProfile};
 use ftm_sim::{Duration, VirtualTime};
@@ -64,7 +65,7 @@ pub fn run() -> String {
         t.row([n.to_string(), "crash (Fig. 2)".into(), m, b, per, lat]);
 
         let byz: Vec<Outcome> = (0..SEEDS)
-            .map(|s| honest(&AttackRun::new(n, ftm_core::quorum::max_faults(n), s, 0)))
+            .map(|s| honest(&AttackRun::new(n, default_cert_capacity(n), s, 0)))
             .collect();
         let (m, b, per, lat) = means(&byz);
         t.row([n.to_string(), "transformed (Fig. 3)".into(), m, b, per, lat]);

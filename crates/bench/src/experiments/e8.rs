@@ -61,7 +61,7 @@ pub fn run() -> String {
          with the given module removed while the given attack runs. `framed`\n\
          counts runs in which an *innocent* process was convicted — the failure\n\
          mode the signature module exists to prevent. (Vote duplication runs\n\
-         with the round-1 coordinator crashed, n = 5, F = 2, so NEXT votes\n\
+         with the round-1 coordinator crashed, n = 7, F = 2, so NEXT votes\n\
          flow.)\n\n",
     );
     let mut t = Table::new(["stack", "attack", "all properties", "honest framed"]);
@@ -78,7 +78,7 @@ pub fn run() -> String {
             let mut framed = 0;
             for seed in 0..SEEDS {
                 let (n, f, crashed, att) = if attack_name == "vote duplication" {
-                    (5, 2, 1, 4)
+                    (7, 2, 1, 6)
                 } else {
                     (N, 1, 0, attacker)
                 };

@@ -395,9 +395,10 @@ impl ScenarioMatrix {
     /// The default `(n, F)` grid for sweeps: small systems where every
     /// taxonomy cell runs in milliseconds, plus larger ones — up to
     /// (31, 10) — that exercise quorum sizes the paper's asymptotics care
-    /// about.
+    /// about. Each system runs at the largest `F` the transformed
+    /// protocols admit for its `n`, `⌊(n−1)/3⌋`.
     pub fn default_systems() -> Vec<(usize, usize)> {
-        vec![(4, 1), (5, 2), (7, 3), (13, 4), (21, 6), (31, 10)]
+        vec![(4, 1), (5, 1), (7, 2), (13, 4), (21, 6), (31, 10)]
     }
 
     /// Widens the protocol axis to every supported protocol, so each
@@ -1002,21 +1003,21 @@ mod tests {
     #[test]
     fn coalition_cells_key_by_member_behaviors_and_placement() {
         let sc =
-            Scenario::coalition_of(7, 3, &[FaultBehavior::Mute, FaultBehavior::DuplicateVotes]);
+            Scenario::coalition_of(7, 2, &[FaultBehavior::Mute, FaultBehavior::DuplicateVotes]);
         assert_eq!(
             sc.attackers,
             vec![(6, FaultBehavior::Mute), (5, FaultBehavior::DuplicateVotes)]
         );
-        assert_eq!(sc.cell(), "n=7 f=3 fault=mute+duplicate-votes coalition=2");
+        assert_eq!(sc.cell(), "n=7 f=2 fault=mute+duplicate-votes coalition=2");
         // Explicit non-default placement is part of the key.
         let placed = Scenario::coalition(
             7,
-            3,
+            2,
             vec![(2, FaultBehavior::Mute), (4, FaultBehavior::DuplicateVotes)],
         );
         assert_eq!(
             placed.cell(),
-            "n=7 f=3 fault=mute+duplicate-votes coalition=2 members=2+4"
+            "n=7 f=2 fault=mute+duplicate-votes coalition=2 members=2+4"
         );
         // A non-calm network is part of the key too.
         let jittery = Scenario::new(4, 1, FaultBehavior::Honest).network(NetworkProfile::jittery());
@@ -1025,11 +1026,11 @@ mod tests {
 
     #[test]
     fn single_attacker_constructor_still_places_the_attacker_on_top() {
-        let sc = Scenario::new(5, 2, FaultBehavior::Mute);
+        let sc = Scenario::new(5, 1, FaultBehavior::Mute);
         assert_eq!(sc.attackers, vec![(4, FaultBehavior::Mute)]);
-        assert_eq!(sc.cell(), "n=5 f=2 fault=mute");
+        assert_eq!(sc.cell(), "n=5 f=1 fault=mute");
         // `coalition_of` at width 1 is the same cell.
-        let one = Scenario::coalition_of(5, 2, &[FaultBehavior::Mute]);
+        let one = Scenario::coalition_of(5, 1, &[FaultBehavior::Mute]);
         assert_eq!(one.attackers, sc.attackers);
     }
 
@@ -1103,7 +1104,7 @@ mod tests {
         // breakdown must attribute each conviction class to the right
         // member.
         let sc = Scenario::coalition_of(
-            5,
+            7,
             2,
             &[FaultBehavior::VectorCorrupt, FaultBehavior::WrongKey],
         );
@@ -1112,11 +1113,11 @@ mod tests {
         assert_eq!(rec.get("coalition-size"), 2);
         assert!(
             rec.get("m0-convicted-bad-certificate") > 0,
-            "vector corrupter (m0 = p4) never convicted: {rec:?}"
+            "vector corrupter (m0 = p6) never convicted: {rec:?}"
         );
         assert!(
             rec.get("m1-convicted-bad-signature") > 0,
-            "wrong-key signer (m1 = p3) never convicted: {rec:?}"
+            "wrong-key signer (m1 = p5) never convicted: {rec:?}"
         );
         // No cross-attribution: the corrupter's signatures are fine and
         // the forger's vectors are fine.
@@ -1185,12 +1186,12 @@ mod tests {
 
     #[test]
     fn extra_crashes_change_the_cell_key_and_exhaust_the_budget() {
-        let base = Scenario::new(5, 2, FaultBehavior::Crash);
-        assert_eq!(base.cell(), "n=5 f=2 fault=crash");
+        let base = Scenario::new(7, 2, FaultBehavior::Crash);
+        assert_eq!(base.cell(), "n=7 f=2 fault=crash");
         let full_budget = base.clone().extra_crashes(1);
-        assert_eq!(full_budget.cell(), "n=5 f=2 fault=crash extra-crashes=1");
+        assert_eq!(full_budget.cell(), "n=7 f=2 fault=crash extra-crashes=1");
 
-        // F = 2 total crashes (p0 and the attacker p4): still terminates.
+        // F = 2 total crashes (p0 and the attacker p6): still terminates.
         let rec = run_scenario(0, &full_budget, 21);
         assert!(
             rec.ok,
@@ -1209,9 +1210,9 @@ mod tests {
     #[test]
     fn crash_coalition_beyond_the_budget_forfeits_termination_only() {
         // Same budget arithmetic driven purely by the coalition axis:
-        // F + 1 = 3 crashed members out of n = 5.
+        // F + 1 = 3 crashed members out of n = 7.
         let beyond = Scenario::coalition_of(
-            5,
+            7,
             2,
             &[
                 FaultBehavior::Crash,
