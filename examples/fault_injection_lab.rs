@@ -144,7 +144,7 @@ fn sweep_demo() {
     use ft_modular::faults::{sweep_scenarios, FaultBehavior, ScenarioMatrix};
 
     let matrix = ScenarioMatrix::new(
-        vec![(4, 1), (5, 2), (7, 3)],
+        vec![(4, 1), (5, 1), (7, 2)],
         vec![
             FaultBehavior::Honest,
             FaultBehavior::VectorCorrupt,
