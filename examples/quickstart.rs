@@ -12,7 +12,7 @@ use ft_modular::sim::{SimConfig, Simulation};
 
 fn main() {
     let n = 5;
-    let f = 2;
+    let f = 1;
 
     // Shared setup: RSA key pairs for everyone plus the public directory.
     let setup = ProtocolConfig::new(n, f).seed(2026).setup();

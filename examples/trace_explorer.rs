@@ -19,7 +19,7 @@ use ft_modular::sim::{Duration, SimConfig, Simulation};
 
 fn main() {
     let corrupt = std::env::args().any(|a| a == "corrupt");
-    let n = 3;
+    let n = 4;
     let setup = ProtocolConfig::new(n, 1).seed(1).setup();
     println!(
         "n = {n}, F = 1, quorum = {}{}\n",
