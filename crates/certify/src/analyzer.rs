@@ -64,24 +64,35 @@ impl CertChecker {
     ///
     /// # Panics
     ///
-    /// Panics unless `1 ≤ n` and `f ≤ ⌊(n−1)/2⌋` (the paper's resilience
-    /// bound; beyond it quorums of size `n−F` stop intersecting in a
-    /// correct process).
+    /// Panics unless `1 ≤ n` and `f ≤ C = ⌊(n−1)/3⌋`, as
+    /// [`CertChecker::new_for`] does.
     pub fn new(n: usize, f: usize, dir: KeyDirectory) -> Self {
         CertChecker::new_for(ProtocolId::HurfinRaynal, n, f, dir)
     }
 
     /// Creates a checker enforcing the rule table of `protocol`.
     ///
+    /// This is where the transformed protocols' resilience bound is
+    /// checked: every transformed process, replicated log and analyzer
+    /// builds one. The paper's bound is `F ≤ min(⌊(n−1)/2⌋, C)`, and this
+    /// certification module's capacity is `C = ⌊(n−1)/3⌋` (paper footnote
+    /// 2): signatures make equivocation attributable, not impossible, so
+    /// two `n − F` quorums must share a correct process (Dwork–Lynch–
+    /// Stockmeyer). At `(5, 2)` they share one process, and run D split
+    /// them through a faulty one (`tests/agreement_breaks.rs` keeps D,
+    /// restated at `(5, 1)`). The crash protocols keep `⌊(n−1)/2⌋`
+    /// (`Resilience::new`).
+    ///
     /// # Panics
     ///
-    /// Same bounds as [`CertChecker::new`].
+    /// Panics unless `1 ≤ n` and `f ≤ ⌊(n−1)/3⌋`.
     pub fn new_for(protocol: ProtocolId, n: usize, f: usize, dir: KeyDirectory) -> Self {
         assert!(n >= 1, "need at least one process");
+        let capacity = ftm_quorum::default_cert_capacity(n);
         assert!(
-            f <= ftm_quorum::max_faults(n),
-            "F = {f} exceeds the resilience bound ⌊(n−1)/2⌋ = {}",
-            ftm_quorum::max_faults(n)
+            f <= capacity,
+            "F = {f} exceeds the resilience bound of the transformed protocols, \
+             C = ⌊(n−1)/3⌋ = {capacity}"
         );
         CertChecker {
             n,

@@ -379,7 +379,6 @@ pub fn transform(spec: &ProtocolSpec) -> ProtocolSpec {
 /// let r = Resilience::new(7, 2);
 /// assert_eq!(r.quorum(), 5);       // n − F
 /// assert_eq!(r.psi(), 3);          // n − 2F correct entries guaranteed
-/// assert_eq!(r.default_cert_capacity(), 2); // ⌊(n−1)/3⌋
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Resilience {
@@ -392,9 +391,10 @@ impl Resilience {
     ///
     /// # Panics
     ///
-    /// Panics unless `n ≥ 2` and `f ≤ ⌊(n−1)/2⌋` — the transformed
-    /// protocol's stated bound `F ≤ min(⌊(n−1)/2⌋, C)`; the `C` part is
-    /// the certification capacity, checked by callers who model it.
+    /// Panics unless `n ≥ 2` and `f ≤ ⌊(n−1)/2⌋`, the crash protocols'
+    /// bound. The transformed protocols admit only `f ≤ C = ⌊(n−1)/3⌋`,
+    /// the certification capacity: `ftm_certify::CertChecker::new_for`
+    /// refuses more, and every transformed process builds one.
     pub fn new(n: usize, f: usize) -> Self {
         assert!(n >= 2, "consensus needs at least two processes");
         assert!(
@@ -425,12 +425,6 @@ impl Resilience {
         crate::quorum::vector_validity_floor(self.n, self.f)
     }
 
-    /// The capacity `C` of the usual certification mechanisms,
-    /// `⌊(n−1)/3⌋` (paper footnote 2).
-    pub fn default_cert_capacity(&self) -> usize {
-        crate::quorum::default_cert_capacity(self.n)
-    }
-
     /// The round-`r` coordinator (0-based rotating coordinator).
     ///
     /// # Panics
@@ -457,7 +451,6 @@ mod tests {
         assert_eq!(r.quorum(), 3);
         assert_eq!(r.psi(), 2);
         assert_eq!(r.crash_majority(), 3);
-        assert_eq!(r.default_cert_capacity(), 1);
     }
 
     #[test]

@@ -1,14 +1,25 @@
 //! Quorum-threshold algebra: every cardinality bound of the
 //! transformation in one audited, dependency-free module.
 //!
-//! The paper's resilience claim is `F ≤ min(⌊(n−1)/2⌋, C)` — agreement
-//! survives up to `⌊(n−1)/2⌋` arbitrary failures *because* certification
-//! removes equivocation, so two `n − F` quorums only need to intersect in
-//! **one** process, not one *correct* process. Rule D5 (this crate's
-//! `tests/discipline.rs`) rejects ad-hoc `n - f` / `2*f + 1`
-//! expressions in the protocol crates, and
-//! `ftm-verify`'s `quorum` section re-proves the intersection algebra
-//! exhaustively for every `(n, F)` up to `n = 64`.
+//! The paper's resilience bound is `F ≤ min(⌊(n−1)/2⌋, C)`, where `C` is
+//! the capacity of the certification service. This repository's
+//! certification module has capacity `C = ⌊(n−1)/3⌋`
+//! ([`default_cert_capacity`], paper footnote 2), so the transformed
+//! protocols admit `F ≤ ⌊(n−1)/3⌋`, checked where a certificate checker
+//! is built (`ftm_certify::CertChecker::new_for`). Certification makes
+//! equivocation *attributable*, not impossible: a faulty process can sign
+//! two statements, so two `n − F` quorums must intersect in a *correct*
+//! process, which is exactly `n > 3F` (Dwork–Lynch–Stockmeyer: Byzantine
+//! agreement under partial synchrony needs `n > 3F` even with
+//! signatures). At `(5, 2)` two quorums of three share one process, and
+//! run D split them through a faulty one, every layer admitting every
+//! message; `tests/agreement_breaks.rs` keeps D, restated at `(5, 1)`.
+//! The crash protocols keep `⌊(n−1)/2⌋` ([`max_faults`]).
+//!
+//! Rule D5 (this crate's `tests/discipline.rs`) rejects ad-hoc `n - f` /
+//! `2*f + 1` expressions in the protocol crates, and `ftm-verify`'s
+//! `quorum` section re-proves the intersection algebra exhaustively for
+//! every `(n, F)` up to `n = 64`.
 //!
 //! The canonical import path is `ftm_core::quorum`, which re-exports
 //! this crate: `ftm-certify` needs the thresholds too and sits *below*
@@ -18,8 +29,8 @@
 //!
 //! Two subsets of size `q` drawn from `n` processes overlap in at least
 //! `2q − n` members (tight: take `{0..q}` and `{n−q..n}`). With
-//! `q = quorum_size(n, F) = n − F` that floor is `n − 2F`, giving the two
-//! regimes the reproduction sweeps across:
+//! `q = quorum_size(n, F) = n − F` that floor is `n − 2F`, and its two
+//! thresholds are the two bounds:
 //!
 //! ```
 //! use ftm_quorum::*;
@@ -28,10 +39,10 @@
 //!         let q = quorum_size(n, f);
 //!         // Tight pairwise-overlap floor of two q-quorums.
 //!         assert_eq!(intersection_margin(n, f), 2 * q - n);
-//!         // Within the paper's bound two quorums always intersect…
+//!         // Within the crash bound two quorums always intersect…
 //!         assert!(intersection_margin(n, f) >= 1);
-//!         // …and they intersect in a *correct* process exactly in the
-//!         // classic signature-free zone F ≤ ⌊(n−1)/3⌋.
+//!         // …and they intersect in a *correct* process exactly within
+//!         // the transformed protocols' bound F ≤ ⌊(n−1)/3⌋.
 //!         assert_eq!(
 //!             intersection_margin(n, f) >= f + 1,
 //!             f <= default_cert_capacity(n)
@@ -58,19 +69,6 @@
 #[must_use]
 pub const fn quorum_size(n: usize, f: usize) -> usize {
     n - f
-}
-
-/// The certification quorum — the `n − F` signed decide-votes that back a
-/// DECIDE or CHECKPOINT certificate (paper §5). Numerically identical to
-/// [`quorum_size`]; named separately so call sites say which rule of the
-/// paper they implement.
-///
-/// ```
-/// assert_eq!(ftm_quorum::certification_quorum(31, 10), 21);
-/// ```
-#[must_use]
-pub const fn certification_quorum(n: usize, f: usize) -> usize {
-    quorum_size(n, f)
 }
 
 /// Tight lower bound on the overlap of any two [`quorum_size`] quorums:
@@ -106,9 +104,10 @@ pub const fn vector_validity_floor(n: usize, f: usize) -> usize {
     }
 }
 
-/// The paper's structural resilience ceiling `⌊(n−1)/2⌋` (the other term
-/// of `F ≤ min(⌊(n−1)/2⌋, C)` is the certification capacity, see
-/// [`resilience_bound`]).
+/// The crash protocols' resilience bound `⌊(n−1)/2⌋`: a majority of
+/// correct processes. It is also the first term of the paper's
+/// `F ≤ min(⌊(n−1)/2⌋, C)`, which the certification capacity
+/// [`default_cert_capacity`] undercuts for the transformed protocols.
 ///
 /// ```
 /// assert_eq!(ftm_quorum::max_faults(7), 3);
@@ -119,9 +118,10 @@ pub const fn max_faults(n: usize) -> usize {
     n.saturating_sub(1) / 2
 }
 
-/// The capacity `C` of the usual certification mechanisms, `⌊(n−1)/3⌋`
-/// (paper footnote 2) — also exactly the zone where two quorums intersect
-/// in a correct process *without* certification (see the crate docs).
+/// The capacity `C = ⌊(n−1)/3⌋` of this repository's certification
+/// module (paper footnote 2), and so the transformed protocols' resilience
+/// bound: exactly the zone where two `n − F` quorums intersect in a
+/// correct process (see the crate docs).
 ///
 /// ```
 /// assert_eq!(ftm_quorum::default_cert_capacity(10), 3);
@@ -129,24 +129,6 @@ pub const fn max_faults(n: usize) -> usize {
 #[must_use]
 pub const fn default_cert_capacity(n: usize) -> usize {
     n.saturating_sub(1) / 3
-}
-
-/// The full resilience bound `min(⌊(n−1)/2⌋, C)` for a certification
-/// service of capacity `c`.
-///
-/// ```
-/// // Capacity-limited below the structural ceiling:
-/// assert_eq!(ftm_quorum::resilience_bound(31, 10), 10);
-/// assert_eq!(ftm_quorum::resilience_bound(31, 40), 15);
-/// ```
-#[must_use]
-pub const fn resilience_bound(n: usize, c: usize) -> usize {
-    let s = max_faults(n);
-    if c < s {
-        c
-    } else {
-        s
-    }
 }
 
 /// The coordinator of `round` under the rotating-coordinator paradigm, as
@@ -177,10 +159,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn quorum_and_certification_quorum_agree() {
+    fn quorums_are_never_empty() {
         for n in 1..=64 {
             for f in 0..=max_faults(n) {
-                assert_eq!(quorum_size(n, f), certification_quorum(n, f));
                 assert!(quorum_size(n, f) >= 1);
             }
         }
@@ -233,12 +214,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn resilience_bound_takes_the_minimum() {
-        assert_eq!(resilience_bound(7, 1), 1);
-        assert_eq!(resilience_bound(7, 99), 3);
-        assert_eq!(resilience_bound(1, 0), 0);
     }
 }

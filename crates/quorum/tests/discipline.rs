@@ -4,8 +4,8 @@
 //!
 //! **Rule D5**: no ad-hoc quorum arithmetic — `n - f`, `n + f`, `2 * f`,
 //! `3 * f` — in the protocol crates; every threshold routes through
-//! `ftm_quorum` so the paper's bound `F ≤ min(⌊(n−1)/2⌋, C)` has one audited
-//! derivation. That is a spelling convention, not a name-resolution fact, so
+//! `ftm_quorum` so both bounds, the transformed protocols' `F ≤ ⌊(n−1)/3⌋`
+//! and the crash protocols' `F ≤ ⌊(n−1)/2⌋`, have one audited derivation. That is a spelling convention, not a name-resolution fact, so
 //! unlike D1–D4/D6/D7 Clippy cannot check it; this test does, on source lines.
 //!
 //! **Note grammar**: the text of a trace note is known to
