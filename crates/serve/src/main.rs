@@ -13,6 +13,8 @@
 //! (`ct`) transformed consensus, full certify/detect stack included. Key
 //! material is derived deterministically from `--seed`, so all replicas
 //! started with the same seed share a key directory without any exchange.
+//! `--f` may not exceed `⌊(n−1)/3⌋` for `n` peers, the transformed
+//! protocols' resilience bound; a larger value is a usage error.
 //!
 //! Commands come from client `Submit` requests (see `ftm-load`); an
 //! opening slot drains up to `--batch` queued commands into one proposal
@@ -82,7 +84,13 @@ fn run() -> Result<ExitCode, String> {
             peers.len()
         ));
     }
-    let f = args.u64_or("f", 1)? as usize;
+    let (n, f) = (peers.len(), args.u64_or("f", 1)? as usize);
+    let bound = ftm_core::quorum::default_cert_capacity(n);
+    if f > bound {
+        return Err(format!(
+            "--f must not exceed ⌊(n−1)/3⌋ = {bound} for n = {n} peers (got {f})"
+        ));
+    }
     let slots = args.u64_or("slots", 1000)?;
     let seed = args.u64_or("seed", 0xD00D)?;
     let cluster = args.u64_or("cluster", 0)?;
