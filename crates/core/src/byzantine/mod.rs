@@ -26,9 +26,12 @@
 //! `ProtocolSpec::sends` is a typing fact, and the shell assembles the
 //! row's certificate by walking the row's `justified_by`. The
 //! [`TransformedProtocol`] trait is the seam layers above (the replicated
-//! log, the fault harness) build against. Both instances tolerate
-//! `F ≤ min(⌊(n−1)/2⌋, C)` arbitrary faults and decide a vector with at
-//! least `ψ = n − 2F ≥ 1` entries from correct processes.
+//! log, the fault harness) build against. Both instances are built for
+//! `F ≤ min(⌊(n−1)/2⌋, C) = ⌊(n−1)/3⌋` arbitrary faults (the
+//! certification module refuses more, `ftm_certify::CertChecker::new_for`)
+//! and decide a vector with at least `ψ = n − 2F ≥ 1` entries from
+//! correct processes. Agreement holds against the behaviours the sweeps
+//! sample, not against all: `tests/agreement_breaks.rs` pins runs A–C.
 
 pub mod log;
 pub mod shell;

@@ -53,12 +53,12 @@ impl Default for Checks {
 /// ```
 /// use ftm_core::config::ProtocolConfig;
 /// use ftm_sim::Duration;
-/// let cfg = ProtocolConfig::new(5, 2)
+/// let cfg = ProtocolConfig::new(7, 2)
 ///     .seed(3)
 ///     .muteness_timeout(Duration::of(200));
 /// let setup = cfg.setup();
-/// assert_eq!(setup.resilience.quorum(), 3);
-/// assert_eq!(setup.keys.len(), 5);
+/// assert_eq!(setup.resilience.quorum(), 5);
+/// assert_eq!(setup.keys.len(), 7);
 /// ```
 #[derive(Debug, Clone)]
 pub struct ProtocolConfig {
@@ -95,8 +95,10 @@ impl ProtocolConfig {
     ///
     /// # Panics
     ///
-    /// Panics if `(n, f)` violate the resilience bound (see
-    /// [`Resilience::new`]).
+    /// Panics if `(n, f)` violate the crash protocols' resilience bound
+    /// (see [`Resilience::new`]). A transformed process built from the
+    /// setup also needs `f ≤ ⌊(n−1)/3⌋`, which its certification module
+    /// checks.
     pub fn new(n: usize, f: usize) -> Self {
         let _ = Resilience::new(n, f); // validate early
         ProtocolConfig {

@@ -18,8 +18,11 @@
 //!   the transformation rules of §3 as reusable machinery: the receive
 //!   pipeline ([`transform::stack::ModuleStack`]);
 //! * [`byzantine`] — the *output*: the transformed protocol (paper
-//!   Fig. 3), solving **Vector Consensus** with Agreement, Termination and
-//!   Vector Validity under `F ≤ min(⌊(n−1)/2⌋, C)` arbitrary failures;
+//!   Fig. 3), solving **Vector Consensus** — Agreement, Termination and
+//!   Vector Validity — for `F ≤ min(⌊(n−1)/2⌋, C) = ⌊(n−1)/3⌋` (the
+//!   certification capacity, checked at construction), against the
+//!   behaviours the sweeps sample; `tests/agreement_breaks.rs` pins runs
+//!   in which one faulty process breaks Agreement at n = 4, F = 1;
 //! * [`spec`] and [`validator`] — problem specifications and trace-level
 //!   property checkers shared by tests, examples and the experiment
 //!   harness.

@@ -4,11 +4,20 @@
 //! size `quorum_size(n, f) = n - f` overlap in at least `n - 2f`
 //! processes, which is
 //!
-//! - `>= f + 1` (a certified majority survives any Byzantine coalition)
-//!   **exactly when** `f <= floor((n-1)/3)`, and
+//! - `>= f + 1` (two quorums share a correct process, whatever a
+//!   Byzantine coalition signs) **exactly when** `f <= floor((n-1)/3)` —
+//!   the transformed protocols' resilience bound, the certification
+//!   capacity `C` of the paper's `F <= min(floor((n-1)/2), C)`; and
 //! - `>= 1` (quorums cannot tell disjoint stories) **exactly when**
-//!   `f <= floor((n-1)/2)` — the paper's resilience bound
-//!   `F <= min(floor((n-1)/2), C)`.
+//!   `f <= floor((n-1)/2)` — the crash protocols' bound.
+//!
+//! The `degraded` zone between the two bounds, where quorums intersect
+//! only possibly in faulty processes, lies beyond what the transformed
+//! protocols admit: signatures make a faulty member's equivocation
+//! attributable, not impossible, and run D split two quorums that share
+//! one faulty process at `(5, 2)` (`tests/agreement_breaks.rs` keeps D,
+//! restated at `(5, 1)`). The section still counts the zone, to prove
+//! both bounds tight.
 //!
 //! This module proves both equivalences — as equivalences, not one-way
 //! implications — over the full grid `n <= 64`, `0 <= f < n`:
@@ -50,10 +59,11 @@ pub struct QuorumReport {
     /// `f <= floor((n-1)/3)`).
     pub certified_zone: u64,
     /// Grid points with `1 <= margin <= f` (overlap exists but a
-    /// Byzantine coalition could own it — certification is load-bearing).
+    /// Byzantine coalition could own it — beyond the transformed
+    /// protocols' bound).
     pub degraded_zone: u64,
-    /// Grid points with margin `0` (past the paper's bound; quorums can
-    /// be disjoint).
+    /// Grid points with margin `0` (past the crash bound; quorums can be
+    /// disjoint).
     pub broken_zone: u64,
     /// Capped `margin < f + 1` witnesses just past the one-third bound.
     pub cert_witnesses: Vec<String>,
