@@ -40,7 +40,7 @@
 //! corrects more often depends on the system size.
 
 use ftm_core::config::MutenessMode;
-use ftm_faults::{sweep_scenarios, FaultBehavior, NetworkProfile, Scenario};
+use ftm_faults::{sweep_scenarios, AttackRun, FaultBehavior, NetworkProfile};
 use ftm_sim::Duration;
 
 use crate::report::Table;
@@ -60,7 +60,7 @@ const PALETTE: [FaultBehavior; 4] = [
     FaultBehavior::ForgeDecide,
 ];
 
-fn coalition_scenarios() -> Vec<Scenario> {
+fn coalition_scenarios() -> Vec<AttackRun> {
     let systems = [(4usize, 1usize), (5, 1), (7, 2)];
     let networks = [
         NetworkProfile::calm(),
@@ -75,7 +75,7 @@ fn coalition_scenarios() -> Vec<Scenario> {
                     let behaviors: Vec<FaultBehavior> =
                         (0..size).map(|i| PALETTE[i % PALETTE.len()]).collect();
                     out.push(
-                        Scenario::coalition_of(n, f, &behaviors)
+                        AttackRun::coalition_of(n, f, &behaviors)
                             .protocol(protocol)
                             .network(network),
                     );
@@ -223,12 +223,11 @@ pub fn run() -> String {
     for &muteness in &[MutenessMode::Adaptive, round_aware] {
         for &network in &[NetworkProfile::calm(), NetworkProfile::adverse()] {
             for &(n, f) in &[(5usize, 1usize), (7, 2)] {
-                detector_scenarios.push(
-                    Scenario::new(n, f, FaultBehavior::Honest)
-                        .extra_crashes(1)
-                        .muteness(muteness)
-                        .network(network),
-                );
+                let mut run = AttackRun::single(n, f, FaultBehavior::Honest)
+                    .crash_low(1)
+                    .network(network);
+                run.config.muteness_mode = muteness;
+                detector_scenarios.push(run);
             }
         }
     }

@@ -2,14 +2,14 @@
 //! resilience bound F ≤ min(⌊(n−1)/2⌋, C) = ⌊(n−1)/3⌋ and one crash past
 //! the budget.
 //!
-//! The rows are [`Scenario`] cells run through the deterministic parallel
+//! The rows are [`AttackRun`] cells run through the deterministic parallel
 //! sweep harness ([`ftm_faults::scenario::sweep_scenarios`]) — the same
 //! machinery as E10 and the fault-matrix tests — rather than a bespoke
-//! seed loop. Multi-crash budgets use [`Scenario::extra_crashes`], which
+//! seed loop. Multi-crash budgets use [`AttackRun::crash_low`], which
 //! crashes low-numbered processes at t = 0 on top of the attacker's own
 //! behavior.
 
-use ftm_faults::{sweep_scenarios, FaultBehavior, Scenario};
+use ftm_faults::{sweep_scenarios, AttackRun, FaultBehavior};
 use ftm_sim::harness::RunRecord;
 
 use crate::report::{mean, pct, Table};
@@ -20,32 +20,32 @@ const THREADS: usize = 4;
 
 /// Runs E3 and renders its markdown section.
 pub fn run() -> String {
-    // One table row per scenario cell: (row label, scenario).
-    let mut rows: Vec<(String, Scenario)> = Vec::new();
+    // One table row per sweep cell: (row label, cell).
+    let mut rows: Vec<(String, AttackRun)> = Vec::new();
     for (n, f) in [(4usize, 1usize), (5, 1), (7, 2)] {
         rows.push((
             "all honest".into(),
-            Scenario::new(n, f, FaultBehavior::Honest),
+            AttackRun::single(n, f, FaultBehavior::Honest),
         ));
         rows.push((
             format!("{f} crash"),
-            Scenario::new(n, f, FaultBehavior::Crash).extra_crashes(f - 1),
+            AttackRun::single(n, f, FaultBehavior::Crash).crash_low(f - 1),
         ));
         rows.push((
             format!("1 byz + {} crash", f - 1),
-            Scenario::new(n, f, FaultBehavior::VectorCorrupt).extra_crashes(f - 1),
+            AttackRun::single(n, f, FaultBehavior::VectorCorrupt).crash_low(f - 1),
         ));
     }
     // Beyond the bound: F + 1 processes crash in an (n, F) system.
     for (n, f) in [(4usize, 1usize), (5, 1)] {
         rows.push((
             format!("{} crash (beyond bound)", f + 1),
-            Scenario::new(n, f, FaultBehavior::Crash).extra_crashes(f),
+            AttackRun::single(n, f, FaultBehavior::Crash).crash_low(f),
         ));
     }
 
-    let scenarios: Vec<Scenario> = rows.iter().map(|(_, sc)| sc.clone()).collect();
-    let report = sweep_scenarios(&scenarios, SEEDS, BASE_SEED, THREADS);
+    let cells: Vec<AttackRun> = rows.iter().map(|(_, run)| run.clone()).collect();
+    let report = sweep_scenarios(&cells, SEEDS, BASE_SEED, THREADS);
 
     let mut out = String::from(
         "## E3 — Transformed vector consensus under faults (paper Fig. 3)\n\n\
@@ -66,8 +66,8 @@ pub fn run() -> String {
         "mean rounds",
     ]);
 
-    for (label, sc) in rows {
-        let cell = sc.cell();
+    for (label, run) in rows {
+        let cell = run.cell();
         let recs: Vec<&RunRecord> = report.records.iter().filter(|r| r.cell == cell).collect();
         let term = recs
             .iter()
@@ -78,10 +78,11 @@ pub fn run() -> String {
             .filter(|r| r.get("prop-agreement") == 1 && r.get("prop-validity") == 1)
             .count();
         let rounds: Vec<u64> = recs.iter().map(|r| r.get("rounds")).collect();
-        let beyond_bound = sc.extra_crashes + 1 > sc.f;
+        let (n, f) = (run.config.n, run.config.f);
+        let beyond_bound = run.crash_low + 1 > f;
         t.row([
-            sc.n.to_string(),
-            sc.f.to_string(),
+            n.to_string(),
+            f.to_string(),
             label,
             pct(term, recs.len()),
             pct(safe, recs.len()),

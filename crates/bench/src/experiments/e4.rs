@@ -1,12 +1,12 @@
 //! E4 — Fig. 4: detection coverage and latency per fault class.
 //!
-//! Every fault class is a [`Scenario`] cell run through the deterministic
+//! Every fault class is an [`AttackRun`] cell run through the deterministic
 //! parallel sweep harness ([`ftm_faults::scenario::sweep_scenarios`]); the
 //! coverage/observers/latency columns come from the harness's
 //! attacker-conviction counters (`convicted-<class>`,
 //! `conviction-at-<class>`) instead of a bespoke per-seed loop.
 
-use ftm_faults::{sweep_scenarios, FaultBehavior, Scenario};
+use ftm_faults::{sweep_scenarios, AttackRun, FaultBehavior};
 use ftm_sim::harness::RunRecord;
 
 use crate::report::{mean, pct, Table};
@@ -18,53 +18,53 @@ const THREADS: usize = 4;
 struct Case {
     name: &'static str,
     expected_class: &'static str,
-    scenario: Scenario,
+    scenario: AttackRun,
 }
 
 /// Runs E4 and renders its markdown section.
 pub fn run() -> String {
     // Vote-pattern attacks (round jumping, duplication) only show up in
     // NEXT traffic, so those cells crash the round-1 coordinator at t = 0
-    // (`extra_crashes(1)`) in a (7, 2) system; the rest use (4, 1).
+    // (`crash_low(1)`) in a (7, 2) system; the rest use (4, 1).
     let cases = [
         Case {
             name: "vector corruption",
             expected_class: "bad-certificate",
-            scenario: Scenario::new(4, 1, FaultBehavior::VectorCorrupt),
+            scenario: AttackRun::single(4, 1, FaultBehavior::VectorCorrupt),
         },
         Case {
             name: "forged DECIDE",
             expected_class: "bad-certificate",
-            scenario: Scenario::new(4, 1, FaultBehavior::ForgeDecide),
+            scenario: AttackRun::single(4, 1, FaultBehavior::ForgeDecide),
         },
         Case {
             name: "spurious CURRENT",
             expected_class: "bad-certificate",
-            scenario: Scenario::new(4, 1, FaultBehavior::SpuriousCurrent),
+            scenario: AttackRun::single(4, 1, FaultBehavior::SpuriousCurrent),
         },
         Case {
             name: "wrong signing key",
             expected_class: "bad-signature",
-            scenario: Scenario::new(4, 1, FaultBehavior::WrongKey),
+            scenario: AttackRun::single(4, 1, FaultBehavior::WrongKey),
         },
         Case {
             name: "identity theft",
             expected_class: "bad-signature",
-            scenario: Scenario::new(4, 1, FaultBehavior::StealIdentity),
+            scenario: AttackRun::single(4, 1, FaultBehavior::StealIdentity),
         },
         Case {
             name: "round jumping (+5)",
             expected_class: "out-of-order",
-            scenario: Scenario::new(7, 2, FaultBehavior::RoundJump).extra_crashes(1),
+            scenario: AttackRun::single(7, 2, FaultBehavior::RoundJump).crash_low(1),
         },
         Case {
             name: "vote duplication",
             expected_class: "out-of-order",
-            scenario: Scenario::new(7, 2, FaultBehavior::DuplicateVotes).extra_crashes(1),
+            scenario: AttackRun::single(7, 2, FaultBehavior::DuplicateVotes).crash_low(1),
         },
     ];
 
-    let scenarios: Vec<Scenario> = cases.iter().map(|c| c.scenario.clone()).collect();
+    let scenarios: Vec<AttackRun> = cases.iter().map(|c| c.scenario.clone()).collect();
     let report = sweep_scenarios(&scenarios, SEEDS, BASE_SEED, THREADS);
 
     let mut out = String::from(
@@ -127,7 +127,7 @@ pub fn run() -> String {
          without p0. The suspicion latency is dominated by the ◇M initial\n\
          timeout (150) plus the poll interval (25), exactly as configured.\n\n",
     );
-    let mute = Scenario::new(4, 1, FaultBehavior::Honest).extra_crashes(1);
+    let mute = AttackRun::single(4, 1, FaultBehavior::Honest).crash_low(1);
     let mute_report = sweep_scenarios(&[mute], SEEDS, 0x4E4, THREADS);
     let mut t = Table::new([
         "runs",

@@ -25,12 +25,14 @@
 //! [`crash_attacks::CrashAttack`], whose unsigned messages make the same
 //! attacks trivially lethal — experiment E2's point.
 //!
-//! [`scenario::AttackRun`] wires a simulated transformed run — keys,
-//! actors, the wrapped attackers, t = 0 crashes, network — from a
+//! [`scenario::AttackRun`] is the one description of a simulated
+//! transformed run, and it wires one — keys, actors, the wrapped
+//! attackers, t = 0 crashes, network — from a
 //! [`ftm_core::ProtocolConfig`]. The sweep harness and the experiments
 //! build every transformed run through it; no other non-test,
-//! non-example code wires one. [`sweep_scenarios`] is the sweep's one
-//! entry point, for hand-built scenario lists and [`ScenarioMatrix`] grids.
+//! non-example code wires one. An `AttackRun` with a coalition and a
+//! workload is also a sweep cell: [`sweep_scenarios`] is the sweep's one
+//! entry point, for hand-built cell lists and [`ScenarioMatrix`] grids.
 
 pub mod attacks;
 pub mod behavior;
@@ -41,9 +43,9 @@ pub use attacks::Attack;
 pub use behavior::{ByzantineLogWrapper, ByzantineWrapper};
 pub use scenario::{
     coalition_faulty, log_command, run_scenario, sweep_scenarios, AttackRun, FaultBehavior,
-    Scenario, ScenarioMatrix, Workload,
+    ScenarioMatrix, Workload,
 };
-// Re-exported so scenario builders can name network profiles without
+// Re-exported so sweep cells can name network profiles without
 // depending on ftm-sim directly.
 pub use ftm_sim::NetworkProfile;
 

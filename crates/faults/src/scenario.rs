@@ -1,23 +1,23 @@
-//! Scenario enumeration and execution glue for the sweep harness.
+//! The simulated transformed run, and the sweep that runs many of them.
 //!
 //! The paper's experiments (E3/E4) run the transformed protocol against
-//! every fault class in the taxonomy, over a grid of system sizes. This
-//! module names those cells — a [`Scenario`] is one `(n, F, coalition)`
-//! triple plus the protocol, ◇M mode, workload and network it runs — and
-//! turns each into a single deterministic run: [`run_scenario`] hands the
-//! cell to [`AttackRun`], which builds the full stack (keys, transformed
-//! actors, a wrapped attacker *coalition* of up to F members) and executes
-//! it under the seeded simulator and the scenario's [`NetworkProfile`],
-//! then judges the run with [`ftm_core::validator`] — Vector Consensus, or
-//! its lift to the replicated log — and flattens everything the run
-//! produced into the flat counter map of an
+//! every fault class in the taxonomy, over a grid of system sizes. An
+//! [`AttackRun`] is one such run, adversary included: its
+//! [`ProtocolConfig`] carries `(n, F)`, timeouts, the enabled checks and
+//! the ◇M mode, and the run adds the protocol, the attacker coalition of
+//! up to F members (or one hand-made [`Attack`]), t = 0 crashes, the
+//! workload and the [`NetworkProfile`]. It builds the full stack (keys,
+//! transformed actors, the wrapped attackers) and executes it under the
+//! seeded simulator; it is the one non-test builder of a simulated
+//! transformed run, and the sweep and the experiment tables go through
+//! it.
+//!
+//! An `AttackRun` is also one cell of the sweep. [`run_scenario`] runs a
+//! cell under a derived seed, judges it with [`ftm_core::validator`] —
+//! Vector Consensus, or its lift to the replicated log — and flattens
+//! everything the run produced into the flat counter map of an
 //! [`ftm_sim::harness::RunRecord`]. [`sweep_scenarios`] is the sweep's
 //! one entry point, for hand-built lists and [`ScenarioMatrix`] grids.
-//!
-//! [`AttackRun`] is the one non-test builder of a simulated transformed
-//! run: the sweep and the experiment tables go through it, with the run's
-//! [`ProtocolConfig`] carrying `(n, F)`, timeouts, the enabled checks and
-//! the ◇M mode.
 //!
 //! The counters decompose cost by module layer, mirroring Fig. 1:
 //!
@@ -34,7 +34,7 @@
 //! * `coalition-size` and `m<i>-*` — per-coalition-member detection
 //!   outcomes (conviction class, first-conviction round and time).
 //!
-//! Everything is a pure function of `(scenario, seed)`: the same pair
+//! Everything is a pure function of `(cell, seed)`: the same pair
 //! reproduces the same trace fingerprint bit for bit, which is what lets
 //! [`sweep_scenarios`] fan runs across threads without losing
 //! replayability.
@@ -203,174 +203,10 @@ pub enum Workload {
     },
 }
 
-/// One cell of the sweep: system size, resilience bound and the attacker
-/// coalition (up to F members, heterogeneous behaviors), plus the
-/// protocol, ◇M, workload and network axes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Scenario {
-    /// Number of processes.
-    pub n: usize,
-    /// Resilience bound F (at most F arbitrary-faulty processes).
-    pub f: usize,
-    /// The attacker coalition: `(member, behavior)` pairs. A single-member
-    /// coalition is the classic one-attacker cell; sizes beyond F exist to
-    /// document where the guarantees break.
-    pub attackers: Vec<(u32, FaultBehavior)>,
-    /// How many *additional* low-numbered processes (`p0`, `p1`, …) crash
-    /// benignly at t = 0, on top of whatever the coalition does. `1` kills
-    /// the round-1 coordinator (forcing NEXT-vote traffic); combined with
-    /// coalition crashes it can exhaust — or deliberately exceed — the
-    /// fault budget.
-    pub extra_crashes: usize,
-    /// Which transformed protocol the processes run (Hurfin–Raynal by
-    /// default).
-    pub protocol: ProtocolId,
-    /// Which ◇M implementation the processes embed (adaptive by default).
-    pub muteness: MutenessMode,
-    /// What runs on top of consensus (a single instance by default).
-    pub workload: Workload,
-    /// The delay/GST regime the run executes under (calm by default —
-    /// exactly the simulator's historical defaults).
-    pub network: NetworkProfile,
-}
-
-impl Scenario {
-    /// A single-attacker cell with no extra crashes (the plain taxonomy
-    /// grid), running the default axes: Hurfin–Raynal, adaptive ◇M,
-    /// one-shot consensus, calm network. The attacker is the
-    /// highest-numbered process, never the round-1 coordinator.
-    pub fn new(n: usize, f: usize, behavior: FaultBehavior) -> Self {
-        Scenario::coalition(n, f, vec![((n - 1) as u32, behavior)])
-    }
-
-    /// A cell with an explicit attacker coalition. Members may sit
-    /// anywhere (including the round-1 coordinator) and mix behaviors
-    /// freely; sizes ≤ F are the paper's tolerated regime, F + 1 the
-    /// documented breakage row.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the coalition is empty, names a process `≥ n`, or names
-    /// the same process twice.
-    pub fn coalition(n: usize, f: usize, members: Vec<(u32, FaultBehavior)>) -> Self {
-        assert!(!members.is_empty(), "a coalition needs at least one member");
-        let distinct: BTreeSet<u32> = members.iter().map(|&(m, _)| m).collect();
-        assert_eq!(distinct.len(), members.len(), "duplicate coalition member");
-        assert!(
-            members.iter().all(|&(m, _)| (m as usize) < n),
-            "coalition member out of range"
-        );
-        Scenario {
-            n,
-            f,
-            attackers: members,
-            extra_crashes: 0,
-            protocol: ProtocolId::HurfinRaynal,
-            muteness: MutenessMode::Adaptive,
-            workload: Workload::OneShot,
-            network: NetworkProfile::calm(),
-        }
-    }
-
-    /// A coalition at the default placement: member `i` is process
-    /// `n − 1 − i`, so the coalition grows downward from the top and the
-    /// round-1 coordinator stays honest (representative honest progress,
-    /// as in the single-attacker grid).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `behaviors` is empty or longer than `n − 1`.
-    pub fn coalition_of(n: usize, f: usize, behaviors: &[FaultBehavior]) -> Self {
-        assert!(
-            behaviors.len() < n,
-            "coalition would leave no honest coordinator"
-        );
-        let members = behaviors
-            .iter()
-            .enumerate()
-            .map(|(i, &b)| ((n - 1 - i) as u32, b))
-            .collect();
-        Scenario::coalition(n, f, members)
-    }
-
-    /// Additionally crashes processes `p0..p{k-1}` at t = 0.
-    pub fn extra_crashes(mut self, k: usize) -> Self {
-        self.extra_crashes = k;
-        self
-    }
-
-    /// Selects the transformed protocol the processes run.
-    pub fn protocol(mut self, protocol: ProtocolId) -> Self {
-        self.protocol = protocol;
-        self
-    }
-
-    /// Selects the ◇M implementation the processes embed.
-    pub fn muteness(mut self, mode: MutenessMode) -> Self {
-        self.muteness = mode;
-        self
-    }
-
-    /// Selects the workload running on top of consensus.
-    pub fn workload(mut self, workload: Workload) -> Self {
-        self.workload = workload;
-        self
-    }
-
-    /// Selects the delay/GST regime the run executes under.
-    pub fn network(mut self, network: NetworkProfile) -> Self {
-        self.network = network;
-        self
-    }
-
-    /// Whether the coalition sits at the default placement (member `i` is
-    /// process `n − 1 − i`) — the placement [`new`](Self::new) and
-    /// [`coalition_of`](Self::coalition_of) produce.
-    fn default_placement(&self) -> bool {
-        self.attackers
-            .iter()
-            .enumerate()
-            .all(|(i, &(m, _))| m as usize == self.n - 1 - i)
-    }
-
-    /// Cell key used to group runs for aggregation. Non-default axis
-    /// values append their own markers, so pre-existing cell keys (plain
-    /// single-attacker Hurfin–Raynal one-shot cells under the calm
-    /// network) are unchanged. The round-aware ◇M marks its cells
-    /// ` fd=round-aware` whatever its per-round allowance.
-    pub fn cell(&self) -> String {
-        let faults: Vec<&str> = self.attackers.iter().map(|(_, b)| b.label()).collect();
-        let mut key = format!("n={} f={} fault={}", self.n, self.f, faults.join("+"));
-        if self.attackers.len() > 1 {
-            key.push_str(&format!(" coalition={}", self.attackers.len()));
-        }
-        if !self.default_placement() {
-            let ids: Vec<String> = self.attackers.iter().map(|(m, _)| m.to_string()).collect();
-            key.push_str(&format!(" members={}", ids.join("+")));
-        }
-        if self.protocol != ProtocolId::HurfinRaynal {
-            key.push_str(&format!(" proto={}", self.protocol.label()));
-        }
-        if matches!(self.muteness, MutenessMode::RoundAware { .. }) {
-            key.push_str(" fd=round-aware");
-        }
-        if let Workload::Log { slots } = self.workload {
-            key.push_str(&format!(" workload=log{slots}"));
-        }
-        if self.extra_crashes > 0 {
-            key.push_str(&format!(" extra-crashes={}", self.extra_crashes));
-        }
-        if self.network != NetworkProfile::calm() {
-            key.push_str(&format!(" net={}", self.network.label));
-        }
-        key
-    }
-}
-
-/// A scenario grid: the cross product of protocols, system configurations
+/// A sweep grid: the cross product of protocols, system configurations
 /// and fault behaviors, enumerated in a stable row-major order. Every cell
 /// is a single attacker under adaptive ◇M, one-shot consensus and the calm
-/// network; a sweep over the other axes lists its scenarios itself.
+/// network; a sweep over the other axes lists its runs itself.
 #[derive(Debug, Clone)]
 pub struct ScenarioMatrix {
     /// `(n, F)` pairs, the grid's rows.
@@ -409,14 +245,14 @@ impl ScenarioMatrix {
     }
 
     /// Enumerates the cells row-major: protocols outermost, then systems,
-    /// and innermost behaviors. The position in this list is the scenario
+    /// and innermost behaviors. The position in this list is the cell
     /// index the harness feeds to [`ftm_sim::prng::derive_seed`].
-    pub fn enumerate(&self) -> Vec<Scenario> {
+    pub fn enumerate(&self) -> Vec<AttackRun> {
         let mut out = Vec::new();
         for &protocol in &self.protocols {
             for &(n, f) in &self.systems {
                 for &behavior in &self.behaviors {
-                    out.push(Scenario::new(n, f, behavior).protocol(protocol));
+                    out.push(AttackRun::single(n, f, behavior).protocol(protocol));
                 }
             }
         }
@@ -427,10 +263,12 @@ impl ScenarioMatrix {
 /// Which processes run behind a wrapper, and the attack of each.
 type Attacks = BTreeMap<u32, Attack>;
 
-/// One hand-configured adversarial run: the stack-building glue (keys,
-/// transformed actors, wrapped attackers, t = 0 crashes) behind
-/// [`run_scenario`], the experiments and the repo's integration tests —
-/// the one place a simulated transformed run is wired.
+/// One simulated transformed run, adversary included — the stack-building
+/// glue (keys, transformed actors, wrapped attackers, t = 0 crashes)
+/// behind the experiments and the repo's integration tests, and one cell
+/// of the sweep ([`run_scenario`]). Each setting has one home here: `(n,
+/// F)` and the ◇M mode live in [`config`](Self::config), extra crashes
+/// are `crash_low`.
 #[derive(Debug, Clone)]
 pub struct AttackRun {
     /// What every process is built from: `(n, F)`, key seed and width,
@@ -438,9 +276,20 @@ pub struct AttackRun {
     pub config: ProtocolConfig,
     /// Simulator seed, also the seed attacks draw key material from.
     pub seed: u64,
-    /// The Byzantine process (single-attacker entry points; the
-    /// coalition runners take their member list explicitly).
+    /// The Byzantine process of the single-attacker entry points
+    /// ([`run`](Self::run), [`run_log`](Self::run_log),
+    /// [`verdict`](Self::verdict)).
     pub attacker: u32,
+    /// The attacker coalition a sweep cell runs: `(member, behavior)`
+    /// pairs. A single-member coalition is the classic one-attacker cell;
+    /// sizes beyond F exist to document where the guarantees break. Empty
+    /// unless built by [`single`](Self::single),
+    /// [`coalition`](Self::coalition()) or
+    /// [`coalition_of`](Self::coalition_of).
+    pub coalition: Vec<(u32, FaultBehavior)>,
+    /// What a sweep cell runs on top of consensus (a single instance by
+    /// default).
+    pub workload: Workload,
     /// Injection-timer delay for the wrapper. The default (3 ticks) beats
     /// the fastest honest decision (t ≈ 10 under the default delay range);
     /// a timed attack injected later fires into an already-halted system
@@ -449,8 +298,10 @@ pub struct AttackRun {
     /// Process crashed at t = 0, if any — crash the round-1 coordinator to
     /// force NEXT-vote traffic.
     pub crash_at_start: Option<u32>,
-    /// Crash processes `p0..p{k-1}` at t = 0 as well (multi-crash rows:
-    /// fault budgets up to and beyond F).
+    /// Crash processes `p0..p{k-1}` at t = 0 as well, on top of whatever
+    /// the attackers do. `1` kills the round-1 coordinator (forcing
+    /// NEXT-vote traffic); combined with coalition crashes it can exhaust —
+    /// or deliberately exceed — the fault budget.
     pub crash_low: usize,
     /// Which transformed protocol the processes run (Hurfin–Raynal by
     /// default).
@@ -480,6 +331,8 @@ impl AttackRun {
             config,
             seed,
             attacker,
+            coalition: Vec::new(),
+            workload: Workload::OneShot,
             injection_delay: Duration::of(3),
             crash_at_start: None,
             crash_low: 0,
@@ -487,6 +340,116 @@ impl AttackRun {
             network: NetworkProfile::calm(),
             retention: Retention::Full,
         }
+    }
+
+    /// A single-attacker cell with no extra crashes (the plain taxonomy
+    /// grid), running the default axes: Hurfin–Raynal, adaptive ◇M,
+    /// one-shot consensus, calm network. The attacker is the
+    /// highest-numbered process, never the round-1 coordinator.
+    pub fn single(n: usize, f: usize, behavior: FaultBehavior) -> Self {
+        AttackRun::coalition(n, f, vec![((n - 1) as u32, behavior)])
+    }
+
+    /// A cell with an explicit attacker coalition, otherwise as
+    /// [`single`](Self::single). Members may sit anywhere (including the
+    /// round-1 coordinator) and mix behaviors freely; sizes ≤ F are the
+    /// paper's tolerated regime, F + 1 the documented breakage row. The
+    /// first member is also [`attacker`](Self::attacker).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the coalition is empty, names a process `≥ n`, or names
+    /// the same process twice.
+    pub fn coalition(n: usize, f: usize, members: Vec<(u32, FaultBehavior)>) -> Self {
+        assert!(!members.is_empty(), "a coalition needs at least one member");
+        let distinct: BTreeSet<u32> = members.iter().map(|&(m, _)| m).collect();
+        assert_eq!(distinct.len(), members.len(), "duplicate coalition member");
+        assert!(
+            members.iter().all(|&(m, _)| (m as usize) < n),
+            "coalition member out of range"
+        );
+        AttackRun {
+            attacker: members[0].0,
+            coalition: members,
+            ..AttackRun::new(n, f, 0, 0)
+        }
+    }
+
+    /// A coalition at the default placement: member `i` is process
+    /// `n − 1 − i`, so the coalition grows downward from the top and the
+    /// round-1 coordinator stays honest (representative honest progress,
+    /// as in the single-attacker grid).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `behaviors` is empty or longer than `n − 1`.
+    pub fn coalition_of(n: usize, f: usize, behaviors: &[FaultBehavior]) -> Self {
+        assert!(
+            behaviors.len() < n,
+            "coalition would leave no honest coordinator"
+        );
+        let members = behaviors
+            .iter()
+            .enumerate()
+            .map(|(i, &b)| ((n - 1 - i) as u32, b))
+            .collect();
+        AttackRun::coalition(n, f, members)
+    }
+
+    /// Whether the coalition sits at the default placement (member `i` is
+    /// process `n − 1 − i`) — the placement [`single`](Self::single) and
+    /// [`coalition_of`](Self::coalition_of) produce.
+    fn default_placement(&self) -> bool {
+        self.coalition
+            .iter()
+            .enumerate()
+            .all(|(i, &(m, _))| m as usize == self.config.n - 1 - i)
+    }
+
+    /// Cell key used to group sweep runs for aggregation: `(n, F)`, the
+    /// coalition's behaviors, and a marker for each sweep axis off its
+    /// default — coalition size and placement, protocol, ◇M mode (the
+    /// round-aware ◇M marks its cells ` fd=round-aware` whatever its
+    /// per-round allowance), workload, `crash_low` and network. Plain
+    /// single-attacker Hurfin–Raynal one-shot cells under the calm network
+    /// carry no marker.
+    ///
+    /// The other settings are not part of the key: the injection delay,
+    /// `crash_at_start`, retention, and the config's timeouts and checks.
+    /// Sweeps leave them at their defaults.
+    pub fn cell(&self) -> String {
+        let faults: Vec<&str> = self.coalition.iter().map(|(_, b)| b.label()).collect();
+        let (n, f) = (self.config.n, self.config.f);
+        let mut key = format!("n={n} f={f} fault={}", faults.join("+"));
+        if self.coalition.len() > 1 {
+            key.push_str(&format!(" coalition={}", self.coalition.len()));
+        }
+        if !self.default_placement() {
+            let ids: Vec<String> = self.coalition.iter().map(|(m, _)| m.to_string()).collect();
+            key.push_str(&format!(" members={}", ids.join("+")));
+        }
+        if self.protocol != ProtocolId::HurfinRaynal {
+            key.push_str(&format!(" proto={}", self.protocol.label()));
+        }
+        if matches!(self.config.muteness_mode, MutenessMode::RoundAware { .. }) {
+            key.push_str(" fd=round-aware");
+        }
+        if let Workload::Log { slots } = self.workload {
+            key.push_str(&format!(" workload=log{slots}"));
+        }
+        if self.crash_low > 0 {
+            key.push_str(&format!(" extra-crashes={}", self.crash_low));
+        }
+        if self.network != NetworkProfile::calm() {
+            key.push_str(&format!(" net={}", self.network.label));
+        }
+        key
+    }
+
+    /// Selects what a sweep cell runs on top of consensus.
+    pub fn workload(mut self, workload: Workload) -> Self {
+        self.workload = workload;
+        self
     }
 
     /// Selects the evidence-retention policy for the log workloads.
@@ -749,31 +712,31 @@ pub fn log_command(slot: u64, p: u32) -> Value {
     1000 * slot + 100 + p as u64
 }
 
-/// Runs one scenario under one derived seed and flattens the outcome into
-/// a [`RunRecord`]. Matches the signature [`ftm_sim::harness::sweep`]
-/// expects, so it can be passed directly as the worker function.
-pub fn run_scenario(index: usize, sc: &Scenario, seed: u64) -> RunRecord {
-    let config = ProtocolConfig::new(sc.n, sc.f)
-        .seed(seed)
-        .muteness_mode(sc.muteness);
-    let run = AttackRun::with_config(config, seed, sc.attackers[0].0)
-        .protocol(sc.protocol)
-        .crash_low(sc.extra_crashes)
-        .network(sc.network);
-
-    let mut rec = RunRecord::new(sc.cell(), index, seed);
-    rec.set("coalition-size", sc.attackers.len() as u64);
-    match sc.workload {
+/// Runs one sweep cell under one derived seed — the key seed and the
+/// simulator seed both become `seed` — and flattens the outcome of its
+/// coalition on its workload into a [`RunRecord`]. Matches the signature
+/// [`ftm_sim::harness::sweep`] expects, so it can be passed directly as
+/// the worker function.
+pub fn run_scenario(index: usize, cell: &AttackRun, seed: u64) -> RunRecord {
+    let run = AttackRun {
+        config: cell.config.clone().seed(seed),
+        seed,
+        ..cell.clone()
+    };
+    let members = &run.coalition;
+    let mut rec = RunRecord::new(run.cell(), index, seed);
+    rec.set("coalition-size", members.len() as u64);
+    match run.workload {
         Workload::OneShot => {
-            let report = run.run_coalition(&sc.attackers);
-            let verdict = run.coalition_verdict(&sc.attackers, &report);
-            record_outcome(&mut rec, &verdict, &report, &sc.attackers);
+            let report = run.run_coalition(members);
+            let verdict = run.coalition_verdict(members, &report);
+            record_outcome(&mut rec, &verdict, &report, members);
         }
         Workload::Log { slots } => {
-            let report = run.run_coalition_log(slots, &sc.attackers);
-            let faulty = coalition_faulty(sc.n, &sc.attackers);
-            let verdict = check_log_consensus(&report, log_command, &faulty, sc.f);
-            record_outcome(&mut rec, &verdict, &report, &sc.attackers);
+            let report = run.run_coalition_log(slots, members);
+            let faulty = coalition_faulty(run.config.n, members);
+            let verdict = check_log_consensus(&report, log_command, &faulty, run.config.f);
+            record_outcome(&mut rec, &verdict, &report, members);
         }
     }
     rec
@@ -949,26 +912,33 @@ fn record_metrics<D>(rec: &mut RunRecord, report: &RunReport<D>, members: &[(u32
     }
 }
 
-/// Runs a scenario list through the parallel harness — the sweep's one
+/// Runs a list of cells through the parallel harness — the sweep's one
 /// entry point, for a [`ScenarioMatrix::enumerate`]d grid and for
 /// experiment tables whose rows are not a plain cross product
 /// (multi-crash budgets, per-row system sizes, hand-built coalitions).
-/// Each scenario appears `repeats` consecutive times: repeats share a cell
+/// Each cell appears `repeats` consecutive times: repeats share a cell
 /// key and get distinct indices, hence distinct derived seeds, so cells
 /// aggregate into real percentiles. The output is a pure function of
-/// `(scenarios, repeats, base_seed)` — thread count only changes wall
-/// clock, never a byte of the report.
+/// `(cells, repeats, base_seed)` — thread count only changes wall clock,
+/// never a byte of the report.
+///
+/// # Panics
+///
+/// Panics if a run panics — for instance a cell beyond the transformed
+/// protocols' resilience bound, which the certification module refuses —
+/// with a message that starts with the first failing cell's key, index
+/// and seed.
 pub fn sweep_scenarios(
-    scenarios: &[Scenario],
+    cells: &[AttackRun],
     repeats: usize,
     base_seed: u64,
     threads: usize,
 ) -> SweepReport {
-    let expanded: Vec<Scenario> = scenarios
+    let expanded: Vec<AttackRun> = cells
         .iter()
-        .flat_map(|sc| (0..repeats).map(move |_| sc.clone()))
+        .flat_map(|cell| (0..repeats).map(move |_| cell.clone()))
         .collect();
-    let records = sweep(&expanded, base_seed, threads, run_scenario);
+    let records = sweep(&expanded, base_seed, threads, AttackRun::cell, run_scenario);
     SweepReport::new(base_seed, records)
 }
 
@@ -976,10 +946,12 @@ pub fn sweep_scenarios(
 mod tests {
     use super::*;
 
-    fn round_aware() -> MutenessMode {
-        MutenessMode::RoundAware {
+    /// `run` with the round-aware ◇M.
+    fn round_aware(mut run: AttackRun) -> AttackRun {
+        run.config.muteness_mode = MutenessMode::RoundAware {
             per_round: Duration::of(25),
-        }
+        };
+        run
     }
 
     #[test]
@@ -988,7 +960,7 @@ mod tests {
             vec![(4, 1), (5, 1)],
             vec![FaultBehavior::Honest, FaultBehavior::Crash],
         );
-        let cells: Vec<String> = m.enumerate().iter().map(Scenario::cell).collect();
+        let cells: Vec<String> = m.enumerate().iter().map(AttackRun::cell).collect();
         assert_eq!(
             cells,
             [
@@ -1003,14 +975,14 @@ mod tests {
     #[test]
     fn coalition_cells_key_by_member_behaviors_and_placement() {
         let sc =
-            Scenario::coalition_of(7, 2, &[FaultBehavior::Mute, FaultBehavior::DuplicateVotes]);
+            AttackRun::coalition_of(7, 2, &[FaultBehavior::Mute, FaultBehavior::DuplicateVotes]);
         assert_eq!(
-            sc.attackers,
+            sc.coalition,
             vec![(6, FaultBehavior::Mute), (5, FaultBehavior::DuplicateVotes)]
         );
         assert_eq!(sc.cell(), "n=7 f=2 fault=mute+duplicate-votes coalition=2");
         // Explicit non-default placement is part of the key.
-        let placed = Scenario::coalition(
+        let placed = AttackRun::coalition(
             7,
             2,
             vec![(2, FaultBehavior::Mute), (4, FaultBehavior::DuplicateVotes)],
@@ -1020,24 +992,25 @@ mod tests {
             "n=7 f=2 fault=mute+duplicate-votes coalition=2 members=2+4"
         );
         // A non-calm network is part of the key too.
-        let jittery = Scenario::new(4, 1, FaultBehavior::Honest).network(NetworkProfile::jittery());
+        let jittery =
+            AttackRun::single(4, 1, FaultBehavior::Honest).network(NetworkProfile::jittery());
         assert_eq!(jittery.cell(), "n=4 f=1 fault=honest net=jittery");
     }
 
     #[test]
     fn single_attacker_constructor_still_places_the_attacker_on_top() {
-        let sc = Scenario::new(5, 1, FaultBehavior::Mute);
-        assert_eq!(sc.attackers, vec![(4, FaultBehavior::Mute)]);
+        let sc = AttackRun::single(5, 1, FaultBehavior::Mute);
+        assert_eq!(sc.coalition, vec![(4, FaultBehavior::Mute)]);
         assert_eq!(sc.cell(), "n=5 f=1 fault=mute");
         // `coalition_of` at width 1 is the same cell.
-        let one = Scenario::coalition_of(5, 1, &[FaultBehavior::Mute]);
-        assert_eq!(one.attackers, sc.attackers);
+        let one = AttackRun::coalition_of(5, 1, &[FaultBehavior::Mute]);
+        assert_eq!(one.coalition, sc.coalition);
     }
 
     #[test]
     #[should_panic(expected = "duplicate")]
     fn duplicate_coalition_members_are_rejected() {
-        let _ = Scenario::coalition(
+        let _ = AttackRun::coalition(
             4,
             1,
             vec![(3, FaultBehavior::Mute), (3, FaultBehavior::Crash)],
@@ -1064,7 +1037,7 @@ mod tests {
 
     #[test]
     fn honest_run_decomposes_bytes_by_layer() {
-        let sc = Scenario::new(4, 1, FaultBehavior::Honest);
+        let sc = AttackRun::single(4, 1, FaultBehavior::Honest);
         let rec = run_scenario(0, &sc, 7);
         assert!(rec.ok, "honest run failed: {rec:?}");
         assert_eq!(rec.get("decided"), 4);
@@ -1083,7 +1056,7 @@ mod tests {
 
     #[test]
     fn vector_corruption_is_survived_and_charged_to_certification() {
-        let sc = Scenario::new(4, 1, FaultBehavior::VectorCorrupt);
+        let sc = AttackRun::single(4, 1, FaultBehavior::VectorCorrupt);
         let rec = run_scenario(0, &sc, 3);
         assert!(rec.ok, "corrupted run violated the spec: {rec:?}");
         assert!(
@@ -1103,7 +1076,7 @@ mod tests {
         // (signature module). Consensus must survive and the per-member
         // breakdown must attribute each conviction class to the right
         // member.
-        let sc = Scenario::coalition_of(
+        let sc = AttackRun::coalition_of(
             7,
             2,
             &[FaultBehavior::VectorCorrupt, FaultBehavior::WrongKey],
@@ -1127,7 +1100,7 @@ mod tests {
 
     #[test]
     fn same_seed_reproduces_the_record_exactly() {
-        let sc = Scenario::new(4, 1, FaultBehavior::ForgeDecide);
+        let sc = AttackRun::single(4, 1, FaultBehavior::ForgeDecide);
         let a = run_scenario(2, &sc, 0xD5);
         let b = run_scenario(2, &sc, 0xD5);
         assert_eq!(a, b);
@@ -1186,9 +1159,9 @@ mod tests {
 
     #[test]
     fn extra_crashes_change_the_cell_key_and_exhaust_the_budget() {
-        let base = Scenario::new(7, 2, FaultBehavior::Crash);
+        let base = AttackRun::single(7, 2, FaultBehavior::Crash);
         assert_eq!(base.cell(), "n=7 f=2 fault=crash");
-        let full_budget = base.clone().extra_crashes(1);
+        let full_budget = base.clone().crash_low(1);
         assert_eq!(full_budget.cell(), "n=7 f=2 fault=crash extra-crashes=1");
 
         // F = 2 total crashes (p0 and the attacker p6): still terminates.
@@ -1200,7 +1173,7 @@ mod tests {
         assert_eq!(rec.get("prop-termination"), 1);
 
         // F + 1 crashes: termination is forfeited, safety must survive.
-        let beyond = base.extra_crashes(2);
+        let beyond = base.crash_low(2);
         let rec = run_scenario(0, &beyond, 21);
         assert_eq!(rec.get("prop-termination"), 0, "{rec:?}");
         assert_eq!(rec.get("prop-agreement"), 1, "{rec:?}");
@@ -1211,7 +1184,7 @@ mod tests {
     fn crash_coalition_beyond_the_budget_forfeits_termination_only() {
         // Same budget arithmetic driven purely by the coalition axis:
         // F + 1 = 3 crashed members out of n = 7.
-        let beyond = Scenario::coalition_of(
+        let beyond = AttackRun::coalition_of(
             7,
             2,
             &[
@@ -1230,8 +1203,8 @@ mod tests {
     #[test]
     fn scenario_lists_sweep_like_the_matrix_does() {
         let scenarios = vec![
-            Scenario::new(4, 1, FaultBehavior::Honest),
-            Scenario::new(4, 1, FaultBehavior::Honest).extra_crashes(1),
+            AttackRun::single(4, 1, FaultBehavior::Honest),
+            AttackRun::single(4, 1, FaultBehavior::Honest).crash_low(1),
         ];
         let rep = sweep_scenarios(&scenarios, 2, 0xE3, 2);
         assert_eq!(rep.records.len(), 4);
@@ -1241,15 +1214,38 @@ mod tests {
     }
 
     #[test]
+    fn a_cell_beyond_the_bound_names_itself_when_refused() {
+        // The certification module refuses F = 2 at n = 5; the sweep says
+        // which cell it was refusing, not just that a worker panicked.
+        let cells = [AttackRun::single(5, 2, FaultBehavior::Honest)];
+        let refused = std::panic::catch_unwind(|| sweep_scenarios(&cells, 1, 0xB0, 2))
+            .expect_err("a (5, 2) cell must be refused");
+        let message = refused
+            .downcast_ref::<String>()
+            .expect("the re-raised panic carries a formatted message");
+        let seed = ftm_sim::prng::derive_seed(0xB0, 0);
+        assert!(
+            message.starts_with(&format!(
+                "cell n=5 f=2 fault=honest (index 0, seed {seed}): "
+            )),
+            "{message}"
+        );
+        assert!(
+            message.contains("exceeds the resilience bound of the transformed protocols"),
+            "{message}"
+        );
+    }
+
+    #[test]
     fn non_default_axes_extend_the_cell_key() {
-        let base = Scenario::new(4, 1, FaultBehavior::Honest);
+        let base = AttackRun::single(4, 1, FaultBehavior::Honest);
         assert_eq!(base.cell(), "n=4 f=1 fault=honest");
         assert_eq!(
             base.clone().protocol(ProtocolId::ChandraToueg).cell(),
             "n=4 f=1 fault=honest proto=ct"
         );
         assert_eq!(
-            base.clone().muteness(round_aware()).cell(),
+            round_aware(base.clone()).cell(),
             "n=4 f=1 fault=honest fd=round-aware"
         );
         assert_eq!(
@@ -1257,10 +1253,9 @@ mod tests {
             "n=4 f=1 fault=honest workload=log2"
         );
         assert_eq!(
-            base.protocol(ProtocolId::ChandraToueg)
-                .muteness(round_aware())
+            round_aware(base.protocol(ProtocolId::ChandraToueg))
                 .workload(Workload::Log { slots: 3 })
-                .extra_crashes(1)
+                .crash_low(1)
                 .network(NetworkProfile::adverse())
                 .cell(),
             "n=4 f=1 fault=honest proto=ct fd=round-aware workload=log3 extra-crashes=1 net=adverse"
@@ -1270,7 +1265,7 @@ mod tests {
     #[test]
     fn cross_protocol_matrix_doubles_the_cells() {
         let m = ScenarioMatrix::new(vec![(4, 1)], vec![FaultBehavior::Honest]).cross_protocols();
-        let cells: Vec<String> = m.enumerate().iter().map(Scenario::cell).collect();
+        let cells: Vec<String> = m.enumerate().iter().map(AttackRun::cell).collect();
         assert_eq!(
             cells,
             ["n=4 f=1 fault=honest", "n=4 f=1 fault=honest proto=ct"]
@@ -1279,7 +1274,7 @@ mod tests {
 
     #[test]
     fn chandra_toueg_cells_run_the_ct_stack() {
-        let sc = Scenario::new(4, 1, FaultBehavior::Honest).protocol(ProtocolId::ChandraToueg);
+        let sc = AttackRun::single(4, 1, FaultBehavior::Honest).protocol(ProtocolId::ChandraToueg);
         let rec = run_scenario(0, &sc, 7);
         assert!(rec.ok, "honest CT run failed: {rec:?}");
         assert_eq!(rec.get("decided"), 4);
@@ -1289,8 +1284,8 @@ mod tests {
 
     #[test]
     fn ct_vector_corruption_is_survived_and_charged_to_certification() {
-        let sc =
-            Scenario::new(4, 1, FaultBehavior::VectorCorrupt).protocol(ProtocolId::ChandraToueg);
+        let sc = AttackRun::single(4, 1, FaultBehavior::VectorCorrupt)
+            .protocol(ProtocolId::ChandraToueg);
         let rec = run_scenario(0, &sc, 3);
         assert!(rec.ok, "corrupted CT run violated the spec: {rec:?}");
         assert!(
@@ -1303,9 +1298,7 @@ mod tests {
     fn round_aware_detector_cells_run_and_report_fd_mistakes() {
         // Crash the round-1 coordinator so the detector actually has to
         // suspect someone before the system progresses.
-        let sc = Scenario::new(4, 1, FaultBehavior::Honest)
-            .muteness(round_aware())
-            .extra_crashes(1);
+        let sc = round_aware(AttackRun::single(4, 1, FaultBehavior::Honest)).crash_low(1);
         let rec = run_scenario(0, &sc, 11);
         assert!(rec.ok, "round-aware run failed: {rec:?}");
         assert!(rec.get("suspicions") > 0, "{rec:?}");
@@ -1320,7 +1313,7 @@ mod tests {
 
     #[test]
     fn jittery_network_cells_still_decide() {
-        let sc = Scenario::new(4, 1, FaultBehavior::Honest).network(NetworkProfile::jittery());
+        let sc = AttackRun::single(4, 1, FaultBehavior::Honest).network(NetworkProfile::jittery());
         let rec = run_scenario(0, &sc, 13);
         assert!(rec.ok, "jittery honest run failed: {rec:?}");
         assert_eq!(rec.get("decided"), 4);
@@ -1329,7 +1322,7 @@ mod tests {
     #[test]
     fn log_workload_cells_decide_every_slot_on_both_protocols() {
         for protocol in ProtocolId::all() {
-            let sc = Scenario::new(4, 1, FaultBehavior::Honest)
+            let sc = AttackRun::single(4, 1, FaultBehavior::Honest)
                 .protocol(protocol)
                 .workload(Workload::Log { slots: 2 });
             let rec = run_scenario(0, &sc, 5);
@@ -1343,8 +1336,8 @@ mod tests {
 
     #[test]
     fn log_workload_survives_an_attacker() {
-        let sc =
-            Scenario::new(4, 1, FaultBehavior::VectorCorrupt).workload(Workload::Log { slots: 2 });
+        let sc = AttackRun::single(4, 1, FaultBehavior::VectorCorrupt)
+            .workload(Workload::Log { slots: 2 });
         let rec = run_scenario(0, &sc, 9);
         assert!(rec.ok, "corrupted log run violated the spec: {rec:?}");
         assert!(

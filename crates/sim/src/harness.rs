@@ -27,16 +27,19 @@
 //! use ftm_sim::harness::{sweep, RunRecord, SweepReport};
 //!
 //! let scenarios = vec![2usize, 3, 4];
-//! let records = sweep(&scenarios, 7, 4, |index, &n, seed| {
-//!     let mut rec = RunRecord::new(format!("n={n}"), index, seed);
-//!     rec.set("processes", n as u64);
+//! let cell = |n: &usize| format!("n={n}");
+//! let records = sweep(&scenarios, 7, 4, cell, |index, n, seed| {
+//!     let mut rec = RunRecord::new(cell(n), index, seed);
+//!     rec.set("processes", *n as u64);
 //!     rec
 //! });
 //! let report = SweepReport::new(7, records);
 //! assert!(report.to_json().render().contains("\"n=2\""));
 //! ```
 
+use std::any::Any;
 use std::collections::BTreeMap;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -251,19 +254,56 @@ impl SweepReport {
 /// stealing: a worker stuck on a slow run never blocks the others). The
 /// callback receives `(index, scenario, seed)` where `seed` is
 /// [`derive_seed`]`(base_seed, index)` — runs must draw **all** randomness
-/// from that seed for the determinism contract to hold.
+/// from that seed for the determinism contract to hold. `cell` names a
+/// scenario in a failure message.
 ///
 /// # Panics
 ///
-/// Panics if any worker panics (the panic is propagated).
-pub fn sweep<S, F>(scenarios: &[S], base_seed: u64, threads: usize, run: F) -> Vec<RunRecord>
+/// Panics if a run panics. Each run is caught in its worker, and the
+/// first failure in matrix order is re-raised on the caller's thread as
+/// `cell <cell(scenario)> (index <i>, seed <s>): <the run's message>`.
+pub fn sweep<S, C, F>(
+    scenarios: &[S],
+    base_seed: u64,
+    threads: usize,
+    cell: C,
+    run: F,
+) -> Vec<RunRecord>
 where
     S: Sync,
+    C: Fn(&S) -> String,
     F: Fn(usize, &S, u64) -> RunRecord + Sync,
 {
-    parallel_map(scenarios, threads, |index, scenario| {
-        run(index, scenario, derive_seed(base_seed, index as u64))
-    })
+    let outcomes = parallel_map(scenarios, threads, |index, scenario| {
+        let seed = derive_seed(base_seed, index as u64);
+        panic::catch_unwind(AssertUnwindSafe(|| run(index, scenario, seed)))
+            .map_err(|payload| (seed, panic_message(payload.as_ref())))
+    });
+    outcomes
+        .into_iter()
+        .zip(scenarios)
+        .enumerate()
+        .map(|(index, (outcome, scenario))| {
+            outcome.unwrap_or_else(|(seed, message)| {
+                panic!(
+                    "cell {} (index {index}, seed {seed}): {message}",
+                    cell(scenario)
+                )
+            })
+        })
+        .collect()
+}
+
+/// The text a panic was raised with (`panic!` with a literal carries a
+/// `&str`, with format arguments a `String`).
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    match payload.downcast_ref::<&str>() {
+        Some(text) => (*text).to_string(),
+        None => payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_else(|| "a run panicked".to_string()),
+    }
 }
 
 /// Order-preserving work-stealing map: applies `f` to every item of
@@ -320,8 +360,12 @@ where
 mod tests {
     use super::*;
 
+    fn toy_cell(scenario: &u64) -> String {
+        format!("s={scenario}")
+    }
+
     fn toy_run(index: usize, scenario: &u64, seed: u64) -> RunRecord {
-        let mut rec = RunRecord::new(format!("s={scenario}"), index, seed);
+        let mut rec = RunRecord::new(toy_cell(scenario), index, seed);
         rec.set("value", scenario * 10);
         rec.add("seed_low", seed & 0xFF);
         rec
@@ -330,7 +374,7 @@ mod tests {
     #[test]
     fn sweep_preserves_matrix_order() {
         let scenarios = vec![5u64, 1, 9, 3];
-        let records = sweep(&scenarios, 42, 3, toy_run);
+        let records = sweep(&scenarios, 42, 3, toy_cell, toy_run);
         let cells: Vec<&str> = records.iter().map(|r| r.cell.as_str()).collect();
         assert_eq!(cells, vec!["s=5", "s=1", "s=9", "s=3"]);
         assert_eq!(
@@ -342,12 +386,31 @@ mod tests {
     #[test]
     fn sweep_output_is_independent_of_thread_count() {
         let scenarios: Vec<u64> = (0..40).collect();
-        let one = sweep(&scenarios, 7, 1, toy_run);
-        let eight = sweep(&scenarios, 7, 8, toy_run);
+        let one = sweep(&scenarios, 7, 1, toy_cell, toy_run);
+        let eight = sweep(&scenarios, 7, 8, toy_cell, toy_run);
         assert_eq!(one, eight);
         let a = SweepReport::new(7, one).to_json().render();
         let b = SweepReport::new(7, eight).to_json().render();
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn a_failed_run_is_re_raised_naming_its_cell_index_and_seed() {
+        let scenarios = vec![5u64, 6, 7, 6];
+        let failed = panic::catch_unwind(|| {
+            sweep(&scenarios, 42, 2, toy_cell, |index, s, seed| {
+                assert_ne!(*s, 6, "six is refused");
+                toy_run(index, s, seed)
+            })
+        })
+        .expect_err("the sweep must fail");
+        let message = panic_message(failed.as_ref());
+        let seed = derive_seed(42, 1);
+        assert!(
+            message.starts_with(&format!("cell s=6 (index 1, seed {seed}): ")),
+            "{message}"
+        );
+        assert!(message.contains("six is refused"), "{message}");
     }
 
     #[test]
@@ -363,17 +426,17 @@ mod tests {
     #[test]
     fn distinct_base_seeds_derive_distinct_run_seeds() {
         let scenarios = vec![1u64, 2];
-        let a = sweep(&scenarios, 1, 1, toy_run);
-        let b = sweep(&scenarios, 2, 1, toy_run);
+        let a = sweep(&scenarios, 1, 1, toy_cell, toy_run);
+        let b = sweep(&scenarios, 2, 1, toy_cell, toy_run);
         assert_ne!(a[0].seed, b[0].seed);
         assert_ne!(a[0].seed, a[1].seed);
     }
 
     #[test]
     fn sweep_handles_empty_matrix_and_more_threads_than_work() {
-        let records = sweep(&Vec::<u64>::new(), 0, 8, toy_run);
+        let records = sweep(&Vec::<u64>::new(), 0, 8, toy_cell, toy_run);
         assert!(records.is_empty());
-        let records = sweep(&[4u64], 0, 8, toy_run);
+        let records = sweep(&[4u64], 0, 8, toy_cell, toy_run);
         assert_eq!(records.len(), 1);
     }
 
@@ -419,7 +482,7 @@ mod tests {
     #[test]
     fn report_json_contains_aggregates_and_records() {
         let scenarios = vec![1u64, 1, 2];
-        let report = SweepReport::new(3, sweep(&scenarios, 3, 2, toy_run));
+        let report = SweepReport::new(3, sweep(&scenarios, 3, 2, toy_cell, toy_run));
         let json = report.to_json().render();
         assert!(json.contains("\"base_seed\": 3"));
         assert!(json.contains("\"s=1\""));

@@ -15,7 +15,7 @@
 //! long enough for each of them to act.
 
 use ft_modular::certify::ProtocolId;
-use ft_modular::faults::{run_scenario, FaultBehavior, Scenario, Workload};
+use ft_modular::faults::{run_scenario, AttackRun, FaultBehavior, Workload};
 
 const SEED: u64 = 11;
 
@@ -88,10 +88,10 @@ fn table() -> String {
                 (Workload::OneShot, "one-shot"),
                 (Workload::Log { slots: 2 }, "log2"),
             ] {
-                let sc = Scenario::new(4, 1, behavior)
+                let sc = AttackRun::single(4, 1, behavior)
                     .protocol(protocol)
                     .workload(workload);
-                assert_eq!(sc.attackers, [(3, behavior)]);
+                assert_eq!(sc.coalition, [(3, behavior)]);
                 let rec = run_scenario(0, &sc, SEED);
                 out.push_str(&format!(
                     "{} {} {name} {} {} {}\n",

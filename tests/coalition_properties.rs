@@ -19,7 +19,7 @@
 use ft_modular::certify::ProtocolId;
 use ft_modular::core::validator::detections;
 use ft_modular::crypto::prng::{Rng64, SplitMix64};
-use ft_modular::faults::{coalition_faulty, AttackRun, FaultBehavior, NetworkProfile, Scenario};
+use ft_modular::faults::{coalition_faulty, AttackRun, FaultBehavior, NetworkProfile};
 
 /// The behaviors a drawn coalition member may take: the full taxonomy
 /// minus `Honest` (a coalition of honest processes proves nothing).
@@ -182,8 +182,8 @@ fn drawn_coalitions_are_distinct_and_in_range() {
         let ids: std::collections::BTreeSet<u32> = members.iter().map(|&(m, _)| m).collect();
         assert_eq!(ids.len(), 3, "duplicate members in {members:?}");
         assert!(ids.iter().all(|&m| m < 10));
-        // And the Scenario constructor accepts them.
-        let _ = Scenario::coalition(10, 3, members);
+        // And the coalition constructor accepts them.
+        let _ = AttackRun::coalition(10, 3, members);
     }
 }
 

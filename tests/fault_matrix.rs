@@ -424,7 +424,7 @@ fn fault_classification_is_protocol_independent() {
     // to corrupt), under CT the NACK path; the budget (attacker + one
     // crash = 2 = F) stays within bounds.
     use ft_modular::certify::ProtocolId;
-    use ft_modular::faults::{run_scenario, FaultBehavior, Scenario};
+    use ft_modular::faults::{run_scenario, AttackRun, FaultBehavior};
     use std::collections::BTreeSet;
 
     let classify = |behavior: FaultBehavior, protocol: ProtocolId| -> (BTreeSet<&str>, bool) {
@@ -433,9 +433,9 @@ fn fault_classification_is_protocol_independent() {
         // Union over seeds: classification is about which module *can*
         // convict the behavior, not one execution's timing accidents.
         for seed in 0..3u64 {
-            let sc = Scenario::new(7, 2, behavior)
+            let sc = AttackRun::single(7, 2, behavior)
                 .protocol(protocol)
-                .extra_crashes(1);
+                .crash_low(1);
             let rec = run_scenario(seed as usize, &sc, 0xC1A5 + seed);
             assert!(
                 rec.ok,
@@ -562,7 +562,7 @@ fn mixed_coalition_classification_is_protocol_independent() {
     // member's onset (t = 30) plus the ◇M allowance, so the suspicion
     // fires before the system can decide its way out.
     use ft_modular::certify::ProtocolId;
-    use ft_modular::faults::{run_scenario, FaultBehavior, NetworkProfile, Scenario};
+    use ft_modular::faults::{run_scenario, AttackRun, FaultBehavior, NetworkProfile};
     use std::collections::BTreeSet;
 
     let split = |protocol: ProtocolId| -> (BTreeSet<&str>, BTreeSet<&str>, bool) {
@@ -572,10 +572,13 @@ fn mixed_coalition_classification_is_protocol_independent() {
         // Union over seeds: the split is about which module *can* convict
         // each member, not one execution's timing accidents.
         for seed in 0..3u64 {
-            let sc =
-                Scenario::coalition_of(7, 2, &[FaultBehavior::Mute, FaultBehavior::DuplicateVotes])
-                    .network(NetworkProfile::adverse())
-                    .protocol(protocol);
+            let sc = AttackRun::coalition_of(
+                7,
+                2,
+                &[FaultBehavior::Mute, FaultBehavior::DuplicateVotes],
+            )
+            .network(NetworkProfile::adverse())
+            .protocol(protocol);
             let rec = run_scenario(seed as usize, &sc, 0x5117 + seed);
             assert!(rec.ok, "mixed coalition under {protocol}: {rec:?}");
             for class in [

@@ -81,20 +81,20 @@ fn coalition_and_network_sweep_is_bit_identical_across_thread_counts() {
     // The new sweep axes — multi-member coalitions and network profiles —
     // must obey the same purity contract as the classic grid: 1, 2 and 8
     // workers render byte-identical JSON.
-    use ft_modular::faults::{NetworkProfile, Scenario};
+    use ft_modular::faults::{AttackRun, NetworkProfile};
 
     let mut scenarios = Vec::new();
     for network in NetworkProfile::all() {
-        scenarios.push(Scenario::new(4, 1, FaultBehavior::VectorCorrupt).network(network));
+        scenarios.push(AttackRun::single(4, 1, FaultBehavior::VectorCorrupt).network(network));
         scenarios.push(
-            Scenario::coalition_of(7, 2, &[FaultBehavior::VectorCorrupt, FaultBehavior::Mute])
+            AttackRun::coalition_of(7, 2, &[FaultBehavior::VectorCorrupt, FaultBehavior::Mute])
                 .network(network),
         );
     }
     // One budget-exceeded row rides along (calm only: past the budget a
     // parked run burns simulated time to the limit, which is pointless
     // here — E11 documents those rows).
-    scenarios.push(Scenario::coalition_of(
+    scenarios.push(AttackRun::coalition_of(
         7,
         2,
         &[

@@ -12,26 +12,26 @@
 use ft_modular::certify::ProtocolId;
 use ft_modular::core::config::MutenessMode;
 use ft_modular::crypto::sha256::Sha256;
-use ft_modular::faults::{sweep_scenarios, FaultBehavior, NetworkProfile, Scenario, Workload};
+use ft_modular::faults::{sweep_scenarios, AttackRun, FaultBehavior, NetworkProfile, Workload};
 use ft_modular::sim::Duration;
 
 use FaultBehavior::{Crash, DuplicateVotes, Honest, Mute, VectorCorrupt};
 
 /// The cells, in sweep order.
-fn cells() -> Vec<Scenario> {
+fn cells() -> Vec<AttackRun> {
+    let mut round_aware = AttackRun::single(4, 1, Honest).crash_low(1);
+    round_aware.config.muteness_mode = MutenessMode::RoundAware {
+        per_round: Duration::of(25),
+    };
     vec![
-        Scenario::new(4, 1, Honest),
-        Scenario::new(4, 1, VectorCorrupt)
+        AttackRun::single(4, 1, Honest),
+        AttackRun::single(4, 1, VectorCorrupt)
             .protocol(ProtocolId::ChandraToueg)
             .workload(Workload::Log { slots: 2 }),
-        Scenario::new(4, 1, Honest)
-            .muteness(MutenessMode::RoundAware {
-                per_round: Duration::of(25),
-            })
-            .extra_crashes(1),
-        Scenario::new(4, 1, Crash).network(NetworkProfile::jittery()),
-        Scenario::coalition_of(7, 2, &[Mute, DuplicateVotes]),
-        Scenario::coalition(7, 2, vec![(2, VectorCorrupt), (4, Mute)])
+        round_aware,
+        AttackRun::single(4, 1, Crash).network(NetworkProfile::jittery()),
+        AttackRun::coalition_of(7, 2, &[Mute, DuplicateVotes]),
+        AttackRun::coalition(7, 2, vec![(2, VectorCorrupt), (4, Mute)])
             .protocol(ProtocolId::ChandraToueg),
     ]
 }

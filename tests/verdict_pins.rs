@@ -10,7 +10,7 @@
 //! not behaviour: a change to the validators must leave this table as it
 //! is. A mismatch prints the cell's line as it now stands.
 
-use ft_modular::faults::{run_scenario, FaultBehavior, Scenario, Workload};
+use ft_modular::faults::{run_scenario, AttackRun, FaultBehavior, Workload};
 
 use FaultBehavior::{Crash, Mute, VectorCorrupt};
 
@@ -19,13 +19,13 @@ const SEEDS: u64 = 16;
 /// One `<ok><termination><agreement><validity>` group per seed, seeds
 /// 0–15 in order, for `coalition` at n = 4, F = 1 under `workload`.
 fn pin(coalition: [FaultBehavior; 2], workload: Workload, pinned: &str) {
-    let sc = Scenario::coalition_of(4, 1, &coalition).workload(workload);
+    let sc = AttackRun::coalition_of(4, 1, &coalition).workload(workload);
     let groups: Vec<String> = (0..SEEDS).map(|seed| bits(&sc, seed)).collect();
     let line = groups.join(" ");
     assert_eq!(line, pinned, "{} moved; it now reads:\n{line}", sc.cell());
 }
 
-fn bits(sc: &Scenario, seed: u64) -> String {
+fn bits(sc: &AttackRun, seed: u64) -> String {
     let rec = run_scenario(0, sc, seed);
     let flags = [
         u64::from(rec.ok),
