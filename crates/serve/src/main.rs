@@ -92,6 +92,9 @@ fn run() -> Result<ExitCode, String> {
         ));
     }
     let slots = args.u64_or("slots", 1000)?;
+    if slots == 0 {
+        return Err("--slots must be at least 1 (got 0)".to_string());
+    }
     let seed = args.u64_or("seed", 0xD00D)?;
     let cluster = args.u64_or("cluster", 0)?;
     let timeout_ms = args.u64_or("timeout-ms", 120_000)?;

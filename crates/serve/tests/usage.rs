@@ -1,22 +1,23 @@
-//! `ftm-serve` validates its fault budget before it touches the network:
-//! an `--f` beyond `⌊(n−1)/3⌋` for `n` peers is a usage error (exit 2)
-//! whose message names the bound. The peer addresses are never dialled.
+//! `ftm-serve` validates its options before it touches the network: an
+//! `--f` beyond `⌊(n−1)/3⌋` for `n` peers, or a `--slots 0` log, is a
+//! usage error (exit 2) whose message names the flag. The peer addresses
+//! are never dialled.
 
 use std::process::Command;
 
 /// Runs `ftm-serve --id 0 --peers <n addresses> --f <f>`; returns the exit
 /// code and stderr.
 fn serve_with(peers: usize, f: u64) -> (Option<i32>, String) {
+    serve_args(peers, &["--f", &f.to_string()])
+}
+
+/// Runs `ftm-serve --id 0 --peers <n addresses> <extra…>`; returns the
+/// exit code and stderr.
+fn serve_args(peers: usize, extra: &[&str]) -> (Option<i32>, String) {
     let peers: Vec<String> = (0..peers).map(|i| format!("127.0.0.1:{}", 9 + i)).collect();
     let out = Command::new(env!("CARGO_BIN_EXE_ftm-serve"))
-        .args([
-            "--id",
-            "0",
-            "--peers",
-            &peers.join(","),
-            "--f",
-            &f.to_string(),
-        ])
+        .args(["--id", "0", "--peers", &peers.join(",")])
+        .args(extra)
         .output()
         .expect("ftm-serve runs");
     (
@@ -39,4 +40,16 @@ fn an_f_beyond_the_bound_is_a_usage_error() {
             "n = {peers}, --f {f}: {stderr}"
         );
     }
+}
+
+#[test]
+fn a_log_of_no_slots_is_a_usage_error() {
+    // Refused before any key is generated: `ReplicatedLog::new` would
+    // panic on it (exit 101).
+    let (code, stderr) = serve_args(4, &["--slots", "0"]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(
+        stderr.contains("--slots must be at least 1 (got 0)"),
+        "{stderr}"
+    );
 }
