@@ -274,20 +274,21 @@ where
     C: Fn(&S) -> String,
     F: Fn(usize, &S, u64) -> RunRecord + Sync,
 {
+    let seed = |index: usize| derive_seed(base_seed, index as u64);
     let outcomes = parallel_map(scenarios, threads, |index, scenario| {
-        let seed = derive_seed(base_seed, index as u64);
-        panic::catch_unwind(AssertUnwindSafe(|| run(index, scenario, seed)))
-            .map_err(|payload| (seed, panic_message(payload.as_ref())))
+        panic::catch_unwind(AssertUnwindSafe(|| run(index, scenario, seed(index))))
     });
     outcomes
         .into_iter()
         .zip(scenarios)
         .enumerate()
         .map(|(index, (outcome, scenario))| {
-            outcome.unwrap_or_else(|(seed, message)| {
+            outcome.unwrap_or_else(|payload| {
                 panic!(
-                    "cell {} (index {index}, seed {seed}): {message}",
-                    cell(scenario)
+                    "cell {} (index {index}, seed {}): {}",
+                    cell(scenario),
+                    seed(index),
+                    panic_message(payload.as_ref())
                 )
             })
         })
@@ -296,13 +297,12 @@ where
 
 /// The text a panic was raised with (`panic!` with a literal carries a
 /// `&str`, with format arguments a `String`).
-fn panic_message(payload: &(dyn Any + Send)) -> String {
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
     match payload.downcast_ref::<&str>() {
-        Some(text) => (*text).to_string(),
+        Some(text) => text,
         None => payload
             .downcast_ref::<String>()
-            .cloned()
-            .unwrap_or_else(|| "a run panicked".to_string()),
+            .map_or("a run panicked", String::as_str),
     }
 }
 
