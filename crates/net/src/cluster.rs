@@ -16,7 +16,10 @@ use std::thread;
 use ftm_crypto::wire::{CanonicalDecode, CanonicalEncode};
 use ftm_runtime::{Payload, ProcessId, SendBoxedActor};
 
-use crate::node::{run_node_controlled, NetReport, NodeConfig, NodeView, ServiceReply};
+use crate::node::{run_node, NetReport, NodeConfig, NodeView, ServiceReply};
+
+/// Per-node wall-clock bound of a [`run_loopback_cluster`] run, in ms.
+const RUN_TIMEOUT_MS: u64 = 30_000;
 
 /// Shape of a loopback cluster run.
 #[derive(Debug, Clone)]
@@ -27,9 +30,6 @@ pub struct ClusterConfig {
     pub cluster: u64,
     /// Base seed; each node derives its own stream from it.
     pub seed: u64,
-    /// Per-node wall-clock bound in ms (a node that neither halts nor
-    /// times out would hang the join).
-    pub run_timeout_ms: u64,
     /// Artificial per-hop delivery latency in ms (see
     /// [`NodeConfig::delivery_delay_ms`]); 0 = raw loopback speed.
     pub delivery_delay_ms: u64,
@@ -42,7 +42,6 @@ impl ClusterConfig {
             n,
             cluster,
             seed,
-            run_timeout_ms: 30_000,
             delivery_delay_ms: 0,
         }
     }
@@ -98,7 +97,7 @@ pub fn rebind(addr: &str) -> io::Result<TcpListener> {
 /// A replica running on its own harness thread, stoppable from the test.
 ///
 /// This is the controllable twin of one [`run_loopback_cluster`] slot,
-/// built on [`run_node_controlled`]: the chaos tests use it to kill a
+/// built on [`run_node`]'s stop flag: the chaos tests use it to kill a
 /// replica mid-run (dropping its listener and every socket), restart it
 /// on the same address ([`rebind`]) and assert the cluster converges.
 #[derive(Debug)]
@@ -162,7 +161,7 @@ where
         clippy::disallowed_methods,
         reason = "D4 sanctioned home: one thread per replica is what a loopback cluster is"
     )]
-    let thread = thread::spawn(move || run_node_controlled(&cfg, listener, actor, service, &flag));
+    let thread = thread::spawn(move || run_node(&cfg, listener, actor, service, &flag));
     NodeHandle { stop, thread }
 }
 
@@ -194,7 +193,7 @@ where
         let me = ProcessId(i as u32);
         let mut node_cfg = NodeConfig::new(me, addrs.clone(), cfg.cluster, cfg.seed);
         node_cfg.exit_on_halt = true;
-        node_cfg.run_timeout_ms = cfg.run_timeout_ms;
+        node_cfg.run_timeout_ms = RUN_TIMEOUT_MS;
         node_cfg.delivery_delay_ms = cfg.delivery_delay_ms;
         handles.push(spawn_node(node_cfg, listener, factory(me), |_, _, _| {
             ServiceReply::reply(Vec::new())

@@ -24,10 +24,16 @@
 //! traffic. The `Hello` carries a magic number, a format version and a
 //! cluster id so that cross-version or cross-cluster connections fail
 //! loudly at the handshake instead of corrupting a run.
+//!
+//! Blocking ends use [`write_frame`] / [`read_frame`]; the node and the
+//! load generator hold a non-blocking [`FramedConn`].
 
 use std::io::{self, Read, Write};
+use std::net::{SocketAddr, TcpStream};
 
 use ftm_crypto::wire::{CanonicalDecode, CanonicalEncode, DecodeError, Decoder, Encoder};
+
+use crate::ring::RingBuf;
 
 /// Frame/handshake magic: `"FTMN"` as a big-endian `u32`.
 pub const MAGIC: u32 = 0x4654_4D4E;
@@ -62,30 +68,164 @@ pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
 /// * [`io::ErrorKind::UnexpectedEof`] if the connection closes mid-frame;
 /// * any other I/O error from the underlying reader.
 pub fn read_frame<R: Read>(r: &mut R, max_frame: usize) -> io::Result<Vec<u8>> {
-    let mut len_buf = [0u8; 4];
-    r.read_exact(&mut len_buf)?;
-    let len = u32::from_be_bytes(len_buf) as usize;
+    let mut prefix = [0u8; 4];
+    r.read_exact(&mut prefix)?;
+    let mut payload = vec![0u8; frame_len(prefix, max_frame)?];
+    r.read_exact(&mut payload)?;
+    Ok(payload)
+}
+
+/// The payload length a frame's prefix announces, checked against
+/// `max_frame` before anything is allocated for it.
+fn frame_len(prefix: [u8; 4], max_frame: usize) -> io::Result<usize> {
+    let len = u32::from_be_bytes(prefix) as usize;
     if len > max_frame {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             format!("frame length {len} exceeds cap {max_frame}"),
         ));
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
-    Ok(payload)
+    Ok(len)
 }
 
 /// Stages one length-prefixed frame into a write ring, atomically:
 /// either the whole frame (prefix + payload) fits under the ring's cap
 /// and `true` is returned, or the ring is left untouched and `false` is
 /// returned — a partially staged frame would desync the stream.
-pub fn frame_into(ring: &mut crate::ring::RingBuf, payload: &[u8]) -> bool {
+pub fn frame_into(ring: &mut RingBuf, payload: &[u8]) -> bool {
     if ring.free() < payload.len() + 4 || payload.len() > u32::MAX as usize {
         return false;
     }
     let len = payload.len() as u32;
     ring.push(&len.to_be_bytes()) && ring.push(payload)
+}
+
+/// Per-attempt bound on a blocking dial, the longest a loop stalls on one.
+const DIAL_TIMEOUT_MS: u64 = 300;
+
+/// What one [`FramedConn::fill`] or [`FramedConn::flush`] did.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct Pass {
+    /// Whether any byte moved between the socket and its ring.
+    pub moved: bool,
+    /// EOF (on a fill) or an I/O error: the caller closes the connection.
+    pub closed: bool,
+}
+
+/// One non-blocking framed connection: the socket, a read ring of
+/// partial frames (one [`DEFAULT_MAX_FRAME`] frame at most) and a write
+/// ring of staged frames (capped at the caller's backpressure bound).
+#[derive(Debug)]
+pub struct FramedConn {
+    stream: TcpStream,
+    rb: RingBuf,
+    wb: RingBuf,
+}
+
+impl FramedConn {
+    /// Wraps a connected socket: no Nagle delay, non-blocking.
+    ///
+    /// # Errors
+    ///
+    /// The socket cannot be made non-blocking.
+    pub fn new(stream: TcpStream, write_cap: usize) -> io::Result<Self> {
+        let _ = stream.set_nodelay(true);
+        stream.set_nonblocking(true)?;
+        Ok(FramedConn {
+            stream,
+            rb: RingBuf::with_max(DEFAULT_MAX_FRAME + 4),
+            wb: RingBuf::with_max(write_cap),
+        })
+    }
+
+    /// Dials `addr` (bounded at 300 ms) and stages `hello` first.
+    ///
+    /// # Errors
+    ///
+    /// The dial fails or times out, or as for [`new`](FramedConn::new).
+    pub fn dial(addr: &SocketAddr, hello: Hello, write_cap: usize) -> io::Result<Self> {
+        let timeout = std::time::Duration::from_millis(DIAL_TIMEOUT_MS);
+        let mut conn = FramedConn::new(TcpStream::connect_timeout(addr, timeout)?, write_cap)?;
+        // The write ring is empty, so the handshake always fits.
+        conn.push_frame(&hello.canonical_bytes());
+        Ok(conn)
+    }
+
+    /// The socket, for readiness probes.
+    pub fn stream(&self) -> &TcpStream {
+        &self.stream
+    }
+
+    /// Whether staged bytes are still waiting for the socket.
+    pub fn has_unflushed(&self) -> bool {
+        !self.wb.is_empty()
+    }
+
+    /// Stages one frame, as [`frame_into`] does: `false` (nothing staged)
+    /// if it would exceed the write ring's cap.
+    pub fn push_frame(&mut self, payload: &[u8]) -> bool {
+        frame_into(&mut self.wb, payload)
+    }
+
+    /// Reads the socket into the read ring until it would block, EOF, an
+    /// error, or a full ring (inbound backpressure: cut frames first).
+    pub fn fill(&mut self) -> Pass {
+        let (rb, stream) = (&mut self.rb, &self.stream);
+        until_blocked(true, || {
+            (rb.free() > 0).then(|| rb.read_from(&mut &*stream))
+        })
+    }
+
+    /// Writes the write ring to the socket until it is empty, the socket
+    /// would block, or an error.
+    pub fn flush(&mut self) -> Pass {
+        let (wb, stream) = (&mut self.wb, &self.stream);
+        until_blocked(false, || {
+            (!wb.is_empty()).then(|| wb.write_to(&mut &*stream))
+        })
+    }
+
+    /// Cuts the next whole frame off the read ring; `Ok(None)` until one
+    /// has fully arrived.
+    ///
+    /// # Errors
+    ///
+    /// As for [`read_frame`] at [`DEFAULT_MAX_FRAME`]: the stream cannot be
+    /// resynchronised, so the caller drops the connection.
+    pub fn next_frame(&mut self) -> io::Result<Option<Vec<u8>>> {
+        let mut prefix = [0u8; 4];
+        if !self.rb.copy_to(&mut prefix, 4) {
+            return Ok(None);
+        }
+        let len = frame_len(prefix, DEFAULT_MAX_FRAME)?;
+        if self.rb.len() < 4 + len {
+            return Ok(None);
+        }
+        self.rb.consume(4);
+        let mut frame = vec![0u8; len];
+        self.rb.copy_to(&mut frame, len);
+        self.rb.consume(len);
+        Ok(Some(frame))
+    }
+}
+
+/// Repeats a non-blocking transfer until `op` has nothing to move
+/// (`None`), would block, moves nothing (EOF if `zero_closes`) or fails.
+fn until_blocked(zero_closes: bool, mut op: impl FnMut() -> Option<io::Result<usize>>) -> Pass {
+    let mut pass = Pass::default();
+    while let Some(done) = op() {
+        match done {
+            Ok(0) => pass.closed = zero_closes,
+            Ok(_) => {
+                pass.moved = true;
+                continue;
+            }
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+            Err(e) => pass.closed = e.kind() != io::ErrorKind::WouldBlock,
+        }
+        break;
+    }
+    pass
 }
 
 /// The first frame on every connection: who is dialing, and for which

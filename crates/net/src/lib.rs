@@ -17,9 +17,9 @@
 //! the raw syscalls are out; [`poll`] is the poll(2)-shaped
 //! probe built on non-blocking sockets):
 //!
-//! * every connection (peer or client) is a slab slot holding the socket
-//!   plus per-connection read/write **ring buffers** ([`ring`]) that
-//!   absorb partial frames and unflushed writes;
+//! * every connection (peer or client) is a slab slot holding a
+//!   [`codec::FramedConn`]: the socket plus read/write **ring buffers**
+//!   ([`ring`]) that absorb partial frames and unflushed writes;
 //! * the loop accepts, dials, flushes, reads and parses in rounds, and
 //!   runs the actor's callbacks inline between rounds — still through
 //!   [`ftm_runtime::step`], so an actor never observes two callbacks
@@ -31,8 +31,8 @@
 //!   (see [`node`]'s *Cadence*);
 //! * a dropped peer link is redialed with capped exponential **backoff +
 //!   deterministic jitter** ([`backoff`]), re-validating the handshake;
-//!   frames staged while the link was down are queued (bounded) and
-//!   flushed on reconnect, so a restarted replica rejoins the mesh;
+//!   each peer's frames wait in one bounded queue while the link is down
+//!   and reach it in order on reconnect, so a restarted replica rejoins;
 //! * a client that stops reading its replies hits the write-ring cap and
 //!   is disconnected with a `backpressure-disconnect` note — bounded
 //!   memory per connection, no head-of-line blocking of peer traffic.
@@ -75,9 +75,7 @@ pub use cluster::{
 };
 pub use codec::{frame_into, read_frame, write_frame, Hello, DEFAULT_MAX_FRAME, MAGIC, VERSION};
 pub use loadgen::{run_load, LoadConfig, LoadOutcome};
-pub use node::{
-    parse_convictions, run_node, run_node_controlled, NetReport, NodeConfig, NodeView, ServiceReply,
-};
+pub use node::{parse_convictions, run_node, NetReport, NodeConfig, NodeView, ServiceReply};
 pub use ring::RingBuf;
 
 include!("../../../clippy_canaries.rs"); // D1–D4 ban canaries, DESIGN.md §13

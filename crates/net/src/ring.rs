@@ -1,12 +1,12 @@
 //! Byte ring buffers for the readiness loop's per-connection I/O state.
 //!
-//! Every connection owns two [`RingBuf`]s: a *read* ring accumulating
-//! partial frames straight off the socket, and a *write* ring holding
-//! encoded frames the loop has not yet managed to flush. Both grow by
-//! doubling up to a hard cap — the cap is the backpressure boundary: a
-//! write ring that would exceed it refuses the push, and the loop reacts
-//! by disconnecting the slow reader (client) or spilling to the per-peer
-//! reconnect queue (peer).
+//! Every [`FramedConn`](crate::codec::FramedConn) owns two [`RingBuf`]s: a
+//! *read* ring accumulating partial frames straight off the socket, and a
+//! *write* ring holding encoded frames the loop has not yet managed to
+//! flush. Both grow by doubling up to a hard cap — the cap is the
+//! backpressure boundary: a write ring that would exceed it refuses the
+//! push, and the loop reacts by disconnecting the slow reader (client) or
+//! leaving the frames in the peer's outbound queue (peer).
 //!
 //! The buffer is a classic power-of-two circular array: `head` is the
 //! read cursor, `len` the live byte count, and the two-slice views

@@ -31,6 +31,7 @@
 
 use std::env;
 use std::process::ExitCode;
+use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Mutex};
 
 use ftm_core::byzantine::log::ReplicatedLog;
@@ -125,7 +126,7 @@ fn serve<P>(
 where
     P: TransformedProtocol + Send + 'static,
 {
-    let setup = ProtocolConfig::new(cfg.n, f).seed(seed).setup();
+    let setup = ProtocolConfig::new(cfg.peers.len(), f).seed(seed).setup();
     let me = cfg.me;
     // The batching ledger, shared by the command source (drains up to
     // `batch` commands per opening slot), the slot hook (settles sealed
@@ -154,54 +155,52 @@ where
         .map_err(|e| format!("bind {}: {e}", cfg.peers[me.index()]))?;
     eprintln!(
         "ftm-serve: replica {me} of {} listening on {}, {slots} slots",
-        cfg.n,
+        cfg.peers.len(),
         cfg.peers[me.index()]
     );
 
-    let report =
-        run_node(
-            cfg,
-            listener,
-            actor,
-            |actor, view, frame| match Request::from_canonical_bytes(frame) {
-                Ok(Request::Submit { value }) => {
-                    let queued = ledger.lock().map_or(0, |mut q| q.submit(value));
-                    ServiceReply::reply(Reply::Submitted { queued }.canonical_bytes())
-                }
-                Ok(Request::Status) => {
-                    let status = Status {
-                        me: me.0,
-                        now_ms: view.now.ticks(),
-                        decided_slots: actor.decided_slots() as u64,
-                        halted: view.halted,
-                        contradicted: view.contradicted,
-                        log_digest: log_digest(actor.decided_log()),
-                        convicted: parse_convictions(view.notes)
-                            .into_iter()
-                            .map(|(who, class)| format!("{who} {class}"))
-                            .collect(),
-                        queued: ledger.lock().map_or(0, |q| q.queued()),
-                        msgs_sent: view.msgs_sent,
-                        msgs_received: view.msgs_received,
-                        bytes_sent: view.bytes_sent,
-                        bytes_received: view.bytes_received,
-                        batch,
-                        submitted: ledger.lock().map_or(0, |q| q.submitted()),
-                        committed: ledger.lock().map_or(0, |q| q.committed()),
-                        inflight: ledger.lock().map_or(0, |q| q.inflight()),
-                        committed_digest: ledger
-                            .lock()
-                            .map_or_else(|_| Vec::new(), |q| q.committed_digest()),
-                    };
-                    ServiceReply::reply(Reply::Status(status).canonical_bytes())
-                }
-                Ok(Request::Shutdown) => {
-                    ServiceReply::shutdown(Reply::ShuttingDown.canonical_bytes())
-                }
-                Err(e) => ServiceReply::reply(Reply::BadRequest(format!("{e}")).canonical_bytes()),
-            },
-        )
-        .map_err(|e| format!("node failed: {e}"))?;
+    let report = run_node(
+        cfg,
+        listener,
+        actor,
+        |actor, view, frame| match Request::from_canonical_bytes(frame) {
+            Ok(Request::Submit { value }) => {
+                let queued = ledger.lock().map_or(0, |mut q| q.submit(value));
+                ServiceReply::reply(Reply::Submitted { queued }.canonical_bytes())
+            }
+            Ok(Request::Status) => {
+                let status = Status {
+                    me: me.0,
+                    now_ms: view.now.ticks(),
+                    decided_slots: actor.decided_slots() as u64,
+                    halted: view.halted,
+                    contradicted: view.contradicted,
+                    log_digest: log_digest(actor.decided_log()),
+                    convicted: parse_convictions(view.notes)
+                        .into_iter()
+                        .map(|(who, class)| format!("{who} {class}"))
+                        .collect(),
+                    queued: ledger.lock().map_or(0, |q| q.queued()),
+                    msgs_sent: view.msgs_sent,
+                    msgs_received: view.msgs_received,
+                    bytes_sent: view.bytes_sent,
+                    bytes_received: view.bytes_received,
+                    batch,
+                    submitted: ledger.lock().map_or(0, |q| q.submitted()),
+                    committed: ledger.lock().map_or(0, |q| q.committed()),
+                    inflight: ledger.lock().map_or(0, |q| q.inflight()),
+                    committed_digest: ledger
+                        .lock()
+                        .map_or_else(|_| Vec::new(), |q| q.committed_digest()),
+                };
+                ServiceReply::reply(Reply::Status(status).canonical_bytes())
+            }
+            Ok(Request::Shutdown) => ServiceReply::shutdown(Reply::ShuttingDown.canonical_bytes()),
+            Err(e) => ServiceReply::reply(Reply::BadRequest(format!("{e}")).canonical_bytes()),
+        },
+        &AtomicBool::new(false), // ends by halt, Shutdown or signal
+    )
+    .map_err(|e| format!("node failed: {e}"))?;
 
     let committed = ledger.lock().map_or(0, |q| q.committed());
     println!(
