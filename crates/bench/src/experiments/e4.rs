@@ -120,8 +120,9 @@ pub fn run() -> String {
     out.push_str(
         "\n### Muteness (the ◇M module's half of the detection work)\n\n\
          The mute process is p0, the round-1 coordinator, crashed at t = 0 —\n\
-         muteness by the simplest means (§2), injected via the harness's\n\
-         `extra_crashes` axis. Muteness produces *suspicion*, not\n\
+         muteness by the simplest means (§2), injected via\n\
+         `AttackRun::crash_low` (cell key ` extra-crashes=1`). Muteness\n\
+         produces *suspicion*, not\n\
          conviction — the table reports the first `suspect=` event raised by\n\
          a correct process and the fraction of runs that then decided\n\
          without p0. The suspicion latency is dominated by the ◇M initial\n\
