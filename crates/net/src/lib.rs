@@ -32,7 +32,9 @@
 //! * a dropped peer link is redialed with capped exponential **backoff +
 //!   deterministic jitter** ([`backoff`]), re-validating the handshake;
 //!   each peer's frames wait in one bounded queue while the link is down
-//!   and reach it in order on reconnect, so a restarted replica rejoins;
+//!   or the peer has not started, and reach it in order once it listens,
+//!   so every node starts its actor at once and a restarted replica
+//!   rejoins;
 //! * a client that stops reading its replies hits the write-ring cap and
 //!   is disconnected with a `backpressure-disconnect` note — bounded
 //!   memory per connection, no head-of-line blocking of peer traffic.

@@ -1,7 +1,7 @@
 //! `ftm-serve` validates its options before it touches the network: an
-//! `--f` beyond `⌊(n−1)/3⌋` for `n` peers, or a `--slots 0` log, is a
-//! usage error (exit 2) whose message names the flag. The peer addresses
-//! are never dialled.
+//! `--f` beyond `⌊(n−1)/3⌋` for `n` peers, a `--slots 0` log, or a flag
+//! it does not know, is a usage error (exit 2) whose message names the
+//! flag. The peer addresses are never dialled.
 
 use std::process::Command;
 
@@ -46,4 +46,13 @@ fn a_log_of_no_slots_is_a_usage_error() {
         stderr.contains("--slots must be at least 1 (got 0)"),
         "{stderr}"
     );
+}
+
+#[test]
+fn a_start_option_is_an_unknown_flag() {
+    // Every replica starts its actor at once; a script that still asks
+    // for a start option fails loudly instead of running without it.
+    let (code, stderr) = serve_with(4, &["--barrier", "0"]);
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(stderr.contains("unknown flag --barrier"), "{stderr}");
 }

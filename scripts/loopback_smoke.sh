@@ -9,9 +9,9 @@
 #     client connections (ftm-load --clients);
 #   * command batching (--batch 8) on every replica;
 #   * peer reconnect + checkpoint catch-up: replica 3 is SIGKILLed once
-#     the run is underway and restarted ~1 s later with --barrier 0 (a
-#     rejoiner cannot expect a fresh mesh handshake), so it must redial,
-#     catch up via checkpoint certificates and finish the log in step.
+#     the run is underway and restarted ~1 s later with the same flags
+#     as the first time, so it must redial, catch up via checkpoint
+#     certificates and finish the log in step.
 #
 # A --delay-ms hop latency paces the slot cadence, so the kill lands
 # mid-run by construction on any machine speed: with DELAY_MS=3 a slot
@@ -77,13 +77,13 @@ done
 # Chaos timer: once the run is underway, SIGKILL replica 3 (its listener
 # and every socket vanish — peers see EOF and start backoff redials),
 # wait out the gap, then restart it on the same address with a fresh
-# process and no start barrier. Checkpoint catch-up must rebuild its log.
+# process. Checkpoint catch-up must rebuild its log.
 (
     sleep "$KILL_AFTER_S"
     echo "== chaos: SIGKILL replica 3 (pid ${pids[3]}) =="
     kill -9 "${pids[3]}" 2>/dev/null || true
     sleep "$RESTART_GAP_S"
-    echo "== chaos: restarting replica 3 with --barrier 0 =="
+    echo "== chaos: restarting replica 3 =="
 ) &
 chaos_timer="$!"
 
@@ -96,7 +96,7 @@ load_pid="$!"
 # Restart replica 3 after the chaos window (the subshell above only
 # prints; the restart happens here so the new pid is waitable).
 wait "$chaos_timer"
-serve 3 --barrier 0 &
+serve 3 &
 restart_pid="$!"
 
 wait "$load_pid"
