@@ -5,7 +5,8 @@
 //! A runtime owns four capabilities the actor surface abstracts over:
 //!
 //! 1. **delivery** — turning a staged [`StagedSend`] into future
-//!    `on_message` callbacks ([`Runtime::dispatch`]);
+//!    `on_message` callbacks ([`Runtime::dispatch`]), and handing inputs
+//!    from outside the group — a client's command — to `on_input`;
 //! 2. **timers** — turning a staged `(delay, tag)` into a future
 //!    `on_timer` callback ([`Runtime::schedule`]);
 //! 3. **a clock** — the [`VirtualTime`] stamped on each callback's
@@ -96,7 +97,7 @@ pub trait Runtime<M: Payload, D: Clone + fmt::Debug + PartialEq> {
 /// the staged effects.
 ///
 /// This is the single choke point both runtimes call for every `on_start`,
-/// `on_message` and `on_timer`: the callback sees a [`Context`] stamped
+/// `on_message`, `on_timer` and `on_input`: the callback sees a [`Context`] stamped
 /// with [`Runtime::now`], backed by [`Runtime::rng_draw`] and staging into
 /// `staging` — the one [`Effects`] the host keeps for all its callbacks —
 /// and its effects are applied by [`Runtime::apply_effects`] after it

@@ -1,10 +1,10 @@
 //! The runtime-agnostic actor boundary.
 //!
 //! Protocol code in this workspace is written against three things: the
-//! [`Actor`] trait (callbacks for start, delivery, timers), the [`Context`]
-//! that stages its effects, and [`VirtualTime`]. Nothing in that surface
-//! knows *what* delivers the messages or advances the clock — that is the
-//! job of a [`Runtime`], the seam this crate defines.
+//! [`Actor`] trait (callbacks for start, delivery, timers and inputs), the
+//! [`Context`] that stages its effects, and [`VirtualTime`]. Nothing in
+//! that surface knows *what* delivers the messages or advances the clock —
+//! that is the job of a [`Runtime`], the seam this crate defines.
 //!
 //! Two runtimes implement it:
 //!

@@ -159,6 +159,16 @@ pub trait Actor {
     fn on_timer(&mut self, tag: TimerTag, ctx: &mut Context<'_, Self::Msg, Self::Decision>) {
         let _ = (tag, ctx);
     }
+
+    /// Invoked for each input handed to this process from outside the
+    /// group — a client's command, say — as bytes the actor decodes
+    /// itself. Like a message, an input is something that *arrives*:
+    /// what an actor does with it is a function of the callback alone.
+    ///
+    /// The default implementation ignores inputs.
+    fn on_input(&mut self, input: &[u8], ctx: &mut Context<'_, Self::Msg, Self::Decision>) {
+        let _ = (input, ctx);
+    }
 }
 
 impl<A: Actor + ?Sized> Actor for Box<A> {
@@ -180,6 +190,38 @@ impl<A: Actor + ?Sized> Actor for Box<A> {
 
     fn on_timer(&mut self, tag: TimerTag, ctx: &mut Context<'_, Self::Msg, Self::Decision>) {
         (**self).on_timer(tag, ctx);
+    }
+
+    fn on_input(&mut self, input: &[u8], ctx: &mut Context<'_, Self::Msg, Self::Decision>) {
+        (**self).on_input(input, ctx);
+    }
+}
+
+/// A borrowed actor is an actor: a host can run one and hand it back, so
+/// its owner reads the state it ended in.
+impl<A: Actor + ?Sized> Actor for &mut A {
+    type Msg = A::Msg;
+    type Decision = A::Decision;
+
+    fn on_start(&mut self, ctx: &mut Context<'_, Self::Msg, Self::Decision>) {
+        (**self).on_start(ctx);
+    }
+
+    fn on_message(
+        &mut self,
+        from: ProcessId,
+        msg: &Self::Msg,
+        ctx: &mut Context<'_, Self::Msg, Self::Decision>,
+    ) {
+        (**self).on_message(from, msg, ctx);
+    }
+
+    fn on_timer(&mut self, tag: TimerTag, ctx: &mut Context<'_, Self::Msg, Self::Decision>) {
+        (**self).on_timer(tag, ctx);
+    }
+
+    fn on_input(&mut self, input: &[u8], ctx: &mut Context<'_, Self::Msg, Self::Decision>) {
+        (**self).on_input(input, ctx);
     }
 }
 
@@ -476,6 +518,41 @@ mod tests {
         Big([1; 40]).write_label(&mut label);
         assert_eq!(label.len(), 3 + 48, "appended, then truncated to 45 + ...");
         assert!(label.starts_with("s1:Big(") && label.ends_with("..."));
+    }
+
+    /// Counts the inputs that reach it.
+    struct Inputs(Vec<Vec<u8>>);
+
+    impl Actor for Inputs {
+        type Msg = &'static str;
+        type Decision = u64;
+
+        fn on_start(&mut self, _: &mut Context<'_, &'static str, u64>) {}
+
+        fn on_message(
+            &mut self,
+            _: ProcessId,
+            _: &&'static str,
+            _: &mut Context<'_, &'static str, u64>,
+        ) {
+        }
+
+        fn on_input(&mut self, input: &[u8], _: &mut Context<'_, &'static str, u64>) {
+            self.0.push(input.to_vec());
+        }
+    }
+
+    #[test]
+    fn boxed_and_borrowed_actors_forward_inputs() {
+        let mut draw = || 0u64;
+        let mut fx = Fx::default();
+        let mut c = ctx(&mut draw, &mut fx);
+        let mut boxed = Box::new(Inputs(Vec::new()));
+        <Box<Inputs> as Actor>::on_input(&mut boxed, b"boxed", &mut c);
+        let mut owned = Inputs(Vec::new());
+        <&mut Inputs as Actor>::on_input(&mut &mut owned, b"borrowed", &mut c);
+        assert_eq!(boxed.0, [b"boxed".to_vec()]);
+        assert_eq!(owned.0, [b"borrowed".to_vec()]);
     }
 
     #[test]
