@@ -221,6 +221,9 @@ pub struct ServiceReply {
     pub frame: Vec<u8>,
     /// When `true`, the node exits its event loop after replying.
     pub shutdown: bool,
+    /// Bytes handed to the actor's [`Actor::on_input`], in one step of
+    /// their own, once the service returns.
+    pub input: Option<Vec<u8>>,
 }
 
 impl ServiceReply {
@@ -229,6 +232,7 @@ impl ServiceReply {
         ServiceReply {
             frame,
             shutdown: false,
+            input: None,
         }
     }
 
@@ -237,6 +241,17 @@ impl ServiceReply {
         ServiceReply {
             frame,
             shutdown: true,
+            input: None,
+        }
+    }
+
+    /// A plain reply that also hands `input` to the actor — a client's
+    /// command, say. A halted actor takes no input, as it takes no
+    /// message.
+    pub fn with_input(frame: Vec<u8>, input: Vec<u8>) -> Self {
+        ServiceReply {
+            input: Some(input),
+            ..ServiceReply::reply(frame)
         }
     }
 }
@@ -645,6 +660,20 @@ where
         }
     }
 
+    /// Hands a client's `input` to the actor (unless halted), then takes
+    /// up the loopback deliveries it staged.
+    fn feed(&mut self, input: &[u8]) {
+        if self.driver.halted {
+            return;
+        }
+        let me = self.driver.me;
+        let actor = &mut self.actor;
+        step(&mut self.driver, &mut self.staging, me, |ctx| {
+            actor.on_input(input, ctx);
+        });
+        self.drain_loopback();
+    }
+
     /// Fires `on_start`: [`run`](NodeLoop::run) does so before its first
     /// turn.
     fn start_actor(&mut self) {
@@ -994,8 +1023,9 @@ where
         true
     }
 
-    /// Services one client request inline. Returns `false` when the
-    /// connection was closed (backpressure) and parsing must stop.
+    /// Services one client request inline, and hands the actor the input
+    /// the service returned, if any. Returns `false` when the connection
+    /// was closed (backpressure) and parsing must stop.
     fn handle_client_frame(&mut self, i: usize, frame: Vec<u8>) -> bool {
         let view = NodeView {
             me: self.driver.me,
@@ -1010,10 +1040,14 @@ where
             bytes_received: self.driver.bytes_received,
         };
         let out = (self.service)(&mut self.actor, &view, &frame);
+        let now = view.now.ticks();
+        if let Some(input) = &out.input {
+            self.feed(input);
+        }
         let Some(conn) = self.conns[i].as_mut() else {
             return false;
         };
-        conn.last_request_ms = view.now.ticks();
+        conn.last_request_ms = now;
         if !conn.io.push_frame(&out.frame) {
             // The client is not draining its replies: cap hit, drop it.
             self.driver
@@ -1129,7 +1163,10 @@ where
 /// the caller's job so test clusters can use ephemeral ports without a
 /// dial race. `service` answers client request frames; it sees the actor
 /// (mutably, for protocol-specific state like a log digest) and a
-/// [`NodeView`] snapshot of the transport state.
+/// [`NodeView`] snapshot of the transport state. What a request changes
+/// in the actor it hands over as an input ([`ServiceReply::with_input`]):
+/// the node steps the actor's `on_input` with it, so the actor sees the
+/// request through a callback, as it sees a peer's message.
 ///
 /// # Errors
 ///
@@ -1164,6 +1201,8 @@ mod tests {
     struct Sink {
         clock: WallClock,
         seen: Vec<(u64, u64)>,
+        /// Inputs, each answered by a loopback message of its length.
+        inputs: Vec<Vec<u8>>,
     }
 
     impl Actor for Sink {
@@ -1180,15 +1219,23 @@ mod tests {
         ) {
             self.seen.push((*msg, self.clock.micros()));
         }
+
+        fn on_input(&mut self, input: &[u8], ctx: &mut ftm_runtime::Context<'_, u64, u64>) {
+            self.inputs.push(input.to_vec());
+            ctx.send(ctx.me(), input.len() as u64);
+        }
     }
 
     type Service = fn(&mut Sink, &NodeView<'_, u64>, &[u8]) -> ServiceReply;
 
     /// Echoes the request; `big` earns 64 KiB, so that an unread handful
-    /// crosses the client write cap.
+    /// crosses the client write cap, and `in:<bytes>` hands `<bytes>` to
+    /// the actor.
     fn echo(_: &mut Sink, _: &NodeView<'_, u64>, frame: &[u8]) -> ServiceReply {
         if frame == b"big" {
             ServiceReply::reply(vec![0u8; 64 * 1024])
+        } else if let Some(input) = frame.strip_prefix(b"in:") {
+            ServiceReply::with_input(frame.to_vec(), input.to_vec())
         } else {
             ServiceReply::reply(frame.to_vec())
         }
@@ -1207,6 +1254,7 @@ mod tests {
         let sink = Sink {
             clock: WallClock::start(),
             seen: Vec::new(),
+            inputs: Vec::new(),
         };
         let mut node = NodeLoop::new(cfg, listener, sink, echo as Service).expect("node");
         node.start_actor();
@@ -1555,6 +1603,27 @@ mod tests {
         // where a loop that accepted once per 50 ms wait took up to 50.
         turn_until(&mut node, 4, "the reply", |_| has_reply(&c));
         assert_eq!(reply(&mut c), b"ping");
+    }
+
+    #[test]
+    fn a_service_input_reaches_the_actor_and_what_it_stages_goes_out() {
+        let (listener, addr) = bind();
+        let cfg = single_node_cfg(&addr);
+        let mut node = boot(&cfg, listener);
+        let mut c = client(&addr);
+        write_frame(&mut c, b"ping").expect("request");
+        write_frame(&mut c, b"in:cmd").expect("request");
+        turn_until(&mut node, 1_000, "the inputs", |n| {
+            !n.actor.inputs.is_empty()
+        });
+        assert_eq!(
+            (reply(&mut c), reply(&mut c)),
+            (b"ping".to_vec(), b"in:cmd".to_vec())
+        );
+        assert_eq!(node.actor.inputs, [b"cmd".to_vec()], "one input, one step");
+        // The input's step staged a loopback send, delivered at once.
+        let seen: Vec<u64> = node.actor.seen.iter().map(|&(msg, _)| msg).collect();
+        assert_eq!(seen, [3]);
     }
 
     #[test]
