@@ -33,6 +33,7 @@
 //! correct processes. Agreement holds against the behaviours the sweeps
 //! sample, not against all: `tests/agreement_breaks.rs` pins runs A–C.
 
+pub mod batch;
 pub mod log;
 pub mod shell;
 pub mod votes;

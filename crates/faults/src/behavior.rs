@@ -93,6 +93,11 @@ impl<A: Actor, S: Deviation<A::Msg>> Actor for Faulty<A, S> {
         self.inner.on_timer(tag, ctx);
         self.post(ctx);
     }
+
+    fn on_input(&mut self, input: &[u8], ctx: &mut Context<'_, A::Msg, A::Decision>) {
+        self.inner.on_input(input, ctx);
+        self.post(ctx);
+    }
 }
 
 /// A one-shot consensus actor running an [`Attack`].
@@ -245,6 +250,30 @@ mod tests {
             wrapper.deviation.latest_slot, 2,
             "wrapper tracked the staged slot"
         );
+    }
+
+    #[test]
+    fn a_wrapped_log_still_receives_a_submission() {
+        use ftm_core::byzantine::log::ReplicatedLog;
+        use ftm_core::byzantine::ByzantineConsensus;
+        use ftm_core::config::ProtocolConfig;
+        use ftm_crypto::wire::CanonicalEncode;
+        let setup = ProtocolConfig::new(4, 1).seed(8).setup();
+        let log = ReplicatedLog::<ByzantineConsensus>::new(&setup, ProcessId(0), 2, |_, _| 5);
+        let mute = Attack::Mute {
+            after: VirtualTime::ZERO,
+        };
+        let mut wrapper =
+            ByzantineLogWrapper::new(log, mute, setup.keys[0].clone(), Duration::of(10));
+        let mut draw = || 0u64;
+        let mut fx = Effects::default();
+        let mut ctx: Context<'_, SlotMsg, Vec<ValueVector>> =
+            Context::new(VirtualTime::ZERO, ProcessId(0), 4, &mut draw, &mut fx);
+        wrapper.on_start(&mut ctx);
+        for command in [42u64, 43] {
+            wrapper.on_input(&command.canonical_bytes(), &mut ctx);
+        }
+        assert_eq!(wrapper.inner.ledger().queued(), 2);
     }
 
     /// Re-signs the copy bound for p1 with the process's own key: the same

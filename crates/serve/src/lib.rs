@@ -15,7 +15,7 @@
 
 pub mod api;
 pub mod args;
-pub mod batch;
+pub use ftm_core::byzantine::batch;
 
 use std::fmt::Write as _;
 
