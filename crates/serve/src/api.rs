@@ -169,7 +169,8 @@ impl CanonicalDecode for Status {
 /// A replica's reply to one [`Request`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Reply {
-    /// The command was queued; `queued` is the depth after the push.
+    /// The command was queued; `queued` is the depth after the push (a
+    /// replica whose log is complete drops it and reports the depth).
     Submitted {
         /// Queue depth after the submit.
         queued: u64,
