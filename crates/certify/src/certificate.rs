@@ -12,6 +12,7 @@
 use std::fmt;
 use std::sync::Arc;
 
+use ftm_crypto::wire::{CanonicalDecode, CanonicalEncode, DecodeError, Decoder, Encoder};
 use ftm_sim::ProcessId;
 
 use crate::message::{MessageKind, Round, ValueVector};
@@ -225,6 +226,24 @@ impl PartialEq for Certificate {
 impl fmt::Debug for Certificate {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_list().entries(self.items()).finish()
+    }
+}
+
+/// The members as a length-prefixed sequence, in insertion order.
+impl CanonicalEncode for Certificate {
+    fn encoded_len_hint(&self) -> usize {
+        4 + self.iter().map(SignedCore::encoded_len_hint).sum::<usize>()
+    }
+
+    fn encode(&self, enc: &mut Encoder) {
+        enc.seq(self.items());
+    }
+}
+
+/// Duplicate members collapse, as [`insert`](Certificate::insert) does.
+impl CanonicalDecode for Certificate {
+    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
+        Ok(Certificate::from_items(dec.seq::<SignedCore>()?))
     }
 }
 

@@ -114,40 +114,9 @@ impl fmt::Debug for ValueVector {
     }
 }
 
-impl CanonicalEncode for ValueVector {
-    /// Exact: the length, then a tag per entry and a value per set one.
-    fn encoded_len_hint(&self) -> usize {
-        4 + self
-            .entries
-            .iter()
-            .map(|e| if e.is_some() { 9 } else { 1 })
-            .sum::<usize>()
-    }
-
-    fn encode(&self, enc: &mut Encoder) {
-        enc.u32(self.entries.len() as u32);
-        for e in &self.entries {
-            match e {
-                None => enc.tag(0),
-                Some(v) => {
-                    enc.tag(1);
-                    enc.u64(*v);
-                }
-            }
-        }
-    }
-}
-
-impl CanonicalDecode for ValueVector {
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let len = dec.u32()? as usize;
-        let mut entries = Vec::with_capacity(len.min(4096));
-        for _ in 0..len {
-            entries.push(if dec.bool()? { Some(dec.u64()?) } else { None });
-        }
-        Ok(ValueVector { entries })
-    }
-}
+// A length-prefixed sequence of entries, each tag 0 (null) or tag 1 and
+// the value.
+ftm_crypto::wire_codec! { struct ValueVector { entries } }
 
 /// Identifies which crash protocol a transformed instance derives from.
 ///
@@ -412,117 +381,36 @@ impl MessageCore {
     }
 }
 
+ftm_crypto::wire_codec! {
+    enum Core {
+        1 => Init { value },
+        2 => Current { round, vector },
+        3 => Next { round },
+        4 => Decide { round, vector },
+        5 => Estimate { round, vector, ts },
+        6 => Propose { round, vector },
+        7 => Ack { round, vector },
+        8 => Nack { round },
+        9 => Checkpoint { slot, digest },
+    }
+}
+
+// The sender, then the content.
 impl CanonicalEncode for MessageCore {
-    /// Exact: sender, tag and the first `u64` field, then the rest of the
-    /// kind's fields.
     fn encoded_len_hint(&self) -> usize {
-        let rest = match &self.core {
-            Core::Init { .. } | Core::Next { .. } | Core::Nack { .. } => 0,
-            Core::Current { vector, .. }
-            | Core::Decide { vector, .. }
-            | Core::Propose { vector, .. }
-            | Core::Ack { vector, .. } => vector.encoded_len_hint(),
-            Core::Estimate { vector, .. } => vector.encoded_len_hint() + 8,
-            Core::Checkpoint { digest, .. } => digest.encoded_len_hint(),
-        };
-        4 + 1 + 8 + rest
+        4 + self.core.encoded_len_hint()
     }
 
     fn encode(&self, enc: &mut Encoder) {
         enc.u32(self.sender.0);
-        match &self.core {
-            Core::Init { value } => {
-                enc.tag(1);
-                enc.u64(*value);
-            }
-            Core::Current { round, vector } => {
-                enc.tag(2);
-                enc.u64(*round);
-                vector.encode(enc);
-            }
-            Core::Next { round } => {
-                enc.tag(3);
-                enc.u64(*round);
-            }
-            Core::Decide { round, vector } => {
-                enc.tag(4);
-                enc.u64(*round);
-                vector.encode(enc);
-            }
-            Core::Estimate { round, vector, ts } => {
-                enc.tag(5);
-                enc.u64(*round);
-                vector.encode(enc);
-                enc.u64(*ts);
-            }
-            Core::Propose { round, vector } => {
-                enc.tag(6);
-                enc.u64(*round);
-                vector.encode(enc);
-            }
-            Core::Ack { round, vector } => {
-                enc.tag(7);
-                enc.u64(*round);
-                vector.encode(enc);
-            }
-            Core::Nack { round } => {
-                enc.tag(8);
-                enc.u64(*round);
-            }
-            Core::Checkpoint { slot, digest } => {
-                enc.tag(9);
-                enc.u64(*slot);
-                digest.encode(enc);
-            }
-        }
+        self.core.encode(enc);
     }
 }
 
 impl CanonicalDecode for MessageCore {
     fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        Self::decode_after_sender(ProcessId(dec.u32()?), dec)
-    }
-}
-
-impl MessageCore {
-    /// Decodes the rest of a core whose leading sender field the caller
-    /// has already read (a signed core's wire form branches on it).
-    pub(crate) fn decode_after_sender(
-        sender: ProcessId,
-        dec: &mut Decoder<'_>,
-    ) -> Result<Self, DecodeError> {
-        let core = match dec.tag()? {
-            1 => Core::Init { value: dec.u64()? },
-            2 => Core::Current {
-                round: dec.u64()?,
-                vector: ValueVector::decode(dec)?,
-            },
-            3 => Core::Next { round: dec.u64()? },
-            4 => Core::Decide {
-                round: dec.u64()?,
-                vector: ValueVector::decode(dec)?,
-            },
-            5 => Core::Estimate {
-                round: dec.u64()?,
-                vector: ValueVector::decode(dec)?,
-                ts: dec.u64()?,
-            },
-            6 => Core::Propose {
-                round: dec.u64()?,
-                vector: ValueVector::decode(dec)?,
-            },
-            7 => Core::Ack {
-                round: dec.u64()?,
-                vector: ValueVector::decode(dec)?,
-            },
-            8 => Core::Nack { round: dec.u64()? },
-            9 => Core::Checkpoint {
-                slot: dec.u64()?,
-                digest: ftm_crypto::sha256::Digest::decode(dec)?,
-            },
-            t => return Err(DecodeError::BadTag(t)),
-        };
-        Ok(MessageCore { sender, core })
+        let sender = ProcessId(dec.u32()?);
+        Ok(MessageCore::new(sender, Core::decode(dec)?))
     }
 }
 

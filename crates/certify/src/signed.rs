@@ -262,6 +262,11 @@ impl SignedCore {
 // `PAIR_HEAD ‖ sibling (32 raw bytes) ‖ core ‖ bytes(signature)`. Both are
 // self-delimiting, so certificate items can be written back to back.
 impl CanonicalEncode for SignedCore {
+    fn encoded_len_hint(&self) -> usize {
+        let head = self.0.sibling.map_or(0, |s| 4 + s.0.len());
+        head + self.0.core_len + 4 + self.0.signature.size_bytes()
+    }
+
     fn encode(&self, enc: &mut Encoder) {
         if let Some(sibling) = &self.0.sibling {
             enc.u32(PAIR_HEAD);
@@ -284,10 +289,7 @@ impl CanonicalDecode for SignedCore {
             }
             (MessageCore::decode(dec)?, Some(sibling))
         } else {
-            (
-                MessageCore::decode_after_sender(ProcessId(head), dec)?,
-                None,
-            )
+            (MessageCore::new(ProcessId(head), Core::decode(dec)?), None)
         };
         let sig = Signature::from_bytes(&dec.bytes()?);
         let measured = measure(&core);
@@ -322,27 +324,8 @@ pub struct Envelope {
     pub cert: Certificate,
 }
 
-impl CanonicalEncode for Envelope {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.nested(&self.signed);
-        enc.u32(self.cert.len() as u32);
-        for item in self.cert.iter() {
-            item.encode(enc);
-        }
-    }
-}
-
-impl CanonicalDecode for Envelope {
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let signed = SignedCore::decode(dec)?;
-        let len = dec.u32()? as usize;
-        let mut cert = Certificate::new();
-        for _ in 0..len {
-            cert.insert(SignedCore::decode(dec)?);
-        }
-        Ok(Envelope { signed, cert })
-    }
-}
+// The signed core, then the certificate's members as a sequence.
+ftm_crypto::wire_codec! { struct Envelope { signed, cert } }
 
 impl Envelope {
     /// Serializes the envelope to wire bytes (what a real network

@@ -31,7 +31,7 @@
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 
-use ftm_crypto::wire::{CanonicalDecode, CanonicalEncode, DecodeError, Decoder, Encoder};
+use ftm_crypto::wire::CanonicalEncode;
 
 use crate::ring::RingBuf;
 
@@ -255,50 +255,18 @@ impl Hello {
     }
 }
 
-impl CanonicalEncode for Hello {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.u32(MAGIC);
-        enc.u32(VERSION);
-        match self {
-            Hello::Peer { id, cluster } => {
-                enc.tag(1);
-                enc.u32(*id);
-                enc.u64(*cluster);
-            }
-            Hello::Client { cluster } => {
-                enc.tag(2);
-                enc.u64(*cluster);
-            }
-        }
-    }
-}
-
-impl CanonicalDecode for Hello {
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let magic = dec.u32()?;
-        if magic != MAGIC {
-            return Err(DecodeError::BadLength(magic));
-        }
-        let version = dec.u32()?;
-        if version != VERSION {
-            return Err(DecodeError::BadLength(version));
-        }
-        match dec.tag()? {
-            1 => Ok(Hello::Peer {
-                id: dec.u32()?,
-                cluster: dec.u64()?,
-            }),
-            2 => Ok(Hello::Client {
-                cluster: dec.u64()?,
-            }),
-            t => Err(DecodeError::BadTag(t)),
-        }
+// Every handshake opens with the magic and the version.
+ftm_crypto::wire_codec! {
+    enum Hello after (MAGIC, VERSION) {
+        1 => Peer { id, cluster },
+        2 => Client { cluster },
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ftm_crypto::wire::{CanonicalDecode, DecodeError};
 
     #[test]
     fn frame_roundtrip() {

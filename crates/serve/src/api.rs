@@ -6,8 +6,6 @@
 //! tagged), so replies are byte-stable given equal state — which is what
 //! lets the load generator compare replicas structurally.
 
-use ftm_crypto::wire::{CanonicalDecode, CanonicalEncode, DecodeError, Decoder, Encoder};
-
 /// A client request to one replica.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Request {
@@ -23,27 +21,11 @@ pub enum Request {
     Shutdown,
 }
 
-impl CanonicalEncode for Request {
-    fn encode(&self, enc: &mut Encoder) {
-        match self {
-            Request::Submit { value } => {
-                enc.tag(1);
-                enc.u64(*value);
-            }
-            Request::Status => enc.tag(2),
-            Request::Shutdown => enc.tag(3),
-        }
-    }
-}
-
-impl CanonicalDecode for Request {
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        match dec.tag()? {
-            1 => Ok(Request::Submit { value: dec.u64()? }),
-            2 => Ok(Request::Status),
-            3 => Ok(Request::Shutdown),
-            t => Err(DecodeError::BadTag(t)),
-        }
+ftm_crypto::wire_codec! {
+    enum Request {
+        1 => Submit { value },
+        2 => Status,
+        3 => Shutdown,
     }
 }
 
@@ -92,77 +74,25 @@ pub struct Status {
     pub committed_digest: Vec<u8>,
 }
 
-/// A string as canonical bytes (UTF-8, length-prefixed).
-fn encode_str(enc: &mut Encoder, s: &str) {
-    enc.bytes(s.as_bytes());
-}
-
-fn decode_str(dec: &mut Decoder<'_>) -> Result<String, DecodeError> {
-    // Tag 0 stands in for "invalid UTF-8" — the canonical encoder only
-    // ever writes valid UTF-8, so hitting this means corruption.
-    String::from_utf8(dec.bytes()?).map_err(|_| DecodeError::BadTag(0))
-}
-
-impl CanonicalEncode for Status {
-    fn encode(&self, enc: &mut Encoder) {
-        enc.u32(self.me);
-        enc.u64(self.now_ms);
-        enc.u64(self.decided_slots);
-        enc.bool(self.halted);
-        enc.bool(self.contradicted);
-        enc.bytes(&self.log_digest);
-        enc.u32(u32::try_from(self.convicted.len()).unwrap_or(u32::MAX));
-        for c in &self.convicted {
-            encode_str(enc, c);
-        }
-        enc.u64(self.queued);
-        enc.u64(self.msgs_sent);
-        enc.u64(self.msgs_received);
-        enc.u64(self.bytes_sent);
-        enc.u64(self.bytes_received);
-        enc.u64(self.batch);
-        enc.u64(self.submitted);
-        enc.u64(self.committed);
-        enc.u64(self.inflight);
-        enc.bytes(&self.committed_digest);
-    }
-}
-
-impl CanonicalDecode for Status {
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        let me = dec.u32()?;
-        let now_ms = dec.u64()?;
-        let decided_slots = dec.u64()?;
-        let halted = dec.bool()?;
-        let contradicted = dec.bool()?;
-        let log_digest = dec.bytes()?;
-        let n_convicted = dec.u32()?;
-        if n_convicted as usize > dec.remaining() {
-            return Err(DecodeError::BadLength(n_convicted));
-        }
-        let mut convicted = Vec::with_capacity(n_convicted as usize);
-        for _ in 0..n_convicted {
-            convicted.push(decode_str(dec)?);
-        }
-        Ok(Status {
-            me,
-            now_ms,
-            decided_slots,
-            halted,
-            contradicted,
-            log_digest,
-            convicted,
-            queued: dec.u64()?,
-            msgs_sent: dec.u64()?,
-            msgs_received: dec.u64()?,
-            bytes_sent: dec.u64()?,
-            bytes_received: dec.u64()?,
-            batch: dec.u64()?,
-            submitted: dec.u64()?,
-            committed: dec.u64()?,
-            inflight: dec.u64()?,
-            committed_digest: dec.bytes()?,
-        })
+ftm_crypto::wire_codec! {
+    struct Status {
+        me,
+        now_ms,
+        decided_slots,
+        halted,
+        contradicted,
+        log_digest,
+        convicted,
+        queued,
+        msgs_sent,
+        msgs_received,
+        bytes_sent,
+        bytes_received,
+        batch,
+        submitted,
+        committed,
+        inflight,
+        committed_digest,
     }
 }
 
@@ -183,41 +113,19 @@ pub enum Reply {
     BadRequest(String),
 }
 
-impl CanonicalEncode for Reply {
-    fn encode(&self, enc: &mut Encoder) {
-        match self {
-            Reply::Submitted { queued } => {
-                enc.tag(1);
-                enc.u64(*queued);
-            }
-            Reply::Status(s) => {
-                enc.tag(2);
-                s.encode(enc);
-            }
-            Reply::ShuttingDown => enc.tag(3),
-            Reply::BadRequest(msg) => {
-                enc.tag(4);
-                encode_str(enc, msg);
-            }
-        }
-    }
-}
-
-impl CanonicalDecode for Reply {
-    fn decode(dec: &mut Decoder<'_>) -> Result<Self, DecodeError> {
-        match dec.tag()? {
-            1 => Ok(Reply::Submitted { queued: dec.u64()? }),
-            2 => Ok(Reply::Status(Status::decode(dec)?)),
-            3 => Ok(Reply::ShuttingDown),
-            4 => Ok(Reply::BadRequest(decode_str(dec)?)),
-            t => Err(DecodeError::BadTag(t)),
-        }
+ftm_crypto::wire_codec! {
+    enum Reply {
+        1 => Submitted { queued },
+        2 => Status(status),
+        3 => ShuttingDown,
+        4 => BadRequest(message),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ftm_crypto::wire::{CanonicalDecode, CanonicalEncode};
 
     fn sample_status() -> Status {
         Status {
